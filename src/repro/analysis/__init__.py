@@ -19,9 +19,6 @@ DET001     no wall-clock/entropy sources in simulation hot paths
 DET002     no dict/set iteration without ``sorted(...)`` in hot paths
 DET003     RNG streams must come from :func:`repro.rng.child_rng`
 DET004     numpy sort/argsort in hot paths must pass ``kind="stable"``
-NATIVE001  CFG_*/CTR_* Python mirrors match the kernels.c enums
-NATIVE002  pointer-table slot names/order/count match the PT_* enum
-NATIVE003  ``# repro: c-mirror[NAME]`` constants equal the C #define
 PHASE001   pipeline phases only write declared simulator attributes
 REG001     CLI choices / registry tables / recipe validators coherent
 RNG001     child_rng labels are unique literals across SIM_PACKAGES
@@ -54,11 +51,6 @@ from repro.analysis.determinism import (
     Det002UnsortedIteration,
     Det003RngProvenance,
     Det004UnstableSort,
-)
-from repro.analysis.nativecontract import (
-    Native001EnumMirror,
-    Native002SlotTable,
-    Native003DefineMirror,
 )
 from repro.analysis.phasecontract import Phase001PhaseWrites
 from repro.analysis.registry import Reg001RegistryCoherence
@@ -94,9 +86,6 @@ def all_rules() -> Tuple[Rule, ...]:
         Det002UnsortedIteration(),
         Det003RngProvenance(),
         Det004UnstableSort(),
-        Native001EnumMirror(),
-        Native002SlotTable(),
-        Native003DefineMirror(),
         Phase001PhaseWrites(),
         Reg001RegistryCoherence(),
         Rng001LabelLineage(),

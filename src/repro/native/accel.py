@@ -1,12 +1,20 @@
 """ctypes bridge between the simulator and the compiled kernels.
 
 :class:`NativeAccel` gathers the simulator's numpy buffers into a
-pointer table (one slot per array, in the exact order of the C enum in
-``kernels.c``) and drives the four hot phases through the compiled
-entry points.  The kernels mutate the *same* arrays Python owns, so
-every live view (queues, buffers, per-node stats arrays, core state)
-stays coherent without copies; only Python-scalar statistics need a
-per-cycle mirror flush.
+pointer table and drives the four hot phases through the compiled entry
+points.  The kernels mutate the *same* arrays Python owns, so every live
+view (queues, buffers, per-node stats arrays, core state) stays coherent
+without copies; only Python-scalar statistics need a mirror flush.
+
+This module owns the Python<->C ABI.  The three tables below name every
+pointer-table, ``cfg`` and ``ctr`` slot exactly once, and their
+*insertion order is the slot order*: :func:`abi_defines` turns each
+position into a ``-DPT_<name>=<index>`` (``CFG_``, ``CTR_``) compile
+flag next to the flit layout and size constants read from their Python
+owners, and ``kernels.c`` defines none of them itself.  Reordering,
+inserting or removing an entry therefore just rebuilds the library (the
+object is tagged by source *and* flags); a name C uses that is missing
+here fails the compile.
 
 Configurations the kernels do not model raise
 :class:`NativeUnsupported` at construction time — the backend is opt-in
@@ -16,87 +24,146 @@ and refuses loudly rather than silently diverging from the reference.
 from __future__ import annotations
 
 import ctypes
+from operator import attrgetter
 
 import numpy as np
 
-from repro.network.base import EjectedFlits
-from repro.network.flit import SEQ_RING
+from repro.network import flit
+from repro.network.base import EjectedFlits, NetworkStats
+from repro.network.engine import _KEY_MAX
+from repro.network.injection import InjectionThrottleGate
 from repro.native.build import NativeBuildError, load_library
 
-__all__ = ["NativeAccel", "NativeUnsupported"]
+__all__ = ["NativeAccel", "NativeUnsupported", "abi_defines"]
 
-#: The C translation unit this module mirrors, relative to this file.
-#: Declaring it makes the module a *kernel mirror* for the NATIVE rules
-#: in ``repro.analysis``: the enum/#define mirrors below are checked
-#: against the C source on every analyzer run, not just at runtime.
-KERNEL_SOURCE = "kernels.c"
-
-_KEY_MAX = np.iinfo(np.int64).max  # repro: c-mirror[KEY_MAX]
-
-#: C-side port-count cap.
-_MAX_PORTS = 64  # repro: c-mirror[MAX_PORTS]
+#: C-side port-count cap (sizes a per-node stack array in the kernels).
+_MAX_PORTS = 64
 
 _ARB_CODES = {"oldest_first": 0, "youngest_first": 1, "random": 2}
 
-# cfg slots — mirror of the CFG_* enum in kernels.c, checked by NATIVE001.
-(
-    CFG_N, CFG_P, CFG_DEPTH, CFG_EJECT_W, CFG_QCAP, CFG_SW, CFG_ARB,
-    CFG_ISSUE_W, CFG_WINDOW, CFG_MSHR, CFG_REPLY_FLITS, CFG_L2_LAT,
-    CFG_EJ_CAP, CFG_PEND_CAP, CFG_BUF_CAP, CFG_SLOT_COUNT, CFG_REQ_FLITS,
-    CFG_NUM,
-) = range(18)
-
-# ctr slots — mirror of the CTR_* enum in kernels.c, checked by NATIVE001.
-(
-    CTR_CURSOR, CTR_SPOS, CTR_SSEEN, CTR_CYCLES, CTR_INJ, CTR_EJ_FLITS,
-    CTR_HOPS, CTR_DEFL, CTR_BWRITES, CTR_BREADS, CTR_OCC, CTR_LAT_SUM,
-    CTR_LAT_CNT, CTR_LAT_MAX, CTR_HOPS_SUM, CTR_INJLAT_SUM,
-    CTR_INJLAT_CNT, CTR_HEAD_DIRTY, CTR_MISS_CNT, CTR_MEM_CURSOR,
-    CTR_PEND_CNT, CTR_REQ_SERVICED, CTR_REP_ISSUED, CTR_EJ_COUNT,
-    CTR_ERROR, CTR_ACCEPTED, CTR_NUM,
-) = range(27)
-
-#: Pointer-table slot names, in slot order — mirror of the PT_* enum in
-#: kernels.c (terminator excluded), checked by NATIVE002 together with
-#: the length of the ``arrays`` literal that realizes it below.
-PT_SLOT_NAMES = (
-    "PT_RING_META", "PT_RING_BIRTH", "PT_LAT_OUT", "PT_TARGET_FLAT",
-    "PT_LINK_UP", "PT_NEIGHBOR", "PT_REVERSE", "PT_P0TAB", "PT_P1TAB",
-    "PT_CONGESTED",
-    "PT_REQ_DEST", "PT_REQ_KIND", "PT_REQ_FLITS", "PT_REQ_STAMP",
-    "PT_REQ_SEQ", "PT_REQ_HEAD", "PT_REQ_COUNT",
-    "PT_RESP_DEST", "PT_RESP_KIND", "PT_RESP_FLITS", "PT_RESP_STAMP",
-    "PT_RESP_SEQ", "PT_RESP_HEAD", "PT_RESP_COUNT",
-    "PT_THR_COUNTER", "PT_THR_RATE", "PT_STARV_RING", "PT_STARV_SUM",
-    "PT_INJ_PER_NODE", "PT_STARVED_CYC", "PT_PORT_STARVED_CYC",
-    "PT_LAT_HIST",
-    "PT_G_META", "PT_G_BIRTH", "PT_G_KEY", "PT_G_AVAIL", "PT_G_OUTM",
-    "PT_G_OUTB",
-    "PT_H_KEY", "PT_H_OUT", "PT_W_NODE", "PT_W_IN", "PT_W_DOWN",
-    "PT_W_DPORT",
-    "PT_BUF_META", "PT_BUF_BIRTH", "PT_BUF_HEAD", "PT_BUF_COUNT",
-    "PT_RESERVED",
-    "PT_EJ_NODE", "PT_EJ_SRC", "PT_EJ_KIND", "PT_EJ_SEQ", "PT_EJ_CBIT",
-    "PT_CO_ACTIVE", "PT_CO_RETIRED", "PT_CO_ISSUE_POS", "PT_CO_RECV",
-    "PT_CO_COMPLETE", "PT_CO_ISSUED", "PT_CO_COMPLETED", "PT_CO_HEAD",
-    "PT_CO_GAP",
-    "PT_CO_EPOCH_INSNS", "PT_CO_STALL", "PT_CO_WSTALL", "PT_MISS_OUT",
-    "PT_VISITED",
-    "PT_MEM_SRV", "PT_MEM_REQ", "PT_MEM_SEQ", "PT_MEM_CNT",
-    "PT_PEND_S", "PT_PEND_R", "PT_PEND_Q", "PT_SCR_S", "PT_SCR_R",
-    "PT_SCR_Q",
-    "PT_CO_MISSES", "PT_CO_EPOCH_FLITS", "PT_ISSUE_DEST",
-)
-
+#: ``ctr[CTR_ERROR]`` codes, 1-based in this order (0 means no error).
 _ERRORS = {
-    1: "pointer-table slot count mismatch — the Python table drifted "
-       "from the PT_* enum; run "
-       "`python -m repro.analysis src --select NATIVE002` and rebuild",
-    2: "memory service ring overflow",
-    3: "pending-reply scratch overflow",
-    4: "ejection scratch overflow",
-    5: f"too many router ports for the native backend (max {_MAX_PORTS})",
+    "MEM_RING_OVERFLOW": "memory service ring overflow",
+    "PENDING_OVERFLOW": "pending-reply scratch overflow",
+    "EJECT_OVERFLOW": "ejection scratch overflow",
+    "TOO_MANY_PORTS":
+        f"too many router ports for the native backend (max {_MAX_PORTS})",
 }
+
+#: Pointer table: slot name -> where a :class:`NativeAccel` finds the
+#: array (attribute path from the accel).  The kernels cast each slot to
+#: the owner's dtype, so a slot may move but not change element type.
+_PT = {
+    "RING_META": "_net._ring_meta", "RING_BIRTH": "_net._ring_birth",
+    "LAT_OUT": "_net._lat_out", "TARGET_FLAT": "_net._target_flat",
+    "LINK_UP": "_link_up", "NEIGHBOR": "_neighbor", "REVERSE": "_reverse",
+    "P0TAB": "_net._p0_flat", "P1TAB": "_net._p1_flat",
+    "CONGESTED": "_net.congested_nodes",
+    "REQ_DEST": "_net.request_queue.dest",
+    "REQ_KIND": "_net.request_queue.kind",
+    "REQ_FLITS": "_net.request_queue.flits",
+    "REQ_STAMP": "_net.request_queue.stamp",
+    "REQ_SEQ": "_net.request_queue.seq",
+    "REQ_HEAD": "_net.request_queue.head",
+    "REQ_COUNT": "_net.request_queue.count",
+    "RESP_DEST": "_net.response_queue.dest",
+    "RESP_KIND": "_net.response_queue.kind",
+    "RESP_FLITS": "_net.response_queue.flits",
+    "RESP_STAMP": "_net.response_queue.stamp",
+    "RESP_SEQ": "_net.response_queue.seq",
+    "RESP_HEAD": "_net.response_queue.head",
+    "RESP_COUNT": "_net.response_queue.count",
+    "THR_COUNTER": "_net.throttle.counter", "THR_RATE": "_net.throttle.rate",
+    "STARV_RING": "_net.starvation._ring",
+    "STARV_SUM": "_net.starvation._sum",
+    "INJ_PER_NODE": "_stats.injected_per_node",
+    "STARVED_CYC": "_stats.starved_cycles",
+    "PORT_STARVED_CYC": "_stats.port_starved_cycles",
+    "LAT_HIST": "_stats.latency_hist",
+    "G_META": "_g_meta", "G_BIRTH": "_g_birth", "G_KEY": "_g_key",
+    "G_AVAIL": "_g_avail", "G_OUTM": "_g_outm", "G_OUTB": "_g_outb",
+    "H_KEY": "_h_key", "H_OUT": "_h_out",
+    "W_NODE": "_w_node", "W_IN": "_w_in", "W_DOWN": "_w_down",
+    "W_DPORT": "_w_dport",
+    "BUF_META": "_buf_meta", "BUF_BIRTH": "_buf_birth",
+    "BUF_HEAD": "_buf_head", "BUF_COUNT": "_buf_count",
+    "RESERVED": "_reserved",
+    "EJ_NODE": "_ej_node", "EJ_SRC": "_ej_src", "EJ_KIND": "_ej_kind",
+    "EJ_SEQ": "_ej_seq", "EJ_CBIT": "_ej_cbit",
+    "CO_ACTIVE": "_cores.active", "CO_RETIRED": "_cores.retired",
+    "CO_ISSUE_POS": "_cores._issue_pos", "CO_RECV": "_cores._recv",
+    "CO_COMPLETE": "_cores._complete", "CO_ISSUED": "_cores._issued",
+    "CO_COMPLETED": "_cores._completed", "CO_HEAD": "_cores._head",
+    "CO_GAP": "_cores._insns_until_miss",
+    "CO_EPOCH_INSNS": "_cores.epoch_insns",
+    "CO_STALL": "_cores.stall_cycles",
+    "CO_WSTALL": "_cores.window_stall_cycles",
+    "CO_MISSES": "_cores.misses_issued",
+    "CO_EPOCH_FLITS": "_cores.epoch_flits",
+    "MISS_OUT": "_miss_out", "ISSUE_DEST": "_issue_dest",
+    "VISITED": "_visited",
+    "MEM_SRV": "_mem_srv", "MEM_REQ": "_mem_req", "MEM_SEQ": "_mem_seq",
+    "MEM_CNT": "_mem_cnt",
+    "PEND_S": "_pend_s", "PEND_R": "_pend_r", "PEND_Q": "_pend_q",
+    "SCR_S": "_scr_s", "SCR_R": "_scr_r", "SCR_Q": "_scr_q",
+}
+
+#: ``cfg`` slots: name -> attribute path of the (immutable) value.
+_CFG = {
+    "N": "_net.num_nodes", "P": "_net.num_ports",
+    "DEPTH": "_net._ring_depth", "EJECT_W": "_eject_width",
+    "QCAP": "_net.request_queue.capacity", "SW": "_net.starvation.window",
+    "ARB": "_arb", "ISSUE_W": "_cores.issue_width",
+    "WINDOW": "_cores.window_size", "MSHR": "_cores.mshr_limit",
+    "REQ_FLITS": "_cores.request_flits",
+    "REPLY_FLITS": "_cores.reply_flits", "L2_LAT": "_memory.l2_latency",
+    "EJ_CAP": "_ej_cap", "PEND_CAP": "_pend_cap", "BUF_CAP": "_buf_cap",
+}
+
+#: ``ctr`` slots: name -> attribute path of the Python scalar the slot
+#: mirrors (seeded from it at construction, written back by
+#: :meth:`NativeAccel.flush`), or ``None`` for kernel-internal counters.
+_CTR = {
+    "CURSOR": "_net._cursor", "SPOS": "_net.starvation._pos",
+    "SSEEN": "_net.starvation._cycles_seen", "CYCLES": "_stats.cycles",
+    "INJ": "_stats.injected_flits", "EJ_FLITS": "_stats.ejected_flits",
+    "HOPS": "_stats.flit_hops", "DEFL": "_stats.deflections",
+    "BWRITES": "_stats.buffer_writes", "BREADS": "_stats.buffer_reads",
+    "OCC": "_stats.buffer_occupancy_sum", "LAT_SUM": "_stats.latency_sum",
+    "LAT_CNT": "_stats.latency_count", "LAT_MAX": "_stats.latency_max",
+    "HOPS_SUM": "_stats.hops_sum",
+    "INJLAT_SUM": "_net.injection_latency_sum",
+    "INJLAT_CNT": "_net.injection_latency_count",
+    "HEAD_DIRTY": "_cores._head_dirty", "MEM_CURSOR": "_memory._cursor",
+    "REQ_SERVICED": "_memory.requests_serviced",
+    "REP_ISSUED": "_memory.replies_issued",
+    "MISS_CNT": None, "ACCEPTED": None, "PEND_CNT": None,
+    "EJ_COUNT": None, "ERROR": None,
+}
+
+
+def abi_defines() -> dict:
+    """Every fact ``kernels.c`` takes from Python: macro name -> int."""
+    defines = {
+        "NODE_MASK": flit._NODE_MASK, "SRC_SHIFT": flit._SRC_SHIFT,
+        "KIND_SHIFT": flit._KIND_SHIFT, "KIND_MASK": flit._KIND_MASK,
+        "SEQ_SHIFT": flit._SEQ_SHIFT, "SEQ_MASK": flit._SEQ_MASK,
+        "HOPS_SHIFT": flit._HOPS_SHIFT, "HOPS_MASK": flit._HOPS_MASK,
+        "HOP_ONE": flit.HOP_ONE, "CBIT": flit.CBIT_MASK,
+        "SEQ_RING": flit.SEQ_RING,
+        "KIND_REQUEST": flit.FLIT_REQUEST, "KIND_REPLY": flit.FLIT_REPLY,
+        "KEY_MAX": _KEY_MAX, "MAX_PORTS": _MAX_PORTS,
+        "HIST_BUCKETS": NetworkStats.LATENCY_HIST_BUCKETS,
+        "THROTTLE_MAX": InjectionThrottleGate.MAX_COUNT,
+    }
+    for name, code in _ARB_CODES.items():
+        defines["ARB_" + name.upper()] = code
+    for code, name in enumerate(_ERRORS, start=1):
+        defines["ERR_" + name] = code
+    for prefix, table in (("PT_", _PT), ("CFG_", _CFG), ("CTR_", _CTR)):
+        for index, name in enumerate(table):
+            defines[prefix + name] = index
+    return {name: int(value) for name, value in defines.items()}
 
 
 class NativeUnsupported(RuntimeError):
@@ -142,15 +209,14 @@ class NativeAccel:
         self._memory = memory
         self._stats = net.stats
         self._buffered = config.network == "buffered"
-        arb = _ARB_CODES[net.arbitration]
-        self._arb_random = arb == _ARB_CODES["random"]
+        self._arb = _ARB_CODES[net.arbitration]
+        self._arb_random = net.arbitration == "random"
         self._rng = net._rng
 
-        eject_width = net.eject_width if not self._buffered else 1
-        ej_cap = n * eject_width
-        pend_cap = n * cores.mshr_limit + ej_cap + 8
+        self._eject_width = net.eject_width if not self._buffered else 1
+        ej_cap = self._ej_cap = n * self._eject_width
+        pend_cap = self._pend_cap = n * cores.mshr_limit + ej_cap + 8
         l2 = memory.l2_latency
-        qcap = net.request_queue.capacity
 
         i64, u8 = np.int64, np.bool_
 
@@ -192,7 +258,7 @@ class NativeAccel:
         # Core-phase miss output + (node, seq)-dedup scratch.
         self._miss_out = alloc(n, i64)
         self._issue_dest = alloc(n, i64)
-        self._visited = alloc(max(n * SEQ_RING, 1), np.uint8)
+        self._visited = alloc(max(n * flit.SEQ_RING, 1), np.uint8)
 
         # Memory system state lives entirely on the C side (the Python
         # MemorySystem ring holds object tuples, which C cannot share).
@@ -207,115 +273,57 @@ class NativeAccel:
         self._scr_r = alloc(2 * pend_cap, i64)
         self._scr_q = alloc(2 * pend_cap, i64)
 
-        dummy64 = alloc(1, i64)
-        dummy32 = alloc(1, np.int32)
         if self._buffered:
             buf = net.buffers
-            buf_meta, buf_birth = buf.meta, buf.birth
-            buf_head, buf_count = buf.head, buf.count
-            reserved = net.reserved
-            buf_cap = net.buffer_capacity
+            self._buf_meta, self._buf_birth = buf.meta, buf.birth
+            self._buf_head, self._buf_count = buf.head, buf.count
+            self._reserved = net.reserved
+            self._buf_cap = net.buffer_capacity
         else:
-            buf_meta = buf_birth = dummy64
-            buf_head = buf_count = reserved = dummy32
-            buf_cap = 0
-
-        req, resp = net.request_queue, net.response_queue
-        meter, gate = net.starvation, net.throttle
-        stats = net.stats
-        # Slot order here IS PT_SLOT_NAMES (and therefore the PT_* enum
-        # in kernels.c) — append-only; NATIVE002 checks all three sides.
-        arrays = [
-            net._ring_meta, net._ring_birth, net._lat_out,
-            net._target_flat, self._link_up, self._neighbor,
-            self._reverse, net._p0_flat, net._p1_flat,
-            net.congested_nodes,
-            req.dest, req.kind, req.flits, req.stamp, req.seq,
-            req.head, req.count,
-            resp.dest, resp.kind, resp.flits, resp.stamp, resp.seq,
-            resp.head, resp.count,
-            gate.counter, gate.rate, meter._ring, meter._sum,
-            stats.injected_per_node, stats.starved_cycles,
-            stats.port_starved_cycles, stats.latency_hist,
-            self._g_meta, self._g_birth, self._g_key, self._g_avail,
-            self._g_outm, self._g_outb,
-            self._h_key, self._h_out,
-            self._w_node, self._w_in, self._w_down, self._w_dport,
-            buf_meta, buf_birth, buf_head, buf_count, reserved,
-            self._ej_node, self._ej_src, self._ej_kind, self._ej_seq,
-            self._ej_cbit,
-            cores.active, cores.retired, cores._issue_pos, cores._recv,
-            cores._complete, cores._issued, cores._completed,
-            cores._head, cores._insns_until_miss, cores.epoch_insns,
-            cores.stall_cycles, cores.window_stall_cycles,
-            self._miss_out,
-            self._visited,
-            self._mem_srv, self._mem_req, self._mem_seq, self._mem_cnt,
-            self._pend_s, self._pend_r, self._pend_q,
-            self._scr_s, self._scr_r, self._scr_q,
-            cores.misses_issued, cores.epoch_flits, self._issue_dest,
-        ]
-        if len(arrays) != len(PT_SLOT_NAMES):
-            raise NativeUnsupported(
-                f"pointer table has {len(arrays)} entries but "
-                f"PT_SLOT_NAMES declares {len(PT_SLOT_NAMES)} slots; the "
-                "table drifted from the kernels.c PT_* enum — run "
-                "`python -m repro.analysis src --select NATIVE002`"
+            self._buf_meta = self._buf_birth = alloc(1, i64)
+            self._buf_head = self._buf_count = self._reserved = alloc(
+                1, np.int32
             )
-        for a in arrays:
-            assert a.flags["C_CONTIGUOUS"], "pointer-table arrays must be contiguous"
-        self._arrays = arrays  # keep the buffers alive
-        self._pt = (ctypes.c_void_p * len(arrays))(
-            *[a.ctypes.data for a in arrays]
+            self._buf_cap = 0
+
+        # Holding the arrays keeps the buffers alive behind the pointers.
+        self._arrays = dict(zip(_PT, attrgetter(*_PT.values())(self)))
+        for name, a in self._arrays.items():
+            if not a.flags["C_CONTIGUOUS"]:
+                raise NativeUnsupported(
+                    f"native backend: pointer-table slot PT_{name} "
+                    f"({_PT[name]}) is not C-contiguous"
+                )
+        self._pt = (ctypes.c_void_p * len(_PT))(
+            *[a.ctypes.data for a in self._arrays.values()]
+        )
+        self._cfg = np.array(
+            attrgetter(*_CFG.values())(self), dtype=np.int64
         )
 
-        cfg = np.zeros(CFG_NUM, dtype=np.int64)
-        cfg[CFG_N] = n
-        cfg[CFG_P] = p
-        cfg[CFG_DEPTH] = net._ring_depth
-        cfg[CFG_EJECT_W] = eject_width
-        cfg[CFG_QCAP] = qcap
-        cfg[CFG_SW] = meter.window
-        cfg[CFG_ARB] = arb
-        cfg[CFG_ISSUE_W] = cores.issue_width
-        cfg[CFG_WINDOW] = cores.window_size
-        cfg[CFG_MSHR] = cores.mshr_limit
-        cfg[CFG_REPLY_FLITS] = cores.reply_flits
-        cfg[CFG_L2_LAT] = l2
-        cfg[CFG_EJ_CAP] = ej_cap
-        cfg[CFG_PEND_CAP] = pend_cap
-        cfg[CFG_BUF_CAP] = buf_cap
-        cfg[CFG_SLOT_COUNT] = len(arrays)
-        cfg[CFG_REQ_FLITS] = cores.request_flits
-        self._cfg = cfg
-
-        ctr = np.zeros(CTR_NUM, dtype=np.int64)
-        ctr[CTR_CURSOR] = net._cursor
-        ctr[CTR_SPOS] = meter._pos
-        ctr[CTR_SSEEN] = meter._cycles_seen
-        ctr[CTR_CYCLES] = stats.cycles
-        ctr[CTR_INJ] = stats.injected_flits
-        ctr[CTR_EJ_FLITS] = stats.ejected_flits
-        ctr[CTR_HOPS] = stats.flit_hops
-        ctr[CTR_DEFL] = stats.deflections
-        ctr[CTR_BWRITES] = stats.buffer_writes
-        ctr[CTR_BREADS] = stats.buffer_reads
-        ctr[CTR_OCC] = stats.buffer_occupancy_sum
-        ctr[CTR_LAT_SUM] = stats.latency_sum
-        ctr[CTR_LAT_CNT] = stats.latency_count
-        ctr[CTR_LAT_MAX] = stats.latency_max
-        ctr[CTR_HOPS_SUM] = stats.hops_sum
-        ctr[CTR_INJLAT_SUM] = net.injection_latency_sum
-        ctr[CTR_INJLAT_CNT] = net.injection_latency_count
-        ctr[CTR_HEAD_DIRTY] = int(cores._head_dirty)
-        ctr[CTR_MEM_CURSOR] = memory._cursor
-        ctr[CTR_REQ_SERVICED] = memory.requests_serviced
-        ctr[CTR_REP_ISSUED] = memory.replies_issued
-        self._ctr = ctr
+        # ctr mirrors as (slot, owner, attribute, type), resolved once;
+        # the same rows seed the counters here and drive flush().
+        self._ctr = np.zeros(len(_CTR), dtype=np.int64)
+        self._mirrors = []
+        for index, path in enumerate(_CTR.values()):
+            if path is None:
+                continue
+            owner_path, _, attr = path.rpartition(".")
+            owner = attrgetter(owner_path)(self)
+            value = getattr(owner, attr)
+            self._ctr[index] = value
+            cast = bool if isinstance(value, bool) else int
+            self._mirrors.append((index, owner, attr, cast))
+        # Slot indices the per-cycle drivers read, resolved once.
+        slots = list(_CTR)
+        self._ctr_error = slots.index("ERROR")
+        self._ctr_miss_cnt = slots.index("MISS_CNT")
+        self._ctr_accepted = slots.index("ACCEPTED")
+        self._ctr_ej_count = slots.index("EJ_COUNT")
 
         ll = ctypes.POINTER(ctypes.c_longlong)
-        self._cfg_p = cfg.ctypes.data_as(ll)
-        self._ctr_p = ctr.ctypes.data_as(ll)
+        self._cfg_p = self._cfg.ctypes.data_as(ll)
+        self._ctr_p = self._ctr.ctypes.data_as(ll)
         self._net_kernel = (
             self._lib.noc_credit if self._buffered else self._lib.noc_bless
         )
@@ -328,10 +336,11 @@ class NativeAccel:
 
     # ------------------------------------------------------------------
     def _check_error(self) -> None:
-        code = int(self._ctr[CTR_ERROR])
+        code = int(self._ctr[self._ctr_error])
         if code:
+            reasons = dict(enumerate(_ERRORS.values(), start=1))
             raise RuntimeError(
-                f"native kernel error: {_ERRORS.get(code, code)}"
+                f"native kernel error: {reasons.get(code, code)}"
             )
 
     def flush(self) -> None:
@@ -342,28 +351,9 @@ class NativeAccel:
         epoch boundaries and before result() — and per network step
         when a watchdog observes the stats every cycle.
         """
-        ctr, stats, net = self._ctr, self._stats, self._net
-        stats.cycles = int(ctr[CTR_CYCLES])
-        stats.injected_flits = int(ctr[CTR_INJ])
-        stats.ejected_flits = int(ctr[CTR_EJ_FLITS])
-        stats.flit_hops = int(ctr[CTR_HOPS])
-        stats.deflections = int(ctr[CTR_DEFL])
-        stats.buffer_writes = int(ctr[CTR_BWRITES])
-        stats.buffer_reads = int(ctr[CTR_BREADS])
-        stats.buffer_occupancy_sum = int(ctr[CTR_OCC])
-        stats.latency_sum = int(ctr[CTR_LAT_SUM])
-        stats.latency_count = int(ctr[CTR_LAT_CNT])
-        stats.latency_max = int(ctr[CTR_LAT_MAX])
-        stats.hops_sum = int(ctr[CTR_HOPS_SUM])
-        net.injection_latency_sum = int(ctr[CTR_INJLAT_SUM])
-        net.injection_latency_count = int(ctr[CTR_INJLAT_CNT])
-        net._cursor = int(ctr[CTR_CURSOR])
-        meter = net.starvation
-        meter._pos = int(ctr[CTR_SPOS])
-        meter._cycles_seen = int(ctr[CTR_SSEEN])
-        self._memory.requests_serviced = int(ctr[CTR_REQ_SERVICED])
-        self._memory.replies_issued = int(ctr[CTR_REP_ISSUED])
-        self._cores._head_dirty = bool(ctr[CTR_HEAD_DIRTY])
+        values = self._ctr.tolist()
+        for index, owner, attr, cast in self._mirrors:
+            setattr(owner, attr, cast(values[index]))
 
     # ------------------------------------------------------------------
     # Phase drivers (called by the Simulator's native pipeline)
@@ -371,7 +361,7 @@ class NativeAccel:
     def cores_phase(self, cycle: int) -> None:
         self._lib.noc_cores(self._pt, self._cfg_p, self._ctr_p, cycle)
         self._check_error()
-        k = int(self._ctr[CTR_MISS_CNT])
+        k = int(self._ctr[self._ctr_miss_cnt])
         if k:
             # The reference miss tail, split around its RNG draws: the
             # destinations and next gaps come from the same streams, in
@@ -382,7 +372,7 @@ class NativeAccel:
                 self._miss_out[:k], cores.rng
             )
             self._lib.noc_issue(self._pt, self._cfg_p, self._ctr_p, cycle)
-            m = int(self._ctr[CTR_ACCEPTED])
+            m = int(self._ctr[self._ctr_accepted])
             if m:
                 accepted = self._miss_out[:m]
                 cores._insns_until_miss[accepted] = (
@@ -408,7 +398,7 @@ class NativeAccel:
             # Ejection consumers run in C (noc_eject); the batch only
             # needs Python-side wrapping for an observing controller.
             return self._empty_ejected
-        k = int(self._ctr[CTR_EJ_COUNT])
+        k = int(self._ctr[self._ctr_ej_count])
         return EjectedFlits(
             self._ej_node[:k], self._ej_src[:k], self._ej_kind[:k],
             self._ej_seq[:k], self._ej_cbit[:k],

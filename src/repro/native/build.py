@@ -2,10 +2,14 @@
 
 The kernels ship as C source (``kernels.c``) and are compiled to a
 shared object on first use with whatever C compiler the host provides.
-The build artifact is tagged with a hash of the source so editing the
-kernels invalidates stale objects, and the compile is atomic (build to a
-temp file, ``os.replace`` into place) so concurrent processes never load
-a half-written library.
+``kernels.c`` defines no ABI constant of its own: every slot index and
+layout constant is handed to it as a ``-DNAME=value`` flag generated
+from :func:`repro.native.accel.abi_defines`, so Python is the single
+owner and a name C uses that Python did not supply is a compile error.
+The build artifact is tagged with a hash of the source *and* the flags,
+so editing either side invalidates stale objects, and the compile is
+atomic (build to a temp file, ``os.replace`` into place) so concurrent
+processes never load a half-written library.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -37,14 +42,35 @@ _lib = None
 
 
 def _find_compiler():
-    candidates = [os.environ.get("CC"), "cc", "gcc", "clang"]
-    for cc in candidates:
-        if cc and shutil.which(cc):
-            return cc
+    """argv prefix of the first usable compiler; ``$CC`` may carry
+    arguments (``CC="ccache gcc"``), which are passed through."""
+    for candidate in (os.environ.get("CC") or "", "cc", "gcc", "clang"):
+        try:
+            argv = shlex.split(candidate)
+        except ValueError as exc:
+            raise NativeBuildError(
+                f"cannot parse $CC={candidate!r}: {exc}"
+            ) from exc
+        if argv and shutil.which(argv[0]):
+            return argv
     return None
 
 
-def _compile(so_path: str) -> None:
+def _flags() -> list:
+    # Imported here: accel imports this module for load_library.
+    from repro.native.accel import abi_defines
+
+    return [f"-D{name}={value}LL" for name, value in abi_defines().items()]
+
+
+def _so_path(flags) -> str:
+    with open(_SRC, "rb") as f:
+        digest = hashlib.sha256(f.read())
+    digest.update(" ".join(flags).encode())
+    return os.path.join(_BUILD_DIR, f"kernels-{digest.hexdigest()[:16]}.so")
+
+
+def _compile(so_path: str, flags) -> None:
     cc = _find_compiler()
     if cc is None:
         raise NativeBuildError(
@@ -56,13 +82,14 @@ def _compile(so_path: str) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SRC],
+            [*cc, "-O2", "-shared", "-fPIC", *flags, "-o", tmp, _SRC],
             capture_output=True,
             text=True,
         )
         if proc.returncode != 0:
             raise NativeBuildError(
-                f"compiling kernels.c with {cc!r} failed:\n{proc.stderr}"
+                f"compiling kernels.c with {shlex.join(cc)!r} failed:\n"
+                f"{proc.stderr}"
             )
         os.replace(tmp, so_path)
     finally:
@@ -70,29 +97,17 @@ def _compile(so_path: str) -> None:
             os.unlink(tmp)
 
 
-def load_library():
-    """The compiled kernel library, building it on first call.
-
-    Raises :class:`NativeBuildError` when no compiler is available or
-    the build fails; the result is cached for the process lifetime.
-    """
-    global _lib
-    if _lib is not None:
-        return _lib
-    with open(_SRC, "rb") as f:
-        tag = hashlib.sha256(f.read()).hexdigest()[:16]
-    so_path = os.path.join(_BUILD_DIR, f"kernels-{tag}.so")
+def _build_and_load():
+    flags = _flags()
+    so_path = _so_path(flags)
     if not os.path.exists(so_path):
-        _compile(so_path)
+        _compile(so_path, flags)
     try:
         lib = ctypes.CDLL(so_path)
-    except OSError as exc:  # corrupt artifact: rebuild once
+    except OSError:  # corrupt artifact: rebuild once
         os.unlink(so_path)
-        _compile(so_path)
-        try:
-            lib = ctypes.CDLL(so_path)
-        except OSError as exc2:
-            raise NativeBuildError(f"loading {so_path} failed: {exc2}") from exc
+        _compile(so_path, flags)
+        lib = ctypes.CDLL(so_path)
     abi = [
         ctypes.POINTER(ctypes.c_void_p),
         ctypes.POINTER(ctypes.c_longlong),
@@ -103,8 +118,24 @@ def load_library():
         fn = getattr(lib, name)
         fn.argtypes = abi
         fn.restype = None
-    _lib = lib
     return lib
+
+
+def load_library():
+    """The compiled kernel library, building it on first call.
+
+    Raises :class:`NativeBuildError` when no compiler is available, the
+    build fails, or the build directory cannot be written (any
+    ``OSError`` on the way is reported under that name); the result is
+    cached for the process lifetime.
+    """
+    global _lib
+    if _lib is None:
+        try:
+            _lib = _build_and_load()
+        except OSError as exc:
+            raise NativeBuildError(f"native build failed: {exc}") from exc
+    return _lib
 
 
 def native_available() -> bool:

@@ -12,100 +12,29 @@
  * numpy-vs-native equivalence suite green.
  *
  * ABI: every entry point takes (void **pt, const long long *cfg,
- * long long *ctr, long long cycle).  `pt` is the pointer table (slot
- * enum below, built in the same order by accel.py), `cfg` immutable
- * configuration constants, `ctr` mutable 64-bit counters mirrored back
- * onto the Python stats objects after each call.
+ * long long *ctr, long long cycle).  `pt` is the pointer table, `cfg`
+ * immutable configuration constants, `ctr` mutable 64-bit counters
+ * mirrored back onto the Python stats objects after each call.
+ *
+ * Python owns every ABI fact.  This file defines none of them: the
+ * PT_, CFG_ and CTR_ slot indices (positions in accel.py's tables), the
+ * flit layout (repro.network.flit), KIND_, ARB_ and ERR_ codes and the
+ * size constants all arrive as -DNAME=value from repro.native.build,
+ * so a name used here that Python does not supply fails the compile.
  */
 
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
 
-/* ------------------------------------------------------------------ */
-/* Flit meta layout (repro.network.flit)                               */
-/* ------------------------------------------------------------------ */
-#define NODE_MASK ((1LL << 14) - 1)
-#define SRC_SHIFT 14
-#define KIND_SHIFT 28
-#define CBIT (1LL << 30)
-#define SEQ_SHIFT 31
-#define SEQ_MASK 0xFFLL
-#define HOPS_SHIFT 39
-#define HOPS_MASK ((1LL << 20) - 1)
-#define HOP_ONE (1LL << 39)
-#define KEY_MAX 0x7FFFFFFFFFFFFFFFLL
-#define SEQ_RING 256
-#define HIST_BUCKETS 1024
-#define THROTTLE_MAX 128.0
-#define MAX_PORTS 64
-
-#define KIND_REQUEST 0
-#define KIND_REPLY 1
-
-/* Pointer-table slots; accel.py's PT_SLOT_NAMES/arrays mirror this
- * order exactly — checked statically by NATIVE002 (repro.analysis). */
-enum {
-    PT_RING_META = 0, PT_RING_BIRTH, PT_LAT_OUT, PT_TARGET_FLAT,
-    PT_LINK_UP, PT_NEIGHBOR, PT_REVERSE, PT_P0TAB, PT_P1TAB, PT_CONGESTED,
-    PT_REQ_DEST, PT_REQ_KIND, PT_REQ_FLITS, PT_REQ_STAMP, PT_REQ_SEQ,
-    PT_REQ_HEAD, PT_REQ_COUNT,
-    PT_RESP_DEST, PT_RESP_KIND, PT_RESP_FLITS, PT_RESP_STAMP, PT_RESP_SEQ,
-    PT_RESP_HEAD, PT_RESP_COUNT,
-    PT_THR_COUNTER, PT_THR_RATE, PT_STARV_RING, PT_STARV_SUM,
-    PT_INJ_PER_NODE, PT_STARVED_CYC, PT_PORT_STARVED_CYC, PT_LAT_HIST,
-    PT_G_META, PT_G_BIRTH, PT_G_KEY, PT_G_AVAIL, PT_G_OUTM, PT_G_OUTB,
-    PT_H_KEY, PT_H_OUT, PT_W_NODE, PT_W_IN, PT_W_DOWN, PT_W_DPORT,
-    PT_BUF_META, PT_BUF_BIRTH, PT_BUF_HEAD, PT_BUF_COUNT, PT_RESERVED,
-    PT_EJ_NODE, PT_EJ_SRC, PT_EJ_KIND, PT_EJ_SEQ, PT_EJ_CBIT,
-    PT_CO_ACTIVE, PT_CO_RETIRED, PT_CO_ISSUE_POS, PT_CO_RECV,
-    PT_CO_COMPLETE, PT_CO_ISSUED, PT_CO_COMPLETED, PT_CO_HEAD, PT_CO_GAP,
-    PT_CO_EPOCH_INSNS, PT_CO_STALL, PT_CO_WSTALL, PT_MISS_OUT,
-    PT_VISITED,
-    PT_MEM_SRV, PT_MEM_REQ, PT_MEM_SEQ, PT_MEM_CNT,
-    PT_PEND_S, PT_PEND_R, PT_PEND_Q, PT_SCR_S, PT_SCR_R, PT_SCR_Q,
-    PT_CO_MISSES, PT_CO_EPOCH_FLITS, PT_ISSUE_DEST,
-    PT_NUM_SLOTS
-};
-
-/* cfg slots; mirrored in accel.py, checked by NATIVE001 */
-enum {
-    CFG_N = 0, CFG_P, CFG_DEPTH, CFG_EJECT_W, CFG_QCAP, CFG_SW, CFG_ARB,
-    CFG_ISSUE_W, CFG_WINDOW, CFG_MSHR, CFG_REPLY_FLITS, CFG_L2_LAT,
-    CFG_EJ_CAP, CFG_PEND_CAP, CFG_BUF_CAP, CFG_SLOT_COUNT, CFG_REQ_FLITS,
-    CFG_NUM
-};
-
-/* ctr slots; mirrored in accel.py, checked by NATIVE001 */
-enum {
-    CTR_CURSOR = 0, CTR_SPOS, CTR_SSEEN, CTR_CYCLES, CTR_INJ,
-    CTR_EJ_FLITS, CTR_HOPS, CTR_DEFL, CTR_BWRITES, CTR_BREADS, CTR_OCC,
-    CTR_LAT_SUM, CTR_LAT_CNT, CTR_LAT_MAX, CTR_HOPS_SUM, CTR_INJLAT_SUM,
-    CTR_INJLAT_CNT, CTR_HEAD_DIRTY, CTR_MISS_CNT, CTR_MEM_CURSOR,
-    CTR_PEND_CNT, CTR_REQ_SERVICED, CTR_REP_ISSUED, CTR_EJ_COUNT,
-    CTR_ERROR, CTR_ACCEPTED,
-    CTR_NUM
-};
-
-/* ctr[CTR_ERROR] codes */
-#define ERR_SLOT_MISMATCH 1
-#define ERR_MEM_RING_OVERFLOW 2
-#define ERR_PENDING_OVERFLOW 3
-#define ERR_EJECT_OVERFLOW 4
-#define ERR_TOO_MANY_PORTS 5
-
-#define ARB_OLDEST 0
-#define ARB_YOUNGEST 1
-#define ARB_RANDOM 2
+#ifndef PT_RING_META
+#error "kernels.c has no ABI of its own: build through repro.native.build"
+#endif
 
 typedef long long i64;
 
 static int check_abi(const i64 *cfg, i64 *ctr)
 {
-    if (cfg[CFG_SLOT_COUNT] != PT_NUM_SLOTS) {
-        ctr[CTR_ERROR] = ERR_SLOT_MISMATCH;
-        return 0;
-    }
     if (cfg[CFG_P] + 1 > MAX_PORTS) {
         ctr[CTR_ERROR] = ERR_TOO_MANY_PORTS;
         return 0;
@@ -138,28 +67,27 @@ static inline int emit_ejected(void **pt, const i64 *cfg, i64 *ctr,
     }
     ((i64 *)pt[PT_EJ_NODE])[k] = node;
     ((i64 *)pt[PT_EJ_SRC])[k] = (meta >> SRC_SHIFT) & NODE_MASK;
-    ((i64 *)pt[PT_EJ_KIND])[k] = (meta >> KIND_SHIFT) & 0x3;
+    ((i64 *)pt[PT_EJ_KIND])[k] = (meta >> KIND_SHIFT) & KIND_MASK;
     ((i64 *)pt[PT_EJ_SEQ])[k] = (meta >> SEQ_SHIFT) & SEQ_MASK;
-    ((unsigned char *)pt[PT_EJ_CBIT])[k] =
-        (unsigned char)((meta >> 30) & 0x1);
+    ((unsigned char *)pt[PT_EJ_CBIT])[k] = (meta & CBIT) != 0;
     ctr[CTR_EJ_COUNT] = k + 1;
     return 1;
 }
 
-/* Take one flit from a FlitQueueArray head entry at `node`
- * (repro.network.queues.FlitQueueArray.take_flit). */
-static inline void queue_take(void **pt, int base_slot, i64 qcap, i64 node,
+/* Take one flit from the head entry at `node` of the response (`resp`)
+ * or request queue (repro.network.queues.FlitQueueArray.take_flit). */
+static inline void queue_take(void **pt, int resp, i64 qcap, i64 node,
                               i64 *dest, i64 *kind, i64 *seq, i64 *stamp)
 {
-    int32_t *head = (int32_t *)pt[base_slot + 5];
-    int32_t *count = (int32_t *)pt[base_slot + 6];
+    int32_t *head = (int32_t *)pt[resp ? PT_RESP_HEAD : PT_REQ_HEAD];
+    int32_t *count = (int32_t *)pt[resp ? PT_RESP_COUNT : PT_REQ_COUNT];
     i64 h = head[node];
     i64 idx = node * qcap + h;
-    *dest = ((int32_t *)pt[base_slot + 0])[idx];
-    *kind = ((int8_t *)pt[base_slot + 1])[idx];
-    *stamp = ((i64 *)pt[base_slot + 3])[idx];
-    *seq = ((int16_t *)pt[base_slot + 4])[idx];
-    int16_t *flits = (int16_t *)pt[base_slot + 2];
+    *dest = ((int32_t *)pt[resp ? PT_RESP_DEST : PT_REQ_DEST])[idx];
+    *kind = ((int8_t *)pt[resp ? PT_RESP_KIND : PT_REQ_KIND])[idx];
+    *stamp = ((i64 *)pt[resp ? PT_RESP_STAMP : PT_REQ_STAMP])[idx];
+    *seq = ((int16_t *)pt[resp ? PT_RESP_SEQ : PT_REQ_SEQ])[idx];
+    int16_t *flits = (int16_t *)pt[resp ? PT_RESP_FLITS : PT_REQ_FLITS];
     flits[idx] -= 1;
     if (flits[idx] == 0) {
         head[node] = (int32_t)((h + 1) % qcap);
@@ -207,7 +135,7 @@ static void injection_stage(void **pt, const i64 *cfg, i64 *ctr, i64 cycle,
         int inject_req = 0;
         if (trying_req) {
             /* Algorithm 3: the counter advances on every attempt. */
-            int32_t c = (int32_t)((thr_counter[node] + 1) % 128);
+            int32_t c = (int32_t)((thr_counter[node] + 1) % THROTTLE_MAX);
             thr_counter[node] = c;
             inject_req = (double)c >= thr_rate[node] * THROTTLE_MAX;
         }
@@ -216,8 +144,8 @@ static void injection_stage(void **pt, const i64 *cfg, i64 *ctr, i64 cycle,
             if (!go)
                 continue;
             i64 dest, kind, seq, stamp;
-            queue_take(pt, which == 0 ? PT_RESP_DEST : PT_REQ_DEST,
-                       qcap, node, &dest, &kind, &seq, &stamp);
+            queue_take(pt, which == 0, qcap, node, &dest, &kind, &seq,
+                       &stamp);
             i64 meta = dest | (node << SRC_SHIFT) | (kind << KIND_SHIFT)
                        | (seq << SEQ_SHIFT);
             if (mode == 0) {
@@ -310,7 +238,7 @@ void noc_bless(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
         } else if (arb != ARB_RANDOM) {
             i64 k = (gbirth[i] << SRC_SHIFT)
                     | ((gmeta[i] >> SRC_SHIFT) & NODE_MASK);
-            gkey[i] = arb == ARB_YOUNGEST ? -k : k;
+            gkey[i] = arb == ARB_YOUNGEST_FIRST ? -k : k;
         }
     }
 
@@ -491,7 +419,7 @@ void noc_credit(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
             i64 b = buf_birth[bi * bufcap + buf_head[bi]];
             if (arb != ARB_RANDOM) {
                 i64 k = (b << SRC_SHIFT) | ((m >> SRC_SHIFT) & NODE_MASK);
-                hkey[bi] = arb == ARB_YOUNGEST ? -k : k;
+                hkey[bi] = arb == ARB_YOUNGEST_FIRST ? -k : k;
             }
             i64 dest = m & NODE_MASK;
             int p0 = p0tab[node * n + dest];

@@ -75,7 +75,7 @@ __all__ = [
     "RouterEngine",
 ]
 
-_KEY_MAX = np.iinfo(np.int64).max  # repro: c-mirror[KEY_MAX]
+_KEY_MAX = np.iinfo(np.int64).max
 
 #: Largest network that precomputes (n, n) productive-route tables.
 _ROUTE_TABLE_MAX_NODES = 1024

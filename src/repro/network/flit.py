@@ -57,19 +57,19 @@ FLIT_CONTROL = 2
 KIND_NAMES = ("request", "reply", "control")
 
 _DEST_SHIFT = 0
-_SRC_SHIFT = 14  # repro: c-mirror[SRC_SHIFT]
-_KIND_SHIFT = 28  # repro: c-mirror[KIND_SHIFT]
+_SRC_SHIFT = 14
+_KIND_SHIFT = 28
 _CBIT_SHIFT = 30
-_SEQ_SHIFT = 31  # repro: c-mirror[SEQ_SHIFT]
-_HOPS_SHIFT = 39  # repro: c-mirror[HOPS_SHIFT]
+_SEQ_SHIFT = 31
+_HOPS_SHIFT = 39
 
-_NODE_MASK = (1 << 14) - 1  # repro: c-mirror[NODE_MASK]
+_NODE_MASK = (1 << 14) - 1
 _KIND_MASK = 0x3
-_SEQ_MASK = (1 << 8) - 1  # repro: c-mirror[SEQ_MASK]
-_HOPS_MASK = (1 << 20) - 1  # repro: c-mirror[HOPS_MASK]
+_SEQ_MASK = (1 << 8) - 1
+_HOPS_MASK = (1 << 20) - 1
 
 #: Per-node packet sequence space; must exceed any outstanding-miss limit.
-SEQ_RING = 256  # repro: c-mirror[SEQ_RING]
+SEQ_RING = 256
 #: Largest network the packed format supports.
 MAX_NODES = _NODE_MASK + 1
 

@@ -184,9 +184,6 @@ def test_fixture_directory_totals():
         "DET002": 4,
         "DET003": 2,
         "DET004": 5,
-        "NATIVE001": 2,
-        "NATIVE002": 2,
-        "NATIVE003": 2,
         "PHASE001": 4,
         "REG001": 3,
         "RNG001": 4,
