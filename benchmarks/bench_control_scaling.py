@@ -78,7 +78,7 @@ def run_point(
 ) -> dict:
     """One measured grid point; all counters are seed-deterministic."""
     from repro.config import SimulationConfig
-    from repro.control.registry import build_cli_controller
+    from repro.control.registry import build_controller
     from repro.sim.simulator import Simulator
     from repro.traffic.workloads import make_category_workload
 
@@ -90,8 +90,8 @@ def run_point(
         model_control_traffic=True,
     )
     sim = Simulator(config)
-    sim.controller = build_cli_controller(
-        controller, sim.network, epoch=epoch
+    sim.controller = build_controller(
+        (controller,), epoch=epoch, network=sim.network
     )
     start = time.perf_counter()
     result = sim.run(cycles)

@@ -10,8 +10,9 @@ flits whose path crosses one wedge in their buffers, so its throughput
 collapses much faster.
 
 Every run in the sweep executes with the invariant checker enabled and
-goes through :func:`run_workload_safe`, so a diverging configuration
-degrades the sweep to a partial result instead of crashing it.  A
+under a wall-clock deadline; a guardrail abort is recorded as a
+"diverged" row, so one bad configuration degrades the sweep to a partial
+result instead of crashing it.  A
 second experiment measures the checker's runtime overhead against the
 acceptance budget (<= 25% slowdown).
 """
@@ -24,10 +25,9 @@ from repro.experiments import (
     format_table,
     paper_vs_measured,
     run_workload,
-    run_workload_safe,
     scaled_cycles,
 )
-from repro.guardrails import FaultConfig
+from repro.guardrails import FaultConfig, GuardrailError
 from repro.rng import child_rng
 from repro.traffic.workloads import make_workload_batch
 
@@ -55,12 +55,12 @@ def _sweep(network: str, cycles: int):
     rows = []
     for rate in FAULT_RATES:
         faults = FaultConfig(link_fault_rate=rate, seed=17) if rate else None
-        res = run_workload_safe(
-            _workload(), cycles, epoch=1000, seed=70,
-            retries=1, backoff=0.0, timeout_s=300.0,
-            network=network, check_invariants=True, faults=faults,
-        )
-        if res is None:
+        try:
+            res = run_workload(
+                _workload(), cycles, epoch=1000, seed=70, deadline=300.0,
+                network=network, check_invariants=True, faults=faults,
+            )
+        except GuardrailError:
             rows.append((rate, None, None, None))
             continue
         assert res.flit_conservation_ok, (

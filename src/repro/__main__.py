@@ -41,42 +41,22 @@ from repro import (
     make_category_workload,
     make_homogeneous_workload,
 )
+from repro.config import BACKENDS
+from repro.control.hierarchical import COORDINATION_MODES
 from repro.control.registry import (
     CONTROLLER_NAMES,
     CONTROLLERS,
-    build_cli_controller,
+    build_controller,
 )
+from repro.experiments.sweeps import NETWORK_VARIANTS, scaling_sweep
 from repro.guardrails import FaultConfig, GuardrailError
+from repro.network import NETWORK_NAMES
 from repro.topology.registry import TOPOLOGIES, TOPOLOGY_NAMES
+from repro.traffic.locality import LOCALITY_NAMES
 
 __all__ = ["main", "build_parser", "build_sweep_parser",
            "build_profile_parser", "build_chaos_parser", "chaos_main",
-           "profile_main", "sweep_main", "CLI_NON_CONFIG_DESTS"]
-
-#: CLI dests that deliberately are NOT SimulationConfig fields: they
-#: select or construct config values (workload, geometry, run bounds,
-#: fault shorthands) rather than pass through 1:1.  Checked against the
-#: parser and the config dataclass by the CFG001 rule
-#: (``repro.analysis.configdrift``); any other unmatched dest means a
-#: config field got renamed out from under its flag.
-CLI_NON_CONFIG_DESTS = frozenset({
-    "category",          # workload construction (category -> Workload)
-    "app",               # workload construction (app name -> Workload)
-    "nodes",             # geometry shorthand -> width/height
-    "cycles",            # run bound, not config state
-    "static_rate",       # folded into the controller instance
-    "watchdog",          # shorthand -> watchdog_window
-    "timeout",           # run bound (wall-clock deadline)
-    "link_faults",       # folded into FaultConfig -> faults
-    "router_faults",     # folded into FaultConfig -> faults
-    "transient_faults",  # folded into FaultConfig -> faults
-    "fault_seed",        # folded into FaultConfig -> faults
-    "chaos_script",      # campaign JSON file -> ChaosConfig -> chaos
-    "controller_domains",  # folded into the hierarchical controller
-    "controller_mode",     # folded into the hierarchical controller
-    "list_controllers",  # registry listing, exits before any run
-    "list_topologies",   # registry listing, exits before any run
-})
+           "profile_main", "sweep_main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,10 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--epoch", type=int, default=2_000,
                         help="controller/measurement period T")
-    parser.add_argument("--network", choices=("bless", "buffered", "hybrid"),
-                        default="bless")
+    parser.add_argument("--network", choices=NETWORK_NAMES, default="bless")
     parser.add_argument(
-        "--backend", choices=("numpy", "native"), default="numpy",
+        "--backend", choices=BACKENDS, default="numpy",
         help="hot-path backend: pure-numpy reference or compiled C kernels "
              "(bit-identical; requires a C compiler on first use)",
     )
@@ -133,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(0 = the topology's natural partition)",
     )
     parser.add_argument(
-        "--controller-mode", choices=("global", "local"), default="global",
+        "--controller-mode", choices=COORDINATION_MODES, default="global",
         help="hierarchical controller: throttle against the global mean "
              "IPF or each domain's local mean",
     )
@@ -145,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-topologies", action="store_true",
         help="print the topology registry table and exit",
     )
-    parser.add_argument("--locality", choices=("uniform", "exponential",
-                                               "powerlaw"), default="uniform")
+    parser.add_argument("--locality", choices=LOCALITY_NAMES,
+                        default="uniform")
     parser.add_argument("--locality-param", type=float, default=1.0)
     obs = parser.add_argument_group("observability")
     obs.add_argument(
@@ -172,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the no-drop/eject-width/age-order invariants every cycle",
     )
     guard.add_argument(
-        "--watchdog", type=int, default=0, metavar="WINDOW",
+        "--watchdog", dest="watchdog_window", type=int, default=0,
+        metavar="WINDOW",
         help="fail fast after WINDOW cycles without ejection progress "
              "(0 = off)",
     )
@@ -219,7 +199,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--networks", default="bless,bless-throttling,buffered",
         help="comma-separated variants from "
-        "{bless, bless-throttling, buffered, hybrid}",
+        f"{{{', '.join(NETWORK_VARIANTS)}}}",
     )
     parser.add_argument("--cycles", type=int, default=8_000,
                         help="cycle budget per point (default 8000)")
@@ -229,8 +209,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--epoch", type=int, default=1_200)
     parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
                         default="mesh")
-    parser.add_argument("--locality", choices=("uniform", "exponential",
-                                               "powerlaw"),
+    parser.add_argument("--locality", choices=LOCALITY_NAMES,
                         default="exponential")
     parser.add_argument("--locality-param", type=float, default=1.0)
     harness = parser.add_argument_group("harness")
@@ -265,8 +244,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cycles", type=int, default=5_000)
     parser.add_argument("--category", choices=WORKLOAD_CATEGORIES,
                         default="H")
-    parser.add_argument("--network", choices=("bless", "buffered", "hybrid"),
-                        default="bless")
+    parser.add_argument("--network", choices=NETWORK_NAMES, default="bless")
     parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
                         default="mesh")
     parser.add_argument("--seed", type=int, default=1)
@@ -277,52 +255,72 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--static-rate", type=float, default=0.5)
     parser.add_argument(
-        "--no-invariants", action="store_true",
+        "--no-invariants", dest="check_invariants", action="store_false",
         help="skip the per-cycle losslessness invariant checks "
              "(they are ON by default here, unlike plain runs)",
     )
     parser.add_argument(
-        "--watchdog", type=int, default=2_000, metavar="WINDOW",
+        "--watchdog", dest="watchdog_window", type=int, default=2_000,
+        metavar="WINDOW",
         help="progress-watchdog window in cycles, ON by default here "
              "so a wedged campaign trips instead of hanging (0 = off)",
     )
     return parser
 
 
-def chaos_main(argv=None) -> int:
+def _load_chaos_script(path):
+    """The campaign in *path*, or ``None`` after reporting why not."""
     from repro.chaos import ChaosConfig
 
-    args = build_chaos_parser().parse_args(argv)
     try:
-        with open(args.script, "r", encoding="utf-8") as handle:
-            chaos = ChaosConfig.from_json(handle.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return ChaosConfig.from_json(handle.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot load chaos script {args.script!r}: {exc}",
-              file=sys.stderr)
+        print(f"cannot load chaos script {path!r}: {exc}", file=sys.stderr)
+        return None
+
+
+def _pop_controller_recipe(opts: dict) -> tuple:
+    """Pop ``--controller`` and every recipe flag the parser defines;
+    return the ``(name, *args)`` recipe of the chosen entry."""
+    name = opts.pop("controller")
+    flags = {
+        arg.dest: opts.pop(arg.dest)
+        for entry in CONTROLLERS.values()
+        for arg in entry.args
+        if arg.dest in opts
+    }
+    chosen = CONTROLLERS[name].args
+    return (name, *(flags[arg.dest] for arg in chosen if arg.dest in flags))
+
+
+def chaos_main(argv=None) -> int:
+    # Like main(): dests are popped where they are consumed and the rest
+    # go to SimulationConfig by name.
+    opts = vars(build_chaos_parser().parse_args(argv))
+    script = opts.pop("script")
+    chaos = _load_chaos_script(script)
+    if chaos is None:
         return 2
-    rng = np.random.default_rng(args.seed)
-    workload = make_category_workload(args.category, args.nodes, rng)
-    config = SimulationConfig(
-        workload,
-        seed=args.seed,
-        epoch=args.epoch,
-        network=args.network,
-        topology=args.topology,
-        chaos=chaos,
-        check_invariants=not args.no_invariants,
-        watchdog_window=args.watchdog,
-    )
+    category, nodes = opts.pop("category"), opts.pop("nodes")
+    cycles = opts.pop("cycles")
+    rng = np.random.default_rng(opts["seed"])
+    workload = make_category_workload(category, nodes, rng)
+    recipe = _pop_controller_recipe(opts)
+    config = SimulationConfig(workload, chaos=chaos, **opts)
     simulator = Simulator(config)
-    simulator.controller = _build_controller(args, simulator.network)
+    simulator.controller = build_controller(
+        recipe, epoch=config.epoch, network=simulator.network
+    )
     try:
-        result = simulator.run(args.cycles)
+        result = simulator.run(cycles)
     except GuardrailError as error:
         print(f"guardrail abort: {error}", file=sys.stderr)
         return 2
     report = result.chaos
-    print(f"chaos campaign: {args.script} on {args.category}/"
-          f"{args.nodes}n/{args.network}, seed {args.seed}, "
-          f"{args.cycles} cycles")
+    print(f"chaos campaign: {script} on {category}/"
+          f"{nodes}n/{config.network}, seed {config.seed}, "
+          f"{cycles} cycles")
     for ev in report.events:
         target = ""
         if ev.kind.startswith("link"):
@@ -367,8 +365,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cycles", type=int, default=20_000)
     parser.add_argument("--category", choices=WORKLOAD_CATEGORIES,
                         default="H")
-    parser.add_argument("--network", choices=("bless", "buffered", "hybrid"),
-                        default="bless")
+    parser.add_argument("--network", choices=NETWORK_NAMES, default="bless")
     parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
                         default="mesh")
     parser.add_argument("--seed", type=int, default=1)
@@ -400,20 +397,9 @@ def build_profile_parser() -> argparse.ArgumentParser:
 def profile_main(argv=None) -> int:
     from repro.observability.profile import run_profile, write_bench_json
 
-    args = build_profile_parser().parse_args(argv)
-    payload = run_profile(
-        nodes=args.nodes,
-        cycles=args.cycles,
-        category=args.category,
-        network=args.network,
-        topology=args.topology,
-        seed=args.seed,
-        epoch=args.epoch,
-        trace=args.trace,
-        trace_sample=args.trace_sample,
-        overhead_check=args.overhead_check,
-        repeats=args.repeats,
-    )
+    opts = vars(build_profile_parser().parse_args(argv))
+    out = opts.pop("out")
+    payload = run_profile(**opts)
     cfg = payload["config"]
     print(f"profile: {cfg['nodes']} nodes, {cfg['cycles']} cycles, "
           f"{cfg['category']}/{cfg['network']}/{cfg['topology']}, "
@@ -435,8 +421,8 @@ def profile_main(argv=None) -> int:
         )
         print(f"\ntrace: {tr['recorded']} events recorded "
               f"({tr['dropped']} dropped, sample={tr['sample']:g}): {counts}")
-    if args.out != "-":
-        path = write_bench_json(args.out, payload)
+    if out != "-":
+        path = write_bench_json(out, payload)
         print(f"\nwrote {path}")
     if payload["overhead_pct"] is not None:
         print(f"\noverhead check: plain "
@@ -453,7 +439,6 @@ def profile_main(argv=None) -> int:
 
 
 def sweep_main(argv=None) -> int:
-    from repro.experiments.sweeps import scaling_sweep
     from repro.harness import ResultCache, default_jobs, resolve_jobs
 
     args = build_sweep_parser().parse_args(argv)
@@ -463,8 +448,7 @@ def sweep_main(argv=None) -> int:
         print(f"invalid --sizes {args.sizes!r}", file=sys.stderr)
         return 2
     networks = tuple(n for n in args.networks.split(",") if n)
-    known = {"bless", "bless-throttling", "buffered", "hybrid"}
-    if not sizes or not networks or set(networks) - known:
+    if not sizes or not networks or set(networks) - set(NETWORK_VARIANTS):
         print(f"invalid --sizes/--networks ({args.sizes!r}, "
               f"{args.networks!r})", file=sys.stderr)
         return 2
@@ -529,19 +513,6 @@ def _list_topologies() -> None:
         print(f"{entry.name:<{width}}  {entry.description}")
 
 
-def _build_controller(args, network):
-    # The chaos parser's namespace lacks the hierarchical flags; fall
-    # back to their defaults there.
-    return build_cli_controller(
-        args.controller,
-        network,
-        epoch=args.epoch,
-        static_rate=args.static_rate,
-        domains=getattr(args, "controller_domains", 0),
-        mode=getattr(args, "controller_mode", "global"),
-    )
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -554,67 +525,54 @@ def main(argv=None) -> int:
     # ``run`` is an explicit alias for the default single-run command.
     if argv and argv[0] == "run":
         argv = argv[1:]
-    args = build_parser().parse_args(argv)
-    if args.list_controllers or args.list_topologies:
-        if args.list_controllers:
+    # Each dest is popped where main() consumes it; what is left goes to
+    # SimulationConfig by name, so a flag that nothing consumes and no
+    # config field matches is a TypeError on the first run.
+    opts = vars(build_parser().parse_args(argv))
+    list_controllers = opts.pop("list_controllers")
+    list_topologies = opts.pop("list_topologies")
+    if list_controllers or list_topologies:
+        if list_controllers:
             _list_controllers()
-        if args.list_topologies:
-            if args.list_controllers:
+        if list_topologies:
+            if list_controllers:
                 print()
             _list_topologies()
         return 0
-    if args.app:
-        workload = make_homogeneous_workload(args.app, args.nodes)
-    else:
-        rng = np.random.default_rng(args.seed)
-        workload = make_category_workload(args.category or "H", args.nodes, rng)
 
-    faults = None
-    if args.link_faults or args.router_faults or args.transient_faults:
-        faults = FaultConfig(
-            link_fault_rate=args.link_faults,
-            router_fault_rate=args.router_faults,
-            transient_fault_rate=args.transient_faults,
-            seed=args.fault_seed,
-        )
-    chaos = None
-    if args.chaos_script:
-        from repro.chaos import ChaosConfig
-        try:
-            with open(args.chaos_script, "r", encoding="utf-8") as handle:
-                chaos = ChaosConfig.from_json(handle.read())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"cannot load chaos script {args.chaos_script!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-    config = SimulationConfig(
-        workload,
-        seed=args.seed,
-        epoch=args.epoch,
-        network=args.network,
-        backend=args.backend,
-        topology=args.topology,
-        depth=args.depth,
-        chiplet_tile=args.chiplet_tile,
-        express_stride=args.express_stride,
-        locality=args.locality,
-        locality_param=args.locality_param,
-        profile=args.profile,
-        trace=args.trace,
-        trace_sample=args.trace_sample,
-        trace_capacity=args.trace_capacity,
-        check_invariants=args.check_invariants,
-        watchdog_window=args.watchdog,
-        max_flit_age=args.max_flit_age,
-        faults=faults,
-        chaos=chaos,
+    app, category, nodes = (
+        opts.pop("app"), opts.pop("category"), opts.pop("nodes")
     )
+    if app:
+        workload = make_homogeneous_workload(app, nodes)
+    else:
+        rng = np.random.default_rng(opts["seed"])
+        workload = make_category_workload(category or "H", nodes, rng)
+
+    faults = FaultConfig(
+        link_fault_rate=opts.pop("link_faults"),
+        router_fault_rate=opts.pop("router_faults"),
+        transient_fault_rate=opts.pop("transient_faults"),
+        seed=opts.pop("fault_seed"),
+    )
+    if faults.any_faults:
+        opts["faults"] = faults
+    chaos_script = opts.pop("chaos_script")
+    if chaos_script:
+        opts["chaos"] = _load_chaos_script(chaos_script)
+        if opts["chaos"] is None:
+            return 2
+    cycles, timeout = opts.pop("cycles"), opts.pop("timeout")
+    recipe = _pop_controller_recipe(opts)
+    config = SimulationConfig(workload, **opts)
     simulator = Simulator(config)
     # The distributed controller needs the network it instruments.
-    simulator.controller = _build_controller(args, simulator.network)
+    simulator.controller = build_controller(
+        recipe, epoch=config.epoch, network=simulator.network
+    )
 
     try:
-        result = simulator.run(args.cycles, deadline=args.timeout)
+        result = simulator.run(cycles, deadline=timeout)
     except GuardrailError as error:
         print(f"guardrail abort: {error}", file=sys.stderr)
         snapshot = getattr(error, "snapshot", None)
@@ -628,8 +586,8 @@ def main(argv=None) -> int:
     geometry = f"{config.width}x{config.height}"
     if config.depth > 1:
         geometry += f"x{config.depth}"
-    print(f"network:  {args.network} {args.topology} "
-          f"{geometry}, controller={args.controller}")
+    print(f"network:  {config.network} {config.topology} "
+          f"{geometry}, controller={recipe[0]}")
     print(result.summary())
     if result.guardrails is not None and result.guardrails.active:
         print(f"guardrails: {result.guardrails.summary()}")
@@ -639,7 +597,7 @@ def main(argv=None) -> int:
           f"weighted by node: {result.throughput_per_node:.3f} IPC/node")
     print(f"admission starvation: {result.mean_port_starvation:.3f}   "
           f"worst-case flit latency: {result.max_net_latency} cycles")
-    if result.perf is not None and args.profile:
+    if result.perf is not None and config.profile:
         print(f"\nprofile: {result.perf.table()}")
     if simulator.tracer is not None:
         print(f"\n{simulator.tracer.summary()}")

@@ -3,24 +3,20 @@
 Exit status: ``0`` clean, ``1`` findings reported, ``2`` usage error.
 
 Beyond text/JSON listings the CLI speaks SARIF 2.1.0 (``--format
-sarif``, consumed by GitHub code scanning in CI), grandfathers known
-findings via a committed baseline (``--baseline analysis_baseline.json``
-hides exact matches; ``--write-baseline`` refreshes the file), and keeps
-warm runs fast with a pickled per-file AST cache (``--cache PATH``).
+sarif``, consumed by GitHub code scanning in CI).  A deliberate
+violation is suppressed in the source, with ``# repro: noqa[RULE]``.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import json
 import sys
-from typing import Counter, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.analysis import (
     ALL_RULES,
     RULE_IDS,
-    AnalysisCache,
     Finding,
     analyze,
     to_sarif,
@@ -28,19 +24,13 @@ from repro.analysis import (
 
 __all__ = ["main", "build_parser"]
 
-#: What identifies a finding across runs for baseline matching: the
-#: line number is deliberately excluded so unrelated edits above a
-#: grandfathered finding do not un-baseline it.
-_BaselineKey = Tuple[str, str, str]
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Cross-layer contract and simulation-safety static "
-        "analyzer: determinism, result-schema, phase-contract, "
-        "config-drift, Python<->C mirror, RNG-lineage, cache-key, and "
-        "registry lints (see DESIGN.md S22/S27).",
+        description="Simulation-safety static analyzer: determinism, "
+        "phase-contract, RNG-lineage and cache-key lints (see DESIGN.md "
+        "S22/S27).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
@@ -68,28 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
         "directory runs)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="JSON baseline of grandfathered findings; exact "
-        "(path, rule, message) matches are hidden and do not fail "
-        "the run",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="pickled per-file AST cache; unchanged files (same "
-        "size+mtime, or same sha256) skip re-parsing",
-    )
-    parser.add_argument(
         "--output", default=None, metavar="PATH",
         help="also write the findings document to PATH (CI artifact): "
         "SARIF when --format sarif, JSON otherwise",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print cache hit/miss counters to stderr",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -130,56 +101,6 @@ def _json_document(findings: List[Finding], paths: List[str]) -> str:
     )
 
 
-def _baseline_key(finding: Finding) -> _BaselineKey:
-    return (finding.path, finding.rule, finding.message)
-
-
-def load_baseline(path: str) -> Counter[_BaselineKey]:
-    """The grandfathered finding multiset, or empty on a missing file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError:
-        return collections.Counter()
-    entries = payload["findings"] if isinstance(payload, dict) else payload
-    counter: Counter[_BaselineKey] = collections.Counter()
-    for entry in entries:
-        counter[(entry["path"], entry["rule"], entry["message"])] += 1
-    return counter
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> None:
-    payload = {
-        "version": 1,
-        "findings": [
-            {
-                "path": finding.path,
-                "rule": finding.rule,
-                "message": finding.message,
-            }
-            for finding in findings
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Counter[_BaselineKey]
-) -> List[Finding]:
-    """Drop findings consumed by the baseline multiset (count-aware)."""
-    remaining = collections.Counter(baseline)
-    fresh: List[Finding] = []
-    for finding in findings:
-        key = _baseline_key(finding)
-        if remaining[key] > 0:
-            remaining[key] -= 1
-        else:
-            fresh.append(finding)
-    return fresh
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -187,9 +108,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for rule in ALL_RULES:
             print(f"{rule.id:<10} {rule.summary}")
         return 0
-    if args.write_baseline and args.baseline is None:
-        print("error: --write-baseline requires --baseline", file=sys.stderr)
-        return 2
     try:
         select = _split_rule_ids(args.select, "--select")
         ignore = _split_rule_ids(args.ignore, "--ignore")
@@ -197,28 +115,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    cache = AnalysisCache(args.cache) if args.cache is not None else None
     findings = analyze(
-        args.paths, select=select, ignore=ignore,
-        exclude=args.exclude, cache=cache,
+        args.paths, select=select, ignore=ignore, exclude=args.exclude
     )
-    if cache is not None:
-        cache.save()
-        if args.stats:
-            print(
-                f"analysis-cache: {cache.hits} hit(s), {cache.misses} miss(es)",
-                file=sys.stderr,
-            )
-
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(
-            f"wrote {len(findings)} finding(s) to {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.baseline is not None:
-        findings = apply_baseline(findings, load_baseline(args.baseline))
 
     if args.format == "sarif":
         document = to_sarif(findings, ALL_RULES)

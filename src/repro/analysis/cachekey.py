@@ -1,22 +1,22 @@
 """CACHE001: cache-key completeness dataflow.
 
 The content-addressed :class:`~repro.harness.jobs.ResultCache` keys runs
-on ``JobSpec.canonical()``.  The cache is only sound if every piece of
+on ``JobSpec.canonical()``, which encodes every ``JobSpec`` dataclass
+field by construction.  The cache is only sound if every piece of
 :class:`~repro.config.SimulationConfig` state the simulation *reads* is
-reachable from that canonical encoding — otherwise two runs that differ
-in behavior share a hash and the cache serves wrong results.  CFG001
-checks the CLI surface; this rule checks the *consumption* side:
+reachable from those fields — otherwise two runs that differ in behavior
+share a hash and the cache serves wrong results.  This rule checks the
+*consumption* side:
 
 1. every attribute read off a config-typed binding in SIM_PACKAGES must
    name a real ``SimulationConfig`` field/property/method (a stale or
    typo'd read is exactly the drift that silently decouples behavior
    from the hash);
-2. ``JobSpec`` must carry the generic ``config`` catch-all **and**
-   include it in ``canonical()`` — that catch-all is what makes every
-   scalar config field spec-expressible, so fields beyond the lifted
-   set stay cache-visible;
-3. with no catch-all, any read field that is not itself a canonical
-   spec field is reported as unreachable from the cache key.
+2. ``JobSpec`` must carry the generic ``config`` catch-all field — that
+   is what makes every scalar config field spec-expressible, so fields
+   beyond the lifted set stay cache-visible;
+3. with no catch-all, any read field that is not itself a spec field is
+   reported as unreachable from the cache key.
 
 Config-typed bindings are recognized conservatively, by annotation and
 construction only: parameters annotated ``SimulationConfig``, variables
@@ -30,7 +30,7 @@ about them.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.analysis.core import Finding, Project, Rule, SourceFile
 
@@ -85,26 +85,6 @@ def _find_class(
                 and (not dataclass_only or _is_dataclass(node))
             ):
                 return source, node
-    return None
-
-
-def _canonical_method(spec: ast.ClassDef) -> Optional[ast.FunctionDef]:
-    for item in spec.body:
-        if isinstance(item, ast.FunctionDef) and item.name == "canonical":
-            return item
-    return None
-
-
-def _canonical_keys(method: ast.FunctionDef) -> Optional[Set[str]]:
-    """String keys of the first dict literal assigned inside canonical()."""
-    for node in ast.walk(method):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
-            keys = {
-                key.value
-                for key in node.value.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            }
-            return keys
     return None
 
 
@@ -208,7 +188,7 @@ class Cache001KeyCompleteness(Rule):
     id = "CACHE001"
     summary = (
         "every SimulationConfig field read in SIM_PACKAGES is reachable "
-        "from JobSpec.canonical()"
+        "from the JobSpec fields"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -221,31 +201,16 @@ class Cache001KeyCompleteness(Rule):
 
         spec = _find_class(project, _SPEC_CLASS)
         spec_fields: Set[str] = set()
-        canonical_keys: Optional[Set[str]] = None
-        catch_all = False
         if spec is not None:
             spec_source, spec_class = spec
             spec_fields, _ = _class_surface(spec_class)
-            method = _canonical_method(spec_class)
-            if method is not None:
-                canonical_keys = _canonical_keys(method)
-            catch_all = (
-                _CATCH_ALL_FIELD in spec_fields
-                and canonical_keys is not None
-                and _CATCH_ALL_FIELD in canonical_keys
-            )
-            if not catch_all and method is not None:
-                yield Finding(
-                    path=spec_source.path,
-                    line=method.lineno,
-                    col=method.col_offset + 1,
-                    rule=self.id,
-                    message=(
-                        f"JobSpec.canonical() has no generic "
-                        f"{_CATCH_ALL_FIELD!r} catch-all: "
-                        f"{_CONFIG_CLASS} fields beyond the lifted spec "
-                        "fields are invisible to the cache key"
-                    ),
+            if _CATCH_ALL_FIELD not in spec_fields:
+                yield spec_source.finding(
+                    self.id,
+                    spec_class,
+                    f"JobSpec has no generic {_CATCH_ALL_FIELD!r} "
+                    f"catch-all field: {_CONFIG_CLASS} fields beyond the "
+                    "lifted spec fields are invisible to the cache key",
                 )
 
         for source in project.sim_files():
@@ -264,20 +229,19 @@ class Cache001KeyCompleteness(Rule):
                         ),
                     )
                     continue
-                if spec is None or catch_all or attr not in fields:
-                    continue  # reachable, or derived state, or no spec
-                reachable = attr in spec_fields and (
-                    canonical_keys is None or attr in canonical_keys
+                reachable = (
+                    _CATCH_ALL_FIELD in spec_fields or attr in spec_fields
                 )
-                if not reachable:
-                    yield Finding(
-                        path=source.path,
-                        line=node.lineno,
-                        col=node.col_offset + 1,
-                        rule=self.id,
-                        message=(
-                            f"config field {attr!r} is read here but "
-                            "unreachable from JobSpec.canonical(): runs "
-                            "differing in it would share a cache hash"
-                        ),
-                    )
+                if spec is None or attr not in fields or reachable:
+                    continue  # no spec, or derived state, or reachable
+                yield Finding(
+                    path=source.path,
+                    line=node.lineno,
+                    col=node.col_offset + 1,
+                    rule=self.id,
+                    message=(
+                        f"config field {attr!r} is read here but "
+                        "unreachable from the JobSpec fields: runs "
+                        "differing in it would share a cache hash"
+                    ),
+                )

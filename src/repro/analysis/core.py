@@ -37,12 +37,7 @@ import dataclasses
 import fnmatch
 import pathlib
 import re
-from typing import (
-    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.analysis.cache import AnalysisCache
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Finding",
@@ -257,15 +252,9 @@ def load_project(
     findings instead of aborting the run — the analyzer must keep
     working on a tree that is mid-edit.
     """
-    return _load_files(list(iter_python_files(paths, exclude=exclude)))
-
-
-def _load_files(
-    files: Sequence[pathlib.Path],
-) -> Tuple[Project, List[Finding]]:
     sources: List[SourceFile] = []
     errors: List[Finding] = []
-    for path in files:
+    for path in iter_python_files(paths, exclude=exclude):
         name = str(path)
         try:
             sources.append(SourceFile(name, path.read_text(encoding="utf-8")))
@@ -289,19 +278,12 @@ def run_analysis(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     exclude: Optional[Sequence[str]] = None,
-    cache: Optional["AnalysisCache"] = None,
 ) -> List[Finding]:
     """Run *rules* over *paths* and return the surviving findings.
 
     ``select`` keeps only the listed rule ids; ``ignore`` removes the
     listed ids afterwards.  ``# repro: noqa`` suppressions are applied
     before returning; findings come back sorted by location then rule.
-
-    With *cache*, each file is first validated against its stored
-    stat/sha256 digest; if the whole (file set, rule set) fingerprint
-    matches a previous run, that run's findings replay without parsing
-    a single file.  The caller owns calling
-    :meth:`~repro.analysis.cache.AnalysisCache.save`.
     """
     chosen = sorted(rules, key=lambda rule: rule.id)
     if select is not None:
@@ -311,24 +293,7 @@ def run_analysis(
         dropped = set(ignore)
         chosen = [rule for rule in chosen if rule.id not in dropped]
 
-    files = list(iter_python_files(paths, exclude=exclude))
-    fingerprint: Optional[str] = None
-    if cache is not None:
-        digests: List[Tuple[str, str]] = []
-        try:
-            for path in files:
-                name = str(path)
-                digests.append((name, cache.file_digest(name, path.stat())))
-        except OSError:
-            pass  # unreadable file: fall through to the full run (PARSE000)
-        else:
-            rule_ids = [rule.id for rule in chosen]
-            fingerprint = cache.run_fingerprint(digests, rule_ids)
-            replayed = cache.get_run(fingerprint)
-            if replayed is not None:
-                return replayed
-
-    project, findings = _load_files(files)
+    project, findings = load_project(paths, exclude=exclude)
     by_path = {source.path: source for source in project}
     for rule in chosen:
         for finding in rule.check(project):
@@ -336,7 +301,4 @@ def run_analysis(
             if source is not None and source.suppressed(finding):
                 continue
             findings.append(finding)
-    results = sorted(findings)
-    if cache is not None and fingerprint is not None:
-        cache.put_run(fingerprint, results)
-    return results
+    return sorted(findings)

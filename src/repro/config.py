@@ -23,20 +23,28 @@ from typing import Optional, Union
 
 from repro.control.base import Controller, NoController
 from repro.guardrails.faults import FaultConfig
+from repro.network import NETWORK_MODELS
 from repro.power.model import PowerCoefficients
 from repro.topology.registry import prepare_config
+from repro.traffic.locality import LOCALITY_MODELS
 from repro.traffic.workloads import Workload
 
-__all__ = ["SimulationConfig"]
+__all__ = ["SimulationConfig", "BACKENDS"]
+
+#: Hot-path execution backends ``SimulationConfig.backend`` may name:
+#: the pure vectorized-Python reference, and the compiled C kernels
+#: (bit-identical results; refuses configurations it does not support).
+BACKENDS = ("numpy", "native")
 
 
 @dataclass
 class SimulationConfig:
     """Everything needed to build a :class:`~repro.sim.Simulator`.
 
-    ``locality`` may be a string (``"uniform"``, ``"exponential"``,
-    ``"powerlaw"``) resolved with ``locality_param``, or a pre-built
-    sampler object from :mod:`repro.traffic.locality`.
+    ``locality`` may be a name in
+    :data:`repro.traffic.locality.LOCALITY_MODELS` resolved with
+    ``locality_param``, or a pre-built sampler object from
+    :mod:`repro.traffic.locality`.
     """
 
     workload: Workload
@@ -51,11 +59,8 @@ class SimulationConfig:
     depth: int = 0  # 3D topologies only; 0: inferred
     chiplet_tile: int = 4  # chiplet topology: cluster edge length
     express_stride: int = 4  # express topology: skip-link span
-    network: str = "bless"  # "bless" | "buffered" | "hybrid"
-    #: hot-path execution backend: "numpy" (pure vectorized Python, the
-    #: reference) or "native" (compiled C kernels, bit-identical results;
-    #: falls back with an error when the configuration is unsupported)
-    backend: str = "numpy"
+    network: str = "bless"  # any name in repro.network.NETWORK_MODELS
+    backend: str = "numpy"  # any name in BACKENDS
     router_latency: int = 2
     link_latency: int = 1
     eject_width: int = 1
@@ -113,10 +118,15 @@ class SimulationConfig:
         # Topology-specific geometry: the registry entry fills zeroed
         # dimensions from the workload size and validates the shape.
         prepare_config(self)
-        if self.network not in ("bless", "buffered", "hybrid"):
+        if self.network not in NETWORK_MODELS:
             raise ValueError(f"unknown network {self.network!r}")
-        if self.backend not in ("numpy", "native"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
+        if (
+            isinstance(self.locality, str)
+            and self.locality not in LOCALITY_MODELS
+        ):
+            raise ValueError(f"unknown locality model {self.locality!r}")
         if self.side_buffer_capacity < 1:
             raise ValueError("side_buffer_capacity must be >= 1")
         if self.epoch < 1:

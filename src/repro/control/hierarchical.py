@@ -45,9 +45,17 @@ from repro.control.base import Controller, EpochView
 from repro.control.central import CentralController, ControlParams
 from repro.control.domains import DomainMap
 
-__all__ = ["DomainSummary", "ShardController", "HierarchicalController"]
+__all__ = [
+    "COORDINATION_MODES",
+    "DomainSummary",
+    "ShardController",
+    "HierarchicalController",
+]
 
-_MODES = ("global", "local")
+#: How the coordinator reconciles shards: against the global mean IPF or
+#: each domain's own (the registry recipe and ``--controller-mode`` read
+#: their choices from here).
+COORDINATION_MODES = ("global", "local")
 
 
 @dataclass(frozen=True)
@@ -126,9 +134,10 @@ class HierarchicalController(Controller):
         num_domains: int = 0,
         mode: str = "global",
     ):
-        if mode not in _MODES:
+        if mode not in COORDINATION_MODES:
             raise ValueError(
-                f"unknown coordination mode {mode!r}; expected one of {_MODES}"
+                f"unknown coordination mode {mode!r}; "
+                f"expected one of {COORDINATION_MODES}"
             )
         if num_domains < 0:
             raise ValueError(f"num_domains must be >= 0, got {num_domains}")

@@ -1,27 +1,62 @@
-"""The controller registry: name -> description + construction.
+"""The controller registry: name -> description, recipe, construction.
 
-Mirrors :mod:`repro.topology.registry` for the control plane: one table
-the CLI (``--controller`` choices, ``--list-controllers``), the README
-and the harness recipe docs all consult, so adding a scheme is one
-:class:`ControllerEntry` instead of three drifting if-ladders.
-
-The ``recipe`` column is the declarative :class:`~repro.harness.JobSpec`
-form (instantiated inside workers by
-:func:`repro.harness.jobs.build_controller`); ``—`` marks CLI-only
-controllers that need the live network object and therefore cannot ride
-through the spec's JSON-scalar contract.
+Mirrors :mod:`repro.topology.registry` for the control plane.  One
+:class:`ControllerEntry` per scheme owns everything that is said about
+it elsewhere: the ``--controller`` choices and ``--list-controllers``
+table, the declarative :class:`~repro.harness.JobSpec` recipe form with
+its arity and argument checks, the CLI flags that carry those arguments,
+and the constructor call.  :func:`build_controller` is the one lookup
+behind both the CLI and harness workers, so the two cannot build
+different controllers for the same description.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Tuple
+
+from repro.control.base import NoController
+from repro.control.central import CentralController, ControlParams
+from repro.control.distributed import DistributedController
+from repro.control.hierarchical import (
+    COORDINATION_MODES,
+    HierarchicalController,
+)
+from repro.control.static_throttle import StaticThrottleController
 
 __all__ = [
+    "RecipeArg",
     "ControllerEntry",
     "CONTROLLERS",
     "CONTROLLER_NAMES",
-    "build_cli_controller",
+    "CONTROLLER_KINDS",
+    "check_recipe",
+    "build_controller",
 ]
+
+_REQUIRED = object()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+@dataclass(frozen=True)
+class RecipeArg:
+    """One positional argument of a controller recipe."""
+
+    #: name shown in the recipe form
+    name: str
+    #: argparse dest of the CLI flag that carries it
+    dest: str
+    accepts: Callable[[object], bool]
+    #: what ``accepts`` wants, worded for the error message
+    expects: str
+    default: object = _REQUIRED
 
 
 @dataclass(frozen=True)
@@ -31,36 +66,75 @@ class ControllerEntry:
     name: str
     #: one-line description (README table, ``--list-controllers``)
     description: str
-    #: declarative JobSpec recipe form ("—" = CLI-only, needs live state)
-    recipe: str
+    #: ``factory(epoch, network, *args)`` -> controller, with every
+    #: recipe argument present (defaults filled in)
+    factory: Callable
+    args: Tuple[RecipeArg, ...] = ()
+    #: instruments the live network object, so it cannot ride through
+    #: the JSON-scalar contract of a :class:`~repro.harness.JobSpec`
+    cli_only: bool = False
+
+    @property
+    def recipe(self) -> str:
+        """The declarative JobSpec form ("—" = CLI-only)."""
+        if self.cli_only:
+            return "—"
+        if not self.args:
+            return f'("{self.name}",)'
+        names = ", ".join(arg.name for arg in self.args)
+        return f'("{self.name}", {names})'
 
 
 _ENTRIES = (
     ControllerEntry(
         "none",
         "no congestion control (baseline BLESS/buffered operation)",
-        '("none",)',
+        lambda epoch, network: NoController(),
     ),
     ControllerEntry(
         "central",
         "the paper's Algorithm 1: one global controller and hub (§5)",
-        '("central",)',
+        lambda epoch, network: CentralController(ControlParams(epoch=epoch)),
     ),
     ControllerEntry(
         "distributed",
         "per-node AIMD on in-network congestion bits (§6.6)",
-        "—",
+        lambda epoch, network: DistributedController(network),
+        cli_only=True,
     ),
     ControllerEntry(
         "static",
         "fixed throttle rate on every node (ablation baseline)",
-        '("static", rate)',
+        lambda epoch, network, rate: StaticThrottleController(float(rate)),
+        args=(
+            RecipeArg(
+                "rate", "static_rate",
+                lambda v: _is_number(v) and 0.0 <= v < 1.0,
+                "a number in [0, 1)",
+            ),
+        ),
     ),
     ControllerEntry(
         "hierarchical",
         "per-domain Algorithm-1 shards + global coordinator "
         "(--controller-domains/--controller-mode)",
-        '("hierarchical", domains, mode)',
+        lambda epoch, network, domains, mode: HierarchicalController(
+            ControlParams(epoch=epoch), num_domains=domains, mode=mode
+        ),
+        args=(
+            RecipeArg(
+                "domains", "controller_domains",
+                lambda v: _is_int(v) and v >= 0,
+                "an int domain count >= 0 (0 = topology default)",
+                default=0,
+            ),
+            RecipeArg(
+                "mode", "controller_mode",
+                lambda v: v in COORDINATION_MODES,
+                f"one of {COORDINATION_MODES}",
+                default=COORDINATION_MODES[0],
+            ),
+        ),
     ),
 )
 
@@ -68,42 +142,53 @@ _ENTRIES = (
 CONTROLLERS = {entry.name: entry for entry in _ENTRIES}
 
 #: Canonical name tuple for CLI ``choices`` and error messages.
-CONTROLLER_NAMES = tuple(entry.name for entry in _ENTRIES)
+CONTROLLER_NAMES = tuple(CONTROLLERS)
+
+#: The entries a :class:`~repro.harness.JobSpec` recipe may name.
+CONTROLLER_KINDS = tuple(
+    entry.name for entry in _ENTRIES if not entry.cli_only
+)
 
 
-def build_cli_controller(
-    name: str,
-    network,
-    *,
-    epoch: int,
-    static_rate: float = 0.5,
-    domains: int = 0,
-    mode: str = "global",
-):
-    """Instantiate the controller a CLI invocation names.
+def check_recipe(recipe: tuple, network=None) -> tuple:
+    """Validate a ``(name, *args)`` recipe against its registry entry.
 
-    ``network`` is the live network object (the distributed scheme
-    instruments it); the rest are the CLI flags that parameterize each
-    scheme.
+    Returns ``(entry, args)`` with defaults filled in.  Without a live
+    ``network`` (the JobSpec case) CLI-only entries are refused by name.
     """
-    from repro.control.base import NoController
-    from repro.control.central import CentralController, ControlParams
-    from repro.control.distributed import DistributedController
-    from repro.control.hierarchical import HierarchicalController
-    from repro.control.static_throttle import StaticThrottleController
-
-    if name == "central":
-        return CentralController(ControlParams(epoch=epoch))
-    if name == "distributed":
-        return DistributedController(network)
-    if name == "static":
-        return StaticThrottleController(static_rate)
-    if name == "hierarchical":
-        return HierarchicalController(
-            ControlParams(epoch=epoch), num_domains=domains, mode=mode
+    name, given = recipe[0], recipe[1:]
+    entry = CONTROLLERS.get(name)
+    if entry is None:
+        raise ValueError(
+            f"unknown controller {name!r}; expected one of "
+            f"{CONTROLLER_KINDS if network is None else CONTROLLER_NAMES}"
         )
-    if name == "none":
-        return NoController()
-    raise ValueError(
-        f"unknown controller {name!r}; expected one of {CONTROLLER_NAMES}"
-    )
+    if entry.cli_only and network is None:
+        raise ValueError(
+            f"controller {name!r} has no JobSpec recipe (it instruments "
+            f"the live network object); expected one of {CONTROLLER_KINDS}"
+        )
+    misfit = f"controller recipe {recipe!r} does not fit {entry.recipe}: "
+    required = sum(arg.default is _REQUIRED for arg in entry.args)
+    if not required <= len(given) <= len(entry.args):
+        raise ValueError(
+            f"{misfit}it takes at least {required} and at most "
+            f"{len(entry.args)} argument(s)"
+        )
+    for arg, value in zip(entry.args, given):
+        if not arg.accepts(value):
+            raise ValueError(
+                f"{misfit}{arg.name} must be {arg.expects}, got {value!r}"
+            )
+    defaults = tuple(arg.default for arg in entry.args[len(given):])
+    return entry, given + defaults
+
+
+def build_controller(recipe: tuple, *, epoch: int, network=None):
+    """Instantiate the controller a ``(name, *args)`` recipe describes.
+
+    Harness workers pass the spec's recipe and epoch; the CLI also
+    passes the live ``network`` object, which unlocks CLI-only schemes.
+    """
+    entry, args = check_recipe(recipe, network)
+    return entry.factory(epoch, network, *args)

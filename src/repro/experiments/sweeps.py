@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import HarnessReport, JobSpec, run_jobs
+from repro.network import NETWORK_MODELS
 from repro.rng import child_rng
 from repro.sim.results import SimulationResult
 from repro.traffic.workloads import (
@@ -26,12 +27,19 @@ from repro.traffic.workloads import (
 )
 
 __all__ = [
+    "NETWORK_VARIANTS",
     "static_throttle_sweep",
     "scaling_sweep",
     "locality_sweep",
     "pairwise_ipf_grid",
     "workload_batch_comparison",
 ]
+
+#: variant -> (network, controller recipe) for the scaling figures:
+#: every router model without congestion control, plus the paper's
+#: mechanism on BLESS.
+NETWORK_VARIANTS = {name: (name, ("none",)) for name in NETWORK_MODELS}
+NETWORK_VARIANTS["bless-throttling"] = ("bless", ("central",))
 
 #: Per-driver keywords routed to the harness, not to SimulationConfig.
 _HARNESS_KW = ("jobs", "cache", "progress")
@@ -87,6 +95,7 @@ def scaling_sweep(
 ) -> Dict[str, List[Tuple[int, SimulationResult]]]:
     """Figs 3 and 13-16: one workload per size, each network variant.
 
+    ``networks`` names entries of :data:`NETWORK_VARIANTS`;
     ``cycles_for(n)`` maps a node count to a cycle budget, letting large
     networks run shorter.  The (size x network) grid is embarrassingly
     parallel — all points go to the harness as one batch.
@@ -97,16 +106,15 @@ def scaling_sweep(
         rng = child_rng(seed, f"scaling-{size}")
         workload = make_workload_batch(1, size, rng, categories=[category])[0]
         for name in networks:
+            network, controller = NETWORK_VARIANTS[name]
             specs.append(
                 JobSpec.for_workload(
                     workload,
                     cycles_for(size),
                     epoch=epoch,
                     seed=seed,
-                    controller=(
-                        ("central",) if name == "bless-throttling" else ("none",)
-                    ),
-                    network="bless" if name == "bless-throttling" else name,
+                    controller=controller,
+                    network=network,
                     locality=locality,
                     locality_param=locality_param,
                     topology=topology,

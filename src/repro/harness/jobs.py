@@ -17,29 +17,33 @@ properties the sweep engine needs:
    worker process is bit-identical to executing it inline.
 
 Controllers are described declaratively (``("central",)``,
-``("static", 0.9)``, ``("none",)``) and instantiated inside the worker,
-because controller objects hold mutable per-run state that must never be
-shared across jobs.
+``("static", 0.9)``, ``("none",)`` — the recipe forms of
+:data:`repro.control.registry.CONTROLLERS`) and instantiated inside the
+worker, because controller objects hold mutable per-run state that must
+never be shared across jobs.
+
+Every field of the dataclass is part of the run description: the hash
+pre-image, :meth:`JobSpec.with_config` and :func:`run_job`'s keyword
+pass-through are all computed from ``dataclasses.fields``, so a field
+added here is hashed and forwarded without a second edit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
+from repro.control.registry import (
+    CONTROLLER_KINDS,
+    build_controller,
+    check_recipe,
+)
 from repro.sim.results import SimulationResult
 from repro.traffic.workloads import Workload
 
 __all__ = ["JobSpec", "run_job", "CONTROLLER_KINDS"]
-
-#: Controller recipes :func:`build_controller` understands.
-CONTROLLER_KINDS = ("none", "central", "static", "hierarchical")
-
-#: Coordination modes a ``("hierarchical", domains, mode)`` recipe may
-#: name (see :class:`repro.control.hierarchical.HierarchicalController`).
-_HIERARCHICAL_MODES = ("global", "local")
 
 #: Config values a spec may carry: JSON scalars only, so hashing and the
 #: on-disk cache stay canonical.
@@ -64,11 +68,9 @@ class JobSpec:
     cycles: int
     seed: int = 1
     epoch: int = 1000
-    #: controller recipe: ``("none",)``, ``("central",)`` (the paper's
-    #: mechanism at this spec's epoch), ``("static", rate)``, or
-    #: ``("hierarchical"[, domains[, mode]])`` — domain count (0 = the
-    #: topology's natural partition) and coordination mode
-    #: ("global"/"local")
+    #: controller recipe ``(name, *args)``; names, argument forms and
+    #: their checks are the registry's (``--list-controllers`` prints
+    #: them), trailing arguments with defaults may be left off
     controller: Tuple = ("none",)
     network: str = "bless"
     topology: str = "mesh"
@@ -90,32 +92,7 @@ class JobSpec:
             raise TypeError(
                 f"controller must be a non-empty tuple, got {self.controller!r}"
             )
-        if self.controller[0] not in CONTROLLER_KINDS:
-            raise ValueError(
-                f"unknown controller kind {self.controller[0]!r}; "
-                f"expected one of {CONTROLLER_KINDS}"
-            )
-        if self.controller[0] == "hierarchical":
-            extras = self.controller[1:]
-            if len(extras) > 2:
-                raise ValueError(
-                    f"hierarchical recipe takes at most (domains, mode), "
-                    f"got {self.controller!r}"
-                )
-            if extras and (
-                isinstance(extras[0], bool)
-                or not isinstance(extras[0], int)
-                or extras[0] < 0
-            ):
-                raise ValueError(
-                    f"hierarchical domain count must be an int >= 0 "
-                    f"(0 = topology default), got {extras[0]!r}"
-                )
-            if len(extras) == 2 and extras[1] not in _HIERARCHICAL_MODES:
-                raise ValueError(
-                    f"hierarchical mode must be one of "
-                    f"{_HIERARCHICAL_MODES}, got {extras[1]!r}"
-                )
+        check_recipe(self.controller)
         for name, value in self.config:
             _check_scalar(name, value)
         if self.chaos is not None and not isinstance(self.chaos, str):
@@ -131,28 +108,21 @@ class JobSpec:
         object.__setattr__(self, "app_names", tuple(self.app_names))
         object.__setattr__(self, "controller", tuple(self.controller))
 
-    #: Spec fields that double as :class:`~repro.config.SimulationConfig`
-    #: keywords; ``for_workload`` lifts them out of a loose config dict.
-    _LIFTED = (
-        "network", "topology", "locality", "locality_param", "deadline",
-        "chaos",
-    )
-
     @classmethod
     def for_workload(cls, workload: Workload, cycles: int, **kw) -> "JobSpec":
         """Build a spec from a constructed :class:`Workload`.
 
         ``config`` may be a loose keyword dict (the ``**kw`` a sweep
-        driver collected); keys that are first-class spec fields
-        (``network``, ``locality``, ...) are lifted into those fields so
+        driver collected); keys that name a first-class spec field
+        (``network``, ``locality``, ...) are lifted into that field so
         they are never passed to the simulator twice.
         """
         config = kw.pop("config", {})
         if isinstance(config, dict):
             config = dict(config)
-            for name in cls._LIFTED:
-                if name in config and name not in kw:
-                    kw[name] = config.pop(name)
+            for field in fields(cls):
+                if field.name in config and field.name not in kw:
+                    kw[field.name] = config.pop(field.name)
             config = tuple(sorted(config.items()))
         return cls(
             app_names=workload.app_names,
@@ -171,23 +141,8 @@ class JobSpec:
         results (and whose content hash differs, so profiled and plain
         results never share a cache entry).
         """
-        merged = dict(self.config)
-        merged.update(overrides)
-        return JobSpec(
-            app_names=self.app_names,
-            cycles=self.cycles,
-            seed=self.seed,
-            epoch=self.epoch,
-            controller=self.controller,
-            network=self.network,
-            topology=self.topology,
-            locality=self.locality,
-            locality_param=self.locality_param,
-            category=self.category,
-            config=tuple(sorted(merged.items())),
-            deadline=self.deadline,
-            chaos=self.chaos,
-        )
+        merged = {**dict(self.config), **overrides}
+        return replace(self, config=tuple(sorted(merged.items())))
 
     @property
     def workload(self) -> Workload:
@@ -199,21 +154,8 @@ class JobSpec:
 
     def canonical(self) -> str:
         """Deterministic JSON encoding (the hash pre-image)."""
-        payload = {
-            "app_names": list(self.app_names),
-            "category": self.category,
-            "cycles": self.cycles,
-            "seed": self.seed,
-            "epoch": self.epoch,
-            "controller": list(self.controller),
-            "network": self.network,
-            "topology": self.topology,
-            "locality": self.locality,
-            "locality_param": self.locality_param,
-            "config": [list(pair) for pair in self.config],
-            "deadline": self.deadline,
-            "chaos": self.chaos,
-        }
+        # JSON encodes tuples as lists, so the fields need no conversion.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def content_hash(self) -> str:
@@ -230,51 +172,15 @@ class JobSpec:
         )
 
 
-def build_controller(spec: JobSpec):
-    """Instantiate the controller a spec describes (inside the worker)."""
-    from repro.control.base import NoController
-    from repro.control.central import CentralController, ControlParams
-    from repro.control.static_throttle import StaticThrottleController
-
-    kind = spec.controller[0]
-    if kind == "none":
-        return NoController()
-    if kind == "central":
-        return CentralController(ControlParams(epoch=spec.epoch))
-    if kind == "static":
-        return StaticThrottleController(float(spec.controller[1]))
-    if kind == "hierarchical":
-        from repro.control.hierarchical import HierarchicalController
-
-        num_domains = (
-            int(spec.controller[1]) if len(spec.controller) > 1 else 0
-        )
-        mode = str(spec.controller[2]) if len(spec.controller) > 2 else "global"
-        return HierarchicalController(
-            ControlParams(epoch=spec.epoch),
-            num_domains=num_domains,
-            mode=mode,
-        )
-    raise ValueError(f"unknown controller kind {kind!r}")
-
-
 def run_job(spec: JobSpec) -> SimulationResult:
     """Execute one spec to completion (the worker entry point)."""
     from repro.chaos.schedule import ChaosConfig
     from repro.experiments.runner import run_workload
 
-    chaos = None if spec.chaos is None else ChaosConfig.from_json(spec.chaos)
-    return run_workload(
-        spec.workload,
-        spec.cycles,
-        controller=build_controller(spec),
-        epoch=spec.epoch,
-        seed=spec.seed,
-        deadline=spec.deadline,
-        network=spec.network,
-        topology=spec.topology,
-        locality=spec.locality,
-        locality_param=spec.locality_param,
-        chaos=chaos,
-        **dict(spec.config),
-    )
+    kw = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    del kw["app_names"], kw["category"]  # carried by spec.workload
+    config = dict(kw.pop("config"))
+    kw["controller"] = build_controller(spec.controller, epoch=spec.epoch)
+    if spec.chaos is not None:
+        kw["chaos"] = ChaosConfig.from_json(spec.chaos)
+    return run_workload(spec.workload, **kw, **config)

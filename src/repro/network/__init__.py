@@ -66,6 +66,9 @@ NETWORK_MODELS = {
     "hybrid": _build_hybrid,
 }
 
+#: Canonical name tuple for CLI ``choices``.
+NETWORK_NAMES = tuple(NETWORK_MODELS)
+
 
 def build_network(config, topology, rng=None, fault_model=None) -> NocModel:
     """Construct the router model named by ``config.network``."""
@@ -94,5 +97,6 @@ __all__ = [
     "BufferedNetwork",
     "HybridNetwork",
     "NETWORK_MODELS",
+    "NETWORK_NAMES",
     "build_network",
 ]

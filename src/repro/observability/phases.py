@@ -33,7 +33,9 @@ class PhaseTimer:
     def lap(self, phase: str) -> None:
         """Charge the time since the previous mark to *phase*."""
         now = perf_counter()
-        self.seconds[phase] += now - self._mark
+        # The chaos phase joins the pipeline only when a campaign runs,
+        # so it is not in PHASES.
+        self.seconds[phase] = self.seconds.get(phase, 0.0) + now - self._mark
         self._mark = now
 
     @property

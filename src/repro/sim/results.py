@@ -20,7 +20,11 @@ from repro.metrics.collectors import EpochSeries
 from repro.observability.counters import PerfCounters
 from repro.power.model import PowerReport
 
-__all__ = ["SimulationResult", "RESULT_SCHEMA_VERSION"]
+__all__ = [
+    "SimulationResult",
+    "RESULT_SCHEMA_VERSION",
+    "RESULT_SCHEMA_FIELD_HASH",
+]
 
 #: Bump whenever the serialized layout of :meth:`SimulationResult.to_dict`
 #: changes shape or meaning; the on-disk result cache keys on it so stale
@@ -30,11 +34,11 @@ __all__ = ["SimulationResult", "RESULT_SCHEMA_VERSION"]
 #: 3: the optional ``chaos`` campaign report joined the layout.
 RESULT_SCHEMA_VERSION = 3
 
-#: sha256 of ``"v{RESULT_SCHEMA_VERSION}:" + ",".join(sorted(fields))``
-#: over every serialized field name.  Checked statically by the
-#: SCHEMA001 rule (``repro.analysis.schema``): changing the serialized
-#: layout without bumping RESULT_SCHEMA_VERSION *and* refreshing this
-#: pin fails ``python -m repro.analysis``.
+#: sha256 of ``"v{RESULT_SCHEMA_VERSION}:" + ",".join(sorted(keys))``
+#: over the keys of :meth:`SimulationResult.to_dict`.  ``tests/
+#: test_results.py`` recomputes it from a real run: changing the
+#: serialized layout without bumping RESULT_SCHEMA_VERSION *and*
+#: refreshing this pin fails the suite.
 RESULT_SCHEMA_FIELD_HASH = (
     "caeb7451385f27f95e0c92d59441928b5b894fa620d34501e9e0183d605fe9e4"
 )

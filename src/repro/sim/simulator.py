@@ -53,11 +53,7 @@ from repro.sim.pipeline import PhasePipeline
 from repro.sim.results import SimulationResult
 from repro.topology.registry import build_topology
 from repro.traffic.applications import ApplicationBehaviorArray
-from repro.traffic.locality import (
-    ExponentialLocality,
-    PowerLawLocality,
-    UniformStriping,
-)
+from repro.traffic.locality import LOCALITY_MODELS
 
 __all__ = ["Simulator", "PHASE_WRITES"]
 
@@ -95,13 +91,7 @@ def _build_topology(config: SimulationConfig):
 def _build_locality(config: SimulationConfig, topology):
     if not isinstance(config.locality, str):
         return config.locality
-    if config.locality == "uniform":
-        return UniformStriping(topology)
-    if config.locality == "exponential":
-        return ExponentialLocality(topology, mean_distance=config.locality_param)
-    if config.locality == "powerlaw":
-        return PowerLawLocality(topology, alpha=config.locality_param)
-    raise ValueError(f"unknown locality model {config.locality!r}")
+    return LOCALITY_MODELS[config.locality](topology, config.locality_param)
 
 
 class Simulator:
@@ -617,7 +607,7 @@ class Simulator:
                 ),
                 trace_events=self.tracer.recorded if self.tracer else 0,
                 trace_dropped=self.tracer.dropped if self.tracer else 0,
-                chaos_events=len(chaos.applied_events) if chaos else 0,
+                chaos_events=chaos.applied_events if chaos else 0,
                 control_flits_sent=stats.control_flits_sent,
                 control_flits_dropped=stats.control_flits_dropped,
                 control_domains=(

@@ -22,7 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["UniformStriping", "ExponentialLocality", "PowerLawLocality"]
+__all__ = [
+    "UniformStriping",
+    "ExponentialLocality",
+    "PowerLawLocality",
+    "LOCALITY_MODELS",
+    "LOCALITY_NAMES",
+]
 
 
 class UniformStriping:
@@ -175,3 +181,19 @@ class PowerLawLocality(_DistanceLocality):
 
     def __repr__(self) -> str:
         return f"PowerLawLocality(alpha={self.alpha})"
+
+
+#: name -> sampler(topology, locality_param) for every model a string
+#: ``SimulationConfig.locality`` may select; the config check, the
+#: simulator and the CLI ``--locality`` choices all read this table.
+LOCALITY_MODELS = {
+    "uniform": lambda topology, param: UniformStriping(topology),
+    "exponential": lambda topology, param: ExponentialLocality(
+        topology, mean_distance=param
+    ),
+    "powerlaw": lambda topology, param: PowerLawLocality(
+        topology, alpha=param
+    ),
+}
+
+LOCALITY_NAMES = tuple(LOCALITY_MODELS)

@@ -1,14 +1,13 @@
 # repro: analysis-scope=sim
 """CACHE001 fixture: cache-key-invisible config state (3 findings).
 
-``JobSpec.canonical()`` lacks the generic ``config`` catch-all, so the
+``JobSpec`` lacks the generic ``config`` catch-all field, so the
 ``width`` field read by the simulation shares a cache hash across runs
 that differ in it; ``jitter`` is a read of a field that does not exist
 at all (a stale read).  ``seed`` and the ``horizon`` property are fine:
-``seed`` is a canonical spec field, ``horizon`` is derived state.
+``seed`` is a spec field, ``horizon`` is derived state.
 """
 
-import json
 from dataclasses import dataclass
 
 
@@ -27,10 +26,6 @@ class SimulationConfig:
 class JobSpec:
     seed: int = 1
     epoch: int = 1000
-
-    def canonical(self):
-        payload = {"seed": self.seed, "epoch": self.epoch}
-        return json.dumps(payload, sort_keys=True)
 
 
 def run(config: SimulationConfig):

@@ -1,5 +1,5 @@
 """Tests for the simulation guardrails: invariant checking, the progress
-watchdog, fault injection, and the resilient experiment runner."""
+watchdog, and fault injection."""
 
 from types import SimpleNamespace
 
@@ -18,9 +18,7 @@ from repro import (
     SimulationTimeout,
     Simulator,
     make_category_workload,
-    make_homogeneous_workload,
 )
-from repro.experiments import run_workload_safe
 from repro.network import BlessNetwork, BufferedNetwork
 from repro.network.base import EjectedFlits
 from repro.network.flit import pack_meta
@@ -404,55 +402,3 @@ class TestSimulatorGuardrails:
         simulator = Simulator(self._config())
         with pytest.raises(SimulationTimeout):
             simulator.run(1_000_000, deadline=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Resilient experiment runner
-# ---------------------------------------------------------------------------
-class TestRunnerResilience:
-    def setup_method(self):
-        self.workload = make_homogeneous_workload("mcf", 16)
-
-    def test_retry_recovers_with_fresh_seed(self):
-        calls = []
-
-        def flaky(workload, cycles, controller=None, **kw):
-            calls.append(kw["seed"])
-            if len(calls) == 1:
-                raise LivelockError(42, "stuck")
-            return "recovered"
-
-        result = run_workload_safe(
-            self.workload, 100, retries=2, backoff=0.0, seed=7, _runner=flaky
-        )
-        assert result == "recovered"
-        assert calls == [7, 8]  # second attempt reseeded
-
-    def test_exhausted_retries_warn_and_return_none(self):
-        def always_failing(workload, cycles, controller=None, **kw):
-            raise LivelockError(1, "hopeless")
-
-        with pytest.warns(RuntimeWarning, match="abandoned after 2 attempt"):
-            result = run_workload_safe(
-                self.workload, 100, retries=1, backoff=0.0,
-                _runner=always_failing,
-            )
-        assert result is None
-
-    def test_non_guardrail_errors_propagate(self):
-        def broken(workload, cycles, controller=None, **kw):
-            raise ZeroDivisionError
-
-        with pytest.raises(ZeroDivisionError):
-            run_workload_safe(self.workload, 100, _runner=broken)
-
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ValueError):
-            run_workload_safe(self.workload, 100, retries=-1)
-
-    def test_real_timeout_degrades_to_partial_result(self):
-        with pytest.warns(RuntimeWarning, match="wall-clock budget"):
-            result = run_workload_safe(
-                self.workload, 500_000, retries=0, timeout_s=0.0
-            )
-        assert result is None

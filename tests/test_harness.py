@@ -45,6 +45,34 @@ class TestJobSpec:
     def test_content_hash_is_deterministic(self):
         assert small_spec().content_hash() == small_spec().content_hash()
 
+    def test_content_hash_literals_are_pinned(self):
+        """Cache keys are the on-disk identity of every stored result:
+        these three were taken before canonical() was derived from the
+        dataclass fields and must never move."""
+        from repro.chaos import ChaosConfig, ChaosEvent
+
+        assert small_spec().content_hash() == (
+            "45b5e943d9d3e9d898006b5c7c585d1aa845b8c1835cc8765cdf3e7c8a7eddc5"
+        )
+        assert JobSpec(
+            ("mcf", None, "gromacs", "povray"), cycles=5000, seed=7,
+            epoch=1000, controller=("hierarchical", 4, "local"),
+            network="buffered", topology="torus", locality="exponential",
+            locality_param=1.5, category="HM",
+            config=(("profile", True), ("mshr_limit", 8)), deadline=30.0,
+        ).content_hash() == (
+            "176781985e907e2ae1b0ed18f94fae06db5901801ddf482a658d333ef3c9d638"
+        )
+        chaos = ChaosConfig(events=(
+            ChaosEvent(cycle=500, kind="link_down", node=5, port=1),
+        ))
+        assert JobSpec(
+            ("mcf",) * 16, cycles=2000, controller=("static", 0.5),
+            chaos=chaos,
+        ).content_hash() == (
+            "27f6a17d7c45803bdbd5d5c360dda4f2157405fa144f1bedd4b37ccae0164abf"
+        )
+
     def test_hash_differs_on_any_field(self):
         base = small_spec().content_hash()
         assert small_spec(seed=2).content_hash() != base
@@ -105,17 +133,16 @@ class TestJobSpec:
 
     def test_hierarchical_recipe_builds_controller(self):
         from repro.control.hierarchical import HierarchicalController
-        from repro.harness.jobs import build_controller
+        from repro.control.registry import build_controller
 
-        ctl = build_controller(
-            small_spec(controller=("hierarchical", 4, "local"), epoch=400)
-        )
+        spec = small_spec(controller=("hierarchical", 4, "local"), epoch=400)
+        ctl = build_controller(spec.controller, epoch=spec.epoch)
         assert isinstance(ctl, HierarchicalController)
         assert ctl.num_domains == 4
         assert ctl.mode == "local"
         assert ctl.params.epoch == 400
         # Defaults: topology-chosen count, global reconciliation.
-        default = build_controller(small_spec(controller=("hierarchical",)))
+        default = build_controller(("hierarchical",), epoch=400)
         assert default.num_domains == 0 and default.mode == "global"
 
     def test_hierarchical_hash_distinguishes_layouts(self):

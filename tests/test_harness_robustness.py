@@ -1,5 +1,4 @@
-"""Robustness tests for the harness: worker death, job timeouts, and
-seeded retry-backoff jitter.
+"""Robustness tests for the harness: worker death and job timeouts.
 
 The worker-death tests patch ``repro.harness.executor.run_job`` and rely
 on the ``fork`` start method to carry the patch into pool workers; they
@@ -12,12 +11,9 @@ import time
 
 import pytest
 
-from repro.guardrails.errors import GuardrailError
 from repro.harness import JobSpec, ResultCache, run_jobs
 from repro.harness.executor import _timed_run, job_timeout_s
 from repro.harness.jobs import run_job as real_run_job
-from repro.experiments.runner import run_workload_safe
-from repro.traffic.workloads import make_homogeneous_workload
 
 # Full-simulation module: runs real multi-epoch simulations end to end.
 # Deselect with -m 'not slow' for a fast inner loop; CI runs everything.
@@ -136,58 +132,3 @@ class TestJobTimeout:
         monkeypatch.setattr("repro.harness.executor.run_job", interrupted)
         with pytest.raises(KeyboardInterrupt):
             _timed_run(small_spec(), timeout_s=300.0)
-
-
-class TestBackoffJitter:
-    WL = make_homogeneous_workload("mcf", 16)
-
-    def collect_sleeps(self, seed, retries=3):
-        def always_fails(*_a, **_kw):
-            raise GuardrailError("boom")
-
-        sleeps = []
-        result = run_workload_safe(
-            self.WL, 100, retries=retries, backoff=0.2, seed=seed,
-            warn=False, _runner=always_fails, _sleep=sleeps.append,
-        )
-        assert result is None
-        return sleeps
-
-    def test_jitter_is_bounded_around_exponential_backoff(self):
-        sleeps = self.collect_sleeps(seed=9)
-        assert len(sleeps) == 3  # no sleep after the final attempt
-        for attempt, slept in enumerate(sleeps):
-            base = 0.2 * 2**attempt
-            assert 0.5 * base <= slept < 1.5 * base
-
-    def test_jitter_is_deterministic_per_seed(self):
-        assert self.collect_sleeps(seed=9) == self.collect_sleeps(seed=9)
-        assert self.collect_sleeps(seed=9) != self.collect_sleeps(seed=10)
-
-    def test_retries_advance_the_seed_then_succeed(self):
-        seeds, sleeps = [], []
-
-        def flaky(workload, cycles, controller, **kw):
-            seeds.append(kw["seed"])
-            if len(seeds) < 3:
-                raise GuardrailError("transient")
-            return "ok"
-
-        result = run_workload_safe(
-            self.WL, 100, retries=3, backoff=0.1, seed=5, warn=False,
-            _runner=flaky, _sleep=sleeps.append,
-        )
-        assert result == "ok"
-        assert seeds == [5, 6, 7]  # identical seeds would fail identically
-        assert len(sleeps) == 2
-
-    def test_zero_backoff_never_sleeps(self):
-        def always_fails(*_a, **_kw):
-            raise GuardrailError("boom")
-
-        sleeps = []
-        run_workload_safe(
-            self.WL, 100, retries=2, backoff=0.0, seed=1, warn=False,
-            _runner=always_fails, _sleep=sleeps.append,
-        )
-        assert sleeps == []

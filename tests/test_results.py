@@ -1,11 +1,18 @@
 """Tests for the SimulationResult aggregate properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.metrics.collectors import EpochSeries
 from repro.power.model import PowerReport
-from repro.sim.results import SimulationResult
+from repro.sim import results as results_module
+from repro.sim.results import (
+    RESULT_SCHEMA_FIELD_HASH,
+    RESULT_SCHEMA_VERSION,
+    SimulationResult,
+)
 
 
 def make_result(ipc, active):
@@ -124,3 +131,66 @@ class TestSerialization:
         assert clone.latency_hist is None
         np.testing.assert_array_equal(clone.ipc, res.ipc)
         assert clone.epochs == res.epochs
+
+
+def schema_field_hash(result: SimulationResult) -> str:
+    """What RESULT_SCHEMA_FIELD_HASH pins, recomputed from a result."""
+    text = f"v{results_module.RESULT_SCHEMA_VERSION}:" + ",".join(
+        sorted(result.to_dict())
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def full_result():
+    """A real run with every optional result section populated."""
+    from repro.chaos import ChaosConfig, ChaosEvent
+    from repro.harness import JobSpec, run_job
+
+    chaos = ChaosConfig(
+        events=(ChaosEvent(cycle=200, kind="link_down", node=5, port=1),)
+    )
+    spec = JobSpec(
+        ("mcf",) * 16, cycles=600, epoch=200, chaos=chaos,
+        config=(
+            ("check_invariants", True), ("profile", True), ("trace", True),
+        ),
+    )
+    result = run_job(spec)
+    for section in ("guardrails", "latency_hist", "perf", "chaos"):
+        assert getattr(result, section) is not None, section
+    return result
+
+
+class TestSchemaPin:
+    """Runtime successor of the SCHEMA001 lint: the serialized key set
+    of a real result is pinned per schema version."""
+
+    def test_field_hash_pins_the_serialized_keys(self, full_result):
+        assert schema_field_hash(full_result) == RESULT_SCHEMA_FIELD_HASH, (
+            "SimulationResult.to_dict() keys changed: bump "
+            "RESULT_SCHEMA_VERSION and set RESULT_SCHEMA_FIELD_HASH to "
+            f"{schema_field_hash(full_result)!r}"
+        )
+
+    def test_full_result_roundtrips(self, full_result):
+        clone = SimulationResult.from_dict(full_result.to_dict())
+        assert clone.to_dict() == full_result.to_dict()
+        assert clone.chaos == full_result.chaos
+        assert clone.guardrails == full_result.guardrails
+
+    def test_pin_fails_when_key_added_without_version_bump(
+        self, full_result, monkeypatch
+    ):
+        plain = SimulationResult.to_dict
+        monkeypatch.setattr(
+            SimulationResult, "to_dict",
+            lambda self: {**plain(self), "sneaky_field": 0},
+        )
+        assert schema_field_hash(full_result) != RESULT_SCHEMA_FIELD_HASH
+
+    def test_pin_is_keyed_on_the_version(self, full_result, monkeypatch):
+        monkeypatch.setattr(
+            results_module, "RESULT_SCHEMA_VERSION", RESULT_SCHEMA_VERSION + 1
+        )
+        assert schema_field_hash(full_result) != RESULT_SCHEMA_FIELD_HASH
