@@ -1,10 +1,10 @@
 """Mid-run fault/recovery campaigns (the chaos layer).
 
-``repro.chaos`` extends the static :mod:`repro.guardrails.faults` model
-to *dynamic* faults: links, routers, and the congestion controller fail
-and recover at scheduled cycles while the run is in flight, and the
-simulator measures how long the network takes to return to its
-pre-fault steady state.  Everything is seeded and pre-scheduled, so a
+``repro.chaos`` drives the :class:`~repro.guardrails.faults.FaultModel`
+transition methods on a schedule: links, routers, and the congestion
+controller fail and recover at scheduled cycles while the run is in
+flight, and the simulator measures how long the network takes to return
+to its pre-fault steady state.  Everything is seeded and pre-scheduled, so a
 chaos run is exactly as deterministic (and cacheable) as a fault-free
 one.
 
@@ -15,7 +15,6 @@ losslessness guarantee intact through every topology transition.
 
 from repro.chaos.controlplane import ResilientController
 from repro.chaos.engine import ChaosEngine
-from repro.chaos.faults import DynamicFaultModel
 from repro.chaos.report import ChaosEventRecord, ChaosReport
 from repro.chaos.schedule import (
     CHAOS_EVENT_KINDS,
@@ -32,6 +31,5 @@ __all__ = [
     "ChaosEventRecord",
     "ChaosReport",
     "ChaosSchedule",
-    "DynamicFaultModel",
     "ResilientController",
 ]

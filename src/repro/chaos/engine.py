@@ -3,7 +3,7 @@
 One :class:`ChaosEngine` instance rides inside the simulator's phase
 pipeline (the ``chaos`` phase, first in the cycle) and, at each event's
 cycle, drives the corresponding transition through the
-:class:`~repro.chaos.faults.DynamicFaultModel`, the router engine, and
+:class:`~repro.guardrails.faults.FaultModel`, the router engine, and
 the control plane.
 
 **Down events are two-phase** so the invariant checker's losslessness
@@ -49,7 +49,7 @@ class ChaosEngine:
         self.sim = simulator
         self.config = config
         self.network = simulator.network
-        self.fm = simulator.fault_model  # always a DynamicFaultModel
+        self.fm = simulator.fault_model
         self.schedule = ChaosSchedule(config, simulator.topology)
         self.records = [
             ChaosEventRecord(

@@ -59,7 +59,8 @@ class InvariantChecker:
         self._num_ports = int(network.topology.num_ports)
         # Arrival slots a flit may legally occupy: one per healthy link.
         self._allowed_slots = network.link_up.ravel()
-        self._alive = getattr(network.fault_model, "alive_routers", None)
+        fault_model = network.fault_model
+        self._alive = None if fault_model is None else fault_model.alive_routers
 
     # ------------------------------------------------------------------
     def after_step(self, cycle: int, ejected: EjectedFlits) -> None:

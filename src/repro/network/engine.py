@@ -55,7 +55,6 @@ from repro.network.flit import (
     meta_seq,
     meta_src,
     pack_meta,
-    priority_key,
     priority_key_into,
 )
 from repro.topology.mesh import NUM_PORTS
@@ -79,12 +78,6 @@ _KEY_MAX = np.iinfo(np.int64).max
 
 #: Largest network that precomputes (n, n) productive-route tables.
 _ROUTE_TABLE_MAX_NODES = 1024
-
-# Legacy 4-port-mesh aliases.  The engine itself is port-count generic:
-# per network, the NI input port and the eject output port are both
-# ``topology.num_ports`` (the first index past the link ports).
-NI_PORT = NUM_PORTS
-EJECT_PORT = NUM_PORTS
 
 
 # ----------------------------------------------------------------------
@@ -122,23 +115,16 @@ class ArbitrationPolicy:
 
     name = ""
 
-    def keys(self, engine: "RouterEngine", birth, meta) -> np.ndarray:
-        raise NotImplementedError
-
     def keys_into(self, engine: "RouterEngine", birth, meta, out, scratch):
-        """Allocation-free :meth:`keys` into *out* (*scratch* is an
-        int64 buffer of the same shape policies may clobber)."""
-        out[:] = self.keys(engine, birth, meta)
-        return out
+        """Write each flit's key into *out* and return it (*scratch* is
+        an int64 buffer of the same shape policies may clobber)."""
+        raise NotImplementedError
 
 
 class OldestFirst(ArbitrationPolicy):
     """The paper's baseline: age order, ties broken by source id."""
 
     name = "oldest_first"
-
-    def keys(self, engine, birth, meta):
-        return priority_key(birth, meta_src(meta))
 
     def keys_into(self, engine, birth, meta, out, scratch):
         meta_src(meta, out=scratch)
@@ -149,9 +135,6 @@ class YoungestFirst(ArbitrationPolicy):
     """Inverted age order (§6 arbitration ablation)."""
 
     name = "youngest_first"
-
-    def keys(self, engine, birth, meta):
-        return -priority_key(birth, meta_src(meta))
 
     def keys_into(self, engine, birth, meta, out, scratch):
         meta_src(meta, out=scratch)
@@ -164,12 +147,10 @@ class RandomArbitration(ArbitrationPolicy):
 
     name = "random"
 
-    def keys(self, engine, birth, meta):
-        return engine._rng.integers(0, _KEY_MAX, size=birth.shape, dtype=np.int64)
-
     def keys_into(self, engine, birth, meta, out, scratch):
-        # The generator draw itself allocates; keep the call identical
-        # (same size, dtype, bounds) so results match the legacy path.
+        # The generator draw itself allocates; size, dtype and bounds are
+        # part of the RNG lineage (they fix how much of the stream one
+        # cycle consumes).
         out[:] = engine._rng.integers(
             0, _KEY_MAX, size=birth.shape, dtype=np.int64
         )
@@ -211,15 +192,9 @@ class BufferBank:
         self.birth[nodes, ports, slot] = birth
         self.count[nodes, ports] += 1
 
-    def heads(self):
-        """Head-of-queue view per (node, port): ``(valid, meta, birth)``."""
-        idx = self.head[:, :, None]
-        meta = np.take_along_axis(self.meta, idx, axis=2)[:, :, 0]
-        birth = np.take_along_axis(self.birth, idx, axis=2)[:, :, 0]
-        return self.count > 0, meta, birth
-
     def heads_into(self, valid, meta, birth):
-        """Allocation-free :meth:`heads` into preallocated buffers."""
+        """Head-of-queue view per (node, port), ``(valid, meta, birth)``,
+        gathered into the preallocated buffers."""
         np.add(self._flat_base, self.head.reshape(-1), out=self._flat_idx)
         np.take(self.meta.reshape(-1), self._flat_idx, out=meta.reshape(-1))
         np.take(self.birth.reshape(-1), self._flat_idx, out=birth.reshape(-1))
@@ -273,7 +248,7 @@ def _refresh_fault_routing(net: "RouterEngine") -> None:
     if fault_model is not None and (
         fault_model.num_failed_links
         or fault_model.num_failed_routers
-        or getattr(fault_model, "any_quiescing", False)
+        or fault_model.quiescing.any()
     ):
         net._dist = fault_model.healthy_distance
         if net._neighbor_safe is None:
@@ -492,8 +467,8 @@ class DeflectFlowControl(FlowControl):
                 # the drain waits on it — only through-traffic is kept
                 # off the link.  Random transient noise gets no such
                 # exception (those links are unreliable for everyone).
-                q_mask = getattr(net.fault_model, "quiescing", None)
-                if q_mask is not None and q_mask.any():
+                q_mask = net.fault_model.quiescing
+                if q_mask.any():
                     quiesce = spare & q_mask
         out_meta, out_birth = net._out_meta, net._out_birth
         out_birth.fill(-1)
@@ -751,8 +726,8 @@ class CreditFlowControl(FlowControl):
                 # without it, a buffered flit destined to a draining
                 # router waits at a neighbor forever and the drain
                 # deadlocks against its own quiesce.
-                q_mask = getattr(net.fault_model, "quiescing", None)
-                if q_mask is not None and q_mask.any():
+                q_mask = net.fault_model.quiescing
+                if q_mask.any():
                     quiesce = q_mask
         pkey, col = self._sc_pkey, self._sc_col
         want = self._sc_h_invalid  # reuse: h_key masking is done
@@ -1105,12 +1080,9 @@ class RouterEngine(NocModel):
     # ------------------------------------------------------------------
     # Stage helpers (used by FlowControl implementations)
     # ------------------------------------------------------------------
-    def arbitration_keys(self, birth: np.ndarray, meta: np.ndarray) -> np.ndarray:
-        """Per-flit arbitration keys; the smallest key wins a conflict."""
-        return self._arb.keys(self, birth, meta)
-
     def arbitration_keys_into(self, birth, meta, out, scratch) -> np.ndarray:
-        """Allocation-free :meth:`arbitration_keys` into scratch *out*."""
+        """Per-flit arbitration keys written into scratch *out*; the
+        smallest key wins a conflict."""
         return self._arb.keys_into(self, birth, meta, out, scratch)
 
     def productive_into(self, dest, idx, p0, p1=None):

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.chaos import ChaosEngine, DynamicFaultModel
+from repro.chaos import ChaosEngine
 from repro.config import SimulationConfig
 from repro.control.base import EpochView
 from repro.cpu.core import CoreArray
@@ -113,17 +113,13 @@ class Simulator:
             seed_rng=child_rng(config.seed, "phase-init"),
         )
         chaos_on = config.chaos is not None and config.chaos.any_events
-        if chaos_on:
-            # Chaos needs a mutable fault model even when the run starts
-            # fault-free; it layers mid-run transitions over any static
-            # fault set.
-            self.fault_model = DynamicFaultModel(self.topology, config.faults)
-        else:
-            self.fault_model = (
-                FaultModel(self.topology, config.faults)
-                if config.faults is not None and config.faults.any_faults
-                else None
-            )
+        # Chaos needs a fault model even when the run starts fault-free:
+        # its mid-run transitions apply over any sampled fault set.
+        self.fault_model = (
+            FaultModel(self.topology, config.faults)
+            if chaos_on or (config.faults is not None and config.faults.any_faults)
+            else None
+        )
         self.network = build_network(
             config, self.topology, rng=self._rng_arb,
             fault_model=self.fault_model,

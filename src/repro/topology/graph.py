@@ -10,9 +10,9 @@ destination.  :class:`GraphTopology` provides exactly those arrays for an
 - ``neighbor``/``link_exists``/``reverse_port``/``link_latency``:
   ``(N, P)`` per-directed-link tables, ``P`` = max ports on any router
   (routers with fewer links simply leave slots empty, like mesh edges);
-- an all-pairs BFS hop-distance table (the same vectorized BFS the
-  fault-aware routing in :mod:`repro.guardrails.faults` runs on the
-  healthy subgraph);
+- an all-pairs hop-distance table from :func:`hop_distances`, the one
+  BFS in the package (the fault model in :mod:`repro.guardrails.faults`
+  runs the same routine on the healthy subgraph);
 - precomputed ``(N, N)`` productive-port tables: for each
   (here, destination) pair, the first and second output ports whose
   neighbor is strictly closer to the destination, scanned in
@@ -35,14 +35,54 @@ import numpy as np
 
 from repro.topology.mesh import INVALID_PORT
 
-__all__ = ["GraphTopology", "UNREACHABLE", "MAX_GRAPH_PORTS"]
+__all__ = ["GraphTopology", "hop_distances", "UNREACHABLE", "MAX_GRAPH_PORTS"]
 
-#: Sentinel hop distance for unreachable pairs (matches the fault model).
+#: Sentinel hop distance for unreachable pairs.
 UNREACHABLE = np.iinfo(np.int32).max
 
 #: Upper bound on per-router ports; keeps ``reverse_port`` in int8 and
 #: chaos-event validation meaningful.
 MAX_GRAPH_PORTS = 32
+
+
+def hop_distances(neighbor, link_up, sources=None) -> np.ndarray:
+    """BFS hop counts over the directed links ``u -> neighbor[u, port]``
+    that ``link_up[u, port]`` marks usable.
+
+    Returns ``dist[i, v]``, the hops from ``sources[i]`` to ``v`` — all
+    pairs, ``(N, N)`` in node-id order, when *sources* is ``None`` — as
+    int32 with ``UNREACHABLE`` where no path exists.  *link_up* need not
+    be symmetric (a chaos drain quiesces one direction of a link).
+
+    Every level advances all sources at once: the frontier is held
+    transposed, one row per node and one column per source, so the step
+    "v is reached if the tail of one of its in-links was" is a gather of
+    frontier rows, one per in-link slot.
+    """
+    n = len(neighbor)
+    sources = np.arange(n) if sources is None else np.asarray(sources)
+    # pred[k, v]: tail of v's k-th usable in-link; n (a padding frontier
+    # row that is never reached) where v has fewer.
+    tail, port = np.nonzero(link_up)
+    head = neighbor[tail, port]
+    order = np.argsort(head, kind="stable")
+    head, tail = head[order], tail[order]
+    slot = np.arange(head.size) - np.searchsorted(head, head)
+    pred = np.full((slot.max(initial=-1) + 1, n), n, dtype=np.int64)
+    pred[slot, head] = tail
+    frontier = np.zeros((n + 1, sources.size), dtype=bool)
+    frontier[sources, np.arange(sources.size)] = True
+    unreached = ~frontier[:n]
+    dist = np.where(unreached, np.int32(UNREACHABLE), np.int32(0))
+    hops = 0
+    while frontier.any():
+        hops += 1
+        nxt = frontier[pred].any(axis=0)
+        nxt &= unreached
+        dist[nxt] = hops
+        unreached ^= nxt
+        frontier[:n] = nxt
+    return np.ascontiguousarray(dist.T)
 
 
 class GraphTopology:
@@ -133,34 +173,13 @@ class GraphTopology:
         if (self.ports_per_node == 0).any():
             isolated = int(np.flatnonzero(self.ports_per_node == 0)[0])
             raise ValueError(f"{self.name}: node {isolated} has no links")
-        self._dist = self._all_pairs_distance()
+        self._dist = hop_distances(self.neighbor, self.link_exists)
         if (self._dist == UNREACHABLE).any():
             raise ValueError(f"{self.name}: topology is not connected")
         self._ecc = self._dist.max(axis=1).astype(np.int32)
         self._build_route_tables()
         self._finalized = True
         return self
-
-    def _all_pairs_distance(self) -> np.ndarray:
-        """Vectorized all-pairs BFS (same scheme as the fault model)."""
-        n = self.num_nodes
-        neighbor = self.neighbor.astype(np.int64)
-        dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
-        reached = np.eye(n, dtype=bool)
-        dist[reached] = 0
-        frontier = reached.copy()
-        hops = 0
-        while frontier.any():
-            hops += 1
-            nxt = np.zeros((n, n), dtype=bool)
-            for port in range(self.num_ports):
-                ok = self.link_exists[:, port]
-                if ok.any():
-                    nxt[:, neighbor[ok, port]] |= frontier[:, ok]
-            frontier = nxt & ~reached
-            dist[frontier] = hops
-            reached |= frontier
-        return dist
 
     def _build_route_tables(self) -> None:
         """Productive-port tables: first/second port strictly closer to

@@ -9,6 +9,7 @@ every run here doubles as an invariant-checker stress test.
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.chaos import (
@@ -17,10 +18,13 @@ from repro.chaos import (
     ChaosReport,
     ChaosSchedule,
 )
+from repro.config import SimulationConfig
 from repro.control.central import CentralController, ControlParams
 from repro.experiments.runner import run_workload
+from repro.guardrails.faults import FaultConfig, FaultModel
 from repro.harness import JobSpec, run_job, run_jobs
 from repro.sim.results import SimulationResult
+from repro.sim.simulator import Simulator
 from repro.topology.mesh import Mesh2D
 from repro.traffic.workloads import make_homogeneous_workload
 
@@ -193,6 +197,30 @@ class TestDeterminism:
         assert not ChaosConfig().any_events
         assert empty.chaos is None
         assert empty.to_dict() == plain.to_dict()
+
+    @pytest.mark.parametrize(
+        "faults",
+        [None, FaultConfig(link_fault_rate=0.1, router_fault_rate=0.1, seed=4)],
+        ids=["fault-free", "sampled"],
+    )
+    def test_chaos_run_starts_from_the_static_fault_model(self, faults):
+        """One fault model serves both kinds of run: before the first
+        event fires, a campaign's model is attribute for attribute the
+        one a static run samples from the same ``FaultConfig``."""
+        wl = make_homogeneous_workload("mcf", 16)
+        sim = Simulator(SimulationConfig(wl, faults=faults, chaos=CAMPAIGN))
+        static = FaultModel(sim.topology, faults or FaultConfig())
+        chaos_fm = sim.fault_model
+        assert type(chaos_fm) is FaultModel
+        assert vars(chaos_fm).keys() == vars(static).keys()
+        for name, value in vars(static).items():
+            if name != "_distance":  # lazy cache, compared through its property
+                np.testing.assert_array_equal(
+                    getattr(chaos_fm, name), value, err_msg=name
+                )
+        np.testing.assert_array_equal(
+            chaos_fm.healthy_distance, static.healthy_distance
+        )
 
     def test_schedule_is_deterministic_and_sorted(self):
         config = ChaosConfig(

@@ -256,6 +256,13 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             FaultConfig(transient_fault_rate=-0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_validated_by_name(self, seed):
+        """A bad --fault-seed is a named ValueError at config time, not a
+        bit_generator traceback on the first draw."""
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            FaultConfig(transient_fault_rate=0.1, seed=seed)
+
     def test_permanent_faults_are_symmetric(self):
         topology = Mesh2D(6)
         fm = FaultModel(topology, FaultConfig(link_fault_rate=0.15, seed=9))
@@ -290,6 +297,24 @@ class TestFaultModel:
         live = np.flatnonzero(fm.alive_routers)
         assert live.size == 1
         np.testing.assert_array_equal(fm.remap, np.full(4, live[0]))
+
+    def test_remap_matches_per_router_first_minimum(self):
+        """The one-shot argmin re-stripes each dead router exactly as a
+        per-router scan does: nearest live node, lowest id on ties."""
+        topology = Mesh2D(6)
+        fm = FaultModel(topology, FaultConfig(router_fault_rate=0.15, seed=2))
+        dead = np.flatnonzero(~fm.alive_routers)
+        live = np.flatnonzero(fm.alive_routers)
+        assert dead.size >= 2
+        expected = np.arange(topology.num_nodes)
+        for d in dead:
+            expected[d] = live[np.argmin(topology.distance(d, live))]
+        np.testing.assert_array_equal(fm.remap, expected)
+        # at least one tie was broken, or the rule is not exercised
+        assert any(
+            (topology.distance(d, live) == topology.distance(d, live).min()).sum() > 1
+            for d in dead
+        )
 
     def test_remap_is_identity_without_router_faults(self):
         topology = Mesh2D(4)

@@ -9,11 +9,18 @@ Three layers of safety:
   ``Mesh2D`` — routing tables, distances, and a full BLESS simulation
   bit-for-bit (the graph machinery must not perturb the paper's
   baseline numbers);
-- config-level geometry validation through the topology registry.
+- config-level geometry validation through the topology registry;
+- ``hop_distances``, the package's one BFS, against closed-form grid
+  distances and a plain per-source BFS on symmetric *and* directed
+  link masks.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim.simulator as simulator_mod
 from repro.config import SimulationConfig
@@ -26,8 +33,9 @@ from repro.topology import (
     TOPOLOGY_NAMES,
     build_topology,
 )
-from repro.topology import zoo
-from repro.topology.graph import MAX_GRAPH_PORTS, UNREACHABLE
+from repro.guardrails.faults import FaultModel
+from repro.topology import Torus2D, zoo
+from repro.topology.graph import MAX_GRAPH_PORTS, UNREACHABLE, hop_distances
 from repro.traffic.workloads import make_category_workload
 
 
@@ -45,6 +53,84 @@ def zoo_topologies():
         pytest.param(lambda: zoo.express(8, 8, 4), id="express-8x8s4"),
         pytest.param(lambda: zoo.express(6, 6, 2), id="express-6x6s2"),
     ]
+
+
+def _bfs_reference(neighbor, link_up):
+    """All-pairs hop counts by one plain queue BFS per source."""
+    n, num_ports = neighbor.shape
+    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    for s in range(n):
+        dist[s, s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for port in np.flatnonzero(link_up[u]):
+                v = neighbor[u, port]
+                if dist[s, v] == UNREACHABLE:
+                    dist[s, v] = dist[s, u] + 1
+                    queue.append(v)
+    return dist
+
+
+class TestHopDistances:
+    """The shared BFS behind GraphTopology.finalize and every FaultModel
+    distance/connectivity query."""
+
+    @given(w=st.integers(2, 9), h=st.integers(2, 9), wrap=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_closed_form_grid_distance(self, w, h, wrap):
+        topo = (Torus2D if wrap else Mesh2D)(w, h)
+        ids = np.arange(topo.num_nodes)
+        dist = hop_distances(topo.neighbor, topo.link_exists)
+        assert dist.dtype == np.int32
+        np.testing.assert_array_equal(
+            dist, topo.distance(ids[:, None], ids[None, :])
+        )
+
+    @pytest.mark.parametrize("make", zoo_topologies())
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_equals_reference_bfs_under_symmetric_faults(self, make, data):
+        topo = make()
+        rate = data.draw(st.floats(0.0, 0.6))
+        picks = data.draw(st.randoms(use_true_random=False))
+        link_up = topo.link_exists.copy()
+        for node, port in zip(*np.nonzero(topo.link_exists)):
+            if picks.random() < rate:
+                # may split the graph: UNREACHABLE entries must agree too
+                link_up[node, port] = False
+                link_up[topo.neighbor[node, port], topo.reverse_port[node, port]] = False
+        dist = hop_distances(topo.neighbor, link_up)
+        np.testing.assert_array_equal(dist, _bfs_reference(topo.neighbor, link_up))
+        np.testing.assert_array_equal(dist, dist.T)
+        s = data.draw(st.integers(0, topo.num_nodes - 1))
+        np.testing.assert_array_equal(
+            hop_distances(topo.neighbor, link_up, [s]), dist[s : s + 1]
+        )
+
+    @pytest.mark.parametrize("make", zoo_topologies())
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_directed_quiesce_mask(self, make, data):
+        """A router drain quiesces only the links *toward* the router,
+        so the routing mask is asymmetric; hops must follow directed
+        links, for the all-pairs table and for single rows alike."""
+        topo = make()
+        fm = FaultModel(topo, None)
+        target = data.draw(st.integers(0, topo.num_nodes - 1))
+        fm.quiesce_router_inbound(target)
+        link_up = fm.link_up & ~fm.quiescing
+        dist = hop_distances(topo.neighbor, link_up)
+        # the case must not silently become symmetric
+        assert (dist != dist.T).any()
+        others = np.arange(topo.num_nodes) != target
+        assert (dist[target] != UNREACHABLE).all()
+        assert (dist[others, target] == UNREACHABLE).all()
+        np.testing.assert_array_equal(dist, _bfs_reference(topo.neighbor, link_up))
+        rows = [target, data.draw(st.integers(0, topo.num_nodes - 1))]
+        np.testing.assert_array_equal(
+            hop_distances(topo.neighbor, link_up, rows), dist[rows]
+        )
 
 
 @pytest.mark.parametrize("make", zoo_topologies())
