@@ -10,13 +10,13 @@ import numpy as np
 from conftest import once
 from repro.experiments import paper_vs_measured
 from repro import Mesh2D, SimulationConfig, make_homogeneous_workload
-from repro.network import BlessNetwork
+from repro.network import DeflectFlowControl, RouterEngine
 
 
 def test_table2_parameters(benchmark, report):
     def run():
         cfg = SimulationConfig(make_homogeneous_workload("mcf", 16))
-        net = BlessNetwork(Mesh2D(4), hop_latency=cfg.hop_latency)
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl(), hop_latency=cfg.hop_latency)
         net.enqueue_requests(np.array([0]), np.array([3]), 1, cycle=0)
         delivered_at = None
         for c in range(30):

@@ -55,7 +55,13 @@ from repro.harness import (
     run_jobs,
 )
 from repro.metrics import max_slowdown, system_throughput, weighted_speedup
-from repro.network import BlessNetwork, BufferedNetwork
+from repro.network import (
+    CreditFlowControl,
+    DeflectFlowControl,
+    HybridFlowControl,
+    RouterEngine,
+    build_network,
+)
 from repro.observability import FlitTracer, PerfCounters, PhaseTimer
 from repro.power import PowerCoefficients, PowerModel, PowerReport
 from repro.rng import child_rng
@@ -93,8 +99,11 @@ __all__ = [
     "HarnessReport",
     "Mesh2D",
     "Torus2D",
-    "BlessNetwork",
-    "BufferedNetwork",
+    "RouterEngine",
+    "DeflectFlowControl",
+    "CreditFlowControl",
+    "HybridFlowControl",
+    "build_network",
     "Controller",
     "EpochView",
     "NoController",

@@ -39,6 +39,12 @@ class Controller:
 
     #: Whether the simulator should feed delivered flits to on_ejected.
     observes_ejections = False
+    #: Whether the simulator should bind a control-domain partition
+    #: (``repro.control.hierarchical``) before the run.
+    wants_domains = False
+    #: Fail-stop state of the coordinator; only chaos wrappers and the
+    #: hierarchical controller ever set it.
+    down = False
 
     def on_epoch(self, view: EpochView) -> np.ndarray:
         """Return per-node throttle rates in [0, 1] for the next epoch."""

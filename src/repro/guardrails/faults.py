@@ -93,7 +93,7 @@ class FaultModel:
 
     A static run is simply one that never calls the transition methods.
     In place matters: the network aliases ``link_up``
-    (``NocModel.link_up`` *is* this array), the invariant checker holds a
+    (``RouterEngine.link_up`` *is* this array), the invariant checker holds a
     raveled view of it and a reference to ``alive_routers``, so every
     transition writes through the shared arrays rather than rebinding
     them and the whole stack observes it at once.  Routing tables (the

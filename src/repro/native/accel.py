@@ -233,7 +233,7 @@ class NativeAccel:
         )
         self._link_up = np.ascontiguousarray(net.link_up, dtype=u8)
 
-        # Working grids owned by the accel (the reference path's arena
+        # Working grids owned by the accel (the reference path's scratch
         # grids stay untouched so both paths can coexist in one process).
         self._g_meta = alloc((n, p), i64)
         self._g_birth = alloc((n, p), i64)

@@ -96,8 +96,8 @@ static inline void queue_take(void **pt, int resp, i64 qcap, i64 node,
 }
 
 /* NI admission shared by both flow controls
- * (RouterEngine.injection_stage + InjectionThrottleGate.decide +
- * NocModel._record_starvation).  mode 0 = bless (route onto a free
+ * (RouterEngine.injection_stage + InjectionThrottleGate.decide,
+ * starvation bookkeeping included).  mode 0 = bless (route onto a free
  * link), mode 1 = credit (push into the NI input buffer). */
 static void injection_stage(void **pt, const i64 *cfg, i64 *ctr, i64 cycle,
                             const unsigned char *capacity, int mode,

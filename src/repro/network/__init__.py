@@ -1,11 +1,13 @@
 """Network substrates: flit conventions, queues, and router models.
 
-Router models register themselves in :data:`NETWORK_MODELS` so the
-simulator, CLI, and sweeps share a single source of truth for what
-``config.network`` may name.  :func:`build_network` is the factory the
-simulator calls; adding a router variant means registering one builder
-here plus (usually) a small flow-control policy class in
-:mod:`repro.network.engine` — see DESIGN.md §S21.
+There is one network class, :class:`RouterEngine`; a router model is
+that engine paired with a flow control.  :data:`NETWORK_MODELS` maps
+each name ``config.network`` may take to the recipe for its flow
+control, so the simulator, CLI, and sweeps share a single source of
+truth, and :func:`build_network` is the one factory that pairs the two.
+Adding a router variant means one :class:`FlowControl` subclass in
+:mod:`repro.network.engine` plus one line in the table — see DESIGN.md
+§S21.
 """
 
 from repro.network.flit import (
@@ -17,69 +19,51 @@ from repro.network.flit import (
 )
 from repro.network.queues import FlitQueueArray
 from repro.network.injection import InjectionThrottleGate, StarvationMeter
-from repro.network.base import EjectedFlits, NocModel
-from repro.network.bless import BlessNetwork
-from repro.network.buffered import BufferedNetwork
-from repro.network.hybrid import HybridNetwork
+from repro.network.base import EjectedFlits
+from repro.network.engine import (
+    CreditFlowControl,
+    DeflectFlowControl,
+    HybridFlowControl,
+    RouterEngine,
+)
 
-
-def _build_bless(config, topology, rng, fault_model):
-    return BlessNetwork(
-        topology,
-        hop_latency=config.hop_latency,
-        eject_width=config.eject_width,
-        queue_capacity=config.queue_capacity,
-        arbitration=config.arbitration,
-        rng=rng,
-        fault_model=fault_model,
-    )
-
-
-def _build_buffered(config, topology, rng, fault_model):
-    return BufferedNetwork(
-        topology,
-        hop_latency=config.hop_latency,
-        buffer_capacity=config.buffer_capacity,
-        queue_capacity=config.queue_capacity,
-        fault_model=fault_model,
-    )
-
-
-def _build_hybrid(config, topology, rng, fault_model):
-    return HybridNetwork(
-        topology,
-        hop_latency=config.hop_latency,
-        eject_width=config.eject_width,
-        queue_capacity=config.queue_capacity,
-        arbitration=config.arbitration,
-        side_buffer_capacity=config.side_buffer_capacity,
-        rng=rng,
-        fault_model=fault_model,
-    )
-
-
-#: name -> builder(config, topology, rng, fault_model) for every router
-#: model ``SimulationConfig.network`` may select.
+#: name -> recipe(config) returning the :class:`FlowControl` instance
+#: that makes a :class:`RouterEngine` the router model of that name, for
+#: every model ``SimulationConfig.network`` may select.
 NETWORK_MODELS = {
-    "bless": _build_bless,
-    "buffered": _build_buffered,
-    "hybrid": _build_hybrid,
+    "bless": lambda c: DeflectFlowControl(c.eject_width),
+    "buffered": lambda c: CreditFlowControl(c.buffer_capacity),
+    "hybrid": lambda c: HybridFlowControl(
+        c.eject_width, c.side_buffer_capacity
+    ),
 }
 
 #: Canonical name tuple for CLI ``choices``.
 NETWORK_NAMES = tuple(NETWORK_MODELS)
 
 
-def build_network(config, topology, rng=None, fault_model=None) -> NocModel:
-    """Construct the router model named by ``config.network``."""
+def build_network(config, topology, rng=None, fault_model=None) -> RouterEngine:
+    """Construct the router model named by ``config.network``.
+
+    The one place a :class:`RouterEngine` is constructed under ``src/``:
+    every parameter the models share is forwarded here, once.
+    """
     try:
-        builder = NETWORK_MODELS[config.network]
+        recipe = NETWORK_MODELS[config.network]
     except KeyError:
         raise ValueError(
             f"unknown network model {config.network!r}; expected one of "
             f"{sorted(NETWORK_MODELS)}"
         ) from None
-    return builder(config, topology, rng, fault_model)
+    return RouterEngine(
+        topology,
+        recipe(config),
+        hop_latency=config.hop_latency,
+        queue_capacity=config.queue_capacity,
+        arbitration=config.arbitration,
+        rng=rng,
+        fault_model=fault_model,
+    )
 
 
 __all__ = [
@@ -92,10 +76,10 @@ __all__ = [
     "StarvationMeter",
     "InjectionThrottleGate",
     "EjectedFlits",
-    "NocModel",
-    "BlessNetwork",
-    "BufferedNetwork",
-    "HybridNetwork",
+    "RouterEngine",
+    "DeflectFlowControl",
+    "CreditFlowControl",
+    "HybridFlowControl",
     "NETWORK_MODELS",
     "NETWORK_NAMES",
     "build_network",

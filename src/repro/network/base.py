@@ -1,8 +1,7 @@
-"""Common structure shared by the router models.
-
-A network model owns the injection-side state (request/response queues,
-starvation meter, throttle gate) and the run-level statistics; the
-subclasses implement one simulated cycle each in :meth:`NocModel.step`.
+"""Value types every router model shares: the per-cycle delivery batch
+(:class:`EjectedFlits`) and the run-level counters
+(:class:`NetworkStats`) that :class:`repro.network.engine.RouterEngine`
+accumulates.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.network.flit import FLIT_REPLY, FLIT_REQUEST
-from repro.network.injection import InjectionThrottleGate, StarvationMeter
-from repro.network.queues import FlitQueueArray
-
-__all__ = ["EjectedFlits", "NetworkStats", "NocModel"]
+__all__ = ["EjectedFlits", "NetworkStats"]
 
 
 @dataclass
@@ -146,111 +141,3 @@ class NetworkStats:
         if self.cycles == 0:
             return np.zeros_like(self.port_starved_cycles, dtype=float)
         return self.port_starved_cycles / self.cycles
-
-
-class NocModel:
-    """Base class for the BLESS and buffered networks."""
-
-    def __init__(
-        self,
-        topology,
-        queue_capacity: int = 64,
-        starvation_window: int = 128,
-        fault_model=None,
-    ):
-        self.topology = topology
-        self.num_nodes = topology.num_nodes
-        self.request_queue = FlitQueueArray(self.num_nodes, queue_capacity)
-        self.response_queue = FlitQueueArray(self.num_nodes, queue_capacity)
-        self.starvation = StarvationMeter(self.num_nodes, starvation_window)
-        self.throttle = InjectionThrottleGate(self.num_nodes)
-        self.stats = NetworkStats()
-        self.stats.init_arrays(self.num_nodes)
-        # Fault injection (repro.guardrails.faults): healthy-link mask and
-        # destination re-striping around fail-stopped routers.
-        self.fault_model = fault_model
-        if fault_model is not None:
-            if fault_model.topology is not topology:
-                raise ValueError("fault model was built for a different topology")
-            self.link_up = fault_model.link_up
-        else:
-            self.link_up = topology.link_exists
-        # Distributed controller support: nodes currently asserting the
-        # congestion bit on passing flits (§6.6); unused otherwise.
-        self.congested_nodes = np.zeros(self.num_nodes, dtype=bool)
-        # Sampled flit-event tracing (repro.observability.FlitTracer);
-        # installed by the simulator when tracing is enabled.  A None
-        # tracer costs one branch per step section.
-        self.tracer = None
-
-    def _sanitize_dest(self, dest: np.ndarray) -> np.ndarray:
-        """Re-stripe destinations that target fail-stopped routers.
-
-        The shared L2 is interleaved across nodes; when a router
-        fail-stops, its slice's traffic moves to the nearest live node so
-        no packet is ever addressed to a router that cannot eject it.
-        """
-        if self.fault_model is None:
-            return dest
-        return self.fault_model.remap[np.asarray(dest, dtype=np.int64)]
-
-    # ------------------------------------------------------------------
-    # Producer-side API (used by the core/memory models)
-    # ------------------------------------------------------------------
-    def enqueue_requests(
-        self, nodes: np.ndarray, dest: np.ndarray, flits, cycle: int = 0, seq=0
-    ) -> np.ndarray:
-        """Queue L1-miss request packets; returns acceptance mask."""
-        return self.request_queue.push(
-            nodes, self._sanitize_dest(dest), FLIT_REQUEST, flits,
-            stamp=cycle, seq=seq,
-        )
-
-    def enqueue_replies(
-        self, nodes: np.ndarray, dest: np.ndarray, flits, cycle: int = 0, seq=0
-    ) -> np.ndarray:
-        """Queue data-reply packets at the serving node (never throttled)."""
-        return self.response_queue.push(
-            nodes, self._sanitize_dest(dest), FLIT_REPLY, flits,
-            stamp=cycle, seq=seq,
-        )
-
-    def request_backpressure(self) -> np.ndarray:
-        """Mask of nodes whose request queue cannot take another packet."""
-        return self.request_queue.is_full
-
-    # ------------------------------------------------------------------
-    # Control API
-    # ------------------------------------------------------------------
-    def set_throttle_rates(self, rates: np.ndarray) -> None:
-        self.throttle.set_rates(rates)
-
-    def step(self, cycle: int) -> EjectedFlits:
-        """Advance the network by one cycle; returns delivered flits."""
-        raise NotImplementedError
-
-    def in_flight_flits(self) -> int:
-        """Flits currently inside the network (for conservation checks)."""
-        raise NotImplementedError
-
-    def in_flight_view(self):
-        """``(meta, birth)`` flat arrays of every in-flight flit.
-
-        Used by the guardrails (invariant checker, watchdog) for age and
-        identity checks; must visit links plus any in-network buffering.
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Shared bookkeeping
-    # ------------------------------------------------------------------
-    def _record_starvation(
-        self,
-        wanted: np.ndarray,
-        injected: np.ndarray,
-        had_capacity: np.ndarray,
-    ) -> None:
-        starved = wanted & ~injected
-        self.starvation.update(starved)
-        self.stats.starved_cycles += starved
-        self.stats.port_starved_cycles += wanted & ~had_capacity

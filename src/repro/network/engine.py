@@ -28,12 +28,18 @@ What *differs* between models is factored into two policy families:
   would-be-deflected flits in a per-router side buffer (MinBD-style,
   arXiv:2112.02516).
 
-:class:`RouterEngine` owns the shared state (ring, NI queues, stats,
-starvation meter, tracer hooks) and the stage helpers; a concrete
-network (``BlessNetwork``, ``BufferedNetwork``, ``HybridNetwork``) is a
-thin constructor pairing the engine with policy instances.  Adding a
-router variant means writing one :class:`FlowControl` subclass — see
+:class:`RouterEngine` is the one network class: it owns the shared
+state (ring, NI queues, stats, starvation meter, throttle gate, tracer
+hooks) and the stage helpers, and a concrete router model is the engine
+paired with one flow-control instance
+(:func:`repro.network.build_network` is the only place ``src/`` does
+that pairing).  Adding a router variant means writing one
+:class:`FlowControl` subclass and one ``NETWORK_MODELS`` line — see
 DESIGN.md §S21.
+
+The whole step is vectorized over nodes: the per-cycle cost is a fixed
+number of numpy operations regardless of network size, which is what
+makes 64x64 (4096-node) runs tractable in Python.
 """
 
 from __future__ import annotations
@@ -42,11 +48,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.network.base import EjectedFlits, NocModel
+from repro.network.base import EjectedFlits, NetworkStats
 from repro.rng import child_rng
 from repro.observability.tracer import EV_DEFLECT, EV_EJECT, EV_HOP, EV_INJECT
 from repro.network.flit import (
     CBIT_MASK,
+    FLIT_REPLY,
+    FLIT_REQUEST,
     HOP_ONE,
     meta_cbit,
     meta_dest,
@@ -57,11 +65,11 @@ from repro.network.flit import (
     pack_meta,
     priority_key_into,
 )
-from repro.topology.mesh import NUM_PORTS
+from repro.network.injection import InjectionThrottleGate, StarvationMeter
+from repro.network.queues import FlitQueueArray
 
 __all__ = [
     "ARBITRATION_POLICIES",
-    "ScratchArena",
     "ArbitrationPolicy",
     "OldestFirst",
     "YoungestFirst",
@@ -78,33 +86,6 @@ _KEY_MAX = np.iinfo(np.int64).max
 
 #: Largest network that precomputes (n, n) productive-route tables.
 _ROUTE_TABLE_MAX_NODES = 1024
-
-
-# ----------------------------------------------------------------------
-# Scratch arena
-# ----------------------------------------------------------------------
-class ScratchArena:
-    """Named, preallocated per-cycle scratch buffers.
-
-    The steady-state cycle must not allocate fresh numpy arrays for its
-    working grids: every ``(nodes, ports)``-shaped temporary the flow
-    controls rebuild each cycle lives here instead and is reused via
-    ``out=``/``np.copyto``.  Buffers are keyed by name and allocated on
-    first use, so each flow control only pays for the grids it touches.
-    """
-
-    __slots__ = ("_bufs",)
-
-    def __init__(self) -> None:
-        self._bufs: dict = {}
-
-    def buf(self, name: str, shape, dtype) -> np.ndarray:
-        """The named scratch buffer, allocating it on first request."""
-        arr = self._bufs.get(name)
-        if arr is None:
-            arr = np.empty(shape, dtype=dtype)
-            self._bufs[name] = arr
-        return arr
 
 
 # ----------------------------------------------------------------------
@@ -299,22 +280,40 @@ class FlowControl:
 
 
 class DeflectFlowControl(FlowControl):
-    """FLIT-BLESS (§2.2): never hold a flit — misroute it instead.
+    """FLIT-BLESS (§2.2, Fig 1): never hold a flit — misroute it instead.
 
     Every arrival is ejected, forwarded productively, or deflected to
     *some* free link in the same cycle; a router always has at least as
     many output links as routed flits, so the network is lossless with
-    zero in-router storage.
+    zero in-router storage.  Every cycle, each router:
+
+    1. receives at most one flit per incoming link,
+    2. ejects up to ``eject_width`` flits destined to it (Oldest-First
+       among locals; losers are deflected and retry next hop) — BLESS
+       baselines use 1,
+    3. assigns output ports to the remaining flits in arbitration order —
+       each flit takes its productive XY port if free, then the other
+       productive direction, and is otherwise *deflected* to any free
+       link,
+    4. injects at most one flit from the node's NI if an output link is
+       still free — responses first (never throttled), then requests
+       through the Algorithm-3 throttle gate.  A node that wanted to
+       inject but did not counts as *starved* this cycle (§3.1).
     """
 
     def __init__(self, eject_width: int = 1):
-        if eject_width < 1 or eject_width > NUM_PORTS:
-            raise ValueError("eject_width must be between 1 and 4")
+        if eject_width < 1:
+            raise ValueError("eject_width must be at least 1")
         self.eject_width = eject_width
 
     def attach(self, net: "RouterEngine") -> None:
-        net.eject_width = self.eject_width
         n, p = net.num_nodes, net.num_ports
+        if self.eject_width > p:
+            raise ValueError(
+                f"eject_width must be between 1 and {p} (the router's "
+                f"port count), got {self.eject_width}"
+            )
+        net.eject_width = self.eject_width
         # With permanent faults, XY-productive can point at a dead link
         # and the oldest flit would deflect forever (livelock).  Route by
         # healthy-graph distance instead: a port is productive iff it
@@ -327,21 +326,21 @@ class DeflectFlowControl(FlowControl):
         net._out_birth = np.full((n, p), -1, dtype=np.int64)
         net._avail = np.zeros((n, p), dtype=bool)
         net._spare = np.zeros((n, p), dtype=bool)
-        # Per-cycle working grids out of the shared scratch arena.
-        arena = net.arena
-        self._sc_meta = arena.buf("grid_meta", (n, p), np.int64)
-        self._sc_birth = arena.buf("grid_birth", (n, p), np.int64)
-        self._sc_valid = arena.buf("grid_valid", (n, p), np.bool_)
-        self._sc_invalid = arena.buf("grid_invalid", (n, p), np.bool_)
-        self._sc_dest = arena.buf("grid_dest", (n, p), np.int64)
-        self._sc_key = arena.buf("grid_key", (n, p), np.int64)
-        self._sc_tmp = arena.buf("grid_tmp", (n, p), np.int64)
-        self._sc_local = arena.buf("grid_local", (n, p), np.bool_)
-        self._sc_local_key = arena.buf("grid_local_key", (n, p), np.int64)
-        self._sc_idx = arena.buf("grid_idx", (n, p), np.int64)
-        self._sc_p0 = arena.buf("grid_p0", (n, p), np.int8)
-        self._sc_p1 = arena.buf("grid_p1", (n, p), np.int8)
-        self._sc_col = arena.buf("col", (n,), np.intp)
+        # Per-cycle working grids, allocated once here and refilled via
+        # out=/copyto every cycle.
+        self._sc_meta = np.empty((n, p), np.int64)
+        self._sc_birth = np.empty((n, p), np.int64)
+        self._sc_valid = np.empty((n, p), np.bool_)
+        self._sc_invalid = np.empty((n, p), np.bool_)
+        self._sc_dest = np.empty((n, p), np.int64)
+        self._sc_key = np.empty((n, p), np.int64)
+        self._sc_tmp = np.empty((n, p), np.int64)
+        self._sc_local = np.empty((n, p), np.bool_)
+        self._sc_local_key = np.empty((n, p), np.int64)
+        self._sc_idx = np.empty((n, p), np.int64)
+        self._sc_p0 = np.empty((n, p), np.int8)
+        self._sc_p1 = np.empty((n, p), np.int8)
+        self._sc_col = np.empty(n, np.intp)
 
     def on_topology_change(self, net: "RouterEngine") -> None:
         _refresh_fault_routing(net)
@@ -384,7 +383,7 @@ class DeflectFlowControl(FlowControl):
     def step(self, net: "RouterEngine", cycle: int) -> EjectedFlits:
         n, p = net.num_nodes, net.num_ports
 
-        # --- Arrivals (copied into the preallocated arena grids) ---------
+        # --- Arrivals (copied into the preallocated scratch grids) -------
         slot_meta, slot_birth = net.arrival_slot()
         meta, birth = self._sc_meta, self._sc_birth
         np.copyto(meta, slot_meta.reshape(n, p))
@@ -441,9 +440,7 @@ class DeflectFlowControl(FlowControl):
             # Permanent faults: a port is productive iff its neighbor is
             # strictly closer to dest on the healthy graph.
             p0 = p1 = None
-            d_here = net._dist[net._node_col, dest]
-            d_next = net._dist[net._neighbor_safe[:, None, :], dest[:, :, None]]
-            productive = net.link_up[:, None, :] & (d_next < d_here[:, :, None])
+            productive = net.closer_ports(net._node_col, dest)
 
         # ``avail`` marks healthy free output links (True = grantable);
         # ``spare`` marks transiently faulted links kept as a last-resort
@@ -492,16 +489,7 @@ class DeflectFlowControl(FlowControl):
                     & (net.topology.neighbor[rows] == dest[rows, c][:, None])
                 )
             if productive is None:
-                pp0 = p0[rows, c]
-                pp1 = p1[rows, c]
-                k_idx = np.arange(rows.size)
-                ok0 = (pp0 >= 0) & free[k_idx, np.where(pp0 >= 0, pp0, 0)]
-                choice = np.where(ok0, pp0, -1)
-                ok1 = (
-                    (choice < 0) & (pp1 >= 0)
-                    & free[k_idx, np.where(pp1 >= 0, pp1, 0)]
-                )
-                choice = np.where(ok1, pp1, choice)
+                choice = net.pick_port(free, p0[rows, c], p1[rows, c])
             else:
                 good = free & productive[rows, c]
                 choice = np.where(good.any(axis=1), np.argmax(good, axis=1), -1)
@@ -557,16 +545,10 @@ class DeflectFlowControl(FlowControl):
                 p1 = net._p1_table[nodes, dest]
             else:
                 p0, p1 = net.topology.productive_ports(nodes, dest)
-            k_idx = np.arange(nodes.size)
-            ok0 = (p0 >= 0) & free[k_idx, np.where(p0 >= 0, p0, 0)]
-            port = np.where(ok0, p0, -1)
-            ok1 = (port < 0) & (p1 >= 0) & free[k_idx, np.where(p1 >= 0, p1, 0)]
-            port = np.where(ok1, p1, port)
+            port = net.pick_port(free, p0, p1)
             port = np.where(port < 0, np.argmax(free, axis=1), port)
         else:
-            d_here = net._dist[nodes, dest]
-            d_next = net._dist[net._neighbor_safe[nodes], dest[:, None]]
-            good = free & (d_next < d_here[:, None])
+            good = free & net.closer_ports(nodes, dest)
             port = np.where(
                 good.any(axis=1), np.argmax(good, axis=1),
                 np.argmax(free, axis=1),
@@ -586,12 +568,24 @@ class DeflectFlowControl(FlowControl):
 
 
 class CreditFlowControl(FlowControl):
-    """Input-buffered XY routing with credit backpressure (§6.3).
+    """Input-buffered XY routing with credit backpressure (§6.3, fn. 5).
 
-    Each router input (four links + the NI injection port) has a
-    ``buffer_capacity``-flit FIFO; a flit moves only when the downstream
-    input buffer has space (credits account for flits already on the
-    wire), so the network is lossless with zero misrouting.
+    The paper's comparison network is a buffered NoC with 4 VCs per
+    input and 4 flits of buffering per VC (16 flits per link input).
+    Each router input (the links + the NI injection port) has a
+    ``buffer_capacity``-flit FIFO; routing is strict XY (deterministic,
+    no deflection); each output port moves at most one flit per cycle,
+    granted to the head-of-queue flit that wins arbitration (Oldest-First
+    by default, like the BLESS baseline, so the arbitration policy is
+    not a confound); a flit moves only when the downstream input buffer
+    has space (credits account for flits already on the wire), so the
+    network is lossless with zero misrouting; ejection delivers one flit
+    per node per cycle.
+
+    Per-VC allocation is abstracted away (see DESIGN.md §2): what the
+    comparison rests on — in-network queueing that grows with load,
+    extra buffering capacity, and the area/power cost of buffers — is
+    preserved.
     """
 
     def __init__(self, buffer_capacity: int = 16):
@@ -617,21 +611,21 @@ class CreditFlowControl(FlowControl):
         # that every in-flight flit can still make progress.
         net._dist = None
         net._neighbor_safe = None
-        # Per-cycle head-of-queue grids out of the shared scratch arena.
+        # Per-cycle head-of-queue grids, allocated once here and refilled
+        # via out=/copyto every cycle.
         n, pp = net.num_nodes, net.num_ports + 1
-        arena = net.arena
-        self._sc_h_valid = arena.buf("h_valid", (n, pp), np.bool_)
-        self._sc_h_invalid = arena.buf("h_invalid", (n, pp), np.bool_)
-        self._sc_h_meta = arena.buf("h_meta", (n, pp), np.int64)
-        self._sc_h_birth = arena.buf("h_birth", (n, pp), np.int64)
-        self._sc_h_dest = arena.buf("h_dest", (n, pp), np.int64)
-        self._sc_h_key = arena.buf("h_key", (n, pp), np.int64)
-        self._sc_h_tmp = arena.buf("h_tmp", (n, pp), np.int64)
-        self._sc_h_out = arena.buf("h_out", (n, pp), np.int64)
-        self._sc_h_idx = arena.buf("h_idx", (n, pp), np.int64)
-        self._sc_h_p0 = arena.buf("h_p0", (n, pp), np.int8)
-        self._sc_pkey = arena.buf("h_pkey", (n, pp), np.int64)
-        self._sc_col = arena.buf("col", (n,), np.intp)
+        self._sc_h_valid = np.empty((n, pp), np.bool_)
+        self._sc_h_invalid = np.empty((n, pp), np.bool_)
+        self._sc_h_meta = np.empty((n, pp), np.int64)
+        self._sc_h_birth = np.empty((n, pp), np.int64)
+        self._sc_h_dest = np.empty((n, pp), np.int64)
+        self._sc_h_key = np.empty((n, pp), np.int64)
+        self._sc_h_tmp = np.empty((n, pp), np.int64)
+        self._sc_h_out = np.empty((n, pp), np.int64)
+        self._sc_h_idx = np.empty((n, pp), np.int64)
+        self._sc_h_p0 = np.empty((n, pp), np.int8)
+        self._sc_pkey = np.empty((n, pp), np.int64)
+        self._sc_col = np.empty(n, np.intp)
 
     def held_flits(self, net) -> int:
         return net.buffers.occupancy()
@@ -699,9 +693,7 @@ class CreditFlowControl(FlowControl):
             # first port whose neighbor is strictly closer to dest.  A
             # flit with no such port (its dest drained away mid-rewrite)
             # waits; chaos re-addresses it before the link disappears.
-            d_here = net._dist[net._node_col, h_dest]
-            d_next = net._dist[net._neighbor_safe[:, None, :], h_dest[:, :, None]]
-            good = net.link_up[:, None, :] & (d_next < d_here[:, :, None])
+            good = net.closer_ports(net._node_col, h_dest)
             h_out = np.where(
                 h_dest == net._node_col,
                 eject_port,
@@ -827,7 +819,11 @@ class HybridFlowControl(DeflectFlowControl):
     competes like any other arrival.  Captured flits neither traverse a
     link nor count as deflected — the side buffer absorbs exactly the
     misrouting that makes bufferless deflection expensive at load, with
-    a fraction of the buffered baseline's storage.
+    a fraction of the buffered baseline's storage (MinBD uses a handful
+    of flits; the default is 4).  At load this puts the deflection rate
+    well below BLESS and the occupancy well below the buffered baseline —
+    the middle point of the buffering spectrum the paper's §6.3
+    comparison spans.
     """
 
     def __init__(self, eject_width: int = 1, side_buffer_capacity: int = 4):
@@ -903,12 +899,28 @@ class HybridFlowControl(DeflectFlowControl):
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-class RouterEngine(NocModel):
-    """Shared router machinery, specialized by policy objects.
+class RouterEngine:
+    """The network: shared router machinery, specialized by policy objects.
 
-    Owns the hop-delay ring (flits leaving at cycle *t* arrive
-    ``hop_latency`` cycles later), the arbitration policy, and the
-    stage helpers every flow control composes its cycle from.
+    Owns the injection-side state (request/response queues, starvation
+    meter, throttle gate), the run-level statistics, the hop-delay ring
+    (flits leaving at cycle *t* arrive ``hop_latency`` cycles later),
+    the arbitration policy, and the stage helpers every flow control
+    composes its cycle from.
+
+    Parameters
+    ----------
+    topology:
+        Any :mod:`repro.topology` layout (grids or a finalized graph).
+    flow:
+        The :class:`FlowControl` that makes this engine a bufferless,
+        buffered or hybrid router model.
+    hop_latency:
+        Cycles per hop; Table 2's 2-cycle router + 1-cycle link gives the
+        default of 3.  Links remain pipelined (1 flit/cycle each).
+    arbitration:
+        ``"oldest_first"`` (paper baseline), or ``"youngest_first"`` /
+        ``"random"`` for the arbitration ablation benchmark.
     """
 
     def __init__(
@@ -922,7 +934,30 @@ class RouterEngine(NocModel):
         rng: Optional[np.random.Generator] = None,
         fault_model=None,
     ):
-        super().__init__(topology, queue_capacity, starvation_window, fault_model)
+        self.topology = topology
+        self.num_nodes = topology.num_nodes
+        self.request_queue = FlitQueueArray(self.num_nodes, queue_capacity)
+        self.response_queue = FlitQueueArray(self.num_nodes, queue_capacity)
+        self.starvation = StarvationMeter(self.num_nodes, starvation_window)
+        self.throttle = InjectionThrottleGate(self.num_nodes)
+        self.stats = NetworkStats()
+        self.stats.init_arrays(self.num_nodes)
+        # Fault injection (repro.guardrails.faults): healthy-link mask and
+        # destination re-striping around fail-stopped routers.
+        self.fault_model = fault_model
+        if fault_model is not None:
+            if fault_model.topology is not topology:
+                raise ValueError("fault model was built for a different topology")
+            self.link_up = fault_model.link_up
+        else:
+            self.link_up = topology.link_exists
+        # Distributed controller support: nodes currently asserting the
+        # congestion bit on passing flits (§6.6); unused otherwise.
+        self.congested_nodes = np.zeros(self.num_nodes, dtype=bool)
+        # Sampled flit-event tracing (repro.observability.FlitTracer);
+        # installed by the simulator when tracing is enabled.  A None
+        # tracer costs one branch per step section.
+        self.tracer = None
         if arbitration not in ARBITRATION_POLICIES:
             raise ValueError(f"unknown arbitration policy: {arbitration!r}")
         if hop_latency < 1:
@@ -962,11 +997,11 @@ class RouterEngine(NocModel):
         )
         self._node_ids = np.arange(n, dtype=np.int64)
         self._node_col = self._node_ids[:, None]
-        # Scratch arena: every per-cycle working grid is preallocated
-        # here and reused via out=/copyto, so the steady-state cycle
-        # performs no numpy array allocations for its hot buffers.
-        self.arena = ScratchArena()
-        self._sc_moving = self.arena.buf("send_moving", (n, p), np.bool_)
+        # Every per-cycle working grid (this one and the flow control's,
+        # at attach time) is preallocated and reused via out=/copyto, so
+        # the steady-state cycle performs no numpy array allocations for
+        # its hot buffers.
+        self._sc_moving = np.empty((n, p), np.bool_)
         # Fault-free productive-port lookup tables ((n, n) int8): one
         # flat gather per cycle replaces the closed-form route math.
         # Bounded so giant topologies don't pay O(n^2) memory; beyond
@@ -993,18 +1028,67 @@ class RouterEngine(NocModel):
         flow.attach(self)
 
     # ------------------------------------------------------------------
-    # NocModel interface
+    # Producer-side API (used by the core/memory models)
+    # ------------------------------------------------------------------
+    def _sanitize_dest(self, dest: np.ndarray) -> np.ndarray:
+        """Re-stripe destinations that target fail-stopped routers.
+
+        The shared L2 is interleaved across nodes; when a router
+        fail-stops, its slice's traffic moves to the nearest live node so
+        no packet is ever addressed to a router that cannot eject it.
+        """
+        if self.fault_model is None:
+            return dest
+        return self.fault_model.remap[np.asarray(dest, dtype=np.int64)]
+
+    def enqueue_requests(
+        self, nodes: np.ndarray, dest: np.ndarray, flits, cycle: int = 0, seq=0
+    ) -> np.ndarray:
+        """Queue L1-miss request packets; returns acceptance mask."""
+        return self.request_queue.push(
+            nodes, self._sanitize_dest(dest), FLIT_REQUEST, flits,
+            stamp=cycle, seq=seq,
+        )
+
+    def enqueue_replies(
+        self, nodes: np.ndarray, dest: np.ndarray, flits, cycle: int = 0, seq=0
+    ) -> np.ndarray:
+        """Queue data-reply packets at the serving node (never throttled)."""
+        return self.response_queue.push(
+            nodes, self._sanitize_dest(dest), FLIT_REPLY, flits,
+            stamp=cycle, seq=seq,
+        )
+
+    def request_backpressure(self) -> np.ndarray:
+        """Mask of nodes whose request queue cannot take another packet."""
+        return self.request_queue.is_full
+
+    # ------------------------------------------------------------------
+    # Control API
+    # ------------------------------------------------------------------
+    def set_throttle_rates(self, rates: np.ndarray) -> None:
+        self.throttle.set_rates(rates)
+
+    # ------------------------------------------------------------------
+    # The cycle, and the views the guardrails read
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> EjectedFlits:
+        """Advance the network by one cycle; returns delivered flits."""
         self.stats.cycles += 1
         ejected = self.flow.step(self, cycle)
         self.stats.buffer_occupancy_sum += self.flow.held_flits(self)
         return ejected
 
     def in_flight_flits(self) -> int:
+        """Flits currently inside the network (for conservation checks)."""
         return int((self._ring_birth >= 0).sum()) + self.flow.held_flits(self)
 
     def in_flight_view(self):
+        """``(meta, birth)`` flat arrays of every in-flight flit.
+
+        Used by the guardrails (invariant checker, watchdog) for age and
+        identity checks; visits links plus any in-network buffering.
+        """
         mask = self._ring_birth >= 0
         meta, birth = self._ring_meta[mask], self._ring_birth[mask]
         held = self.flow.held_view(self)
@@ -1085,6 +1169,26 @@ class RouterEngine(NocModel):
         smallest key wins a conflict."""
         return self._arb.keys_into(self, birth, meta, out, scratch)
 
+    @staticmethod
+    def pick_port(free, p0, p1):
+        """Per flit, its productive port *p0* if free, else the other
+        productive direction *p1* if free, else -1 (*free* is the
+        per-flit row of grantable output links)."""
+        k_idx = np.arange(p0.size)
+        ok0 = (p0 >= 0) & free[k_idx, np.where(p0 >= 0, p0, 0)]
+        choice = np.where(ok0, p0, -1)
+        ok1 = (choice < 0) & (p1 >= 0) & free[k_idx, np.where(p1 >= 0, p1, 0)]
+        return np.where(ok1, p1, choice)
+
+    def closer_ports(self, nodes, dest):
+        """Mask ``dest.shape + (ports,)`` of the healthy links at *nodes*
+        (broadcastable to *dest*) whose neighbor is strictly closer to
+        *dest* on the surviving graph — the fault-aware notion of a
+        productive port.  Only valid while ``self._dist`` is set."""
+        d_here = self._dist[nodes, dest]
+        d_next = self._dist[self._neighbor_safe[nodes], dest[..., None]]
+        return self.link_up[nodes] & (d_next < d_here[..., None])
+
     def productive_into(self, dest, idx, p0, p1=None):
         """Gather fault-free productive ports from the route tables.
 
@@ -1156,7 +1260,10 @@ class RouterEngine(NocModel):
         inject_req = trying_req & self.throttle.decide(trying_req)
         place(np.flatnonzero(inject_resp), self.response_queue, cycle)
         place(np.flatnonzero(inject_req), self.request_queue, cycle)
-        self._record_starvation(wanted, inject_resp | inject_req, capacity)
+        starved = wanted & ~(inject_resp | inject_req)
+        self.starvation.update(starved)
+        self.stats.starved_cycles += starved
+        self.stats.port_starved_cycles += wanted & ~capacity
 
     def mark_congestion(self, out_meta, out_birth) -> None:
         """Distributed-control congestion bit (§6.6) on departing flits."""

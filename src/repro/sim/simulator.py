@@ -82,12 +82,6 @@ PHASE_WRITES = {
 }
 
 
-def _build_topology(config: SimulationConfig):
-    # Delegates to the registry (repro.topology.registry); the config
-    # already ran the matching geometry validation in __post_init__.
-    return build_topology(config)
-
-
 def _build_locality(config: SimulationConfig, topology):
     if not isinstance(config.locality, str):
         return config.locality
@@ -99,7 +93,9 @@ class Simulator:
 
     def __init__(self, config: SimulationConfig):
         self.config = config
-        self.topology = _build_topology(config)
+        # The config already ran the registry's geometry validation in
+        # its __post_init__.
+        self.topology = build_topology(config)
         self.locality = _build_locality(config, self.topology)
         self._rng_dest = child_rng(config.seed, "destinations")
         self._rng_phase = child_rng(config.seed, "phases")
@@ -379,7 +375,7 @@ class Simulator:
         controller = self.controller
         # A ResilientController wrapper delegates epochs to its primary.
         primary = getattr(controller, "primary", controller)
-        if not getattr(primary, "wants_domains", False):
+        if not primary.wants_domains:
             self.domains = None
             self.domain_hubs = None
             self._domain_hub_home = None
@@ -423,15 +419,7 @@ class Simulator:
         )
         rates = self.controller.on_epoch(view)
         self.network.set_throttle_rates(rates)
-        if self.config.model_control_traffic and (
-            self.domains is not None
-            or not getattr(self.controller, "down", False)
-        ):
-            # A fail-stopped *central* coordinator exchanges no control
-            # packets until it (or its standby) comes back.  With
-            # control domains, only the hub<->coordinator summary
-            # exchange pauses — intra-domain reporting continues
-            # (handled inside the injection path).
+        if self.config.model_control_traffic:
             self._inject_control_traffic()
         self.epochs.append(
             self.cycle,
@@ -456,55 +444,42 @@ class Simulator:
         best-effort through the response path (control traffic is never
         throttled); queue overflow defers a report to the next epoch,
         which only delays — never breaks — coordination.
-        """
-        if self.domains is not None:
-            self._inject_domain_control_traffic()
-            return
-        net = self.network
-        stats = net.stats
-        nodes = np.flatnonzero(self.cores.active)
-        nodes = nodes[nodes != self.hub]
-        sent = 0
-        if nodes.size:
-            hub_dest = np.full(nodes.size, self.hub, dtype=np.int64)
-            ok = net.response_queue.push(
-                nodes, hub_dest, FLIT_CONTROL, 1, stamp=self.cycle
-            )
-            sent += int(ok.sum())
-            # Hub -> node updates: a burst into the hub's queue bounded
-            # by its remaining space.  All entries target the same queue,
-            # so "stop at the first overflow" is exactly "accept the
-            # first free-space-many" — one vectorized push instead of
-            # ~n single-entry pushes per epoch.
-            sent += net.response_queue.push_burst(
-                self.hub, nodes, FLIT_CONTROL, 1, stamp=self.cycle
-            )
-        self.control_flits_sent += sent
-        stats.control_flits_attempted += 2 * nodes.size
-        stats.control_flits_sent += sent
-        stats.control_flits_dropped += 2 * nodes.size - sent
 
-    def _inject_domain_control_traffic(self) -> None:
-        """Hierarchical control traffic: 2 flits per node *within its
-        domain* plus 2 flits per remote domain hub to/from the global
-        coordinator — 2n intra-domain + 2·(#domains) global instead of
-        2n through one queue.
+        With control domains the same exchange runs per domain hub, plus
+        one between the remote domain hubs and the global coordinator —
+        2n intra-domain + 2·(#domains) global instead of 2n through one
+        queue.
 
-        A fail-stopped coordinator suspends only the summary exchange;
-        the domains keep reporting to their own hubs (they coordinate
-        locally while degraded).
+        A fail-stopped coordinator exchanges no control packets until it
+        (or its standby) comes back.  With control domains that suspends
+        only the summary exchange; the domains keep reporting to their
+        own hubs (they coordinate locally while degraded).
         """
         net = self.network
         stats = net.stats
-        dm = self.domains
-        hubs = self.domain_hubs
         active = np.flatnonzero(self.cores.active)
-        active_domain = dm.domain_of[active]
+        # (hub, members) exchanges: the per-domain ones first, then who
+        # reports to the coordinator — every active node, or with
+        # domains, every domain hub.
+        exchanges = []
+        reporters = active
+        if self.domains is not None:
+            active_domain = self.domains.domain_of[active]
+            exchanges = [
+                (int(hub), active[active_domain == d])
+                for d, hub in enumerate(self.domain_hubs)
+            ]
+            # Hubs can collide after fault remapping; np.unique keeps
+            # push()'s unique-node contract (and the self-send filter
+            # below drops the coordinator, so one whole-mesh domain
+            # exchanges nothing here — exactly the central path).
+            reporters = np.unique(self.domain_hubs)
+        num_domains = len(exchanges)
+        if not self.controller.down:
+            exchanges.append((self.hub, reporters))
         attempted = 0
         total_sent = 0
-        for d in range(dm.num_domains):
-            hub = int(hubs[d])
-            members = active[active_domain == d]
+        for d, (hub, members) in enumerate(exchanges):
             members = members[members != hub]
             attempted += 2 * members.size
             if members.size == 0:
@@ -513,29 +488,17 @@ class Simulator:
             sent = int(net.response_queue.push(
                 members, hub_dest, FLIT_CONTROL, 1, stamp=self.cycle
             ).sum())
+            # Hub -> node updates: a burst into the hub's queue bounded
+            # by its remaining space.  All entries target the same queue,
+            # so "stop at the first overflow" is exactly "accept the
+            # first free-space-many" — one vectorized push instead of
+            # ~n single-entry pushes per epoch.
             sent += net.response_queue.push_burst(
                 hub, members, FLIT_CONTROL, 1, stamp=self.cycle
             )
-            self.domain_control_flits[d] += sent
+            if d < num_domains:
+                self.domain_control_flits[d] += sent
             total_sent += sent
-        if not getattr(self.controller, "down", False):
-            # Hub -> coordinator domain summaries and coordinator -> hub
-            # reconciliation broadcasts.  Hubs can collide after fault
-            # remapping; np.unique keeps push()'s unique-node contract
-            # (and drops the coordinator's self-send, so one whole-mesh
-            # domain exchanges nothing here — exactly the central path).
-            coordinator = self.hub
-            remote = np.unique(hubs[hubs != coordinator])
-            attempted += 2 * remote.size
-            if remote.size:
-                co_dest = np.full(remote.size, coordinator, dtype=np.int64)
-                sent = int(net.response_queue.push(
-                    remote, co_dest, FLIT_CONTROL, 1, stamp=self.cycle
-                ).sum())
-                sent += net.response_queue.push_burst(
-                    coordinator, remote, FLIT_CONTROL, 1, stamp=self.cycle
-                )
-                total_sent += sent
         self.control_flits_sent += total_sent
         stats.control_flits_attempted += attempted
         stats.control_flits_sent += total_sent
@@ -560,7 +523,7 @@ class Simulator:
         ipf = cores.retired / np.maximum(flits, 1)
         ipf[flits == 0] = np.inf
         inj_lat = 0.0
-        inj_count = getattr(self.network, "injection_latency_count", 0)
+        inj_count = self.network.injection_latency_count
         if inj_count:
             inj_lat = self.network.injection_latency_sum / inj_count
         power = PowerModel(self.config.power).report(

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.network import BlessNetwork
+from repro import SimulationConfig, Simulator, make_category_workload
+from repro.native import native_available
+from repro.network import DeflectFlowControl, RouterEngine
 from repro.network.flit import FLIT_REPLY
 
 
@@ -26,7 +28,7 @@ def drive(net, schedule, cycles):
 class TestSinglePacket:
     def test_corner_to_corner_latency(self, mesh4):
         """6 hops at 3 cycles/hop with an empty network."""
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         delivered = drive(net, {0: ([0], [15])}, 40)
         assert len(delivered) == 1
         cycle, ej = delivered[0]
@@ -36,18 +38,18 @@ class TestSinglePacket:
         assert net.stats.avg_hops == 6.0
 
     def test_adjacent_delivery(self, mesh4):
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         delivered = drive(net, {0: ([5], [6])}, 10)
         assert delivered[0][0] == 3  # one hop
         assert net.stats.avg_latency == 3.0
 
     def test_no_deflections_when_alone(self, mesh4):
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         drive(net, {0: ([0], [15])}, 40)
         assert net.stats.deflections == 0
 
     def test_seq_and_kind_preserved(self, mesh4):
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         net.enqueue_replies(np.array([1]), np.array([14]), 1, cycle=0, seq=77)
         for c in range(40):
             ej = net.step(c)
@@ -58,12 +60,12 @@ class TestSinglePacket:
         pytest.fail("flit never delivered")
 
     def test_hop_latency_parameter(self, mesh4):
-        net = BlessNetwork(mesh4, hop_latency=1)
+        net = RouterEngine(mesh4, DeflectFlowControl(), hop_latency=1)
         delivered = drive(net, {0: ([0], [15])}, 20)
         assert delivered[0][0] == 6
 
     def test_torus_wraparound_shortcut(self, torus4):
-        net = BlessNetwork(torus4)
+        net = RouterEngine(torus4, DeflectFlowControl())
         delivered = drive(net, {0: ([0], [15])}, 30)
         # (0,0) -> (3,3) is 2 hops on a 4x4 torus.
         assert delivered[0][0] == 6
@@ -79,7 +81,7 @@ class TestContentionAndDeflection:
         productive port, the injected one is forced onto another link
         and takes a longer path.
         """
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         net.enqueue_requests(np.array([0]), np.array([3]), 1, cycle=0)
         arrivals = {}
         for c in range(40):
@@ -96,7 +98,7 @@ class TestContentionAndDeflection:
     def test_ejection_contention_deflects_loser(self, mesh4):
         """Two flits reaching the destination together: one is deflected
         and arrives later (eject width 1)."""
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         # 1 and 4 are both one hop from 5.
         net.enqueue_requests(np.array([1, 4]), np.array([5, 5]), 1, cycle=0)
         times = []
@@ -109,7 +111,7 @@ class TestContentionAndDeflection:
         assert net.stats.deflections >= 1
 
     def test_eject_width_two_delivers_both(self, mesh4):
-        net = BlessNetwork(mesh4, eject_width=2)
+        net = RouterEngine(mesh4, DeflectFlowControl(2))
         net.enqueue_requests(np.array([1, 4]), np.array([5, 5]), 1, cycle=0)
         times = []
         for c in range(30):
@@ -120,7 +122,7 @@ class TestContentionAndDeflection:
 
     def test_all_flits_eventually_delivered_under_load(self, mesh8):
         rng = np.random.default_rng(3)
-        net = BlessNetwork(mesh8)
+        net = RouterEngine(mesh8, DeflectFlowControl())
         sent = 0
         for c in range(300):
             srcs = np.flatnonzero(rng.random(64) < 0.4)
@@ -141,7 +143,7 @@ class TestContentionAndDeflection:
         from collections import Counter
 
         rng = np.random.default_rng(9)
-        net = BlessNetwork(mesh4, eject_width=eject_width)
+        net = RouterEngine(mesh4, DeflectFlowControl(eject_width))
         sent, got = Counter(), Counter()
         seq = np.zeros(16, dtype=np.int64)
         for c in range(1800):
@@ -164,7 +166,7 @@ class TestContentionAndDeflection:
 
     def test_starvation_counted_when_blocked(self, mesh4):
         """A node with a queued flit and no free port counts as starved."""
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         net.set_throttle_rates(np.zeros(16))
         # Saturate node 5's links with through traffic from its neighbors.
         rng = np.random.default_rng(5)
@@ -180,7 +182,7 @@ class TestContentionAndDeflection:
 class TestThrottling:
     def test_throttled_node_injects_less(self, mesh4):
         def run(rate):
-            net = BlessNetwork(mesh4)
+            net = RouterEngine(mesh4, DeflectFlowControl())
             rates = np.zeros(16)
             rates[0] = rate
             net.set_throttle_rates(rates)
@@ -192,7 +194,7 @@ class TestThrottling:
         assert run(0.9) < run(0.0) * 0.35
 
     def test_responses_bypass_throttle(self, mesh4):
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         net.set_throttle_rates(np.full(16, 0.75))
         for c in range(100):
             net.enqueue_replies(np.array([0]), np.array([15]), 1, cycle=c)
@@ -201,7 +203,7 @@ class TestThrottling:
         assert net.stats.injected_per_node[0] >= 95
 
     def test_throttle_blocked_counts_starved(self, mesh4):
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         net.set_throttle_rates(np.full(16, 0.75))
         for c in range(128):
             net.enqueue_requests(np.array([0]), np.array([15]), 1, cycle=c)
@@ -213,11 +215,14 @@ class TestThrottling:
 class TestArbitrationPolicies:
     def test_rejects_unknown_policy(self, mesh4):
         with pytest.raises(ValueError):
-            BlessNetwork(mesh4, arbitration="lifo")
+            RouterEngine(mesh4, DeflectFlowControl(), arbitration="lifo")
 
     @pytest.mark.parametrize("policy", ["oldest_first", "youngest_first", "random"])
     def test_all_policies_deliver(self, mesh4, policy):
-        net = BlessNetwork(mesh4, arbitration=policy, rng=np.random.default_rng(0))
+        net = RouterEngine(
+            mesh4, DeflectFlowControl(), arbitration=policy,
+            rng=np.random.default_rng(0),
+        )
         rng = np.random.default_rng(11)
         sent = 0
         for c in range(200):
@@ -234,14 +239,44 @@ class TestArbitrationPolicies:
 
     def test_rejects_bad_eject_width(self, mesh4):
         with pytest.raises(ValueError):
-            BlessNetwork(mesh4, eject_width=0)
+            RouterEngine(mesh4, DeflectFlowControl(0))
         with pytest.raises(ValueError):
-            BlessNetwork(mesh4, eject_width=5)
+            RouterEngine(mesh4, DeflectFlowControl(5))
+
+
+def _mesh3d_run(eject_width, **overrides):
+    workload = make_category_workload("H", 27, np.random.default_rng(2))
+    config = SimulationConfig(
+        workload, seed=2, topology="mesh3d", eject_width=eject_width,
+        **overrides,
+    )
+    return Simulator(config).run(1500).to_dict()
+
+
+class TestEjectWidthBound:
+    """The upper bound is the router's port count, not a hard-coded 4:
+    a 6-port ``mesh3d`` router may eject on all six inputs."""
+
+    def test_error_names_the_topologys_port_count(self, mesh4):
+        with pytest.raises(ValueError, match="between 1 and 4"):
+            RouterEngine(mesh4, DeflectFlowControl(5))
+        with pytest.raises(ValueError, match="between 1 and 6"):
+            _mesh3d_run(7)
+
+    @pytest.mark.skipif(
+        not native_available(), reason="no C compiler for the native backend"
+    )
+    def test_mesh3d_ejects_on_all_six_ports_on_both_backends(self):
+        checked = _mesh3d_run(6, check_invariants=True)
+        native = _mesh3d_run(6, backend="native")
+        assert checked.pop("guardrails")["invariant_checks"] == 1500
+        assert native.pop("guardrails")["invariant_checks"] == 0
+        assert checked == native
 
 
 class TestStats:
     def test_utilization_bounded(self, mesh4):
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         rng = np.random.default_rng(2)
         for c in range(300):
             srcs = np.flatnonzero(rng.random(16) < 0.6)
@@ -253,7 +288,7 @@ class TestStats:
         assert 0.0 < util <= 1.0
 
     def test_injection_latency_measured(self, mesh4):
-        net = BlessNetwork(mesh4)
+        net = RouterEngine(mesh4, DeflectFlowControl())
         net.enqueue_requests(np.array([0]), np.array([15]), 1, cycle=0)
         for c in range(5):
             net.step(c)

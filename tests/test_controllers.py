@@ -12,7 +12,7 @@ from repro.control import (
     StaticThrottleController,
     mechanism_hardware_cost,
 )
-from repro.network import BlessNetwork
+from repro.network import DeflectFlowControl, RouterEngine
 from repro.network.base import EjectedFlits
 from repro import Mesh2D
 
@@ -144,11 +144,11 @@ class TestStaticController:
 
 class TestDistributedController:
     def _make(self, **kw):
-        net = BlessNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl())
         return DistributedController(net, **kw), net
 
     def test_parameter_validation(self):
-        net = BlessNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl())
         with pytest.raises(ValueError):
             DistributedController(net, backoff_rate=0.0)
         with pytest.raises(ValueError):

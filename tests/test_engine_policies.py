@@ -1,17 +1,19 @@
 """Arbitration-policy equivalence for the unified router engine.
 
-The refactor moved arbitration out of ``bless.py`` into pluggable
+Arbitration lives in pluggable
 :class:`~repro.network.engine.ArbitrationPolicy` objects.  These tests
 pin the equivalence contract: the named policies must compute exactly
-the keys the pre-refactor code computed, and a ``BlessNetwork`` must
-behave identically to a hand-assembled ``RouterEngine`` carrying the
-same policy — same seed, same traffic, same ejection order.
+the keys the pre-refactor code computed, and the ``"bless"`` network
+``build_network`` assembles from a config must behave identically to a
+hand-assembled ``RouterEngine`` carrying the same policy — same seed,
+same traffic, same ejection order.
 """
 
 import numpy as np
 import pytest
 
-from repro.network.bless import BlessNetwork
+from repro import SimulationConfig, make_homogeneous_workload
+from repro.network import build_network
 from repro.network.engine import (
     ARBITRATION_POLICIES,
     DeflectFlowControl,
@@ -91,16 +93,24 @@ class TestPolicyKeys:
 
     def test_unknown_policy_rejected(self, mesh4):
         with pytest.raises(ValueError, match="fifo"):
-            BlessNetwork(mesh4, arbitration="fifo")
+            RouterEngine(mesh4, DeflectFlowControl(), arbitration="fifo")
 
 
 class TestBlessEngineEquivalence:
-    """BlessNetwork must be exactly engine + DeflectFlowControl + policy."""
+    """The registry's "bless" model must be exactly engine +
+    DeflectFlowControl + policy."""
+
+    @staticmethod
+    def _built(topology, rng=None, **overrides):
+        config = SimulationConfig(
+            make_homogeneous_workload("mcf", 16), network="bless", **overrides
+        )
+        return build_network(config, topology, rng=rng)
 
     @pytest.mark.parametrize("policy", sorted(ARBITRATION_POLICIES))
     @pytest.mark.parametrize("traffic_seed", [3, 11, 42])
     def test_same_ejection_order(self, mesh4, policy, traffic_seed):
-        bless = BlessNetwork(
+        bless = self._built(
             mesh4, arbitration=policy, rng=np.random.default_rng(9)
         )
         engine = RouterEngine(
@@ -115,7 +125,7 @@ class TestBlessEngineEquivalence:
         assert bless.stats.latency_sum == engine.stats.latency_sum
 
     def test_eject_width_carries_over(self, mesh4):
-        bless = BlessNetwork(mesh4, eject_width=2)
+        bless = self._built(mesh4, eject_width=2)
         engine = RouterEngine(mesh4, DeflectFlowControl(eject_width=2))
         t1 = _drive(bless, 200, 16, 0.7)
         t2 = _drive(engine, 200, 16, 0.7)
@@ -126,26 +136,43 @@ class TestPolicyBehavior:
     """The policies must actually change arbitration outcomes."""
 
     def test_oldest_vs_youngest_diverge(self, mesh4):
-        oldest = BlessNetwork(mesh4, arbitration="oldest_first")
-        youngest = BlessNetwork(mesh4, arbitration="youngest_first")
+        oldest = RouterEngine(
+            mesh4, DeflectFlowControl(), arbitration="oldest_first"
+        )
+        youngest = RouterEngine(
+            mesh4, DeflectFlowControl(), arbitration="youngest_first"
+        )
         t1 = _drive(oldest, 400, 16, 0.7)
         t2 = _drive(youngest, 400, 16, 0.7)
         assert t1 != t2
 
     def test_random_reproducible_per_seed(self, mesh4):
-        a = BlessNetwork(mesh4, arbitration="random", rng=np.random.default_rng(5))
-        b = BlessNetwork(mesh4, arbitration="random", rng=np.random.default_rng(5))
+        a = RouterEngine(
+            mesh4, DeflectFlowControl(), arbitration="random",
+            rng=np.random.default_rng(5),
+        )
+        b = RouterEngine(
+            mesh4, DeflectFlowControl(), arbitration="random",
+            rng=np.random.default_rng(5),
+        )
         assert _drive(a, 300, 16, 0.7) == _drive(b, 300, 16, 0.7)
 
     def test_random_differs_across_seeds(self, mesh4):
-        a = BlessNetwork(mesh4, arbitration="random", rng=np.random.default_rng(5))
-        b = BlessNetwork(mesh4, arbitration="random", rng=np.random.default_rng(6))
+        a = RouterEngine(
+            mesh4, DeflectFlowControl(), arbitration="random",
+            rng=np.random.default_rng(5),
+        )
+        b = RouterEngine(
+            mesh4, DeflectFlowControl(), arbitration="random",
+            rng=np.random.default_rng(6),
+        )
         assert _drive(a, 300, 16, 0.7) != _drive(b, 300, 16, 0.7)
 
     @pytest.mark.parametrize("policy", sorted(ARBITRATION_POLICIES))
     def test_all_policies_remain_lossless(self, mesh4, policy):
-        net = BlessNetwork(
-            mesh4, arbitration=policy, rng=np.random.default_rng(2)
+        net = RouterEngine(
+            mesh4, DeflectFlowControl(), arbitration=policy,
+            rng=np.random.default_rng(2),
         )
         _drive(net, 300, 16, 0.7)
         assert (

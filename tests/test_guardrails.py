@@ -19,7 +19,7 @@ from repro import (
     Simulator,
     make_category_workload,
 )
-from repro.network import BlessNetwork, BufferedNetwork
+from repro.network import CreditFlowControl, DeflectFlowControl, RouterEngine
 from repro.network.base import EjectedFlits
 from repro.network.flit import pack_meta
 from repro.topology.mesh import EAST, NORTH, WEST
@@ -51,19 +51,19 @@ def _drive_random_traffic(net, rng, cycles, checker=None, load=0.4):
 # ---------------------------------------------------------------------------
 class TestInvariantChecker:
     def test_clean_bless_run_passes(self):
-        net = BlessNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl())
         checker = InvariantChecker(net)
         _drive_random_traffic(net, np.random.default_rng(0), 200, checker)
         assert checker.checks_run == 200
 
     def test_clean_buffered_run_passes(self):
-        net = BufferedNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), CreditFlowControl())
         checker = InvariantChecker(net)
         _drive_random_traffic(net, np.random.default_rng(0), 200, checker)
         assert checker.checks_run == 200
 
     def test_conservation_violation_dropped_flit(self):
-        net = BlessNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl())
         checker = InvariantChecker(net)
         net.stats.injected_flits += 1  # claim an injection that never happened
         with pytest.raises(InvariantViolation) as exc:
@@ -73,14 +73,14 @@ class TestInvariantChecker:
         assert exc.value.snapshot["injected_flits"] == 1
 
     def test_conservation_violation_duplicated_flit(self):
-        net = BlessNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl())
         checker = InvariantChecker(net)
         net.stats.ejected_flits += 2  # ejected flits nobody injected
         with pytest.raises(InvariantViolation, match="conservation"):
             checker.after_step(3, _ejected([]))
 
     def test_eject_width_violation(self):
-        net = BlessNetwork(Mesh2D(4), eject_width=1)
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl(1))
         checker = InvariantChecker(net)
         with pytest.raises(InvariantViolation) as exc:
             checker.after_step(11, _ejected([5, 5]))
@@ -88,7 +88,7 @@ class TestInvariantChecker:
         assert 5 in exc.value.nodes
 
     def test_ghost_link_violation(self):
-        net = BlessNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl())
         checker = InvariantChecker(net)
         # Node 0 sits in the mesh corner: it has no NORTH link, so a flit
         # "arriving" there occupies a link that does not exist.
@@ -102,7 +102,7 @@ class TestInvariantChecker:
         assert 0 in exc.value.nodes
 
     def test_future_birth_violation(self):
-        net = BlessNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl())
         checker = InvariantChecker(net)
         net._ring_meta[0, 0 * 4 + EAST] = pack_meta(1, 2, 0)
         net._ring_birth[0, 0 * 4 + EAST] = 100  # born in the future
@@ -111,7 +111,7 @@ class TestInvariantChecker:
             checker.after_step(4, _ejected([]))
 
     def test_age_order_violation(self):
-        net = BlessNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl())
         checker = InvariantChecker(net)
         # Two in-flight flits with identical (birth, src): the total
         # order Oldest-First arbitration relies on is broken.
@@ -125,7 +125,7 @@ class TestInvariantChecker:
             checker.after_step(4, _ejected([]))
 
     def test_queue_bound_violation(self):
-        net = BlessNetwork(Mesh2D(4), queue_capacity=8)
+        net = RouterEngine(Mesh2D(4), DeflectFlowControl(), queue_capacity=8)
         checker = InvariantChecker(net)
         net.request_queue.count[2] = 9  # beyond capacity
         with pytest.raises(InvariantViolation) as exc:
@@ -134,14 +134,14 @@ class TestInvariantChecker:
         assert 2 in exc.value.nodes
 
     def test_buffered_credit_violation(self):
-        net = BufferedNetwork(Mesh2D(4))
+        net = RouterEngine(Mesh2D(4), CreditFlowControl())
         checker = InvariantChecker(net)
         net.reserved[1, EAST] = -1  # negative credit reservation
         with pytest.raises(InvariantViolation, match="queue_bounds"):
             checker.after_step(0, _ejected([]))
 
     def test_buffered_overfull_buffer_violation(self):
-        net = BufferedNetwork(Mesh2D(4), buffer_capacity=4)
+        net = RouterEngine(Mesh2D(4), CreditFlowControl(4))
         checker = InvariantChecker(net)
         net.buffers.count[3, 0] = 5
         with pytest.raises(InvariantViolation, match="queue_bounds"):
@@ -151,7 +151,7 @@ class TestInvariantChecker:
         topology = Mesh2D(4)
         fm = FaultModel(topology, FaultConfig(router_fault_rate=0.1, seed=5))
         dead = int(np.flatnonzero(~fm.alive_routers)[0])
-        net = BlessNetwork(topology, fault_model=fm)
+        net = RouterEngine(topology, DeflectFlowControl(), fault_model=fm)
         checker = InvariantChecker(net)
         # Address a flit to the fail-stopped router, bypassing re-striping,
         # and park it on a healthy link of some live node.
@@ -218,7 +218,7 @@ class TestWatchdog:
         catch the stuck flit instead of burning the cycle budget."""
         topology = Mesh2D(4)
         fm = FaultModel.with_failed_links(topology, [(1, EAST)])
-        net = BufferedNetwork(topology, fault_model=fm)
+        net = RouterEngine(topology, CreditFlowControl(), fault_model=fm)
         watchdog = ProgressWatchdog(window=60)
         net.enqueue_requests(np.array([0]), np.array([3]), 1, cycle=0)
         with pytest.raises(LivelockError) as exc:
@@ -231,7 +231,7 @@ class TestWatchdog:
     def test_bless_routes_around_the_same_fault(self):
         topology = Mesh2D(4)
         fm = FaultModel.with_failed_links(topology, [(1, EAST)])
-        net = BlessNetwork(topology, fault_model=fm)
+        net = RouterEngine(topology, DeflectFlowControl(), fault_model=fm)
         checker = InvariantChecker(net)
         net.enqueue_requests(np.array([0]), np.array([3]), 1, cycle=0)
         # Arrival slots of the dead 1<->2 link must stay empty forever.
@@ -340,7 +340,7 @@ class TestFaultModel:
     def test_bless_delivers_everything_under_permanent_faults(self):
         topology = Mesh2D(4)
         fm = FaultModel(topology, FaultConfig(link_fault_rate=0.1, seed=2))
-        net = BlessNetwork(topology, fault_model=fm)
+        net = RouterEngine(topology, DeflectFlowControl(), fault_model=fm)
         checker = InvariantChecker(net)
         rng = np.random.default_rng(0)
         sent = _drive_random_traffic(net, rng, 150, checker, load=0.5)
@@ -354,7 +354,7 @@ class TestFaultModel:
     def test_bless_lossless_under_transient_faults(self):
         topology = Mesh2D(4)
         fm = FaultModel(topology, FaultConfig(transient_fault_rate=0.05, seed=6))
-        net = BlessNetwork(topology, fault_model=fm)
+        net = RouterEngine(topology, DeflectFlowControl(), fault_model=fm)
         checker = InvariantChecker(net)
         rng = np.random.default_rng(1)
         sent = _drive_random_traffic(net, rng, 150, checker, load=0.6)

@@ -13,7 +13,13 @@ import pytest
 from repro import Mesh2D
 from repro.config import SimulationConfig
 from repro.harness import JobSpec, run_job
-from repro.network import HybridNetwork, build_network
+from repro.network import (
+    NETWORK_MODELS,
+    DeflectFlowControl,
+    HybridFlowControl,
+    RouterEngine,
+    build_network,
+)
 from repro.rng import child_rng
 from repro.sim.simulator import Simulator
 from repro.traffic.hotspot import HotspotLocality
@@ -35,7 +41,7 @@ def _drive(net, cycles, nodes, p, seed=4):
 
 class TestHybridUnit:
     def test_single_packet_delivered(self, mesh4):
-        net = HybridNetwork(mesh4)
+        net = RouterEngine(mesh4, HybridFlowControl())
         net.enqueue_requests(np.array([0]), np.array([15]), 1, cycle=0)
         for c in range(40):
             ej = net.step(c)
@@ -46,10 +52,10 @@ class TestHybridUnit:
 
     def test_rejects_bad_side_buffer_capacity(self, mesh4):
         with pytest.raises(ValueError):
-            HybridNetwork(mesh4, side_buffer_capacity=0)
+            RouterEngine(mesh4, HybridFlowControl(side_buffer_capacity=0))
 
     def test_conservation_under_load(self, mesh8):
-        net = HybridNetwork(mesh8, side_buffer_capacity=2)
+        net = RouterEngine(mesh8, HybridFlowControl(side_buffer_capacity=2))
         sent = _drive(net, 300, 64, 0.5)
         assert (
             net.stats.injected_flits
@@ -64,7 +70,7 @@ class TestHybridUnit:
         assert net.side_buffers.occupancy() == 0
 
     def test_side_buffer_respects_capacity(self, mesh4):
-        net = HybridNetwork(mesh4, side_buffer_capacity=2)
+        net = RouterEngine(mesh4, HybridFlowControl(side_buffer_capacity=2))
         rng = np.random.default_rng(8)
         for c in range(400):
             srcs = np.flatnonzero(rng.random(16) < 0.8)
@@ -77,16 +83,14 @@ class TestHybridUnit:
 
     def test_side_buffer_actually_captures(self, mesh4):
         """Under load the side buffer must absorb some deflections."""
-        net = HybridNetwork(mesh4)
+        net = RouterEngine(mesh4, HybridFlowControl())
         _drive(net, 400, 16, 0.8)
         assert net.stats.buffer_writes > 0
         assert net.stats.buffer_reads > 0
 
     def test_deflects_less_than_bless_same_traffic(self, mesh4):
-        from repro.network import BlessNetwork
-
-        bless = BlessNetwork(mesh4)
-        hybrid = HybridNetwork(mesh4)
+        bless = RouterEngine(mesh4, DeflectFlowControl())
+        hybrid = RouterEngine(mesh4, HybridFlowControl())
         _drive(bless, 500, 16, 0.7)
         _drive(hybrid, 500, 16, 0.7)
         assert hybrid.stats.deflections < bless.stats.deflections
@@ -94,17 +98,12 @@ class TestHybridUnit:
 
 class TestBuildNetwork:
     def test_factory_dispatches_all_models(self, mesh4):
-        from repro.network import BlessNetwork, BufferedNetwork
-
         w = make_category_workload("H", 16, child_rng(1, "factory"))
-        for name, cls in (
-            ("bless", BlessNetwork),
-            ("buffered", BufferedNetwork),
-            ("hybrid", HybridNetwork),
-        ):
+        for name, recipe in NETWORK_MODELS.items():
             cfg = SimulationConfig(w, network=name)
             sim = Simulator(cfg)
-            assert type(sim.network) is cls
+            assert type(sim.network) is RouterEngine
+            assert type(sim.network.flow) is type(recipe(cfg))
 
     def test_factory_rejects_unknown_name(self, mesh4):
         w = make_category_workload("H", 16, child_rng(1, "factory"))

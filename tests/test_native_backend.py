@@ -50,6 +50,7 @@ EQUIVALENCE_CASES = {
     "bless-torus": dict(network="bless", topology="torus"),
     "bless-distributed": dict(network="bless", controller="distributed"),
     "buffered-oldest": dict(network="buffered"),
+    "buffered-youngest": dict(network="buffered", arbitration="youngest_first"),
     "buffered-random": dict(network="buffered", arbitration="random"),
     "buffered-distributed": dict(network="buffered", controller="distributed"),
     "bless-control-traffic": dict(network="bless", model_control_traffic=True),
@@ -119,7 +120,7 @@ _NUMPY_DOMAIN = [
 def test_network_phase_steady_state_allocations(network):
     """After warm-up, 100 network-phase cycles retain no new numpy arrays.
 
-    The arena preallocates every cycle-lifetime buffer, so the steady
+    Every cycle-lifetime buffer is preallocated, so the steady
     state must not accumulate array allocations; only small transient
     compaction outputs (index vectors from ``flatnonzero`` and friends)
     may come and go within a cycle.
@@ -146,7 +147,7 @@ def test_network_phase_steady_state_allocations(network):
     ]
     assert not grown, [d.traceback.format() for d in grown[:3]]
     # Transient churn stays far below one cycle-lifetime grid buffer
-    # (the pre-arena engine allocated hundreds of KB per cycle here).
+    # (the engine before PR 8 allocated hundreds of KB per cycle here).
     assert worst_peak < 64 * 1024
 
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Mesh2D, Torus2D
-from repro.network import BlessNetwork, BufferedNetwork
+from repro.network import CreditFlowControl, DeflectFlowControl, RouterEngine
 from repro.network.flit import (
     MAX_NODES,
     SEQ_RING,
@@ -194,7 +194,7 @@ def test_throttle_gate_boundary_rates_pinned():
 @pytest.mark.slow
 def test_bless_conserves_and_delivers_everything(seed, load, eject_width):
     rng = np.random.default_rng(seed)
-    net = BlessNetwork(Mesh2D(4), eject_width=eject_width)
+    net = RouterEngine(Mesh2D(4), DeflectFlowControl(eject_width))
     sent = 0
     for c in range(150):
         srcs = np.flatnonzero(rng.random(16) < load)
@@ -218,7 +218,7 @@ def test_bless_conserves_and_delivers_everything(seed, load, eject_width):
 @pytest.mark.slow
 def test_buffered_conserves_and_delivers_everything(seed, load):
     rng = np.random.default_rng(seed)
-    net = BufferedNetwork(Mesh2D(4), buffer_capacity=4)
+    net = RouterEngine(Mesh2D(4), CreditFlowControl(4))
     sent = 0
     for c in range(150):
         srcs = np.flatnonzero(rng.random(16) < load)
@@ -240,7 +240,7 @@ def test_buffered_conserves_and_delivers_everything(seed, load):
 def test_bless_age_invariant_oldest_never_deflected_forever(seed):
     """Livelock freedom: with Oldest-First the network always drains."""
     rng = np.random.default_rng(seed)
-    net = BlessNetwork(Torus2D(4))
+    net = RouterEngine(Torus2D(4), DeflectFlowControl())
     sent = 0
     for c in range(100):
         srcs = np.flatnonzero(rng.random(16) < 0.9)

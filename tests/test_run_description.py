@@ -23,8 +23,18 @@ from repro.control.registry import (
     build_controller,
 )
 from repro.experiments.sweeps import NETWORK_VARIANTS
+from repro.guardrails import FaultModel
 from repro.harness import JobSpec, run_job
-from repro.network import NETWORK_MODELS, NETWORK_NAMES, BlessNetwork
+from repro.network import (
+    NETWORK_MODELS,
+    NETWORK_NAMES,
+    CreditFlowControl,
+    DeflectFlowControl,
+    HybridFlowControl,
+    RouterEngine,
+    build_network,
+)
+from repro.rng import child_rng
 from repro.topology import Mesh2D
 from repro.topology.registry import TOPOLOGY_NAMES
 from repro.traffic.locality import LOCALITY_MODELS, LOCALITY_NAMES
@@ -53,7 +63,7 @@ def cli_controller(argv):
     """The controller ``python -m repro <argv>`` would install."""
     opts = vars(cli.build_parser().parse_args(argv))
     recipe = cli._pop_controller_recipe(opts)
-    network = BlessNetwork(Mesh2D(4, 4))
+    network = RouterEngine(Mesh2D(4, 4), DeflectFlowControl())
     return build_controller(recipe, epoch=opts["epoch"], network=network)
 
 
@@ -163,6 +173,97 @@ class TestNameTables:
         for name in NETWORK_MODELS:
             assert NETWORK_VARIANTS[name] == (name, ("none",))
         assert cli.sweep_main(["--sizes", "16", "--networks", "wormhole"]) == 2
+
+
+# ----------------------------------------------------------------------
+# Network registry: one construction path, every field forwarded once
+# ----------------------------------------------------------------------
+#: name -> (the recipe's flow class, its model-specific config fields at
+#: non-default values)
+NETWORK_CASES = {
+    "bless": (DeflectFlowControl, {"eject_width": 2}),
+    "buffered": (CreditFlowControl, {"buffer_capacity": 5}),
+    "hybrid": (
+        HybridFlowControl, {"eject_width": 2, "side_buffer_capacity": 3},
+    ),
+}
+
+#: shared engine parameter -> (non-default config overrides, how to read
+#: it back off the engine, expected value)
+SHARED_FIELDS = {
+    # hop_latency is the config's router_latency + link_latency.
+    "hop_latency": ({"router_latency": 4}, lambda net: net.hop_latency, 5),
+    "queue_capacity": (
+        {"queue_capacity": 7},
+        lambda net: (net.request_queue.capacity, net.response_queue.capacity),
+        (7, 7),
+    ),
+    "arbitration": (
+        {"arbitration": "youngest_first"},
+        lambda net: (net.arbitration, type(net._arb).name),
+        ("youngest_first", "youngest_first"),
+    ),
+}
+
+
+def network_config(name, **overrides):
+    return SimulationConfig(
+        make_homogeneous_workload("mcf", 16), network=name, **overrides
+    )
+
+
+class TestNetworkRegistry:
+    def test_every_entry_has_a_case(self):
+        assert set(NETWORK_CASES) == set(NETWORK_NAMES)
+
+    @pytest.mark.parametrize("name", NETWORK_NAMES)
+    def test_builds_an_engine_around_the_recipes_flow(self, name):
+        config = network_config(name)
+        flow = NETWORK_MODELS[name](config)
+        assert type(flow) is NETWORK_CASES[name][0]
+        net = build_network(config, Mesh2D(4, 4))
+        assert type(net) is RouterEngine
+        assert type(net.flow) is type(flow)
+
+    @pytest.mark.parametrize("field", SHARED_FIELDS)
+    @pytest.mark.parametrize("name", NETWORK_NAMES)
+    def test_shared_field_reaches_the_engine(self, name, field):
+        """One parameter per case, so a dropped keyword fails by name
+        (buffered used to drop ``arbitration`` and ``rng``)."""
+        overrides, read, expected = SHARED_FIELDS[field]
+        default = build_network(network_config(name), Mesh2D(4, 4))
+        assert read(default) != expected  # the case is not vacuous
+        net = build_network(network_config(name, **overrides), Mesh2D(4, 4))
+        assert read(net) == expected
+
+    @pytest.mark.parametrize("name", NETWORK_NAMES)
+    def test_rng_object_reaches_the_engine(self, name):
+        rng = child_rng(3, "arbitration")
+        net = build_network(network_config(name), Mesh2D(4, 4), rng=rng)
+        assert net._rng is rng
+
+    @pytest.mark.parametrize("name", NETWORK_NAMES)
+    def test_fault_model_reaches_the_engine(self, name):
+        topology = Mesh2D(4, 4)
+        faults = FaultModel(topology, None)
+        net = build_network(
+            network_config(name), topology, fault_model=faults
+        )
+        assert net.fault_model is faults
+        assert net.link_up is faults.link_up
+
+    @pytest.mark.parametrize("name, field", [
+        (name, field)
+        for name, (_, fields) in NETWORK_CASES.items() for field in fields
+    ])
+    def test_model_specific_field_reaches_its_flow(self, name, field):
+        value = NETWORK_CASES[name][1][field]
+        assert getattr(network_config(name), field) != value
+        net = build_network(
+            network_config(name, **{field: value}), Mesh2D(4, 4)
+        )
+        assert getattr(net.flow, field) == value
+        assert getattr(net, field) == value  # the observers' stable name
 
 
 # ----------------------------------------------------------------------
