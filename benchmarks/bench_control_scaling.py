@@ -88,11 +88,9 @@ def run_point(
     config = SimulationConfig(
         workload, seed=seed, epoch=epoch, network=network,
         model_control_traffic=True,
+        controller=build_controller((controller,), epoch=epoch),
     )
     sim = Simulator(config)
-    sim.controller = build_controller(
-        (controller,), epoch=epoch, network=sim.network
-    )
     start = time.perf_counter()
     result = sim.run(cycles)
     wall = time.perf_counter() - start

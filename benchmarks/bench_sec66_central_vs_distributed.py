@@ -7,12 +7,17 @@ reducing NoC congestion" because it is not application-aware.
 """
 
 from conftest import once
-from repro.config import SimulationConfig
-from repro.control import CentralController, ControlParams, DistributedController
 from repro.experiments import format_table, paper_vs_measured, scaled_cycles
+from repro.harness import JobSpec, run_jobs
 from repro.rng import child_rng
-from repro.sim.simulator import Simulator
 from repro.traffic.workloads import make_workload_batch
+
+#: column label -> controller recipe
+SCHEMES = {
+    "baseline": ("none",),
+    "central": ("central",),
+    "distributed": ("distributed",),
+}
 
 
 def test_sec66_central_beats_distributed(benchmark, report):
@@ -20,20 +25,22 @@ def test_sec66_central_beats_distributed(benchmark, report):
         rng = child_rng(77, "sec66")
         workloads = make_workload_batch(3, 16, rng, categories=["H", "HM", "HML"])
         cycles = scaled_cycles(6000)
-        rows = []
-        for i, wl in enumerate(workloads):
-            outcomes = {}
-            for mode in ("baseline", "central", "distributed"):
-                cfg = SimulationConfig(wl, seed=50 + i, epoch=1000)
-                sim = Simulator(cfg)
-                if mode == "central":
-                    sim.controller = CentralController(ControlParams(epoch=1000))
-                elif mode == "distributed":
-                    sim.controller = DistributedController(sim.network)
-                outcomes[mode] = sim.run(cycles).system_throughput
-            rows.append((wl.category, outcomes["baseline"],
-                         outcomes["central"], outcomes["distributed"]))
-        return rows
+        specs = [
+            JobSpec.for_workload(
+                wl, cycles, seed=50 + i, epoch=1000, controller=recipe
+            )
+            for i, wl in enumerate(workloads)
+            for recipe in SCHEMES.values()
+        ]
+        results = run_jobs(specs, description="sec66").results
+        per_workload = len(SCHEMES)
+        return [
+            (wl.category, *(
+                res.system_throughput
+                for res in results[i * per_workload:(i + 1) * per_workload]
+            ))
+            for i, wl in enumerate(workloads)
+        ]
 
     rows = once(benchmark, run)
     base = sum(r[1] for r in rows)

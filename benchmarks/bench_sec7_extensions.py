@@ -13,7 +13,12 @@ import numpy as np
 from conftest import once
 from repro import HotspotLocality, Mesh2D
 from repro.config import SimulationConfig
-from repro.control import CentralController, ControlParams, FairCentralController
+from repro.control import (
+    CentralController,
+    ControlParams,
+    FairCentralController,
+    NoController,
+)
 from repro.experiments import (
     format_table,
     paper_vs_measured,
@@ -45,12 +50,14 @@ def test_sec7_hotspot_throttling_gains_are_small(benchmark, report):
                     background_mean_distance=1.0,
                 )
                 loc_kw = dict(locality=loc)
-            for mode in ("baseline", "throttled"):
-                cfg = SimulationConfig(wl, seed=7, epoch=1000, **loc_kw)
-                sim = Simulator(cfg)
-                if mode == "throttled":
-                    sim.controller = CentralController(ControlParams(epoch=1000))
-                out[(kind, mode)] = sim.run(cycles)
+            for mode, controller in (
+                ("baseline", NoController()),
+                ("throttled", CentralController(ControlParams(epoch=1000))),
+            ):
+                cfg = SimulationConfig(
+                    wl, seed=7, epoch=1000, controller=controller, **loc_kw
+                )
+                out[(kind, mode)] = Simulator(cfg).run(cycles)
         return out
 
     out = once(benchmark, run)

@@ -59,6 +59,40 @@ __all__ = ["main", "build_parser", "build_sweep_parser",
            "profile_main", "sweep_main"]
 
 
+#: Per-subcommand defaults of the flags ``run``, ``chaos`` and
+#: ``profile`` share: (nodes, cycles, category, takes a controller).
+_COMMON_DEFAULTS = {
+    "run": (16, 20_000, None, True),
+    "chaos": (16, 5_000, "H", True),
+    "profile": (64, 20_000, "H", False),
+}
+
+
+def _add_common_flags(parser, command: str, category_group=None) -> None:
+    """Declare the flags every single-run subcommand takes, with
+    *command*'s defaults; ``--category`` lands in *category_group* when
+    the parser pairs it with an exclusive alternative."""
+    nodes, cycles, category, controller = _COMMON_DEFAULTS[command]
+    (parser if category_group is None else category_group).add_argument(
+        "--category", choices=WORKLOAD_CATEGORIES, default=category,
+        help="random workload category (default: H)",
+    )
+    parser.add_argument("--nodes", type=int, default=nodes,
+                        help=f"node count (square mesh; default {nodes})")
+    parser.add_argument("--cycles", type=int, default=cycles)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--epoch", type=int, default=2_000,
+                        help="controller/measurement period T")
+    parser.add_argument("--network", choices=NETWORK_NAMES, default="bless")
+    parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
+                        default="mesh")
+    if controller:
+        parser.add_argument("--controller", choices=CONTROLLER_NAMES,
+                            default="none")
+        parser.add_argument("--static-rate", type=float, default=0.5,
+                            help="rate for --controller static")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -67,26 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workload = parser.add_mutually_exclusive_group()
     workload.add_argument(
-        "--category", choices=WORKLOAD_CATEGORIES, default=None,
-        help="random workload category (default: H)",
-    )
-    workload.add_argument(
         "--app", help="homogeneous workload of one Table-1 application"
     )
-    parser.add_argument("--nodes", type=int, default=16,
-                        help="node count (square mesh; default 16)")
-    parser.add_argument("--cycles", type=int, default=20_000)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--epoch", type=int, default=2_000,
-                        help="controller/measurement period T")
-    parser.add_argument("--network", choices=NETWORK_NAMES, default="bless")
+    _add_common_flags(parser, "run", category_group=workload)
     parser.add_argument(
         "--backend", choices=BACKENDS, default="numpy",
         help="hot-path backend: pure-numpy reference or compiled C kernels "
              "(bit-identical; requires a C compiler on first use)",
     )
-    parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
-                        default="mesh")
     parser.add_argument(
         "--depth", type=int, default=0,
         help="3D topologies: z dimension (0 = infer a cube)",
@@ -99,13 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--express-stride", type=int, default=4, metavar="HOPS",
         help="express topology: skip-link span (default 4)",
     )
-    parser.add_argument(
-        "--controller",
-        choices=CONTROLLER_NAMES,
-        default="none",
-    )
-    parser.add_argument("--static-rate", type=float, default=0.5,
-                        help="rate for --controller static")
     parser.add_argument(
         "--controller-domains", type=int, default=0, metavar="N",
         help="hierarchical controller: control-domain count "
@@ -239,21 +254,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         "--script", default="examples/chaos_demo.json", metavar="PATH",
         help="JSON chaos campaign (default examples/chaos_demo.json)",
     )
-    parser.add_argument("--nodes", type=int, default=16,
-                        help="node count (square mesh; default 16)")
-    parser.add_argument("--cycles", type=int, default=5_000)
-    parser.add_argument("--category", choices=WORKLOAD_CATEGORIES,
-                        default="H")
-    parser.add_argument("--network", choices=NETWORK_NAMES, default="bless")
-    parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
-                        default="mesh")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--epoch", type=int, default=2_000)
-    parser.add_argument(
-        "--controller", choices=CONTROLLER_NAMES,
-        default="none",
-    )
-    parser.add_argument("--static-rate", type=float, default=0.5)
+    _add_common_flags(parser, "chaos")
     parser.add_argument(
         "--no-invariants", dest="check_invariants", action="store_false",
         help="skip the per-cycle losslessness invariant checks "
@@ -306,12 +307,13 @@ def chaos_main(argv=None) -> int:
     cycles = opts.pop("cycles")
     rng = np.random.default_rng(opts["seed"])
     workload = make_category_workload(category, nodes, rng)
-    recipe = _pop_controller_recipe(opts)
-    config = SimulationConfig(workload, chaos=chaos, **opts)
-    simulator = Simulator(config)
-    simulator.controller = build_controller(
-        recipe, epoch=config.epoch, network=simulator.network
+    controller = build_controller(
+        _pop_controller_recipe(opts), epoch=opts["epoch"]
     )
+    config = SimulationConfig(
+        workload, chaos=chaos, controller=controller, **opts
+    )
+    simulator = Simulator(config)
     try:
         result = simulator.run(cycles)
     except GuardrailError as error:
@@ -360,16 +362,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
         description="Observability smoke benchmark: per-phase wall-clock "
         "breakdown, throughput counters, and the BENCH_pr3.json baseline.",
     )
-    parser.add_argument("--nodes", type=int, default=64,
-                        help="node count (square mesh; default 64)")
-    parser.add_argument("--cycles", type=int, default=20_000)
-    parser.add_argument("--category", choices=WORKLOAD_CATEGORIES,
-                        default="H")
-    parser.add_argument("--network", choices=NETWORK_NAMES, default="bless")
-    parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
-                        default="mesh")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--epoch", type=int, default=2_000)
+    _add_common_flags(parser, "profile")
     parser.add_argument(
         "--trace", action="store_true",
         help="also enable flit tracing and report its event counts",
@@ -564,12 +557,9 @@ def main(argv=None) -> int:
             return 2
     cycles, timeout = opts.pop("cycles"), opts.pop("timeout")
     recipe = _pop_controller_recipe(opts)
-    config = SimulationConfig(workload, **opts)
+    controller = build_controller(recipe, epoch=opts["epoch"])
+    config = SimulationConfig(workload, controller=controller, **opts)
     simulator = Simulator(config)
-    # The distributed controller needs the network it instruments.
-    simulator.controller = build_controller(
-        recipe, epoch=config.epoch, network=simulator.network
-    )
 
     try:
         result = simulator.run(cycles, deadline=timeout)

@@ -4,16 +4,21 @@
 transition methods on a schedule: links, routers, and the congestion
 controller fail and recover at scheduled cycles while the run is in
 flight, and the simulator measures how long the network takes to return
-to its pre-fault steady state.  Everything is seeded and pre-scheduled, so a
-chaos run is exactly as deterministic (and cacheable) as a fault-free
-one.
+to its pre-fault steady state.  Everything is seeded and pre-scheduled,
+so a chaos run is exactly as deterministic (and cacheable) as a
+fault-free one.
+
+Controller events go through the fail-stop protocol every
+:class:`~repro.control.base.Controller` carries (``fail()`` /
+``restore()``; ``ChaosConfig.degraded_mode`` picks what runs while it is
+down), so the controller a run was configured with is the object that
+runs.
 
 See DESIGN.md §S23 for the architecture and the drain/quiesce protocol
 that keeps the :class:`~repro.guardrails.invariants.InvariantChecker`
 losslessness guarantee intact through every topology transition.
 """
 
-from repro.chaos.controlplane import ResilientController
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.report import ChaosEventRecord, ChaosReport
 from repro.chaos.schedule import (
@@ -31,5 +36,4 @@ __all__ = [
     "ChaosEventRecord",
     "ChaosReport",
     "ChaosSchedule",
-    "ResilientController",
 ]

@@ -34,10 +34,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.chaos.controlplane import ResilientController
 from repro.chaos.report import ChaosEventRecord, ChaosReport
 from repro.chaos.schedule import ChaosConfig, ChaosSchedule
-from repro.control.distributed import DistributedController
+from repro.control.registry import build_controller
 
 __all__ = ["ChaosEngine"]
 
@@ -61,7 +60,7 @@ class ChaosEngine:
         self._event_ptr = 0
         self._pending = []  # down events draining toward hard-down
         self._draining = np.zeros(simulator.topology.num_nodes, dtype=bool)
-        self.resilient = None
+        self._arm_controller()
         #: the hub's fault-free home; the live hub is remap[home]
         self._hub_home = simulator.hub
         # Recovery measurement state.
@@ -78,46 +77,24 @@ class ChaosEngine:
         self._prev_ejected = int(self.network.stats.ejected_flits)
         self._prev_disturbed = False
 
-    # ------------------------------------------------------------------
-    # Run-time wiring
-    # ------------------------------------------------------------------
-    def prepare(self) -> None:
-        """Wrap the controller for fail-stop if the campaign needs it.
+    def _arm_controller(self) -> None:
+        """Hand the campaign's degraded policy to the controller.
 
-        Called at the top of ``Simulator.run()`` — after any caller has
-        installed its final controller (the CLI overrides the attribute
-        post-construction) and before the simulator caches
-        ``observes_ejections``.  Idempotent.
+        Only a campaign that fails the controller pays for a standby:
+        the paper's §6.6 distributed scheme needs no central
+        coordinator, which makes it the natural warm spare.
         """
-        controller = self.sim.controller
-        if isinstance(controller, ResilientController):
-            self.resilient = controller
-            return
-        if getattr(controller, "self_resilient", False):
-            # Hierarchical controllers carry their own fail-stop
-            # semantics (coordinator loss degrades to independent
-            # domains); drive fail()/restore() on them directly instead
-            # of wrapping.
-            self.resilient = controller
-            return
-        if self.resilient is not None:
-            return
-        needs = any(
-            e.kind in ("controller_down", "controller_up")
-            for e in self.schedule.events
-        )
-        if not needs:
+        if not any(e.kind == "controller_down" for e in self.schedule.events):
             return
         standby = None
         if self.config.degraded_mode == "failover":
-            standby = DistributedController(self.network)
-        self.resilient = ResilientController(
-            controller,
-            mode=self.config.degraded_mode,
-            decay=self.config.degraded_decay,
-            standby=standby,
+            standby = build_controller(
+                ("distributed",), epoch=self.sim.config.epoch
+            )
+            standby.attach(self.network, self.sim.config)
+        self.sim.controller.set_degraded_policy(
+            self.config.degraded_mode, self.config.degraded_decay, standby
         )
-        self.sim.controller = self.resilient
 
     # ------------------------------------------------------------------
     # The per-cycle chaos phase
@@ -234,15 +211,11 @@ class ChaosEngine:
         self._applied(idx, cycle, probe=True)
 
     def _controller_down(self, cycle, idx, event) -> None:
-        if self.resilient is None:
-            return self._skip(idx, "no controller to fail")
-        self.resilient.fail()
+        self.sim.controller.fail()
         self._applied(idx, cycle)
 
     def _controller_up(self, cycle, idx, event) -> None:
-        if self.resilient is None:
-            return self._skip(idx, "no controller to restore")
-        self.resilient.restore()
+        self.sim.controller.restore()
         self._applied(idx, cycle)
 
     def _noise_start(self, cycle, idx, event) -> None:
@@ -404,7 +377,7 @@ class ChaosEngine:
             bool(self._pending)
             or self.fm.any_chaos_faults
             or self._noise_active
-            or (self.resilient is not None and self.resilient.down)
+            or self.sim.controller.down
         )
 
     # ------------------------------------------------------------------
@@ -446,11 +419,7 @@ class ChaosEngine:
             degraded_cycles=self.degraded_cycles,
             degraded_flits=self.degraded_flits,
             orphaned_flits=self.orphaned_flits,
-            controller_down_epochs=(
-                self.resilient.downtime_epochs if self.resilient else 0
-            ),
-            controller_failovers=(
-                self.resilient.failovers if self.resilient else 0
-            ),
+            controller_down_epochs=self.sim.controller.downtime_epochs,
+            controller_failovers=self.sim.controller.failovers,
             total_cycles=int(total_cycles),
         )

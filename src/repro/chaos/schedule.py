@@ -119,7 +119,7 @@ class ChaosConfig:
     both from dedicated :func:`~repro.rng.child_rng` substreams of
     ``seed``.  ``degraded_mode`` picks the control-plane policy while
     the controller is down (see
-    :class:`~repro.chaos.controlplane.ResilientController`).
+    :class:`~repro.control.base.Controller`).
     ``recovery_window`` / ``recovery_tolerance`` parameterize the
     steady-state recovery probes recorded in the
     :class:`~repro.chaos.report.ChaosReport`.

@@ -1,4 +1,11 @@
-"""Congestion-control mechanisms for the NoC (§5, §6.6)."""
+"""Congestion-control mechanisms for the NoC (§5, §6.6).
+
+Every scheme is a :class:`Controller`: built from parameters alone (by
+constructor or a :mod:`repro.control.registry` recipe), passed in
+``SimulationConfig(controller=...)``, attached to the built network
+once by ``Simulator.__init__``, and failed/restored in place by chaos
+campaigns — one controller instance per run.
+"""
 
 from repro.control.base import Controller, EpochView, NoController
 from repro.control.central import CentralController, ControlParams

@@ -1,10 +1,18 @@
-"""Controller interface.
+"""Controller interface and lifecycle.
 
 A controller runs periodically (every epoch of T cycles, §5) and returns
 per-node injection throttling rates; the simulator installs them in the
 network's Algorithm-3 throttle gate.  Controllers that react to
 in-network signals (the distributed scheme of §6.6) additionally observe
 every delivered flit via :meth:`Controller.on_ejected`.
+
+Lifecycle: a controller is built from parameters alone, passed in
+``SimulationConfig(controller=...)``, and :meth:`Controller.attach` is
+called exactly once, by ``Simulator.__init__``, with the built network.
+From then on the simulator drives :meth:`Controller.run_epoch` and
+:meth:`Controller.observe`, which honour the fail-stop state that chaos
+``controller_down``/``controller_up`` events set through
+:meth:`Controller.fail`/:meth:`Controller.restore`.
 """
 
 from __future__ import annotations
@@ -15,6 +23,10 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["EpochView", "Controller", "NoController"]
+
+#: Rates below this decay to exactly zero (matches the distributed
+#: controller's cutoff so tiny stale throttles do not linger forever).
+_RATE_EPSILON = 0.01
 
 
 @dataclass
@@ -37,15 +49,91 @@ class EpochView:
 class Controller:
     """Base class: no throttling, ever."""
 
-    #: Whether the simulator should feed delivered flits to on_ejected.
+    #: Whether the simulator should feed delivered flits to observe().
     observes_ejections = False
-    #: Whether the simulator should bind a control-domain partition
-    #: (``repro.control.hierarchical``) before the run.
-    wants_domains = False
-    #: Fail-stop state of the coordinator; only chaos wrappers and the
-    #: hierarchical controller ever set it.
+    #: The network this controller is attached to (None until attach()).
+    network = None
+    #: Control-domain partition for schemes that shard the collection
+    #: (``repro.control.hierarchical``); None = one hub for every node.
+    domain_map = None
+    #: Fail-stop state and its counters (ChaosReport reads them).
     down = False
+    downtime_epochs = 0
+    failovers = 0
+    #: What run_epoch() does while down: ``freeze`` keeps the installed
+    #: rates (open loop on stale decisions), ``decay`` relaxes them
+    #: toward zero by ``degraded_decay`` per epoch, ``failover`` hands
+    #: the epochs to ``standby``.
+    degraded_mode = "freeze"
+    degraded_decay = 0.5
+    standby: Optional["Controller"] = None
 
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def attach(self, network, config) -> None:
+        """Bind to the built system; ``Simulator.__init__`` calls this
+        exactly once.  Subclasses size their per-node state here."""
+        if self.network is not None:
+            raise ValueError(
+                f"{self.describe()} is already attached to a simulator; "
+                f"controllers hold per-run state, so build one controller "
+                f"per run (e.g. config.with_(controller=...))"
+            )
+        self.network = network
+
+    def set_degraded_policy(
+        self, mode: str, decay: float, standby: "Controller" = None
+    ) -> None:
+        """Install the campaign's degraded policy (``ChaosConfig``
+        validates *mode* and *decay*); *standby* is already attached."""
+        self.degraded_mode = mode
+        self.degraded_decay = decay
+        self.standby = standby
+        if standby is not None and standby.observes_ejections:
+            self.observes_ejections = True
+
+    def fail(self) -> None:
+        if self.down:
+            return
+        self.down = True
+        if self.degraded_mode == "failover":
+            self.failovers += 1
+
+    def restore(self) -> None:
+        self.down = False
+
+    # ------------------------------------------------------------------
+    # What the simulator drives
+    # ------------------------------------------------------------------
+    def run_epoch(self, view: EpochView) -> np.ndarray:
+        """One control period: the scheme's rates, or the degraded
+        policy's while the controller is down."""
+        if not self.down:
+            return self.on_epoch(view)
+        self.downtime_epochs += 1
+        return self.degraded_epoch(view)
+
+    def degraded_epoch(self, view: EpochView) -> np.ndarray:
+        """Rates for an epoch this controller is down for."""
+        if self.degraded_mode == "failover":
+            return self.standby.on_epoch(view)
+        rates = self.network.throttle.rate.copy()
+        if self.degraded_mode == "decay":
+            rates *= self.degraded_decay
+            rates[rates < _RATE_EPSILON] = 0.0
+        return rates
+
+    def observe(self, ejected) -> None:
+        """Deliver this cycle's ejected flits: the scheme keeps
+        observing while down, a standby only while it is in charge."""
+        self.on_ejected(ejected)
+        if self.down and self.standby is not None:
+            self.standby.on_ejected(ejected)
+
+    # ------------------------------------------------------------------
+    # What a scheme implements
+    # ------------------------------------------------------------------
     def on_epoch(self, view: EpochView) -> np.ndarray:
         """Return per-node throttle rates in [0, 1] for the next epoch."""
         return np.zeros(view.active.shape[0])

@@ -30,7 +30,6 @@ class DistributedController(Controller):
 
     def __init__(
         self,
-        network,
         starvation_threshold: float = 0.25,
         backoff_rate: float = 0.5,
         decay: float = 0.5,
@@ -39,10 +38,14 @@ class DistributedController(Controller):
             raise ValueError("backoff rate must be in (0, 1)")
         if not 0.0 <= decay < 1.0:
             raise ValueError("decay must be in [0, 1)")
-        self.network = network
         self.starvation_threshold = starvation_threshold
         self.backoff_rate = backoff_rate
         self.decay = decay
+
+    def attach(self, network, config) -> None:
+        """Instrument *network*: its ``congested_nodes`` is the marking
+        state this scheme sets each epoch."""
+        super().attach(network, config)
         self._marked = np.zeros(network.num_nodes, dtype=bool)
         self._rates = np.zeros(network.num_nodes)
 

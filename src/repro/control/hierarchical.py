@@ -29,10 +29,9 @@ keeps the *decision rule* of §5 but distributes the *collection*:
 Coordinator fail-stop (chaos ``controller_down`` events) degrades
 ``global`` mode to independent domains: shards keep running on local
 criteria while the summary exchange is suspended, and ``restore()``
-resumes global reconciliation.  The controller is *self-resilient* —
-the chaos engine drives :meth:`fail`/:meth:`restore` directly instead
-of wrapping it in a
-:class:`~repro.chaos.controlplane.ResilientController`.
+resumes global reconciliation.  That domain-local mode replaces the
+base class's freeze/decay/failover policy — only the coordinator
+fails, the shards never do.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ import numpy as np
 
 from repro.control.base import Controller, EpochView
 from repro.control.central import CentralController, ControlParams
-from repro.control.domains import DomainMap
 
 __all__ = [
     "COORDINATION_MODES",
@@ -121,13 +119,6 @@ class ShardController(CentralController):
 class HierarchicalController(Controller):
     """Coordinator over per-domain Algorithm-1 shards."""
 
-    #: The simulator resolves a DomainMap from the topology registry and
-    #: calls :meth:`bind` before the first epoch.
-    wants_domains = True
-    #: The chaos engine drives fail()/restore() on this controller
-    #: directly instead of wrapping it in a ResilientController.
-    self_resilient = True
-
     def __init__(
         self,
         params: ControlParams = ControlParams(),
@@ -145,12 +136,7 @@ class HierarchicalController(Controller):
         #: requested domain count (0 = let the topology choose)
         self.num_domains = num_domains
         self.mode = mode
-        self.domain_map = None  # a DomainMap once bind() runs
         self.shards = ()
-        # Coordinator fail-stop state (chaos controller_down events).
-        self.coordinator_down = False
-        self.downtime_epochs = 0
-        self.failovers = 0
         self.epochs_run = 0
         self.domain_epochs = None
         # Exposed for inspection/tests after each epoch, like the
@@ -159,42 +145,40 @@ class HierarchicalController(Controller):
         self.last_throttled = None
 
     # ------------------------------------------------------------------
-    # Domain binding (done by the simulator at run() time)
+    # Lifecycle and fail-stop
     # ------------------------------------------------------------------
-    def bind(self, domain_map: DomainMap) -> None:
-        """Attach a resolved partition and build one shard per domain."""
-        if (
-            self.num_domains
-            and domain_map.num_domains != self.num_domains
-        ):
-            raise ValueError(
-                f"domain map has {domain_map.num_domains} domains; "
-                f"controller was configured for {self.num_domains}"
-            )
-        self.domain_map = domain_map
+    def attach(self, network, config) -> None:
+        """Resolve the control-domain partition from the topology
+        registry and build one shard per domain."""
+        super().attach(network, config)
+        # Looked up on the module at call time: the registry imports
+        # repro.control.domains, and the perf ledger patches this name.
+        from repro.topology import registry
+
+        self.domain_map = registry.domain_map(
+            config, network.topology, self.num_domains
+        )
         self.shards = tuple(
             ShardController(self.params, d)
-            for d in range(domain_map.num_domains)
+            for d in range(self.domain_map.num_domains)
         )
-        self.domain_epochs = np.zeros(domain_map.num_domains, dtype=np.int64)
+        self.domain_epochs = np.zeros(
+            self.domain_map.num_domains, dtype=np.int64
+        )
 
-    # ------------------------------------------------------------------
-    # Fail-stop interface (the ResilientController contract)
-    # ------------------------------------------------------------------
-    @property
-    def down(self) -> bool:
-        """Coordinator availability; shards never fail with it."""
-        return self.coordinator_down
+    def set_degraded_policy(self, mode, decay, standby=None) -> None:
+        """Coordinator loss has one degraded mode, independent domains;
+        the campaign's policy and standby do not apply."""
 
     def fail(self) -> None:
-        if self.coordinator_down:
+        if self.down:
             return
-        self.coordinator_down = True
+        self.down = True
         # Losing the coordinator is a failover to independent domains.
         self.failovers += 1
 
-    def restore(self) -> None:
-        self.coordinator_down = False
+    def degraded_epoch(self, view: EpochView) -> np.ndarray:
+        return self.on_epoch(view)
 
     # ------------------------------------------------------------------
     # Controller interface
@@ -202,9 +186,8 @@ class HierarchicalController(Controller):
     def on_epoch(self, view: EpochView) -> np.ndarray:
         if self.domain_map is None:
             raise RuntimeError(
-                "HierarchicalController.on_epoch before bind(); the "
-                "simulator binds a DomainMap at run() — standalone use "
-                "must call bind(domain_map) first"
+                "HierarchicalController.on_epoch before attach(); "
+                "Simulator.__init__ attaches the configured controller"
             )
         dm = self.domain_map
         n = view.active.shape[0]
@@ -217,9 +200,7 @@ class HierarchicalController(Controller):
         summaries = [
             shard.summarize(v) for shard, v in zip(self.shards, views)
         ]
-        use_global = self.mode == "global" and not self.coordinator_down
-        if self.coordinator_down:
-            self.downtime_epochs += 1
+        use_global = self.mode == "global" and not self.down
         mean_ipf = None
         congested_any = any(s.congested for s in summaries)
         if use_global and congested_any:

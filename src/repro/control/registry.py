@@ -7,7 +7,9 @@ table, the declarative :class:`~repro.harness.JobSpec` recipe form with
 its arity and argument checks, the CLI flags that carry those arguments,
 and the constructor call.  :func:`build_controller` is the one lookup
 behind both the CLI and harness workers, so the two cannot build
-different controllers for the same description.
+different controllers for the same description.  Every scheme is built
+from its recipe alone; what it needs from the built system arrives
+later through :meth:`~repro.control.base.Controller.attach`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "ControllerEntry",
     "CONTROLLERS",
     "CONTROLLER_NAMES",
-    "CONTROLLER_KINDS",
     "check_recipe",
     "build_controller",
 ]
@@ -66,19 +67,14 @@ class ControllerEntry:
     name: str
     #: one-line description (README table, ``--list-controllers``)
     description: str
-    #: ``factory(epoch, network, *args)`` -> controller, with every
-    #: recipe argument present (defaults filled in)
+    #: ``factory(epoch, *args)`` -> controller, with every recipe
+    #: argument present (defaults filled in)
     factory: Callable
     args: Tuple[RecipeArg, ...] = ()
-    #: instruments the live network object, so it cannot ride through
-    #: the JSON-scalar contract of a :class:`~repro.harness.JobSpec`
-    cli_only: bool = False
 
     @property
     def recipe(self) -> str:
-        """The declarative JobSpec form ("—" = CLI-only)."""
-        if self.cli_only:
-            return "—"
+        """The declarative JobSpec form."""
         if not self.args:
             return f'("{self.name}",)'
         names = ", ".join(arg.name for arg in self.args)
@@ -89,23 +85,22 @@ _ENTRIES = (
     ControllerEntry(
         "none",
         "no congestion control (baseline BLESS/buffered operation)",
-        lambda epoch, network: NoController(),
+        lambda epoch: NoController(),
     ),
     ControllerEntry(
         "central",
         "the paper's Algorithm 1: one global controller and hub (§5)",
-        lambda epoch, network: CentralController(ControlParams(epoch=epoch)),
+        lambda epoch: CentralController(ControlParams(epoch=epoch)),
     ),
     ControllerEntry(
         "distributed",
         "per-node AIMD on in-network congestion bits (§6.6)",
-        lambda epoch, network: DistributedController(network),
-        cli_only=True,
+        lambda epoch: DistributedController(),
     ),
     ControllerEntry(
         "static",
         "fixed throttle rate on every node (ablation baseline)",
-        lambda epoch, network, rate: StaticThrottleController(float(rate)),
+        lambda epoch, rate: StaticThrottleController(float(rate)),
         args=(
             RecipeArg(
                 "rate", "static_rate",
@@ -118,7 +113,7 @@ _ENTRIES = (
         "hierarchical",
         "per-domain Algorithm-1 shards + global coordinator "
         "(--controller-domains/--controller-mode)",
-        lambda epoch, network, domains, mode: HierarchicalController(
+        lambda epoch, domains, mode: HierarchicalController(
             ControlParams(epoch=epoch), num_domains=domains, mode=mode
         ),
         args=(
@@ -144,29 +139,17 @@ CONTROLLERS = {entry.name: entry for entry in _ENTRIES}
 #: Canonical name tuple for CLI ``choices`` and error messages.
 CONTROLLER_NAMES = tuple(CONTROLLERS)
 
-#: The entries a :class:`~repro.harness.JobSpec` recipe may name.
-CONTROLLER_KINDS = tuple(
-    entry.name for entry in _ENTRIES if not entry.cli_only
-)
-
-
-def check_recipe(recipe: tuple, network=None) -> tuple:
+def check_recipe(recipe: tuple) -> tuple:
     """Validate a ``(name, *args)`` recipe against its registry entry.
 
-    Returns ``(entry, args)`` with defaults filled in.  Without a live
-    ``network`` (the JobSpec case) CLI-only entries are refused by name.
+    Returns ``(entry, args)`` with defaults filled in.
     """
     name, given = recipe[0], recipe[1:]
     entry = CONTROLLERS.get(name)
     if entry is None:
         raise ValueError(
             f"unknown controller {name!r}; expected one of "
-            f"{CONTROLLER_KINDS if network is None else CONTROLLER_NAMES}"
-        )
-    if entry.cli_only and network is None:
-        raise ValueError(
-            f"controller {name!r} has no JobSpec recipe (it instruments "
-            f"the live network object); expected one of {CONTROLLER_KINDS}"
+            f"{CONTROLLER_NAMES}"
         )
     misfit = f"controller recipe {recipe!r} does not fit {entry.recipe}: "
     required = sum(arg.default is _REQUIRED for arg in entry.args)
@@ -184,11 +167,8 @@ def check_recipe(recipe: tuple, network=None) -> tuple:
     return entry, given + defaults
 
 
-def build_controller(recipe: tuple, *, epoch: int, network=None):
-    """Instantiate the controller a ``(name, *args)`` recipe describes.
-
-    Harness workers pass the spec's recipe and epoch; the CLI also
-    passes the live ``network`` object, which unlocks CLI-only schemes.
-    """
-    entry, args = check_recipe(recipe, network)
-    return entry.factory(epoch, network, *args)
+def build_controller(recipe: tuple, *, epoch: int):
+    """Instantiate the controller a ``(name, *args)`` recipe describes
+    (the CLI and harness workers both build through here)."""
+    entry, args = check_recipe(recipe)
+    return entry.factory(epoch, *args)

@@ -31,7 +31,7 @@ from repro.harness.executor import (
     resolve_jobs,
     run_jobs,
 )
-from repro.harness.jobs import CONTROLLER_KINDS, JobSpec, run_job
+from repro.harness.jobs import JobSpec, run_job
 
 __all__ = [
     "JobSpec",
@@ -43,5 +43,4 @@ __all__ = [
     "default_jobs",
     "resolve_jobs",
     "CODE_VERSION",
-    "CONTROLLER_KINDS",
 ]

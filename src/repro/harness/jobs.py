@@ -35,15 +35,11 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
-from repro.control.registry import (
-    CONTROLLER_KINDS,
-    build_controller,
-    check_recipe,
-)
+from repro.control.registry import build_controller, check_recipe
 from repro.sim.results import SimulationResult
 from repro.traffic.workloads import Workload
 
-__all__ = ["JobSpec", "run_job", "CONTROLLER_KINDS"]
+__all__ = ["JobSpec", "run_job"]
 
 #: Config values a spec may carry: JSON scalars only, so hashing and the
 #: on-disk cache stay canonical.

@@ -158,7 +158,10 @@ class Simulator:
             l2_latency=config.l2_latency,
             reply_flits=config.reply_flits,
         )
+        # The one point a controller meets the built system: from here
+        # on the object the caller configured is the object that runs.
         self.controller = config.controller
+        self.controller.attach(self.network, config)
         self.epochs = EpochSeries()
         self.cycle = 0
         self._epoch_start_hops = 0
@@ -171,22 +174,34 @@ class Simulator:
             # A fail-stopped hub moves to the nearest live router.
             self.hub = int(self.fault_model.remap[self.hub])
         self.control_flits_sent = 0
-        # Hierarchical control plane (repro.control.hierarchical): a
-        # DomainMap plus per-domain hubs, resolved at run() time because
-        # the CLI installs its controller after construction.  None for
-        # single-hub controllers — the classic 2n-flits-to-one-point
+        # Hierarchical control plane (repro.control.hierarchical): the
+        # attached controller's DomainMap plus per-domain hubs.  None
+        # for single-hub controllers — the classic 2n-flits-to-one-point
         # control traffic path.
-        self.domains = None
+        self.domains = self.controller.domain_map
         self.domain_hubs = None
         self._domain_hub_home = None
         self.domain_control_flits = None
+        if self.domains is not None:
+            self._domain_hub_home = self.domains.hubs.copy()
+            self.domain_hubs = self._domain_hub_home.copy()
+            if self.fault_model is not None:
+                # Fail-stopped hubs move to their nearest live routers.
+                self.domain_hubs = self.fault_model.remap[
+                    self._domain_hub_home
+                ].astype(np.int64)
+            self.domain_control_flits = np.zeros(
+                self.domains.num_domains, dtype=np.int64
+            )
         # Chaos campaign engine (mid-run fault/recovery events); built
         # last so it can observe the fully wired system.
         self.chaos = ChaosEngine(self, config.chaos) if chaos_on else None
         # Per-cycle scratch: the network phase's delivered flits, consumed
         # by the guardrail hooks and the ejection phase.
         self._ejected = EjectedFlits.empty()
-        self._observe = False
+        # Read after the chaos engine armed the controller: a failover
+        # standby may observe ejections the primary does not.
+        self._observe = self.controller.observes_ejections
         # Compiled hot-path backend (repro.native): opt-in via the
         # config; unsupported configurations raise NativeUnsupported
         # rather than silently running something slightly different.
@@ -261,7 +276,7 @@ class Simulator:
         (optional) controller observation stays in Python."""
         self._accel.ejection_phase(cycle)
         if self._observe and self._ejected.node.size:
-            self.controller.on_ejected(self._ejected)
+            self.controller.observe(self._ejected)
 
     def _invariants_hook(self, cycle: int) -> None:
         assert self.checker is not None  # only registered when enabled
@@ -285,7 +300,7 @@ class Simulator:
             if rep.any():
                 self.cores.on_reply_flits(ejected.node[rep], ejected.seq[rep])
             if self._observe:
-                self.controller.on_ejected(ejected)
+                self.controller.observe(ejected)
 
     def _epoch_phase(self, cycle: int) -> None:
         if self._accel is not None:
@@ -331,12 +346,6 @@ class Simulator:
             time.monotonic() if deadline is not None else 0.0  # repro: noqa[DET001]
         )
         end = self.cycle + cycles
-        if self.chaos is not None:
-            # May swap self.controller for a fail-stop wrapper, so it
-            # must precede the observes_ejections capture below.
-            self.chaos.prepare()
-        self._bind_control_domains()
-        self._observe = self.controller.observes_ejections
         self.pipeline.set_period("epoch", epoch)
         cycle_fns, periodic = self.pipeline.compiled(self.phase_timer)
         wall_start = time.perf_counter()  # repro: noqa[DET001]
@@ -362,45 +371,6 @@ class Simulator:
         return self.result()
 
     # ------------------------------------------------------------------
-    def _bind_control_domains(self) -> None:
-        """Resolve the controller's control-domain partition, if any.
-
-        Runs at the top of :meth:`run` — after the CLI/harness installed
-        its final controller and after a chaos campaign wrapped it — so
-        a domain-seeking controller (``wants_domains``) gets a
-        :class:`~repro.control.domains.DomainMap` derived from the
-        topology registry, and the simulator mirrors its hubs for the
-        control-traffic model.  Idempotent across resumed runs.
-        """
-        controller = self.controller
-        # A ResilientController wrapper delegates epochs to its primary.
-        primary = getattr(controller, "primary", controller)
-        if not primary.wants_domains:
-            self.domains = None
-            self.domain_hubs = None
-            self._domain_hub_home = None
-            self.domain_control_flits = None
-            return
-        if primary.domain_map is None:
-            from repro.topology.registry import domain_map
-
-            primary.bind(
-                domain_map(self.config, self.topology, primary.num_domains)
-            )
-        if self.domains is not primary.domain_map:
-            self.domains = primary.domain_map
-            self._domain_hub_home = self.domains.hubs.copy()
-            self.domain_control_flits = np.zeros(
-                self.domains.num_domains, dtype=np.int64
-            )
-        self.domain_hubs = self._domain_hub_home.copy()
-        if self.fault_model is not None:
-            # Fail-stopped hubs move to their nearest live routers.
-            self.domain_hubs = self.fault_model.remap[
-                self._domain_hub_home
-            ].astype(np.int64)
-
-    # ------------------------------------------------------------------
     def _run_epoch(self) -> None:
         """One controller period: measure, decide, install rates."""
         hops = self.network.stats.flit_hops
@@ -417,7 +387,7 @@ class Simulator:
             utilization=util,
             epoch_ipc=self.cores.epoch_insns / epoch_cycles,
         )
-        rates = self.controller.on_epoch(view)
+        rates = self.controller.run_epoch(view)
         self.network.set_throttle_rates(rates)
         if self.config.model_control_traffic:
             self._inject_control_traffic()

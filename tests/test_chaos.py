@@ -20,6 +20,7 @@ from repro.chaos import (
 )
 from repro.config import SimulationConfig
 from repro.control.central import CentralController, ControlParams
+from repro.control.registry import CONTROLLER_NAMES, build_controller
 from repro.experiments.runner import run_workload
 from repro.guardrails.faults import FaultConfig, FaultModel
 from repro.harness import JobSpec, run_job, run_jobs
@@ -27,6 +28,7 @@ from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
 from repro.topology.mesh import Mesh2D
 from repro.traffic.workloads import make_homogeneous_workload
+from tests.test_golden_results import result_hash
 
 # Full-simulation module: runs real multi-epoch simulations end to end.
 # Deselect with -m 'not slow' for a fast inner loop; CI runs everything.
@@ -152,6 +154,58 @@ class TestControllerFailStop:
             cycles=2400,
             controller=CentralController(ControlParams(epoch=500)),
         )
+
+    #: recipes for the registry entries that need an argument
+    RECIPES = {"static": ("static", 0.3)}
+    #: (controller, degraded_mode) -> (down epochs, failovers, sha256 of
+    #: the result incl. its ChaosReport), captured before fail-stop
+    #: moved from a wrapper onto Controller; hierarchical degrades to
+    #: its own domain-local mode whatever the campaign asks for.
+    PINNED = {
+        ("central", "freeze"): (
+            2, 0,
+            "b96cf886b928763e130fce2b2a35ea00864f8159f8557640fe7e912e0e41f6e3",
+        ),
+        ("central", "decay"): (
+            2, 0,
+            "91d5be15ce3254115e29a18ad43e463baf46085562a7a743486321b28022fc14",
+        ),
+        ("central", "failover"): (
+            2, 1,
+            "a8978d011bd967318efbedbb39c4f0cfcaae769da146bc24839af3a9bb6e8f7a",
+        ),
+        ("hierarchical", "freeze"): (
+            2, 1,
+            "fe417bfbed72d85200158c6ed4664eee6ba65685cdda5491855e3b66f9c1edf7",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ("freeze", "decay", "failover"))
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_every_scheme_fails_and_recovers_in_place(self, name, mode):
+        """Registry-generated: a newly registered controller gets the
+        fail-stop drill under every degraded policy on arrival."""
+        controller = build_controller(
+            self.RECIPES.get(name, (name,)), epoch=500
+        )
+        sim = Simulator(SimulationConfig(
+            make_homogeneous_workload("mcf", 16), seed=1, epoch=500,
+            chaos=ChaosConfig(degraded_mode=mode, **self.CONFIG),
+            check_invariants=True, model_control_traffic=True,
+            controller=controller,
+        ))
+        result = sim.run(2400)
+        assert sim.controller is controller  # no wrapper swapped in
+        assert not controller.down
+        assert result.chaos.applied_events == 2
+        assert result.chaos.controller_down_epochs > 0
+        assert result.flit_conservation_ok
+        if (name, mode) in self.PINNED:
+            report = result.chaos
+            assert (
+                report.controller_down_epochs, report.controller_failovers,
+                result_hash(result),
+            ) == self.PINNED[name, mode]
 
     def test_failover_hands_off_to_standby(self):
         report = self.run("failover").chaos

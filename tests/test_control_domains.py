@@ -22,6 +22,7 @@ from repro.control.domains import (
 )
 from repro.control.hierarchical import HierarchicalController, ShardController
 from repro.control.registry import CONTROLLER_NAMES, CONTROLLERS
+from repro.network import build_network
 from repro.topology.registry import (
     TOPOLOGY_NAMES,
     build_topology,
@@ -167,9 +168,14 @@ def synthetic_view(ipf, sigma, active=None):
 class TestHierarchicalController:
     PARAMS = ControlParams(epoch=500)
 
-    def bound(self, domain_of, hubs, coordinator=0, **kw):
-        ctl = HierarchicalController(self.PARAMS, **kw)
-        ctl.bind(DomainMap(domain_of, hubs, coordinator))
+    def attached(self, nodes, num_domains, **kw):
+        """A controller attached to a real *nodes*-node mesh; 4 nodes in
+        2 domains partition as ``domain_of == [0, 0, 1, 1]``."""
+        config, topology = make_topology("mesh", nodes)
+        ctl = HierarchicalController(
+            self.PARAMS, num_domains=num_domains, **kw
+        )
+        ctl.attach(build_network(config, topology), config)
         return ctl
 
     def test_registry_lists_hierarchical(self):
@@ -184,16 +190,18 @@ class TestHierarchicalController:
 
     def test_unbound_epoch_raises(self):
         ctl = HierarchicalController(self.PARAMS)
-        with pytest.raises(RuntimeError, match="bind"):
+        with pytest.raises(RuntimeError, match="attach"):
             ctl.on_epoch(synthetic_view([1.0], [0.0]))
 
-    def test_bind_checks_requested_count(self):
-        ctl = HierarchicalController(self.PARAMS, num_domains=3)
-        with pytest.raises(ValueError, match="configured for 3"):
-            ctl.bind(DomainMap([0, 0, 1, 1], [0, 2], coordinator=0))
+    def test_attach_partitions_the_mesh_it_is_given(self):
+        ctl = self.attached(4, 2)
+        assert ctl.domain_map.domain_of.tolist() == [0, 0, 1, 1]
+        assert len(ctl.shards) == ctl.domain_map.num_domains == 2
+        with pytest.raises(ValueError, match="3 rectangular domains"):
+            self.attached(4, 3)
 
     def test_view_size_mismatch_raises(self):
-        ctl = self.bound([0, 0, 1, 1], [0, 2])
+        ctl = self.attached(4, 2)
         with pytest.raises(ValueError, match="covers"):
             ctl.on_epoch(synthetic_view([1.0] * 6, [0.0] * 6))
 
@@ -207,7 +215,7 @@ class TestHierarchicalController:
             if not active.any():
                 continue
             central = CentralController(self.PARAMS)
-            hier = self.bound(np.zeros(16, dtype=int), [0])
+            hier = self.attached(16, 1)
             a = central.on_epoch(synthetic_view(ipf, sigma, active))
             b = hier.on_epoch(synthetic_view(ipf, sigma, active))
             np.testing.assert_array_equal(a, b)
@@ -221,7 +229,7 @@ class TestHierarchicalController:
         # Global criterion: both low-IPF nodes sit below the global
         # mean, so domain 0's nodes throttle even though domain 1 is
         # where the mean comes from.
-        ctl = self.bound([0, 0, 1, 1], [0, 2], mode="global")
+        ctl = self.attached(4, 2, mode="global")
         rates = ctl.on_epoch(
             synthetic_view([0.1, 0.2, 10.0, 12.0], [0.9, 0.0, 0.0, 0.0])
         )
@@ -231,14 +239,14 @@ class TestHierarchicalController:
     def test_local_mode_confines_congestion_to_the_domain(self):
         # Same measurements, local criterion: only domain 0 throttles,
         # and only its below-local-mean node.
-        ctl = self.bound([0, 0, 1, 1], [0, 2], mode="local")
+        ctl = self.attached(4, 2, mode="local")
         rates = ctl.on_epoch(
             synthetic_view([0.1, 0.2, 10.0, 12.0], [0.9, 0.0, 0.0, 0.0])
         )
         assert rates[0] > 0 and (rates[1:] == 0).all()
 
     def test_calm_network_installs_no_throttle(self):
-        ctl = self.bound([0, 0, 1, 1], [0, 2])
+        ctl = self.attached(4, 2)
         rates = ctl.on_epoch(
             synthetic_view([1.0, 1.0, 1.0, 1.0], [0.0] * 4)
         )
@@ -247,20 +255,22 @@ class TestHierarchicalController:
 
     def test_coordinator_failure_degrades_to_local(self):
         view = synthetic_view([0.1, 0.2, 10.0, 12.0], [0.9, 0.0, 0.0, 0.0])
-        ctl = self.bound([0, 0, 1, 1], [0, 2], mode="global")
+        ctl = self.attached(4, 2, mode="global")
         assert not ctl.down
         ctl.fail()
         assert ctl.down and ctl.failovers == 1
         ctl.fail()  # idempotent
         assert ctl.failovers == 1
-        degraded = ctl.on_epoch(view)
+        # run_epoch is what the simulator drives: it counts the downtime
+        # and routes a down epoch to the domain-local mode.
+        degraded = ctl.run_epoch(view)
         assert ctl.downtime_epochs == 1
         # While down, global mode behaves exactly like local mode.
-        local = self.bound([0, 0, 1, 1], [0, 2], mode="local")
+        local = self.attached(4, 2, mode="local")
         np.testing.assert_array_equal(degraded, local.on_epoch(view))
         ctl.restore()
-        restored = ctl.on_epoch(view)
-        fresh = self.bound([0, 0, 1, 1], [0, 2], mode="global")
+        restored = ctl.run_epoch(view)
+        fresh = self.attached(4, 2, mode="global")
         np.testing.assert_array_equal(restored, fresh.on_epoch(view))
 
     def test_shard_summary_carries_mean_ingredients(self):
@@ -393,11 +403,11 @@ class TestCoordinatorChaos:
         config = SimulationConfig(
             mk("mcf", 64), seed=3, epoch=400, chaos=chaos,
             model_control_traffic=True,
+            controller=HierarchicalController(
+                ControlParams(epoch=400), num_domains=4
+            ),
         )
         sim = Simulator(config)
-        sim.controller = HierarchicalController(
-            ControlParams(epoch=400), num_domains=4
-        )
         sim.run(4000)
         assert sim.controller.downtime_epochs == sim.controller.epochs_run > 0
         stats = sim.network.stats

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.config import SimulationConfig
 from repro.control import (
     CentralController,
     ControlParams,
     DistributedController,
     EpochView,
+    HierarchicalController,
     NoController,
     StaticThrottleController,
     mechanism_hardware_cost,
 )
 from repro.network import DeflectFlowControl, RouterEngine
 from repro.network.base import EjectedFlits
+from repro.sim.simulator import Simulator
+from repro.traffic.workloads import make_homogeneous_workload
 from repro import Mesh2D
 
 
@@ -145,14 +149,15 @@ class TestStaticController:
 class TestDistributedController:
     def _make(self, **kw):
         net = RouterEngine(Mesh2D(4), DeflectFlowControl())
-        return DistributedController(net, **kw), net
+        ctrl = DistributedController(**kw)
+        ctrl.attach(net, config=None)
+        return ctrl, net
 
     def test_parameter_validation(self):
-        net = RouterEngine(Mesh2D(4), DeflectFlowControl())
         with pytest.raises(ValueError):
-            DistributedController(net, backoff_rate=0.0)
+            DistributedController(backoff_rate=0.0)
         with pytest.raises(ValueError):
-            DistributedController(net, decay=1.0)
+            DistributedController(decay=1.0)
 
     def test_starved_nodes_start_marking(self):
         ctrl, net = self._make(starvation_threshold=0.3)
@@ -201,6 +206,43 @@ class TestDistributedController:
         ctrl, _ = self._make()
         assert ctrl.observes_ejections
         assert not CentralController().observes_ejections
+
+
+class TestControllerLifecycle:
+    """attach() is the one point a controller meets the built system;
+    both reuse cases below ran to completion on stale state before."""
+
+    def config(self, controller, nodes=16):
+        return SimulationConfig(
+            make_homogeneous_workload("mcf", nodes), seed=3, epoch=400,
+            controller=controller,
+        )
+
+    def test_hierarchical_reuse_across_topologies_is_refused(self):
+        """A mesh-attached controller reused on a 64-node chiplet kept
+        the mesh DomainMap (IPC/node 0.15714 vs 0.15620 fresh)."""
+        config = self.config(
+            HierarchicalController(ControlParams(epoch=400)), nodes=64
+        )
+        mesh = Simulator(config)
+        assert mesh.domains is config.controller.domain_map
+        with pytest.raises(ValueError, match="one controller per run"):
+            Simulator(config.with_(topology="chiplet"))
+
+    def test_distributed_marks_the_network_it_runs_on(self):
+        """A DistributedController built on one simulator's network and
+        configured into another marked the first network, not the one
+        it ran on; now it has no network until its simulator attaches."""
+        controller = DistributedController(starvation_threshold=0.05)
+        assert controller.network is None
+        config = self.config(controller)
+        sim = Simulator(config)
+        with pytest.raises(ValueError, match="one controller per run"):
+            Simulator(config.with_(seed=4))
+        sim.run(1200)
+        assert sim.controller is controller
+        assert controller.network is sim.network
+        assert sim.network.congested_nodes.any()
 
 
 class TestHardwareCost:

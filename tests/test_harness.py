@@ -464,6 +464,23 @@ class TestParallelDeterminism:
         for a, b in zip(serial.results, parallel.results):
             assert results_equal(a, b)
 
+    def test_distributed_spec_serial_parallel_and_cache_agree(self, tmp_path):
+        """The §6.6 scheme is an ordinary recipe: it hashes, crosses the
+        process boundary and is served from the cache like any other."""
+        specs = [
+            small_spec(seed=s, controller=("distributed",)) for s in (1, 2)
+        ]
+        serial = run_jobs(specs, jobs=1, cache=tmp_path)
+        parallel = run_jobs(specs, jobs=2, cache=False)
+        cached = run_jobs(specs, jobs=1, cache=tmp_path)
+        assert serial.executed == 2 and cached.all_cached
+        for a, b, c in zip(serial.results, parallel.results, cached.results):
+            assert results_equal(a, b) and results_equal(a, c)
+        # ...and it is the distributed scheme that ran, not the baseline.
+        assert not results_equal(
+            serial.results[0], run_job(small_spec(seed=1))
+        )
+
     def test_scaling_sweep_parallel_identical_to_serial(self):
         """Satellite: a 3-point scaling_sweep with jobs=4 is numerically
         identical to jobs=1 — same seeds, same epochs, same arrays."""

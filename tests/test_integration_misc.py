@@ -47,12 +47,11 @@ class TestDistributedOnBuffered:
     def test_distributed_controller_works_on_buffered(self, rng):
         """The congestion bit propagates through the buffered router too."""
         wl = make_homogeneous_workload("mcf", 16)
-        cfg = SimulationConfig(wl, seed=2, epoch=400, network="buffered")
-        sim = Simulator(cfg)
-        sim.controller = DistributedController(
-            sim.network, starvation_threshold=0.05
+        cfg = SimulationConfig(
+            wl, seed=2, epoch=400, network="buffered",
+            controller=DistributedController(starvation_threshold=0.05),
         )
-        res = sim.run(2500)
+        res = Simulator(cfg).run(2500)
         assert res.system_throughput > 0
 
 

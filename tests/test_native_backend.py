@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.control.registry import build_controller
 from repro.guardrails.faults import FaultConfig
 from repro.native import NativeUnsupported, native_available
 from repro.sim.simulator import Simulator
@@ -27,15 +28,12 @@ needs_native = pytest.mark.skipif(
 
 def _run(network, backend, nodes=16, cycles=800, seed=7, controller=None, **kw):
     workload = make_category_workload("H", nodes, np.random.default_rng(seed))
+    if controller is not None:
+        kw["controller"] = build_controller((controller,), epoch=200)
     config = SimulationConfig(
         workload, seed=seed, epoch=200, network=network, backend=backend, **kw
     )
-    sim = Simulator(config)
-    if controller == "distributed":
-        from repro.control.distributed import DistributedController
-
-        sim.controller = DistributedController(sim.network)
-    return sim.run(cycles).to_dict()
+    return Simulator(config).run(cycles).to_dict()
 
 
 def _canon(result):

@@ -17,7 +17,6 @@ from repro.analysis.__main__ import build_parser as build_analysis_parser
 from repro.config import BACKENDS
 from repro.control.hierarchical import COORDINATION_MODES
 from repro.control.registry import (
-    CONTROLLER_KINDS,
     CONTROLLER_NAMES,
     CONTROLLERS,
     build_controller,
@@ -63,8 +62,7 @@ def cli_controller(argv):
     """The controller ``python -m repro <argv>`` would install."""
     opts = vars(cli.build_parser().parse_args(argv))
     recipe = cli._pop_controller_recipe(opts)
-    network = RouterEngine(Mesh2D(4, 4), DeflectFlowControl())
-    return build_controller(recipe, epoch=opts["epoch"], network=network)
+    return build_controller(recipe, epoch=opts["epoch"])
 
 
 class TestControllerRegistry:
@@ -77,17 +75,15 @@ class TestControllerRegistry:
         from_cli = cli_controller(
             ["--controller", name, "--epoch", str(EPOCH), *flags]
         )
-        if CONTROLLERS[name].cli_only:
-            with pytest.raises(ValueError, match=repr(name)):
-                spec(controller=recipe)
-            return
         from_spec = build_controller(
             spec(controller=recipe).controller, epoch=EPOCH
         )
         assert type(from_spec) is type(from_cli)
         assert from_spec.describe() == from_cli.describe()
 
-    @pytest.mark.parametrize("name", ["none", "central", "hierarchical"])
+    @pytest.mark.parametrize(
+        "name", ["none", "central", "distributed", "hierarchical"]
+    )
     def test_flag_defaults_match_recipe_defaults(self, name):
         from_cli = cli_controller(
             ["--controller", name, "--epoch", str(EPOCH)]
@@ -96,11 +92,12 @@ class TestControllerRegistry:
         assert from_spec.describe() == from_cli.describe()
 
     def test_kinds_are_the_entries_with_a_recipe(self):
-        assert CONTROLLER_KINDS == tuple(
-            name for name, entry in CONTROLLERS.items()
-            if entry.recipe != "—"
-        )
-        assert "distributed" not in CONTROLLER_KINDS
+        """No scheme is CLI-only: every registry entry prints a recipe
+        form, and a JobSpec accepts it."""
+        for name, entry in CONTROLLERS.items():
+            assert entry.recipe.startswith(f'("{name}"')
+            recipe = CONTROLLER_CASES[name][1]
+            assert spec(controller=recipe).controller == recipe
 
     @pytest.mark.parametrize("recipe, form", [
         (("static",), '("static", rate)'),

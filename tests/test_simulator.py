@@ -153,10 +153,10 @@ class TestCongestionControlBehavior:
 
     def test_distributed_controller_runs(self, rng):
         wl = make_category_workload("H", 16, rng)
-        cfg = SimulationConfig(wl, seed=5, epoch=500)
-        sim = Simulator(cfg)
-        sim.controller = DistributedController(sim.network)
-        res = sim.run(3000)
+        cfg = SimulationConfig(
+            wl, seed=5, epoch=500, controller=DistributedController()
+        )
+        res = Simulator(cfg).run(3000)
         assert res.system_throughput > 0
 
     def test_epoch_series_recorded(self):
