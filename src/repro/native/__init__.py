@@ -2,8 +2,11 @@
 
 C implementations of the four behavior-independent simulator phases
 (cores, memory, network, ejection), bit-identical to the pure-numpy
-reference.  The kernels compile on demand from ``kernels.c``; hosts
-without a C compiler keep the default numpy backend.
+reference, plus a fused entry point that runs whole cycles — behaviour
+tick and RNG draws included, through numpy's own ``libnpyrandom`` — in
+one call whenever nothing observes the phases.  The kernels compile on
+demand from ``kernels.c``; hosts without a C compiler keep the default
+numpy backend.
 """
 
 from repro.native.accel import NativeAccel, NativeUnsupported

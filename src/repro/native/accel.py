@@ -2,19 +2,22 @@
 
 :class:`NativeAccel` gathers the simulator's numpy buffers into a
 pointer table and drives the four hot phases through the compiled entry
-points.  The kernels mutate the *same* arrays Python owns, so every live
-view (queues, buffers, per-node stats arrays, core state) stays coherent
-without copies; only Python-scalar statistics need a mirror flush.
+points — one call per phase per cycle, or through
+:meth:`NativeAccel.run_span` whole cycles per call with the RNG draws
+made in C on the simulator's own generators.  The kernels mutate the
+*same* arrays Python owns, so every live view (queues, buffers, per-node
+stats arrays, core state) stays coherent without copies; only
+Python-scalar statistics need a mirror flush.
 
-This module owns the Python<->C ABI.  The three tables below name every
-pointer-table, ``cfg`` and ``ctr`` slot exactly once, and their
-*insertion order is the slot order*: :func:`abi_defines` turns each
-position into a ``-DPT_<name>=<index>`` (``CFG_``, ``CTR_``) compile
-flag next to the flit layout and size constants read from their Python
-owners, and ``kernels.c`` defines none of them itself.  Reordering,
-inserting or removing an entry therefore just rebuilds the library (the
-object is tagged by source *and* flags); a name C uses that is missing
-here fails the compile.
+This module owns the Python<->C ABI.  The four tables below name every
+pointer-table, ``cfg``, ``fcfg`` and ``ctr`` slot exactly once, and
+their *insertion order is the slot order*: :func:`abi_defines` turns
+each position into a ``-DPT_<name>=<index>`` (``CFG_``, ``FCFG_``,
+``CTR_``) compile flag next to the flit layout and size constants read
+from their Python owners, and ``kernels.c`` defines none of them itself.
+Reordering, inserting or removing an entry therefore just rebuilds the
+library (the object is tagged by source *and* flags); a name C uses that
+is missing here fails the compile.
 
 Configurations the kernels do not model raise
 :class:`NativeUnsupported` at construction time — the backend is opt-in
@@ -33,6 +36,7 @@ from repro.network.base import EjectedFlits, NetworkStats
 from repro.network.engine import _KEY_MAX
 from repro.network.injection import InjectionThrottleGate
 from repro.native.build import NativeBuildError, load_library
+from repro.traffic.locality import _DistanceLocality
 
 __all__ = ["NativeAccel", "NativeUnsupported", "abi_defines"]
 
@@ -40,6 +44,10 @@ __all__ = ["NativeAccel", "NativeUnsupported", "abi_defines"]
 _MAX_PORTS = 64
 
 _ARB_CODES = {"oldest_first": 0, "youngest_first": 1, "random": 2}
+
+#: Locality models (``repro.traffic.locality.LOCALITY_MODELS`` names)
+#: whose destination draw the fused span performs in C.
+_LOC_CODES = {"uniform": 0, "exponential": 1, "powerlaw": 2}
 
 #: ``ctr[CTR_ERROR]`` codes, 1-based in this order (0 means no error).
 _ERRORS = {
@@ -53,6 +61,8 @@ _ERRORS = {
 #: Pointer table: slot name -> where a :class:`NativeAccel` finds the
 #: array (attribute path from the accel).  The kernels cast each slot to
 #: the owner's dtype, so a slot may move but not change element type.
+#: An ``RNG_`` slot holds a ``numpy.random.Generator``; C sees the
+#: ``bitgen_t`` of its bit generator.
 _PT = {
     "RING_META": "_net._ring_meta", "RING_BIRTH": "_net._ring_birth",
     "LAT_OUT": "_net._lat_out", "TARGET_FLAT": "_net._target_flat",
@@ -106,6 +116,17 @@ _PT = {
     "MEM_CNT": "_mem_cnt",
     "PEND_S": "_pend_s", "PEND_R": "_pend_r", "PEND_Q": "_pend_q",
     "SCR_S": "_scr_s", "SCR_R": "_scr_r", "SCR_Q": "_scr_q",
+    "FCFG": "_fcfg",
+    "RNG_PHASES": "_sim._rng_phase", "RNG_DEST": "_cores.rng",
+    "RNG_ARB": "_net._rng",
+    "BH_TIMER": "_cores.behavior._phase_timer",
+    "BH_MULT": "_cores.behavior._phase_mult",
+    "BH_MU": "_cores.behavior._mu", "BH_SIGMA": "_cores.behavior._sigma",
+    "LOC_X": "_loc_x", "LOC_Y": "_loc_y", "LOC_ORDER": "_loc_order",
+    "LOC_BSTART": "_loc_bstart", "LOC_BCOUNT": "_loc_bcount",
+    "LOC_ECC": "_loc_ecc",
+    "LOC_D": "_loc_d", "LOC_A": "_loc_a", "LOC_SX": "_loc_sx",
+    "LOC_SY": "_loc_sy",
 }
 
 #: ``cfg`` slots: name -> attribute path of the (immutable) value.
@@ -118,6 +139,18 @@ _CFG = {
     "REQ_FLITS": "_cores.request_flits",
     "REPLY_FLITS": "_cores.reply_flits", "L2_LAT": "_memory.l2_latency",
     "EJ_CAP": "_ej_cap", "PEND_CAP": "_pend_cap", "BUF_CAP": "_buf_cap",
+    "BUFFERED": "_buffered", "LOC_MODEL": "_loc_model",
+    "LOC_GRID2D": "_loc_grid2d", "LOC_W": "_loc_w", "LOC_H": "_loc_h",
+    "LOC_WRAPS": "_loc_wraps", "LOC_MAXD": "_loc_maxd",
+}
+
+#: ``fcfg`` slots (the ``PT_FCFG`` array): the floating-point constants
+#: of the draws the fused span makes, name -> attribute path.
+_FCFG = {
+    "PHASE_SIGMA": "_cores.behavior.phase_sigma", "PHASE_MU": "_phase_mu",
+    "PHASE_P": "_phase_p",
+    "FLITS_PER_MISS": "_cores.behavior.flits_per_miss",
+    "LOC_PARAM": "_sim.config.locality_param",
 }
 
 #: ``ctr`` slots: name -> attribute path of the Python scalar the slot
@@ -138,7 +171,7 @@ _CTR = {
     "REQ_SERVICED": "_memory.requests_serviced",
     "REP_ISSUED": "_memory.replies_issued",
     "MISS_CNT": None, "ACCEPTED": None, "PEND_CNT": None,
-    "EJ_COUNT": None, "ERROR": None,
+    "EJ_COUNT": None, "ERROR": None, "SPAN": None,
 }
 
 
@@ -158,9 +191,13 @@ def abi_defines() -> dict:
     }
     for name, code in _ARB_CODES.items():
         defines["ARB_" + name.upper()] = code
+    for name, code in _LOC_CODES.items():
+        defines["LOC_" + name.upper()] = code
     for code, name in enumerate(_ERRORS, start=1):
         defines["ERR_" + name] = code
-    for prefix, table in (("PT_", _PT), ("CFG_", _CFG), ("CTR_", _CTR)):
+    for prefix, table in (
+        ("PT_", _PT), ("CFG_", _CFG), ("FCFG_", _FCFG), ("CTR_", _CTR),
+    ):
         for index, name in enumerate(table):
             defines[prefix + name] = index
     return {name: int(value) for name, value in defines.items()}
@@ -286,17 +323,61 @@ class NativeAccel:
             )
             self._buf_cap = 0
 
-        # Holding the arrays keeps the buffers alive behind the pointers.
+        # What the fused span draws in C: the behaviour tick's phase
+        # constants (the reference's own expressions, evaluated here so
+        # C receives the very doubles numpy is handed) and the locality
+        # model's tables.  A pre-built locality object, or a controller
+        # that wants every ejection batch, stays on the per-cycle path.
+        behavior = cores.behavior
+        self._phase_mu = -behavior.phase_sigma * behavior.phase_sigma / 2.0
+        self._phase_p = 1.0 / behavior.phase_length
+        model = config.locality if isinstance(config.locality, str) else None
+        self._loc_model = _LOC_CODES.get(model, -1)
+        self.fusable = self._loc_model >= 0 and not sim._observe
+        # Distance models sample on grid coordinates or, on graph
+        # topologies, from per-source distance buckets; uniform striping
+        # needs neither (unused slots point at a dummy).
+        locality, topo = cores.locality, net.topology
+        distance = self._loc_model >= 0 and isinstance(
+            locality, _DistanceLocality
+        )
+        grid = self._loc_grid2d = distance and locality._grid2d
+        self._loc_maxd = locality._max_dist if distance else 0
+        none = alloc(1, i64)
+        (self._loc_w, self._loc_h, self._loc_wraps,
+         self._loc_x, self._loc_y) = (
+            (topo.width, topo.height, topo.wraps, topo.coord_x, topo.coord_y)
+            if grid else (0, 0, False, none, none)
+        )
+        (self._loc_order, self._loc_bstart, self._loc_bcount,
+         self._loc_ecc) = (
+            (locality._order, locality._bucket_start,
+             locality._bucket_count, locality._ecc)
+            if distance and not grid else (none,) * 4
+        )
+        self._loc_d = alloc(n, i64)
+        self._loc_a = alloc(n, i64)
+        self._loc_sx = alloc(n, i64)
+        self._loc_sy = alloc(n, i64)
+        self._fcfg = np.array(
+            attrgetter(*_FCFG.values())(self), dtype=np.float64
+        )
+
+        # Holding the arrays (and generators) keeps the memory alive
+        # behind the pointers.
         self._arrays = dict(zip(_PT, attrgetter(*_PT.values())(self)))
+        addresses = []
         for name, a in self._arrays.items():
+            if isinstance(a, np.random.Generator):
+                addresses.append(a.bit_generator.ctypes.bit_generator.value)
+                continue
             if not a.flags["C_CONTIGUOUS"]:
                 raise NativeUnsupported(
                     f"native backend: pointer-table slot PT_{name} "
                     f"({_PT[name]}) is not C-contiguous"
                 )
-        self._pt = (ctypes.c_void_p * len(_PT))(
-            *[a.ctypes.data for a in self._arrays.values()]
-        )
+            addresses.append(a.ctypes.data)
+        self._pt = (ctypes.c_void_p * len(_PT))(*addresses)
         self._cfg = np.array(
             attrgetter(*_CFG.values())(self), dtype=np.int64
         )
@@ -320,6 +401,7 @@ class NativeAccel:
         self._ctr_miss_cnt = slots.index("MISS_CNT")
         self._ctr_accepted = slots.index("ACCEPTED")
         self._ctr_ej_count = slots.index("EJ_COUNT")
+        self._ctr_span = slots.index("SPAN")
 
         ll = ctypes.POINTER(ctypes.c_longlong)
         self._cfg_p = self._cfg.ctypes.data_as(ll)
@@ -406,4 +488,17 @@ class NativeAccel:
 
     def ejection_phase(self, cycle: int) -> None:
         self._lib.noc_eject(self._pt, self._cfg_p, self._ctr_p, cycle)
+        self._check_error()
+
+    def run_span(self, cycle: int, count: int) -> None:
+        """Cycles ``cycle .. cycle + count - 1``, whole, in one call.
+
+        Behaviour tick, the four phases above and every RNG draw between
+        them run in C on the simulator's own generators, leaving all
+        state — generator state included — exactly where *count* rounds
+        of the per-cycle drivers would.  Only meaningful when
+        :attr:`fusable`.
+        """
+        self._ctr[self._ctr_span] = count
+        self._lib.noc_span(self._pt, self._cfg_p, self._ctr_p, cycle)
         self._check_error()

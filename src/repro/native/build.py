@@ -6,10 +6,14 @@ shared object on first use with whatever C compiler the host provides.
 layout constant is handed to it as a ``-DNAME=value`` flag generated
 from :func:`repro.native.accel.abi_defines`, so Python is the single
 owner and a name C uses that Python did not supply is a compile error.
-The build artifact is tagged with a hash of the source *and* the flags,
-so editing either side invalidates stale objects, and the compile is
-atomic (build to a temp file, ``os.replace`` into place) so concurrent
-processes never load a half-written library.
+The fused kernel draws its random numbers through numpy's own
+distribution functions, so the object links the ``libnpyrandom.a`` that
+ships inside the installed numpy.  The build artifact is tagged with a
+hash of the source, the flags *and* the numpy version, so editing either
+side — or upgrading the numpy whose distributions are baked in —
+invalidates stale objects, and the compile is atomic (build to a temp
+file, ``os.replace`` into place) so concurrent processes never load a
+half-written library.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+
+import numpy
 
 __all__ = ["NativeBuildError", "load_library", "native_available"]
 
@@ -35,8 +41,13 @@ _BUILD_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_build")
 #: Entry points exported by kernels.c; all share the same ABI.
 KERNELS = (
     "noc_cores", "noc_issue", "noc_memory", "noc_bless", "noc_credit",
-    "noc_eject",
+    "noc_eject", "noc_span",
 )
+
+#: Fixed compiler options.  ``-ffp-contract=off``: the reference
+#: multiplies ``ipf * phase_mult * flits_per_miss`` unfused, so no
+#: target (aarch64, clang) may contract kernel arithmetic into an FMA.
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _lib = None
 
@@ -64,10 +75,23 @@ def _flags() -> list:
 
 
 def _so_path(flags) -> str:
+    """Where the object for this source, argv and numpy lives.
+
+    The numpy version is part of the tag because numpy's distribution
+    code is linked in statically: an object built against another numpy
+    could draw differently from the numpy backend.
+    """
     with open(_SRC, "rb") as f:
         digest = hashlib.sha256(f.read())
-    digest.update(" ".join(flags).encode())
+    digest.update(" ".join((*_CFLAGS, *flags, numpy.__version__)).encode())
     return os.path.join(_BUILD_DIR, f"kernels-{digest.hexdigest()[:16]}.so")
+
+
+def _npyrandom_path() -> str:
+    """Where numpy keeps the static library of its distributions."""
+    return os.path.join(
+        os.path.dirname(numpy.__file__), "random", "lib", "libnpyrandom.a"
+    )
 
 
 def _compile(so_path: str, flags) -> None:
@@ -77,12 +101,19 @@ def _compile(so_path: str, flags) -> None:
             "no C compiler found (tried $CC, cc, gcc, clang); "
             "use backend='numpy' instead"
         )
+    npyrandom = _npyrandom_path()
+    if not os.path.isfile(npyrandom):
+        raise NativeBuildError(
+            f"this numpy ships no {npyrandom} for the kernels to draw "
+            "random numbers through; use backend='numpy' instead"
+        )
     os.makedirs(_BUILD_DIR, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=_BUILD_DIR, suffix=".so.tmp")
     os.close(fd)
     try:
         proc = subprocess.run(
-            [*cc, "-O2", "-shared", "-fPIC", *flags, "-o", tmp, _SRC],
+            [*cc, *_CFLAGS, f"-I{numpy.get_include()}", *flags, "-o", tmp,
+             _SRC, npyrandom, "-lm"],
             capture_output=True,
             text=True,
         )

@@ -14,13 +14,17 @@
  * ABI: every entry point takes (void **pt, const long long *cfg,
  * long long *ctr, long long cycle).  `pt` is the pointer table, `cfg`
  * immutable configuration constants, `ctr` mutable 64-bit counters
- * mirrored back onto the Python stats objects after each call.
+ * mirrored back onto the Python stats objects after each call.  Each
+ * phase is a static function behind a one-line export, so noc_span (the
+ * fused entry point at the end of the file) runs whole cycles through
+ * the very bodies the per-cycle exports run.
  *
  * Python owns every ABI fact.  This file defines none of them: the
- * PT_, CFG_ and CTR_ slot indices (positions in accel.py's tables), the
- * flit layout (repro.network.flit), KIND_, ARB_ and ERR_ codes and the
- * size constants all arrive as -DNAME=value from repro.native.build,
- * so a name used here that Python does not supply fails the compile.
+ * PT_, CFG_, FCFG_ and CTR_ slot indices (positions in accel.py's
+ * tables), the flit layout (repro.network.flit), KIND_, ARB_, LOC_ and
+ * ERR_ codes and the size constants all arrive as -DNAME=value from
+ * repro.native.build, so a name used here that Python does not supply
+ * fails the compile.
  */
 
 #include <stdint.h>
@@ -31,7 +35,31 @@
 #error "kernels.c has no ABI of its own: build through repro.native.build"
 #endif
 
+/* numpy's bit-generator interface and the distribution functions of
+ * its libnpyrandom (numpy/random/distributions.h, which cannot be
+ * included without Python.h).  Drawing through them on the simulator's
+ * own generators is what keeps the fused path on the reference RNG
+ * streams: no distribution is re-implemented here. */
+#include <numpy/random/bitgen.h>
+extern double random_lognormal(bitgen_t *rng, double mean, double sigma);
+extern double random_exponential(bitgen_t *rng, double scale);
+extern double random_pareto(bitgen_t *rng, double a);
+extern int64_t random_geometric(bitgen_t *rng, double p);
+extern uint64_t random_bounded_uint64(bitgen_t *rng, uint64_t off,
+                                      uint64_t range, uint64_t mask,
+                                      bool use_masked);
+extern void random_bounded_uint64_fill(bitgen_t *rng, uint64_t off,
+                                       uint64_t range, intptr_t cnt,
+                                       bool use_masked, uint64_t *out);
+
 typedef long long i64;
+
+#define EXPORT_PHASE(name, body)                                       \
+    void name(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)          \
+    {                                                                  \
+        if (check_abi(cfg, ctr))                                       \
+            body(pt, cfg, ctr, cycle);                                 \
+    }
 
 static int check_abi(const i64 *cfg, i64 *ctr)
 {
@@ -195,10 +223,8 @@ static void injection_stage(void **pt, const i64 *cfg, i64 *ctr, i64 cycle,
 /* ------------------------------------------------------------------ */
 /* FLIT-BLESS network step (DeflectFlowControl.step)                   */
 /* ------------------------------------------------------------------ */
-void noc_bless(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+static void bless_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    if (!check_abi(cfg, ctr))
-        return;
     i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
     i64 np = n * p;
     i64 *ring_meta = (i64 *)pt[PT_RING_META];
@@ -230,8 +256,9 @@ void noc_bless(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     ctr[CTR_CURSOR] = cur;
 
     /* Arbitration keys; KEY_MAX marks empty/consumed slots.  For
-     * ARB_RANDOM the key grid was prefilled by Python from the same RNG
-     * stream as the numpy path. */
+     * ARB_RANDOM the caller (Python per cycle, noc_span when fused)
+     * prefilled the key grid from the same RNG stream as the numpy
+     * path. */
     for (i64 i = 0; i < np; i++) {
         if (gbirth[i] < 0) {
             gkey[i] = KEY_MAX;
@@ -349,10 +376,8 @@ void noc_bless(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Buffered XY network step (CreditFlowControl.step)                   */
 /* ------------------------------------------------------------------ */
-void noc_credit(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+static void credit_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    if (!check_abi(cfg, ctr))
-        return;
     i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
     i64 pp = p + 1, np = n * p, bufcap = cfg[CFG_BUF_CAP];
     i64 *ring_meta = (i64 *)pt[PT_RING_META];
@@ -514,11 +539,9 @@ void noc_credit(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Core phase (CoreArray.step minus the miss-issue tail)               */
 /* ------------------------------------------------------------------ */
-void noc_cores(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+static void cores_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
     (void)cycle;
-    if (!check_abi(cfg, ctr))
-        return;
     i64 n = cfg[CFG_N];
     const unsigned char *active = (const unsigned char *)pt[PT_CO_ACTIVE];
     double *retired = (double *)pt[PT_CO_RETIRED];
@@ -588,16 +611,15 @@ void noc_cores(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Miss-issue tail (CoreArray._issue_misses minus the RNG draws)       */
 /* ------------------------------------------------------------------ */
-/* Python samples the destinations (PT_ISSUE_DEST) from the shared RNG
- * stream first, this kernel performs the queue pushes and per-miss
- * bookkeeping, and Python then draws the next gaps for the accepted
- * subset — the exact call order of the reference tail.  The accepted
- * nodes are compacted in place into PT_MISS_OUT (they are a prefix-
- * order subset of the misser list). */
-void noc_issue(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+/* The caller (Python per cycle, noc_span when fused) samples the
+ * destinations (PT_ISSUE_DEST) from the shared RNG stream first, this
+ * kernel performs the queue pushes and per-miss bookkeeping, and the
+ * caller then draws the next gaps for the accepted subset — the exact
+ * call order of the reference tail.  The accepted nodes are compacted
+ * in place into PT_MISS_OUT (they are a prefix-order subset of the
+ * misser list). */
+static void issue_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    if (!check_abi(cfg, ctr))
-        return;
     i64 k = ctr[CTR_MISS_CNT];
     i64 qcap = cfg[CFG_QCAP];
     i64 req_flits = cfg[CFG_REQ_FLITS];
@@ -647,10 +669,8 @@ void noc_issue(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Memory phase (MemorySystem.step)                                    */
 /* ------------------------------------------------------------------ */
-void noc_memory(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+static void memory_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    if (!check_abi(cfg, ctr))
-        return;
     i64 L = cfg[CFG_L2_LAT], cap = cfg[CFG_EJ_CAP], pcap = cfg[CFG_PEND_CAP];
     i64 qcap = cfg[CFG_QCAP];
     i64 *mem_srv = (i64 *)pt[PT_MEM_SRV];
@@ -736,11 +756,9 @@ void noc_memory(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Ejection phase (Simulator._ejection_phase consumers)                */
 /* ------------------------------------------------------------------ */
-void noc_eject(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+static void eject_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
     (void)cycle;
-    if (!check_abi(cfg, ctr))
-        return;
     i64 k = ctr[CTR_EJ_COUNT];
     if (k == 0)
         return;
@@ -804,4 +822,199 @@ void noc_eject(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
             visited[ej_node[i] * SEQ_RING + ej_seq[i]] = 0;
     if (dirty)
         ctr[CTR_HEAD_DIRTY] = 1;
+}
+
+EXPORT_PHASE(noc_cores, cores_phase)
+EXPORT_PHASE(noc_issue, issue_phase)
+EXPORT_PHASE(noc_memory, memory_phase)
+EXPORT_PHASE(noc_bless, bless_phase)
+EXPORT_PHASE(noc_credit, credit_phase)
+EXPORT_PHASE(noc_eject, eject_phase)
+
+/* ------------------------------------------------------------------ */
+/* RNG draws of the fused span                                         */
+/* ------------------------------------------------------------------ */
+/* Each routine consumes its stream exactly as the vectorised reference
+ * does: array at a time — every draw of one kind for the whole batch
+ * before the first draw of the next kind — through the libnpyrandom
+ * function the corresponding Generator method calls per element. */
+
+/* ApplicationBehaviorArray.tick: all phase multipliers of the expired
+ * nodes (lognormal), then all their next phase lengths (geometric). */
+static void behavior_phase(void **pt, const i64 *cfg)
+{
+    const double *fcfg = (const double *)pt[PT_FCFG];
+    double sigma = fcfg[FCFG_PHASE_SIGMA];
+    if (sigma <= 0.0)
+        return;
+    i64 n = cfg[CFG_N];
+    bitgen_t *rng = (bitgen_t *)pt[PT_RNG_PHASES];
+    i64 *timer = (i64 *)pt[PT_BH_TIMER];
+    double *mult = (double *)pt[PT_BH_MULT];
+    int expired = 0;
+    for (i64 node = 0; node < n; node++) {
+        timer[node] -= 1;
+        if (timer[node] <= 0) {
+            mult[node] = random_lognormal(rng, fcfg[FCFG_PHASE_MU], sigma);
+            expired = 1;
+        }
+    }
+    if (!expired)
+        return;
+    for (i64 node = 0; node < n; node++)
+        if (timer[node] <= 0)
+            timer[node] = random_geometric(rng, fcfg[FCFG_PHASE_P]);
+}
+
+/* repro.traffic.locality._fold: reflect into [0, limit]. */
+static inline i64 fold(i64 c, i64 limit)
+{
+    c = c < 0 ? -c : c;
+    for (int round = 0; round < 2 && c > limit; round++) {
+        c = 2 * limit - c;
+        c = c < 0 ? -c : c;
+    }
+    return c > limit ? limit : c;
+}
+
+/* Destinations of the k missers in PT_MISS_OUT, into PT_ISSUE_DEST
+ * (UniformStriping.sample / _DistanceLocality.sample). */
+static void draw_destinations(void **pt, const i64 *cfg, i64 k)
+{
+    bitgen_t *rng = (bitgen_t *)pt[PT_RNG_DEST];
+    const i64 *src = (const i64 *)pt[PT_MISS_OUT];
+    i64 *dest = (i64 *)pt[PT_ISSUE_DEST];
+    i64 n = cfg[CFG_N], model = cfg[CFG_LOC_MODEL];
+
+    if (model == LOC_UNIFORM) {
+        /* integers(1, n, size=k) */
+        random_bounded_uint64_fill(rng, 1, (uint64_t)(n - 2), k, 0,
+                                   (uint64_t *)dest);
+        for (i64 i = 0; i < k; i++)
+            dest[i] = (src[i] + dest[i]) % n;
+        return;
+    }
+
+    /* Hop distances, clipped to what the fabric (grid) or the source's
+     * eccentricity (graph) can offer. */
+    double param = ((const double *)pt[PT_FCFG])[FCFG_LOC_PARAM];
+    int grid = cfg[CFG_LOC_GRID2D] != 0;
+    const i64 *ecc = (const i64 *)pt[PT_LOC_ECC];
+    i64 *d = (i64 *)pt[PT_LOC_D];
+    for (i64 i = 0; i < k; i++) {
+        i64 v;
+        if (model == LOC_EXPONENTIAL) {
+            double e = rint(random_exponential(rng, param));
+            v = (i64)(e > 1.0 ? e : 1.0);
+        } else { /* LOC_POWERLAW */
+            v = (i64)floor(random_pareto(rng, param) + 1.0);
+        }
+        i64 top = grid ? cfg[CFG_LOC_MAXD] : ecc[src[i]];
+        d[i] = v < 1 ? 1 : (v > top ? top : v);
+    }
+
+    if (!grid) {
+        /* A uniform node out of the source's bucket at that distance:
+         * start + integers(0, count), count an array. */
+        i64 cols = cfg[CFG_LOC_MAXD] + 1;
+        const int32_t *order = (const int32_t *)pt[PT_LOC_ORDER];
+        const i64 *start = (const i64 *)pt[PT_LOC_BSTART];
+        const i64 *count = (const i64 *)pt[PT_LOC_BCOUNT];
+        for (i64 i = 0; i < k; i++) {
+            i64 b = src[i] * cols + d[i];
+            i64 pick = start[b] + (i64)random_bounded_uint64(
+                rng, 0, (uint64_t)(count[b] - 1), 0, 0);
+            dest[i] = order[src[i] * n + pick];
+        }
+        return;
+    }
+
+    /* Axis split integers(0, d + 1), then the two sign vectors
+     * integers(0, 2, size=k), then fold or wrap at the edges. */
+    i64 w = cfg[CFG_LOC_W], h = cfg[CFG_LOC_H];
+    const int32_t *cx = (const int32_t *)pt[PT_LOC_X];
+    const int32_t *cy = (const int32_t *)pt[PT_LOC_Y];
+    i64 *a = (i64 *)pt[PT_LOC_A];
+    i64 *sx = (i64 *)pt[PT_LOC_SX];
+    i64 *sy = (i64 *)pt[PT_LOC_SY];
+    for (i64 i = 0; i < k; i++)
+        a[i] = (i64)random_bounded_uint64(rng, 0, (uint64_t)d[i], 0, 0);
+    random_bounded_uint64_fill(rng, 0, 1, k, 0, (uint64_t *)sx);
+    random_bounded_uint64_fill(rng, 0, 1, k, 0, (uint64_t *)sy);
+    for (i64 i = 0; i < k; i++) {
+        i64 s = src[i];
+        i64 x = cx[s] + (sx[i] * 2 - 1) * a[i];
+        i64 y = cy[s] + (sy[i] * 2 - 1) * (d[i] - a[i]);
+        if (cfg[CFG_LOC_WRAPS]) {
+            x = ((x % w) + w) % w;
+            y = ((y % h) + h) % h;
+        } else {
+            x = fold(x, w - 1);
+            y = fold(y, h - 1);
+        }
+        i64 t = y * w + x;
+        /* Edge folding can land back on the source; nudge one hop. */
+        if (t == s)
+            t += cx[s] < w - 1 ? 1 : -1;
+        dest[i] = t;
+    }
+}
+
+/* Next miss gaps of the m accepted missers compacted in PT_MISS_OUT
+ * (ApplicationBehaviorArray.sample_gap, array-parameter lognormal). */
+static void draw_gaps(void **pt, i64 m)
+{
+    bitgen_t *rng = (bitgen_t *)pt[PT_RNG_DEST];
+    const i64 *nodes = (const i64 *)pt[PT_MISS_OUT];
+    const double *mu = (const double *)pt[PT_BH_MU];
+    const double *sigma = (const double *)pt[PT_BH_SIGMA];
+    const double *mult = (const double *)pt[PT_BH_MULT];
+    double flits = ((const double *)pt[PT_FCFG])[FCFG_FLITS_PER_MISS];
+    double *gap = (double *)pt[PT_CO_GAP];
+    for (i64 i = 0; i < m; i++) {
+        i64 node = nodes[i];
+        double g = random_lognormal(rng, mu[node], sigma[node])
+                   * mult[node] * flits;
+        gap[node] = g > 1.0 ? g : 1.0;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused span: ctr[CTR_SPAN] whole cycles starting at `cycle`          */
+/* ------------------------------------------------------------------ */
+/* behaviour -> cores (destination draw, issue, gap draw) -> memory ->
+ * network (key grid drawn for ARB_RANDOM) -> ejection, in the pipeline's
+ * order and on the generator state the per-cycle path would meet, so a
+ * run may switch between the two at any cycle boundary.  Stops at the
+ * first cycle that raises ctr[CTR_ERROR]. */
+void noc_span(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
+{
+    if (!check_abi(cfg, ctr))
+        return;
+    int buffered = cfg[CFG_BUFFERED] != 0;
+    void (*network_phase)(void **, const i64 *, i64 *, i64) =
+        buffered ? credit_phase : bless_phase;
+    i64 keys = cfg[CFG_N] * (cfg[CFG_P] + buffered);
+    i64 end = cycle + ctr[CTR_SPAN];
+    for (; cycle < end && !ctr[CTR_ERROR]; cycle++) {
+        behavior_phase(pt, cfg);
+        cores_phase(pt, cfg, ctr, cycle);
+        if (ctr[CTR_MISS_CNT]) {
+            draw_destinations(pt, cfg, ctr[CTR_MISS_CNT]);
+            issue_phase(pt, cfg, ctr, cycle);
+            draw_gaps(pt, ctr[CTR_ACCEPTED]);
+        }
+        memory_phase(pt, cfg, ctr, cycle);
+        if (ctr[CTR_ERROR])
+            return;
+        if (cfg[CFG_ARB] == ARB_RANDOM)
+            /* integers(0, KEY_MAX, size=grid.shape, dtype=int64) */
+            random_bounded_uint64_fill(
+                (bitgen_t *)pt[PT_RNG_ARB], 0, (uint64_t)KEY_MAX - 1, keys,
+                0, (uint64_t *)pt[buffered ? PT_H_KEY : PT_G_KEY]);
+        network_phase(pt, cfg, ctr, cycle);
+        if (ctr[CTR_ERROR])
+            return;
+        eject_phase(pt, cfg, ctr, cycle);
+    }
 }

@@ -16,7 +16,13 @@ duplication with composition:
 - cross-cutting checks (invariant checker, livelock watchdog) register
   as **post-hooks** on the phase whose outcome they verify instead of
   being special-cased inside the loop — a phase without hooks compiles
-  to its bare callable.
+  to its bare callable;
+- a backend that can run whole cycles in one call registers that
+  callable as a **fusion** of the per-cycle phases
+  (:meth:`PhasePipeline.fuse`).  The loop is handed it only while
+  nothing observes the fused phases — no hook, no timer, no replaced
+  ``Phase.fn`` — so every observer keeps seeing one call per phase per
+  cycle, and an unobserved run pays one call per span of cycles.
 
 :meth:`PhasePipeline.compiled` returns plain tuples of callables; the
 simulator's single run loop iterates them.  There is exactly one loop to
@@ -26,13 +32,17 @@ itself (measured under the PR-3 5%-overhead CI gate).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = ["Phase", "PhasePipeline"]
 
 #: A phase body or hook: called once per (applicable) cycle with the
 #: current cycle number.
 PhaseFn = Callable[[int], None]
+
+#: A fusion of all per-cycle phases: called with the first cycle and the
+#: number of whole cycles to run.
+SpanFn = Callable[[int, int], None]
 
 
 class Phase:
@@ -89,6 +99,10 @@ class PhasePipeline:
 
     def __init__(self):
         self._phases: List[Phase] = []
+        #: (fused phases, their ``fn`` at registration, span callable)
+        self._fusion: Optional[
+            Tuple[Tuple[Phase, ...], Tuple[PhaseFn, ...], SpanFn]
+        ] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -126,6 +140,17 @@ class PhasePipeline:
         """
         self.phase(name).hooks.append(hook)
 
+    def fuse(self, names: Sequence[str], span: SpanFn) -> None:
+        """Register *span* as one call for phases *names*, many cycles.
+
+        ``span(cycle, count)`` must leave the system exactly where
+        *count* rounds of the named phases would.  Whether the loop gets
+        it is decided at every :meth:`compiled`, from what is observing
+        those phases then.
+        """
+        phases = tuple(self.phase(name) for name in names)
+        self._fusion = (phases, tuple(p.fn for p in phases), span)
+
     def set_period(self, name: str, every: int) -> None:
         """Adjust a periodic phase's period (the controller epoch)."""
         if every < 1:
@@ -142,21 +167,32 @@ class PhasePipeline:
     def names(self) -> Tuple[str, ...]:
         return tuple(p.name for p in self._phases)
 
-    def compiled(
-        self, timer=None
-    ) -> Tuple[Tuple[PhaseFn, ...], Tuple[Tuple[int, PhaseFn], ...]]:
-        """Compile to ``(cycle_fns, periodic_fns)`` for the run loop.
+    def compiled(self, timer=None) -> Tuple[
+        Tuple[PhaseFn, ...], Tuple[Tuple[int, PhaseFn], ...], Optional[SpanFn]
+    ]:
+        """Compile to ``(cycle_fns, periodic_fns, span)`` for the run loop.
 
         ``cycle_fns`` are the per-cycle phases in order, one callable
         each; ``periodic_fns`` are ``(every, fn)`` pairs the loop runs
         after advancing the cycle counter, when ``cycle % every == 0``.
+        ``span`` is the registered fusion when it may stand in for
+        ``cycle_fns`` between two periodic boundaries, else ``None``: it
+        must cover every per-cycle phase, and none of them may be
+        observed — by a hook, by *timer*, or by a ``fn`` replaced since
+        :meth:`fuse` (how outside instrumentation wraps a phase).
         """
-        cycle_fns = tuple(
-            p.compiled(timer) for p in self._phases if p.every is None
-        )
+        per_cycle = tuple(p for p in self._phases if p.every is None)
+        cycle_fns = tuple(p.compiled(timer) for p in per_cycle)
         periodic = tuple(
             (p.every, p.compiled(timer))
             for p in self._phases
             if p.every is not None
         )
-        return cycle_fns, periodic
+        span = None
+        if self._fusion is not None and timer is None:
+            phases, fns, fused = self._fusion
+            if phases == per_cycle and all(
+                p.fn is fn and not p.hooks for p, fn in zip(phases, fns)
+            ):
+                span = fused
+        return cycle_fns, periodic, span

@@ -241,6 +241,11 @@ class Simulator:
                 pipe.post_hook("network", self._watchdog_hook)
             pipe.append("ejection", self._ejection_phase_native)
             pipe.append("epoch", self._epoch_phase, every=self.config.epoch)
+            if self._accel.fusable:
+                pipe.fuse(
+                    ("behavior", "cores", "memory", "network", "ejection"),
+                    self._accel.run_span,
+                )
             return pipe
         pipe.append("cores", self.cores.step)
         pipe.append("memory", self.memory.step)
@@ -347,7 +352,12 @@ class Simulator:
         )
         end = self.cycle + cycles
         self.pipeline.set_period("epoch", epoch)
-        cycle_fns, periodic = self.pipeline.compiled(self.phase_timer)
+        cycle_fns, periodic, span = self.pipeline.compiled(self.phase_timer)
+        # Cycle counts a fused span must stop at a multiple of: every
+        # periodic phase's boundary and the deadline check's.
+        stops = [every for every, _ in periodic]
+        if deadline is not None:
+            stops.append(256)
         wall_start = time.perf_counter()  # repro: noqa[DET001]
         try:
             cycle = self.cycle
@@ -358,9 +368,16 @@ class Simulator:
                     )
                     if elapsed > deadline:
                         raise SimulationTimeout(cycle, elapsed, deadline)
-                for fn in cycle_fns:
-                    fn(cycle)
-                cycle = self.cycle = cycle + 1
+                if span is None:
+                    for fn in cycle_fns:
+                        fn(cycle)
+                    cycle = self.cycle = cycle + 1
+                else:
+                    stop = min(
+                        [end, *(cycle - cycle % q + q for q in stops)]
+                    )
+                    span(cycle, stop - cycle)
+                    cycle = self.cycle = stop
                 for every, fn in periodic:
                     if cycle % every == 0:
                         fn(cycle)

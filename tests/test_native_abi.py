@@ -6,11 +6,13 @@ hands it every fact as a ``-D`` flag generated from the tables in
 into ``tmp_path``) instead of statically comparing two hand-kept copies:
 
 - slot order is not a contract: permuted tables still give native == numpy;
-- the object tag follows the source *and* every injected value;
+- the object tag follows the source, every injected value, the compile
+  options *and* the numpy whose distributions are linked in;
 - a name C uses that Python does not supply is a named build failure,
   as is compiling ``kernels.c`` outside the build;
-- failure drills: no compiler, truncated object, unwritable build
-  directory, ``$CC`` carrying arguments, a non-contiguous slot array.
+- failure drills: no compiler, a numpy without ``libnpyrandom.a``,
+  truncated object, unwritable build directory, ``$CC`` carrying
+  arguments, a non-contiguous slot array.
 """
 
 import os
@@ -74,8 +76,8 @@ def _simulator(backend, **kwargs):
 def test_permuted_slot_tables_still_match_numpy(
     case, monkeypatch, scratch_build
 ):
-    """Reversing all three tables just rebuilds; results are unchanged."""
-    for table in ("_PT", "_CFG", "_CTR"):
+    """Reversing all four tables just rebuilds; results are unchanged."""
+    for table in ("_PT", "_CFG", "_FCFG", "_CTR"):
         original = getattr(accel, table)
         permuted = dict(reversed(list(original.items())))
         assert list(permuted) != list(original)
@@ -108,6 +110,15 @@ def test_so_tag_changes_iff_source_or_injected_value_changes(
     with monkeypatch.context() as patch:
         patch.setenv("CC", "some-other-compiler")
         assert tag() == baseline
+    # numpy's distributions are linked in statically: another numpy is
+    # another object, and so is another set of compile options.
+    with monkeypatch.context() as patch:
+        patch.setattr(build.numpy, "__version__", "0.0.0+other")
+        assert tag() != baseline
+    with monkeypatch.context() as patch:
+        patch.setattr(build, "_CFLAGS", (*build._CFLAGS, "-O3"))
+        assert tag() != baseline
+    assert "-ffp-contract=off" in build._CFLAGS
     assert tag() == baseline
     _patched_source(monkeypatch, tmp_path, "/* edited */\n")
     assert os.path.basename(tag()) != os.path.basename(baseline)
@@ -116,7 +127,8 @@ def test_so_tag_changes_iff_source_or_injected_value_changes(
 def test_abi_defines_number_each_table_densely():
     defines = accel.abi_defines()
     for prefix, table in (
-        ("PT_", accel._PT), ("CFG_", accel._CFG), ("CTR_", accel._CTR),
+        ("PT_", accel._PT), ("CFG_", accel._CFG), ("FCFG_", accel._FCFG),
+        ("CTR_", accel._CTR),
     ):
         indices = [defines[prefix + name] for name in table]
         assert indices == list(range(len(table)))
@@ -173,6 +185,24 @@ def test_no_compiler_is_native_unsupported_naming_numpy(
     assert not native_available()
     with pytest.raises(NativeUnsupported, match="backend='numpy'"):
         _simulator("native")
+
+
+@needs_native
+def test_numpy_without_libnpyrandom_is_native_unsupported_naming_the_file(
+    monkeypatch, tmp_path, scratch_build
+):
+    """The fused span draws through numpy's own static library; a numpy
+    that ships none is a named refusal before anything is compiled."""
+    missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+    monkeypatch.setattr(build, "_npyrandom_path", lambda: str(missing))
+    with pytest.raises(NativeBuildError, match="libnpyrandom.a"):
+        load_library()
+    assert not native_available()
+    with pytest.raises(
+        NativeUnsupported, match="libnpyrandom.a.*backend='numpy'"
+    ):
+        _simulator("native")
+    assert not list(scratch_build.glob("*"))  # no half-built object
 
 
 @needs_native

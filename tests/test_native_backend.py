@@ -3,9 +3,13 @@
 The native backend (``SimulationConfig.backend = "native"``) must be a
 pure accelerator: every supported configuration produces results
 bit-identical to the numpy engine, and every unsupported configuration
-refuses loudly at construction instead of silently diverging.  The
-allocation tests pin the PR's zero-allocation claim: after warm-up, the
-network phase performs no new numpy array allocations.
+refuses loudly at construction instead of silently diverging.  An
+unobserved native run takes the fused span (whole cycles per C call,
+RNG draws in C); the generated cases pin it against the numpy engine
+*and* the per-cycle native path, generator state included, for every
+registered locality model.  The allocation tests pin the PR's
+zero-allocation claim: after warm-up, the network phase performs no new
+numpy array allocations.
 """
 
 import json
@@ -17,8 +21,9 @@ import pytest
 from repro.config import SimulationConfig
 from repro.control.registry import build_controller
 from repro.guardrails.faults import FaultConfig
-from repro.native import NativeUnsupported, native_available
+from repro.native import NativeUnsupported, accel, native_available
 from repro.sim.simulator import Simulator
+from repro.traffic.locality import LOCALITY_NAMES
 from repro.traffic.workloads import make_category_workload
 
 needs_native = pytest.mark.skipif(
@@ -77,6 +82,126 @@ def test_native_matches_numpy_8x8():
     assert _canon(_run(backend="numpy", **kwargs)) == _canon(
         _run(backend="native", **kwargs)
     )
+
+
+# ----------------------------------------------------------------------
+# Generated cases: every registered locality x fabric kind x network,
+# with every RNG stream live (random arbitration, short phases)
+# ----------------------------------------------------------------------
+#: mesh and torus take the grid2d sampler, the chiplet graph the
+#: distance-bucket one
+GENERATED_TOPOLOGIES = {
+    "mesh": {}, "torus": {}, "chiplet": dict(chiplet_tile=2),
+}
+
+
+def _no_op(cycle):
+    """A post-hook: an observer, so the phases run one call per cycle."""
+
+
+def _generated_sim(backend, locality="exponential", topology="mesh",
+                   network="bless", epoch=200, per_cycle=False):
+    workload = make_category_workload("H", 16, np.random.default_rng(7))
+    sim = Simulator(SimulationConfig(
+        workload, seed=7, epoch=epoch, backend=backend, network=network,
+        topology=topology, locality=locality, locality_param=2.5,
+        phase_length=50, arbitration="random", eject_width=2,
+        controller=build_controller(("central",), epoch=epoch),
+        **GENERATED_TOPOLOGIES[topology],
+    ))
+    if per_cycle:
+        sim.pipeline.post_hook("network", _no_op)
+    if backend == "native":
+        fused = sim.pipeline.compiled()[2]
+        assert (fused is None) == per_cycle
+    return sim
+
+
+def _outcome(sim):
+    """Everything a run leaves behind: result and all three streams."""
+    streams = (sim._rng_dest, sim._rng_phase, sim._rng_arb)
+    return (
+        _canon(sim.result().to_dict()),
+        [rng.bit_generator.state for rng in streams],
+    )
+
+
+def test_every_registered_locality_is_drawn_in_c():
+    assert set(accel._LOC_CODES) == set(LOCALITY_NAMES)
+
+
+@needs_native
+@pytest.mark.slow
+@pytest.mark.parametrize("network", ["bless", "buffered"])
+@pytest.mark.parametrize("topology", sorted(GENERATED_TOPOLOGIES))
+@pytest.mark.parametrize("locality", LOCALITY_NAMES)
+def test_numpy_fused_and_per_cycle_native_agree(locality, topology, network):
+    """Full result and the state of all three generators, three ways."""
+    outcomes = []
+    for backend, per_cycle in (
+        ("numpy", False), ("native", False), ("native", True),
+    ):
+        sim = _generated_sim(
+            backend, locality, topology, network, per_cycle=per_cycle
+        )
+        sim.run(600)
+        outcomes.append(_outcome(sim))
+    reference, fused, per_cycle = outcomes
+    assert fused == reference
+    assert per_cycle == reference
+
+
+@needs_native
+@pytest.mark.slow
+@pytest.mark.parametrize("epoch", [200, 1000])
+@pytest.mark.parametrize("chunk", [1, 7, 1250])
+def test_resumed_native_run_equals_unbroken(chunk, epoch):
+    """Chunk ends cut fused spans anywhere, also mid-epoch."""
+    cycles = 2500
+    unbroken = _generated_sim("native", epoch=epoch)
+    unbroken.run(cycles)
+    resumed = _generated_sim("native", epoch=epoch)
+    while resumed.cycle < cycles:
+        resumed.run(min(chunk, cycles - resumed.cycle))
+    assert _outcome(resumed) == _outcome(unbroken)
+
+
+@needs_native
+@pytest.mark.slow
+def test_switching_fused_per_cycle_fused_mid_epoch_changes_nothing():
+    """Both paths consume the same generator state, so an observer may
+    come and go at any cycle boundary."""
+    reference = _generated_sim("numpy")
+    reference.run(900)
+    sim = _generated_sim("native")
+    hooks = sim.pipeline.phase("network").hooks
+    sim.run(130)  # fused, stops mid-epoch
+    hooks.append(_no_op)
+    assert sim.pipeline.compiled()[2] is None
+    sim.run(170)  # per cycle, across the epoch boundary at 200
+    hooks.remove(_no_op)
+    assert sim.pipeline.compiled()[2] is not None
+    sim.run(600)  # fused again
+    assert _outcome(sim) == _outcome(reference)
+
+
+@needs_native
+def test_observing_controller_and_prebuilt_locality_run_per_cycle():
+    """What C cannot stand in for is never registered as a fusion."""
+    from repro.traffic.locality import ExponentialLocality
+
+    workload = make_category_workload("H", 16, np.random.default_rng(7))
+
+    def fused(**kwargs):
+        config = SimulationConfig(workload, seed=7, backend="native", **kwargs)
+        return Simulator(config).pipeline.compiled()[2]
+
+    assert fused() is not None
+    assert fused(
+        controller=build_controller(("distributed",), epoch=200)
+    ) is None
+    topology = Simulator(SimulationConfig(workload)).topology
+    assert fused(locality=ExponentialLocality(topology, 1.0)) is None
 
 
 @needs_native

@@ -2,7 +2,8 @@
 
 The pipeline is the simulator's single cycle loop (DESIGN.md §S21);
 these tests pin its construction contract (ordering, hooks, periodic
-phases) and the abort guarantee: a :class:`SimulationTimeout` fires on a
+phases, when a registered fusion may stand in for the per-cycle phases
+and how far each fused span reaches) and the abort guarantee: a :class:`SimulationTimeout` fires on a
 cycle boundary, so :meth:`Simulator.result` after an abort is a
 well-formed partial result — whole cycles, whole epochs, serializable.
 """
@@ -13,12 +14,19 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.control.registry import build_controller
 from repro.guardrails.errors import SimulationTimeout
+from repro.native import native_available
 from repro.rng import child_rng
 from repro.sim.pipeline import PhasePipeline
 from repro.sim.results import RESULT_SCHEMA_VERSION, SimulationResult
 from repro.sim.simulator import Simulator
 from repro.traffic.workloads import make_category_workload
+
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C compiler for the native backend"
+)
 
 
 class Recorder:
@@ -65,7 +73,7 @@ class TestPhasePipeline:
         pipe = PhasePipeline()
         for tag in ("a", "b", "c"):
             pipe.append(tag, Recorder(log, tag))
-        cycle_fns, periodic = pipe.compiled()
+        cycle_fns, periodic, _ = pipe.compiled()
         assert periodic == ()
         for fn in cycle_fns:
             fn(0)
@@ -77,7 +85,7 @@ class TestPhasePipeline:
         pipe.append("a", Recorder(log, "a"))
         pipe.post_hook("a", Recorder(log, "hook1"))
         pipe.post_hook("a", Recorder(log, "hook2"))
-        (fn,), _ = pipe.compiled()
+        (fn,), _, _ = pipe.compiled()
         fn(7)
         assert log == [("a", 7), ("hook1", 7), ("hook2", 7)]
 
@@ -88,7 +96,7 @@ class TestPhasePipeline:
         pipe = PhasePipeline()
         pipe.append("step", Recorder(log, "step"))
         pipe.append("epoch", Recorder(log, "epoch"), every=3)
-        cycle_fns, periodic = pipe.compiled()
+        cycle_fns, periodic, _ = pipe.compiled()
         cycle = 0
         while cycle < 7:
             for fn in cycle_fns:
@@ -115,7 +123,7 @@ class TestPhasePipeline:
         pipe.append("a", lambda c: None)
         pipe.append("b", lambda c: None)
         timer = FakeTimer()
-        cycle_fns, _ = pipe.compiled(timer)
+        cycle_fns, _, _ = pipe.compiled(timer)
         for fn in cycle_fns:
             fn(0)
         assert timer.calls == ["begin", "a", "begin", "b"]
@@ -136,13 +144,142 @@ class TestPhasePipeline:
         assert len(sim.pipeline.phase("network").hooks) == 2
 
 
+class SpanRecorder:
+    """A fake fusion: logs (cycle, count), simulates nothing."""
+
+    def __init__(self):
+        self.spans = []
+
+    def __call__(self, cycle, count):
+        self.spans.append((cycle, count))
+
+
+class TestFusion:
+    """A fusion runs only while nothing observes the phases it covers."""
+
+    @staticmethod
+    def fused_pipeline():
+        pipe = PhasePipeline()
+        pipe.append("a", lambda c: None)
+        pipe.append("b", lambda c: None)
+        pipe.append("epoch", lambda c: None, every=5)
+        span = SpanRecorder()
+        pipe.fuse(("a", "b"), span)
+        return pipe, span
+
+    def test_unobserved_phases_compile_to_the_span(self):
+        pipe, span = self.fused_pipeline()
+        cycle_fns, periodic, fused = pipe.compiled()
+        assert fused is span
+        assert len(cycle_fns) == 2 and len(periodic) == 1
+        assert PhasePipeline().compiled() == ((), (), None)
+
+    def test_a_hook_on_a_covered_phase_keeps_the_loop_per_cycle(self):
+        pipe, _ = self.fused_pipeline()
+        pipe.post_hook("b", lambda c: None)
+        assert pipe.compiled()[2] is None
+        pipe.phase("b").hooks.clear()
+        assert pipe.compiled()[2] is not None
+        # A hook on the periodic phase observes no fused phase.
+        pipe.post_hook("epoch", lambda c: None)
+        assert pipe.compiled()[2] is not None
+
+    def test_a_replaced_fn_keeps_the_loop_per_cycle(self):
+        """How outside instrumentation wraps a phase (the perf tracer)."""
+        pipe, _ = self.fused_pipeline()
+        original = pipe.phase("a").fn
+        pipe.phase("a").fn = lambda c: original(c)
+        assert pipe.compiled()[2] is None
+        pipe.phase("a").fn = original
+        assert pipe.compiled()[2] is not None
+
+    def test_a_timer_keeps_the_loop_per_cycle(self):
+        pipe, _ = self.fused_pipeline()
+        assert pipe.compiled(timer=object())[2] is None
+
+    def test_fusion_must_cover_every_per_cycle_phase(self):
+        pipe, _ = self.fused_pipeline()
+        pipe.append("c", lambda c: None)
+        assert pipe.compiled()[2] is None
+        with pytest.raises(KeyError):
+            pipe.fuse(("a", "missing"), SpanRecorder())
+
+    @pytest.mark.parametrize(
+        "start, end, epoch, deadline, expected",
+        [
+            (0, 600, 200, None, [(0, 200), (200, 200), (400, 200)]),
+            # Neither end on an epoch boundary.
+            (130, 777, 200, None,
+             [(130, 70), (200, 200), (400, 200), (600, 177)]),
+            (100, 101, 1000, None, [(100, 1)]),
+            # A deadline adds the 256-aligned check points.
+            (300, 900, 256, 60.0, [(300, 212), (512, 256), (768, 132)]),
+            (5, 600, 1000, 60.0, [(5, 251), (256, 256), (512, 88)]),
+            (250, 1100, 500, 60.0,
+             [(250, 6), (256, 244), (500, 12), (512, 256), (768, 232),
+              (1000, 24), (1024, 76)]),
+        ],
+    )
+    def test_span_reaches_the_nearest_boundary(
+        self, start, end, epoch, deadline, expected
+    ):
+        """Run end, epoch boundary or (with a deadline) 256-aligned
+        cycle, whichever comes first; the epoch phase runs between."""
+        w = make_category_workload("M", 16, child_rng(1, "pipe"))
+        sim = Simulator(SimulationConfig(w, epoch=epoch))
+        span = SpanRecorder()
+        sim.pipeline.fuse(sim.pipeline.names[:-1], span)
+        sim.cycle = start
+        sim.run(end - start, deadline=deadline)
+        assert span.spans == expected
+        assert sim.cycle == end
+        assert sim.epochs.cycles == [
+            c for c in range(epoch, end + 1, epoch) if c > start
+        ]
+
+    @needs_native
+    def test_ledger_shaped_native_run_is_a_handful_of_fused_calls(self):
+        """10,000 cycles, epoch 1000, 8 chunks (perf ledger,
+        native_mesh64): one call per span, none per cycle."""
+
+        class CountingLib:
+            def __init__(self, lib):
+                self.lib = lib
+                self.calls = {}
+
+            def __getattr__(self, name):
+                kernel = getattr(self.lib, name)
+
+                def counted(*args):
+                    self.calls[name] = self.calls.get(name, 0) + 1
+                    return kernel(*args)
+
+                return counted
+
+        w = make_category_workload("H", 64, child_rng(1, "ledger"))
+        sim = Simulator(SimulationConfig(
+            w, seed=1, epoch=1000, backend="native",
+            controller=build_controller(("central",), epoch=1000),
+        ))
+        lib = sim._accel._lib = CountingLib(sim._accel._lib)
+        for _ in range(8):
+            result = sim.run(1250)
+        assert result.cycles == 10_000 and result.flit_conservation_ok
+        assert set(lib.calls) == {"noc_span"}
+        assert lib.calls["noc_span"] <= 20
+
+
 class TestDeadlineAbortPartialResult:
     """A wall-clock abort must leave a usable partial result behind."""
+
+    backend = "numpy"
 
     @pytest.fixture()
     def aborted(self):
         w = make_category_workload("H", 16, child_rng(7, "abort"))
-        sim = Simulator(SimulationConfig(w, seed=2, epoch=256))
+        sim = Simulator(
+            SimulationConfig(w, seed=2, epoch=256, backend=self.backend)
+        )
         sim.run(300)  # a completed stretch first, mid-epoch
         with pytest.raises(SimulationTimeout):
             # The zero budget trips at the next 256-aligned check, after
@@ -182,3 +319,10 @@ class TestDeadlineAbortPartialResult:
         result = aborted.run(256)
         assert result.cycles == 512 + 256
         assert result.flit_conservation_ok
+
+
+@needs_native
+class TestDeadlineAbortPartialResultNative(TestDeadlineAbortPartialResult):
+    """The same guarantees when the cycles ran as fused native spans."""
+
+    backend = "native"
