@@ -113,8 +113,10 @@ class ResultCache:
                 # cross-tool consumers reject; SimulationResult.to_dict
                 # encodes non-finite floats as null instead, and this
                 # flag guarantees the corruption class cannot silently
-                # come back.
-                json.dump(payload, handle, allow_nan=False)
+                # come back.  dumps, not dump: one call into the C
+                # encoder instead of the pure-Python chunk iterator,
+                # same bytes.
+                handle.write(json.dumps(payload, allow_nan=False))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -36,11 +36,13 @@ from repro.network.base import EjectedFlits, NetworkStats
 from repro.network.engine import _KEY_MAX
 from repro.network.injection import InjectionThrottleGate
 from repro.native.build import NativeBuildError, load_library
+from repro.topology import mesh
 from repro.traffic.locality import _DistanceLocality
 
 __all__ = ["NativeAccel", "NativeUnsupported", "abi_defines"]
 
-#: C-side port-count cap (sizes a per-node stack array in the kernels).
+#: C-side port-count cap: sizes the per-node stack arrays in the kernels
+#: and keeps a router's ports within one 64-bit free-link mask.
 _MAX_PORTS = 64
 
 _ARB_CODES = {"oldest_first": 0, "youngest_first": 1, "random": 2}
@@ -67,7 +69,8 @@ _PT = {
     "RING_META": "_net._ring_meta", "RING_BIRTH": "_net._ring_birth",
     "LAT_OUT": "_net._lat_out", "TARGET_FLAT": "_net._target_flat",
     "LINK_UP": "_link_up", "NEIGHBOR": "_neighbor", "REVERSE": "_reverse",
-    "P0TAB": "_net._p0_flat", "P1TAB": "_net._p1_flat",
+    "P0TAB": "_p0tab", "P1TAB": "_p1tab",
+    "COORD_X": "_coord_x", "COORD_Y": "_coord_y",
     "CONGESTED": "_net.congested_nodes",
     "REQ_DEST": "_net.request_queue.dest",
     "REQ_KIND": "_net.request_queue.kind",
@@ -91,10 +94,9 @@ _PT = {
     "PORT_STARVED_CYC": "_stats.port_starved_cycles",
     "LAT_HIST": "_stats.latency_hist",
     "G_META": "_g_meta", "G_BIRTH": "_g_birth", "G_KEY": "_g_key",
-    "G_AVAIL": "_g_avail", "G_OUTM": "_g_outm", "G_OUTB": "_g_outb",
     "H_KEY": "_h_key", "H_OUT": "_h_out",
     "W_NODE": "_w_node", "W_IN": "_w_in", "W_DOWN": "_w_down",
-    "W_DPORT": "_w_dport",
+    "W_DPORT": "_w_dport", "W_GRANT": "_w_grant",
     "BUF_META": "_buf_meta", "BUF_BIRTH": "_buf_birth",
     "BUF_HEAD": "_buf_head", "BUF_COUNT": "_buf_count",
     "RESERVED": "_reserved",
@@ -122,7 +124,7 @@ _PT = {
     "BH_TIMER": "_cores.behavior._phase_timer",
     "BH_MULT": "_cores.behavior._phase_mult",
     "BH_MU": "_cores.behavior._mu", "BH_SIGMA": "_cores.behavior._sigma",
-    "LOC_X": "_loc_x", "LOC_Y": "_loc_y", "LOC_ORDER": "_loc_order",
+    "LOC_ORDER": "_loc_order",
     "LOC_BSTART": "_loc_bstart", "LOC_BCOUNT": "_loc_bcount",
     "LOC_ECC": "_loc_ecc",
     "LOC_D": "_loc_d", "LOC_A": "_loc_a", "LOC_SX": "_loc_sx",
@@ -139,9 +141,10 @@ _CFG = {
     "REQ_FLITS": "_cores.request_flits",
     "REPLY_FLITS": "_cores.reply_flits", "L2_LAT": "_memory.l2_latency",
     "EJ_CAP": "_ej_cap", "PEND_CAP": "_pend_cap", "BUF_CAP": "_buf_cap",
-    "BUFFERED": "_buffered", "LOC_MODEL": "_loc_model",
-    "LOC_GRID2D": "_loc_grid2d", "LOC_W": "_loc_w", "LOC_H": "_loc_h",
-    "LOC_WRAPS": "_loc_wraps", "LOC_MAXD": "_loc_maxd",
+    "BUFFERED": "_buffered",
+    "GRID2D": "_grid2d", "WIDTH": "_width", "HEIGHT": "_height",
+    "WRAPS": "_wraps",
+    "LOC_MODEL": "_loc_model", "LOC_MAXD": "_loc_maxd",
 }
 
 #: ``fcfg`` slots (the ``PT_FCFG`` array): the floating-point constants
@@ -188,6 +191,8 @@ def abi_defines() -> dict:
         "KEY_MAX": _KEY_MAX, "MAX_PORTS": _MAX_PORTS,
         "HIST_BUCKETS": NetworkStats.LATENCY_HIST_BUCKETS,
         "THROTTLE_MAX": InjectionThrottleGate.MAX_COUNT,
+        "PORT_NORTH": mesh.NORTH, "PORT_EAST": mesh.EAST,
+        "PORT_SOUTH": mesh.SOUTH, "PORT_WEST": mesh.WEST,
     }
     for name, code in _ARB_CODES.items():
         defines["ARB_" + name.upper()] = code
@@ -231,7 +236,11 @@ class NativeAccel:
                "reference implementation")
         _check(sim.checker is None, "the invariant checker needs "
                "reference-side intermediate state")
-        _check(net._p0_flat is not None,
+        # Closed-form grids route by coordinates in C and carry no
+        # table; a graph topology needs the engine's (n, n) tables.
+        topo = net.topology
+        grid = self._grid2d = bool(getattr(topo, "grid2d", False))
+        _check(grid or net._p0_flat is not None,
                "topology too large for precomputed route tables")
         n, p = net.num_nodes, net.num_ports
         _check(p + 1 <= _MAX_PORTS - 1, "router has too many ports")
@@ -275,15 +284,13 @@ class NativeAccel:
         self._g_meta = alloc((n, p), i64)
         self._g_birth = alloc((n, p), i64)
         self._g_key = alloc((n, p), i64)
-        self._g_avail = alloc((n, p), u8)
-        self._g_outm = alloc((n, p), i64)
-        self._g_outb = alloc((n, p), i64)
         self._h_key = alloc((n, p + 1), i64)
         self._h_out = alloc((n, p + 1), i64)
         self._w_node = alloc(n, i64)
         self._w_in = alloc(n, i64)
         self._w_down = alloc(n, i64)
         self._w_dport = alloc(n, i64)
+        self._w_grant = alloc(n, u8)
 
         # Ejection batch, exposed back to Python as array views.
         self._ej_node = alloc(ej_cap, i64)
@@ -334,21 +341,26 @@ class NativeAccel:
         model = config.locality if isinstance(config.locality, str) else None
         self._loc_model = _LOC_CODES.get(model, -1)
         self.fusable = self._loc_model >= 0 and not sim._observe
-        # Distance models sample on grid coordinates or, on graph
-        # topologies, from per-source distance buckets; uniform striping
-        # needs neither (unused slots point at a dummy).
-        locality, topo = cores.locality, net.topology
-        distance = self._loc_model >= 0 and isinstance(
-            locality, _DistanceLocality
-        )
-        grid = self._loc_grid2d = distance and locality._grid2d
-        self._loc_maxd = locality._max_dist if distance else 0
+        # Grid facts, shared by the route function and the grid locality
+        # draw; graph topologies route through the engine's tables
+        # instead (unused slots point at a dummy).
         none = alloc(1, i64)
-        (self._loc_w, self._loc_h, self._loc_wraps,
-         self._loc_x, self._loc_y) = (
+        (self._width, self._height, self._wraps,
+         self._coord_x, self._coord_y) = (
             (topo.width, topo.height, topo.wraps, topo.coord_x, topo.coord_y)
             if grid else (0, 0, False, none, none)
         )
+        self._p0tab, self._p1tab = (
+            (none, none) if grid else (net._p0_flat, net._p1_flat)
+        )
+        # Distance models sample on those coordinates or, on graph
+        # topologies, from per-source distance buckets; uniform striping
+        # needs neither.
+        locality = cores.locality
+        distance = self._loc_model >= 0 and isinstance(
+            locality, _DistanceLocality
+        )
+        self._loc_maxd = locality._max_dist if distance else 0
         (self._loc_order, self._loc_bstart, self._loc_bcount,
          self._loc_ecc) = (
             (locality._order, locality._bucket_start,

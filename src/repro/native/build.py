@@ -9,9 +9,10 @@ owner and a name C uses that Python did not supply is a compile error.
 The fused kernel draws its random numbers through numpy's own
 distribution functions, so the object links the ``libnpyrandom.a`` that
 ships inside the installed numpy.  The build artifact is tagged with a
-hash of the source, the flags *and* the numpy version, so editing either
-side — or upgrading the numpy whose distributions are baked in —
-invalidates stale objects, and the compile is atomic (build to a temp
+hash of the source, the flags, any arguments ``$CC`` carries *and* the
+numpy version, so editing either side — or upgrading the numpy whose
+distributions are baked in, or compiling with other options —
+never loads a stale object, and the compile is atomic (build to a temp
 file, ``os.replace`` into place) so concurrent processes never load a
 half-written library.
 """
@@ -52,16 +53,19 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _lib = None
 
 
+def _cc_argv() -> list:
+    """``$CC`` split into words (empty when unset)."""
+    cc = os.environ.get("CC") or ""
+    try:
+        return shlex.split(cc)
+    except ValueError as exc:
+        raise NativeBuildError(f"cannot parse $CC={cc!r}: {exc}") from exc
+
+
 def _find_compiler():
     """argv prefix of the first usable compiler; ``$CC`` may carry
     arguments (``CC="ccache gcc"``), which are passed through."""
-    for candidate in (os.environ.get("CC") or "", "cc", "gcc", "clang"):
-        try:
-            argv = shlex.split(candidate)
-        except ValueError as exc:
-            raise NativeBuildError(
-                f"cannot parse $CC={candidate!r}: {exc}"
-            ) from exc
+    for argv in (_cc_argv(), ["cc"], ["gcc"], ["clang"]):
         if argv and shutil.which(argv[0]):
             return argv
     return None
@@ -79,11 +83,16 @@ def _so_path(flags) -> str:
 
     The numpy version is part of the tag because numpy's distribution
     code is linked in statically: an object built against another numpy
-    could draw differently from the numpy backend.
+    could draw differently from the numpy backend.  So are the arguments
+    ``$CC`` carries (``CC="cc -fsanitize=undefined"`` is another object
+    than ``CC=cc``); the program name is not, so the same flags through
+    another compiler or wrapper share the tag.
     """
     with open(_SRC, "rb") as f:
         digest = hashlib.sha256(f.read())
-    digest.update(" ".join((*_CFLAGS, *flags, numpy.__version__)).encode())
+    digest.update(" ".join(
+        (*_CFLAGS, *flags, numpy.__version__, *_cc_argv()[1:])
+    ).encode())
     return os.path.join(_BUILD_DIR, f"kernels-{digest.hexdigest()[:16]}.so")
 
 
@@ -92,6 +101,12 @@ def _npyrandom_path() -> str:
     return os.path.join(
         os.path.dirname(numpy.__file__), "random", "lib", "libnpyrandom.a"
     )
+
+
+def _command(cc, flags, out: str) -> list:
+    """The compile-and-link argv that writes the object to *out*."""
+    return [*cc, *_CFLAGS, f"-I{numpy.get_include()}", *flags, "-o", out,
+            _SRC, _npyrandom_path(), "-lm"]
 
 
 def _compile(so_path: str, flags) -> None:
@@ -112,10 +127,7 @@ def _compile(so_path: str, flags) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [*cc, *_CFLAGS, f"-I{numpy.get_include()}", *flags, "-o", tmp,
-             _SRC, npyrandom, "-lm"],
-            capture_output=True,
-            text=True,
+            _command(cc, flags, tmp), capture_output=True, text=True
         )
         if proc.returncode != 0:
             raise NativeBuildError(

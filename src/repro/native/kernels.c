@@ -21,8 +21,9 @@
  *
  * Python owns every ABI fact.  This file defines none of them: the
  * PT_, CFG_, FCFG_ and CTR_ slot indices (positions in accel.py's
- * tables), the flit layout (repro.network.flit), KIND_, ARB_, LOC_ and
- * ERR_ codes and the size constants all arrive as -DNAME=value from
+ * tables), the flit layout (repro.network.flit), the grid port numbers
+ * (repro.topology.mesh), KIND_, ARB_, LOC_ and ERR_ codes and the size
+ * constants all arrive as -DNAME=value from
  * repro.native.build, so a name used here that Python does not supply
  * fails the compile.
  */
@@ -74,301 +75,364 @@ static int check_abi(const i64 *cfg, i64 *ctr)
 /* Shared pieces                                                       */
 /* ------------------------------------------------------------------ */
 
-static inline void account_ejection(i64 *ctr, i64 *hist, i64 meta, i64 lat)
+/* The cycle's ejection batch (PT_EJ_*) and its latency statistics,
+ * tallied in registers and folded into ctr[] once per call. */
+typedef struct {
+    i64 *node, *src, *kind, *seq, *hist;
+    unsigned char *cbit;
+    i64 flits, lat_sum, lat_max, hops_sum;
+} Ejection;
+
+static inline Ejection ejection_begin(void **pt, const i64 *ctr)
 {
-    ctr[CTR_EJ_FLITS] += 1;
-    ctr[CTR_LAT_SUM] += lat;
-    ctr[CTR_LAT_CNT] += 1;
-    if (lat > ctr[CTR_LAT_MAX])
-        ctr[CTR_LAT_MAX] = lat;
-    hist[lat > HIST_BUCKETS - 1 ? HIST_BUCKETS - 1 : lat] += 1;
-    ctr[CTR_HOPS_SUM] += (meta >> HOPS_SHIFT) & HOPS_MASK;
+    Ejection ej = {
+        (i64 *)pt[PT_EJ_NODE], (i64 *)pt[PT_EJ_SRC], (i64 *)pt[PT_EJ_KIND],
+        (i64 *)pt[PT_EJ_SEQ], (i64 *)pt[PT_LAT_HIST],
+        (unsigned char *)pt[PT_EJ_CBIT], 0, 0, ctr[CTR_LAT_MAX], 0,
+    };
+    return ej;
 }
 
-static inline int emit_ejected(void **pt, const i64 *cfg, i64 *ctr,
-                               i64 node, i64 meta)
+/* Deliver one flit at `node` as entry k of the batch. */
+static inline void eject_flit(Ejection *ej, i64 k, i64 node, i64 meta,
+                              i64 lat)
 {
-    i64 k = ctr[CTR_EJ_COUNT];
-    if (k >= cfg[CFG_EJ_CAP]) {
-        ctr[CTR_ERROR] = ERR_EJECT_OVERFLOW;
-        return 0;
+    ej->node[k] = node;
+    ej->src[k] = (meta >> SRC_SHIFT) & NODE_MASK;
+    ej->kind[k] = (meta >> KIND_SHIFT) & KIND_MASK;
+    ej->seq[k] = (meta >> SEQ_SHIFT) & SEQ_MASK;
+    ej->cbit[k] = (meta & CBIT) != 0;
+    ej->flits += 1;
+    ej->lat_sum += lat;
+    if (lat > ej->lat_max)
+        ej->lat_max = lat;
+    ej->hist[lat > HIST_BUCKETS - 1 ? HIST_BUCKETS - 1 : lat] += 1;
+    ej->hops_sum += (meta >> HOPS_SHIFT) & HOPS_MASK;
+}
+
+static inline void ejection_end(const Ejection *ej, i64 *ctr, i64 count)
+{
+    ctr[CTR_EJ_COUNT] = count;
+    ctr[CTR_EJ_FLITS] += ej->flits;
+    ctr[CTR_LAT_SUM] += ej->lat_sum;
+    ctr[CTR_LAT_CNT] += ej->flits;
+    ctr[CTR_LAT_MAX] = ej->lat_max;
+    ctr[CTR_HOPS_SUM] += ej->hops_sum;
+}
+
+/* Productive ports of a flit at `node` heading to `dest`
+ * (topology.productive_ports): -1 where there is none.  Which form
+ * answers is a property of the topology, not a setting: closed-form
+ * grids (Mesh2D, Torus2D) compare coordinates and carry no table,
+ * graph topologies gather from their (n, n) tables. */
+typedef struct {
+    int grid, wraps;
+    i64 n, w, h;
+    const int32_t *cx, *cy;
+    const signed char *p0tab, *p1tab;
+} Routes;
+
+static inline Routes routes_load(void **pt, const i64 *cfg)
+{
+    Routes rt = {
+        cfg[CFG_GRID2D] != 0, cfg[CFG_WRAPS] != 0,
+        cfg[CFG_N], cfg[CFG_WIDTH], cfg[CFG_HEIGHT],
+        (const int32_t *)pt[PT_COORD_X], (const int32_t *)pt[PT_COORD_Y],
+        (const signed char *)pt[PT_P0TAB], (const signed char *)pt[PT_P1TAB],
+    };
+    return rt;
+}
+
+/* Torus2D.deltas on one axis: the shorter way round; a 2-wide axis
+ * keeps only its positive link. */
+static inline i64 wrap_delta(i64 d, i64 size)
+{
+    i64 half = size / 2;
+    if (d > half)
+        d -= size;
+    else if (d < -half)
+        d += size;
+    return size == 2 && d < 0 ? -d : d;
+}
+
+static inline void route_ports(const Routes *rt, i64 node, i64 dest,
+                               int *p0, int *p1)
+{
+    if (!rt->grid) {
+        *p0 = rt->p0tab[node * rt->n + dest];
+        *p1 = rt->p1tab[node * rt->n + dest];
+        return;
     }
-    ((i64 *)pt[PT_EJ_NODE])[k] = node;
-    ((i64 *)pt[PT_EJ_SRC])[k] = (meta >> SRC_SHIFT) & NODE_MASK;
-    ((i64 *)pt[PT_EJ_KIND])[k] = (meta >> KIND_SHIFT) & KIND_MASK;
-    ((i64 *)pt[PT_EJ_SEQ])[k] = (meta >> SEQ_SHIFT) & SEQ_MASK;
-    ((unsigned char *)pt[PT_EJ_CBIT])[k] = (meta & CBIT) != 0;
-    ctr[CTR_EJ_COUNT] = k + 1;
-    return 1;
+    /* XY order: the x port while dx != 0, the y port second.  dx and dy
+     * are as good as random per flit, so the selection is arithmetic
+     * (a 0/1 factor picks, OR with all-ones gives -1) rather than
+     * branches the predictor would miss: worth 10 % of a 64-node run. */
+    i64 dx = rt->cx[dest] - rt->cx[node];
+    i64 dy = rt->cy[dest] - rt->cy[node];
+    if (rt->wraps) {
+        dx = wrap_delta(dx, rt->w);
+        dy = wrap_delta(dy, rt->h);
+    }
+    int xp = PORT_WEST + (dx > 0) * (PORT_EAST - PORT_WEST);
+    int yp = PORT_NORTH + (dy > 0) * (PORT_SOUTH - PORT_NORTH);
+    int xnz = dx != 0, ynz = dy != 0;
+    *p0 = (yp + xnz * (xp - yp)) | -(int)!(xnz | ynz);
+    *p1 = yp | -(int)!(xnz & ynz);
 }
 
-/* Take one flit from the head entry at `node` of the response (`resp`)
- * or request queue (repro.network.queues.FlitQueueArray.take_flit). */
-static inline void queue_take(void **pt, int resp, i64 qcap, i64 node,
-                              i64 *dest, i64 *kind, i64 *seq, i64 *stamp)
+/* Output port for a flit at `node`, out of the non-empty `free` link
+ * mask: its productive port, else its other productive direction
+ * (RouterEngine.pick_port), else the first free link (np.argmax),
+ * counted in *deflections. */
+static inline int output_port(const Routes *rt, i64 node, i64 dest,
+                              uint64_t free, i64 *deflections)
 {
-    int32_t *head = (int32_t *)pt[resp ? PT_RESP_HEAD : PT_REQ_HEAD];
-    int32_t *count = (int32_t *)pt[resp ? PT_RESP_COUNT : PT_REQ_COUNT];
-    i64 h = head[node];
+    int p0, p1;
+    route_ports(rt, node, dest, &p0, &p1);
+    if (p0 >= 0 && (free >> p0 & 1))
+        return p0;
+    if (p1 >= 0 && (free >> p1 & 1))
+        return p1;
+    *deflections += 1;
+    return __builtin_ctzll(free);
+}
+
+/* One NI queue (repro.network.queues.FlitQueueArray). */
+typedef struct {
+    const int32_t *dest;
+    const int8_t *kind;
+    int16_t *flits;
+    const i64 *stamp;
+    const int16_t *seq;
+    int32_t *head, *count;
+} Queue;
+
+/* Take one flit from the head entry at `node` (take_flit): its meta
+ * word without source or hops, and the entry's enqueue stamp. */
+static inline i64 queue_take(const Queue *q, i64 qcap, i64 node, i64 *stamp)
+{
+    i64 h = q->head[node];
     i64 idx = node * qcap + h;
-    *dest = ((int32_t *)pt[resp ? PT_RESP_DEST : PT_REQ_DEST])[idx];
-    *kind = ((int8_t *)pt[resp ? PT_RESP_KIND : PT_REQ_KIND])[idx];
-    *stamp = ((i64 *)pt[resp ? PT_RESP_STAMP : PT_REQ_STAMP])[idx];
-    *seq = ((int16_t *)pt[resp ? PT_RESP_SEQ : PT_REQ_SEQ])[idx];
-    int16_t *flits = (int16_t *)pt[resp ? PT_RESP_FLITS : PT_REQ_FLITS];
-    flits[idx] -= 1;
-    if (flits[idx] == 0) {
-        head[node] = (int32_t)((h + 1) % qcap);
-        count[node] -= 1;
+    i64 meta = (i64)q->dest[idx] | ((i64)q->kind[idx] << KIND_SHIFT)
+               | ((i64)q->seq[idx] << SEQ_SHIFT);
+    *stamp = q->stamp[idx];
+    q->flits[idx] -= 1;
+    if (q->flits[idx] == 0) {
+        q->head[node] = (int32_t)(h + 1 == qcap ? 0 : h + 1);
+        q->count[node] -= 1;
     }
+    return meta;
 }
 
-/* NI admission shared by both flow controls
- * (RouterEngine.injection_stage + InjectionThrottleGate.decide,
- * starvation bookkeeping included).  mode 0 = bless (route onto a free
- * link), mode 1 = credit (push into the NI input buffer). */
-static void injection_stage(void **pt, const i64 *cfg, i64 *ctr, i64 cycle,
-                            const unsigned char *capacity, int mode,
-                            unsigned char *avail)
-{
-    i64 n = cfg[CFG_N], p = cfg[CFG_P], qcap = cfg[CFG_QCAP];
-    i64 sw = cfg[CFG_SW];
-    i64 spos = ctr[CTR_SPOS];
-    const int32_t *req_count = (const int32_t *)pt[PT_REQ_COUNT];
-    const int32_t *resp_count = (const int32_t *)pt[PT_RESP_COUNT];
-    int32_t *thr_counter = (int32_t *)pt[PT_THR_COUNTER];
-    const double *thr_rate = (const double *)pt[PT_THR_RATE];
-    unsigned char *starv_ring = (unsigned char *)pt[PT_STARV_RING];
-    int32_t *starv_sum = (int32_t *)pt[PT_STARV_SUM];
-    i64 *inj_per_node = (i64 *)pt[PT_INJ_PER_NODE];
-    i64 *starved_cyc = (i64 *)pt[PT_STARVED_CYC];
-    i64 *port_starved = (i64 *)pt[PT_PORT_STARVED_CYC];
-    const signed char *p0tab = (const signed char *)pt[PT_P0TAB];
-    const signed char *p1tab = (const signed char *)pt[PT_P1TAB];
-    i64 *out_meta = (i64 *)pt[PT_G_OUTM];
-    i64 *out_birth = (i64 *)pt[PT_G_OUTB];
-    i64 pp = p + 1, bufcap = cfg[CFG_BUF_CAP];
-    i64 *buf_meta = (i64 *)pt[PT_BUF_META];
-    i64 *buf_birth = (i64 *)pt[PT_BUF_BIRTH];
-    int32_t *buf_head = (int32_t *)pt[PT_BUF_HEAD];
-    int32_t *buf_count = (int32_t *)pt[PT_BUF_COUNT];
+/* Network-interface state both flow controls admit flits through. */
+typedef struct {
+    Queue resp, req;
+    i64 qcap, sw, spos;
+    int32_t *thr_counter;
+    const double *thr_rate;
+    unsigned char *starv_ring;
+    int32_t *starv_sum;
+    i64 *inj_per_node, *starved_cyc, *port_starved;
+} NI;
 
-    for (i64 node = 0; node < n; node++) {
-        int resp_has = resp_count[node] > 0;
-        int req_has = req_count[node] > 0;
-        int wanted = resp_has || req_has;
-        int cap = capacity[node] != 0;
-        int inject_resp = resp_has && cap;
-        int trying_req = req_has && cap && !inject_resp;
-        int inject_req = 0;
-        if (trying_req) {
-            /* Algorithm 3: the counter advances on every attempt. */
-            int32_t c = (int32_t)((thr_counter[node] + 1) % THROTTLE_MAX);
-            thr_counter[node] = c;
-            inject_req = (double)c >= thr_rate[node] * THROTTLE_MAX;
-        }
-        for (int which = 0; which < 2; which++) {
-            int go = which == 0 ? inject_resp : inject_req;
-            if (!go)
-                continue;
-            i64 dest, kind, seq, stamp;
-            queue_take(pt, which == 0, qcap, node, &dest, &kind, &seq,
-                       &stamp);
-            i64 meta = dest | (node << SRC_SHIFT) | (kind << KIND_SHIFT)
-                       | (seq << SEQ_SHIFT);
-            if (mode == 0) {
-                /* Productive port first, then the other productive
-                 * direction, then the first free link (argmax). */
-                const unsigned char *row = avail + node * p;
-                int port = -1;
-                int p0 = p0tab[node * n + dest];
-                int p1 = p1tab[node * n + dest];
-                if (p0 >= 0 && row[p0])
-                    port = p0;
-                else if (p1 >= 0 && row[p1])
-                    port = p1;
-                if (port < 0) {
-                    port = 0;
-                    for (int c = 0; c < p; c++)
-                        if (row[c]) { port = c; break; }
-                }
-                avail[node * p + port] = 0;
-                out_meta[node * p + port] = meta + HOP_ONE;
-                out_birth[node * p + port] = cycle;
-                ctr[CTR_INJLAT_SUM] += cycle - stamp;
-                ctr[CTR_INJLAT_CNT] += 1;
-            } else {
-                i64 b = node * pp + p;
-                i64 slot = (buf_head[b] + buf_count[b]) % bufcap;
-                buf_meta[b * bufcap + slot] = meta;
-                buf_birth[b * bufcap + slot] = cycle;
-                buf_count[b] += 1;
-                ctr[CTR_BWRITES] += 1;
-            }
-            ctr[CTR_INJ] += 1;
-            inj_per_node[node] += 1;
-        }
-        /* Starvation meter (W-bit shift register) + stats. */
-        int starved = wanted && !(inject_resp || inject_req);
-        unsigned char old = starv_ring[node * sw + spos];
-        starv_sum[node] += (int32_t)starved - (int32_t)old;
-        starv_ring[node * sw + spos] = (unsigned char)starved;
-        starved_cyc[node] += starved;
-        port_starved[node] += wanted && !cap;
-    }
-    ctr[CTR_SPOS] = (spos + 1) % sw;
+/* Load the NI state for this cycle and advance the starvation meter's
+ * write position (every node's bit goes to column `spos`). */
+static inline NI ni_begin_cycle(void **pt, const i64 *cfg, i64 *ctr)
+{
+    NI ni = {
+        {(const int32_t *)pt[PT_RESP_DEST], (const int8_t *)pt[PT_RESP_KIND],
+         (int16_t *)pt[PT_RESP_FLITS], (const i64 *)pt[PT_RESP_STAMP],
+         (const int16_t *)pt[PT_RESP_SEQ], (int32_t *)pt[PT_RESP_HEAD],
+         (int32_t *)pt[PT_RESP_COUNT]},
+        {(const int32_t *)pt[PT_REQ_DEST], (const int8_t *)pt[PT_REQ_KIND],
+         (int16_t *)pt[PT_REQ_FLITS], (const i64 *)pt[PT_REQ_STAMP],
+         (const int16_t *)pt[PT_REQ_SEQ], (int32_t *)pt[PT_REQ_HEAD],
+         (int32_t *)pt[PT_REQ_COUNT]},
+        cfg[CFG_QCAP], cfg[CFG_SW], ctr[CTR_SPOS],
+        (int32_t *)pt[PT_THR_COUNTER], (const double *)pt[PT_THR_RATE],
+        (unsigned char *)pt[PT_STARV_RING], (int32_t *)pt[PT_STARV_SUM],
+        (i64 *)pt[PT_INJ_PER_NODE], (i64 *)pt[PT_STARVED_CYC],
+        (i64 *)pt[PT_PORT_STARVED_CYC],
+    };
+    ctr[CTR_SPOS] = ni.spos + 1 == ni.sw ? 0 : ni.spos + 1;
     ctr[CTR_SSEEN] += 1;
+    return ni;
+}
+
+/* NI admission at one node, for both flow controls
+ * (RouterEngine.injection_stage + InjectionThrottleGate.decide,
+ * starvation bookkeeping included): a response if there is one, else a
+ * request the throttle gate lets through; `cap` says whether the router
+ * can take a flit this cycle.  Returns 1 with the admitted flit (source
+ * set, zero hops) in *meta and its enqueue stamp; the caller places it. */
+static inline int ni_admit(const NI *ni, i64 node, int cap, i64 *meta,
+                           i64 *stamp)
+{
+    int resp_has = ni->resp.count[node] > 0;
+    int wanted = resp_has || ni->req.count[node] > 0;
+    int go = wanted && cap;
+    if (go && !resp_has) {
+        /* Algorithm 3: the counter advances on every attempt. */
+        int32_t c = (int32_t)((ni->thr_counter[node] + 1) % THROTTLE_MAX);
+        ni->thr_counter[node] = c;
+        go = (double)c >= ni->thr_rate[node] * THROTTLE_MAX;
+    }
+    if (go) {
+        *meta = queue_take(resp_has ? &ni->resp : &ni->req, ni->qcap, node,
+                           stamp)
+                | (node << SRC_SHIFT);
+        ni->inj_per_node[node] += 1;
+    }
+    /* Starvation meter (W-bit shift register) + stats. */
+    int starved = wanted && !go;
+    unsigned char *bit = ni->starv_ring + node * ni->sw + ni->spos;
+    ni->starv_sum[node] += (int32_t)starved - (int32_t)*bit;
+    *bit = (unsigned char)starved;
+    ni->starved_cyc[node] += starved;
+    ni->port_starved[node] += wanted && !cap;
+    return go;
 }
 
 /* ------------------------------------------------------------------ */
 /* FLIT-BLESS network step (DeflectFlowControl.step)                   */
 /* ------------------------------------------------------------------ */
+/* One pass per router.  A deflection router is node-local: everything
+ * between a flit's arrival and its departure happens inside one node,
+ * so each node's flits stay in stack arrays from gather to send. */
 static void bless_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
-    i64 np = n * p;
+    const i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
+    const i64 np = n * p, eject_w = cfg[CFG_EJECT_W], arb = cfg[CFG_ARB];
     i64 *ring_meta = (i64 *)pt[PT_RING_META];
     i64 *ring_birth = (i64 *)pt[PT_RING_BIRTH];
     i64 *gmeta = (i64 *)pt[PT_G_META];
     i64 *gbirth = (i64 *)pt[PT_G_BIRTH];
-    i64 *gkey = (i64 *)pt[PT_G_KEY];
-    unsigned char *avail = (unsigned char *)pt[PT_G_AVAIL];
-    i64 *out_meta = (i64 *)pt[PT_G_OUTM];
-    i64 *out_birth = (i64 *)pt[PT_G_OUTB];
-    i64 *hist = (i64 *)pt[PT_LAT_HIST];
-    const signed char *p0tab = (const signed char *)pt[PT_P0TAB];
-    const signed char *p1tab = (const signed char *)pt[PT_P1TAB];
+    const i64 *gkey = (const i64 *)pt[PT_G_KEY];
     const unsigned char *link_up = (const unsigned char *)pt[PT_LINK_UP];
     const unsigned char *congested = (const unsigned char *)pt[PT_CONGESTED];
     const i64 *lat_out = (const i64 *)pt[PT_LAT_OUT];
     const i64 *target = (const i64 *)pt[PT_TARGET_FLAT];
-    i64 arb = cfg[CFG_ARB];
+    const Routes rt = routes_load(pt, cfg);
+    const NI ni = ni_begin_cycle(pt, cfg, ctr);
+    Ejection ej = ejection_begin(pt, ctr);
+    i64 ejected[MAX_PORTS] = {0};  /* per ejection round */
+    i64 deflections = 0, injected = 0, inj_wait = 0, sent = 0;
 
-    ctr[CTR_CYCLES] += 1;
-    ctr[CTR_EJ_COUNT] = 0;
-
-    /* Arrivals: copy the ring's arrival slot, clear it, advance. */
+    /* Arrivals: copy the ring's arrival slot out, clear it, advance.
+     * The copy is load-bearing: the ring is as deep as the slowest
+     * link, so a send on such a link (on a uniform fabric: every send)
+     * lands in the very slot being consumed, at a node this loop may
+     * not have reached yet. */
     i64 cur = ctr[CTR_CURSOR];
     memcpy(gmeta, ring_meta + cur * np, (size_t)np * sizeof(i64));
     memcpy(gbirth, ring_birth + cur * np, (size_t)np * sizeof(i64));
     memset(ring_birth + cur * np, 0xFF, (size_t)np * sizeof(i64));
-    cur = (cur + 1) % depth;
+    cur = cur + 1 == depth ? 0 : cur + 1;
     ctr[CTR_CURSOR] = cur;
+    ctr[CTR_CYCLES] += 1;
 
-    /* Arbitration keys; KEY_MAX marks empty/consumed slots.  For
-     * ARB_RANDOM the caller (Python per cycle, noc_span when fused)
-     * prefilled the key grid from the same RNG stream as the numpy
-     * path. */
-    for (i64 i = 0; i < np; i++) {
-        if (gbirth[i] < 0) {
-            gkey[i] = KEY_MAX;
-        } else if (arb != ARB_RANDOM) {
-            i64 k = (gbirth[i] << SRC_SHIFT)
-                    | ((gmeta[i] >> SRC_SHIFT) & NODE_MASK);
-            gkey[i] = arb == ARB_YOUNGEST_FIRST ? -k : k;
-        }
-    }
+    for (i64 node = 0; node < n; node++) {
+        const i64 base = node * p;
+        i64 fmeta[MAX_PORTS], fbirth[MAX_PORTS], fkey[MAX_PORTS];
+        i64 out_meta[MAX_PORTS], out_birth[MAX_PORTS];
+        /* One bit per port: check_abi (and accel.py's port-cap check)
+         * keep p < MAX_PORTS = 64, so a 64-bit mask holds them. */
+        uint64_t links = 0;
+        int cnt = 0;
 
-    /* Ejection: up to eject_width oldest local flits per node; output
-     * order is round-major, node-ascending within a round (matches the
-     * numpy ej_parts concatenation). */
-    for (i64 round = 0; round < cfg[CFG_EJECT_W]; round++) {
-        for (i64 node = 0; node < n; node++) {
-            i64 base = node * p, best = KEY_MAX;
-            int bc = -1;
-            for (int c = 0; c < p; c++) {
-                i64 k = gkey[base + c];
-                if (k != KEY_MAX && (gmeta[base + c] & NODE_MASK) == node
-                    && k < best) {
-                    best = k;
-                    bc = c;
-                }
-            }
-            if (bc < 0)
+        /* Gather the arrived flits in key order: a stable insertion
+         * sort, ties keep column order (kind="stable" argsort).  For
+         * ARB_RANDOM the caller (Python per cycle, noc_span when
+         * fused) prefilled the key grid from the same RNG stream as
+         * the numpy path. */
+        for (int c = 0; c < p; c++) {
+            links |= (uint64_t)link_up[base + c] << c;
+            i64 b = gbirth[base + c];
+            if (b < 0)
                 continue;
-            i64 m = gmeta[base + bc];
-            gkey[base + bc] = KEY_MAX;
-            if (!emit_ejected(pt, cfg, ctr, node, m))
-                return;
-            account_ejection(ctr, hist, m, cycle - gbirth[base + bc]);
-        }
-    }
-
-    /* Output-port allocation: per node, flits in key order try their
-     * productive ports, else deflect to the first free link.  The numpy
-     * rank-by-rank loop is per-node independent, so a per-node pass is
-     * exactly equivalent. */
-    memcpy(avail, link_up, (size_t)np);
-    memset(out_birth, 0xFF, (size_t)np * sizeof(i64));
-    for (i64 node = 0; node < n; node++) {
-        i64 base = node * p;
-        int cols[MAX_PORTS], cnt = 0;
-        for (int c = 0; c < p; c++)
-            if (gkey[base + c] != KEY_MAX)
-                cols[cnt++] = c;
-        /* Stable insertion sort by key (ties keep column order, like
-         * kind="stable" argsort). */
-        for (int i = 1; i < cnt; i++) {
-            int c = cols[i];
-            i64 k = gkey[base + c];
-            int j = i - 1;
-            while (j >= 0 && gkey[base + cols[j]] > k) {
-                cols[j + 1] = cols[j];
-                j--;
+            i64 m = gmeta[base + c], k = gkey[base + c];
+            if (arb != ARB_RANDOM) {
+                k = (b << SRC_SHIFT) | ((m >> SRC_SHIFT) & NODE_MASK);
+                if (arb == ARB_YOUNGEST_FIRST)
+                    k = -k;
             }
-            cols[j + 1] = c;
+            int j = cnt++;
+            for (; j > 0 && fkey[j - 1] > k; j--) {
+                fmeta[j] = fmeta[j - 1];
+                fbirth[j] = fbirth[j - 1];
+                fkey[j] = fkey[j - 1];
+            }
+            fmeta[j] = m;
+            fbirth[j] = b;
+            fkey[j] = k;
         }
-        unsigned char *row = avail + base;
+
+        /* In key order: the first eject_width local flits leave (the
+         * r-th of them is round r's pick of the numpy loop; it goes to
+         * r * n + ejected[r], and the gaps close after the node loop,
+         * so the batch keeps its round-major, node-ascending order);
+         * the others take an output port each; arrivals never
+         * outnumber links. */
+        uint64_t free = links;
+        i64 round = 0;
         for (int i = 0; i < cnt; i++) {
-            int c = cols[i];
-            i64 dest = gmeta[base + c] & NODE_MASK;
-            int choice = -1;
-            int p0 = p0tab[node * n + dest];
-            int p1 = p1tab[node * n + dest];
-            if (p0 >= 0 && row[p0])
-                choice = p0;
-            else if (p1 >= 0 && row[p1])
-                choice = p1;
-            if (choice < 0) {
-                /* Deflect to the first free link (np.argmax). */
-                choice = 0;
-                for (int f = 0; f < p; f++)
-                    if (row[f]) { choice = f; break; }
-                ctr[CTR_DEFL] += 1;
+            i64 m = fmeta[i], dest = m & NODE_MASK;
+            if (dest == node && round < eject_w) {
+                eject_flit(&ej, round * n + ejected[round]++, node, m,
+                           cycle - fbirth[i]);
+                round++;
+                continue;
             }
-            row[choice] = 0;
-            out_meta[base + choice] = gmeta[base + c] + HOP_ONE;
-            out_birth[base + choice] = gbirth[base + c];
+            int port = output_port(&rt, node, dest, free, &deflections);
+            free &= ~((uint64_t)1 << port);
+            out_meta[port] = m + HOP_ONE;
+            out_birth[port] = fbirth[i];
+        }
+
+        /* Injection: capacity is "any free healthy output link"; the
+         * flit is routed like any other but never counts as deflected. */
+        i64 m, stamp, uncounted = 0;
+        if (ni_admit(&ni, node, free != 0, &m, &stamp)) {
+            int port = output_port(&rt, node, m & NODE_MASK, free,
+                                   &uncounted);
+            free &= ~((uint64_t)1 << port);
+            out_meta[port] = m + HOP_ONE;
+            out_birth[port] = cycle;
+            inj_wait += cycle - stamp;
+            injected += 1;
+        }
+
+        /* Send the occupied outputs into the ring, congestion bit
+         * (mark_congestion) set on the way. */
+        i64 mark = congested[node] ? CBIT : 0;
+        for (uint64_t busy = links & ~free; busy; busy &= busy - 1) {
+            int c = __builtin_ctzll(busy);
+            i64 slot = cur + lat_out[base + c] - 1;
+            if (slot >= depth)
+                slot -= depth;
+            i64 at = slot * np + target[base + c];
+            ring_meta[at] = out_meta[c] | mark;
+            ring_birth[at] = out_birth[c];
+            sent += 1;
         }
     }
 
-    /* Injection: responses first, then throttled requests; capacity is
-     * "any free healthy output link". */
-    unsigned char *capacity = (unsigned char *)pt[PT_W_NODE];
-    for (i64 node = 0; node < n; node++) {
-        unsigned char any = 0;
-        for (int c = 0; c < p; c++)
-            if (avail[node * p + c]) { any = 1; break; }
-        capacity[node] = any;
+    /* Close the gaps between the ejection rounds. */
+    i64 total = ejected[0];
+    for (i64 round = 1; round < eject_w; round++) {
+        i64 from = round * n, count = ejected[round];
+        memmove(ej.node + total, ej.node + from, (size_t)count * sizeof(i64));
+        memmove(ej.src + total, ej.src + from, (size_t)count * sizeof(i64));
+        memmove(ej.kind + total, ej.kind + from, (size_t)count * sizeof(i64));
+        memmove(ej.seq + total, ej.seq + from, (size_t)count * sizeof(i64));
+        memmove(ej.cbit + total, ej.cbit + from, (size_t)count);
+        total += count;
     }
-    injection_stage(pt, cfg, ctr, cycle, capacity, 0, avail);
-
-    /* Congestion bit (mark_congestion) + send into the ring. */
-    int mark = 0;
-    for (i64 node = 0; node < n; node++)
-        if (congested[node]) { mark = 1; break; }
-    i64 sent = 0;
-    for (i64 i = 0; i < np; i++) {
-        if (out_birth[i] < 0)
-            continue;
-        i64 m = out_meta[i];
-        if (mark && congested[i / p])
-            m |= CBIT;
-        i64 slot = (cur + lat_out[i] - 1) % depth;
-        ring_meta[slot * np + target[i]] = m;
-        ring_birth[slot * np + target[i]] = out_birth[i];
-        sent++;
-    }
+    ejection_end(&ej, ctr, total);
+    ctr[CTR_DEFL] += deflections;
+    ctr[CTR_INJ] += injected;
+    ctr[CTR_INJLAT_SUM] += inj_wait;
+    ctr[CTR_INJLAT_CNT] += injected;
     ctr[CTR_HOPS] += sent;
     /* Bufferless: occupancy integral stays zero. */
 }
@@ -393,18 +457,17 @@ static void credit_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     i64 *w_in = (i64 *)pt[PT_W_IN];
     i64 *w_down = (i64 *)pt[PT_W_DOWN];
     i64 *w_dport = (i64 *)pt[PT_W_DPORT];
-    unsigned char *grant = (unsigned char *)pt[PT_G_AVAIL];
-    i64 *hist = (i64 *)pt[PT_LAT_HIST];
-    const signed char *p0tab = (const signed char *)pt[PT_P0TAB];
+    unsigned char *grant = (unsigned char *)pt[PT_W_GRANT];
     const unsigned char *link_up = (const unsigned char *)pt[PT_LINK_UP];
     const unsigned char *congested = (const unsigned char *)pt[PT_CONGESTED];
     const i64 *lat_out = (const i64 *)pt[PT_LAT_OUT];
     const i64 *neighbor = (const i64 *)pt[PT_NEIGHBOR];
     const i64 *reverse = (const i64 *)pt[PT_REVERSE];
-    i64 arb = cfg[CFG_ARB];
+    const Routes rt = routes_load(pt, cfg);
+    Ejection ej = ejection_begin(pt, ctr);
+    i64 arb = cfg[CFG_ARB], ejected = 0;
 
     ctr[CTR_CYCLES] += 1;
-    ctr[CTR_EJ_COUNT] = 0;
 
     /* Link arrivals drain into the input buffers (row-major, matching
      * np.nonzero order); each flat slot is a unique (node, port). */
@@ -429,9 +492,6 @@ static void credit_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     /* Head-of-queue snapshot: key + output port per (node, in port),
      * computed once — pops during the out-port loop do NOT refresh it
      * (heads_into semantics).  hout -2 marks empty FIFOs. */
-    int mark = 0;
-    for (i64 node = 0; node < n; node++)
-        if (congested[node]) { mark = 1; break; }
     for (i64 node = 0; node < n; node++) {
         for (i64 port = 0; port < pp; port++) {
             i64 bi = node * pp + port;
@@ -446,8 +506,8 @@ static void credit_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
                 i64 k = (b << SRC_SHIFT) | ((m >> SRC_SHIFT) & NODE_MASK);
                 hkey[bi] = arb == ARB_YOUNGEST_FIRST ? -k : k;
             }
-            i64 dest = m & NODE_MASK;
-            int p0 = p0tab[node * n + dest];
+            int p0, p1;
+            route_ports(&rt, node, m & NODE_MASK, &p0, &p1);
             hout[bi] = p0 < 0 ? p : p0;
         }
     }
@@ -476,9 +536,11 @@ static void credit_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
                 buf_head[bi] = (int32_t)((buf_head[bi] + 1) % bufcap);
                 buf_count[bi] -= 1;
                 ctr[CTR_BREADS] += 1;
-                if (!emit_ejected(pt, cfg, ctr, node, m))
+                if (ejected >= cfg[CFG_EJ_CAP]) {
+                    ctr[CTR_ERROR] = ERR_EJECT_OVERFLOW;
                     return;
-                account_ejection(ctr, hist, m, cycle - b);
+                }
+                eject_flit(&ej, ejected++, node, m, cycle - b);
             } else {
                 w_node[nw] = node;
                 w_in[nw] = bc;
@@ -511,7 +573,7 @@ static void credit_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
             buf_count[bi] -= 1;
             ctr[CTR_BREADS] += 1;
             m += HOP_ONE;
-            if (mark && congested[node])
+            if (congested[node])
                 m |= CBIT;
             i64 slot = (cur + lat_out[node * p + op] - 1) % depth;
             i64 idx = w_down[k] * p + w_dport[k];
@@ -521,18 +583,26 @@ static void credit_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
             ctr[CTR_HOPS] += 1;
         }
     }
+    ejection_end(&ej, ctr, ejected);
 
-    /* Injection through the NI input buffer.  The winner scratch is
-     * free again once the out-port loop is done. */
-    unsigned char *capacity = (unsigned char *)pt[PT_W_NODE];
-    for (i64 node = 0; node < n; node++)
-        capacity[node] = buf_count[node * pp + p] < bufcap;
-    injection_stage(pt, cfg, ctr, cycle, capacity, 1, (unsigned char *)0);
-
-    /* Occupancy integral: flits held in buffers after this cycle. */
+    /* Injection through the NI input buffer (port p of each node),
+     * then the occupancy integral: flits held in buffers after this
+     * cycle. */
+    const NI ni = ni_begin_cycle(pt, cfg, ctr);
     i64 occ = 0;
-    for (i64 bi = 0; bi < n * pp; bi++)
-        occ += buf_count[bi];
+    for (i64 node = 0; node < n; node++) {
+        i64 b = node * pp + p, m, stamp;
+        if (ni_admit(&ni, node, buf_count[b] < bufcap, &m, &stamp)) {
+            i64 slot = (buf_head[b] + buf_count[b]) % bufcap;
+            buf_meta[b * bufcap + slot] = m;
+            buf_birth[b * bufcap + slot] = cycle;
+            buf_count[b] += 1;
+            ctr[CTR_BWRITES] += 1;
+            ctr[CTR_INJ] += 1;
+        }
+        for (i64 bi = node * pp; bi <= b; bi++)
+            occ += buf_count[bi];
+    }
     ctr[CTR_OCC] += occ;
 }
 
@@ -898,7 +968,7 @@ static void draw_destinations(void **pt, const i64 *cfg, i64 k)
     /* Hop distances, clipped to what the fabric (grid) or the source's
      * eccentricity (graph) can offer. */
     double param = ((const double *)pt[PT_FCFG])[FCFG_LOC_PARAM];
-    int grid = cfg[CFG_LOC_GRID2D] != 0;
+    int grid = cfg[CFG_GRID2D] != 0;
     const i64 *ecc = (const i64 *)pt[PT_LOC_ECC];
     i64 *d = (i64 *)pt[PT_LOC_D];
     for (i64 i = 0; i < k; i++) {
@@ -931,9 +1001,9 @@ static void draw_destinations(void **pt, const i64 *cfg, i64 k)
 
     /* Axis split integers(0, d + 1), then the two sign vectors
      * integers(0, 2, size=k), then fold or wrap at the edges. */
-    i64 w = cfg[CFG_LOC_W], h = cfg[CFG_LOC_H];
-    const int32_t *cx = (const int32_t *)pt[PT_LOC_X];
-    const int32_t *cy = (const int32_t *)pt[PT_LOC_Y];
+    i64 w = cfg[CFG_WIDTH], h = cfg[CFG_HEIGHT];
+    const int32_t *cx = (const int32_t *)pt[PT_COORD_X];
+    const int32_t *cy = (const int32_t *)pt[PT_COORD_Y];
     i64 *a = (i64 *)pt[PT_LOC_A];
     i64 *sx = (i64 *)pt[PT_LOC_SX];
     i64 *sy = (i64 *)pt[PT_LOC_SY];
@@ -945,7 +1015,7 @@ static void draw_destinations(void **pt, const i64 *cfg, i64 k)
         i64 s = src[i];
         i64 x = cx[s] + (sx[i] * 2 - 1) * a[i];
         i64 y = cy[s] + (sy[i] * 2 - 1) * (d[i] - a[i]);
-        if (cfg[CFG_LOC_WRAPS]) {
+        if (cfg[CFG_WRAPS]) {
             x = ((x % w) + w) % w;
             y = ((y % h) + h) % h;
         } else {

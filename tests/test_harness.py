@@ -342,6 +342,31 @@ class TestResultCache:
         assert results_equal(hit, res)
         np.testing.assert_array_equal(hit.ipf, res.ipf)
 
+    def test_entry_is_one_strict_json_dumps_of_the_payload(
+        self, tmp_path, monkeypatch
+    ):
+        """The stored bytes are ``json.dumps(payload, allow_nan=False)``,
+        and a non-finite float raises with nothing left on disk."""
+        cache = ResultCache(tmp_path)
+        spec = small_spec()
+        res = run_job(spec)
+        path = cache.put(spec, res)
+        payload = {
+            "key": cache.key(spec),
+            "spec": json.loads(spec.canonical()),
+            "code_version": cache.code_version,
+            "result": res.to_dict(),
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            payload, allow_nan=False
+        )
+        path.unlink()
+        poisoned = dict(payload["result"], avg_net_latency=float("inf"))
+        monkeypatch.setattr(res, "to_dict", lambda: poisoned)
+        with pytest.raises(ValueError):
+            cache.put(spec, res)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
 
 class TestRunJobs:
     def test_results_align_with_specs(self, tmp_path):

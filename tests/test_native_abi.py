@@ -98,6 +98,7 @@ def test_so_tag_changes_iff_source_or_injected_value_changes(
     def tag():
         return build._so_path(build._flags())
 
+    monkeypatch.delenv("CC", raising=False)
     baseline = tag()
     assert tag() == baseline
     with monkeypatch.context() as patch:
@@ -107,9 +108,18 @@ def test_so_tag_changes_iff_source_or_injected_value_changes(
         swapped = dict(reversed(list(accel._CFG.items())))
         patch.setattr(accel, "_CFG", swapped)
         assert tag() != baseline
+    # $CC's arguments reach the compile, so they are part of the tag;
+    # the program name (a wrapper, another compiler) is not.
     with monkeypatch.context() as patch:
         patch.setenv("CC", "some-other-compiler")
         assert tag() == baseline
+        patch.setenv("CC", "cc -DX")
+        with_argument = tag()
+        assert with_argument != baseline
+        patch.setenv("CC", "other-cc -DX")
+        assert tag() == with_argument
+        patch.setenv("CC", "cc -DY")
+        assert tag() not in (baseline, with_argument)
     # numpy's distributions are linked in statically: another numpy is
     # another object, and so is another set of compile options.
     with monkeypatch.context() as patch:
@@ -172,6 +182,26 @@ def test_bare_compile_without_flags_hits_the_error_guard(tmp_path):
     )
     assert proc.returncode != 0
     assert "build through repro.native.build" in proc.stderr
+
+
+@pytest.mark.skipif(
+    build._find_compiler() is None
+    or not os.path.isfile(build._npyrandom_path()),
+    reason="no C compiler (or no libnpyrandom.a) to build with",
+)
+def test_kernels_compile_warning_free(tmp_path):
+    """The real command plus -Wall -Wextra -Werror: the per-node stack
+    arrays, port masks and casts of the kernels stay clean.  Not gated
+    on ``native_available()``: a kernels.c that does not compile fails
+    here instead of skipping every native test."""
+    command = build._command(
+        build._find_compiler(), build._flags(), str(tmp_path / "kernels.so")
+    )
+    proc = subprocess.run(
+        [*command, "-Wall", "-Wextra", "-Werror"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.config import SimulationConfig
 from repro.control.registry import build_controller
 from repro.guardrails.faults import FaultConfig
 from repro.native import NativeUnsupported, accel, native_available
+from repro.network import engine
 from repro.sim.simulator import Simulator
 from repro.traffic.locality import LOCALITY_NAMES
 from repro.traffic.workloads import make_category_workload
@@ -100,14 +101,19 @@ def _no_op(cycle):
 
 
 def _generated_sim(backend, locality="exponential", topology="mesh",
-                   network="bless", epoch=200, per_cycle=False):
-    workload = make_category_workload("H", 16, np.random.default_rng(7))
+                   network="bless", epoch=200, per_cycle=False, nodes=16,
+                   **overrides):
+    workload = make_category_workload("H", nodes, np.random.default_rng(7))
+    kwargs = dict(
+        locality=locality, locality_param=2.5, phase_length=50,
+        arbitration="random", eject_width=2,
+        **GENERATED_TOPOLOGIES.get(topology, {}),
+    )
+    kwargs.update(overrides)
     sim = Simulator(SimulationConfig(
         workload, seed=7, epoch=epoch, backend=backend, network=network,
-        topology=topology, locality=locality, locality_param=2.5,
-        phase_length=50, arbitration="random", eject_width=2,
-        controller=build_controller(("central",), epoch=epoch),
-        **GENERATED_TOPOLOGIES[topology],
+        topology=topology,
+        controller=build_controller(("central",), epoch=epoch), **kwargs,
     ))
     if per_cycle:
         sim.pipeline.post_hook("network", _no_op)
@@ -126,6 +132,22 @@ def _outcome(sim):
     )
 
 
+def _three_ways(cycles=600, **kwargs):
+    """numpy's outcome, after checking that the fused and the per-cycle
+    native run leave the same result and generator states behind."""
+    outcomes = []
+    for backend, per_cycle in (
+        ("numpy", False), ("native", False), ("native", True),
+    ):
+        sim = _generated_sim(backend, per_cycle=per_cycle, **kwargs)
+        sim.run(cycles)
+        outcomes.append(_outcome(sim))
+    reference, fused, per_cycle = outcomes
+    assert fused == reference
+    assert per_cycle == reference
+    return reference
+
+
 def test_every_registered_locality_is_drawn_in_c():
     assert set(accel._LOC_CODES) == set(LOCALITY_NAMES)
 
@@ -137,18 +159,128 @@ def test_every_registered_locality_is_drawn_in_c():
 @pytest.mark.parametrize("locality", LOCALITY_NAMES)
 def test_numpy_fused_and_per_cycle_native_agree(locality, topology, network):
     """Full result and the state of all three generators, three ways."""
+    _three_ways(locality=locality, topology=topology, network=network)
+
+
+# ----------------------------------------------------------------------
+# What a per-router kernel can get wrong: routes by coordinates vs by
+# table, ejection order across rounds, wide routers, slow links
+# ----------------------------------------------------------------------
+@needs_native
+@pytest.mark.slow
+@pytest.mark.parametrize("network", ["bless", "buffered"])
+@pytest.mark.parametrize(
+    "topology, width, height",
+    [("mesh", 4, 4), ("mesh", 5, 3), ("torus", 2, 4), ("torus", 4, 2),
+     ("torus", 3, 3), ("torus", 4, 5), ("torus", 6, 6)],
+)
+def test_grid_routes_agree_with_and_without_route_tables(
+    topology, width, height, network, monkeypatch
+):
+    """C routes grids by coordinates; numpy by table, or past the bound
+    by closed form.  All of them are one function of (node, dest) — also
+    on the wrap, at the half-way tie and on a 2-wide torus axis."""
+    kwargs = dict(
+        topology=topology, width=width, height=height, nodes=width * height,
+        network=network,
+    )
+    tabled = _three_ways(**kwargs)
+    monkeypatch.setattr(engine, "_ROUTE_TABLE_MAX_NODES", 0)
+    assert _generated_sim("numpy", **kwargs).network._p0_flat is None
+    assert _three_ways(**kwargs) == tabled
+
+
+@needs_native
+def test_graph_topology_past_the_route_table_bound_refuses(monkeypatch):
+    monkeypatch.setattr(engine, "_ROUTE_TABLE_MAX_NODES", 0)
+    with pytest.raises(NativeUnsupported, match="route tables"):
+        _generated_sim("native", topology="chiplet")
+    _generated_sim("native", topology="mesh")  # a grid needs no table
+
+
+@needs_native
+@pytest.mark.slow
+def test_six_port_routers_ejecting_three_wide_agree():
+    """mesh3d: more ports than a 2D grid's four in the free-link mask,
+    and three ejection rounds whose gaps the node-major pass closes."""
+    _three_ways(topology="mesh3d", nodes=27, eject_width=3)
+
+
+@needs_native
+@pytest.mark.slow
+def test_observing_controller_sees_the_same_ejection_batches():
+    """Entry for entry, congestion bit included: round-major, and
+    node-ascending within a round, out of a node-major loop."""
+    seen = {}
+    for backend in ("numpy", "native"):
+        controller = build_controller(("distributed",), epoch=200)
+        batches = seen[backend] = []
+        observe = controller.on_ejected
+
+        def record(ejected, batches=batches, observe=observe):
+            batches.append([
+                np.asarray(column).tolist() for column in (
+                    ejected.node, ejected.src, ejected.kind, ejected.seq,
+                    ejected.cbit,
+                )
+            ])
+            observe(ejected)
+
+        controller.on_ejected = record
+        workload = make_category_workload("H", 16, np.random.default_rng(7))
+        Simulator(SimulationConfig(
+            workload, seed=7, epoch=200, backend=backend, eject_width=2,
+            controller=controller,
+        )).run(800)
+    assert seen["native"] == seen["numpy"]
+    assert any(any(batch[4]) for batch in seen["numpy"])
+    wide = [batch[0] for batch in seen["numpy"]
+            if len(batch[0]) != len(set(batch[0]))]
+    assert wide, "no node ejected two flits in one cycle"
+
+
+@needs_native
+@pytest.mark.slow
+@pytest.mark.parametrize("network", ["bless", "buffered"])
+def test_youngest_first_agrees_three_ways(network):
+    _three_ways(network=network, arbitration="youngest_first")
+
+
+@needs_native
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "topology, nodes", [("chiplet", 16), ("express", 64)]
+)
+def test_links_as_slow_as_the_ring_is_deep_agree(topology, nodes):
+    """A send on the slowest link lands in the ring slot the same cycle
+    consumes, at a router the node loop may not have reached yet."""
+    net = _generated_sim("numpy", topology=topology, nodes=nodes).network
+    latency = net._lat_out[net.topology.link_exists]
+    assert latency.min() < latency.max() == net._ring_depth
+    _three_ways(cycles=2000, topology=topology, nodes=nodes)
+
+
+@needs_native
+@pytest.mark.slow
+def test_4096_node_mesh_prefix_matches_numpy():
+    """Past the route-table bound a grid runs native (ROADMAP 1a)."""
     outcomes = []
-    for backend, per_cycle in (
-        ("numpy", False), ("native", False), ("native", True),
-    ):
-        sim = _generated_sim(
-            backend, locality, topology, network, per_cycle=per_cycle
+    for backend in ("numpy", "native"):
+        workload = make_category_workload(
+            "H", 4096, np.random.default_rng(7)
         )
-        sim.run(600)
+        sim = Simulator(SimulationConfig(
+            workload, seed=7, epoch=100, backend=backend, topology="mesh",
+            locality="exponential", locality_param=1.0,
+            model_control_traffic=True,
+            controller=build_controller(
+                ("hierarchical", 0, "global"), epoch=100
+            ),
+        ))
+        assert sim.network._p0_flat is None
+        sim.run(300)
         outcomes.append(_outcome(sim))
-    reference, fused, per_cycle = outcomes
-    assert fused == reference
-    assert per_cycle == reference
+    assert outcomes[0] == outcomes[1]
 
 
 @needs_native
