@@ -10,7 +10,9 @@ The sweep substrate for every multi-run experiment in the repository:
   spec hash + result-schema version + code version;
 - :func:`run_jobs` — shard specs across a process pool (serial
   fallback at ``jobs=1``), reuse cached points, and report per-job
-  telemetry in a :class:`HarnessReport`.
+  telemetry in a :class:`HarnessReport`;
+- :func:`shutdown_workers` — release the pool's worker processes, which
+  ``run_jobs`` otherwise keeps warm for its next call.
 
 Typical use::
 
@@ -30,6 +32,7 @@ from repro.harness.executor import (
     default_jobs,
     resolve_jobs,
     run_jobs,
+    shutdown_workers,
 )
 from repro.harness.jobs import JobSpec, run_job
 
@@ -37,6 +40,7 @@ __all__ = [
     "JobSpec",
     "run_job",
     "run_jobs",
+    "shutdown_workers",
     "ResultCache",
     "HarnessReport",
     "JobRecord",

@@ -97,7 +97,7 @@ class ResultCache:
         path = self.path(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
-            "key": self.key(spec),
+            "key": path.stem,  # the key, hashed once: <key>.json
             "spec": json.loads(spec.canonical()),
             "code_version": self.code_version,
             "result": result.to_dict(),

@@ -9,10 +9,27 @@ Execution strategy:
 - every spec is first looked up in the optional
   :class:`~repro.harness.cache.ResultCache`; hits never execute;
 - the remaining specs run on a ``ProcessPoolExecutor`` when
-  ``jobs > 1`` (worker processes import ``repro`` and call
-  :func:`~repro.harness.jobs.run_job`), or inline when ``jobs == 1`` —
-  the serial path exists both as a fallback for restricted environments
-  and as the reference the determinism tests compare against;
+  ``jobs > 1`` (its workers call :func:`~repro.harness.jobs.run_job`),
+  or inline when ``jobs == 1`` — the serial path exists both as a
+  fallback for restricted environments and as the reference the
+  determinism tests compare against;
+- that pool is **kept**: the first parallel call of a process creates
+  it, ``jobs`` wide, and every later call with the same ``jobs`` reuses
+  its workers, so a sweep made of many short calls pays the fork, the
+  imports and the first-job page faults once instead of once per call.
+  It goes away in exactly four ways: a call asking for a different
+  ``jobs`` replaces it, a worker death or an exception in the parent
+  drops it (the next call forks afresh), :func:`shutdown_workers`
+  releases it on demand, and ``concurrent.futures``' own exit hook
+  joins it when the interpreter ends.  Kept workers are a **snapshot of
+  the process at their fork** — what ``spawn``/``forkserver`` platforms
+  have always had — so whatever a job must see travels in its
+  ``JobSpec`` or as an argument; code that changes module state between
+  sweeps (a test's monkeypatch) calls :func:`shutdown_workers` first.
+  One sweep at a time per process: the pool is module state, not
+  guarded against ``run_jobs`` calls racing from several threads.  A
+  ``multiprocessing`` child keeps nothing (its exit would wait for the
+  idle workers): there every call still gets its own pool;
 - because a job derives every RNG stream from its spec, parallel
   execution is bit-identical to serial: there is no shared mutable
   state to race on, only an embarrassingly parallel fan-out;
@@ -25,24 +42,35 @@ Execution strategy:
 - a **worker process dying mid-job** (OOM kill, segfault, ``os._exit``)
   breaks the whole ``ProcessPoolExecutor`` and poisons every in-flight
   future.  Instead of sinking the sweep, each affected job is re-run
-  once in its own fresh single-worker pool: innocent bystanders
-  complete normally, and only the job that kills its worker *again* is
-  recorded failed;
+  once in its own fresh single-worker pool — never the kept one:
+  isolation is the point — so innocent bystanders complete normally,
+  and only the job that kills its worker *again* is recorded failed;
+- an **exception in the parent** while jobs are in flight (a
+  ``progress`` callable, a cache write on a full disk, Ctrl-C) cancels
+  every job that has not started, does not wait for those that have,
+  and propagates at once instead of after the rest of the sweep;
 - each job gets an optional **wall-clock timeout** (``timeout_s=`` or
-  ``$REPRO_JOB_TIMEOUT_S``), enforced inside the worker with a timer
-  thread, so one wedged simulation cannot stall a sweep forever — the
-  timed-out job is recorded failed like a guardrail abort.
+  ``$REPRO_JOB_TIMEOUT_S``, resolved once in the parent and passed to
+  the worker), enforced inside the worker with a timer thread, so one
+  wedged simulation cannot stall a sweep forever — the timed-out job is
+  recorded failed like a guardrail abort.
 """
 
 from __future__ import annotations
 
 import _thread
+import multiprocessing
 import os
 import signal
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -52,8 +80,8 @@ from repro.harness.cache import ResultCache
 from repro.harness.jobs import JobSpec, run_job
 from repro.sim.results import SimulationResult
 
-__all__ = ["run_jobs", "HarnessReport", "JobRecord", "default_jobs",
-           "job_timeout_s"]
+__all__ = ["run_jobs", "shutdown_workers", "HarnessReport", "JobRecord",
+           "default_jobs", "job_timeout_s"]
 
 
 def default_jobs() -> int:
@@ -221,14 +249,14 @@ def _timed_run(
     custom constructors do not all survive pickling, and the parent
     only needs the message for the job record.
 
-    ``timeout_s`` (defaulting to ``$REPRO_JOB_TIMEOUT_S``, read here so
-    pool workers honor it too) arms a daemon timer that interrupts the
-    worker's main thread when the budget expires; the interrupted job
-    is reported as a failure string like any guardrail abort.  A real
-    Ctrl-C (no expired timer) still propagates.
+    ``timeout_s`` (``None``: no budget; :func:`run_jobs` resolves
+    ``$REPRO_JOB_TIMEOUT_S`` and passes the number, because a kept
+    worker's environment is the one it was forked with) arms a daemon
+    timer that interrupts the worker's main thread when the budget
+    expires; the interrupted job is reported as a failure string like
+    any guardrail abort.  A real Ctrl-C (no expired timer) still
+    propagates.
     """
-    if timeout_s is None:
-        timeout_s = job_timeout_s()
     start = time.perf_counter()
     timer: Optional[threading.Timer] = None
     if timeout_s is not None and timeout_s > 0:
@@ -251,6 +279,46 @@ def _timed_run(
     finally:
         if timer is not None:
             timer.cancel()
+
+
+#: This process's kept pool: ``(owner pid, width, executor)``.  The pid
+#: makes a forked child see "no pool" instead of its parent's executor
+#: object, whose manager thread and pipes belong to the parent.
+_pool: Optional[Tuple[int, int, ProcessPoolExecutor]] = None
+
+
+def _kept_pool(jobs: int) -> ProcessPoolExecutor:
+    """The process's pool of *jobs* workers, created on first use.
+
+    Sized by the caller's ``jobs``, not by how many specs are pending: a
+    short last column must not resize it, and a call asking for another
+    width replaces it rather than run on more workers than it asked for.
+    """
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), jobs):
+        _drop_pool(wait=True)
+        _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
+    return _pool[2]
+
+
+def _drop_pool(wait: bool) -> None:
+    global _pool
+    kept, _pool = _pool, None
+    if kept is not None and kept[0] == os.getpid():
+        kept[2].shutdown(wait=wait)
+
+
+def shutdown_workers() -> None:
+    """Release the worker processes :func:`run_jobs` keeps between calls.
+
+    Returns once they have exited.  Idempotent, and a no-op in a process
+    that did not create the pool (a forked child).  The next parallel
+    ``run_jobs`` call forks new workers, which see the process as it is
+    *then* — call this after changing module state that jobs must
+    observe.  Never required for a clean exit: ``concurrent.futures``
+    joins the pool when the interpreter ends.
+    """
+    _drop_pool(wait=True)
 
 
 class _Progress:
@@ -304,6 +372,10 @@ def run_jobs(
     jobs:
         Worker processes; ``1`` runs inline (serial fallback), ``<= 0``
         uses every core, ``None`` reads ``$REPRO_JOBS`` (default 1).
+        The workers outlive the call and serve the next one that asks
+        for the same ``jobs`` (module docstring: they are a snapshot of
+        this process at their fork; :func:`shutdown_workers` releases
+        them).
     cache:
         A :class:`ResultCache`, a directory path to build one in,
         ``None`` to read ``$REPRO_CACHE_DIR`` (no caching when unset),
@@ -336,6 +408,8 @@ def run_jobs(
     else:
         result_cache = ResultCache(cache)
     jobs = default_jobs() if jobs is None else resolve_jobs(jobs)
+    if timeout_s is None:
+        timeout_s = job_timeout_s()
 
     results: List[Optional[SimulationResult]] = [None] * len(specs)
     by_index: Dict[int, JobRecord] = {}
@@ -390,11 +464,15 @@ def run_jobs(
             finish(i, *_timed_run(specs[i], timeout_s))
     else:
         broken: List[int] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_timed_run, specs[i], timeout_s): i
-                for i in pending
-            }
+        pool = _kept_pool(jobs)
+        futures: Dict[Future, int] = {}
+        try:
+            for i in pending:
+                try:
+                    futures[pool.submit(_timed_run, specs[i], timeout_s)] = i
+                except BrokenProcessPool:
+                    # A kept worker died between two calls.
+                    broken.append(i)
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
@@ -408,6 +486,24 @@ def run_jobs(
                         broken.append(futures[future])
                         continue
                     finish(futures[future], *outcome)
+        except BaseException:
+            # A progress callable, a cache write or Ctrl-C raised: what
+            # has not started must not run and what has is not worth
+            # waiting for.  Cancelled here, future by future, because
+            # ``shutdown(wait=False, cancel_futures=True)`` cancels
+            # nothing once the executor object is unreferenced.  Only
+            # the calls the executor already moved to its call queue
+            # (jobs + 1 slots) still execute.
+            for future in futures:
+                future.cancel()
+            _drop_pool(wait=False)
+            raise
+        if broken or multiprocessing.parent_process() is not None:
+            # Broken: the next call forks healthy workers.  Inside a
+            # multiprocessing child nothing may be kept: such a process
+            # joins its own children *before* concurrent.futures' exit
+            # hook runs, so idle workers would hang its exit.
+            _drop_pool(wait=True)
         # Re-run each poisoned job once, isolated in its own fresh
         # single-worker pool: bystanders of the crash complete
         # normally, and only a job that kills its worker *again* is

@@ -33,10 +33,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
+from repro.chaos.schedule import ChaosConfig
+from repro.config import SimulationConfig
 from repro.control.registry import build_controller, check_recipe
 from repro.sim.results import SimulationResult
+from repro.sim.simulator import Simulator
 from repro.traffic.workloads import Workload
 
 __all__ = ["JobSpec", "run_job"]
@@ -148,11 +152,20 @@ class JobSpec:
     def num_nodes(self) -> int:
         return len(self.app_names)
 
-    def canonical(self) -> str:
-        """Deterministic JSON encoding (the hash pre-image)."""
+    @cached_property
+    def _canonical(self) -> str:
+        # Once per instance: the executor and the cache ask for a spec's
+        # identity several times per job.  cached_property writes
+        # ``__dict__`` directly (legal on a frozen non-slots dataclass)
+        # and is no field, so ``fields()``, ``__eq__``, ``__hash__`` and
+        # what ``replace``/``with_config`` copy never see it.
         # JSON encodes tuples as lists, so the fields need no conversion.
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def canonical(self) -> str:
+        """Deterministic JSON encoding (the hash pre-image)."""
+        return self._canonical
 
     def content_hash(self) -> str:
         """Stable sha256 of the spec (same in every process and session)."""
@@ -169,14 +182,18 @@ class JobSpec:
 
 
 def run_job(spec: JobSpec) -> SimulationResult:
-    """Execute one spec to completion (the worker entry point)."""
-    from repro.chaos.schedule import ChaosConfig
-    from repro.experiments.runner import run_workload
+    """Execute one spec to completion (the worker entry point).
 
+    Everything it needs is imported with this module, so a pool worker
+    forked from a process that imported :mod:`repro.harness` runs its
+    first job as fast as its hundredth.
+    """
     kw = {f.name: getattr(spec, f.name) for f in fields(spec)}
     del kw["app_names"], kw["category"]  # carried by spec.workload
+    del kw["cycles"], kw["deadline"]  # arguments of run(), not config
     config = dict(kw.pop("config"))
     kw["controller"] = build_controller(spec.controller, epoch=spec.epoch)
     if spec.chaos is not None:
         kw["chaos"] = ChaosConfig.from_json(spec.chaos)
-    return run_workload(spec.workload, **kw, **config)
+    simulator = Simulator(SimulationConfig(spec.workload, **kw, **config))
+    return simulator.run(spec.cycles, deadline=spec.deadline)

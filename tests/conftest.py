@@ -1,9 +1,12 @@
 """Shared fixtures for the test suite."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro import Mesh2D, Torus2D, make_category_workload
+from repro.harness import shutdown_workers
 
 
 @pytest.fixture
@@ -36,3 +39,24 @@ def heavy_workload16(rng):
 def light_workload16(rng):
     """A 16-node workload of CPU-bound applications."""
     return make_category_workload("L", 16, rng)
+
+
+@pytest.fixture
+def fresh_workers():
+    """Start and end without a kept ``run_jobs`` pool.
+
+    A kept worker is a snapshot of this process at its fork: a test that
+    patches module state for its workers must fork them after the patch,
+    and must not leave patched workers to the next test.
+    """
+    shutdown_workers()
+    yield
+    shutdown_workers()
+
+
+@pytest.fixture
+def worker_pids():
+    """Callable returning the pids of this process's live pool workers."""
+    return lambda: {
+        child.pid for child in multiprocessing.active_children()
+    }

@@ -1,11 +1,16 @@
 """Tests for repro.harness: job model, cache, and parallel executor."""
 
+import dataclasses
+import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
 import pickle
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from repro.harness import (
     ResultCache,
     run_job,
     run_jobs,
+    shutdown_workers,
 )
 from repro.harness.executor import default_jobs, resolve_jobs
 from repro.sim.results import RESULT_SCHEMA_VERSION, SimulationResult
@@ -210,6 +216,27 @@ class TestJobSpec:
         # Overriding an existing scalar replaces it, everything else kept.
         assert base.with_config(mshr_limit=4).config == (("mshr_limit", 4),)
         assert base.with_config(mshr_limit=8) == base
+
+    def test_identity_read_before_a_copy_does_not_leak_into_it(self):
+        """canonical() is computed once per instance; a copy made after
+        it was read must hash as a freshly built equal spec does."""
+        config = (("mshr_limit", 8),)
+        base = small_spec(config=config)
+        base.content_hash()
+        assert base.with_config(profile=True).content_hash() == small_spec(
+            config=config + (("profile", True),)
+        ).content_hash()
+        reseeded = dataclasses.replace(base, seed=2)
+        assert reseeded.canonical() != base.canonical()
+        assert reseeded.content_hash() == small_spec(
+            seed=2, config=config
+        ).content_hash()
+        # The stored text is no field: equality and hash() ignore it.
+        unread = small_spec(config=config)
+        assert base == unread and hash(base) == hash(unread)
+        assert [f.name for f in dataclasses.fields(base)] == [
+            f.name for f in dataclasses.fields(JobSpec)
+        ]
 
     def test_run_job_matches_run_workload(self):
         from repro.experiments.runner import run_workload
@@ -525,3 +552,172 @@ class TestParallelDeterminism:
             assert results_equal(res_s, res_p)
             np.testing.assert_array_equal(res_s.ipc, res_p.ipc)
             assert res_s.epochs == res_p.epochs
+
+
+def dicts(report: HarnessReport) -> list:
+    return [result.to_dict() for result in report.results]
+
+
+#: What a user's script does: two parallel sweeps, then it just ends —
+#: in the main process, or (``child``) in a ``multiprocessing.Process``.
+#: Prints a digest of the results and the pids of the workers that were
+#: alive after each sweep.  argv: start method, ``main`` | ``child``.
+TWO_SWEEPS_SCRIPT = """
+import hashlib, json, multiprocessing, sys
+from repro.harness import JobSpec, run_jobs
+
+def sweeps():
+    specs = [JobSpec(("mcf",) * 16, cycles=300, seed=s, epoch=100)
+             for s in (1, 2, 3)]
+    pids, texts = set(), set()
+    for _ in range(2):
+        report = run_jobs(specs, jobs=2, cache=False)
+        texts.add(json.dumps([r.to_dict() for r in report.results]))
+        pids |= {p.pid for p in multiprocessing.active_children()}
+    (text,) = texts
+    print(hashlib.sha256(text.encode()).hexdigest(), *sorted(pids))
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    if sys.argv[2] == "child":
+        child = multiprocessing.Process(target=sweeps)
+        child.start()
+        child.join()
+        sys.exit(child.exitcode)
+    sweeps()
+"""
+
+
+def run_two_sweeps(tmp_path, method: str, where: str) -> list:
+    """TWO_SWEEPS_SCRIPT's output words; fails if it does not exit."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    script = tmp_path / "two_sweeps.py"
+    script.write_text(TWO_SWEEPS_SCRIPT)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, str(script), method, where],
+        env=dict(os.environ, PYTHONPATH=src), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True,  # so a hung tree can be killed whole
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{method}/{where}: the script never exited")
+    assert proc.returncode == 0, err
+    return out.split()
+
+
+@pytest.mark.usefixtures("fresh_workers")
+class TestKeptWorkers:
+    """run_jobs keeps its pool between calls; every way it ends."""
+
+    def test_same_jobs_reuses_workers_and_new_jobs_replaces_them(
+        self, worker_pids
+    ):
+        specs = [small_spec(seed=s, cycles=300, epoch=100) for s in (1, 2, 3, 4)]
+        serial = dicts(run_jobs(specs, jobs=1, cache=False))
+        assert worker_pids() == set()  # jobs=1 never forks
+        first = run_jobs(specs, jobs=2, cache=False)
+        pair = worker_pids()
+        second = run_jobs(specs[:3], jobs=2, cache=False)
+        assert len(pair) == 2 and worker_pids() == pair
+        third = run_jobs(specs, jobs=3, cache=False)
+        trio = worker_pids()
+        assert len(trio) == 3 and not trio & pair
+        assert (first.workers, second.workers, third.workers) == (2, 2, 3)
+        assert dicts(first) == serial and dicts(third) == serial
+        assert dicts(second) == serial[:3]
+        # One pending spec runs inline and leaves the pool alone.
+        assert run_jobs(specs[:1], jobs=2, cache=False).workers == 1
+        assert worker_pids() == trio
+
+    def test_shutdown_workers_is_idempotent(self, worker_pids):
+        specs = [small_spec(seed=s, cycles=300, epoch=100) for s in (1, 2)]
+        shutdown_workers()  # nothing to release yet
+        run_jobs(specs, jobs=2, cache=False)
+        assert len(worker_pids()) == 2
+        shutdown_workers()
+        assert worker_pids() == set()
+        shutdown_workers()
+        report = run_jobs(specs, jobs=2, cache=False)
+        assert report.failed == 0 and len(worker_pids()) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self, worker_pids):
+        specs = [small_spec(seed=s, cycles=300, epoch=100) for s in (1, 2, 3)]
+        reference = dicts(run_jobs(specs, jobs=2, cache=False))
+        parents = worker_pids()
+        child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                same = dicts(run_jobs(specs, jobs=2, cache=False)) == reference
+                shutdown_workers()  # its own; os._exit runs no exit hook
+                code = 0 if same else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120
+        finished, status = os.waitpid(child, os.WNOHANG)
+        while not finished and time.monotonic() < deadline:
+            time.sleep(0.05)
+            finished, status = os.waitpid(child, os.WNOHANG)
+        if not finished:
+            os.kill(child, 9)
+            os.waitpid(child, 0)
+        assert finished and os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        # The parent's workers were neither used nor released by it.
+        assert worker_pids() == parents
+        assert dicts(run_jobs(specs, jobs=2, cache=False)) == reference
+        assert worker_pids() == parents
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_interpreter_exit_releases_the_workers(self, method, tmp_path):
+        digest, *pids = run_two_sweeps(tmp_path, method, "main")
+        specs = [small_spec(seed=s, cycles=300, epoch=100) for s in (1, 2, 3)]
+        serial = json.dumps(dicts(run_jobs(specs, jobs=1, cache=False)))
+        assert digest == hashlib.sha256(serial.encode()).hexdigest()
+        assert len(pids) == 2  # both sweeps ran on the same two workers
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(pid), 0)
+
+    def test_multiprocessing_child_keeps_no_workers_and_exits(self, tmp_path):
+        """Such a child joins its own children before concurrent.futures'
+        exit hook runs: workers kept there would hang its exit."""
+        method = multiprocessing.get_start_method()
+        _digest, *kept = run_two_sweeps(tmp_path, method, "child")
+        assert kept == []  # no worker outlived its call
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads /proc/PID/status"
+    )
+    def test_kept_workers_do_not_grow_with_the_number_of_sweeps(self, worker_pids):
+        def peak_mb() -> dict:
+            peaks = {}
+            for pid in worker_pids():
+                status = pathlib.Path(f"/proc/{pid}/status").read_text()
+                (line,) = [
+                    x for x in status.splitlines() if x.startswith("VmHWM:")
+                ]
+                peaks[pid] = int(line.split()[1]) / 1024.0
+            return peaks
+
+        # Four jobs a sweep, so both workers have run some by the first
+        # reading; tiny ones, whose allocator settles within the bound.
+        specs = [
+            small_spec(app_names=("mcf",) * 4, seed=s, cycles=50, epoch=25)
+            for s in (1, 2, 3, 4)
+        ]
+        for _ in range(2):
+            run_jobs(specs, jobs=2, cache=False)
+        early = peak_mb()
+        for _ in range(48):
+            run_jobs(specs, jobs=2, cache=False)
+        late = peak_mb()
+        assert len(early) == 2 and late.keys() == early.keys()
+        for pid, peak in late.items():
+            assert peak - early[pid] < 2.0, (early, late)
