@@ -2,17 +2,20 @@
 
 A controller runs periodically (every epoch of T cycles, §5) and returns
 per-node injection throttling rates; the simulator installs them in the
-network's Algorithm-3 throttle gate.  Controllers that react to
-in-network signals (the distributed scheme of §6.6) additionally observe
-every delivered flit via :meth:`Controller.on_ejected`.
+network's Algorithm-3 throttle gate.  The one in-network signal a
+scheme may react to (the distributed scheme of §6.6) is data the network
+leaves behind: ``network.cbit_seen[node]`` is set when *node* is
+delivered a flit carrying the congestion bit, and :meth:`Controller.drain`
+hands the array to :meth:`Controller.on_congestion_bits` and clears it.
 
 Lifecycle: a controller is built from parameters alone, passed in
 ``SimulationConfig(controller=...)``, and :meth:`Controller.attach` is
 called exactly once, by ``Simulator.__init__``, with the built network.
-From then on the simulator drives :meth:`Controller.run_epoch` and
-:meth:`Controller.observe`, which honour the fail-stop state that chaos
-``controller_down``/``controller_up`` events set through
-:meth:`Controller.fail`/:meth:`Controller.restore`.
+From then on the simulator drives :meth:`Controller.run_epoch` alone;
+chaos ``controller_down``/``controller_up`` events set the fail-stop
+state through :meth:`Controller.fail`/:meth:`Controller.restore`.  All
+three drain first, so what a standby is handed covers exactly the
+intervals its primary was down, to the cycle.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ class EpochView:
 class Controller:
     """Base class: no throttling, ever."""
 
-    #: Whether the simulator should feed delivered flits to observe().
-    observes_ejections = False
     #: The network this controller is attached to (None until attach()).
     network = None
     #: Control-domain partition for schemes that shard the collection
@@ -90,18 +91,28 @@ class Controller:
         self.degraded_mode = mode
         self.degraded_decay = decay
         self.standby = standby
-        if standby is not None and standby.observes_ejections:
-            self.observes_ejections = True
 
     def fail(self) -> None:
         if self.down:
             return
+        self.drain()
         self.down = True
         if self.degraded_mode == "failover":
             self.failovers += 1
 
     def restore(self) -> None:
+        self.drain()
         self.down = False
+
+    def drain(self) -> None:
+        """Hand over and clear the congestion bits delivered since the
+        last drain: the scheme keeps observing while down, a standby
+        only while it is in charge."""
+        seen = self.network.cbit_seen
+        self.on_congestion_bits(seen)
+        if self.down and self.standby is not None:
+            self.standby.on_congestion_bits(seen)
+        seen[:] = False
 
     # ------------------------------------------------------------------
     # What the simulator drives
@@ -109,6 +120,7 @@ class Controller:
     def run_epoch(self, view: EpochView) -> np.ndarray:
         """One control period: the scheme's rates, or the degraded
         policy's while the controller is down."""
+        self.drain()
         if not self.down:
             return self.on_epoch(view)
         self.downtime_epochs += 1
@@ -124,13 +136,6 @@ class Controller:
             rates[rates < _RATE_EPSILON] = 0.0
         return rates
 
-    def observe(self, ejected) -> None:
-        """Deliver this cycle's ejected flits: the scheme keeps
-        observing while down, a standby only while it is in charge."""
-        self.on_ejected(ejected)
-        if self.down and self.standby is not None:
-            self.standby.on_ejected(ejected)
-
     # ------------------------------------------------------------------
     # What a scheme implements
     # ------------------------------------------------------------------
@@ -138,8 +143,9 @@ class Controller:
         """Return per-node throttle rates in [0, 1] for the next epoch."""
         return np.zeros(view.active.shape[0])
 
-    def on_ejected(self, ejected) -> None:
-        """Observe flits delivered this cycle (distributed schemes only)."""
+    def on_congestion_bits(self, seen: np.ndarray) -> None:
+        """Per-node flags: was delivered a congestion-marked flit since
+        the last call (distributed schemes only; *seen* is borrowed)."""
 
     def describe(self) -> str:
         return type(self).__name__

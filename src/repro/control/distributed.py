@@ -26,8 +26,6 @@ __all__ = ["DistributedController"]
 class DistributedController(Controller):
     """Congestion-bit marking with multiplicative backoff decay."""
 
-    observes_ejections = True
-
     def __init__(
         self,
         starvation_threshold: float = 0.25,
@@ -49,12 +47,9 @@ class DistributedController(Controller):
         self._marked = np.zeros(network.num_nodes, dtype=bool)
         self._rates = np.zeros(network.num_nodes)
 
-    def on_ejected(self, ejected) -> None:
+    def on_congestion_bits(self, seen: np.ndarray) -> None:
         """A delivered flit with the congested bit trips its receiver."""
-        if ejected.node.size == 0:
-            return
-        hit = ejected.node[ejected.cbit.astype(bool)]
-        self._marked[hit] = True
+        self._marked |= seen
 
     def on_epoch(self, view: EpochView) -> np.ndarray:
         # (i) congested nodes start marking passing flits.  In-place so

@@ -119,6 +119,10 @@ class ShardController(CentralController):
 class HierarchicalController(Controller):
     """Coordinator over per-domain Algorithm-1 shards."""
 
+    #: Losing the coordinator is a failover to independent domains,
+    #: whatever policy the campaign asks for.
+    degraded_mode = "failover"
+
     def __init__(
         self,
         params: ControlParams = ControlParams(),
@@ -169,13 +173,6 @@ class HierarchicalController(Controller):
     def set_degraded_policy(self, mode, decay, standby=None) -> None:
         """Coordinator loss has one degraded mode, independent domains;
         the campaign's policy and standby do not apply."""
-
-    def fail(self) -> None:
-        if self.down:
-            return
-        self.down = True
-        # Losing the coordinator is a failover to independent domains.
-        self.failovers += 1
 
     def degraded_epoch(self, view: EpochView) -> np.ndarray:
         return self.on_epoch(view)

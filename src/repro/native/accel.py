@@ -1,12 +1,14 @@
 """ctypes bridge between the simulator and the compiled kernels.
 
 :class:`NativeAccel` gathers the simulator's numpy buffers into a
-pointer table and drives the four hot phases through the compiled entry
-points — one call per phase per cycle, or through
-:meth:`NativeAccel.run_span` whole cycles per call with the RNG draws
-made in C on the simulator's own generators.  The kernels mutate the
-*same* arrays Python owns, so every live view (queues, buffers, per-node
-stats arrays, core state) stays coherent without copies; only
+pointer table and drives the one compiled entry point, ``noc_span``:
+:meth:`NativeAccel.run_span` runs whole cycles per call, and
+:meth:`NativeAccel.phase` gives each pipeline phase as one bit of that
+span for one cycle — what a hook, a timer or a replaced ``Phase.fn``
+sees.  Either way every RNG draw is made in C on the simulator's own
+generators; nothing here draws.  The kernels mutate the *same* arrays
+Python owns, so every live view (queues, buffers, per-node stats arrays,
+core state, ``network.cbit_seen``) stays coherent without copies; only
 Python-scalar statistics need a mirror flush.
 
 This module owns the Python<->C ABI.  The four tables below name every
@@ -32,14 +34,19 @@ from operator import attrgetter
 import numpy as np
 
 from repro.network import flit
-from repro.network.base import EjectedFlits, NetworkStats
+from repro.network.base import NetworkStats
 from repro.network.engine import _KEY_MAX
 from repro.network.injection import InjectionThrottleGate
 from repro.native.build import NativeBuildError, load_library
 from repro.topology import mesh
 from repro.traffic.locality import _DistanceLocality
 
-__all__ = ["NativeAccel", "NativeUnsupported", "abi_defines"]
+__all__ = ["NativeAccel", "NativeUnsupported", "PHASES", "abi_defines"]
+
+#: The per-cycle pipeline phases, in order; position is the phase's bit
+#: in ``ctr[CTR_PHASES]`` (``PHASE_<NAME>`` in C).
+PHASES = ("behavior", "cores", "memory", "network", "ejection")
+_ALL_PHASES = (1 << len(PHASES)) - 1
 
 #: C-side port-count cap: sizes the per-node stack arrays in the kernels
 #: and keeps a router's ports within one 64-bit free-link mask.
@@ -48,7 +55,7 @@ _MAX_PORTS = 64
 _ARB_CODES = {"oldest_first": 0, "youngest_first": 1, "random": 2}
 
 #: Locality models (``repro.traffic.locality.LOCALITY_MODELS`` names)
-#: whose destination draw the fused span performs in C.
+#: whose destination draw the cores phase performs in C.
 _LOC_CODES = {"uniform": 0, "exponential": 1, "powerlaw": 2}
 
 #: ``ctr[CTR_ERROR]`` codes, 1-based in this order (0 means no error).
@@ -71,7 +78,7 @@ _PT = {
     "LINK_UP": "_link_up", "NEIGHBOR": "_neighbor", "REVERSE": "_reverse",
     "P0TAB": "_p0tab", "P1TAB": "_p1tab",
     "COORD_X": "_coord_x", "COORD_Y": "_coord_y",
-    "CONGESTED": "_net.congested_nodes",
+    "CONGESTED": "_net.congested_nodes", "CBIT_SEEN": "_net.cbit_seen",
     "REQ_DEST": "_net.request_queue.dest",
     "REQ_KIND": "_net.request_queue.kind",
     "REQ_FLITS": "_net.request_queue.flits",
@@ -101,7 +108,7 @@ _PT = {
     "BUF_HEAD": "_buf_head", "BUF_COUNT": "_buf_count",
     "RESERVED": "_reserved",
     "EJ_NODE": "_ej_node", "EJ_SRC": "_ej_src", "EJ_KIND": "_ej_kind",
-    "EJ_SEQ": "_ej_seq", "EJ_CBIT": "_ej_cbit",
+    "EJ_SEQ": "_ej_seq",
     "CO_ACTIVE": "_cores.active", "CO_RETIRED": "_cores.retired",
     "CO_ISSUE_POS": "_cores._issue_pos", "CO_RECV": "_cores._recv",
     "CO_COMPLETE": "_cores._complete", "CO_ISSUED": "_cores._issued",
@@ -148,7 +155,7 @@ _CFG = {
 }
 
 #: ``fcfg`` slots (the ``PT_FCFG`` array): the floating-point constants
-#: of the draws the fused span makes, name -> attribute path.
+#: of the draws the kernels make, name -> attribute path.
 _FCFG = {
     "PHASE_SIGMA": "_cores.behavior.phase_sigma", "PHASE_MU": "_phase_mu",
     "PHASE_P": "_phase_p",
@@ -174,7 +181,7 @@ _CTR = {
     "REQ_SERVICED": "_memory.requests_serviced",
     "REP_ISSUED": "_memory.replies_issued",
     "MISS_CNT": None, "ACCEPTED": None, "PEND_CNT": None,
-    "EJ_COUNT": None, "ERROR": None, "SPAN": None,
+    "EJ_COUNT": None, "ERROR": None, "SPAN": None, "PHASES": None,
 }
 
 
@@ -200,6 +207,8 @@ def abi_defines() -> dict:
         defines["LOC_" + name.upper()] = code
     for code, name in enumerate(_ERRORS, start=1):
         defines["ERR_" + name] = code
+    for bit, name in enumerate(PHASES):
+        defines["PHASE_" + name.upper()] = 1 << bit
     for prefix, table in (
         ("PT_", _PT), ("CFG_", _CFG), ("FCFG_", _FCFG), ("CTR_", _CTR),
     ):
@@ -218,7 +227,7 @@ def _check(condition: bool, why: str) -> None:
 
 
 class NativeAccel:
-    """Compiled drop-in for the behavior-independent simulator phases."""
+    """Compiled drop-in for the simulator's per-cycle phases."""
 
     def __init__(self, sim):
         config = sim.config
@@ -236,6 +245,12 @@ class NativeAccel:
                "reference implementation")
         _check(sim.checker is None, "the invariant checker needs "
                "reference-side intermediate state")
+        _check(
+            config.locality in _LOC_CODES,
+            f"locality {config.locality!r} is not drawn in C; name a model "
+            "registered in repro.traffic.locality.LOCALITY_MODELS "
+            f"({', '.join(_LOC_CODES)})",
+        )
         # Closed-form grids route by coordinates in C and carry no
         # table; a graph topology needs the engine's (n, n) tables.
         topo = net.topology
@@ -256,8 +271,6 @@ class NativeAccel:
         self._stats = net.stats
         self._buffered = config.network == "buffered"
         self._arb = _ARB_CODES[net.arbitration]
-        self._arb_random = net.arbitration == "random"
-        self._rng = net._rng
 
         self._eject_width = net.eject_width if not self._buffered else 1
         ej_cap = self._ej_cap = n * self._eject_width
@@ -292,12 +305,11 @@ class NativeAccel:
         self._w_dport = alloc(n, i64)
         self._w_grant = alloc(n, u8)
 
-        # Ejection batch, exposed back to Python as array views.
+        # Ejection batch: network phase to ejection phase.
         self._ej_node = alloc(ej_cap, i64)
         self._ej_src = alloc(ej_cap, i64)
         self._ej_kind = alloc(ej_cap, i64)
         self._ej_seq = alloc(ej_cap, i64)
-        self._ej_cbit = alloc(ej_cap, u8)
 
         # Core-phase miss output + (node, seq)-dedup scratch.
         self._miss_out = alloc(n, i64)
@@ -330,17 +342,13 @@ class NativeAccel:
             )
             self._buf_cap = 0
 
-        # What the fused span draws in C: the behaviour tick's phase
-        # constants (the reference's own expressions, evaluated here so
-        # C receives the very doubles numpy is handed) and the locality
-        # model's tables.  A pre-built locality object, or a controller
-        # that wants every ejection batch, stays on the per-cycle path.
+        # What C draws: the behaviour tick's phase constants (the
+        # reference's own expressions, evaluated here so C receives the
+        # very doubles numpy is handed) and the locality model's tables.
         behavior = cores.behavior
         self._phase_mu = -behavior.phase_sigma * behavior.phase_sigma / 2.0
         self._phase_p = 1.0 / behavior.phase_length
-        model = config.locality if isinstance(config.locality, str) else None
-        self._loc_model = _LOC_CODES.get(model, -1)
-        self.fusable = self._loc_model >= 0 and not sim._observe
+        self._loc_model = _LOC_CODES[config.locality]
         # Grid facts, shared by the route function and the grid locality
         # draw; graph topologies route through the engine's tables
         # instead (unused slots point at a dummy).
@@ -357,9 +365,7 @@ class NativeAccel:
         # topologies, from per-source distance buckets; uniform striping
         # needs neither.
         locality = cores.locality
-        distance = self._loc_model >= 0 and isinstance(
-            locality, _DistanceLocality
-        )
+        distance = isinstance(locality, _DistanceLocality)
         self._loc_maxd = locality._max_dist if distance else 0
         (self._loc_order, self._loc_bstart, self._loc_bcount,
          self._loc_ecc) = (
@@ -407,26 +413,15 @@ class NativeAccel:
             self._ctr[index] = value
             cast = bool if isinstance(value, bool) else int
             self._mirrors.append((index, owner, attr, cast))
-        # Slot indices the per-cycle drivers read, resolved once.
+        # Slot indices run_span touches, resolved once.
         slots = list(_CTR)
         self._ctr_error = slots.index("ERROR")
-        self._ctr_miss_cnt = slots.index("MISS_CNT")
-        self._ctr_accepted = slots.index("ACCEPTED")
-        self._ctr_ej_count = slots.index("EJ_COUNT")
         self._ctr_span = slots.index("SPAN")
+        self._ctr_phases = slots.index("PHASES")
 
         ll = ctypes.POINTER(ctypes.c_longlong)
         self._cfg_p = self._cfg.ctypes.data_as(ll)
         self._ctr_p = self._ctr.ctypes.data_as(ll)
-        self._net_kernel = (
-            self._lib.noc_credit if self._buffered else self._lib.noc_bless
-        )
-        self._key_grid = self._h_key if self._buffered else self._g_key
-        self._empty_ejected = EjectedFlits.empty()
-        # The scalar-stats mirror flush is deferred to epoch boundaries
-        # and result() unless a per-cycle observer (the watchdog) reads
-        # the stats object between network steps.
-        self._eager_flush = sim.watchdog is not None
 
     # ------------------------------------------------------------------
     def _check_error(self) -> None:
@@ -441,76 +436,31 @@ class NativeAccel:
         """Mirror the C counters back onto the Python stat objects.
 
         Array state needs no flushing (the kernels mutate the arrays
-        Python owns); this covers the Python *scalars* only.  Called at
-        epoch boundaries and before result() — and per network step
-        when a watchdog observes the stats every cycle.
+        Python owns); this covers the Python *scalars* only.  Called by
+        whoever is about to read them: the epoch phase, the watchdog
+        hook, result().
         """
         values = self._ctr.tolist()
         for index, owner, attr, cast in self._mirrors:
             setattr(owner, attr, cast(values[index]))
 
     # ------------------------------------------------------------------
-    # Phase drivers (called by the Simulator's native pipeline)
-    # ------------------------------------------------------------------
-    def cores_phase(self, cycle: int) -> None:
-        self._lib.noc_cores(self._pt, self._cfg_p, self._ctr_p, cycle)
-        self._check_error()
-        k = int(self._ctr[self._ctr_miss_cnt])
-        if k:
-            # The reference miss tail, split around its RNG draws: the
-            # destinations and next gaps come from the same streams, in
-            # the same order, as CoreArray._issue_misses; the queue
-            # pushes and per-miss bookkeeping in between run in C.
-            cores = self._cores
-            self._issue_dest[:k] = cores.locality.sample(
-                self._miss_out[:k], cores.rng
-            )
-            self._lib.noc_issue(self._pt, self._cfg_p, self._ctr_p, cycle)
-            m = int(self._ctr[self._ctr_accepted])
-            if m:
-                accepted = self._miss_out[:m]
-                cores._insns_until_miss[accepted] = (
-                    cores.behavior.sample_gap(accepted, cores.rng)
-                )
+    def run_span(
+        self, cycle: int, count: int, phases: int = _ALL_PHASES
+    ) -> None:
+        """Cycles ``cycle .. cycle + count - 1`` of *phases*, in one call.
 
-    def memory_phase(self, cycle: int) -> None:
-        self._lib.noc_memory(self._pt, self._cfg_p, self._ctr_p, cycle)
-        self._check_error()
-
-    def network_phase(self, cycle: int) -> EjectedFlits:
-        if self._arb_random:
-            # Same draw (size, dtype, bounds) as RandomArbitration, so
-            # the RNG stream matches the reference bit for bit.
-            self._key_grid[...] = self._rng.integers(
-                0, _KEY_MAX, size=self._key_grid.shape, dtype=np.int64
-            )
-        self._net_kernel(self._pt, self._cfg_p, self._ctr_p, cycle)
-        self._check_error()
-        if self._eager_flush:
-            self.flush()
-        if not self._sim._observe:
-            # Ejection consumers run in C (noc_eject); the batch only
-            # needs Python-side wrapping for an observing controller.
-            return self._empty_ejected
-        k = int(self._ctr[self._ctr_ej_count])
-        return EjectedFlits(
-            self._ej_node[:k], self._ej_src[:k], self._ej_kind[:k],
-            self._ej_seq[:k], self._ej_cbit[:k],
-        )
-
-    def ejection_phase(self, cycle: int) -> None:
-        self._lib.noc_eject(self._pt, self._cfg_p, self._ctr_p, cycle)
-        self._check_error()
-
-    def run_span(self, cycle: int, count: int) -> None:
-        """Cycles ``cycle .. cycle + count - 1``, whole, in one call.
-
-        Behaviour tick, the four phases above and every RNG draw between
-        them run in C on the simulator's own generators, leaving all
-        state — generator state included — exactly where *count* rounds
-        of the per-cycle drivers would.  Only meaningful when
-        :attr:`fusable`.
+        Behaviour tick, cores, memory, network, ejection and every RNG
+        draw between them run in C on the simulator's own generators;
+        *phases* is a mask over :data:`PHASES`, every phase by default.
         """
         self._ctr[self._ctr_span] = count
+        self._ctr[self._ctr_phases] = phases
         self._lib.noc_span(self._pt, self._cfg_p, self._ctr_p, cycle)
         self._check_error()
+
+    def phase(self, name: str):
+        """Pipeline phase *name* as a per-cycle callable: its bit of the
+        span, one cycle."""
+        bit = 1 << PHASES.index(name)
+        return lambda cycle: self.run_span(cycle, 1, bit)

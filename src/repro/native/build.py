@@ -6,7 +6,7 @@ shared object on first use with whatever C compiler the host provides.
 layout constant is handed to it as a ``-DNAME=value`` flag generated
 from :func:`repro.native.accel.abi_defines`, so Python is the single
 owner and a name C uses that Python did not supply is a compile error.
-The fused kernel draws its random numbers through numpy's own
+The kernels draw their random numbers through numpy's own
 distribution functions, so the object links the ``libnpyrandom.a`` that
 ships inside the installed numpy.  The build artifact is tagged with a
 hash of the source, the flags, any arguments ``$CC`` carries *and* the
@@ -39,11 +39,8 @@ class NativeBuildError(RuntimeError):
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernels.c")
 _BUILD_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_build")
 
-#: Entry points exported by kernels.c; all share the same ABI.
-KERNELS = (
-    "noc_cores", "noc_issue", "noc_memory", "noc_bless", "noc_credit",
-    "noc_eject", "noc_span",
-)
+#: Entry points exported by kernels.c.
+KERNELS = ("noc_span",)
 
 #: Fixed compiler options.  ``-ffp-contract=off``: the reference
 #: multiplies ``ipf * phase_mult * flits_per_miss`` unfused, so no

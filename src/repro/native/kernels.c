@@ -11,13 +11,13 @@
  * Any semantic change here must keep tests/test_native_backend.py's
  * numpy-vs-native equivalence suite green.
  *
- * ABI: every entry point takes (void **pt, const long long *cfg,
- * long long *ctr, long long cycle).  `pt` is the pointer table, `cfg`
- * immutable configuration constants, `ctr` mutable 64-bit counters
- * mirrored back onto the Python stats objects after each call.  Each
- * phase is a static function behind a one-line export, so noc_span (the
- * fused entry point at the end of the file) runs whole cycles through
- * the very bodies the per-cycle exports run.
+ * ABI: one entry point, noc_span(void **pt, const long long *cfg,
+ * long long *ctr, long long cycle), at the end of the file.  `pt` is the
+ * pointer table, `cfg` immutable configuration constants, `ctr` mutable
+ * 64-bit counters mirrored back onto the Python stats objects.  Every
+ * phase is a static function; a call runs ctr[CTR_SPAN] cycles of the
+ * phases named in ctr[CTR_PHASES], so a whole epoch and one observed
+ * phase of one cycle go through the same bodies.
  *
  * Python owns every ABI fact.  This file defines none of them: the
  * PT_, CFG_, FCFG_ and CTR_ slot indices (positions in accel.py's
@@ -39,7 +39,7 @@
 /* numpy's bit-generator interface and the distribution functions of
  * its libnpyrandom (numpy/random/distributions.h, which cannot be
  * included without Python.h).  Drawing through them on the simulator's
- * own generators is what keeps the fused path on the reference RNG
+ * own generators is what keeps the kernels on the reference RNG
  * streams: no distribution is re-implemented here. */
 #include <numpy/random/bitgen.h>
 extern double random_lognormal(bitgen_t *rng, double mean, double sigma);
@@ -55,13 +55,6 @@ extern void random_bounded_uint64_fill(bitgen_t *rng, uint64_t off,
 
 typedef long long i64;
 
-#define EXPORT_PHASE(name, body)                                       \
-    void name(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)          \
-    {                                                                  \
-        if (check_abi(cfg, ctr))                                       \
-            body(pt, cfg, ctr, cycle);                                 \
-    }
-
 static int check_abi(const i64 *cfg, i64 *ctr)
 {
     if (cfg[CFG_P] + 1 > MAX_PORTS) {
@@ -75,11 +68,12 @@ static int check_abi(const i64 *cfg, i64 *ctr)
 /* Shared pieces                                                       */
 /* ------------------------------------------------------------------ */
 
-/* The cycle's ejection batch (PT_EJ_*) and its latency statistics,
- * tallied in registers and folded into ctr[] once per call. */
+/* The cycle's ejection batch (PT_EJ_*), the per-node record of who was
+ * handed a congestion bit (RouterEngine.cbit_seen), and the latency
+ * statistics, tallied in registers and folded into ctr[] once per call. */
 typedef struct {
     i64 *node, *src, *kind, *seq, *hist;
-    unsigned char *cbit;
+    unsigned char *seen;
     i64 flits, lat_sum, lat_max, hops_sum;
 } Ejection;
 
@@ -88,7 +82,7 @@ static inline Ejection ejection_begin(void **pt, const i64 *ctr)
     Ejection ej = {
         (i64 *)pt[PT_EJ_NODE], (i64 *)pt[PT_EJ_SRC], (i64 *)pt[PT_EJ_KIND],
         (i64 *)pt[PT_EJ_SEQ], (i64 *)pt[PT_LAT_HIST],
-        (unsigned char *)pt[PT_EJ_CBIT], 0, 0, ctr[CTR_LAT_MAX], 0,
+        (unsigned char *)pt[PT_CBIT_SEEN], 0, 0, ctr[CTR_LAT_MAX], 0,
     };
     return ej;
 }
@@ -101,7 +95,8 @@ static inline void eject_flit(Ejection *ej, i64 k, i64 node, i64 meta,
     ej->src[k] = (meta >> SRC_SHIFT) & NODE_MASK;
     ej->kind[k] = (meta >> KIND_SHIFT) & KIND_MASK;
     ej->seq[k] = (meta >> SEQ_SHIFT) & SEQ_MASK;
-    ej->cbit[k] = (meta & CBIT) != 0;
+    if (meta & CBIT)
+        ej->seen[node] = 1;
     ej->flits += 1;
     ej->lat_sum += lat;
     if (lat > ej->lat_max)
@@ -342,9 +337,8 @@ static void bless_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 
         /* Gather the arrived flits in key order: a stable insertion
          * sort, ties keep column order (kind="stable" argsort).  For
-         * ARB_RANDOM the caller (Python per cycle, noc_span when
-         * fused) prefilled the key grid from the same RNG stream as
-         * the numpy path. */
+         * ARB_RANDOM noc_span prefilled the key grid from the same RNG
+         * stream as the numpy path. */
         for (int c = 0; c < p; c++) {
             links |= (uint64_t)link_up[base + c] << c;
             i64 b = gbirth[base + c];
@@ -425,7 +419,6 @@ static void bless_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
         memmove(ej.src + total, ej.src + from, (size_t)count * sizeof(i64));
         memmove(ej.kind + total, ej.kind + from, (size_t)count * sizeof(i64));
         memmove(ej.seq + total, ej.seq + from, (size_t)count * sizeof(i64));
-        memmove(ej.cbit + total, ej.cbit + from, (size_t)count);
         total += count;
     }
     ejection_end(&ej, ctr, total);
@@ -681,13 +674,12 @@ static void cores_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Miss-issue tail (CoreArray._issue_misses minus the RNG draws)       */
 /* ------------------------------------------------------------------ */
-/* The caller (Python per cycle, noc_span when fused) samples the
- * destinations (PT_ISSUE_DEST) from the shared RNG stream first, this
- * kernel performs the queue pushes and per-miss bookkeeping, and the
- * caller then draws the next gaps for the accepted subset — the exact
- * call order of the reference tail.  The accepted nodes are compacted
- * in place into PT_MISS_OUT (they are a prefix-order subset of the
- * misser list). */
+/* noc_span samples the destinations (PT_ISSUE_DEST) from the shared RNG
+ * stream first, this body performs the queue pushes and per-miss
+ * bookkeeping, and noc_span then draws the next gaps for the accepted
+ * subset — the exact call order of the reference tail.  The accepted
+ * nodes are compacted in place into PT_MISS_OUT (they are a prefix-order
+ * subset of the misser list). */
 static void issue_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
     i64 k = ctr[CTR_MISS_CNT];
@@ -894,15 +886,8 @@ static void eject_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
         ctr[CTR_HEAD_DIRTY] = 1;
 }
 
-EXPORT_PHASE(noc_cores, cores_phase)
-EXPORT_PHASE(noc_issue, issue_phase)
-EXPORT_PHASE(noc_memory, memory_phase)
-EXPORT_PHASE(noc_bless, bless_phase)
-EXPORT_PHASE(noc_credit, credit_phase)
-EXPORT_PHASE(noc_eject, eject_phase)
-
 /* ------------------------------------------------------------------ */
-/* RNG draws of the fused span                                         */
+/* RNG draws                                                           */
 /* ------------------------------------------------------------------ */
 /* Each routine consumes its stream exactly as the vectorised reference
  * does: array at a time — every draw of one kind for the whole batch
@@ -1050,41 +1035,47 @@ static void draw_gaps(void **pt, i64 m)
 }
 
 /* ------------------------------------------------------------------ */
-/* Fused span: ctr[CTR_SPAN] whole cycles starting at `cycle`          */
+/* The span: ctr[CTR_SPAN] cycles of the ctr[CTR_PHASES] phases         */
 /* ------------------------------------------------------------------ */
 /* behaviour -> cores (destination draw, issue, gap draw) -> memory ->
  * network (key grid drawn for ARB_RANDOM) -> ejection, in the pipeline's
- * order and on the generator state the per-cycle path would meet, so a
- * run may switch between the two at any cycle boundary.  Stops at the
- * first cycle that raises ctr[CTR_ERROR]. */
+ * order.  A fused span is every PHASE_ bit for many cycles; a phase
+ * something observes is its one bit for one cycle, five calls to the
+ * cycle, on the same bodies and generator state, so a run may switch
+ * between the two at any cycle boundary.  Stops at the first phase that
+ * raises ctr[CTR_ERROR]. */
 void noc_span(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
     if (!check_abi(cfg, ctr))
         return;
+    const i64 phases = ctr[CTR_PHASES];
     int buffered = cfg[CFG_BUFFERED] != 0;
     void (*network_phase)(void **, const i64 *, i64 *, i64) =
         buffered ? credit_phase : bless_phase;
     i64 keys = cfg[CFG_N] * (cfg[CFG_P] + buffered);
     i64 end = cycle + ctr[CTR_SPAN];
     for (; cycle < end && !ctr[CTR_ERROR]; cycle++) {
-        behavior_phase(pt, cfg);
-        cores_phase(pt, cfg, ctr, cycle);
-        if (ctr[CTR_MISS_CNT]) {
-            draw_destinations(pt, cfg, ctr[CTR_MISS_CNT]);
-            issue_phase(pt, cfg, ctr, cycle);
-            draw_gaps(pt, ctr[CTR_ACCEPTED]);
+        if (phases & PHASE_BEHAVIOR)
+            behavior_phase(pt, cfg);
+        if (phases & PHASE_CORES) {
+            cores_phase(pt, cfg, ctr, cycle);
+            if (ctr[CTR_MISS_CNT]) {
+                draw_destinations(pt, cfg, ctr[CTR_MISS_CNT]);
+                issue_phase(pt, cfg, ctr, cycle);
+                draw_gaps(pt, ctr[CTR_ACCEPTED]);
+            }
         }
-        memory_phase(pt, cfg, ctr, cycle);
-        if (ctr[CTR_ERROR])
-            return;
-        if (cfg[CFG_ARB] == ARB_RANDOM)
-            /* integers(0, KEY_MAX, size=grid.shape, dtype=int64) */
-            random_bounded_uint64_fill(
-                (bitgen_t *)pt[PT_RNG_ARB], 0, (uint64_t)KEY_MAX - 1, keys,
-                0, (uint64_t *)pt[buffered ? PT_H_KEY : PT_G_KEY]);
-        network_phase(pt, cfg, ctr, cycle);
-        if (ctr[CTR_ERROR])
-            return;
-        eject_phase(pt, cfg, ctr, cycle);
+        if (phases & PHASE_MEMORY)
+            memory_phase(pt, cfg, ctr, cycle);
+        if (phases & PHASE_NETWORK && !ctr[CTR_ERROR]) {
+            if (cfg[CFG_ARB] == ARB_RANDOM)
+                /* integers(0, KEY_MAX, size=grid.shape, dtype=int64) */
+                random_bounded_uint64_fill(
+                    (bitgen_t *)pt[PT_RNG_ARB], 0, (uint64_t)KEY_MAX - 1,
+                    keys, 0, (uint64_t *)pt[buffered ? PT_H_KEY : PT_G_KEY]);
+            network_phase(pt, cfg, ctr, cycle);
+        }
+        if (phases & PHASE_EJECTION && !ctr[CTR_ERROR])
+            eject_phase(pt, cfg, ctr, cycle);
     }
 }

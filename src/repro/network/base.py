@@ -22,12 +22,11 @@ class EjectedFlits:
     src: np.ndarray  # injecting node
     kind: np.ndarray  # FLIT_REQUEST / FLIT_REPLY / FLIT_CONTROL
     seq: np.ndarray  # packet sequence tag (miss matching)
-    cbit: np.ndarray  # congestion bit (distributed controller, §6.6)
 
     @classmethod
     def empty(cls) -> "EjectedFlits":
         zero = np.zeros(0, dtype=np.int64)
-        return cls(zero, zero, zero, zero, zero.astype(bool))
+        return cls(zero, zero, zero, zero)
 
 
 @dataclass

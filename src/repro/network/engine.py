@@ -56,7 +56,6 @@ from repro.network.flit import (
     FLIT_REPLY,
     FLIT_REQUEST,
     HOP_ONE,
-    meta_cbit,
     meta_dest,
     meta_hops,
     meta_kind,
@@ -951,9 +950,12 @@ class RouterEngine:
             self.link_up = fault_model.link_up
         else:
             self.link_up = topology.link_exists
-        # Distributed controller support: nodes currently asserting the
-        # congestion bit on passing flits (§6.6); unused otherwise.
+        # Distributed controller support (§6.6): nodes currently
+        # asserting the congestion bit on passing flits, and nodes that
+        # were delivered a marked flit since a controller last drained
+        # the array (Controller.drain); all False otherwise.
         self.congested_nodes = np.zeros(self.num_nodes, dtype=bool)
+        self.cbit_seen = np.zeros(self.num_nodes, dtype=bool)
         # Sampled flit-event tracing (repro.observability.FlitTracer);
         # installed by the simulator when tracing is enabled.  A None
         # tracer costs one branch per step section.
@@ -1221,7 +1223,9 @@ class RouterEngine:
         return (self._cursor + lat_sel - 1) % self._ring_depth
 
     def account_ejections(self, cycle, rows, meta, latencies) -> None:
-        """Latency/hop statistics for a batch of delivered flits."""
+        """Latency/hop statistics for a batch of delivered flits, and
+        the congestion bits their receivers were handed."""
+        self.cbit_seen[rows[(meta & CBIT_MASK) != 0]] = True
         stats = self.stats
         stats.ejected_flits += rows.size
         stats.latency_sum += int(latencies.sum())
@@ -1240,8 +1244,7 @@ class RouterEngine:
     @staticmethod
     def make_ejected(rows, meta) -> EjectedFlits:
         return EjectedFlits(
-            rows, meta_src(meta), meta_kind(meta), meta_seq(meta),
-            meta_cbit(meta).astype(bool),
+            rows, meta_src(meta), meta_kind(meta), meta_seq(meta)
         )
 
     def injection_stage(self, cycle, capacity, place) -> None:

@@ -67,13 +67,9 @@ PHASE_WRITES = {
     "_chaos_phase": (),
     "_behavior_phase": (),
     "_network_phase": ("_ejected",),
-    "_cores_phase_native": (),
-    "_memory_phase_native": (),
-    "_network_phase_native": ("_ejected",),
     "_invariants_hook": (),
     "_watchdog_hook": (),
     "_ejection_phase": (),
-    "_ejection_phase_native": (),
     "_epoch_phase": (
         "_epoch_start_hops",
         "_epoch_start_insns",
@@ -199,9 +195,6 @@ class Simulator:
         # Per-cycle scratch: the network phase's delivered flits, consumed
         # by the guardrail hooks and the ejection phase.
         self._ejected = EjectedFlits.empty()
-        # Read after the chaos engine armed the controller: a failover
-        # standby may observe ejections the primary does not.
-        self._observe = self.controller.observes_ejections
         # Compiled hot-path backend (repro.native): opt-in via the
         # config; unsupported configurations raise NativeUnsupported
         # rather than silently running something slightly different.
@@ -229,33 +222,26 @@ class Simulator:
             # Chaos runs first: fault transitions land on the cycle
             # boundary, before any phase observes the topology.
             pipe.append("chaos", self._chaos_phase)
-        pipe.append("behavior", self._behavior_phase)
-        if self._accel is not None:
-            # Native backend: same phase order, compiled phase bodies.
-            # Chaos and the invariant checker are gated off by the
-            # accel's construction checks, so neither appears here.
-            pipe.append("cores", self._cores_phase_native)
-            pipe.append("memory", self._memory_phase_native)
-            pipe.append("network", self._network_phase_native)
-            if self.watchdog is not None:
-                pipe.post_hook("network", self._watchdog_hook)
-            pipe.append("ejection", self._ejection_phase_native)
-            pipe.append("epoch", self._epoch_phase, every=self.config.epoch)
-            if self._accel.fusable:
-                pipe.fuse(
-                    ("behavior", "cores", "memory", "network", "ejection"),
-                    self._accel.run_span,
-                )
-            return pipe
-        pipe.append("cores", self.cores.step)
-        pipe.append("memory", self.memory.step)
-        pipe.append("network", self._network_phase)
+        phases = (
+            ("behavior", self._behavior_phase),
+            ("cores", self.cores.step),
+            ("memory", self.memory.step),
+            ("network", self._network_phase),
+            ("ejection", self._ejection_phase),
+        )
+        accel = self._accel
+        for name, fn in phases:
+            # Native backend: same names and order, each phase its bit
+            # of the compiled span (chaos and the invariant checker are
+            # refused at the accel's construction).
+            pipe.append(name, fn if accel is None else accel.phase(name))
         if self.checker is not None:
             pipe.post_hook("network", self._invariants_hook)
         if self.watchdog is not None:
             pipe.post_hook("network", self._watchdog_hook)
-        pipe.append("ejection", self._ejection_phase)
         pipe.append("epoch", self._epoch_phase, every=self.config.epoch)
+        if accel is not None:
+            pipe.fuse([name for name, _ in phases], accel.run_span)
         return pipe
 
     def _chaos_phase(self, cycle: int) -> None:
@@ -267,28 +253,14 @@ class Simulator:
     def _network_phase(self, cycle: int) -> None:
         self._ejected = self.network.step(cycle)
 
-    def _cores_phase_native(self, cycle: int) -> None:
-        self._accel.cores_phase(cycle)
-
-    def _memory_phase_native(self, cycle: int) -> None:
-        self._accel.memory_phase(cycle)
-
-    def _network_phase_native(self, cycle: int) -> None:
-        self._ejected = self._accel.network_phase(cycle)
-
-    def _ejection_phase_native(self, cycle: int) -> None:
-        """Native ejection: L2 + core delivery happen in C; only the
-        (optional) controller observation stays in Python."""
-        self._accel.ejection_phase(cycle)
-        if self._observe and self._ejected.node.size:
-            self.controller.observe(self._ejected)
-
     def _invariants_hook(self, cycle: int) -> None:
         assert self.checker is not None  # only registered when enabled
         self.checker.after_step(cycle, self._ejected)
 
     def _watchdog_hook(self, cycle: int) -> None:
         assert self.watchdog is not None  # only registered when enabled
+        if self._accel is not None:
+            self._accel.flush()  # the watchdog reads scalar stats
         self.watchdog.after_step(cycle, self.network)
 
     def _ejection_phase(self, cycle: int) -> None:
@@ -304,8 +276,6 @@ class Simulator:
             rep = kind == FLIT_REPLY
             if rep.any():
                 self.cores.on_reply_flits(ejected.node[rep], ejected.seq[rep])
-            if self._observe:
-                self.controller.observe(ejected)
 
     def _epoch_phase(self, cycle: int) -> None:
         if self._accel is not None:
@@ -495,10 +465,14 @@ class Simulator:
     def result(self) -> SimulationResult:
         """The run's results so far — callable even after an abort.
 
-        A :class:`~repro.guardrails.errors.SimulationTimeout` (or any
-        guardrail abort) fires on a cycle boundary, before any phase of
-        the aborted cycle runs, so the state summarized here is always a
-        consistent whole number of cycles and epochs.
+        A :class:`~repro.guardrails.errors.SimulationTimeout` fires on
+        a cycle boundary, before any phase of the aborted cycle runs.  A
+        livelock or invariant abort is raised by a post-hook of the
+        ``network`` phase: cycle ``self.cycle`` ran its cores, memory and
+        network phases but not its ejection, and is not counted in
+        ``cycles``.  Either way flit conservation holds in what is
+        summarized here: a flit the aborted cycle delivered is counted
+        ejected, one it left in the fabric is counted in flight.
         """
         if self._accel is not None:
             self._accel.flush()

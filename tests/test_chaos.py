@@ -27,7 +27,10 @@ from repro.harness import JobSpec, run_job, run_jobs
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
 from repro.topology.mesh import Mesh2D
-from repro.traffic.workloads import make_homogeneous_workload
+from repro.traffic.workloads import (
+    make_category_workload,
+    make_homogeneous_workload,
+)
 from tests.test_golden_results import result_hash
 
 # Full-simulation module: runs real multi-epoch simulations end to end.
@@ -218,6 +221,39 @@ class TestControllerFailStop:
         assert report.applied_events == 2
         assert report.controller_down_epochs >= 1
         assert report.controller_failovers == 0
+
+    #: Both transitions land mid-epoch, one cycle from an epoch
+    #: boundary: up at 1501 leaves the standby the marks of cycle 1500
+    #: alone, down at 2999 adds those of cycle 2999 alone, so its epoch
+    #: at 3000 throttles a strict subset of the nodes.  A standby that
+    #: sees one cycle more or less on either side gets another digest
+    #: (recorded while observation was a per-cycle callback).
+    MID_EPOCH = (
+        ChaosEvent(730, "controller_down"), ChaosEvent(1501, "controller_up"),
+        ChaosEvent(2999, "controller_down"), ChaosEvent(3140, "controller_up"),
+    )
+    MID_EPOCH_PINS = {
+        "central":
+            "2576e73877893caadaa8ba5a91983f8d2a5e5b532c105912bafd4600b8c8ac56",
+        "distributed":
+            "14464811e1e1a5abe0de57156719939e99ed1b067eafc3389ba236a9faeeab17",
+    }
+
+    @pytest.mark.parametrize("primary", sorted(MID_EPOCH_PINS))
+    def test_standby_sees_exactly_the_intervals_the_primary_was_down(
+        self, primary
+    ):
+        controller = build_controller((primary,), epoch=500)
+        result = Simulator(SimulationConfig(
+            make_category_workload("HM", 16, np.random.default_rng(7)),
+            seed=1, epoch=500, eject_width=2, controller=controller,
+            chaos=ChaosConfig(
+                events=self.MID_EPOCH, seed=3, degraded_mode="failover"
+            ),
+        )).run(4000)
+        rates = controller.standby._rates
+        assert 0 < (rates == controller.standby.backoff_rate).sum() < 16
+        assert result_hash(result) == self.MID_EPOCH_PINS[primary]
 
 
 class TestDeterminism:

@@ -15,7 +15,7 @@ from repro.control import (
     mechanism_hardware_cost,
 )
 from repro.network import DeflectFlowControl, RouterEngine
-from repro.network.base import EjectedFlits
+from repro.network.flit import CBIT_MASK, FLIT_REQUEST, pack_meta
 from repro.sim.simulator import Simulator
 from repro.traffic.workloads import make_homogeneous_workload
 from repro import Mesh2D
@@ -168,44 +168,35 @@ class TestDistributedController:
         assert net.congested_nodes.sum() == 1
 
     def test_marked_receiver_backs_off(self):
+        """run_epoch drains the network's cbit_seen into the scheme."""
         ctrl, net = self._make(backoff_rate=0.5)
-        ej = EjectedFlits(
-            node=np.array([3]), src=np.array([0]), kind=np.array([0]),
-            seq=np.array([0]), cbit=np.array([True]),
-        )
-        ctrl.on_ejected(ej)
-        rates = ctrl.on_epoch(view([1.0] * 16, np.zeros(16)))
+        net.cbit_seen[3] = True
+        rates = ctrl.run_epoch(view([1.0] * 16, np.zeros(16)))
         assert rates[3] == 0.5
         assert rates.sum() == 0.5
+        assert not net.cbit_seen.any()  # drained, not just read
 
     def test_unmarked_flits_do_nothing(self):
+        """A delivered flit without the congestion bit leaves no trace."""
         ctrl, net = self._make()
-        ej = EjectedFlits(
-            node=np.array([3]), src=np.array([0]), kind=np.array([0]),
-            seq=np.array([0]), cbit=np.array([False]),
-        )
-        ctrl.on_ejected(ej)
-        rates = ctrl.on_epoch(view([1.0] * 16, np.zeros(16)))
+        meta = pack_meta([3], [0], FLIT_REQUEST)
+        net.account_ejections(0, np.array([3]), meta, np.array([5]))
+        assert not net.cbit_seen.any()
+        net.account_ejections(0, np.array([3]), meta | CBIT_MASK, np.array([5]))
+        assert net.cbit_seen.nonzero()[0].tolist() == [3]
+        net.cbit_seen[:] = False
+        rates = ctrl.run_epoch(view([1.0] * 16, np.zeros(16)))
         assert rates.sum() == 0.0
 
     def test_backoff_decays_without_new_marks(self):
         ctrl, net = self._make(backoff_rate=0.8, decay=0.5)
-        ej = EjectedFlits(
-            node=np.array([2]), src=np.array([0]), kind=np.array([0]),
-            seq=np.array([0]), cbit=np.array([True]),
-        )
-        ctrl.on_ejected(ej)
-        first = ctrl.on_epoch(view([1.0] * 16, np.zeros(16)))[2]
-        second = ctrl.on_epoch(view([1.0] * 16, np.zeros(16)))[2]
-        third = ctrl.on_epoch(view([1.0] * 16, np.zeros(16)))[2]
+        net.cbit_seen[2] = True
+        first = ctrl.run_epoch(view([1.0] * 16, np.zeros(16)))[2]
+        second = ctrl.run_epoch(view([1.0] * 16, np.zeros(16)))[2]
+        third = ctrl.run_epoch(view([1.0] * 16, np.zeros(16)))[2]
         assert first == 0.8
         assert second == pytest.approx(0.4)
         assert third == pytest.approx(0.2)
-
-    def test_observes_ejections_flag(self):
-        ctrl, _ = self._make()
-        assert ctrl.observes_ejections
-        assert not CentralController().observes_ejections
 
 
 class TestControllerLifecycle:

@@ -19,6 +19,7 @@ from repro import (
     Simulator,
     make_category_workload,
 )
+from repro.native import native_available
 from repro.network import CreditFlowControl, DeflectFlowControl, RouterEngine
 from repro.network.base import EjectedFlits
 from repro.network.flit import pack_meta
@@ -28,7 +29,7 @@ from repro.topology.mesh import EAST, NORTH, WEST
 def _ejected(nodes):
     nodes = np.asarray(nodes, dtype=np.int64)
     zeros = np.zeros(nodes.size, dtype=np.int64)
-    return EjectedFlits(nodes, zeros, zeros, zeros, zeros.astype(bool))
+    return EjectedFlits(nodes, zeros, zeros, zeros)
 
 
 def _drive_random_traffic(net, rng, cycles, checker=None, load=0.4):
@@ -427,3 +428,23 @@ class TestSimulatorGuardrails:
         simulator = Simulator(self._config())
         with pytest.raises(SimulationTimeout):
             simulator.run(1_000_000, deadline=0.0)
+
+    @pytest.mark.parametrize("backend", [
+        "numpy",
+        pytest.param("native", marks=pytest.mark.skipif(
+            not native_available(), reason="no C compiler"
+        )),
+    ])
+    def test_result_after_a_watchdog_abort_conserves_flits(self, backend):
+        """The watchdog is a post-hook of the network phase: the aborted
+        cycle's cores, memory and network phases ran, the cycle is not
+        counted, and every flit is ejected or in flight."""
+        simulator = Simulator(self._config(backend=backend, max_flit_age=25))
+        with pytest.raises(LivelockError, match="age bound") as abort:
+            simulator.run(5000)
+        result = simulator.result()
+        assert result.cycles == simulator.cycle == abort.value.cycle > 0
+        assert simulator.network.stats.cycles == result.cycles + 1
+        assert result.injected_flits > result.ejected_flits > 0
+        assert result.flit_conservation_ok
+        assert abort.value.snapshot["ejected_flits"] == result.ejected_flits

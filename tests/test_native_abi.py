@@ -16,6 +16,7 @@ into ``tmp_path``) instead of statically comparing two hand-kept copies:
 """
 
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -182,6 +183,27 @@ def test_bare_compile_without_flags_hits_the_error_guard(tmp_path):
     )
     assert proc.returncode != 0
     assert "build through repro.native.build" in proc.stderr
+
+
+@needs_native
+def test_noc_span_is_the_only_entry_point():
+    """The per-phase exports are gone, from the object and the source:
+    a phase on its own is a one-bit noc_span call."""
+    assert build.KERNELS == ("noc_span",)
+    lib = load_library()
+    for name in ("noc_cores", "noc_issue", "noc_memory", "noc_bless",
+                 "noc_credit", "noc_eject"):
+        assert not hasattr(lib, name)
+    with open(build._SRC, encoding="utf-8") as handle:
+        source = handle.read()
+    external = re.findall(
+        r"^(?!static\b|extern\b|typedef\b)[a-z][\w *]*?\b(\w+)\(",
+        source, re.MULTILINE,
+    )
+    assert external == ["noc_span"]
+    defines = accel.abi_defines()
+    bits = [defines["PHASE_" + name.upper()] for name in accel.PHASES]
+    assert bits == [1, 2, 4, 8, 16]
 
 
 @pytest.mark.skipif(

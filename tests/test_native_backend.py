@@ -3,11 +3,11 @@
 The native backend (``SimulationConfig.backend = "native"``) must be a
 pure accelerator: every supported configuration produces results
 bit-identical to the numpy engine, and every unsupported configuration
-refuses loudly at construction instead of silently diverging.  An
-unobserved native run takes the fused span (whole cycles per C call,
-RNG draws in C); the generated cases pin it against the numpy engine
-*and* the per-cycle native path, generator state included, for every
-registered locality model.  The allocation tests pin the PR's
+refuses loudly at construction instead of silently diverging.  There is
+one compiled entry point: an unobserved native run takes it as a fused
+span (whole cycles per call), an observed one phase by phase (one mask
+bit, one cycle); the generated cases pin both against the numpy engine,
+generator state included, for every registered locality model.  The allocation tests pin the PR's
 zero-allocation claim: after warm-up, the network phase performs no new
 numpy array allocations.
 """
@@ -102,7 +102,7 @@ def _no_op(cycle):
 
 def _generated_sim(backend, locality="exponential", topology="mesh",
                    network="bless", epoch=200, per_cycle=False, nodes=16,
-                   **overrides):
+                   controller="central", **overrides):
     workload = make_category_workload("H", nodes, np.random.default_rng(7))
     kwargs = dict(
         locality=locality, locality_param=2.5, phase_length=50,
@@ -113,7 +113,7 @@ def _generated_sim(backend, locality="exponential", topology="mesh",
     sim = Simulator(SimulationConfig(
         workload, seed=7, epoch=epoch, backend=backend, network=network,
         topology=topology,
-        controller=build_controller(("central",), epoch=epoch), **kwargs,
+        controller=build_controller((controller,), epoch=epoch), **kwargs,
     ))
     if per_cycle:
         sim.pipeline.post_hook("network", _no_op)
@@ -133,8 +133,9 @@ def _outcome(sim):
 
 
 def _three_ways(cycles=600, **kwargs):
-    """numpy's outcome, after checking that the fused and the per-cycle
-    native run leave the same result and generator states behind."""
+    """numpy's outcome, after checking that the fused and the
+    phase-by-phase native run leave the same result and generator states
+    behind."""
     outcomes = []
     for backend, per_cycle in (
         ("numpy", False), ("native", False), ("native", True),
@@ -160,6 +161,19 @@ def test_every_registered_locality_is_drawn_in_c():
 def test_numpy_fused_and_per_cycle_native_agree(locality, topology, network):
     """Full result and the state of all three generators, three ways."""
     _three_ways(locality=locality, topology=topology, network=network)
+
+
+@needs_native
+@pytest.mark.slow
+@pytest.mark.parametrize("network", ["bless", "buffered"])
+def test_distributed_controller_agrees_three_ways(network):
+    """The §6.6 scheme reads cbit_seen at epoch boundaries only, so it
+    runs fused; its marks must survive both ways of taking the span."""
+    result, _ = _three_ways(
+        network=network, controller="distributed", locality="uniform",
+        cycles=1200,
+    )
+    assert any(json.loads(result)["epochs"]["series"]["throttled_nodes"])
 
 
 # ----------------------------------------------------------------------
@@ -208,35 +222,39 @@ def test_six_port_routers_ejecting_three_wide_agree():
 
 @needs_native
 @pytest.mark.slow
-def test_observing_controller_sees_the_same_ejection_batches():
-    """Entry for entry, congestion bit included: round-major, and
-    node-ascending within a round, out of a node-major loop."""
+def test_cbit_seen_is_the_same_array_at_every_epoch_boundary():
+    """What the distributed controller drains, numpy == native — with
+    nodes that eject in both rounds of a cycle, out of a node-major
+    loop in C."""
     seen = {}
+    wide = []
+
+    def count_wide(cycle):
+        nodes = sim._ejected.node.tolist()
+        wide.append(len(nodes) != len(set(nodes)))
+
     for backend in ("numpy", "native"):
         controller = build_controller(("distributed",), epoch=200)
-        batches = seen[backend] = []
-        observe = controller.on_ejected
+        samples = seen[backend] = []
+        drain = controller.drain
 
-        def record(ejected, batches=batches, observe=observe):
-            batches.append([
-                np.asarray(column).tolist() for column in (
-                    ejected.node, ejected.src, ejected.kind, ejected.seq,
-                    ejected.cbit,
-                )
-            ])
-            observe(ejected)
+        def record(samples=samples, drain=drain, controller=controller):
+            samples.append(controller.network.cbit_seen.tolist())
+            drain()
 
-        controller.on_ejected = record
+        controller.drain = record
         workload = make_category_workload("H", 16, np.random.default_rng(7))
-        Simulator(SimulationConfig(
+        sim = Simulator(SimulationConfig(
             workload, seed=7, epoch=200, backend=backend, eject_width=2,
             controller=controller,
-        )).run(800)
+        ))
+        if backend == "numpy":
+            sim.pipeline.post_hook("network", count_wide)
+        sim.run(800)
+    assert len(seen["numpy"]) == 4
     assert seen["native"] == seen["numpy"]
-    assert any(any(batch[4]) for batch in seen["numpy"])
-    wide = [batch[0] for batch in seen["numpy"]
-            if len(batch[0]) != len(set(batch[0]))]
-    assert wide, "no node ejected two flits in one cycle"
+    assert any(any(sample) for sample in seen["numpy"])
+    assert any(wide), "no node ejected two flits in one cycle"
 
 
 @needs_native
@@ -318,8 +336,9 @@ def test_switching_fused_per_cycle_fused_mid_epoch_changes_nothing():
 
 
 @needs_native
-def test_observing_controller_and_prebuilt_locality_run_per_cycle():
-    """What C cannot stand in for is never registered as a fusion."""
+def test_distributed_controller_fuses_and_prebuilt_locality_refuses():
+    """Nothing is handed a silent slow path: every native simulator
+    registers the fusion, and what C cannot draw is a named refusal."""
     from repro.traffic.locality import ExponentialLocality
 
     workload = make_category_workload("H", 16, np.random.default_rng(7))
@@ -331,9 +350,10 @@ def test_observing_controller_and_prebuilt_locality_run_per_cycle():
     assert fused() is not None
     assert fused(
         controller=build_controller(("distributed",), epoch=200)
-    ) is None
+    ) is not None
     topology = Simulator(SimulationConfig(workload)).topology
-    assert fused(locality=ExponentialLocality(topology, 1.0)) is None
+    with pytest.raises(NativeUnsupported, match="LOCALITY_MODELS"):
+        fused(locality=ExponentialLocality(topology, 1.0))
 
 
 @needs_native
@@ -412,16 +432,17 @@ def test_native_network_phase_is_allocation_free(network):
     """The compiled network phase performs zero numpy allocations."""
     sim = _warm_simulator(network, "native")
     cycle = sim.cycle
+    network_phase = sim.pipeline.phase("network").fn
     tracemalloc.start()
     try:
         for i in range(20):
-            sim._network_phase_native(cycle + i)
+            network_phase(cycle + i)
         before = tracemalloc.take_snapshot().filter_traces(_NUMPY_DOMAIN)
         worst_peak = 0
         for i in range(100):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            sim._network_phase_native(cycle + 20 + i)
+            network_phase(cycle + 20 + i)
             peak = tracemalloc.get_traced_memory()[1]
             worst_peak = max(worst_peak, peak - base)
         after = tracemalloc.take_snapshot().filter_traces(_NUMPY_DOMAIN)
