@@ -32,7 +32,6 @@ from repro.control import (
     HierarchicalController,
     MechanismHardwareCost,
     NoController,
-    ShardController,
     StaticThrottleController,
     mechanism_hardware_cost,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "DistributedController",
     "FairCentralController",
     "DomainMap",
-    "ShardController",
     "HierarchicalController",
     "MechanismHardwareCost",
     "mechanism_hardware_cost",

@@ -14,11 +14,11 @@ cache, so re-running only executes changed points::
     python -m repro sweep --sizes 16,64,256 --jobs 4 \
         --cache-dir ~/.cache/repro-sweeps
 
-The ``profile`` subcommand runs the observability smoke benchmark — a
-per-phase wall-clock breakdown plus throughput counters — and writes
-the machine-readable baseline (``BENCH_pr3.json``)::
+The ``profile`` subcommand runs the observability smoke configuration
+with ``--profile`` on and prints what a single run prints for it; with
+``--overhead-check`` it also times per-phase timing enabled vs plain::
 
-    python -m repro profile --nodes 64 --cycles 20000 --out BENCH_pr3.json
+    python -m repro profile --nodes 64 --cycles 20000 --trace
     python -m repro profile --overhead-check 5    # CI gate
 
 Single runs take ``--profile`` (per-phase timing on the result) and
@@ -218,8 +218,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cycles", type=int, default=8_000,
                         help="cycle budget per point (default 8000)")
-    parser.add_argument("--category", default="H",
-                        help="workload category (default H)")
+    parser.add_argument("--category", choices=WORKLOAD_CATEGORIES,
+                        default="H", help="workload category (default H)")
     parser.add_argument("--seed", type=int, default=2)
     parser.add_argument("--epoch", type=int, default=1_200)
     parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
@@ -356,75 +356,69 @@ def chaos_main(argv=None) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_profile_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
-        description="Observability smoke benchmark: per-phase wall-clock "
-        "breakdown, throughput counters, and the BENCH_pr3.json baseline.",
+        description="Observability smoke run: per-phase wall-clock "
+        "breakdown and throughput counters, optionally gated on the cost "
+        "of per-phase timing.",
     )
     _add_common_flags(parser, "profile")
     parser.add_argument(
         "--trace", action="store_true",
-        help="also enable flit tracing and report its event counts",
+        help="also enable flit tracing and print its summary",
     )
     parser.add_argument("--trace-sample", type=float, default=1 / 16,
                         metavar="FRACTION")
     parser.add_argument(
-        "--out", default="BENCH_pr3.json", metavar="PATH",
-        help="benchmark JSON output path (default BENCH_pr3.json; "
-             "'-' skips the file)",
-    )
-    parser.add_argument(
         "--overhead-check", type=float, default=None, metavar="PCT",
-        help="also time the observability-disabled path against a plain "
-             "run and exit 1 if the overhead exceeds PCT percent",
+        help="also time per-phase timing enabled vs a plain run and "
+             "exit 1 if it costs more than PCT percent",
     )
     parser.add_argument(
-        "--repeats", type=int, default=2, metavar="N",
+        "--repeats", type=_positive_int, default=2, metavar="N",
         help="timing repetitions per side of the overhead check "
              "(best-of; default 2)",
     )
     return parser
 
 
+def _print_observability(simulator, result) -> None:
+    """What ``--profile`` and ``--trace`` add to a run's output."""
+    if result.perf is not None and simulator.config.profile:
+        print(f"\nprofile: {result.perf.table()}")
+    if simulator.tracer is not None:
+        print(f"\n{simulator.tracer.summary()}")
+
+
 def profile_main(argv=None) -> int:
-    from repro.observability.profile import run_profile, write_bench_json
+    from repro.observability.profile import build_simulator, timing_overhead
 
     opts = vars(build_profile_parser().parse_args(argv))
-    out = opts.pop("out")
-    payload = run_profile(**opts)
-    cfg = payload["config"]
-    print(f"profile: {cfg['nodes']} nodes, {cfg['cycles']} cycles, "
-          f"{cfg['category']}/{cfg['network']}/{cfg['topology']}, "
-          f"seed {cfg['seed']}")
-    print(f"  {payload['cycles_per_sec']:,.0f} cycles/s   "
-          f"{payload['flits_per_sec']:,.0f} flits/s   "
-          f"wall {payload['wall_seconds']:.3f}s")
-    print()
-    print("phase         seconds    share")
-    for name, secs in sorted(
-        payload["phase_seconds"].items(), key=lambda kv: -kv[1]
-    ):
-        share = payload["phase_shares"].get(name, 0.0)
-        print(f"{name:<12} {secs:>8.4f}   {share:>5.1%}")
-    if payload["trace"] is not None:
-        tr = payload["trace"]
-        counts = ", ".join(
-            f"{n} {c}" for n, c in tr["event_counts"].items()
-        )
-        print(f"\ntrace: {tr['recorded']} events recorded "
-              f"({tr['dropped']} dropped, sample={tr['sample']:g}): {counts}")
-    if out != "-":
-        path = write_bench_json(out, payload)
-        print(f"\nwrote {path}")
-    if payload["overhead_pct"] is not None:
-        print(f"\noverhead check: plain "
-              f"{payload['baseline_cycles_per_sec']:,.0f} cycles/s, "
-              f"observability disabled "
-              f"{payload['tracing_disabled_cycles_per_sec']:,.0f} cycles/s "
-              f"-> {payload['overhead_pct']:+.2f}% "
-              f"(limit {payload['overhead_limit_pct']:g}%)")
-        if not payload["overhead_ok"]:
+    cycles, limit, repeats = (
+        opts.pop("cycles"), opts.pop("overhead_check"), opts.pop("repeats")
+    )
+    trace, trace_sample = opts.pop("trace"), opts.pop("trace_sample")
+    simulator = build_simulator(
+        **opts, profile=True, trace=trace, trace_sample=trace_sample
+    )
+    result = simulator.run(cycles)
+    print(f"{opts['nodes']} nodes, {cycles} cycles, {opts['category']}/"
+          f"{opts['network']}/{opts['topology']}, seed {opts['seed']}")
+    _print_observability(simulator, result)
+    if limit is not None:
+        plain, timed, overhead = timing_overhead(cycles, repeats, **opts)
+        print(f"\noverhead check: plain {plain:,.0f} cycles/s, per-phase "
+              f"timing enabled {timed:,.0f} cycles/s -> {overhead:+.2f}% "
+              f"(limit {limit:g}%)")
+        if overhead > limit:
             print("overhead check FAILED", file=sys.stderr)
             return 1
         print("overhead check OK")
@@ -437,8 +431,11 @@ def sweep_main(argv=None) -> int:
     args = build_sweep_parser().parse_args(argv)
     try:
         sizes = tuple(int(s) for s in args.sizes.split(",") if s)
-    except ValueError:
-        print(f"invalid --sizes {args.sizes!r}", file=sys.stderr)
+        for size in sizes:  # the topology's geometry check, before any job
+            SimulationConfig(make_homogeneous_workload("mcf", size),
+                             topology=args.topology)
+    except ValueError as exc:
+        print(f"invalid --sizes {args.sizes!r}: {exc}", file=sys.stderr)
         return 2
     networks = tuple(n for n in args.networks.split(",") if n)
     if not sizes or not networks or set(networks) - set(NETWORK_VARIANTS):
@@ -587,10 +584,7 @@ def main(argv=None) -> int:
           f"weighted by node: {result.throughput_per_node:.3f} IPC/node")
     print(f"admission starvation: {result.mean_port_starvation:.3f}   "
           f"worst-case flit latency: {result.max_net_latency} cycles")
-    if result.perf is not None and config.profile:
-        print(f"\nprofile: {result.perf.table()}")
-    if simulator.tracer is not None:
-        print(f"\n{simulator.tracer.summary()}")
+    _print_observability(simulator, result)
     return 0
 
 

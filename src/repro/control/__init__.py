@@ -8,14 +8,14 @@ campaigns — one controller instance per run.
 """
 
 from repro.control.base import Controller, EpochView, NoController
-from repro.control.central import CentralController, ControlParams
+from repro.control.central import (
+    CentralController,
+    ControlParams,
+    DomainSummary,
+)
 from repro.control.domains import DomainMap
 from repro.control.fairness import FairCentralController
-from repro.control.hierarchical import (
-    DomainSummary,
-    HierarchicalController,
-    ShardController,
-)
+from repro.control.hierarchical import HierarchicalController
 from repro.control.registry import CONTROLLER_NAMES, CONTROLLERS, ControllerEntry
 from repro.control.static_throttle import StaticThrottleController
 from repro.control.distributed import DistributedController
@@ -32,7 +32,6 @@ __all__ = [
     "DistributedController",
     "DomainMap",
     "DomainSummary",
-    "ShardController",
     "HierarchicalController",
     "ControllerEntry",
     "CONTROLLERS",

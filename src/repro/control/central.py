@@ -21,6 +21,12 @@ intensive applications are never fully starved.
 Only data *requests* are throttled; responses are exempt (handled by
 the network's injection stage, which drains the response queue outside
 the throttle gate).
+
+Algorithm 1 is written once, as a measurement half
+(:meth:`CentralController.summarize`) and an actuation half
+(:meth:`CentralController.throttle`): the central scheme composes them
+over the whole fabric, :mod:`repro.control.hierarchical` runs one
+controller per control domain and reconciles the summaries in between.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from repro.control.base import Controller, EpochView
 
-__all__ = ["ControlParams", "CentralController"]
+__all__ = ["ControlParams", "DomainSummary", "CentralController"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,18 @@ class ControlParams:
         return replace(self, **overrides)
 
 
+@dataclass(frozen=True)
+class DomainSummary:
+    """What the measurement half of Algorithm 1 reports for one epoch
+    (under hierarchical control: one flit each way between a domain and
+    the coordinator in the modeled control traffic)."""
+
+    congested: bool
+    #: sum of min(IPF, ipf_cap) over the active nodes
+    ipf_sum: float
+    active_nodes: int
+
+
 class CentralController(Controller):
     """Implements Algorithm 1 on the per-epoch ``EpochView``."""
 
@@ -74,29 +92,46 @@ class CentralController(Controller):
         p = self.params
         return np.minimum(p.beta_throt + p.alpha_throt / ipf, p.gamma_throt)
 
-    def on_epoch(self, view: EpochView) -> np.ndarray:
-        p = self.params
-        rates = np.zeros(view.active.shape[0])
+    def summarize(self, view: EpochView) -> DomainSummary:
+        """Measure the view's nodes: congestion flag + mean-IPF
+        ingredients."""
         active = view.active
         if not active.any():
-            self.last_congested = False
-            self.last_throttled = np.zeros_like(active)
-            return rates
-        ipf = np.minimum(view.ipf, p.ipf_cap)
-        sigma = view.starvation_rate
-
+            return DomainSummary(False, 0.0, 0)
+        ipf = np.minimum(view.ipf, self.params.ipf_cap)
         congested = bool(
-            np.any(sigma[active] > self.starvation_threshold(ipf[active]))
+            np.any(
+                view.starvation_rate[active]
+                > self.starvation_threshold(ipf[active])
+            )
         )
-        self.last_congested = congested
+        return DomainSummary(
+            congested, float(ipf[active].sum()), int(active.sum())
+        )
 
+    def throttle(
+        self, view: EpochView, congested: bool, mean_ipf
+    ) -> np.ndarray:
+        """Throttle the view's nodes below *mean_ipf* when *congested*
+        (``mean_ipf is None``: nobody)."""
+        rates = np.zeros(view.active.shape[0])
+        active = view.active
+        self.last_congested = congested
         throttled = np.zeros_like(active)
-        if congested:
-            mean_ipf = ipf[active].mean()
+        if congested and mean_ipf is not None and active.any():
+            ipf = np.minimum(view.ipf, self.params.ipf_cap)
             throttled = active & (ipf < mean_ipf)
             rates[throttled] = self.throttle_rate(ipf[throttled])
         self.last_throttled = throttled
         return rates
+
+    def on_epoch(self, view: EpochView) -> np.ndarray:
+        summary = self.summarize(view)
+        mean_ipf = (
+            summary.ipf_sum / summary.active_nodes
+            if summary.congested else None
+        )
+        return self.throttle(view, summary.congested, mean_ipf)
 
     def describe(self) -> str:
         return f"CentralController({self.params})"

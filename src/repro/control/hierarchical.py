@@ -2,16 +2,17 @@
 
 The paper's Algorithm 1 is centralized — one controller sees every
 node's (IPF, sigma) each epoch.  At thousands of cores the 2n control
-flits per epoch converge on one hub queue and overflow (measured in
-``benchmarks/bench_control_scaling.py``).  The hierarchical scheme
+flits per epoch converge on one hub queue and overflow (pinned at
+1024 nodes by ``tests/test_paper_claims.py``).  The hierarchical scheme
 keeps the *decision rule* of §5 but distributes the *collection*:
 
-- each control domain (see :mod:`repro.control.domains`) runs a
-  :class:`ShardController` — Algorithm 1 on the domain-local
+- each control domain (see :mod:`repro.control.domains`) runs its own
+  :class:`~repro.control.central.CentralController` shard —
+  Algorithm 1 on the domain-local
   :class:`~repro.control.base.EpochView` slice;
-- shards produce a :class:`DomainSummary` (congested?, sum of capped
-  IPF over active members, active-member count) — the only state that
-  crosses domain boundaries;
+- shards produce a :class:`~repro.control.central.DomainSummary`
+  (congested?, sum of capped IPF over active members, active-member
+  count) — the only state that crosses domain boundaries;
 - the :class:`HierarchicalController` coordinator aggregates the
   summaries and reconciles throttling under one of two criteria:
 
@@ -19,9 +20,9 @@ keeps the *decision rule* of §5 but distributes the *collection*:
       the paper's criterion computed exactly: throttling activates when
       *any* domain is congested, and node *i* throttles iff
       ``IPF_i < mean(IPF over all active nodes)``.  The global mean is
-      reassembled from the shard sums (``sum/count`` is bitwise what
-      ``ndarray.mean`` computes), so one domain spanning the whole
-      fabric is bit-identical to :class:`CentralController`.
+      reassembled from the shard sums with the division
+      :meth:`CentralController.on_epoch` itself does, so one domain
+      spanning the whole fabric is bit-identical to the central scheme.
   ``local``
       each domain decides independently with its own mean — no global
       state at all, the fully decentralized limit.
@@ -36,84 +37,17 @@ fails, the shards never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.control.base import Controller, EpochView
 from repro.control.central import CentralController, ControlParams
 
-__all__ = [
-    "COORDINATION_MODES",
-    "DomainSummary",
-    "ShardController",
-    "HierarchicalController",
-]
+__all__ = ["COORDINATION_MODES", "HierarchicalController"]
 
 #: How the coordinator reconciles shards: against the global mean IPF or
 #: each domain's own (the registry recipe and ``--controller-mode`` read
 #: their choices from here).
 COORDINATION_MODES = ("global", "local")
-
-
-@dataclass(frozen=True)
-class DomainSummary:
-    """What one shard tells the coordinator each epoch (one flit each
-    way in the modeled control traffic)."""
-
-    congested: bool
-    #: sum of min(IPF, ipf_cap) over the domain's active nodes
-    ipf_sum: float
-    active_nodes: int
-
-
-class ShardController(CentralController):
-    """Algorithm 1 confined to one control domain.
-
-    Splits :meth:`CentralController.on_epoch` into the measurement half
-    (:meth:`summarize` — what ships to the coordinator) and the
-    actuation half (:meth:`throttle` — applied once the coordinator
-    hands back the reconciled congestion flag and mean IPF).  Both
-    reuse the parent's Eq. (1)/(2) helpers unchanged.
-    """
-
-    def __init__(self, params: ControlParams, domain: int):
-        super().__init__(params)
-        self.domain = domain
-
-    def summarize(self, view: EpochView) -> DomainSummary:
-        """Measure this domain: congestion flag + mean-IPF ingredients."""
-        active = view.active
-        if not active.any():
-            return DomainSummary(False, 0.0, 0)
-        p = self.params
-        ipf = np.minimum(view.ipf, p.ipf_cap)
-        congested = bool(
-            np.any(
-                view.starvation_rate[active]
-                > self.starvation_threshold(ipf[active])
-            )
-        )
-        return DomainSummary(congested, float(ipf[active].sum()), int(active.sum()))
-
-    def throttle(
-        self, view: EpochView, congested: bool, mean_ipf
-    ) -> np.ndarray:
-        """Install the coordinator's decision on this domain's nodes."""
-        p = self.params
-        rates = np.zeros(view.active.shape[0])
-        active = view.active
-        self.last_congested = congested
-        throttled = np.zeros_like(active)
-        if congested and mean_ipf is not None and active.any():
-            ipf = np.minimum(view.ipf, p.ipf_cap)
-            throttled = active & (ipf < mean_ipf)
-            rates[throttled] = self.throttle_rate(ipf[throttled])
-        self.last_throttled = throttled
-        return rates
-
-    def describe(self) -> str:
-        return f"ShardController(domain={self.domain}, {self.params})"
 
 
 class HierarchicalController(Controller):
@@ -163,8 +97,8 @@ class HierarchicalController(Controller):
             config, network.topology, self.num_domains
         )
         self.shards = tuple(
-            ShardController(self.params, d)
-            for d in range(self.domain_map.num_domains)
+            CentralController(self.params)
+            for _ in range(self.domain_map.num_domains)
         )
         self.domain_epochs = np.zeros(
             self.domain_map.num_domains, dtype=np.int64
@@ -203,13 +137,14 @@ class HierarchicalController(Controller):
         if use_global and congested_any:
             total = sum(s.ipf_sum for s in summaries)
             count = sum(s.active_nodes for s in summaries)
-            # Reassembling mean(IPF[active]) from the shard sums: numpy's
-            # ndarray.mean() is sum()/size, so with one domain this is
-            # bit-identical to the central controller's mean.
+            # mean(IPF[active]) reassembled from the shard sums; with one
+            # domain this is CentralController.on_epoch's own division.
             mean_ipf = total / count if count else None
         rates = np.zeros(n)
         throttled = np.zeros(n, dtype=bool)
-        for shard, v, summary in zip(self.shards, views, summaries):
+        for d, (shard, v, summary) in enumerate(
+            zip(self.shards, views, summaries)
+        ):
             if use_global:
                 congested, mean_d = congested_any, mean_ipf
             else:
@@ -219,7 +154,7 @@ class HierarchicalController(Controller):
                     if congested and summary.active_nodes
                     else None
                 )
-            members = dm.members(shard.domain)
+            members = dm.members(d)
             rates[members] = shard.throttle(v, congested, mean_d)
             throttled[members] = shard.last_throttled
         self.domain_epochs += 1

@@ -162,56 +162,6 @@ class HarnessReport:
             f"{'s' if self.workers != 1 else ''})"
         )
 
-    def perf_summary(self) -> dict:
-        """Aggregate perf counters across the sweep (observability layer).
-
-        Throughput is computed over *executed* jobs only (cache hits cost
-        no simulation time); per-phase seconds are summed from every
-        result that carries a :class:`~repro.observability.PerfCounters`
-        snapshot, i.e. from jobs whose spec enabled profiling.  The cache
-        hit rate folds in the on-disk cache statistics the report was
-        built with.
-        """
-        executed = [
-            (rec, res)
-            for rec, res in zip(self.records, self.results)
-            if not rec.cached and res is not None
-        ]
-        sim_cycles = sum(res.cycles for _, res in executed)
-        sim_flits = sum(res.ejected_flits for _, res in executed)
-        exec_seconds = sum(rec.seconds for rec, _ in executed)
-        phase_seconds: Dict[str, float] = {}
-        for _, res in executed:
-            if res.perf is not None:
-                for name, secs in res.perf.phase_seconds.items():
-                    phase_seconds[name] = phase_seconds.get(name, 0.0) + secs
-        total_phase = sum(phase_seconds.values())
-        return {
-            "jobs": self.total,
-            "executed": len(executed),
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": (
-                self.cache_hits / self.total if self.total else 0.0
-            ),
-            "sim_cycles": sim_cycles,
-            "sim_flits": sim_flits,
-            "cycles_per_sec": (
-                sim_cycles / exec_seconds if exec_seconds > 0 else 0.0
-            ),
-            "flits_per_sec": (
-                sim_flits / exec_seconds if exec_seconds > 0 else 0.0
-            ),
-            "wall_seconds": self.wall_seconds,
-            "job_seconds": self.job_seconds,
-            "phase_seconds": phase_seconds,
-            "phase_shares": (
-                {n: s / total_phase for n, s in phase_seconds.items()}
-                if total_phase > 0
-                else {}
-            ),
-            "cache_stats": dict(self.cache_stats),
-        }
-
 
 def job_timeout_s() -> Optional[float]:
     """Per-job wall-clock budget from ``$REPRO_JOB_TIMEOUT_S`` (seconds).

@@ -13,10 +13,8 @@ is switched on through :class:`~repro.config.SimulationConfig`):
   aggregate stats cannot;
 - :class:`PerfCounters` is the machine-readable snapshot (cycles/sec,
   flits/sec, per-phase shares, trace volume) attached to
-  :class:`~repro.sim.results.SimulationResult` and aggregated across a
-  sweep by :class:`~repro.harness.HarnessReport`; the ``profile`` CLI
-  writes it to ``BENCH_pr3.json`` so every later PR has a perf baseline
-  to regress against.
+  :class:`~repro.sim.results.SimulationResult` and carried through the
+  result cache; ``--profile`` and the ``profile`` CLI print its table.
 """
 
 from repro.observability.counters import PerfCounters

@@ -4,10 +4,9 @@
 exports on :class:`~repro.sim.results.SimulationResult` (only when
 profiling or tracing was enabled — the counters carry wall-clock times,
 which are inherently nondeterministic, so default runs stay bit-exact
-reproducible).  The ``python -m repro profile`` command serializes one
-into ``BENCH_pr3.json`` as the repo's perf baseline, and
-:meth:`~repro.harness.HarnessReport.perf_summary` aggregates them across
-a process pool.
+reproducible).  :meth:`PerfCounters.table` is what ``--profile`` and
+``python -m repro profile`` print; speed trajectories across commits
+are the perf ledger's (``benchmarks/perf/bench.py``), not this module's.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
-"""The ``python -m repro profile`` driver and ``BENCH_pr3.json`` writer.
+"""The ``python -m repro profile`` driver.
 
-Runs a smoke configuration with profiling enabled, reports the per-phase
-wall-clock breakdown, and serializes the machine-readable perf baseline
-(``BENCH_pr3.json``) that later PRs regress against.  With
-``overhead_check`` set it additionally times the *disabled* observability
-path against a plain run and fails when the residual overhead (the
-``tracer is None`` branches the layer added to the hot loops) exceeds
-the given percentage — the guarantee that observability is free unless
-switched on.
+Builds the smoke configuration the subcommand runs with profiling on,
+and :func:`timing_overhead` times a ``profile=True`` run (per-phase
+timing enabled) against a plain one, so the caller can fail when the
+:class:`~repro.observability.PhaseTimer` costs more than its budget.
+Speed trajectories are the perf ledger's job
+(``python3 benchmarks/perf/bench.py``); nothing here writes a file.
 
 Kept out of ``repro.observability.__init__`` so the simulator's import
 of the package never drags in the workload/driver stack (import cycle).
@@ -15,21 +13,17 @@ of the package never drags in the workload/driver stack (import cycle).
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
-from typing import Optional
 
 import numpy as np
 
-__all__ = ["run_profile", "write_bench_json", "BENCH_SCHEMA"]
-
-#: Layout version of the BENCH_pr3.json payload.
-BENCH_SCHEMA = 1
+__all__ = ["build_simulator", "timing_overhead"]
 
 
-def _build_simulator(nodes, category, network, topology, seed, epoch,
-                     **overrides):
+def build_simulator(nodes=64, category="H", network="bless",
+                    topology="mesh", seed=1, epoch=2_000, **observe):
+    """A fresh simulator on the smoke point; ``observe`` carries the
+    ``profile``/``trace``/``trace_sample`` config fields."""
     from repro.config import SimulationConfig
     from repro.sim.simulator import Simulator
     from repro.traffic.workloads import make_category_workload
@@ -43,7 +37,7 @@ def _build_simulator(nodes, category, network, topology, seed, epoch,
         epoch=epoch,
         network=network,
         topology=topology,
-        **overrides,
+        **observe,
     )
     return Simulator(config)
 
@@ -55,105 +49,21 @@ def _timed_cps(sim, cycles: int) -> float:
     return cycles / (time.perf_counter() - start)
 
 
-def run_profile(
-    nodes: int = 64,
-    cycles: int = 20_000,
-    category: str = "H",
-    network: str = "bless",
-    topology: str = "mesh",
-    seed: int = 1,
-    epoch: int = 2_000,
-    trace: bool = False,
-    trace_sample: float = 1 / 16,
-    overhead_check: Optional[float] = None,
-    repeats: int = 2,
-) -> dict:
-    """Profile the smoke config; returns the ``BENCH_pr3.json`` payload.
+def timing_overhead(cycles: int, repeats: int = 2, **point):
+    """Per-phase timing enabled vs plain on the smoke point:
+    ``(plain cycles/s, timed cycles/s, overhead in percent)``.
 
-    ``overhead_check`` (a percentage) also times the observability-
-    *disabled* path against a plain run (best of ``repeats`` each, after
-    a warm-up) and records whether the disabled overhead stays under the
-    limit; the caller turns ``overhead_ok == False`` into a failure.
+    Best of ``repeats`` fresh runs per side, after a warm-up.  A plain
+    run takes the simulator's uninstrumented loop; ``profile=True``
+    adds a :class:`~repro.observability.PhaseTimer` lap around every
+    phase.  ``point`` is :func:`build_simulator`'s configuration.
     """
-    build = lambda **obs: _build_simulator(  # noqa: E731
-        nodes, category, network, topology, seed, epoch, **obs
+    build_simulator(**point).run(min(cycles, 2_000))  # imports, numpy caches
+    plain = max(
+        _timed_cps(build_simulator(**point), cycles) for _ in range(repeats)
     )
-
-    # --- profiled run (the baseline artifact) -------------------------
-    sim = build(profile=True, trace=trace, trace_sample=trace_sample)
-    result = sim.run(cycles)
-    perf = result.perf
-    payload = {
-        "bench": "pr3-observability",
-        "schema": BENCH_SCHEMA,
-        "config": {
-            "nodes": nodes,
-            "cycles": cycles,
-            "category": category,
-            "network": network,
-            "topology": topology,
-            "seed": seed,
-            "epoch": epoch,
-        },
-        # Headline counters, duplicated at the top level so downstream
-        # tools need no knowledge of the PerfCounters layout.
-        "cycles_per_sec": perf.cycles_per_sec,
-        "flits_per_sec": perf.flits_per_sec,
-        "phase_seconds": dict(perf.phase_seconds),
-        "phase_shares": perf.phase_shares(),
-        "wall_seconds": perf.wall_seconds,
-        "perf": perf.to_dict(),
-        "result": {
-            "throughput_per_node": result.throughput_per_node,
-            "avg_net_latency": result.avg_net_latency,
-            "network_utilization": result.network_utilization,
-            "mean_starvation": result.mean_starvation,
-            "deflection_rate": result.deflection_rate,
-        },
-        "trace": (
-            None
-            if sim.tracer is None
-            else {
-                "sample": sim.tracer.sample,
-                "capacity": sim.tracer.capacity,
-                "recorded": sim.tracer.recorded,
-                "dropped": sim.tracer.dropped,
-                "event_counts": sim.tracer.event_counts(),
-            }
-        ),
-        "baseline_cycles_per_sec": None,
-        "tracing_disabled_cycles_per_sec": None,
-        "overhead_pct": None,
-        "overhead_limit_pct": overhead_check,
-        "overhead_ok": None,
-    }
-
-    # --- overhead gate -------------------------------------------------
-    # Times the observability layer with tracing *disabled* (profiling
-    # only — the instrumented loop plus the ``tracer is None`` branches
-    # in the network step) against a plain no-observability run.  When
-    # everything is off the simulator takes its original loop verbatim,
-    # so this bound is the worst residual cost the layer can impose on
-    # a run that did not ask for tracing.
-    if overhead_check is not None:
-        build().run(min(cycles, 2_000))  # warm-up (imports, numpy caches)
-        plain = max(_timed_cps(build(), cycles) for _ in range(repeats))
-        profiled = max(
-            _timed_cps(build(profile=True), cycles) for _ in range(repeats)
-        )
-        overhead = (1.0 - profiled / plain) * 100.0
-        payload["baseline_cycles_per_sec"] = plain
-        payload["tracing_disabled_cycles_per_sec"] = profiled
-        payload["overhead_pct"] = overhead
-        payload["overhead_ok"] = overhead <= overhead_check
-    return payload
-
-
-def write_bench_json(path, payload: dict) -> pathlib.Path:
-    """Write the payload as strict RFC-8259 JSON (sorted, indented)."""
-    path = pathlib.Path(path)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
+    timed = max(
+        _timed_cps(build_simulator(**point, profile=True), cycles)
+        for _ in range(repeats)
     )
-    return path
+    return plain, timed, (1.0 - timed / plain) * 100.0

@@ -168,94 +168,13 @@ class FlitTracer:
         eject event, summarizing hop and deflection counts and total
         latency — the "where did latency go" view.  Events lost to ring
         wrap-around can truncate journeys; only complete ones (inject
-        and eject both present) are returned.
-
-        Implementation: stable-argsort pre-bucketing by packet identity
-        instead of a Python loop over every event — each identity's
-        events stay chronological within its bucket, each inject opens a
-        new trip segment, and the first eject of a segment closes it.
-        Equivalent to the reference loop (see ``_journeys_loop``); the
-        tie to physical identity reuse (``seq`` wraps mod 256) is kept
-        by segmenting on injects rather than grouping whole identities.
+        and eject both present) are returned, in eject order.  ``seq``
+        wraps mod 256, so a re-inject of an open identity discards the
+        old, unfinished trip, and events whose inject is no longer held
+        are ignored.
         """
-        ev = self.events()
-        n = ev["cycle"].size
-        if n == 0 or limit <= 0:
+        if limit <= 0:
             return []
-        ident = np.stack(
-            [
-                ev["src"].astype(np.int64),
-                ev["seq"].astype(np.int64),
-                ev["kind"].astype(np.int64),
-            ],
-            axis=1,
-        )
-        _, group = np.unique(ident, axis=0, return_inverse=True)
-        group = group.reshape(-1)
-        # Bucket by identity; stable keeps chronological order in-bucket.
-        order = np.argsort(group, kind="stable")
-        g = group[order]
-        code = ev["event"][order].astype(np.int64)
-        is_inj = code == EV_INJECT
-        # 1-based trip id: each inject starts a fresh segment (re-inject
-        # of an open identity discards the old, unfinished trip).
-        trip = np.cumsum(is_inj)
-        inj_pos = np.flatnonzero(is_inj)
-        if inj_pos.size == 0:
-            return []
-        # An event belongs to a trip only if the inject that opened its
-        # segment has the same identity (events before their bucket's
-        # first inject fall into the previous bucket's last segment and
-        # must be dropped as orphans).
-        valid = trip > 0
-        valid[valid] = g[valid] == g[inj_pos[trip[valid] - 1]]
-        ej_pos = np.flatnonzero(valid & (code == EV_EJECT))
-        if ej_pos.size == 0:
-            return []
-        # First eject per trip closes it; later same-identity events
-        # before the next inject are ignored by the reference loop.
-        ej_trip = trip[ej_pos]
-        _, first = np.unique(ej_trip, return_index=True)
-        closing = ej_pos[first]
-        ntrips = int(trip[-1])
-        close_of = np.full(ntrips + 1, -1, dtype=np.int64)
-        close_of[trip[closing]] = closing
-        pos = np.arange(n)
-        in_window = valid & (close_of[trip] > pos)
-        hops = np.bincount(
-            trip[in_window & (code == EV_HOP)], minlength=ntrips + 1
-        )
-        defl = np.bincount(
-            trip[in_window & (code == EV_DEFLECT)], minlength=ntrips + 1
-        )
-        # Completed trips come back in original eject order, up to limit.
-        chrono = np.argsort(order[closing], kind="stable")[:limit]
-        done = []
-        for sel in chrono:
-            close_sorted = int(closing[sel])
-            t = int(trip[close_sorted])
-            i_orig = int(order[inj_pos[t - 1]])
-            e_orig = int(order[close_sorted])
-            inject_cycle = int(ev["cycle"][i_orig])
-            eject_cycle = int(ev["cycle"][e_orig])
-            done.append(
-                {
-                    "src": int(ev["src"][i_orig]),
-                    "seq": int(ev["seq"][i_orig]),
-                    "kind": int(ev["kind"][i_orig]),
-                    "dest": int(ev["dest"][i_orig]),
-                    "inject_cycle": inject_cycle,
-                    "hops": int(hops[t]),
-                    "deflections": int(defl[t]),
-                    "eject_cycle": eject_cycle,
-                    "latency": eject_cycle - inject_cycle,
-                }
-            )
-        return done
-
-    def _journeys_loop(self, limit: int = 10) -> list:
-        """Reference implementation of :meth:`journeys` (event-by-event
-        Python loop); kept for the equivalence test suite."""
         ev = self.events()
         open_trips: dict = {}
         done = []

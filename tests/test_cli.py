@@ -1,7 +1,5 @@
 """Tests for the ``python -m repro`` command-line front end."""
 
-import json
-
 import pytest
 
 from repro.__main__ import (
@@ -146,6 +144,18 @@ class TestSweepSubcommand:
         assert rc == 2
         assert "invalid --sizes" in capsys.readouterr().err
 
+    def test_sweep_rejects_unknown_category(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--category", "ZZ", "--no-progress"])
+        assert exit_info.value.code == 2
+        assert "--category" in capsys.readouterr().err
+
+    def test_sweep_rejects_sizes_the_topology_cannot_lay_out(self, capsys):
+        rc = main(["sweep", "--sizes", "16,15", "--no-progress"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid --sizes" in err and "not square" in err
+
     def test_sweep_rejects_unknown_network(self, capsys):
         rc = main(["sweep", "--sizes", "16", "--networks", "wormhole",
                    "--no-progress"])
@@ -181,39 +191,34 @@ class TestProfileSubcommand:
         args = build_profile_parser().parse_args([])
         assert args.nodes == 64
         assert args.cycles == 20_000
-        assert args.out == "BENCH_pr3.json"
         assert args.overhead_check is None
 
-    def test_profile_writes_bench_json(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
+    def test_profile_trace_and_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         rc = main(["profile", "--nodes", "16", "--cycles", "600",
-                   "--epoch", "300", "--out", str(out)])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "cycles/s" in text and "phase" in text
-        payload = json.loads(out.read_text())
-        assert payload["bench"] == "pr3-observability"
-        assert payload["cycles_per_sec"] > 0
-        assert payload["config"]["nodes"] == 16
-
-    def test_profile_trace_and_no_file(self, capsys):
-        rc = main(["profile", "--nodes", "16", "--cycles", "600",
-                   "--epoch", "300", "--trace", "--out", "-"])
+                   "--epoch", "300", "--trace"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "trace:" in out
-        assert "wrote" not in out
+        # The text ``run --profile --trace`` prints, and nothing on disk.
+        assert "profile: wall" in out and "cycles/s" in out
+        assert "trace:" in out and "inject@" in out
+        assert list(tmp_path.iterdir()) == []
 
-    def test_profile_overhead_gate_pass_and_fail(self, tmp_path, capsys):
+    def test_profile_overhead_gate_pass_and_fail(self, capsys):
         base = ["profile", "--nodes", "16", "--cycles", "500",
-                "--epoch", "250", "--repeats", "1",
-                "--out", str(tmp_path / "b.json")]
+                "--epoch", "250", "--repeats", "1"]
         # A generous limit always passes...
         assert main(base + ["--overhead-check", "1000"]) == 0
         assert "overhead check OK" in capsys.readouterr().out
         # ...and an impossible (negative) limit always fails with exit 1.
         assert main(base + ["--overhead-check", "-1000"]) == 1
         assert "overhead check FAILED" in capsys.readouterr().err
+
+    def test_profile_rejects_zero_repeats(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "--overhead-check", "5", "--repeats", "0"])
+        assert exit_info.value.code == 2
+        assert "--repeats" in capsys.readouterr().err
 
 
 class TestGuardrailFlags:

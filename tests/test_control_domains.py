@@ -20,7 +20,7 @@ from repro.control.domains import (
     grid3d_domains,
     grid_cluster_shape,
 )
-from repro.control.hierarchical import HierarchicalController, ShardController
+from repro.control.hierarchical import HierarchicalController
 from repro.control.registry import CONTROLLER_NAMES, CONTROLLERS
 from repro.network import build_network
 from repro.topology.registry import (
@@ -274,7 +274,7 @@ class TestHierarchicalController:
         np.testing.assert_array_equal(restored, fresh.on_epoch(view))
 
     def test_shard_summary_carries_mean_ingredients(self):
-        shard = ShardController(self.PARAMS, domain=0)
+        shard = CentralController(self.PARAMS)
         s = shard.summarize(synthetic_view([0.5, 1.5], [0.9, 0.0]))
         assert s.congested
         assert s.ipf_sum == pytest.approx(2.0)

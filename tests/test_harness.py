@@ -467,34 +467,6 @@ class TestRunJobs:
         run_jobs([small_spec(seed=9)], jobs=1, cache=False)
         assert len(ResultCache(tmp_path)) == 1
 
-
-class TestPerfSummary:
-    def test_aggregates_executed_jobs(self, tmp_path):
-        specs = [small_spec(seed=s).with_config(profile=True) for s in (1, 2)]
-        report = run_jobs(specs, jobs=1, cache=tmp_path)
-        summary = report.perf_summary()
-        assert summary["jobs"] == 2 and summary["executed"] == 2
-        assert summary["cache_hit_rate"] == 0.0
-        assert summary["sim_cycles"] == 2 * 1200
-        assert summary["sim_flits"] > 0
-        assert summary["cycles_per_sec"] > 0
-        # Profiled specs contribute their phase attribution.
-        assert summary["phase_seconds"]["network"] > 0
-        assert sum(summary["phase_shares"].values()) == pytest.approx(1.0)
-
-        # A warm re-run is all cache hits: no simulation time to report.
-        warm = run_jobs(specs, jobs=1, cache=tmp_path).perf_summary()
-        assert warm["cache_hit_rate"] == 1.0
-        assert warm["executed"] == 0
-        assert warm["sim_cycles"] == 0 and warm["cycles_per_sec"] == 0.0
-
-    def test_unprofiled_jobs_report_no_phases(self):
-        report = run_jobs([small_spec()], jobs=1, cache=False)
-        summary = report.perf_summary()
-        assert summary["phase_seconds"] == {}
-        assert summary["phase_shares"] == {}
-        assert summary["sim_cycles"] == 1200
-
     def test_profiled_spec_result_carries_perf(self, tmp_path):
         spec = small_spec().with_config(profile=True)
         report = run_jobs([spec], jobs=1, cache=tmp_path)

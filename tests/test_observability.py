@@ -16,7 +16,7 @@ from repro import (
 )
 from repro.observability import EVENT_NAMES, EV_EJECT, EV_HOP, EV_INJECT
 from repro.observability.phases import PHASES
-from repro.observability.profile import run_profile, write_bench_json
+from repro.observability.profile import timing_overhead
 
 
 def run(workload=None, cycles=2000, **kw):
@@ -160,30 +160,6 @@ class TestFlitTracer:
         tr.record(EV_EJECT, 1, 5, three, 5, 0, 1, 2)
         assert tr.journeys() == []
 
-    def test_journeys_matches_reference_loop_randomized(self):
-        # Equivalence: the vectorized stable-argsort implementation must
-        # reproduce the event-by-event loop exactly, including identity
-        # reuse, orphans from ring wrap-around, deflections, and limits.
-        rng = np.random.default_rng(1234)
-        for capacity in (64, 256, 4096):
-            tr = FlitTracer(capacity=capacity, sample=1.0)
-            for cycle in range(400):
-                count = int(rng.integers(1, 6))
-                src = rng.integers(0, 8, size=count)
-                seq = rng.integers(0, 4, size=count)  # heavy identity reuse
-                kind = rng.integers(0, 2, size=count)
-                dest = rng.integers(0, 16, size=count)
-                event = int(rng.integers(0, 4))
-                tr.record(event, cycle, src, src, dest, kind, seq, 0)
-            for limit in (1, 5, 10, 10_000):
-                assert tr.journeys(limit) == tr._journeys_loop(limit)
-
-    def test_journeys_matches_reference_loop_real_run(self):
-        sim, _ = run(cycles=1500, trace=True, trace_sample=1.0)
-        tracer = sim.tracer
-        assert tracer is not None and len(tracer) > 0
-        assert tracer.journeys(50) == tracer._journeys_loop(50)
-
     def test_summary_mentions_every_event_kind(self):
         tr = FlitTracer(capacity=16, sample=1.0)
         tr.record(EV_INJECT, 0, 0, 0, 1, 0, 1, 0)
@@ -273,25 +249,9 @@ class TestSimulatorIntegration:
 
 
 class TestProfileDriver:
-    def test_payload_shape_and_strict_json(self, tmp_path):
-        payload = run_profile(nodes=16, cycles=600, epoch=300, trace=True)
-        assert payload["bench"] == "pr3-observability"
-        assert payload["cycles_per_sec"] > 0
-        assert payload["flits_per_sec"] > 0
-        assert set(payload["phase_seconds"]) == set(PHASES)
-        assert sum(payload["phase_shares"].values()) == pytest.approx(1.0)
-        assert payload["trace"]["recorded"] > 0
-        path = write_bench_json(tmp_path / "bench.json", payload)
-        restored = json.loads(path.read_text())
-        assert restored["config"]["nodes"] == 16
-        assert restored["perf"]["cycles"] == 600
-
     def test_overhead_check_populates_gate_fields(self):
-        payload = run_profile(
-            nodes=16, cycles=400, epoch=200, overhead_check=95.0, repeats=1
+        plain, timed, overhead = timing_overhead(
+            cycles=400, repeats=1, nodes=16, epoch=200
         )
-        assert payload["baseline_cycles_per_sec"] > 0
-        assert payload["tracing_disabled_cycles_per_sec"] > 0
-        assert payload["overhead_pct"] is not None
-        assert payload["overhead_limit_pct"] == 95.0
-        assert payload["overhead_ok"] in (True, False)
+        assert plain > 0 and timed > 0
+        assert overhead == pytest.approx((1.0 - timed / plain) * 100.0)

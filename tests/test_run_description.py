@@ -286,7 +286,7 @@ OPTION_STRINGS = {
     ],
     "profile": [
         "--category", "--cycles", "--epoch", "--help", "--network",
-        "--nodes", "--out", "--overhead-check", "--repeats", "--seed",
+        "--nodes", "--overhead-check", "--repeats", "--seed",
         "--topology", "--trace", "--trace-sample", "-h",
     ],
     "chaos": [
