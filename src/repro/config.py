@@ -127,6 +127,8 @@ class SimulationConfig:
             and self.locality not in LOCALITY_MODELS
         ):
             raise ValueError(f"unknown locality model {self.locality!r}")
+        if self.buffer_capacity < 1:
+            raise ValueError("buffer_capacity must be >= 1")
         if self.side_buffer_capacity < 1:
             raise ValueError("side_buffer_capacity must be >= 1")
         if self.epoch < 1:

@@ -62,7 +62,6 @@ _LOC_CODES = {"uniform": 0, "exponential": 1, "powerlaw": 2}
 _ERRORS = {
     "MEM_RING_OVERFLOW": "memory service ring overflow",
     "PENDING_OVERFLOW": "pending-reply scratch overflow",
-    "EJECT_OVERFLOW": "ejection scratch overflow",
     "TOO_MANY_PORTS":
         f"too many router ports for the native backend (max {_MAX_PORTS})",
 }
@@ -102,8 +101,7 @@ _PT = {
     "LAT_HIST": "_stats.latency_hist",
     "G_META": "_g_meta", "G_BIRTH": "_g_birth", "G_KEY": "_g_key",
     "H_KEY": "_h_key", "H_OUT": "_h_out",
-    "W_NODE": "_w_node", "W_IN": "_w_in", "W_DOWN": "_w_down",
-    "W_DPORT": "_w_dport", "W_GRANT": "_w_grant",
+    "W_DOWN": "_w_down",
     "BUF_META": "_buf_meta", "BUF_BIRTH": "_buf_birth",
     "BUF_HEAD": "_buf_head", "BUF_COUNT": "_buf_count",
     "RESERVED": "_reserved",
@@ -299,11 +297,7 @@ class NativeAccel:
         self._g_key = alloc((n, p), i64)
         self._h_key = alloc((n, p + 1), i64)
         self._h_out = alloc((n, p + 1), i64)
-        self._w_node = alloc(n, i64)
-        self._w_in = alloc(n, i64)
         self._w_down = alloc(n, i64)
-        self._w_dport = alloc(n, i64)
-        self._w_grant = alloc(n, u8)
 
         # Ejection batch: network phase to ejection phase.
         self._ej_node = alloc(ej_cap, i64)

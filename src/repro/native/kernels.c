@@ -433,10 +433,23 @@ static void bless_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Buffered XY network step (CreditFlowControl.step)                   */
 /* ------------------------------------------------------------------ */
+/* Three passes.  The reference takes its head-of-queue snapshot once a
+ * cycle and never refreshes it, so which input wins each output of a
+ * router is a function of that router's own FIFOs: pass 1 drains a
+ * node's arrivals and picks its winners in one visit.  Whether a winner
+ * may move is not node-local — the credit check reads the downstream
+ * router's FIFO as earlier output ports of this very cycle left it — so
+ * pass 2 stays per output port and two-phase, like the numpy loop.
+ * Pass 3 is node-local again: eject, inject, occupancy.  In between,
+ * row op < p of the H_OUT grid is output port op's winner list (cnt[op]
+ * entries of node * MAX_PORTS + input port, node ascending) and row p
+ * holds the eject winner's input port per node, or -1. */
 static void credit_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
-    i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
-    i64 pp = p + 1, np = n * p, bufcap = cfg[CFG_BUF_CAP];
+    const i64 n = cfg[CFG_N], p = cfg[CFG_P], depth = cfg[CFG_DEPTH];
+    const i64 pp = p + 1, np = n * p, bufcap = cfg[CFG_BUF_CAP];
+    const i64 arb = cfg[CFG_ARB];
+    i64 *win = (i64 *)pt[PT_H_OUT], *w_down = (i64 *)pt[PT_W_DOWN];
     i64 *ring_meta = (i64 *)pt[PT_RING_META];
     i64 *ring_birth = (i64 *)pt[PT_RING_BIRTH];
     i64 *buf_meta = (i64 *)pt[PT_BUF_META];
@@ -444,158 +457,151 @@ static void credit_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     int32_t *buf_head = (int32_t *)pt[PT_BUF_HEAD];
     int32_t *buf_count = (int32_t *)pt[PT_BUF_COUNT];
     int32_t *reserved = (int32_t *)pt[PT_RESERVED];
-    i64 *hkey = (i64 *)pt[PT_H_KEY];
-    i64 *hout = (i64 *)pt[PT_H_OUT];
-    i64 *w_node = (i64 *)pt[PT_W_NODE];
-    i64 *w_in = (i64 *)pt[PT_W_IN];
-    i64 *w_down = (i64 *)pt[PT_W_DOWN];
-    i64 *w_dport = (i64 *)pt[PT_W_DPORT];
-    unsigned char *grant = (unsigned char *)pt[PT_W_GRANT];
+    const i64 *hkey = (const i64 *)pt[PT_H_KEY];
     const unsigned char *link_up = (const unsigned char *)pt[PT_LINK_UP];
     const unsigned char *congested = (const unsigned char *)pt[PT_CONGESTED];
     const i64 *lat_out = (const i64 *)pt[PT_LAT_OUT];
     const i64 *neighbor = (const i64 *)pt[PT_NEIGHBOR];
     const i64 *reverse = (const i64 *)pt[PT_REVERSE];
     const Routes rt = routes_load(pt, cfg);
+    const NI ni = ni_begin_cycle(pt, cfg, ctr);
     Ejection ej = ejection_begin(pt, ctr);
-    i64 arb = cfg[CFG_ARB], ejected = 0;
+    i64 bwrites = 0, breads = 0, hops = 0, injected = 0, occ = 0, ejected = 0;
+    i64 cnt[MAX_PORTS] = {0};  /* winners listed per output port */
 
+    i64 cur = ctr[CTR_CURSOR];
+    i64 *arr_meta = ring_meta + cur * np, *arr_birth = ring_birth + cur * np;
+    cur = cur + 1 == depth ? 0 : cur + 1;
+    ctr[CTR_CURSOR] = cur;
     ctr[CTR_CYCLES] += 1;
 
-    /* Link arrivals drain into the input buffers (row-major, matching
-     * np.nonzero order); each flat slot is a unique (node, port). */
-    i64 cur = ctr[CTR_CURSOR];
-    for (i64 i = 0; i < np; i++) {
-        i64 b = ring_birth[cur * np + i];
-        if (b < 0)
-            continue;
-        i64 node = i / p, port = i % p;
-        i64 bi = node * pp + port;
-        i64 slot = (buf_head[bi] + buf_count[bi]) % bufcap;
-        buf_meta[bi * bufcap + slot] = ring_meta[cur * np + i];
-        buf_birth[bi * bufcap + slot] = b;
-        buf_count[bi] += 1;
-        reserved[i] -= 1;
-        ctr[CTR_BWRITES] += 1;
-        ring_birth[cur * np + i] = -1;
-    }
-    cur = (cur + 1) % depth;
-    ctr[CTR_CURSOR] = cur;
-
-    /* Head-of-queue snapshot: key + output port per (node, in port),
-     * computed once — pops during the out-port loop do NOT refresh it
-     * (heads_into semantics).  hout -2 marks empty FIFOs. */
+    /* Pass 1, per router.  Link arrivals drain into the input FIFOs
+     * (each ring slot is a unique (node, port); nothing is sent before
+     * every node has drained, so the slot is read in place).  Then one
+     * scan of the p + 1 heads: key, output port (the eject port, index
+     * p, for a flit that is home), best key per output.  The strict <
+     * keeps the first port on a tie, like np.argmin.  For ARB_RANDOM
+     * noc_span prefilled the key grid from the numpy path's stream.
+     * `won` has a bit per output with a candidate so far: best/who are
+     * valid under it only, and an idle router initialises nothing. */
     for (i64 node = 0; node < n; node++) {
-        for (i64 port = 0; port < pp; port++) {
-            i64 bi = node * pp + port;
-            if (buf_count[bi] <= 0) {
-                hkey[bi] = KEY_MAX;
-                hout[bi] = -2;
+        const i64 base = node * p, fifo = node * pp;
+        i64 best[MAX_PORTS], who[MAX_PORTS];
+        for (i64 c = 0; c < p; c++) {
+            i64 b = arr_birth[base + c];
+            if (b < 0)
                 continue;
-            }
+            i64 bi = fifo + c, slot = buf_head[bi] + buf_count[bi];
+            if (slot >= bufcap)
+                slot -= bufcap;
+            buf_meta[bi * bufcap + slot] = arr_meta[base + c];
+            buf_birth[bi * bufcap + slot] = b;
+            buf_count[bi] += 1;
+            reserved[base + c] -= 1;
+            arr_birth[base + c] = -1;
+            bwrites += 1;
+        }
+        uint64_t won = 0;
+        for (i64 c = 0; c < pp; c++) {
+            i64 bi = fifo + c;
+            if (buf_count[bi] <= 0)
+                continue;
             i64 m = buf_meta[bi * bufcap + buf_head[bi]];
-            i64 b = buf_birth[bi * bufcap + buf_head[bi]];
-            if (arb != ARB_RANDOM) {
-                i64 k = (b << SRC_SHIFT) | ((m >> SRC_SHIFT) & NODE_MASK);
-                hkey[bi] = arb == ARB_YOUNGEST_FIRST ? -k : k;
+            i64 k;
+            if (arb == ARB_RANDOM) {
+                k = hkey[bi];
+            } else {
+                k = (buf_birth[bi * bufcap + buf_head[bi]] << SRC_SHIFT)
+                    | ((m >> SRC_SHIFT) & NODE_MASK);
+                if (arb == ARB_YOUNGEST_FIRST)
+                    k = -k;
             }
             int p0, p1;
             route_ports(&rt, node, m & NODE_MASK, &p0, &p1);
-            hout[bi] = p0 < 0 ? p : p0;
+            i64 op = p0 < 0 ? p : p0;
+            if (!(won >> op & 1) || k < best[op]) {
+                best[op] = k;
+                who[op] = c;
+                won |= (uint64_t)1 << op;
+            }
+        }
+        win[p * n + node] = won >> p & 1 ? who[p] : -1;
+        for (won &= ~((uint64_t)1 << p); won; won &= won - 1) {
+            int op = __builtin_ctzll(won);
+            win[op * n + cnt[op]++] = node * MAX_PORTS + who[op];
         }
     }
 
-    /* One winner per (node, output port); the eject port (index p) is
-     * the last loop iteration, exactly like the numpy range(p + 1). */
-    for (i64 op = 0; op <= p; op++) {
-        i64 nw = 0;
-        for (i64 node = 0; node < n; node++) {
-            i64 best = KEY_MAX;
-            int bc = -1;
-            for (i64 port = 0; port < pp; port++) {
-                i64 bi = node * pp + port;
-                if (hout[bi] == op && hkey[bi] < best) {
-                    best = hkey[bi];
-                    bc = (int)port;
-                }
-            }
-            if (bc < 0)
+    /* Pass 2, per output port, in the numpy loop's order.  Two-phase:
+     * every credit check of a port reads FIFO and reservation state as
+     * the earlier ports left it (the numpy space vector is computed
+     * before any pop), then the grants apply.  The granted winners are
+     * compacted to the front of the port's list; w_down keeps their
+     * flat (downstream node, its input port) index, which is both the
+     * ring column and the reservation counter. */
+    for (i64 op = 0; op < p; op++) {
+        i64 *list = win + op * n, nw = 0;
+        for (i64 j = 0; j < cnt[op]; j++) {
+            i64 node = list[j] / MAX_PORTS, at = node * p + op;
+            if (!link_up[at])
                 continue;
-            if (op == p) {
-                /* Local delivery: pop immediately, node-ascending. */
-                i64 bi = node * pp + bc;
-                i64 m = buf_meta[bi * bufcap + buf_head[bi]];
-                i64 b = buf_birth[bi * bufcap + buf_head[bi]];
-                buf_head[bi] = (int32_t)((buf_head[bi] + 1) % bufcap);
-                buf_count[bi] -= 1;
-                ctr[CTR_BREADS] += 1;
-                if (ejected >= cfg[CFG_EJ_CAP]) {
-                    ctr[CTR_ERROR] = ERR_EJECT_OVERFLOW;
-                    return;
-                }
-                eject_flit(&ej, ejected++, node, m, cycle - b);
-            } else {
-                w_node[nw] = node;
-                w_in[nw] = bc;
-                nw++;
-            }
-        }
-        if (op == p)
-            continue;
-        /* Two-phase grant: all credit checks read buffer/reserve state
-         * as of this out-port iteration's start (the numpy space vector
-         * is computed before any pop), then the grants apply. */
-        for (i64 k = 0; k < nw; k++) {
-            i64 node = w_node[k];
-            i64 down = neighbor[node * p + op];
-            i64 dport = reverse[node * p + op];
-            w_down[k] = down;
-            w_dport[k] = dport;
-            grant[k] = (buf_count[down * pp + dport]
-                        + reserved[down * p + dport] < bufcap)
-                       && link_up[node * p + op];
+            i64 down = neighbor[at], dport = reverse[at];
+            i64 idx = down * p + dport;
+            if (buf_count[down * pp + dport] + reserved[idx] >= bufcap)
+                continue;
+            list[nw] = list[j];
+            w_down[nw] = idx;
+            nw++;
         }
         for (i64 k = 0; k < nw; k++) {
-            if (!grant[k])
-                continue;
-            i64 node = w_node[k];
-            i64 bi = node * pp + w_in[k];
-            i64 m = buf_meta[bi * bufcap + buf_head[bi]];
-            i64 b = buf_birth[bi * bufcap + buf_head[bi]];
-            buf_head[bi] = (int32_t)((buf_head[bi] + 1) % bufcap);
+            i64 node = list[k] / MAX_PORTS, idx = w_down[k];
+            i64 bi = node * pp + list[k] % MAX_PORTS, h = buf_head[bi];
+            i64 slot = cur + lat_out[node * p + op] - 1;
+            if (slot >= depth)
+                slot -= depth;
+            ring_meta[slot * np + idx] = (buf_meta[bi * bufcap + h] + HOP_ONE)
+                                         | (congested[node] ? CBIT : 0);
+            ring_birth[slot * np + idx] = buf_birth[bi * bufcap + h];
+            buf_head[bi] = (int32_t)(h + 1 == bufcap ? 0 : h + 1);
             buf_count[bi] -= 1;
-            ctr[CTR_BREADS] += 1;
-            m += HOP_ONE;
-            if (congested[node])
-                m |= CBIT;
-            i64 slot = (cur + lat_out[node * p + op] - 1) % depth;
-            i64 idx = w_down[k] * p + w_dport[k];
-            ring_meta[slot * np + idx] = m;
-            ring_birth[slot * np + idx] = b;
-            reserved[w_down[k] * p + w_dport[k]] += 1;
-            ctr[CTR_HOPS] += 1;
+            reserved[idx] += 1;
         }
+        breads += nw;
+        hops += nw;
     }
-    ejection_end(&ej, ctr, ejected);
 
-    /* Injection through the NI input buffer (port p of each node),
-     * then the occupancy integral: flits held in buffers after this
-     * cycle. */
-    const NI ni = ni_begin_cycle(pt, cfg, ctr);
-    i64 occ = 0;
+    /* Pass 3, per router: local delivery of the eject column's winner
+     * (at most one flit per node and EJ_CAP = n, so the batch cannot
+     * overflow), NI admission through input FIFO p, and the occupancy
+     * integral: flits held in buffers after this cycle. */
     for (i64 node = 0; node < n; node++) {
-        i64 b = node * pp + p, m, stamp;
-        if (ni_admit(&ni, node, buf_count[b] < bufcap, &m, &stamp)) {
-            i64 slot = (buf_head[b] + buf_count[b]) % bufcap;
-            buf_meta[b * bufcap + slot] = m;
-            buf_birth[b * bufcap + slot] = cycle;
-            buf_count[b] += 1;
-            ctr[CTR_BWRITES] += 1;
-            ctr[CTR_INJ] += 1;
+        const i64 fifo = node * pp, nib = fifo + p;
+        i64 c = win[p * n + node], m, stamp;
+        if (c >= 0) {
+            i64 bi = fifo + c, h = buf_head[bi];
+            buf_head[bi] = (int32_t)(h + 1 == bufcap ? 0 : h + 1);
+            buf_count[bi] -= 1;
+            breads += 1;
+            eject_flit(&ej, ejected++, node, buf_meta[bi * bufcap + h],
+                       cycle - buf_birth[bi * bufcap + h]);
         }
-        for (i64 bi = node * pp; bi <= b; bi++)
+        if (ni_admit(&ni, node, buf_count[nib] < bufcap, &m, &stamp)) {
+            i64 slot = buf_head[nib] + buf_count[nib];
+            if (slot >= bufcap)
+                slot -= bufcap;
+            buf_meta[nib * bufcap + slot] = m;
+            buf_birth[nib * bufcap + slot] = cycle;
+            buf_count[nib] += 1;
+            injected += 1;
+        }
+        for (i64 bi = fifo; bi <= nib; bi++)
             occ += buf_count[bi];
     }
+    ejection_end(&ej, ctr, ejected);
+    ctr[CTR_BWRITES] += bwrites + injected;
+    ctr[CTR_BREADS] += breads;
+    ctr[CTR_HOPS] += hops;
+    ctr[CTR_INJ] += injected;
     ctr[CTR_OCC] += occ;
 }
 

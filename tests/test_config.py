@@ -66,6 +66,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             cfg(epoch=0)
 
+    @pytest.mark.parametrize("network", ["bless", "buffered"])
+    def test_buffer_capacity_below_one_rejected_by_name(self, network):
+        """Whatever the network: the field is hashed into the cache key."""
+        with pytest.raises(ValueError, match="buffer_capacity must be >= 1"):
+            cfg(network=network, buffer_capacity=0)
+        assert cfg(network=network, buffer_capacity=1).buffer_capacity == 1
+
     def test_with_override(self):
         base = cfg()
         other = base.with_(network="buffered", seed=9)

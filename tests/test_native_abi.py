@@ -10,6 +10,8 @@ into ``tmp_path``) instead of statically comparing two hand-kept copies:
   options *and* the numpy whose distributions are linked in;
 - a name C uses that Python does not supply is a named build failure,
   as is compiling ``kernels.c`` outside the build;
+- three planted bugs in ``credit_phase``, each compiled from a mutated
+  copy, die on the numpy == fused == per-phase comparison;
 - failure drills: no compiler, a numpy without ``libnpyrandom.a``,
   truncated object, unwritable build directory, ``$CC`` carrying
   arguments, a non-contiguous slot array.
@@ -37,7 +39,9 @@ from repro.native import (
 from repro.network import flit
 from repro.sim.simulator import Simulator
 from repro.traffic.workloads import make_category_workload
-from tests.test_native_backend import EQUIVALENCE_CASES, _canon, _run
+from tests.test_native_backend import (
+    EQUIVALENCE_CASES, _canon, _run, _three_ways,
+)
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native backend"
@@ -148,6 +152,22 @@ def test_abi_defines_number_each_table_densely():
     assert defines["HOP_ONE"] == 1 << defines["HOPS_SHIFT"]
 
 
+def test_every_table_slot_python_injects_is_named_in_kernels_c():
+    """No dead slot: an array Python allocates, or a counter it mirrors,
+    for a kernel that no longer reads it.  A word search, not a parser —
+    a name that survives only in a comment passes.  Enum codes
+    (``ARB_OLDEST_FIRST``, ``LOC_POWERLAW``, ...) are exempt: the code C
+    never names is the branch its ``else`` takes, not a dead value."""
+    with open(build._SRC, encoding="utf-8") as handle:
+        words = set(re.findall(r"\w+", handle.read()))
+    dead = [
+        name for name in accel.abi_defines()
+        if name.startswith(("PT_", "CFG_", "FCFG_", "CTR_"))
+        and name not in words
+    ]
+    assert dead == []
+
+
 # ----------------------------------------------------------------------
 # (c), (d) names C uses must come from Python, through the build
 # ----------------------------------------------------------------------
@@ -204,6 +224,65 @@ def test_noc_span_is_the_only_entry_point():
     defines = accel.abi_defines()
     bits = [defines["PHASE_" + name.upper()] for name in accel.PHASES]
     assert bits == [1, 2, 4, 8, 16]
+
+
+# ----------------------------------------------------------------------
+# Mutants of credit_phase the equivalence suite must kill (ROADMAP 3d)
+# ----------------------------------------------------------------------
+#: The ways the three-pass rewrite can go wrong: name -> (text that
+#: occurs once in kernels.c, its replacement).
+CREDIT_MUTANTS = {
+    # One-phase: each winner is granted as soon as it is checked, so a
+    # later node's check sees this port's pops and reservations.
+    "grant applied inside the check loop": (
+        "            list[nw] = list[j];\n"
+        "            w_down[nw] = idx;\n"
+        "            nw++;\n"
+        "        }\n"
+        "        for (i64 k = 0; k < nw; k++) {\n"
+        "            i64 node = list[k] / MAX_PORTS, idx = w_down[k];\n"
+        "            i64 bi = node * pp + list[k] % MAX_PORTS, h = buf_head[bi];\n",
+        "            nw++;\n"
+        "            i64 bi = node * pp + list[j] % MAX_PORTS, h = buf_head[bi];\n",
+    ),
+    "output ports visited p-1..0": (
+        "    for (i64 op = 0; op < p; op++) {\n        i64 *list",
+        "    for (i64 op = p - 1; op >= 0; op--) {\n        i64 *list",
+    ),
+    "credit check without reserved": (
+        "buf_count[down * pp + dport] + reserved[idx] >= bufcap",
+        "buf_count[down * pp + dport] >= bufcap",
+    ),
+}
+
+#: Known equivalent mutant, not chased: a tie keeps the first port only
+#: if two heads of one router can carry the same key, and keys are
+#: unique per flit (birth and source; 63 random bits).
+CREDIT_EQUIVALENT_MUTANT = ("|| k < best[op]) {", "|| k <= best[op]) {")
+
+
+@needs_native
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(CREDIT_MUTANTS))
+def test_credit_phase_mutant_dies_on_the_three_way_suite(
+    name, monkeypatch, tmp_path, scratch_build
+):
+    """The mutant goes through the normal build path, from a mutated
+    copy of kernels.c, and must break numpy == fused == per-phase on a
+    4x5 torus (which the unmutated kernel passes in
+    test_grid_routes_agree_with_and_without_route_tables)."""
+    with open(build._SRC, encoding="utf-8") as handle:
+        source = handle.read()
+    assert source.count(CREDIT_EQUIVALENT_MUTANT[0]) == 1
+    text, replacement = CREDIT_MUTANTS[name]
+    assert source.count(text) == 1
+    mutant = tmp_path / "kernels.c"
+    mutant.write_text(source.replace(text, replacement), encoding="utf-8")
+    monkeypatch.setattr(build, "_SRC", str(mutant))
+    with pytest.raises(AssertionError):
+        _three_ways(network="buffered", topology="torus", width=4, height=5,
+                    nodes=20)
+    assert len(list(scratch_build.glob("kernels-*.so"))) == 1
 
 
 @pytest.mark.skipif(

@@ -165,6 +165,22 @@ def test_numpy_fused_and_per_cycle_native_agree(locality, topology, network):
 
 @needs_native
 @pytest.mark.slow
+@pytest.mark.parametrize("arbitration", ["random", "oldest_first"])
+@pytest.mark.parametrize("topology", sorted(GENERATED_TOPOLOGIES))
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_credit_bound_buffers_agree_three_ways(capacity, topology, arbitration):
+    """FIFOs this shallow make the credit check the binding constraint
+    almost every cycle (at the default 16 it hardly ever is).  A torus
+    without VCs wedges on its wrap ring at this depth; then all three
+    must wedge identically."""
+    _three_ways(
+        cycles=500, network="buffered", buffer_capacity=capacity,
+        topology=topology, arbitration=arbitration,
+    )
+
+
+@needs_native
+@pytest.mark.slow
 @pytest.mark.parametrize("network", ["bless", "buffered"])
 def test_distributed_controller_agrees_three_ways(network):
     """The §6.6 scheme reads cbit_seen at epoch boundaries only, so it
