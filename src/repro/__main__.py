@@ -25,12 +25,20 @@ Single runs take ``--profile`` (per-phase timing on the result) and
 ``--trace`` (sampled per-flit event tracing)::
 
     python -m repro --category H --nodes 16 --profile --trace
+
+A flag that sets a ``SimulationConfig`` field is declared from that
+field's metadata (:func:`_config_flags`), and ``run``, ``chaos`` and
+``profile`` build their simulator through one function,
+:func:`_simulator`; bad input there exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
+import time
 
 import numpy as np
 
@@ -41,7 +49,6 @@ from repro import (
     make_category_workload,
     make_homogeneous_workload,
 )
-from repro.config import BACKENDS
 from repro.control.hierarchical import COORDINATION_MODES
 from repro.control.registry import (
     CONTROLLER_NAMES,
@@ -50,7 +57,7 @@ from repro.control.registry import (
 )
 from repro.experiments.sweeps import NETWORK_VARIANTS, scaling_sweep
 from repro.guardrails import FaultConfig, GuardrailError
-from repro.network import NETWORK_NAMES
+from repro.native import NativeUnsupported
 from repro.topology.registry import TOPOLOGIES, TOPOLOGY_NAMES
 from repro.traffic.locality import LOCALITY_NAMES
 
@@ -58,34 +65,50 @@ __all__ = ["main", "build_parser", "build_sweep_parser",
            "build_profile_parser", "build_chaos_parser", "chaos_main",
            "profile_main", "sweep_main"]
 
-
-#: Per-subcommand defaults of the flags ``run``, ``chaos`` and
-#: ``profile`` share: (nodes, cycles, category, takes a controller).
-_COMMON_DEFAULTS = {
-    "run": (16, 20_000, None, True),
-    "chaos": (16, 5_000, "H", True),
-    "profile": (64, 20_000, "H", False),
-}
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(SimulationConfig)}
 
 
-def _add_common_flags(parser, command: str, category_group=None) -> None:
-    """Declare the flags every single-run subcommand takes, with
-    *command*'s defaults; ``--category`` lands in *category_group* when
-    the parser pairs it with an exclusive alternative."""
-    nodes, cycles, category, controller = _COMMON_DEFAULTS[command]
+def _config_flags(parser, *names: str, **defaults) -> None:
+    """Declare the flags of the ``SimulationConfig`` fields *names* from
+    their metadata: type from the default, ``store_true`` for a bool,
+    the field's own default unless *defaults* overrides it."""
+    for name in names:
+        field = _CONFIG_FIELDS[name]
+        meta = field.metadata
+        flag = meta.get("flag", "--" + name.replace("_", "-"))
+        default = defaults.get(name, field.default)
+        if isinstance(default, bool):
+            parser.add_argument(flag, dest=name, action="store_true",
+                                help=meta["help"])
+        else:
+            choices = meta.get("choices")
+            parser.add_argument(
+                flag, dest=name, default=default, choices=choices,
+                type=None if choices else type(default), help=meta["help"],
+            )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_common_flags(parser, nodes: int, cycles: int, category="H", *,
+                      controller=True, category_group=None) -> None:
+    """Declare the flags every single-run subcommand takes; ``--category``
+    lands in *category_group* when the parser pairs it with an exclusive
+    alternative."""
     (parser if category_group is None else category_group).add_argument(
         "--category", choices=WORKLOAD_CATEGORIES, default=category,
         help="random workload category (default: H)",
     )
     parser.add_argument("--nodes", type=int, default=nodes,
                         help=f"node count (square mesh; default {nodes})")
-    parser.add_argument("--cycles", type=int, default=cycles)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--epoch", type=int, default=2_000,
-                        help="controller/measurement period T")
-    parser.add_argument("--network", choices=NETWORK_NAMES, default="bless")
-    parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
-                        default="mesh")
+    parser.add_argument("--cycles", type=_positive_int, default=cycles)
+    _config_flags(parser, "seed", "epoch", "network", "topology",
+                  seed=1, epoch=2_000)
     if controller:
         parser.add_argument("--controller", choices=CONTROLLER_NAMES,
                             default="none")
@@ -103,24 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument(
         "--app", help="homogeneous workload of one Table-1 application"
     )
-    _add_common_flags(parser, "run", category_group=workload)
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="numpy",
-        help="hot-path backend: pure-numpy reference or compiled C kernels "
-             "(bit-identical; requires a C compiler on first use)",
-    )
-    parser.add_argument(
-        "--depth", type=int, default=0,
-        help="3D topologies: z dimension (0 = infer a cube)",
-    )
-    parser.add_argument(
-        "--chiplet-tile", type=int, default=4, metavar="EDGE",
-        help="chiplet topology: cluster edge length (default 4)",
-    )
-    parser.add_argument(
-        "--express-stride", type=int, default=4, metavar="HOPS",
-        help="express topology: skip-link span (default 4)",
-    )
+    _add_common_flags(parser, 16, 20_000, None, category_group=workload)
+    _config_flags(parser, "backend", "depth", "chiplet_tile",
+                  "express_stride")
     parser.add_argument(
         "--controller-domains", type=int, default=0, metavar="N",
         help="hierarchical controller: control-domain count "
@@ -139,42 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-topologies", action="store_true",
         help="print the topology registry table and exit",
     )
-    parser.add_argument("--locality", choices=LOCALITY_NAMES,
-                        default="uniform")
-    parser.add_argument("--locality-param", type=float, default=1.0)
-    obs = parser.add_argument_group("observability")
-    obs.add_argument(
-        "--profile", action="store_true",
-        help="time each simulated phase and print the breakdown",
-    )
-    obs.add_argument(
-        "--trace", action="store_true",
-        help="record sampled per-flit inject/hop/deflect/eject events",
-    )
-    obs.add_argument(
-        "--trace-sample", type=float, default=1 / 16, metavar="FRACTION",
-        help="fraction of packets traced (default 1/16)",
-    )
-    obs.add_argument(
-        "--trace-capacity", type=int, default=65_536, metavar="EVENTS",
-        help="trace ring-buffer size; oldest events overwritten "
-             "(default 65536)",
-    )
+    _config_flags(parser, "locality", "locality_param")
+    _config_flags(parser.add_argument_group("observability"),
+                  "profile", "trace", "trace_sample", "trace_capacity")
     guard = parser.add_argument_group("guardrails")
-    guard.add_argument(
-        "--check-invariants", action="store_true",
-        help="verify the no-drop/eject-width/age-order invariants every cycle",
-    )
-    guard.add_argument(
-        "--watchdog", dest="watchdog_window", type=int, default=0,
-        metavar="WINDOW",
-        help="fail fast after WINDOW cycles without ejection progress "
-             "(0 = off)",
-    )
-    guard.add_argument(
-        "--max-flit-age", type=int, default=0, metavar="CYCLES",
-        help="fail fast when an in-flight flit exceeds this age (0 = off)",
-    )
+    _config_flags(guard, "check_invariants", "watchdog_window",
+                  "max_flit_age")
     guard.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget for the run",
@@ -254,17 +232,35 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         "--script", default="examples/chaos_demo.json", metavar="PATH",
         help="JSON chaos campaign (default examples/chaos_demo.json)",
     )
-    _add_common_flags(parser, "chaos")
+    _add_common_flags(parser, 16, 5_000)
     parser.add_argument(
         "--no-invariants", dest="check_invariants", action="store_false",
         help="skip the per-cycle losslessness invariant checks "
              "(they are ON by default here, unlike plain runs)",
     )
+    # ON by default here, so a wedged campaign trips instead of hanging.
+    _config_flags(parser, "watchdog_window", watchdog_window=2_000)
+    return parser
+
+
+def build_profile_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro profile",
+        description="Observability smoke run: per-phase wall-clock "
+        "breakdown and throughput counters, optionally gated on the cost "
+        "of per-phase timing.",
+    )
+    _add_common_flags(parser, 64, 20_000, controller=False)
+    _config_flags(parser, "trace", "trace_sample")
     parser.add_argument(
-        "--watchdog", dest="watchdog_window", type=int, default=2_000,
-        metavar="WINDOW",
-        help="progress-watchdog window in cycles, ON by default here "
-             "so a wedged campaign trips instead of hanging (0 = off)",
+        "--overhead-check", type=float, default=None, metavar="PCT",
+        help="also time per-phase timing enabled vs a plain run and "
+             "exit 1 if it costs more than PCT percent",
+    )
+    parser.add_argument(
+        "--repeats", type=_positive_int, default=2, metavar="N",
+        help="timing repetitions per side of the overhead check "
+             "(best-of; default 2)",
     )
     return parser
 
@@ -282,9 +278,10 @@ def _load_chaos_script(path):
 
 
 def _pop_controller_recipe(opts: dict) -> tuple:
-    """Pop ``--controller`` and every recipe flag the parser defines;
-    return the ``(name, *args)`` recipe of the chosen entry."""
-    name = opts.pop("controller")
+    """Pop ``--controller`` (``none`` on a parser without it) and every
+    recipe flag the parser defines; return the ``(name, *args)`` recipe
+    of the chosen entry."""
+    name = opts.pop("controller", "none")
     flags = {
         arg.dest: opts.pop(arg.dest)
         for entry in CONTROLLERS.values()
@@ -295,33 +292,63 @@ def _pop_controller_recipe(opts: dict) -> tuple:
     return (name, *(flags[arg.dest] for arg in chosen if arg.dest in flags))
 
 
+def _simulator(opts: dict):
+    """The one construction path of ``run``, ``chaos`` and ``profile``.
+
+    Pops the workload, controller, fault and chaos flags from *opts* and
+    passes every other dest to ``SimulationConfig`` by name, so a flag
+    that nothing pops and no config field matches is a TypeError on the
+    first run.  Invalid input is reported in one line on stderr and
+    returns ``None`` (the caller exits 2).
+    """
+    try:
+        app, nodes = opts.pop("app", None), opts.pop("nodes")
+        category = opts.pop("category") or "H"
+        if app:
+            workload = make_homogeneous_workload(app, nodes)
+        else:
+            rng = np.random.default_rng(opts["seed"])
+            workload = make_category_workload(category, nodes, rng)
+        if "fault_seed" in opts:
+            faults = FaultConfig(
+                link_fault_rate=opts.pop("link_faults"),
+                router_fault_rate=opts.pop("router_faults"),
+                transient_fault_rate=opts.pop("transient_faults"),
+                seed=opts.pop("fault_seed"),
+            )
+            if faults.any_faults:
+                opts["faults"] = faults
+        script = opts.pop("chaos_script", None)
+        if script:
+            opts["chaos"] = _load_chaos_script(script)
+            if opts["chaos"] is None:
+                return None
+        controller = build_controller(
+            _pop_controller_recipe(opts), epoch=opts["epoch"]
+        )
+        return Simulator(
+            SimulationConfig(workload, controller=controller, **opts)
+        )
+    except (ValueError, NativeUnsupported) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def chaos_main(argv=None) -> int:
-    # Like main(): dests are popped where they are consumed and the rest
-    # go to SimulationConfig by name.
     opts = vars(build_chaos_parser().parse_args(argv))
-    script = opts.pop("script")
-    chaos = _load_chaos_script(script)
-    if chaos is None:
+    cycles, script = opts.pop("cycles"), opts.pop("script")
+    simulator = _simulator(dict(opts, chaos_script=script))
+    if simulator is None:
         return 2
-    category, nodes = opts.pop("category"), opts.pop("nodes")
-    cycles = opts.pop("cycles")
-    rng = np.random.default_rng(opts["seed"])
-    workload = make_category_workload(category, nodes, rng)
-    controller = build_controller(
-        _pop_controller_recipe(opts), epoch=opts["epoch"]
-    )
-    config = SimulationConfig(
-        workload, chaos=chaos, controller=controller, **opts
-    )
-    simulator = Simulator(config)
+    config = simulator.config
     try:
         result = simulator.run(cycles)
     except GuardrailError as error:
         print(f"guardrail abort: {error}", file=sys.stderr)
         return 2
     report = result.chaos
-    print(f"chaos campaign: {script} on {category}/"
-          f"{nodes}n/{config.network}, seed {config.seed}, "
+    print(f"chaos campaign: {script} on {config.workload.category}/"
+          f"{config.num_nodes}n/{config.network}, seed {config.seed}, "
           f"{cycles} cycles")
     for ev in report.events:
         target = ""
@@ -356,40 +383,6 @@ def chaos_main(argv=None) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def build_profile_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro profile",
-        description="Observability smoke run: per-phase wall-clock "
-        "breakdown and throughput counters, optionally gated on the cost "
-        "of per-phase timing.",
-    )
-    _add_common_flags(parser, "profile")
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="also enable flit tracing and print its summary",
-    )
-    parser.add_argument("--trace-sample", type=float, default=1 / 16,
-                        metavar="FRACTION")
-    parser.add_argument(
-        "--overhead-check", type=float, default=None, metavar="PCT",
-        help="also time per-phase timing enabled vs a plain run and "
-             "exit 1 if it costs more than PCT percent",
-    )
-    parser.add_argument(
-        "--repeats", type=_positive_int, default=2, metavar="N",
-        help="timing repetitions per side of the overhead check "
-             "(best-of; default 2)",
-    )
-    return parser
-
-
 def _print_observability(simulator, result) -> None:
     """What ``--profile`` and ``--trace`` add to a run's output."""
     if result.perf is not None and simulator.config.profile:
@@ -398,23 +391,45 @@ def _print_observability(simulator, result) -> None:
         print(f"\n{simulator.tracer.summary()}")
 
 
-def profile_main(argv=None) -> int:
-    from repro.observability.profile import build_simulator, timing_overhead
+def _timing_overhead(plain, timed, cycles: int, repeats: int):
+    """Per-phase timing enabled vs plain: ``(plain cycles/s, timed
+    cycles/s, overhead in percent)``, best of *repeats* fresh runs per
+    side after a warm-up.  *plain* and *timed* are zero-argument
+    builders; a plain run takes the simulator's uninstrumented loop,
+    ``profile=True`` adds a PhaseTimer lap around every phase."""
+    def cycles_per_second(build) -> float:
+        sim = build()
+        start = time.perf_counter()
+        sim.run(cycles)
+        return cycles / (time.perf_counter() - start)
 
+    plain().run(min(cycles, 2_000))  # imports, numpy caches
+    plain_cps = max(cycles_per_second(plain) for _ in range(repeats))
+    timed_cps = max(cycles_per_second(timed) for _ in range(repeats))
+    return plain_cps, timed_cps, (1.0 - timed_cps / plain_cps) * 100.0
+
+
+def profile_main(argv=None) -> int:
     opts = vars(build_profile_parser().parse_args(argv))
     cycles, limit, repeats = (
         opts.pop("cycles"), opts.pop("overhead_check"), opts.pop("repeats")
     )
-    trace, trace_sample = opts.pop("trace"), opts.pop("trace_sample")
-    simulator = build_simulator(
-        **opts, profile=True, trace=trace, trace_sample=trace_sample
-    )
+    simulator = _simulator(dict(opts, profile=True))
+    if simulator is None:
+        return 2
     result = simulator.run(cycles)
-    print(f"{opts['nodes']} nodes, {cycles} cycles, {opts['category']}/"
-          f"{opts['network']}/{opts['topology']}, seed {opts['seed']}")
+    config = simulator.config
+    print(f"{config.num_nodes} nodes, {cycles} cycles, "
+          f"{config.workload.category}/{config.network}/{config.topology}, "
+          f"seed {config.seed}")
     _print_observability(simulator, result)
     if limit is not None:
-        plain, timed, overhead = timing_overhead(cycles, repeats, **opts)
+        point = dict(opts, trace=False)
+        plain, timed, overhead = _timing_overhead(
+            lambda: _simulator(dict(point)),
+            lambda: _simulator(dict(point, profile=True)),
+            cycles, repeats,
+        )
         print(f"\noverhead check: plain {plain:,.0f} cycles/s, per-phase "
               f"timing enabled {timed:,.0f} cycles/s -> {overhead:+.2f}% "
               f"(limit {limit:g}%)")
@@ -443,11 +458,9 @@ def sweep_main(argv=None) -> int:
               f"{args.networks!r})", file=sys.stderr)
         return 2
     jobs = default_jobs() if args.jobs is None else resolve_jobs(args.jobs)
-    import os
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     cache = ResultCache(cache_dir) if cache_dir else None
 
-    import time
     start = time.perf_counter()
     data = scaling_sweep(
         sizes,
@@ -515,9 +528,6 @@ def main(argv=None) -> int:
     # ``run`` is an explicit alias for the default single-run command.
     if argv and argv[0] == "run":
         argv = argv[1:]
-    # Each dest is popped where main() consumes it; what is left goes to
-    # SimulationConfig by name, so a flag that nothing consumes and no
-    # config field matches is a TypeError on the first run.
     opts = vars(build_parser().parse_args(argv))
     list_controllers = opts.pop("list_controllers")
     list_topologies = opts.pop("list_topologies")
@@ -530,34 +540,13 @@ def main(argv=None) -> int:
             _list_topologies()
         return 0
 
-    app, category, nodes = (
-        opts.pop("app"), opts.pop("category"), opts.pop("nodes")
-    )
-    if app:
-        workload = make_homogeneous_workload(app, nodes)
-    else:
-        rng = np.random.default_rng(opts["seed"])
-        workload = make_category_workload(category or "H", nodes, rng)
-
-    faults = FaultConfig(
-        link_fault_rate=opts.pop("link_faults"),
-        router_fault_rate=opts.pop("router_faults"),
-        transient_fault_rate=opts.pop("transient_faults"),
-        seed=opts.pop("fault_seed"),
-    )
-    if faults.any_faults:
-        opts["faults"] = faults
-    chaos_script = opts.pop("chaos_script")
-    if chaos_script:
-        opts["chaos"] = _load_chaos_script(chaos_script)
-        if opts["chaos"] is None:
-            return 2
     cycles, timeout = opts.pop("cycles"), opts.pop("timeout")
-    recipe = _pop_controller_recipe(opts)
-    controller = build_controller(recipe, epoch=opts["epoch"])
-    config = SimulationConfig(workload, controller=controller, **opts)
-    simulator = Simulator(config)
-
+    controller = opts["controller"]
+    simulator = _simulator(opts)
+    if simulator is None:
+        return 2
+    config = simulator.config
+    workload = config.workload
     try:
         result = simulator.run(cycles, deadline=timeout)
     except GuardrailError as error:
@@ -574,7 +563,7 @@ def main(argv=None) -> int:
     if config.depth > 1:
         geometry += f"x{config.depth}"
     print(f"network:  {config.network} {config.topology} "
-          f"{geometry}, controller={recipe[0]}")
+          f"{geometry}, controller={controller}")
     print(result.summary())
     if result.guardrails is not None and result.guardrails.active:
         print(f"guardrails: {result.guardrails.summary()}")

@@ -66,7 +66,6 @@ from repro.analysis.rnglineage import (
     Rng001LabelLineage,
     Rng002BackendConditionalDraw,
 )
-from repro.analysis.sarif import sarif_document, to_sarif
 
 __all__ = [
     "ALL_RULES",
@@ -77,8 +76,6 @@ __all__ = [
     "SIM_PACKAGES",
     "analyze",
     "run_analysis",
-    "sarif_document",
-    "to_sarif",
 ]
 
 

@@ -2,8 +2,7 @@
 
 Exit status: ``0`` clean, ``1`` findings reported, ``2`` usage error.
 
-Beyond text/JSON listings the CLI speaks SARIF 2.1.0 (``--format
-sarif``, consumed by GitHub code scanning in CI).  A deliberate
+Findings print as text lines or one JSON document.  A deliberate
 violation is suppressed in the source, with ``# repro: noqa[RULE]``.
 """
 
@@ -14,13 +13,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis import (
-    ALL_RULES,
-    RULE_IDS,
-    Finding,
-    analyze,
-    to_sarif,
-)
+from repro.analysis import ALL_RULES, RULE_IDS, Finding, analyze
 
 __all__ = ["main", "build_parser"]
 
@@ -37,9 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="findings as human-readable lines, one JSON document, or "
-        "a SARIF 2.1.0 log",
+        "--format", choices=("text", "json"), default="text",
+        help="findings as human-readable lines or one JSON document",
     )
     parser.add_argument(
         "--select", action="append", default=None, metavar="RULES",
@@ -59,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--output", default=None, metavar="PATH",
-        help="also write the findings document to PATH (CI artifact): "
-        "SARIF when --format sarif, JSON otherwise",
+        help="also write the findings as one JSON document to PATH "
+        "(CI artifact)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -119,10 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.paths, select=select, ignore=ignore, exclude=args.exclude
     )
 
-    if args.format == "sarif":
-        document = to_sarif(findings, ALL_RULES)
-    else:
-        document = _json_document(findings, list(args.paths))
+    document = _json_document(findings, list(args.paths))
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(document + "\n")

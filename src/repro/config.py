@@ -23,10 +23,10 @@ from typing import Optional, Union
 
 from repro.control.base import Controller, NoController
 from repro.guardrails.faults import FaultConfig
-from repro.network import NETWORK_MODELS
+from repro.network import NETWORK_MODELS, NETWORK_NAMES
 from repro.power.model import PowerCoefficients
-from repro.topology.registry import prepare_config
-from repro.traffic.locality import LOCALITY_MODELS
+from repro.topology.registry import TOPOLOGY_NAMES, prepare_config
+from repro.traffic.locality import LOCALITY_MODELS, LOCALITY_NAMES
 from repro.traffic.workloads import Workload
 
 __all__ = ["SimulationConfig", "BACKENDS"]
@@ -45,22 +45,35 @@ class SimulationConfig:
     :data:`repro.traffic.locality.LOCALITY_MODELS` resolved with
     ``locality_param``, or a pre-built sampler object from
     :mod:`repro.traffic.locality`.
+
+    A field whose metadata has a ``"help"`` entry is a ``python -m
+    repro`` flag: ``--field-name`` unless ``"flag"`` says otherwise, its
+    type and default taken from here, ``"choices"`` the registry's own
+    name tuple.
     """
 
     workload: Workload
-    seed: int = 0
+    seed: int = field(default=0, metadata={
+        "help": "root seed every random stream derives from"})
 
     # --- topology / network ------------------------------------------
-    #: any name in :data:`repro.topology.registry.TOPOLOGY_NAMES`
-    #: ("mesh", "torus", "mesh3d", "torus3d", "chiplet", "express")
-    topology: str = "mesh"
+    topology: str = field(default="mesh", metadata={
+        "help": "fabric topology ('python -m repro --list-topologies')",
+        "choices": TOPOLOGY_NAMES})
     width: int = 0  # 0: inferred (square grid / cube) from workload size
     height: int = 0
-    depth: int = 0  # 3D topologies only; 0: inferred
-    chiplet_tile: int = 4  # chiplet topology: cluster edge length
-    express_stride: int = 4  # express topology: skip-link span
-    network: str = "bless"  # any name in repro.network.NETWORK_MODELS
-    backend: str = "numpy"  # any name in BACKENDS
+    depth: int = field(default=0, metadata={
+        "help": "3D topologies: z dimension (0 = infer a cube)"})
+    chiplet_tile: int = field(default=4, metadata={
+        "help": "chiplet topology: cluster edge length"})
+    express_stride: int = field(default=4, metadata={
+        "help": "express topology: skip-link span"})
+    network: str = field(default="bless", metadata={
+        "help": "router model", "choices": NETWORK_NAMES})
+    backend: str = field(default="numpy", metadata={
+        "help": "hot-path backend: pure-numpy reference or compiled C "
+                "kernels (bit-identical; requires a C compiler on first use)",
+        "choices": BACKENDS})
     router_latency: int = 2
     link_latency: int = 1
     eject_width: int = 1
@@ -78,37 +91,46 @@ class SimulationConfig:
     l2_latency: int = 6
 
     # --- traffic -------------------------------------------------------
-    locality: Union[str, object] = "uniform"
-    locality_param: float = 1.0  # mean hop distance (exp) or alpha (powerlaw)
+    locality: Union[str, object] = field(default="uniform", metadata={
+        "help": "L2 destination distribution", "choices": LOCALITY_NAMES})
+    locality_param: float = field(default=1.0, metadata={
+        "help": "mean hop distance (exponential) or alpha (powerlaw)"})
     phase_sigma: float = 0.4
     phase_length: int = 20_000
 
     # --- control ---------------------------------------------------------
     controller: Controller = field(default_factory=NoController)
-    epoch: int = 10_000  # controller/measurement period T
+    epoch: int = field(default=10_000, metadata={
+        "help": "controller/measurement period T"})
     model_control_traffic: bool = False
 
     # --- power ----------------------------------------------------------
     power: PowerCoefficients = field(default_factory=PowerCoefficients)
 
     # --- observability (repro.observability) -----------------------------
-    #: attribute wall-clock per simulated phase (PhaseTimer); when off the
-    #: simulator runs its original uninstrumented loop
-    profile: bool = False
-    #: record inject/hop/deflect/eject events for a sampled packet subset
-    trace: bool = False
-    #: fraction of packet identities traced (quantized to 1/65536)
-    trace_sample: float = 1 / 16
-    #: ring-buffer bound on stored trace events (oldest overwritten)
-    trace_capacity: int = 65536
+    profile: bool = field(default=False, metadata={
+        "help": "time each simulated phase (PhaseTimer) and print the "
+                "breakdown; off runs the uninstrumented loop"})
+    trace: bool = field(default=False, metadata={
+        "help": "record inject/hop/deflect/eject events for a sampled "
+                "packet subset"})
+    trace_sample: float = field(default=1 / 16, metadata={
+        "help": "fraction of packet identities traced (quantized to "
+                "1/65536)"})
+    trace_capacity: int = field(default=65536, metadata={
+        "help": "ring-buffer bound on stored trace events (oldest "
+                "overwritten)"})
 
     # --- guardrails (repro.guardrails) -----------------------------------
-    #: verify the no-drop / eject-width / age-order invariants every cycle
-    check_invariants: bool = False
-    #: cycles without ejection progress before the watchdog trips (0 = off)
-    watchdog_window: int = 0
-    #: maximum tolerated in-flight flit age in cycles (0 = off)
-    max_flit_age: int = 0
+    check_invariants: bool = field(default=False, metadata={
+        "help": "verify the no-drop / eject-width / age-order invariants "
+                "every cycle"})
+    watchdog_window: int = field(default=0, metadata={
+        "help": "cycles without ejection progress before the watchdog "
+                "trips (0 = off)",
+        "flag": "--watchdog"})
+    max_flit_age: int = field(default=0, metadata={
+        "help": "maximum tolerated in-flight flit age in cycles (0 = off)"})
     #: link/router fault injection; ``None`` runs a healthy network
     faults: Optional[FaultConfig] = None
     #: mid-run fault/recovery campaign (repro.chaos); ``None`` disables

@@ -8,8 +8,6 @@ print paper-vs-measured tables.
 from repro.experiments.runner import (
     alone_ipc,
     bench_scale,
-    compare_controllers,
-    default_mechanism,
     run_workload,
     scaled_cycles,
     workload_alone_ipc,
@@ -25,8 +23,6 @@ from repro.experiments.tables import format_table, paper_vs_measured
 
 __all__ = [
     "run_workload",
-    "compare_controllers",
-    "default_mechanism",
     "alone_ipc",
     "workload_alone_ipc",
     "bench_scale",

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.config import SimulationConfig
 from repro.control.base import Controller, NoController
-from repro.control.central import CentralController, ControlParams
 from repro.sim.simulator import Simulator
 from repro.sim.results import SimulationResult
 from repro.traffic.workloads import Workload
@@ -18,7 +17,6 @@ __all__ = [
     "bench_scale",
     "scaled_cycles",
     "run_workload",
-    "compare_controllers",
     "alone_ipc",
 ]
 
@@ -61,31 +59,6 @@ def run_workload(
         **config_kw,
     )
     return Simulator(cfg).run(cycles, deadline=deadline)
-
-
-def default_mechanism(epoch: int) -> CentralController:
-    """The paper's mechanism with its period scaled to the run length."""
-    return CentralController(ControlParams(epoch=epoch))
-
-
-def compare_controllers(
-    workload: Workload,
-    cycles: int,
-    epoch: int = 1000,
-    seed: int = 1,
-    **config_kw,
-) -> Tuple[SimulationResult, SimulationResult]:
-    """Baseline BLESS vs BLESS + the paper's mechanism on one workload."""
-    base = run_workload(workload, cycles, epoch=epoch, seed=seed, **config_kw)
-    ctl = run_workload(
-        workload,
-        cycles,
-        controller=default_mechanism(epoch),
-        epoch=epoch,
-        seed=seed,
-        **config_kw,
-    )
-    return base, ctl
 
 
 _ALONE_CACHE: Dict[tuple, float] = {}

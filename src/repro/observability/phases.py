@@ -37,24 +37,3 @@ class PhaseTimer:
         # so it is not in PHASES.
         self.seconds[phase] = self.seconds.get(phase, 0.0) + now - self._mark
         self._mark = now
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds.values())
-
-    def shares(self) -> dict:
-        """Fraction of attributed time per phase (sums to 1 when any)."""
-        total = self.total_seconds
-        if total <= 0.0:
-            return {name: 0.0 for name in self.seconds}
-        return {name: secs / total for name, secs in self.seconds.items()}
-
-    def table(self) -> str:
-        """Human-readable per-phase breakdown, widest share first."""
-        shares = self.shares()
-        rows = sorted(self.seconds.items(), key=lambda kv: -kv[1])
-        lines = [f"{'phase':<10} {'seconds':>10} {'share':>8}"]
-        for name, secs in rows:
-            lines.append(f"{name:<10} {secs:>10.4f} {shares[name]:>7.1%}")
-        lines.append(f"{'total':<10} {self.total_seconds:>10.4f} {'100.0%':>8}")
-        return "\n".join(lines)

@@ -1,5 +1,5 @@
 """Tests for the cross-layer contract rules (RNG/CACHE) and the
-analyzer infrastructure added alongside them (SARIF output, --exclude).
+analyzer infrastructure added alongside them (--exclude).
 
 Same layers as test_analysis.py:
 
@@ -9,7 +9,6 @@ Same layers as test_analysis.py:
   excluded) exits 0.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -17,12 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    ALL_RULES,
-    RULE_IDS,
-    analyze,
-    sarif_document,
-)
+from repro.analysis import analyze
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "tests" / "analysis_fixtures"
@@ -98,47 +92,6 @@ def test_cache001_fixture_exact_findings():
     )
     # reads of spec fields and derived properties are clean
     assert {32, 33}.isdisjoint({f.line for f in findings})
-
-
-# ----------------------------------------------------------------------
-# SARIF output
-# ----------------------------------------------------------------------
-def test_sarif_document_shape():
-    findings = findings_for(FIXTURES / "rng001_labels.py")
-    document = sarif_document(findings, ALL_RULES)
-    assert document["version"] == "2.1.0"
-    assert document["$schema"].endswith("sarif-schema-2.1.0.json")
-    (run,) = document["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro.analysis"
-    rule_ids = [r["id"] for r in driver["rules"]]
-    assert rule_ids == sorted(rule_ids)
-    assert set(RULE_IDS) <= set(rule_ids)
-    assert len(run["results"]) == len(findings)
-    for result, finding in zip(run["results"], findings):
-        assert result["ruleId"] == finding.rule
-        assert rule_ids[result["ruleIndex"]] == finding.rule
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uriBaseId"] == "ROOT"
-        assert location["artifactLocation"]["uri"] == finding.path
-        assert location["region"]["startLine"] == finding.line
-
-
-def test_cli_sarif_format_is_valid_json(tmp_path):
-    artifact = tmp_path / "analysis.sarif"
-    proc = run_cli(
-        str(FIXTURES / "det003_rng.py"),
-        "--format", "sarif",
-        "--output", str(artifact),
-    )
-    assert proc.returncode == 1
-    document = json.loads(artifact.read_text(encoding="utf-8"))
-    assert document["version"] == "2.1.0"
-    results = document["runs"][0]["results"]
-    assert [r["ruleId"] for r in results] == ["DET003", "DET003"]
-    # stdout carries the same document
-    assert json.loads(proc.stdout) == document
 
 
 # ----------------------------------------------------------------------

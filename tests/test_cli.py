@@ -249,6 +249,37 @@ class TestGuardrailFlags:
         err = capsys.readouterr().err
         assert "guardrail abort" in err
 
-    def test_bad_fault_rate_rejected(self):
-        with pytest.raises(ValueError):
-            main(["--cycles", "1000", "--link-faults", "1.5"])
+    def test_bad_fault_rate_rejected(self, capsys):
+        assert main(["--cycles", "1000", "--link-faults", "1.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: link_fault_rate must be in [0, 1), got 1.5\n"
+        )
+
+
+class TestInvalidInput:
+    """Bad input to a single-run command is one line on stderr and exit
+    2, like ``sweep``; construction errors never reach a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--app", "nosuchapp"], "unknown application 'nosuchapp'"),
+        (["--nodes", "15"], "workload size 15 is not square"),
+        (["--cycles", "0"], "argument --cycles: must be >= 1, got 0"),
+        (["--controller", "static", "--static-rate", "1.5"],
+         "rate must be a number in [0, 1), got 1.5"),
+        (["--controller", "hierarchical", "--controller-domains", "999"],
+         "into 999 rectangular domains"),
+        (["--trace-capacity", "0"], "trace_capacity must be positive"),
+        (["--backend", "native", "--trace"], "native backend: "),
+        (["profile", "--nodes", "15"], "workload size 15 is not square"),
+        (["chaos", "--nodes", "15"], "workload size 15 is not square"),
+    ])
+    def test_exits_2_with_one_line(self, argv, message, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as exit_info:  # argparse's own usage error
+            rc = exit_info.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert capsys.readouterr().out == ""

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments import (
     alone_ipc,
     bench_scale,
-    compare_controllers,
     format_table,
     locality_sweep,
     paper_vs_measured,
@@ -57,13 +56,6 @@ class TestRunners:
         assert res.cycles == 1500
         assert res.system_throughput > 0
 
-    def test_compare_controllers_returns_pair(self):
-        wl = make_homogeneous_workload("mcf", 16)
-        base, ctl = compare_controllers(wl, 1500, epoch=500, seed=1)
-        assert base.cycles == ctl.cycles == 1500
-        # the controlled run must never inject more than the baseline
-        assert ctl.injected_flits <= base.injected_flits * 1.05
-
     def test_alone_ipc_cached(self):
         _ALONE_CACHE.clear()
         a = alone_ipc("povray", 16, cycles=1200)
@@ -99,4 +91,7 @@ class TestSweeps:
         assert [r["category"] for r in rows] == ["L", "H"]
         for r in rows:
             assert "improvement" in r
-            assert r["baseline"].cycles == 1200
+            assert r["baseline"].cycles == r["mechanism"].cycles == 1200
+            # the controlled run must never inject more than the baseline
+            assert (r["mechanism"].injected_flits
+                    <= r["baseline"].injected_flits * 1.05)

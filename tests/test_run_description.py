@@ -24,6 +24,7 @@ from repro.control.registry import (
 from repro.experiments.sweeps import NETWORK_VARIANTS
 from repro.guardrails import FaultModel
 from repro.harness import JobSpec, run_job
+from repro.native import native_available
 from repro.network import (
     NETWORK_MODELS,
     NETWORK_NAMES,
@@ -37,6 +38,7 @@ from repro.rng import child_rng
 from repro.topology import Mesh2D
 from repro.topology.registry import TOPOLOGY_NAMES
 from repro.traffic.locality import LOCALITY_MODELS, LOCALITY_NAMES
+from repro.traffic.workloads import WORKLOAD_CATEGORIES
 
 EPOCH = 400
 
@@ -297,11 +299,167 @@ OPTION_STRINGS = {
 }
 
 
+#: One row per parser action: (option strings, dest, default, type name,
+#: choices, action class).  A choices entry naming a registry tuple is
+#: checked by identity.  Recorded from the hand-written parsers before
+#: their config flags were generated from ``SimulationConfig`` field
+#: metadata; the single-run ``--cycles`` has since taken ``_positive_int``.
+PARSER_SURFACE = {
+    "run": [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
+        (("--app",), "app", None, None, None, "_StoreAction"),
+        (("--category",), "category", None, None, "WORKLOAD_CATEGORIES", "_StoreAction"),
+        (("--nodes",), "nodes", 16, "int", None, "_StoreAction"),
+        (("--cycles",), "cycles", 20000, "_positive_int", None, "_StoreAction"),
+        (("--seed",), "seed", 1, "int", None, "_StoreAction"),
+        (("--epoch",), "epoch", 2000, "int", None, "_StoreAction"),
+        (("--network",), "network", "bless", None, "NETWORK_NAMES", "_StoreAction"),
+        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
+        (("--controller",), "controller", "none", None, "CONTROLLER_NAMES", "_StoreAction"),
+        (("--static-rate",), "static_rate", 0.5, "float", None, "_StoreAction"),
+        (("--backend",), "backend", "numpy", None, "BACKENDS", "_StoreAction"),
+        (("--depth",), "depth", 0, "int", None, "_StoreAction"),
+        (("--chiplet-tile",), "chiplet_tile", 4, "int", None, "_StoreAction"),
+        (("--express-stride",), "express_stride", 4, "int", None, "_StoreAction"),
+        (("--controller-domains",), "controller_domains", 0, "int", None, "_StoreAction"),
+        (("--controller-mode",), "controller_mode", "global", None, "COORDINATION_MODES", "_StoreAction"),
+        (("--list-controllers",), "list_controllers", False, None, None, "_StoreTrueAction"),
+        (("--list-topologies",), "list_topologies", False, None, None, "_StoreTrueAction"),
+        (("--locality",), "locality", "uniform", None, "LOCALITY_NAMES", "_StoreAction"),
+        (("--locality-param",), "locality_param", 1.0, "float", None, "_StoreAction"),
+        (("--profile",), "profile", False, None, None, "_StoreTrueAction"),
+        (("--trace",), "trace", False, None, None, "_StoreTrueAction"),
+        (("--trace-sample",), "trace_sample", 0.0625, "float", None, "_StoreAction"),
+        (("--trace-capacity",), "trace_capacity", 65536, "int", None, "_StoreAction"),
+        (("--check-invariants",), "check_invariants", False, None, None, "_StoreTrueAction"),
+        (("--watchdog",), "watchdog_window", 0, "int", None, "_StoreAction"),
+        (("--max-flit-age",), "max_flit_age", 0, "int", None, "_StoreAction"),
+        (("--timeout",), "timeout", None, "float", None, "_StoreAction"),
+        (("--link-faults",), "link_faults", 0.0, "float", None, "_StoreAction"),
+        (("--router-faults",), "router_faults", 0.0, "float", None, "_StoreAction"),
+        (("--transient-faults",), "transient_faults", 0.0, "float", None, "_StoreAction"),
+        (("--fault-seed",), "fault_seed", 0, "int", None, "_StoreAction"),
+        (("--chaos-script",), "chaos_script", None, None, None, "_StoreAction"),
+    ],
+    "sweep": [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
+        (("--sizes",), "sizes", "16,64", None, None, "_StoreAction"),
+        (("--networks",), "networks", "bless,bless-throttling,buffered", None, None, "_StoreAction"),
+        (("--cycles",), "cycles", 8000, "int", None, "_StoreAction"),
+        (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
+        (("--seed",), "seed", 2, "int", None, "_StoreAction"),
+        (("--epoch",), "epoch", 1200, "int", None, "_StoreAction"),
+        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
+        (("--locality",), "locality", "exponential", None, "LOCALITY_NAMES", "_StoreAction"),
+        (("--locality-param",), "locality_param", 1.0, "float", None, "_StoreAction"),
+        (("--jobs",), "jobs", None, "int", None, "_StoreAction"),
+        (("--cache-dir",), "cache_dir", None, None, None, "_StoreAction"),
+        (("--no-progress",), "no_progress", False, None, None, "_StoreTrueAction"),
+    ],
+    "profile": [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
+        (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
+        (("--nodes",), "nodes", 64, "int", None, "_StoreAction"),
+        (("--cycles",), "cycles", 20000, "_positive_int", None, "_StoreAction"),
+        (("--seed",), "seed", 1, "int", None, "_StoreAction"),
+        (("--epoch",), "epoch", 2000, "int", None, "_StoreAction"),
+        (("--network",), "network", "bless", None, "NETWORK_NAMES", "_StoreAction"),
+        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
+        (("--trace",), "trace", False, None, None, "_StoreTrueAction"),
+        (("--trace-sample",), "trace_sample", 0.0625, "float", None, "_StoreAction"),
+        (("--overhead-check",), "overhead_check", None, "float", None, "_StoreAction"),
+        (("--repeats",), "repeats", 2, "_positive_int", None, "_StoreAction"),
+    ],
+    "chaos": [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
+        (("--script",), "script", "examples/chaos_demo.json", None, None, "_StoreAction"),
+        (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
+        (("--nodes",), "nodes", 16, "int", None, "_StoreAction"),
+        (("--cycles",), "cycles", 5000, "_positive_int", None, "_StoreAction"),
+        (("--seed",), "seed", 1, "int", None, "_StoreAction"),
+        (("--epoch",), "epoch", 2000, "int", None, "_StoreAction"),
+        (("--network",), "network", "bless", None, "NETWORK_NAMES", "_StoreAction"),
+        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
+        (("--controller",), "controller", "none", None, "CONTROLLER_NAMES", "_StoreAction"),
+        (("--static-rate",), "static_rate", 0.5, "float", None, "_StoreAction"),
+        (("--no-invariants",), "check_invariants", True, None, None, "_StoreFalseAction"),
+        (("--watchdog",), "watchdog_window", 2000, "int", None, "_StoreAction"),
+    ],
+}
+
+REGISTRIES = {
+    "NETWORK_NAMES": NETWORK_NAMES, "TOPOLOGY_NAMES": TOPOLOGY_NAMES,
+    "BACKENDS": BACKENDS, "LOCALITY_NAMES": LOCALITY_NAMES,
+    "CONTROLLER_NAMES": CONTROLLER_NAMES,
+    "COORDINATION_MODES": COORDINATION_MODES,
+    "WORKLOAD_CATEGORIES": WORKLOAD_CATEGORIES,
+}
+
+
+def surface_row(action):
+    choices = action.choices
+    if choices is not None:
+        named = [k for k, v in REGISTRIES.items() if v is choices]
+        choices = named[0] if named else tuple(choices)
+    type_name = None if action.type is None else action.type.__name__
+    return (tuple(action.option_strings), action.dest, action.default,
+            type_name, choices, type(action).__name__)
+
+
+def cli_simulator(argv):
+    """The simulator ``python -m repro <argv>`` would run."""
+    opts = vars(cli.build_parser().parse_args(argv))
+    for dest in ("cycles", "timeout", "list_controllers", "list_topologies"):
+        opts.pop(dest)
+    return cli._simulator(opts)
+
+
+#: Config fields that are ``python -m repro`` flags (a "help" entry in
+#: their field metadata).
+CONFIG_FLAGS = [
+    f for f in dataclasses.fields(SimulationConfig) if "help" in f.metadata
+]
+
+
+def non_default(field, default):
+    """A valid command-line value for *field* other than *default*."""
+    if "choices" in field.metadata:
+        return next(c for c in field.metadata["choices"] if c != default)
+    return default + 1 if isinstance(default, int) else default / 2
+
+
 class TestCliSurface:
     @pytest.mark.parametrize("command", PARSERS)
     def test_option_strings_unchanged(self, command):
         parser = PARSERS[command]()
         assert sorted(parser._option_string_actions) == OPTION_STRINGS[command]
+
+    @pytest.mark.parametrize("command", PARSERS)
+    def test_parser_surface_unchanged(self, command):
+        rows = [surface_row(a) for a in PARSERS[command]()._actions]
+        assert rows == PARSER_SURFACE[command]
+
+    def test_run_declares_every_config_flag(self):
+        dests = {a.dest for a in cli.build_parser()._actions}
+        assert {f.name for f in CONFIG_FLAGS} <= dests
+
+    @pytest.mark.parametrize("field", CONFIG_FLAGS, ids=lambda f: f.name)
+    def test_every_config_flag_reaches_the_config(self, field):
+        """Generated from the field metadata: a flag added to a field
+        later is covered by construction."""
+        action = next(
+            a for a in cli.build_parser()._actions if a.dest == field.name
+        )
+        if isinstance(field.default, bool):
+            argv, value = [action.option_strings[0]], True
+        else:
+            value = non_default(field, action.default)
+            argv = [action.option_strings[0], str(value)]
+        if value == "native" and not native_available():
+            pytest.skip("no C compiler for the native backend")
+        simulator = cli_simulator(argv)
+        assert simulator is not None
+        assert getattr(simulator.config, field.name) == value
 
     def test_analysis_cli_lost_only_the_cache_and_baseline_flags(self):
         assert sorted(build_analysis_parser()._option_string_actions) == [
@@ -311,6 +469,7 @@ class TestCliSurface:
 
     @pytest.mark.parametrize("builder, entry", [
         ("build_parser", cli.main), ("build_chaos_parser", cli.chaos_main),
+        ("build_profile_parser", cli.profile_main),
     ])
     def test_orphaned_dest_fails_loudly(self, builder, entry, monkeypatch):
         """A flag nobody consumes and no config field matches is a
