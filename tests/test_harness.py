@@ -372,27 +372,152 @@ class TestResultCache:
     def test_entry_is_one_strict_json_dumps_of_the_payload(
         self, tmp_path, monkeypatch
     ):
-        """The stored bytes are ``json.dumps(payload, allow_nan=False)``,
-        and a non-finite float raises with nothing left on disk."""
+        """The stored bytes are ``json.dumps(payload, allow_nan=False)``
+        of ``to_dict()`` with the histogram cut after its last non-zero
+        bucket plus its width, and a non-finite float raises with
+        nothing left on disk."""
         cache = ResultCache(tmp_path)
         spec = small_spec()
         res = run_job(spec)
         path = cache.put(spec, res)
+        result = res.to_dict()
+        last = int(np.flatnonzero(res.latency_hist)[-1])
+        assert 0 < last < len(res.latency_hist) - 1
         payload = {
             "key": cache.key(spec),
             "spec": json.loads(spec.canonical()),
             "code_version": cache.code_version,
-            "result": res.to_dict(),
+            "latency_hist_buckets": len(res.latency_hist),
+            "result": dict(
+                result, latency_hist=result["latency_hist"][: last + 1]
+            ),
         }
         assert path.read_text(encoding="utf-8") == json.dumps(
             payload, allow_nan=False
         )
+        # The full-list layout was written under code version 1.0.0; such
+        # an entry sits under another key and is never served.
+        old_path = ResultCache(tmp_path, code_version="1.0.0").put(spec, res)
         path.unlink()
-        poisoned = dict(payload["result"], avg_net_latency=float("inf"))
+        assert old_path != path
+        assert cache.get(spec) is None
+        old_path.unlink()
+        poisoned = dict(result, avg_net_latency=float("inf"))
         monkeypatch.setattr(res, "to_dict", lambda: poisoned)
         with pytest.raises(ValueError):
             cache.put(spec, res)
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    def test_hit_must_be_this_keys_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec_a, spec_b = small_spec(), small_spec(seed=2)
+        res_a = run_job(spec_a)
+        path_a = cache.put(spec_a, res_a)
+        path_b = cache.path(spec_b)
+        path_b.parent.mkdir(parents=True, exist_ok=True)
+        path_b.write_bytes(path_a.read_bytes())
+        assert cache.get(spec_b) is None
+        assert not path_b.exists()
+        assert results_equal(cache.get(spec_a), res_a)
+        assert cache.stats() == {"hits": 1, "misses": 1}
+
+    @pytest.mark.parametrize("shape", [
+        "none", "all_zero", "clip_bucket_only", "bucket_900", "width_10",
+    ])
+    def test_histogram_shapes_roundtrip_losslessly(
+        self, tmp_path, shape, cached_small_result
+    ):
+        hist = np.zeros(1024, dtype=np.int64)
+        if shape == "none":
+            hist = None
+        elif shape == "clip_bucket_only":
+            hist[1023] = 7
+        elif shape == "bucket_900":
+            hist[[3, 40, 900]] = (2, 5, 1)
+        elif shape == "width_10":
+            hist = np.array([0, 4, 0, 9, 1, 0, 0, 2, 0, 0], dtype=np.int64)
+        res = dataclasses.replace(cached_small_result, latency_hist=hist)
+        cache = ResultCache(tmp_path)
+        spec = small_spec()
+        path = cache.put(spec, res)
+        stored = json.loads(path.read_text())
+        if hist is None:
+            assert stored["latency_hist_buckets"] is None
+        else:
+            nonzero = np.flatnonzero(hist)
+            head = nonzero[-1] + 1 if nonzero.size else 0
+            assert stored["latency_hist_buckets"] == len(hist)
+            assert stored["result"]["latency_hist"] == hist[:head].tolist()
+        hit = cache.get(spec)
+        assert json.dumps(hit.to_dict()) == json.dumps(res.to_dict())
+        if hist is not None:
+            assert hit.latency_hist.dtype == np.int64
+            np.testing.assert_array_equal(hit.latency_hist, hist)
+
+    @pytest.mark.parametrize("network,controller", [
+        ("bless", ("none",)), ("bless", ("central",)), ("buffered", ("none",)),
+    ])
+    def test_sweep_columns_roundtrip_losslessly_at_half_size(
+        self, tmp_path, network, controller
+    ):
+        """A random-category 4x4 point of each column of the perf
+        ledger's sweep, at its 2,000 cycles and 1,000-cycle epoch."""
+        from repro.traffic.workloads import make_workload_batch
+
+        (workload,) = make_workload_batch(1, 16, np.random.default_rng(1))
+        spec = JobSpec.for_workload(
+            workload, 2000, seed=1, epoch=1000, controller=controller,
+            network=network,
+        )
+        cache = ResultCache(tmp_path)
+        res = run_job(spec)
+        path = cache.put(spec, res)
+        hit = cache.get(spec)
+        assert json.dumps(hit.to_dict()) == json.dumps(res.to_dict())
+        full_list_entry = json.dumps({
+            "key": cache.key(spec),
+            "spec": json.loads(spec.canonical()),
+            "code_version": cache.code_version,
+            "result": res.to_dict(),
+        }, allow_nan=False)
+        assert path.stat().st_size <= len(full_list_entry) / 2
+
+    @pytest.mark.parametrize("defect", [
+        "head_longer_than_width", "width_missing", "width_negative",
+        "width_float", "width_string", "width_bool", "bucket_float",
+        "bucket_string", "bucket_null", "bucket_huge",
+    ])
+    def test_malformed_compact_entry_is_a_miss(
+        self, tmp_path, defect, cached_small_result
+    ):
+        cache = ResultCache(tmp_path)
+        spec = small_spec()
+        path = cache.put(spec, cached_small_result)
+        payload = json.loads(path.read_text())
+        head = payload["result"]["latency_hist"]
+        width = payload["latency_hist_buckets"]
+        if defect == "head_longer_than_width":
+            payload["latency_hist_buckets"] = len(head) - 1
+        elif defect == "width_missing":
+            del payload["latency_hist_buckets"]
+        elif defect.startswith("width_"):
+            payload["latency_hist_buckets"] = {
+                "width_negative": -width, "width_float": float(width),
+                "width_string": str(width), "width_bool": True,
+            }[defect]
+        else:
+            head[-1] = {
+                "bucket_float": head[-1] + 0.5, "bucket_string": str(head[-1]),
+                "bucket_null": None, "bucket_huge": 2**70,
+            }[defect]
+        path.write_text(json.dumps(payload))
+        assert cache.get(spec) is None
+        assert cache.stats() == {"hits": 0, "misses": 1}
+        assert not path.exists()
+
+    @pytest.fixture(scope="class")
+    def cached_small_result(self):
+        return run_job(small_spec())
 
 
 class TestRunJobs:
