@@ -12,13 +12,12 @@
 import functools
 
 from conftest import once
-from repro.control import CentralController, ControlParams, StaticThrottleController
 from repro.experiments import (
     format_table,
     paper_vs_measured,
-    run_workload,
     scaled_cycles,
 )
+from repro.harness import JobSpec, run_job
 from repro.rng import child_rng
 from repro.traffic.workloads import make_workload_batch
 
@@ -27,6 +26,13 @@ from repro.traffic.workloads import make_workload_batch
 def _workload():
     rng = child_rng(88, "ablations")
     return make_workload_batch(1, 16, rng, categories=["HM"])[0]
+
+
+def _run(cycles, controller=("none",), **config):
+    return run_job(JobSpec.for_workload(
+        _workload(), cycles, epoch=1000, seed=60, controller=controller,
+        config=config,
+    ))
 
 
 def test_ablation_arbitration_policy(benchmark, report):
@@ -40,10 +46,7 @@ def test_ablation_arbitration_policy(benchmark, report):
     def run():
         rows = []
         for policy in ("oldest_first", "random", "youngest_first"):
-            res = run_workload(
-                _workload(), scaled_cycles(6000), epoch=1000, seed=60,
-                arbitration=policy,
-            )
+            res = _run(scaled_cycles(6000), arbitration=policy)
             rows.append((policy, res.system_throughput, res.avg_net_latency,
                          res.max_net_latency, res.deflection_rate))
         return rows
@@ -79,10 +82,7 @@ def test_ablation_eject_width(benchmark, report):
     def run():
         rows = []
         for width in (1, 2):
-            res = run_workload(
-                _workload(), scaled_cycles(6000), epoch=1000, seed=60,
-                eject_width=width,
-            )
+            res = _run(scaled_cycles(6000), eject_width=width)
             rows.append((width, res.system_throughput, res.avg_net_latency,
                          res.deflection_rate))
         return rows
@@ -112,18 +112,10 @@ def test_ablation_application_awareness(benchmark, report):
 
     def run():
         cycles = scaled_cycles(6000)
-        base = run_workload(_workload(), cycles, epoch=1000, seed=60)
-        aware = run_workload(
-            _workload(), cycles,
-            CentralController(ControlParams(epoch=1000)),
-            epoch=1000, seed=60,
-        )
+        base = _run(cycles)
+        aware = _run(cycles, ("central",))
         avg_rate = float(aware.epochs["mean_throttle"].mean())
-        blind = run_workload(
-            _workload(), cycles,
-            StaticThrottleController(min(avg_rate, 0.95)),
-            epoch=1000, seed=60,
-        )
+        blind = _run(cycles, ("static", min(avg_rate, 0.95)))
         return base, aware, blind, avg_rate
 
     base, aware, blind, avg_rate = once(benchmark, run)

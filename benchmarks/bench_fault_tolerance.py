@@ -24,10 +24,10 @@ from conftest import once
 from repro.experiments import (
     format_table,
     paper_vs_measured,
-    run_workload,
     scaled_cycles,
 )
 from repro.guardrails import FaultConfig, GuardrailError
+from repro.harness import JobSpec, run_job
 from repro.rng import child_rng
 from repro.traffic.workloads import make_workload_batch
 
@@ -56,10 +56,11 @@ def _sweep(network: str, cycles: int):
     for rate in FAULT_RATES:
         faults = FaultConfig(link_fault_rate=rate, seed=17) if rate else None
         try:
-            res = run_workload(
+            res = run_job(JobSpec.for_workload(
                 _workload(), cycles, epoch=1000, seed=70, deadline=300.0,
-                network=network, check_invariants=True, faults=faults,
-            )
+                network=network,
+                config=dict(check_invariants=True, faults=faults),
+            ))
         except GuardrailError:
             rows.append((rate, None, None, None))
             continue
@@ -137,18 +138,18 @@ def test_invariant_checker_overhead(benchmark, report):
     def run():
         cycles = scaled_cycles(6000)
         workload = _default_workload()
-        run_workload(workload, 500, epoch=500, seed=70)  # warm caches
+        run_job(JobSpec.for_workload(workload, 500, epoch=500, seed=70))  # warm caches
+        plain_spec = JobSpec.for_workload(workload, cycles, epoch=1000, seed=70)
+        checked_spec = plain_spec.with_config(check_invariants=True)
         # Interleaved paired trials; the best ratio filters out machine
         # noise (scheduler/frequency jitter on a single measurement).
         pairs = []
         for _ in range(3):
             t0 = time.perf_counter()
-            run_workload(workload, cycles, epoch=1000, seed=70)
+            run_job(plain_spec)
             plain = time.perf_counter() - t0
             t0 = time.perf_counter()
-            checked = run_workload(
-                workload, cycles, epoch=1000, seed=70, check_invariants=True,
-            )
+            checked = run_job(checked_spec)
             with_checks = time.perf_counter() - t0
             assert checked.guardrails.invariant_checks == cycles
             pairs.append((plain, with_checks))

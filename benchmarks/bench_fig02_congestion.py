@@ -15,10 +15,10 @@ from conftest import once
 from repro.experiments import (
     format_table,
     paper_vs_measured,
-    run_workload,
     scaled_cycles,
     static_throttle_sweep,
 )
+from repro.harness import JobSpec, run_jobs
 from repro.rng import child_rng
 from repro.traffic.workloads import make_workload_batch
 
@@ -29,7 +29,10 @@ def _load_spectrum_runs():
     rng = child_rng(42, "fig2-workloads")
     workloads = make_workload_batch(14, 16, rng)
     cycles = scaled_cycles(5000)
-    return [run_workload(w, cycles, epoch=1000, seed=3) for w in workloads]
+    specs = [
+        JobSpec.for_workload(w, cycles, epoch=1000, seed=3) for w in workloads
+    ]
+    return run_jobs(specs, description="fig2-load-spectrum").results
 
 
 def test_fig2a_latency_vs_utilization(benchmark, report):

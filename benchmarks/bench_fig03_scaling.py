@@ -13,10 +13,11 @@ the on-disk cache instead of fresh runs).
 
 import functools
 
-from conftest import once, scaled
+from conftest import once
 from repro.experiments import (
     format_table,
     paper_vs_measured,
+    scaled_cycles,
     scaling_sweep,
 )
 from repro.harness import JobSpec, run_jobs
@@ -28,19 +29,17 @@ SIZES = (16, 64, 256, 1024, 4096)
 _BASE_CYCLES = {16: 8000, 64: 8000, 256: 6000, 1024: 4000, 4096: 3000}
 
 
-def _cycles_for(size, scale=1.0):
-    return scaled(_BASE_CYCLES[size], scale)
+def _cycles_for(size):
+    return scaled_cycles(_BASE_CYCLES[size])
 
 
 @functools.lru_cache(maxsize=1)
-def _bless_scaling(scale):
-    return scaling_sweep(
-        SIZES, lambda n: _cycles_for(n, scale), networks=("bless",)
-    )["bless"]
+def _bless_scaling():
+    return scaling_sweep(SIZES, _cycles_for, networks=("bless",))["bless"]
 
 
-def test_fig3a_latency_grows_with_size(benchmark, report, scale):
-    results = once(benchmark, lambda: _bless_scaling(scale))
+def test_fig3a_latency_grows_with_size(benchmark, report):
+    results = once(benchmark, _bless_scaling)
     rows = [(n, r.avg_net_latency) for n, r in results]
     growth = rows[-1][1] / rows[0][1]
     report(
@@ -59,8 +58,8 @@ def test_fig3a_latency_grows_with_size(benchmark, report, scale):
     assert growth > 2.0
 
 
-def test_fig3b_starvation_grows_with_size(benchmark, report, scale):
-    results = once(benchmark, lambda: _bless_scaling(scale))
+def test_fig3b_starvation_grows_with_size(benchmark, report):
+    results = once(benchmark, _bless_scaling)
     rows = [(n, r.mean_starvation) for n, r in results]
     report(
         "fig3b",
@@ -79,8 +78,8 @@ def test_fig3b_starvation_grows_with_size(benchmark, report, scale):
     assert rows[-1][1] > 1.5 * rows[0][1]
 
 
-def test_fig3c_per_node_throughput_drops(benchmark, report, scale):
-    results = once(benchmark, lambda: _bless_scaling(scale))
+def test_fig3c_per_node_throughput_drops(benchmark, report):
+    results = once(benchmark, _bless_scaling)
     rows = [(n, r.throughput_per_node) for n, r in results]
     drop = 1 - rows[-1][1] / rows[0][1]
     report(
@@ -97,7 +96,7 @@ def test_fig3c_per_node_throughput_drops(benchmark, report, scale):
     assert drop > 0.2
 
 
-def test_uniform_striping_collapse(benchmark, report, scale):
+def test_uniform_striping_collapse(benchmark, report):
     """§3.2: with uniform data striping, per-node throughput collapses
     from 4x4 to 64x64 (paper: -73%).  Both points go to the harness as
     one batch instead of a hand-rolled serial loop."""
@@ -110,7 +109,7 @@ def test_uniform_striping_collapse(benchmark, report, scale):
             wl = make_workload_batch(1, size, rng, categories=["H"])[0]
             specs.append(
                 JobSpec.for_workload(
-                    wl, _cycles_for(size, scale),
+                    wl, _cycles_for(size),
                     epoch=1200, seed=2, locality="uniform",
                 )
             )

@@ -15,8 +15,10 @@ the core motivation for IPF-based application awareness.
 import numpy as np
 
 from conftest import once
-from repro.control import StaticThrottleController
-from repro.experiments import format_table, paper_vs_measured, run_workload, scaled_cycles
+from repro.config import SimulationConfig
+from repro.control import NoController, StaticThrottleController
+from repro.experiments import format_table, paper_vs_measured, scaled_cycles
+from repro.sim.simulator import Simulator
 from repro.traffic.workloads import make_checkerboard_workload
 
 
@@ -26,10 +28,17 @@ def test_fig5_selective_throttling(benchmark, report):
         mcf = np.array([i for i, a in enumerate(wl.app_names) if a == "mcf"])
         gro = np.array([i for i, a in enumerate(wl.app_names) if a == "gromacs"])
         cycles = scaled_cycles(12_000)
-        kw = dict(epoch=1500, seed=3, phase_sigma=0.2)
-        base = run_workload(wl, cycles, **kw)
-        t_gro = run_workload(wl, cycles, StaticThrottleController(0.9, gro), **kw)
-        t_mcf = run_workload(wl, cycles, StaticThrottleController(0.9, mcf), **kw)
+
+        def throttled(controller):
+            # A node-masked static throttle has no recipe: built here.
+            config = SimulationConfig(
+                wl, epoch=1500, seed=3, phase_sigma=0.2, controller=controller
+            )
+            return Simulator(config).run(cycles)
+
+        base = throttled(NoController())
+        t_gro = throttled(StaticThrottleController(0.9, gro))
+        t_mcf = throttled(StaticThrottleController(0.9, mcf))
         return wl, mcf, gro, base, t_gro, t_mcf
 
     wl, mcf, gro, base, t_gro, t_mcf = once(benchmark, run)

@@ -8,20 +8,20 @@ phase-free baseline); without it the series is flat.
 """
 
 from conftest import once
-from repro.experiments import format_table, paper_vs_measured, run_workload, scaled_cycles
+from repro.experiments import format_table, paper_vs_measured, scaled_cycles
+from repro.harness import JobSpec, run_job
 from repro.traffic.workloads import make_homogeneous_workload
 
 
 def _intensity_series(phase_sigma):
     wl = make_homogeneous_workload("gromacs", 16)
-    res = run_workload(
+    res = run_job(JobSpec.for_workload(
         wl,
         scaled_cycles(12_000),
         epoch=400,
         seed=6,
-        phase_sigma=phase_sigma,
-        phase_length=1500,
-    )
+        config=dict(phase_sigma=phase_sigma, phase_length=1500),
+    ))
     return res.epochs["utilization"]
 
 

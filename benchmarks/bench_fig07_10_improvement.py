@@ -13,11 +13,11 @@ import numpy as np
 
 from conftest import once
 from repro.experiments import (
+    alone_ipc,
     format_table,
     paper_vs_measured,
     scaled_cycles,
     workload_batch_comparison,
-    workload_alone_ipc,
 )
 from repro.metrics import weighted_speedup
 
@@ -138,9 +138,11 @@ def test_fig9_starvation_cdf(benchmark, report):
 def test_fig10_weighted_speedup(benchmark, report):
     def run():
         rows = _batch_4x4()
+        alones = alone_ipc(
+            [r["workload"] for r in rows], cycles=scaled_cycles(2000)
+        )
         out = []
-        for r in rows:
-            alone = workload_alone_ipc(r["workload"], cycles=scaled_cycles(2000))
+        for r, alone in zip(rows, alones):
             ws_base = weighted_speedup(r["baseline"].ipc, alone)
             ws_mech = weighted_speedup(r["mechanism"].ipc, alone)
             out.append((r, ws_base, ws_mech))

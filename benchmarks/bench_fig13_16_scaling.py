@@ -15,10 +15,11 @@ Fig 16: NoC power — throttling cuts bufferless power by up to ~15-20%.
 
 import functools
 
-from conftest import once, scaled
+from conftest import once
 from repro.experiments import (
     format_table,
     paper_vs_measured,
+    scaled_cycles,
     scaling_sweep,
 )
 
@@ -27,16 +28,16 @@ SIZES = (16, 64, 256, 1024, 4096)
 _BASE_CYCLES = {16: 8000, 64: 8000, 256: 6000, 1024: 4000, 4096: 3000}
 
 
-def _cycles_for(size, scale=1.0):
-    return scaled(_BASE_CYCLES[size], scale)
+def _cycles_for(size):
+    return scaled_cycles(_BASE_CYCLES[size])
 
 
 @functools.lru_cache(maxsize=1)
-def _sweep(scale):
+def _sweep():
     # The full (5 sizes x 3 networks) grid ships to repro.harness in one
     # batch; REPRO_JOBS parallelizes it, REPRO_CACHE_DIR makes reruns
     # incremental.
-    return scaling_sweep(SIZES, lambda n: _cycles_for(n, scale))
+    return scaling_sweep(SIZES, _cycles_for)
 
 
 def _series(data, metric):
@@ -46,8 +47,8 @@ def _series(data, metric):
     }
 
 
-def test_fig13_throughput_scaling(benchmark, report, scale):
-    data = once(benchmark, lambda: _sweep(scale))
+def test_fig13_throughput_scaling(benchmark, report):
+    data = once(benchmark, _sweep)
     s = _series(data, "throughput_per_node")
     bless_drop = 1 - s["bless"][-1][1] / s["bless"][0][1]
     throt_drop = 1 - s["bless-throttling"][-1][1] / s["bless-throttling"][0][1]
@@ -77,8 +78,8 @@ def test_fig13_throughput_scaling(benchmark, report, scale):
     assert all(c[3] for c in claims)
 
 
-def test_fig14_latency_scaling(benchmark, report, scale):
-    data = once(benchmark, lambda: _sweep(scale))
+def test_fig14_latency_scaling(benchmark, report):
+    data = once(benchmark, _sweep)
     s = _series(data, "avg_net_latency")
     rows = [
         (n, s["bless"][i][1], s["bless-throttling"][i][1], s["buffered"][i][1])
@@ -103,8 +104,8 @@ def test_fig14_latency_scaling(benchmark, report, scale):
     assert all(c[3] for c in claims)
 
 
-def test_fig15_utilization_scaling(benchmark, report, scale):
-    data = once(benchmark, lambda: _sweep(scale))
+def test_fig15_utilization_scaling(benchmark, report):
+    data = once(benchmark, _sweep)
     s = _series(data, "network_utilization")
     rows = [
         (n, s["bless"][i][1], s["bless-throttling"][i][1], s["buffered"][i][1])
@@ -128,8 +129,8 @@ def test_fig15_utilization_scaling(benchmark, report, scale):
     assert all(c[3] for c in claims)
 
 
-def test_fig16_power_reduction(benchmark, report, scale):
-    data = once(benchmark, lambda: _sweep(scale))
+def test_fig16_power_reduction(benchmark, report):
+    data = once(benchmark, _sweep)
     rows = []
     vs_bless_all, vs_buf_all = [], []
     for i, n in enumerate(SIZES):

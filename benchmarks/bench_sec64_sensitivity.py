@@ -10,14 +10,15 @@ workloads and checks the paper's chosen value is competitive.
 import functools
 
 from conftest import once
+from repro.config import SimulationConfig
 from repro.control import CentralController, ControlParams
 from repro.experiments import (
     format_table,
     paper_vs_measured,
-    run_workload,
     scaled_cycles,
 )
 from repro.rng import child_rng
+from repro.sim.simulator import Simulator
 from repro.traffic.workloads import make_workload_batch
 
 
@@ -31,10 +32,12 @@ def _throughput(params: ControlParams) -> float:
     cycles = scaled_cycles(5000)
     total = 0.0
     for i, wl in enumerate(_workloads()):
-        res = run_workload(
-            wl, cycles, CentralController(params), epoch=params.epoch, seed=40 + i
+        # Custom ControlParams have no recipe: build the controller here.
+        config = SimulationConfig(
+            wl, seed=40 + i, epoch=params.epoch,
+            controller=CentralController(params),
         )
-        total += res.system_throughput
+        total += Simulator(config).run(cycles).system_throughput
     return total
 
 

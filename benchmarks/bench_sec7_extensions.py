@@ -20,10 +20,10 @@ from repro.control import (
     NoController,
 )
 from repro.experiments import (
+    alone_ipc,
     format_table,
     paper_vs_measured,
     scaled_cycles,
-    workload_alone_ipc,
 )
 from repro.metrics import max_slowdown, weighted_speedup
 from repro.rng import child_rng
@@ -103,9 +103,9 @@ def test_sec7_fairness_controller(benchmark, report):
         rng = child_rng(71, "fairness")
         workloads = make_workload_batch(3, 16, rng, categories=["HM", "HML", "H"])
         cycles = scaled_cycles(6000)
+        alones = alone_ipc(workloads, cycles=scaled_cycles(2000))
         rows = []
-        for i, wl in enumerate(workloads):
-            alone = workload_alone_ipc(wl, cycles=scaled_cycles(2000))
+        for i, (wl, alone) in enumerate(zip(workloads, alones)):
             res = {}
             for mode, controller in (
                 ("paper", CentralController(ControlParams(epoch=1000))),

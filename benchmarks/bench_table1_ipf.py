@@ -13,7 +13,8 @@ numbers two ways:
 import numpy as np
 
 from conftest import once
-from repro.experiments import format_table, paper_vs_measured, run_workload, scaled_cycles
+from repro.experiments import format_table, paper_vs_measured, scaled_cycles
+from repro.harness import JobSpec, run_job
 from repro.traffic.applications import APPLICATION_CATALOG, ApplicationBehaviorArray
 from repro.traffic.workloads import make_homogeneous_workload
 
@@ -60,8 +61,10 @@ def test_table1_in_simulation(benchmark, report):
         rows = []
         for name in REPRESENTATIVE:
             wl = make_homogeneous_workload(name, 16)
-            res = run_workload(wl, scaled_cycles(6000), epoch=1000, seed=4,
-                               phase_sigma=0.0)
+            res = run_job(JobSpec.for_workload(
+                wl, scaled_cycles(6000), epoch=1000, seed=4,
+                config={"phase_sigma": 0.0},
+            ))
             measured = float(np.median(res.ipf[np.isfinite(res.ipf)]))
             rows.append((name, APPLICATION_CATALOG[name].mean_ipf, measured))
         return rows

@@ -6,8 +6,7 @@ report under ``benchmarks/results/`` so it survives output capture.
 
 Cycle budgets are scaled-down from the paper's 10M-cycle runs; set
 ``REPRO_BENCH_SCALE`` to raise them (e.g. ``REPRO_BENCH_SCALE=4``).
-Budgets route through the :func:`scale` fixture (or the equivalent
-``repro.experiments.scaled_cycles`` helper inside lru-cached drivers).
+Every budget routes through ``repro.experiments.scaled_cycles``.
 
 Multi-run benchmarks execute through :mod:`repro.harness`, so setting
 ``REPRO_JOBS=4`` shards their simulations over four worker processes
@@ -15,28 +14,11 @@ and ``REPRO_CACHE_DIR=...`` reuses results across reruns (reports note
 when results may come from cache).
 """
 
-import os
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def scale():
-    """Cycle-budget multiplier read from ``REPRO_BENCH_SCALE``.
-
-    Benchmarks take this fixture and pass it to their budget helpers so
-    a single environment variable raises every run's fidelity; 1.0 is
-    the default scaled-down budget.
-    """
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-def scaled(base: int, scale: float) -> int:
-    """Apply the fixture's multiplier to a cycle budget (floor 1000)."""
-    return max(int(base * scale), 1000)
 
 
 @pytest.fixture

@@ -27,9 +27,10 @@ Single runs take ``--profile`` (per-phase timing on the result) and
     python -m repro --category H --nodes 16 --profile --trace
 
 A flag that sets a ``SimulationConfig`` field is declared from that
-field's metadata (:func:`_config_flags`), and ``run``, ``chaos`` and
-``profile`` build their simulator through one function,
-:func:`_simulator`; bad input there exits 2 with one ``error:`` line.
+field's metadata (:func:`_config_flags`).  Every command describes its
+runs as :class:`~repro.harness.JobSpec` values and builds them with
+:func:`repro.harness.build`, the simulator's one construction site;
+bad input exits 2 with one ``error:`` line before a cycle runs.
 """
 
 from __future__ import annotations
@@ -44,22 +45,28 @@ import numpy as np
 
 from repro import (
     SimulationConfig,
-    Simulator,
     WORKLOAD_CATEGORIES,
     make_category_workload,
     make_homogeneous_workload,
 )
 from repro.control.hierarchical import COORDINATION_MODES
-from repro.control.registry import (
-    CONTROLLER_NAMES,
-    CONTROLLERS,
-    build_controller,
+from repro.control.registry import CONTROLLER_NAMES, CONTROLLERS
+from repro.experiments.sweeps import (
+    NETWORK_VARIANTS,
+    SCALING_NETWORKS,
+    scaling_specs,
 )
-from repro.experiments.sweeps import NETWORK_VARIANTS, scaling_sweep
 from repro.guardrails import FaultConfig, GuardrailError
+from repro.harness import (
+    JobSpec,
+    ResultCache,
+    build,
+    default_jobs,
+    resolve_jobs,
+    run_jobs,
+)
 from repro.native import NativeUnsupported
-from repro.topology.registry import TOPOLOGIES, TOPOLOGY_NAMES
-from repro.traffic.locality import LOCALITY_NAMES
+from repro.topology.registry import TOPOLOGIES
 
 __all__ = ["main", "build_parser", "build_sweep_parser",
            "build_profile_parser", "build_chaos_parser", "chaos_main",
@@ -179,6 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The ``SimulationConfig`` fields ``sweep`` takes as flags.
+_SWEEP_CONFIG = ("seed", "epoch", "topology", "locality", "locality_param")
+
+
 def build_sweep_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
@@ -190,21 +201,16 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="comma-separated node counts (square meshes; default 16,64)",
     )
     parser.add_argument(
-        "--networks", default="bless,bless-throttling,buffered",
+        "--networks", default=",".join(SCALING_NETWORKS),
         help="comma-separated variants from "
         f"{{{', '.join(NETWORK_VARIANTS)}}}",
     )
-    parser.add_argument("--cycles", type=int, default=8_000,
+    parser.add_argument("--cycles", type=_positive_int, default=8_000,
                         help="cycle budget per point (default 8000)")
     parser.add_argument("--category", choices=WORKLOAD_CATEGORIES,
                         default="H", help="workload category (default H)")
-    parser.add_argument("--seed", type=int, default=2)
-    parser.add_argument("--epoch", type=int, default=1_200)
-    parser.add_argument("--topology", choices=TOPOLOGY_NAMES,
-                        default="mesh")
-    parser.add_argument("--locality", choices=LOCALITY_NAMES,
-                        default="exponential")
-    parser.add_argument("--locality-param", type=float, default=1.0)
+    _config_flags(parser, *_SWEEP_CONFIG, seed=2, epoch=1_200,
+                  locality="exponential")
     harness = parser.add_argument_group("harness")
     harness.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -266,15 +272,14 @@ def build_profile_parser() -> argparse.ArgumentParser:
 
 
 def _load_chaos_script(path):
-    """The campaign in *path*, or ``None`` after reporting why not."""
+    """The campaign in *path*; ``ValueError`` saying why it cannot load."""
     from repro.chaos import ChaosConfig
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return ChaosConfig.from_json(handle.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot load chaos script {path!r}: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot load chaos script {path!r}: {exc}") from exc
 
 
 def _pop_controller_recipe(opts: dict) -> tuple:
@@ -292,43 +297,46 @@ def _pop_controller_recipe(opts: dict) -> tuple:
     return (name, *(flags[arg.dest] for arg in chosen if arg.dest in flags))
 
 
-def _simulator(opts: dict):
-    """The one construction path of ``run``, ``chaos`` and ``profile``.
+def _spec(opts: dict) -> JobSpec:
+    """The run one ``run``/``chaos``/``profile`` invocation describes.
 
-    Pops the workload, controller, fault and chaos flags from *opts* and
-    passes every other dest to ``SimulationConfig`` by name, so a flag
-    that nothing pops and no config field matches is a TypeError on the
-    first run.  Invalid input is reported in one line on stderr and
-    returns ``None`` (the caller exits 2).
+    Pops the workload, cycle budget, timeout, controller, fault and
+    chaos flags from *opts* and keeps every other dest as a config key,
+    which :func:`~repro.harness.build` passes to ``SimulationConfig`` by
+    name — so a flag that nothing pops and no config field matches is a
+    TypeError on the first run.
     """
+    app, nodes = opts.pop("app", None), opts.pop("nodes")
+    category = opts.pop("category") or "H"
+    if app:
+        workload = make_homogeneous_workload(app, nodes)
+    else:
+        rng = np.random.default_rng(opts["seed"])
+        workload = make_category_workload(category, nodes, rng)
+    if "fault_seed" in opts:
+        faults = FaultConfig(
+            link_fault_rate=opts.pop("link_faults"),
+            router_fault_rate=opts.pop("router_faults"),
+            transient_fault_rate=opts.pop("transient_faults"),
+            seed=opts.pop("fault_seed"),
+        )
+        if faults.any_faults:
+            opts["faults"] = faults
+    script = opts.pop("chaos_script", None)
+    if script:
+        opts["chaos"] = _load_chaos_script(script)
+    return JobSpec.for_workload(
+        workload, opts.pop("cycles"), deadline=opts.pop("timeout", None),
+        controller=_pop_controller_recipe(opts), config=opts,
+    )
+
+
+def _build(opts: dict):
+    """``(spec, simulator)`` for *opts* (:func:`_spec`), or ``None`` after
+    reporting invalid input in one line on stderr (the caller exits 2)."""
     try:
-        app, nodes = opts.pop("app", None), opts.pop("nodes")
-        category = opts.pop("category") or "H"
-        if app:
-            workload = make_homogeneous_workload(app, nodes)
-        else:
-            rng = np.random.default_rng(opts["seed"])
-            workload = make_category_workload(category, nodes, rng)
-        if "fault_seed" in opts:
-            faults = FaultConfig(
-                link_fault_rate=opts.pop("link_faults"),
-                router_fault_rate=opts.pop("router_faults"),
-                transient_fault_rate=opts.pop("transient_faults"),
-                seed=opts.pop("fault_seed"),
-            )
-            if faults.any_faults:
-                opts["faults"] = faults
-        script = opts.pop("chaos_script", None)
-        if script:
-            opts["chaos"] = _load_chaos_script(script)
-            if opts["chaos"] is None:
-                return None
-        controller = build_controller(
-            _pop_controller_recipe(opts), epoch=opts["epoch"]
-        )
-        return Simulator(
-            SimulationConfig(workload, controller=controller, **opts)
-        )
+        spec = _spec(opts)
+        return spec, build(spec)
     except (ValueError, NativeUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -336,20 +344,21 @@ def _simulator(opts: dict):
 
 def chaos_main(argv=None) -> int:
     opts = vars(build_chaos_parser().parse_args(argv))
-    cycles, script = opts.pop("cycles"), opts.pop("script")
-    simulator = _simulator(dict(opts, chaos_script=script))
-    if simulator is None:
+    script = opts.pop("script")
+    built = _build(dict(opts, chaos_script=script))
+    if built is None:
         return 2
+    spec, simulator = built
     config = simulator.config
     try:
-        result = simulator.run(cycles)
+        result = simulator.run(spec.cycles)
     except GuardrailError as error:
         print(f"guardrail abort: {error}", file=sys.stderr)
         return 2
     report = result.chaos
     print(f"chaos campaign: {script} on {config.workload.category}/"
           f"{config.num_nodes}n/{config.network}, seed {config.seed}, "
-          f"{cycles} cycles")
+          f"{spec.cycles} cycles")
     for ev in report.events:
         target = ""
         if ev.kind.startswith("link"):
@@ -411,24 +420,23 @@ def _timing_overhead(plain, timed, cycles: int, repeats: int):
 
 def profile_main(argv=None) -> int:
     opts = vars(build_profile_parser().parse_args(argv))
-    cycles, limit, repeats = (
-        opts.pop("cycles"), opts.pop("overhead_check"), opts.pop("repeats")
-    )
-    simulator = _simulator(dict(opts, profile=True))
-    if simulator is None:
+    limit, repeats = opts.pop("overhead_check"), opts.pop("repeats")
+    built = _build(dict(opts, profile=True))
+    if built is None:
         return 2
-    result = simulator.run(cycles)
+    spec, simulator = built
+    result = simulator.run(spec.cycles)
     config = simulator.config
-    print(f"{config.num_nodes} nodes, {cycles} cycles, "
+    print(f"{config.num_nodes} nodes, {spec.cycles} cycles, "
           f"{config.workload.category}/{config.network}/{config.topology}, "
           f"seed {config.seed}")
     _print_observability(simulator, result)
     if limit is not None:
-        point = dict(opts, trace=False)
+        plain_spec = spec.with_config(profile=False, trace=False)
         plain, timed, overhead = _timing_overhead(
-            lambda: _simulator(dict(point)),
-            lambda: _simulator(dict(point, profile=True)),
-            cycles, repeats,
+            lambda: build(plain_spec),
+            lambda: build(plain_spec.with_config(profile=True)),
+            spec.cycles, repeats,
         )
         print(f"\noverhead check: plain {plain:,.0f} cycles/s, per-phase "
               f"timing enabled {timed:,.0f} cycles/s -> {overhead:+.2f}% "
@@ -441,8 +449,6 @@ def profile_main(argv=None) -> int:
 
 
 def sweep_main(argv=None) -> int:
-    from repro.harness import ResultCache, default_jobs, resolve_jobs
-
     args = build_sweep_parser().parse_args(argv)
     try:
         sizes = tuple(int(s) for s in args.sizes.split(",") if s)
@@ -457,24 +463,24 @@ def sweep_main(argv=None) -> int:
         print(f"invalid --sizes/--networks ({args.sizes!r}, "
               f"{args.networks!r})", file=sys.stderr)
         return 2
+    grid = scaling_specs(
+        sizes, lambda n: args.cycles, category=args.category,
+        networks=networks,
+        **{name: getattr(args, name) for name in _SWEEP_CONFIG},
+    )
+    try:
+        build(grid[0][2])  # a bad configuration fails here, before any job
+    except (ValueError, NativeUnsupported) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     jobs = default_jobs() if args.jobs is None else resolve_jobs(args.jobs)
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     cache = ResultCache(cache_dir) if cache_dir else None
 
     start = time.perf_counter()
-    data = scaling_sweep(
-        sizes,
-        lambda n: args.cycles,
-        category=args.category,
-        networks=networks,
-        locality=args.locality,
-        locality_param=args.locality_param,
-        epoch=args.epoch,
-        seed=args.seed,
-        topology=args.topology,
-        jobs=jobs,
-        cache=cache,
-        progress=not args.no_progress,
+    report = run_jobs(
+        [spec for _, _, spec in grid], jobs=jobs, cache=cache,
+        progress=not args.no_progress, description="scaling",
     )
     wall = time.perf_counter() - start
 
@@ -483,18 +489,16 @@ def sweep_main(argv=None) -> int:
         rows = [
             (size, res.throughput_per_node, res.avg_net_latency,
              res.network_utilization, res.mean_starvation)
-            for size, res in data[name]
-            if res is not None
+            for (variant, size, _), res in zip(grid, report.results)
+            if variant == name and res is not None
         ]
         print(f"\n{name} ({args.category}, {args.locality}, "
               f"epoch {args.epoch}):")
         print(format_table(
             ["cores", "IPC/node", "latency", "util", "starvation"], rows
         ))
-    total = len(sizes) * len(networks)
-    hits = cache.hits if cache is not None else 0
-    print(f"\nharness: {total} jobs, {hits} cache hits, "
-          f"{total - hits} executed, wall {wall:.2f}s, workers {jobs}")
+    print(f"\nharness: {report.total} jobs, {report.cache_hits} cache hits, "
+          f"{report.executed} executed, wall {wall:.2f}s, workers {jobs}")
     if cache is not None:
         print(f"cache: {cache_dir} ({len(cache)} entries)")
     return 0
@@ -540,15 +544,15 @@ def main(argv=None) -> int:
             _list_topologies()
         return 0
 
-    cycles, timeout = opts.pop("cycles"), opts.pop("timeout")
     controller = opts["controller"]
-    simulator = _simulator(opts)
-    if simulator is None:
+    built = _build(opts)
+    if built is None:
         return 2
+    spec, simulator = built
     config = simulator.config
     workload = config.workload
     try:
-        result = simulator.run(cycles, deadline=timeout)
+        result = simulator.run(spec.cycles, deadline=spec.deadline)
     except GuardrailError as error:
         print(f"guardrail abort: {error}", file=sys.stderr)
         snapshot = getattr(error, "snapshot", None)

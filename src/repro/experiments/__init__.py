@@ -2,19 +2,18 @@
 
 Each paper experiment (DESIGN.md §3) is a thin composition of these
 drivers; the benchmarks call them with scaled-down cycle budgets and
-print paper-vs-measured tables.
+print paper-vs-measured tables.  A single run is a
+:class:`~repro.harness.JobSpec` through :func:`repro.harness.run_job`.
 """
 
-from repro.experiments.runner import (
-    alone_ipc,
-    bench_scale,
-    run_workload,
-    scaled_cycles,
-    workload_alone_ipc,
-)
 from repro.experiments.sweeps import (
+    alone_ipc,
+    alone_ipc_specs,
+    bench_scale,
     locality_sweep,
     pairwise_ipf_grid,
+    scaled_cycles,
+    scaling_specs,
     scaling_sweep,
     static_throttle_sweep,
     workload_batch_comparison,
@@ -22,12 +21,12 @@ from repro.experiments.sweeps import (
 from repro.experiments.tables import format_table, paper_vs_measured
 
 __all__ = [
-    "run_workload",
     "alone_ipc",
-    "workload_alone_ipc",
+    "alone_ipc_specs",
     "bench_scale",
     "scaled_cycles",
     "static_throttle_sweep",
+    "scaling_specs",
     "scaling_sweep",
     "locality_sweep",
     "pairwise_ipf_grid",

@@ -14,9 +14,12 @@ to serial because every job derives its RNG streams from its own spec.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import os
+from typing import Dict, List, Sequence, Tuple
 
-from repro.harness import HarnessReport, JobSpec, run_jobs
+import numpy as np
+
+from repro.harness import JobSpec, run_jobs
 from repro.network import NETWORK_MODELS
 from repro.rng import child_rng
 from repro.sim.results import SimulationResult
@@ -28,12 +31,29 @@ from repro.traffic.workloads import (
 
 __all__ = [
     "NETWORK_VARIANTS",
+    "bench_scale",
+    "scaled_cycles",
+    "alone_ipc_specs",
+    "alone_ipc",
     "static_throttle_sweep",
+    "scaling_specs",
     "scaling_sweep",
     "locality_sweep",
     "pairwise_ipf_grid",
     "workload_batch_comparison",
 ]
+
+
+def bench_scale() -> float:
+    """Cycle-budget multiplier from ``REPRO_BENCH_SCALE`` (default 1.0;
+    the paper ran 10M cycles, the benchmarks far fewer)."""
+    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+
+
+def scaled_cycles(base: int) -> int:
+    """Apply the bench scale to a cycle budget."""
+    return max(int(base * bench_scale()), 1000)
+
 
 #: variant -> (network, controller recipe) for the scaling figures:
 #: every router model without congestion control, plus the paper's
@@ -50,8 +70,41 @@ def _split_harness_kw(kw: dict) -> dict:
     return {name: kw.pop(name) for name in _HARNESS_KW if name in kw}
 
 
-def _sweep(specs, harness_kw: dict, description: str) -> HarnessReport:
-    return run_jobs(specs, description=description, **harness_kw)
+def alone_ipc_specs(
+    workloads: Sequence[Workload], cycles: int = 2500, seed: int = 11, **config
+) -> Dict[Tuple[str, int], JobSpec]:
+    """One run per distinct ``(app, nodes)``: the app at node 0, every
+    other node idle.  Alone-IPC is a property of the application and the
+    network, not of the mix, so workloads share its spec and cache entry.
+    """
+    specs: Dict[Tuple[str, int], JobSpec] = {}
+    for workload in workloads:
+        n = workload.num_nodes
+        for name in workload.app_names:
+            if name is not None and (name, n) not in specs:
+                alone = Workload((name,) + (None,) * (n - 1), category="ALONE")
+                specs[name, n] = JobSpec.for_workload(
+                    alone, cycles, seed=seed, config=config
+                )
+    return specs
+
+
+def alone_ipc(
+    workloads: Sequence[Workload], cycles: int = 2500, seed: int = 11, **kw
+) -> List[np.ndarray]:
+    """Per-node alone-IPC vector of each workload (weighted speedup,
+    §6.2); the batch's alone runs go to the harness in one call."""
+    harness_kw = _split_harness_kw(kw)
+    specs = alone_ipc_specs(workloads, cycles, seed, **kw)
+    report = run_jobs(list(specs.values()), description="alone-ipc", **harness_kw)
+    ipc = {key: float(res.ipc[0]) for key, res in zip(specs, report.results)}
+    return [
+        np.array([
+            0.0 if name is None else ipc[name, workload.num_nodes]
+            for name in workload.app_names
+        ])
+        for workload in workloads
+    ]
 
 
 def static_throttle_sweep(
@@ -75,57 +128,60 @@ def static_throttle_sweep(
         )
         for rate in rates
     ]
-    report = _sweep(specs, harness_kw, "static-throttle")
+    report = run_jobs(specs, description="static-throttle", **harness_kw)
     return list(zip(rates, report.results))
 
 
-def scaling_sweep(
+#: The scaling figures' three variants (Figs 13-16).
+SCALING_NETWORKS = ("bless", "bless-throttling", "buffered")
+
+
+def scaling_specs(
     sizes: Sequence[int],
     cycles_for,
     category: str = "H",
-    networks: Sequence[str] = ("bless", "bless-throttling", "buffered"),
+    networks: Sequence[str] = SCALING_NETWORKS,
     locality: str = "exponential",
     locality_param: float = 1.0,
     epoch: int = 1200,
     seed: int = 2,
     topology: str = "mesh",
-    jobs: Optional[int] = None,
-    cache=None,
-    progress=False,
-) -> Dict[str, List[Tuple[int, SimulationResult]]]:
-    """Figs 3 and 13-16: one workload per size, each network variant.
-
-    ``networks`` names entries of :data:`NETWORK_VARIANTS`;
-    ``cycles_for(n)`` maps a node count to a cycle budget, letting large
-    networks run shorter.  The (size x network) grid is embarrassingly
-    parallel — all points go to the harness as one batch.
+) -> List[Tuple[str, int, JobSpec]]:
+    """Figs 3 and 13-16's grid as ``(variant, size, spec)`` rows: one
+    workload per size, each variant of ``networks`` (entries of
+    :data:`NETWORK_VARIANTS`); ``cycles_for(n)`` maps a node count to a
+    cycle budget, letting large networks run shorter.
     """
-    specs = []
-    index: List[Tuple[str, int]] = []
+    grid = []
     for size in sizes:
         rng = child_rng(seed, f"scaling-{size}")
         workload = make_workload_batch(1, size, rng, categories=[category])[0]
         for name in networks:
             network, controller = NETWORK_VARIANTS[name]
-            specs.append(
-                JobSpec.for_workload(
-                    workload,
-                    cycles_for(size),
-                    epoch=epoch,
-                    seed=seed,
-                    controller=controller,
-                    network=network,
-                    locality=locality,
-                    locality_param=locality_param,
-                    topology=topology,
-                )
+            spec = JobSpec.for_workload(
+                workload, cycles_for(size), epoch=epoch, seed=seed,
+                controller=controller, network=network, locality=locality,
+                locality_param=locality_param, topology=topology,
             )
-            index.append((name, size))
-    report = _sweep(
-        specs, {"jobs": jobs, "cache": cache, "progress": progress}, "scaling"
+            grid.append((name, size, spec))
+    return grid
+
+
+def scaling_sweep(
+    sizes: Sequence[int],
+    cycles_for,
+    networks: Sequence[str] = SCALING_NETWORKS,
+    **kw,
+) -> Dict[str, List[Tuple[int, SimulationResult]]]:
+    """Run :func:`scaling_specs`' grid, embarrassingly parallel, as one
+    batch; ``{variant: [(size, result), ...]}``."""
+    harness_kw = _split_harness_kw(kw)
+    grid = scaling_specs(sizes, cycles_for, networks=networks, **kw)
+    report = run_jobs(
+        [spec for _, _, spec in grid], description="scaling", **harness_kw
     )
     out: Dict[str, List[Tuple[int, SimulationResult]]] = {n: [] for n in networks}
-    for (name, size), res in zip(index, report.results):
+    for (name, size, _), res in zip(grid, report.results):
         out[name].append((size, res))
     return out
 
@@ -155,7 +211,7 @@ def locality_sweep(
         )
         for mean in mean_distances
     ]
-    report = _sweep(specs, harness_kw, "locality")
+    report = run_jobs(specs, description="locality", **harness_kw)
     return list(zip(mean_distances, report.results))
 
 
@@ -189,7 +245,7 @@ def pairwise_ipf_grid(
     for app1, app2 in pairs:
         workload = make_checkerboard_workload(app1, app2, width)
         specs.extend(_comparison_specs(workload, cycles, epoch, seed, kw))
-    report = _sweep(specs, harness_kw, "pairwise-ipf")
+    report = run_jobs(specs, description="pairwise-ipf", **harness_kw)
     rows = []
     for i, (app1, app2) in enumerate(pairs):
         base, ctl = report.results[2 * i], report.results[2 * i + 1]
@@ -224,7 +280,7 @@ def workload_batch_comparison(
     specs = []
     for i, workload in enumerate(workloads):
         specs.extend(_comparison_specs(workload, cycles, epoch, seed + i, kw))
-    report = _sweep(specs, harness_kw, "workload-batch")
+    report = run_jobs(specs, description="workload-batch", **harness_kw)
     rows = []
     for i, workload in enumerate(workloads):
         base, ctl = report.results[2 * i], report.results[2 * i + 1]

@@ -36,7 +36,8 @@ down) links and routers in place while the run is live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -85,6 +86,16 @@ class FaultConfig:
             or self.transient_fault_rate > 0
             or self.router_fault_rate > 0
         )
+
+    def to_json(self) -> str:
+        """Canonical JSON (sorted keys, each value cast to its field's
+        type): equal configs encode equally, safe in a content hash."""
+        payload = {f.name: type(f.default)(getattr(self, f.name)) for f in fields(self)}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "FaultConfig":
+        return cls(**json.loads(text))
 
 
 class FaultModel:

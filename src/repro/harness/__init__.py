@@ -5,7 +5,9 @@ The sweep substrate for every multi-run experiment in the repository:
 - :class:`JobSpec` — an experiment point as a pure, hashable value
   (workload, network, controller recipe, cycles, seed) with a stable
   content hash;
-- :func:`run_job` — execute one spec deterministically;
+- :func:`build` — the simulator a spec describes (the one construction
+  site the CLI and the workers share); :func:`run_job` — build and run
+  it to completion, deterministically;
 - :class:`ResultCache` — content-addressed on-disk store keyed by
   spec hash + result-schema version + code version;
 - :func:`run_jobs` — shard specs across a process pool (serial
@@ -34,10 +36,11 @@ from repro.harness.executor import (
     run_jobs,
     shutdown_workers,
 )
-from repro.harness.jobs import JobSpec, run_job
+from repro.harness.jobs import JobSpec, build, run_job
 
 __all__ = [
     "JobSpec",
+    "build",
     "run_job",
     "run_jobs",
     "shutdown_workers",

@@ -20,12 +20,14 @@ Controllers are described declaratively (``("central",)``,
 ``("static", 0.9)``, ``("none",)`` — the recipe forms of
 :data:`repro.control.registry.CONTROLLERS`) and instantiated inside the
 worker, because controller objects hold mutable per-run state that must
-never be shared across jobs.
+never be shared across jobs; chaos campaigns and static fault sets
+travel as canonical JSON text (the ``chaos`` field, the ``faults`` key).
 
-Every field of the dataclass is part of the run description: the hash
-pre-image, :meth:`JobSpec.with_config` and :func:`run_job`'s keyword
-pass-through are all computed from ``dataclasses.fields``, so a field
-added here is hashed and forwarded without a second edit.
+:func:`build` is the simulator's one construction site outside
+``repro.sim``: workers and the ``python -m repro`` commands build here.
+Its keyword pass-through, the hash pre-image and
+:meth:`JobSpec.with_config` are computed from ``dataclasses.fields``, so
+a field added here is hashed and forwarded without a second edit.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from typing import Optional, Tuple
 from repro.chaos.schedule import ChaosConfig
 from repro.config import SimulationConfig
 from repro.control.registry import build_controller, check_recipe
+from repro.guardrails.faults import FaultConfig
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
 from repro.traffic.workloads import Workload
 
-__all__ = ["JobSpec", "run_job"]
+__all__ = ["JobSpec", "build", "run_job"]
 
 #: Config values a spec may carry: JSON scalars only, so hashing and the
 #: on-disk cache stay canonical.
@@ -54,9 +57,9 @@ def _check_scalar(name: str, value) -> None:
     if not isinstance(value, _SCALARS):
         raise TypeError(
             f"JobSpec config value {name}={value!r} is not a JSON "
-            "scalar; specs must be declarative — pass live objects "
-            "(FaultConfig, locality samplers, controllers) to "
-            "repro.experiments.run_workload directly instead"
+            "scalar; specs must be declarative — a FaultConfig rides as "
+            "the 'faults' key, live objects (locality samplers, "
+            "controllers) go into a SimulationConfig directly"
         )
 
 
@@ -78,7 +81,8 @@ class JobSpec:
     locality_param: float = 1.0
     category: str = ""
     #: extra :class:`~repro.config.SimulationConfig` keyword arguments,
-    #: as a sorted tuple of ``(name, scalar)`` pairs
+    #: as a sorted tuple of ``(name, scalar)`` pairs; a FaultConfig under
+    #: ``faults`` is encoded to its canonical ``to_json`` text
     config: Tuple[Tuple[str, object], ...] = ()
     #: wall-clock budget for the run in seconds (`None` = unbounded)
     deadline: Optional[float] = None
@@ -93,8 +97,12 @@ class JobSpec:
                 f"controller must be a non-empty tuple, got {self.controller!r}"
             )
         check_recipe(self.controller)
+        config = []
         for name, value in self.config:
+            if name == "faults" and isinstance(value, FaultConfig):
+                value = value.to_json()
             _check_scalar(name, value)
+            config.append((name, value))
         if self.chaos is not None and not isinstance(self.chaos, str):
             if not hasattr(self.chaos, "to_json"):
                 raise TypeError(
@@ -104,7 +112,7 @@ class JobSpec:
             object.__setattr__(self, "chaos", self.chaos.to_json())
         # Normalize: sorted config so equal specs hash equally regardless
         # of the order the caller assembled the kwargs in.
-        object.__setattr__(self, "config", tuple(sorted(self.config)))
+        object.__setattr__(self, "config", tuple(sorted(config)))
         object.__setattr__(self, "app_names", tuple(self.app_names))
         object.__setattr__(self, "controller", tuple(self.controller))
 
@@ -181,13 +189,10 @@ class JobSpec:
         )
 
 
-def run_job(spec: JobSpec) -> SimulationResult:
-    """Execute one spec to completion (the worker entry point).
-
-    Everything it needs is imported with this module, so a pool worker
-    forked from a process that imported :mod:`repro.harness` runs its
-    first job as fast as its hundredth.
-    """
+def build(spec: JobSpec) -> Simulator:
+    """The simulator *spec* describes; invalid input (a layout the
+    topology cannot make, a non-positive epoch, ...) raises
+    ``ValueError`` here, before a cycle runs."""
     kw = {f.name: getattr(spec, f.name) for f in fields(spec)}
     del kw["app_names"], kw["category"]  # carried by spec.workload
     del kw["cycles"], kw["deadline"]  # arguments of run(), not config
@@ -195,5 +200,16 @@ def run_job(spec: JobSpec) -> SimulationResult:
     kw["controller"] = build_controller(spec.controller, epoch=spec.epoch)
     if spec.chaos is not None:
         kw["chaos"] = ChaosConfig.from_json(spec.chaos)
-    simulator = Simulator(SimulationConfig(spec.workload, **kw, **config))
-    return simulator.run(spec.cycles, deadline=spec.deadline)
+    if config.get("faults") is not None:
+        config["faults"] = FaultConfig.from_json(config["faults"])
+    return Simulator(SimulationConfig(spec.workload, **kw, **config))
+
+
+def run_job(spec: JobSpec) -> SimulationResult:
+    """Execute one spec to completion (the worker entry point).
+
+    Everything it needs is imported with this module, so a pool worker
+    forked from a process that imported :mod:`repro.harness` runs its
+    first job as fast as its hundredth.
+    """
+    return build(spec).run(spec.cycles, deadline=spec.deadline)

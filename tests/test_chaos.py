@@ -19,9 +19,7 @@ from repro.chaos import (
     ChaosSchedule,
 )
 from repro.config import SimulationConfig
-from repro.control.central import CentralController, ControlParams
 from repro.control.registry import CONTROLLER_NAMES, build_controller
-from repro.experiments.runner import run_workload
 from repro.guardrails.faults import FaultConfig, FaultModel
 from repro.harness import JobSpec, run_job, run_jobs
 from repro.sim.results import SimulationResult
@@ -54,10 +52,10 @@ CAMPAIGN = ChaosConfig(
 
 def run_campaign(network, config=CAMPAIGN, cycles=4500, nodes=16, **kw):
     wl = make_homogeneous_workload("mcf", nodes)
-    return run_workload(
-        wl, cycles, seed=1, epoch=500, chaos=config,
-        check_invariants=True, network=network, **kw,
-    )
+    return run_job(JobSpec.for_workload(
+        wl, cycles, seed=1, epoch=500, chaos=config, network=network,
+        config=dict(check_invariants=True, **kw),
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +153,7 @@ class TestControllerFailStop:
             "bless",
             config=ChaosConfig(degraded_mode=mode, **self.CONFIG),
             cycles=2400,
-            controller=CentralController(ControlParams(epoch=500)),
+            controller=("central",),
         )
 
     #: recipes for the registry entries that need an argument
@@ -282,8 +280,10 @@ class TestDeterminism:
         run at all: results are bit-identical to ``chaos=None`` and no
         report is attached."""
         wl = make_homogeneous_workload("mcf", 16)
-        plain = run_workload(wl, 1500, seed=1, epoch=500)
-        empty = run_workload(wl, 1500, seed=1, epoch=500, chaos=ChaosConfig())
+        plain = run_job(JobSpec.for_workload(wl, 1500, seed=1, epoch=500))
+        empty = run_job(JobSpec.for_workload(
+            wl, 1500, seed=1, epoch=500, chaos=ChaosConfig()
+        ))
         assert not ChaosConfig().any_events
         assert empty.chaos is None
         assert empty.to_dict() == plain.to_dict()

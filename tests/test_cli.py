@@ -272,14 +272,27 @@ class TestInvalidInput:
         (["--backend", "native", "--trace"], "native backend: "),
         (["profile", "--nodes", "15"], "workload size 15 is not square"),
         (["chaos", "--nodes", "15"], "workload size 15 is not square"),
+        (["chaos", "--script", "/nonexistent.json"],
+         "error: cannot load chaos script '/nonexistent.json'"),
+        (["sweep", "--sizes", "16", "--networks", "bless", "--cycles", "0"],
+         "argument --cycles: must be >= 1, got 0"),
+        (["sweep", "--sizes", "16", "--networks", "bless", "--epoch", "0",
+          "--cycles", "500"], "error: epoch must be positive"),
+        (["sweep", "--sizes", "16", "--networks", "bless",
+          "--locality-param", "-1", "--cycles", "500"],
+         "error: mean distance must be positive"),
     ])
     def test_exits_2_with_one_line(self, argv, message, capsys):
+        usage_error = False
         try:
             rc = main(argv)
         except SystemExit as exit_info:  # argparse's own usage error
-            rc = exit_info.code
+            rc, usage_error = exit_info.code, True
         assert rc == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert "Traceback" not in err
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # nothing ran
+        if not usage_error:
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1

@@ -22,6 +22,7 @@ from repro.control.domains import (
 )
 from repro.control.hierarchical import HierarchicalController
 from repro.control.registry import CONTROLLER_NAMES, CONTROLLERS
+from repro.harness import JobSpec, run_job
 from repro.network import build_network
 from repro.topology.registry import (
     TOPOLOGY_NAMES,
@@ -301,51 +302,30 @@ class TestSimulationEquivalence:
     bit-identical to the central controller, control traffic and all."""
 
     def run_one(self, controller, topology="mesh", nodes=16, **kw):
-        from repro.experiments.runner import run_workload
-
-        return run_workload(
+        return run_job(JobSpec.for_workload(
             make_homogeneous_workload("mcf", nodes),
             3000,
             controller=controller,
             epoch=500,
             seed=7,
             topology=topology,
-            model_control_traffic=True,
-            **kw,
-        )
+            config=dict(model_control_traffic=True, **kw),
+        ))
 
     def test_single_domain_bit_identical_on_mesh(self):
-        central = self.run_one(CentralController(ControlParams(epoch=500)))
-        hier = self.run_one(
-            HierarchicalController(ControlParams(epoch=500), num_domains=1)
-        )
+        central = self.run_one(("central",))
+        hier = self.run_one(("hierarchical", 1))
         assert central.to_dict() == hier.to_dict()
 
     def test_single_domain_bit_identical_on_chiplet(self):
-        central = self.run_one(
-            CentralController(ControlParams(epoch=500)),
-            topology="chiplet", nodes=64,
-        )
+        central = self.run_one(("central",), topology="chiplet", nodes=64)
         hier = self.run_one(
-            HierarchicalController(ControlParams(epoch=500), num_domains=1),
-            topology="chiplet", nodes=64,
+            ("hierarchical", 1), topology="chiplet", nodes=64
         )
         assert central.to_dict() == hier.to_dict()
 
     def test_multi_domain_run_reports_domain_counters(self):
-        from repro.experiments.runner import run_workload
-
-        res = run_workload(
-            make_homogeneous_workload("mcf", 64),
-            3000,
-            controller=HierarchicalController(
-                ControlParams(epoch=500), num_domains=4
-            ),
-            epoch=500,
-            seed=7,
-            model_control_traffic=True,
-            profile=True,
-        )
+        res = self.run_one(("hierarchical", 4), nodes=64, profile=True)
         assert res.perf is not None
         assert res.perf.control_domains == 4
         assert res.perf.control_epochs > 0
@@ -359,25 +339,25 @@ class TestSimulationEquivalence:
 class TestCoordinatorChaos:
     def run_chaos(self, mode="global"):
         from repro.chaos.schedule import ChaosConfig, ChaosEvent
-        from repro.experiments.runner import run_workload
+        from repro.sim.simulator import Simulator
 
         chaos = ChaosConfig(events=(
             ChaosEvent(1000, "controller_down"),
             ChaosEvent(2500, "controller_up"),
         ))
+        # A live controller, so the test can read its state afterwards.
         controller = HierarchicalController(
             ControlParams(epoch=400), num_domains=4, mode=mode
         )
-        result = run_workload(
+        result = Simulator(SimulationConfig(
             make_homogeneous_workload("mcf", 64),
-            4000,
             controller=controller,
             epoch=400,
             seed=3,
             chaos=chaos,
             model_control_traffic=True,
             check_invariants=True,
-        )
+        )).run(4000)
         return controller, result
 
     def test_coordinator_failstop_degrades_and_recovers(self):
@@ -424,44 +404,33 @@ class TestControlDropAccounting:
     the per-cycle checker."""
 
     def run_one(self, controller, nodes=64, **kw):
-        from repro.experiments.runner import run_workload
-
-        return run_workload(
+        return run_job(JobSpec.for_workload(
             make_homogeneous_workload("mcf", nodes),
             3000,
             controller=controller,
             epoch=300,
             seed=5,
-            model_control_traffic=True,
-            check_invariants=True,
-            profile=True,
-            **kw,
-        )
+            config=dict(
+                model_control_traffic=True, check_invariants=True,
+                profile=True, **kw,
+            ),
+        ))
 
     def test_central_hub_overflow_is_counted(self):
         # 63 reports per epoch into a 4-deep hub queue must drop.
-        res = self.run_one(
-            CentralController(ControlParams(epoch=300)), queue_capacity=4
-        )
+        res = self.run_one(("central",), queue_capacity=4)
         assert res.perf.control_flits_dropped > 0
         assert res.perf.control_domains == 0
 
     def test_domains_shed_the_hot_spot(self):
-        central = self.run_one(
-            CentralController(ControlParams(epoch=300)), queue_capacity=4
-        )
-        hier = self.run_one(
-            HierarchicalController(ControlParams(epoch=300), num_domains=16),
-            queue_capacity=4,
-        )
+        central = self.run_one(("central",), queue_capacity=4)
+        hier = self.run_one(("hierarchical", 16), queue_capacity=4)
         assert hier.perf.control_flits_dropped < \
             central.perf.control_flits_dropped
 
     def test_no_overflow_means_no_drops(self):
         # A hub queue deep enough for the whole 63-report burst never
         # overflows, so the drop counter stays at exactly zero.
-        res = self.run_one(
-            CentralController(ControlParams(epoch=300)), queue_capacity=128
-        )
+        res = self.run_one(("central",), queue_capacity=128)
         assert res.perf.control_flits_dropped == 0
         assert res.perf.control_flits_sent > 0

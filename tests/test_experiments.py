@@ -4,17 +4,21 @@ import pytest
 
 from repro.experiments import (
     alone_ipc,
+    alone_ipc_specs,
     bench_scale,
     format_table,
     locality_sweep,
     paper_vs_measured,
-    run_workload,
     scaled_cycles,
     static_throttle_sweep,
     workload_batch_comparison,
 )
-from repro.experiments.runner import _ALONE_CACHE
-from repro.traffic.workloads import make_homogeneous_workload
+from repro.harness import JobSpec, ResultCache, run_job
+from repro.traffic.workloads import (
+    Workload,
+    make_checkerboard_workload,
+    make_homogeneous_workload,
+)
 
 # Full-simulation module: runs real multi-epoch simulations end to end.
 # Deselect with -m 'not slow' for a fast inner loop; CI runs everything.
@@ -49,27 +53,60 @@ class TestScaling:
         assert scaled_cycles(2000) == 1000
 
 
+def shared_run(workload, cycles):
+    return run_job(JobSpec.for_workload(workload, cycles, epoch=500, seed=1))
+
+
 class TestRunners:
-    def test_run_workload_end_to_end(self):
-        wl = make_homogeneous_workload("gromacs", 16)
-        res = run_workload(wl, 1500, epoch=500, seed=1)
+    def test_run_job_end_to_end(self):
+        res = shared_run(make_homogeneous_workload("gromacs", 16), 1500)
         assert res.cycles == 1500
         assert res.system_throughput > 0
 
-    def test_alone_ipc_cached(self):
-        _ALONE_CACHE.clear()
-        a = alone_ipc("povray", 16, cycles=1200)
-        assert len(_ALONE_CACHE) == 1
-        b = alone_ipc("povray", 16, cycles=1200)
-        assert a == b
-        assert len(_ALONE_CACHE) == 1
-        assert a == pytest.approx(3.0, rel=0.05)
+    def test_alone_ipc_matches_the_per_app_values(self):
+        """Recorded from the per-application, process-cached alone runs
+        these specs replaced: the same numbers, bit for bit."""
+        mcf, lbm = (make_homogeneous_workload(a, 16) for a in ("mcf", "lbm"))
+        assert alone_ipc([mcf], cycles=2000)[0][0] == 1.3099733900163684
+        assert alone_ipc([lbm], cycles=1200)[0][0] == 2.0871473341047393
+
+    def test_alone_ipc_specs_one_per_distinct_app(self):
+        batch = [
+            make_checkerboard_workload("mcf", "gromacs", 4),
+            make_homogeneous_workload("mcf", 16),
+            Workload(("gromacs", None, "lbm", None)),
+        ]
+        specs = alone_ipc_specs(batch, cycles=1200)
+        assert sorted(specs) == [
+            ("gromacs", 4), ("gromacs", 16), ("lbm", 4), ("mcf", 16),
+        ]
+        spec = specs["lbm", 4]
+        assert spec.app_names == ("lbm", None, None, None)
+        assert (spec.category, spec.seed, spec.controller) == (
+            "ALONE", 11, ("none",)
+        )
+
+    def test_alone_ipc_cached(self, tmp_path):
+        batch = [make_checkerboard_workload("povray", "mcf", 4),
+                 make_homogeneous_workload("povray", 16)]
+        records = []
+        cold = alone_ipc(batch, cycles=1200, cache=tmp_path,
+                         progress=records.append)
+        assert [r.cached for r in records] == [False, False]
+        records.clear()
+        warm = alone_ipc(batch, cycles=1200, cache=ResultCache(tmp_path),
+                         progress=records.append)
+        assert [r.cached for r in records] == [True, True]
+        for a, b in zip(cold, warm):
+            assert a.tolist() == b.tolist()
+        assert cold[1].tolist() == [cold[0][0]] * 16
+        assert cold[0][0] == pytest.approx(3.0, rel=0.05)
 
     def test_alone_ipc_uncontended_beats_shared(self):
         wl = make_homogeneous_workload("mcf", 16)
-        shared = run_workload(wl, 2000, epoch=500, seed=1)
-        alone = alone_ipc("mcf", 16, cycles=2000)
-        assert alone > shared.ipc.mean()
+        shared = shared_run(wl, 2000)
+        (alone,) = alone_ipc([wl], cycles=2000)
+        assert (alone > shared.ipc.mean()).all()
 
 
 class TestSweeps:

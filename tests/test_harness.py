@@ -238,14 +238,15 @@ class TestJobSpec:
             f.name for f in dataclasses.fields(JobSpec)
         ]
 
-    def test_run_job_matches_run_workload(self):
-        from repro.experiments.runner import run_workload
+    def test_run_job_matches_direct_simulator(self):
+        from repro.config import SimulationConfig
+        from repro.sim.simulator import Simulator
         from repro.traffic.workloads import make_homogeneous_workload
 
         spec = small_spec()
-        direct = run_workload(
-            make_homogeneous_workload("mcf", 16), 1200, epoch=400, seed=1
-        )
+        direct = Simulator(SimulationConfig(
+            make_homogeneous_workload("mcf", 16), epoch=400, seed=1
+        )).run(1200)
         assert results_equal(run_job(spec), direct)
 
 

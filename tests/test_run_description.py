@@ -6,11 +6,16 @@ comparing source text, they ask the registries, the parsers and the
 so a new entry is covered (or fails for want of a case) on arrival.
 """
 
+import ast
 import dataclasses
 import json
+import pathlib
+import pickle
 
+import numpy as np
 import pytest
 
+import repro
 import repro.__main__ as cli
 from repro import SimulationConfig, make_homogeneous_workload
 from repro.analysis.__main__ import build_parser as build_analysis_parser
@@ -22,8 +27,8 @@ from repro.control.registry import (
     build_controller,
 )
 from repro.experiments.sweeps import NETWORK_VARIANTS
-from repro.guardrails import FaultModel
-from repro.harness import JobSpec, run_job
+from repro.guardrails import FaultConfig, FaultModel
+from repro.harness import JobSpec, build, run_job
 from repro.native import native_available
 from repro.network import (
     NETWORK_MODELS,
@@ -303,7 +308,7 @@ OPTION_STRINGS = {
 #: choices, action class).  A choices entry naming a registry tuple is
 #: checked by identity.  Recorded from the hand-written parsers before
 #: their config flags were generated from ``SimulationConfig`` field
-#: metadata; the single-run ``--cycles`` has since taken ``_positive_int``.
+#: metadata; every ``--cycles`` has since taken ``_positive_int``.
 PARSER_SURFACE = {
     "run": [
         (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
@@ -345,7 +350,7 @@ PARSER_SURFACE = {
         (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
         (("--sizes",), "sizes", "16,64", None, None, "_StoreAction"),
         (("--networks",), "networks", "bless,bless-throttling,buffered", None, None, "_StoreAction"),
-        (("--cycles",), "cycles", 8000, "int", None, "_StoreAction"),
+        (("--cycles",), "cycles", 8000, "_positive_int", None, "_StoreAction"),
         (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
         (("--seed",), "seed", 2, "int", None, "_StoreAction"),
         (("--epoch",), "epoch", 1200, "int", None, "_StoreAction"),
@@ -409,9 +414,10 @@ def surface_row(action):
 def cli_simulator(argv):
     """The simulator ``python -m repro <argv>`` would run."""
     opts = vars(cli.build_parser().parse_args(argv))
-    for dest in ("cycles", "timeout", "list_controllers", "list_topologies"):
+    for dest in ("list_controllers", "list_topologies"):
         opts.pop(dest)
-    return cli._simulator(opts)
+    built = cli._build(opts)
+    return None if built is None else built[1]
 
 
 #: Config fields that are ``python -m repro`` flags (a "help" entry in
@@ -528,3 +534,95 @@ class TestJobSpecFields:
         )
         assert lifted.topology == "torus"
         assert lifted.config == (("mshr_limit", 8),)
+
+    def test_fault_config_json_round_trip(self):
+        faults = FaultConfig(
+            link_fault_rate=0.05, transient_fault_rate=0.01,
+            router_fault_rate=0.06, seed=3, max_resample=8,
+        )
+        assert FaultConfig.from_json(faults.to_json()) == faults
+        # Equal configs encode equally, whatever numeric types built them.
+        assert FaultConfig(link_fault_rate=0, seed=np.int64(3)).to_json() \
+            == FaultConfig(link_fault_rate=0.0, seed=3).to_json()
+
+    def test_faults_key_carries_canonical_json_and_moves_the_hash(self):
+        faults = FaultConfig(link_fault_rate=0.05, seed=3)
+        with_faults = spec().with_config(faults=faults)
+        assert with_faults.config == (("faults", faults.to_json()),)
+        assert spec(config=(("faults", faults),)) == with_faults
+        assert with_faults.content_hash() != spec().content_hash()
+        reseeded = spec().with_config(
+            faults=FaultConfig(link_fault_rate=0.05, seed=4)
+        )
+        assert reseeded.content_hash() != with_faults.content_hash()
+        assert build(with_faults).config.faults == faults
+
+
+# ----------------------------------------------------------------------
+# One construction site: every command runs the JobSpec it describes
+# ----------------------------------------------------------------------
+SRC = pathlib.Path(repro.__file__).parent
+DEMO = pathlib.Path(__file__).resolve().parents[1] / "examples" / "chaos_demo.json"
+
+
+def test_one_simulator_construction_site_outside_sim():
+    """``harness/jobs.build`` is the only ``Simulator(...)`` call under
+    ``src/repro`` outside ``repro.sim`` (docstrings are not calls)."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        if relative.parts[0] == "sim":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "Simulator":
+                sites.append(relative.as_posix())
+    assert sites == ["harness/jobs.py"]
+
+
+#: argv samples for run, chaos and profile; each must describe its run
+#: completely in the spec it builds
+CLI_SAMPLES = {
+    "faults": ["--cycles", "1500", "--epoch", "500", "--link-faults",
+               "0.05", "--router-faults", "0.06", "--fault-seed", "3",
+               "--check-invariants"],
+    "chaos-script": ["--cycles", "2500", "--epoch", "500",
+                     "--chaos-script", str(DEMO)],
+    "app": ["--app", "mcf", "--cycles", "1200", "--epoch", "400",
+            "--controller", "static", "--static-rate", "0.3"],
+    "trace": ["--cycles", "1200", "--epoch", "400", "--profile", "--trace",
+              "--network", "buffered", "--timeout", "600"],
+    "native": ["--backend", "native", "--cycles", "1200", "--epoch", "400",
+               "--controller", "central"],
+    "chaos": ["chaos", "--script", str(DEMO), "--cycles", "2500",
+              "--controller", "hierarchical"],
+    "profile": ["profile", "--nodes", "16", "--cycles", "1200", "--epoch",
+                "400", "--trace"],
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sample", CLI_SAMPLES)
+def test_cli_spec_runs_what_the_cli_runs(sample, monkeypatch, capsys):
+    """The spec a command builds, shipped to a worker as a value, gives
+    the result of the simulator the command ran (perf is wall-clock)."""
+    if sample == "native" and not native_available():
+        pytest.skip("no C compiler for the native backend")
+    built = []
+
+    def recording_build(spec):
+        simulator = build(spec)
+        built.append((spec, simulator))
+        return simulator
+
+    monkeypatch.setattr(cli, "build", recording_build)
+    assert cli.main(CLI_SAMPLES[sample]) == 0
+    capsys.readouterr()
+    ((spec, simulator),) = built
+    ran = simulator.result().to_dict()
+    shipped = run_job(pickle.loads(pickle.dumps(spec))).to_dict()
+    ran.pop("perf")
+    shipped.pop("perf")
+    assert shipped == ran
