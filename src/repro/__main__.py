@@ -14,6 +14,14 @@ cache, so re-running only executes changed points::
     python -m repro sweep --sizes 16,64,256 --jobs 4 \
         --cache-dir ~/.cache/repro-sweeps
 
+The ``figure`` subcommand regenerates the paper's reports from the
+figure registry (:mod:`repro.experiments.figures`) through the same
+harness flags, exits 1 naming every claim that does not hold, and
+with ``--markdown`` rewrites their blocks in EXPERIMENTS.md::
+
+    python -m repro figure fig3a fig3b --scale 0.5 --jobs 2
+    python -m repro figure --jobs 2 --markdown EXPERIMENTS.md
+
 The ``profile`` subcommand runs the observability smoke configuration
 with ``--profile`` on and prints what a single run prints for it; with
 ``--overhead-check`` it also times per-phase timing enabled vs plain::
@@ -54,6 +62,7 @@ from repro.control.registry import CONTROLLER_NAMES, CONTROLLERS
 from repro.experiments.sweeps import (
     NETWORK_VARIANTS,
     SCALING_NETWORKS,
+    Harness,
     scaling_specs,
 )
 from repro.guardrails import FaultConfig, GuardrailError
@@ -69,7 +78,8 @@ from repro.native import NativeUnsupported
 from repro.topology.registry import TOPOLOGIES
 
 __all__ = ["main", "build_parser", "build_sweep_parser",
-           "build_profile_parser", "build_chaos_parser", "chaos_main",
+           "build_figure_parser", "build_profile_parser",
+           "build_chaos_parser", "chaos_main", "figure_main",
            "profile_main", "sweep_main"]
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(SimulationConfig)}
@@ -211,6 +221,37 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         default="H", help="workload category (default H)")
     _config_flags(parser, *_SWEEP_CONFIG, seed=2, epoch=1_200,
                   locality="exponential")
+    _harness_flags(parser)
+    return parser
+
+
+def build_figure_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro figure",
+        description="Regenerate the paper's reports from the figure "
+        "registry (repro.experiments.figures) and print them; exit 1 "
+        "naming every claim that does not hold.",
+    )
+    parser.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help="reports to regenerate (default: all, in EXPERIMENTS.md order)",
+    )
+    parser.add_argument(
+        "--scale", type=float, default=1.0,
+        help="cycle-budget multiplier; every run floors at 1000 cycles "
+             "(default 1)",
+    )
+    parser.add_argument(
+        "--markdown", default=None, metavar="PATH",
+        help="rewrite the fenced report under each regenerated report's "
+             "'## label' heading of PATH in place",
+    )
+    _harness_flags(parser)
+    return parser
+
+
+def _harness_flags(parser) -> None:
+    """Declare the harness flags ``sweep`` and ``figure`` share."""
     harness = parser.add_argument_group("harness")
     harness.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -224,7 +265,14 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--no-progress", action="store_true",
         help="suppress the live progress line on stderr",
     )
-    return parser
+
+
+def _harness_settings(args):
+    """``(jobs, cache_dir, cache)`` the harness flags select, falling
+    back to ``$REPRO_JOBS`` and ``$REPRO_CACHE_DIR``."""
+    jobs = default_jobs() if args.jobs is None else resolve_jobs(args.jobs)
+    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+    return jobs, cache_dir, ResultCache(cache_dir) if cache_dir else None
 
 
 def build_chaos_parser() -> argparse.ArgumentParser:
@@ -473,9 +521,7 @@ def sweep_main(argv=None) -> int:
     except (ValueError, NativeUnsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    jobs = default_jobs() if args.jobs is None else resolve_jobs(args.jobs)
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    cache = ResultCache(cache_dir) if cache_dir else None
+    jobs, cache_dir, cache = _harness_settings(args)
 
     start = time.perf_counter()
     report = run_jobs(
@@ -504,6 +550,45 @@ def sweep_main(argv=None) -> int:
     return 0
 
 
+def figure_main(argv=None) -> int:
+    from repro.experiments import figures
+
+    args = build_figure_parser().parse_args(argv)
+    try:
+        chosen = figures.select(args.names)
+        if not args.scale > 0:
+            raise ValueError(f"--scale must be positive, got {args.scale:g}")
+        if args.markdown is not None:
+            with open(args.markdown, encoding="utf-8") as handle:
+                markdown = handle.read()
+            # A missing section fails here, before any run.
+            figures.rewrite_markdown(markdown, {f.label: "" for f in chosen})
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    jobs, _, cache = _harness_settings(args)
+    harness = Harness(jobs, cache, progress=not args.no_progress)
+    start = time.perf_counter()
+    reports, failed = {}, []
+    for fig in chosen:
+        text, misses = fig.report(fig.run(args.scale, harness))
+        print(text, flush=True)
+        reports[fig.label] = text
+        failed += [(fig.name, claim) for claim in misses]
+    if args.markdown is not None:
+        with open(args.markdown, "w", encoding="utf-8") as handle:
+            handle.write(figures.rewrite_markdown(markdown, reports))
+    print(f"figure: {len(chosen)} reports, {harness.requested} jobs, "
+          f"{harness.distinct} distinct specs, {harness.cache_hits} cache "
+          f"hits, {harness.executed} executed, wall "
+          f"{time.perf_counter() - start:.1f}s, workers {jobs}",
+          file=sys.stderr)
+    for name, (quantity, paper, measured, _) in failed:
+        print(f"FAILED {name}: {quantity} (paper {paper}, measured "
+              f"{measured})", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _list_controllers() -> None:
     width = max(len(name) for name in CONTROLLERS)
     rwidth = max(len(e.recipe) for e in CONTROLLERS.values())
@@ -525,6 +610,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "sweep":
         return sweep_main(argv[1:])
+    if argv and argv[0] == "figure":
+        return figure_main(argv[1:])
     if argv and argv[0] == "profile":
         return profile_main(argv[1:])
     if argv and argv[0] == "chaos":

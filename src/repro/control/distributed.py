@@ -10,8 +10,8 @@ The paper contrasts its central mechanism with a simple distributed one:
 
 The paper found this far less effective "because this mechanism is not
 selective in its throttling (i.e., it does not include
-application-awareness)"; the `bench_sec66` benchmark reproduces the
-comparison.
+application-awareness)"; the `sec66` figure (`python -m repro figure
+sec66`) reproduces the comparison.
 """
 
 from __future__ import annotations

@@ -3,19 +3,20 @@
 Every driver here is a thin *spec generator* over
 :func:`repro.harness.run_jobs`: it enumerates the experiment points as
 declarative :class:`~repro.harness.JobSpec` values, hands the whole
-batch to the harness, and reshapes the results into the figure-specific
-structure the benchmarks consume.  All drivers therefore share the
-harness's ``jobs`` / ``cache`` / ``progress`` keywords: a sweep runs on
-``N`` worker processes with ``jobs=N`` and skips every point already in
-the content-addressed cache — re-running a crashed or extended sweep
-only executes the new points, and the parallel results are bit-identical
-to serial because every job derives its RNG streams from its own spec.
+batch to a :class:`Harness`, and reshapes the results into the
+figure-specific structure the figure registry
+(:mod:`repro.experiments.figures`) consumes.  One ``Harness`` carries
+the ``jobs`` / ``cache`` / ``progress`` settings of an invocation: a
+sweep runs on ``N`` worker processes with ``jobs=N``, skips every point
+already in the content-addressed cache, and executes a spec that two
+drivers share only once — re-running a crashed or extended sweep only
+executes the new points, and the parallel results are bit-identical to
+serial because every job derives its RNG streams from its own spec.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from repro.traffic.workloads import (
 
 __all__ = [
     "NETWORK_VARIANTS",
-    "bench_scale",
+    "Harness",
     "scaled_cycles",
     "alone_ipc_specs",
     "alone_ipc",
@@ -44,15 +45,52 @@ __all__ = [
 ]
 
 
-def bench_scale() -> float:
-    """Cycle-budget multiplier from ``REPRO_BENCH_SCALE`` (default 1.0;
-    the paper ran 10M cycles, the benchmarks far fewer)."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+def scaled_cycles(base: int, scale: float) -> int:
+    """*base* cycles times *scale*, floored at one 1,000-cycle epoch (the
+    paper ran 10M cycles, the figures far fewer at scale 1)."""
+    return max(int(base * scale), 1000)
 
 
-def scaled_cycles(base: int) -> int:
-    """Apply the bench scale to a cycle budget."""
-    return max(int(base * bench_scale()), 1000)
+class Harness:
+    """The :func:`run_jobs` front end every driver of one invocation
+    shares: the same ``jobs``/``cache``/``progress`` for each batch, and
+    each distinct spec (by content hash) executed at most once however
+    many batches ask for it.  Counts what it was asked for and what ran.
+    """
+
+    def __init__(self, jobs: Optional[int] = None, cache=None,
+                 progress=False):
+        self.jobs, self.cache, self.progress = jobs, cache, progress
+        self._results: Dict[str, Optional[SimulationResult]] = {}
+        self.requested = self.cache_hits = self.executed = 0
+
+    @property
+    def distinct(self) -> int:
+        return len(self._results)
+
+    def run(self, specs: Sequence[JobSpec], description: str = "sweep"
+            ) -> List[Optional[SimulationResult]]:
+        """Results aligned with *specs* (``None`` for a job a guardrail
+        stopped); only specs this harness has not seen go to run_jobs."""
+        keys = [spec.content_hash() for spec in specs]
+        pending = {}
+        for key, spec in zip(keys, specs):
+            if key not in self._results:
+                pending.setdefault(key, spec)
+        if pending:
+            report = run_jobs(
+                list(pending.values()), jobs=self.jobs, cache=self.cache,
+                progress=self.progress, description=description,
+            )
+            self._results.update(zip(pending, report.results))
+            self.cache_hits += report.cache_hits
+            self.executed += report.executed
+        self.requested += len(keys)
+        return [self._results[key] for key in keys]
+
+
+def _run(harness: Optional[Harness], specs, description: str):
+    return (Harness() if harness is None else harness).run(specs, description)
 
 
 #: variant -> (network, controller recipe) for the scaling figures:
@@ -60,14 +98,6 @@ def scaled_cycles(base: int) -> int:
 #: mechanism on BLESS.
 NETWORK_VARIANTS = {name: (name, ("none",)) for name in NETWORK_MODELS}
 NETWORK_VARIANTS["bless-throttling"] = ("bless", ("central",))
-
-#: Per-driver keywords routed to the harness, not to SimulationConfig.
-_HARNESS_KW = ("jobs", "cache", "progress")
-
-
-def _split_harness_kw(kw: dict) -> dict:
-    """Pop the harness-routing keywords out of a driver's ``**kw``."""
-    return {name: kw.pop(name) for name in _HARNESS_KW if name in kw}
 
 
 def alone_ipc_specs(
@@ -90,14 +120,14 @@ def alone_ipc_specs(
 
 
 def alone_ipc(
-    workloads: Sequence[Workload], cycles: int = 2500, seed: int = 11, **kw
+    workloads: Sequence[Workload], cycles: int = 2500, seed: int = 11,
+    harness: Optional[Harness] = None, **config,
 ) -> List[np.ndarray]:
     """Per-node alone-IPC vector of each workload (weighted speedup,
     §6.2); the batch's alone runs go to the harness in one call."""
-    harness_kw = _split_harness_kw(kw)
-    specs = alone_ipc_specs(workloads, cycles, seed, **kw)
-    report = run_jobs(list(specs.values()), description="alone-ipc", **harness_kw)
-    ipc = {key: float(res.ipc[0]) for key, res in zip(specs, report.results)}
+    specs = alone_ipc_specs(workloads, cycles, seed, **config)
+    results = _run(harness, list(specs.values()), "alone-ipc")
+    ipc = {key: float(res.ipc[0]) for key, res in zip(specs, results)}
     return [
         np.array([
             0.0 if name is None else ipc[name, workload.num_nodes]
@@ -113,10 +143,10 @@ def static_throttle_sweep(
     cycles: int,
     epoch: int = 1000,
     seed: int = 1,
-    **kw,
+    harness: Optional[Harness] = None,
+    **config,
 ) -> List[Tuple[float, SimulationResult]]:
     """Fig 2(c): throttle all nodes at each rate, record the outcome."""
-    harness_kw = _split_harness_kw(kw)
     specs = [
         JobSpec.for_workload(
             workload,
@@ -124,12 +154,11 @@ def static_throttle_sweep(
             epoch=epoch,
             seed=seed,
             controller=("static", rate) if rate > 0 else ("none",),
-            config=kw,
+            config=config,
         )
         for rate in rates
     ]
-    report = run_jobs(specs, description="static-throttle", **harness_kw)
-    return list(zip(rates, report.results))
+    return list(zip(rates, _run(harness, specs, "static-throttle")))
 
 
 #: The scaling figures' three variants (Figs 13-16).
@@ -171,17 +200,15 @@ def scaling_sweep(
     sizes: Sequence[int],
     cycles_for,
     networks: Sequence[str] = SCALING_NETWORKS,
+    harness: Optional[Harness] = None,
     **kw,
 ) -> Dict[str, List[Tuple[int, SimulationResult]]]:
     """Run :func:`scaling_specs`' grid, embarrassingly parallel, as one
     batch; ``{variant: [(size, result), ...]}``."""
-    harness_kw = _split_harness_kw(kw)
     grid = scaling_specs(sizes, cycles_for, networks=networks, **kw)
-    report = run_jobs(
-        [spec for _, _, spec in grid], description="scaling", **harness_kw
-    )
+    results = _run(harness, [spec for _, _, spec in grid], "scaling")
     out: Dict[str, List[Tuple[int, SimulationResult]]] = {n: [] for n in networks}
-    for (name, size, _), res in zip(grid, report.results):
+    for (name, size, _), res in zip(grid, results):
         out[name].append((size, res))
     return out
 
@@ -193,10 +220,10 @@ def locality_sweep(
     category: str = "H",
     seed: int = 3,
     epoch: int = 1000,
-    **kw,
+    harness: Optional[Harness] = None,
+    **config,
 ) -> List[Tuple[float, SimulationResult]]:
     """Fig 4: per-node throughput vs average hop distance (1/lambda)."""
-    harness_kw = _split_harness_kw(kw)
     rng = child_rng(seed, "locality-sweep")
     workload = make_workload_batch(1, num_nodes, rng, categories=[category])[0]
     specs = [
@@ -207,12 +234,11 @@ def locality_sweep(
             epoch=epoch,
             locality="exponential",
             locality_param=mean,
-            config=kw,
+            config=config,
         )
         for mean in mean_distances
     ]
-    report = run_jobs(specs, description="locality", **harness_kw)
-    return list(zip(mean_distances, report.results))
+    return list(zip(mean_distances, _run(harness, specs, "locality")))
 
 
 def _comparison_specs(
@@ -226,41 +252,41 @@ def _comparison_specs(
     ]
 
 
+def _improvement(base: SimulationResult, ctl: SimulationResult) -> float:
+    if base.system_throughput > 0:
+        return ctl.system_throughput / base.system_throughput - 1.0
+    return 0.0
+
+
 def pairwise_ipf_grid(
     apps: Sequence[str],
     cycles: int,
     width: int = 4,
     epoch: int = 1000,
     seed: int = 4,
-    **kw,
+    harness: Optional[Harness] = None,
+    **config,
 ) -> List[dict]:
     """Figs 11/12: checkerboard pairs of applications.
 
     For every (app1, app2) pair, runs baseline and mechanism and records
     throughput improvement plus baseline utilization.
     """
-    harness_kw = _split_harness_kw(kw)
     pairs = [(a, b) for a in apps for b in apps]
     specs = []
     for app1, app2 in pairs:
         workload = make_checkerboard_workload(app1, app2, width)
-        specs.extend(_comparison_specs(workload, cycles, epoch, seed, kw))
-    report = run_jobs(specs, description="pairwise-ipf", **harness_kw)
-    rows = []
-    for i, (app1, app2) in enumerate(pairs):
-        base, ctl = report.results[2 * i], report.results[2 * i + 1]
-        improvement = 0.0
-        if base.system_throughput > 0:
-            improvement = ctl.system_throughput / base.system_throughput - 1.0
-        rows.append(
-            {
-                "app1": app1,
-                "app2": app2,
-                "improvement": improvement,
-                "baseline_utilization": base.network_utilization,
-            }
-        )
-    return rows
+        specs.extend(_comparison_specs(workload, cycles, epoch, seed, config))
+    results = _run(harness, specs, "pairwise-ipf")
+    return [
+        {
+            "app1": app1,
+            "app2": app2,
+            "improvement": _improvement(base, ctl),
+            "baseline_utilization": base.network_utilization,
+        }
+        for (app1, app2), base, ctl in zip(pairs, results[::2], results[1::2])
+    ]
 
 
 def workload_batch_comparison(
@@ -270,30 +296,24 @@ def workload_batch_comparison(
     epoch: int = 1000,
     seed: int = 5,
     categories=None,
-    **kw,
+    harness: Optional[Harness] = None,
+    **config,
 ) -> List[dict]:
     """Figs 7-10: baseline vs mechanism across a workload batch."""
-    harness_kw = _split_harness_kw(kw)
     rng = child_rng(seed, f"batch-{num_nodes}")
     kwargs = {} if categories is None else {"categories": categories}
     workloads = make_workload_batch(count, num_nodes, rng, **kwargs)
     specs = []
     for i, workload in enumerate(workloads):
-        specs.extend(_comparison_specs(workload, cycles, epoch, seed + i, kw))
-    report = run_jobs(specs, description="workload-batch", **harness_kw)
-    rows = []
-    for i, workload in enumerate(workloads):
-        base, ctl = report.results[2 * i], report.results[2 * i + 1]
-        improvement = 0.0
-        if base.system_throughput > 0:
-            improvement = ctl.system_throughput / base.system_throughput - 1.0
-        rows.append(
-            {
-                "workload": workload,
-                "category": workload.category,
-                "baseline": base,
-                "mechanism": ctl,
-                "improvement": improvement,
-            }
-        )
-    return rows
+        specs.extend(_comparison_specs(workload, cycles, epoch, seed + i, config))
+    results = _run(harness, specs, "workload-batch")
+    return [
+        {
+            "workload": workload,
+            "category": workload.category,
+            "baseline": base,
+            "mechanism": ctl,
+            "improvement": _improvement(base, ctl),
+        }
+        for workload, base, ctl in zip(workloads, results[::2], results[1::2])
+    ]

@@ -1,4 +1,4 @@
-"""Plain-text result tables for the benchmark harness."""
+"""Plain-text result tables for the figure reports."""
 
 from __future__ import annotations
 

@@ -2,7 +2,8 @@
 
 The paper notes (§6.3) that scalability trends hold in a torus and that
 the torus yields roughly 10% higher throughput for all networks; the
-`bench_sec63_torus` benchmark reproduces that comparison.
+`sec63_torus` figure (`python -m repro figure sec63_torus`) reproduces
+that comparison.
 """
 
 from __future__ import annotations

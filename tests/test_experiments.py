@@ -3,9 +3,9 @@
 import pytest
 
 from repro.experiments import (
+    Harness,
     alone_ipc,
     alone_ipc_specs,
-    bench_scale,
     format_table,
     locality_sweep,
     paper_vs_measured,
@@ -43,14 +43,11 @@ class TestTables:
 
 
 class TestScaling:
-    def test_bench_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "2.5")
-        assert bench_scale() == 2.5
-        assert scaled_cycles(2000) == 5000
+    def test_scaled_cycles_multiplies(self):
+        assert scaled_cycles(2000, 2.5) == 5000
 
-    def test_scaled_cycles_floor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
-        assert scaled_cycles(2000) == 1000
+    def test_scaled_cycles_floor(self):
+        assert scaled_cycles(2000, 0.01) == 1000
 
 
 def shared_run(workload, cycles):
@@ -90,12 +87,12 @@ class TestRunners:
         batch = [make_checkerboard_workload("povray", "mcf", 4),
                  make_homogeneous_workload("povray", 16)]
         records = []
-        cold = alone_ipc(batch, cycles=1200, cache=tmp_path,
-                         progress=records.append)
+        cold = alone_ipc(batch, cycles=1200, harness=Harness(
+            cache=tmp_path, progress=records.append))
         assert [r.cached for r in records] == [False, False]
         records.clear()
-        warm = alone_ipc(batch, cycles=1200, cache=ResultCache(tmp_path),
-                         progress=records.append)
+        warm = alone_ipc(batch, cycles=1200, harness=Harness(
+            cache=ResultCache(tmp_path), progress=records.append))
         assert [r.cached for r in records] == [True, True]
         for a, b in zip(cold, warm):
             assert a.tolist() == b.tolist()

@@ -1,0 +1,131 @@
+"""The figure registry and ``python -m repro figure``.
+
+Fast: only the analytic reports run for real (Table 1's IPF processes,
+Table 2, §6.5); where a test needs simulations it plants small entries
+in place of the registry.
+"""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import repro.__main__ as cli
+from repro.experiments import figures
+from repro.experiments.sweeps import Harness
+from repro.harness import JobSpec
+
+EXPERIMENTS = pathlib.Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+ANALYTIC = ("table1_process", "table2", "sec65_hw")
+
+
+def committed_blocks():
+    """``{section label: its first fenced block}`` of EXPERIMENTS.md."""
+    lines = EXPERIMENTS.read_text(encoding="utf-8").split("\n")
+    return {
+        label: "\n".join(lines[start:end])
+        for label, (start, end) in figures.fenced_blocks(lines).items()
+    }
+
+
+def by_name(name):
+    return next(f for f in figures.FIGURES if f.name == name)
+
+
+def figure_cli(capsys, *argv):
+    rc = cli.main(["figure", "--no-progress", *argv])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_names_and_labels_are_unique():
+    names = [f.name for f in figures.FIGURES]
+    labels = [f.label for f in figures.FIGURES]
+    assert len(set(names)) == len(names) == 34
+    assert len(set(labels)) == len(labels)
+
+
+def test_experiments_md_has_every_report_in_registry_order():
+    """Every registered label heads a section with its report, in
+    registry order, and every report block (one opening with a title
+    bar) belongs to an entry."""
+    reports = [label for label, block in committed_blocks().items()
+               if block.startswith("=")]
+    assert reports == [f.label for f in figures.FIGURES]
+
+
+@pytest.mark.parametrize("name", ANALYTIC)
+def test_analytic_report_matches_its_committed_block(name):
+    fig = by_name(name)
+    text, failed = fig.report(fig.run(1.0, Harness()))
+    assert failed == []
+    assert text.strip() == committed_blocks()[fig.label]
+
+
+def test_a_planted_no_row_exits_1_and_is_named(monkeypatch, capsys):
+    fig = by_name("sec65_hw")
+
+    def planted(cost):
+        title, claims, table = fig.render(cost)
+        return title, [*claims, ("planted quantity", "1", "2", False)], table
+
+    monkeypatch.setattr(figures, "FIGURES", [fig._replace(render=planted)])
+    rc, out, err = figure_cli(capsys, "sec65_hw")
+    assert rc == 1
+    assert "planted quantity" in out and "NO" in out
+    assert "FAILED sec65_hw: planted quantity (paper 1, measured 2)" in err
+
+
+def test_unknown_name_is_one_error_line(capsys):
+    rc, out, err = figure_cli(capsys, "table2", "fig99")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: unknown figure fig99")
+    assert err.count("\n") == 1
+
+
+def test_markdown_rewrites_only_the_report_blocks(tmp_path, capsys):
+    original = EXPERIMENTS.read_text(encoding="utf-8")
+    note = "A hand-written paragraph between two report sections.\n\n"
+    kept = original.replace("## Fig 7 —", note + "## Fig 7 —", 1)
+    path = tmp_path / "EXPERIMENTS.md"
+    path.write_text(kept.replace("0.0142%", "9.9999%", 1), encoding="utf-8")
+    rc, _, _ = figure_cli(capsys, "table2", "sec65_hw", "--markdown",
+                          str(path))
+    assert rc == 0
+    assert path.read_text(encoding="utf-8") == kept
+
+
+def test_markdown_without_the_section_fails_before_any_run(tmp_path,
+                                                           capsys):
+    path = tmp_path / "notes.md"
+    path.write_text("# notes\n", encoding="utf-8")
+    rc, out, err = figure_cli(capsys, "table2", "--markdown", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: no fenced block under '## Table 2 — system " \
+                  "parameters'\n"
+
+
+def test_a_spec_two_reports_share_executes_once(monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    specs = [JobSpec(("mcf",) * 4, 1000, seed=seed) for seed in (1, 2, 3)]
+
+    def render(results):
+        ran = all(r is not None for r in results)
+        return "T", [("every run completed", "yes", str(ran), ran)], None
+
+    monkeypatch.setattr(figures, "FIGURES", [
+        figures.Figure("first", "First", lambda s, h: h.run(specs[:2]),
+                       render),
+        figures.Figure("second", "Second",
+                       lambda s, h: h.run(specs[1:] * 2), render),
+    ])
+    rc, _, err = figure_cli(capsys, "--jobs", "1")
+    assert rc == 0
+    assert "6 jobs, 3 distinct specs, 0 cache hits, 3 executed" in err
+
+
+def test_the_registry_is_imported_on_the_figure_path_only():
+    code = ("import sys, repro, repro.harness, repro.__main__; "
+            "sys.exit('repro.experiments.figures' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

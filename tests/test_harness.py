@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments.sweeps import scaling_sweep
+from repro.experiments.sweeps import Harness, scaling_sweep
 from repro.harness import (
     HarnessReport,
     JobSpec,
@@ -640,8 +640,10 @@ class TestParallelDeterminism:
             epoch=400,
             seed=2,
         )
-        serial = scaling_sweep((16, 25, 36), cache=False, jobs=1, **kw)
-        parallel = scaling_sweep((16, 25, 36), cache=False, jobs=4, **kw)
+        serial = scaling_sweep(
+            (16, 25, 36), harness=Harness(jobs=1, cache=False), **kw)
+        parallel = scaling_sweep(
+            (16, 25, 36), harness=Harness(jobs=4, cache=False), **kw)
         assert [s for s, _ in serial["bless"]] == [16, 25, 36]
         for (size_s, res_s), (size_p, res_p) in zip(
             serial["bless"], parallel["bless"]

@@ -136,6 +136,7 @@ NAME_TABLES = {
 PARSERS = {
     "run": cli.build_parser,
     "sweep": cli.build_sweep_parser,
+    "figure": cli.build_figure_parser,
     "profile": cli.build_profile_parser,
     "chaos": cli.build_chaos_parser,
 }
@@ -163,7 +164,9 @@ class TestNameTables:
         assert NETWORK_NAMES == tuple(NETWORK_MODELS)
         assert LOCALITY_NAMES == tuple(LOCALITY_MODELS)
 
-    @pytest.mark.parametrize("command", PARSERS)
+    @pytest.mark.parametrize(
+        "command", [c for c in PARSERS if c != "figure"]  # no config flags
+    )
     def test_parser_choices_are_the_registry_objects(self, command):
         checked = 0
         for action in PARSERS[command]()._actions:
@@ -291,6 +294,10 @@ OPTION_STRINGS = {
         "--jobs", "--locality", "--locality-param", "--networks",
         "--no-progress", "--seed", "--sizes", "--topology", "-h",
     ],
+    "figure": [
+        "--cache-dir", "--help", "--jobs", "--markdown", "--no-progress",
+        "--scale", "-h",
+    ],
     "profile": [
         "--category", "--cycles", "--epoch", "--help", "--network",
         "--nodes", "--overhead-check", "--repeats", "--seed",
@@ -357,6 +364,15 @@ PARSER_SURFACE = {
         (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
         (("--locality",), "locality", "exponential", None, "LOCALITY_NAMES", "_StoreAction"),
         (("--locality-param",), "locality_param", 1.0, "float", None, "_StoreAction"),
+        (("--jobs",), "jobs", None, "int", None, "_StoreAction"),
+        (("--cache-dir",), "cache_dir", None, None, None, "_StoreAction"),
+        (("--no-progress",), "no_progress", False, None, None, "_StoreTrueAction"),
+    ],
+    "figure": [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
+        ((), "names", None, None, None, "_StoreAction"),
+        (("--scale",), "scale", 1.0, "float", None, "_StoreAction"),
+        (("--markdown",), "markdown", None, None, None, "_StoreAction"),
         (("--jobs",), "jobs", None, "int", None, "_StoreAction"),
         (("--cache-dir",), "cache_dir", None, None, None, "_StoreAction"),
         (("--no-progress",), "no_progress", False, None, None, "_StoreTrueAction"),
@@ -567,7 +583,9 @@ DEMO = pathlib.Path(__file__).resolve().parents[1] / "examples" / "chaos_demo.js
 
 def test_one_simulator_construction_site_outside_sim():
     """``harness/jobs.build`` is the only ``Simulator(...)`` call under
-    ``src/repro`` outside ``repro.sim`` (docstrings are not calls)."""
+    ``src/repro`` outside ``repro.sim`` (docstrings are not calls), but
+    for the figure registry's ``_simulate``: Fig 5, §6.4 and §7 hold a
+    live controller or locality object that no recipe names."""
     sites = []
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC)
@@ -579,7 +597,7 @@ def test_one_simulator_construction_site_outside_sim():
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name == "Simulator":
                 sites.append(relative.as_posix())
-    assert sites == ["harness/jobs.py"]
+    assert sites == ["experiments/figures.py", "harness/jobs.py"]
 
 
 #: argv samples for run, chaos and profile; each must describe its run
