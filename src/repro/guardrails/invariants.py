@@ -66,18 +66,21 @@ class InvariantChecker:
     def after_step(self, cycle: int, ejected: EjectedFlits) -> None:
         """Verify all invariants; raises :class:`InvariantViolation`."""
         net = self.network
+        # One scan of the hop-delay ring serves the ring, conservation
+        # and flight checks.
+        occupied = net._ring_birth >= 0
         # Structural bounds first: a corrupt occupancy count would make
         # the semantic checks below mis-report the root cause.
-        self._check_ring(cycle, net)
+        self._check_ring(cycle, occupied)
         self._check_queue(cycle, net.request_queue, "request")
         self._check_queue(cycle, net.response_queue, "response")
         buffers = getattr(net, "buffers", None)
         if buffers is not None:
             self._check_buffers(cycle, net, buffers)
-        self._check_conservation(cycle, net)
+        self._check_conservation(cycle, net, occupied)
         self._check_control(cycle, net)
         self._check_eject_width(cycle, ejected)
-        self._check_flights(cycle, net)
+        self._check_flights(cycle, net, occupied)
         self.checks_run += 1
 
     # ------------------------------------------------------------------
@@ -87,8 +90,8 @@ class InvariantChecker:
         snapshot.setdefault("ejected_flits", stats.ejected_flits)
         raise InvariantViolation(invariant, cycle, message, nodes, snapshot)
 
-    def _check_conservation(self, cycle, net) -> None:
-        in_flight = net.in_flight_flits()
+    def _check_conservation(self, cycle, net, occupied) -> None:
+        in_flight = net.in_flight_flits(occupied)
         injected, ejected = net.stats.injected_flits, net.stats.ejected_flits
         if injected != ejected + in_flight:
             self._fail(
@@ -138,9 +141,8 @@ class InvariantChecker:
                 per_node_ejections={int(b): int(counts[b]) for b in bad[:8]},
             )
 
-    def _check_ring(self, cycle, net) -> None:
+    def _check_ring(self, cycle, occupied) -> None:
         """Flits on the wire only occupy healthy arrival slots."""
-        occupied = net._ring_birth >= 0
         ghost = occupied & ~self._allowed_slots[None, :]
         if ghost.any():
             slots = np.flatnonzero(ghost.any(axis=0))
@@ -155,8 +157,8 @@ class InvariantChecker:
                 nodes=np.unique(nodes),
             )
 
-    def _check_flights(self, cycle, net) -> None:
-        meta, birth = net.in_flight_view()
+    def _check_flights(self, cycle, net, occupied) -> None:
+        meta, birth = net.in_flight_view(occupied)
         if birth.size == 0:
             return
         if int(birth.max()) > cycle:

@@ -176,9 +176,9 @@ static inline void route_ports(const Routes *rt, i64 node, i64 dest,
 }
 
 /* Output port for a flit at `node`, out of the non-empty `free` link
- * mask: its productive port, else its other productive direction
- * (RouterEngine.pick_port), else the first free link (np.argmax),
- * counted in *deflections. */
+ * mask: its productive port, else its other productive direction, else
+ * the lowest free link, counted in *deflections (the numpy engine's
+ * _productive and lowbit in repro/network/engine.py). */
 static inline int output_port(const Routes *rt, i64 node, i64 dest,
                               uint64_t free, i64 *deflections)
 {

@@ -48,8 +48,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.guardrails.errors import InvariantViolation
 from repro.network.base import EjectedFlits, NetworkStats
 from repro.rng import child_rng
+from repro.topology.graph import MAX_GRAPH_PORTS
 from repro.observability.tracer import EV_DEFLECT, EV_EJECT, EV_HOP, EV_INJECT
 from repro.network.flit import (
     CBIT_MASK,
@@ -79,12 +81,41 @@ __all__ = [
     "CreditFlowControl",
     "HybridFlowControl",
     "RouterEngine",
+    "lowbit",
 ]
 
 _KEY_MAX = np.iinfo(np.int64).max
 
 #: Largest network that precomputes (n, n) productive-route tables.
 _ROUTE_TABLE_MAX_NODES = 1024
+
+#: Output port k as bit k of an int64 link mask; index -1 (no port)
+#: reads the trailing 0.
+_PORT_BIT = np.array([1 << k for k in range(MAX_GRAPH_PORTS)] + [0], np.int64)
+#: Port of an isolated bit ``x & -x``, looked up by ``x % 37``: 2 is a
+#: primitive root mod 37, so 2**0 .. 2**35 leave distinct nonzero
+#: residues and 0 (no bit) maps to -1.
+_LOWBIT = np.full(37, -1, dtype=np.int64)
+_LOWBIT[[(1 << k) % 37 for k in range(36)]] = np.arange(36)
+#: Grant of a flit the hybrid side buffer captured: above every port
+#: bit, so it takes no link.
+_HELD = np.int64(1 << 62)
+
+
+def lowbit(mask):
+    """Lowest set port of each int64 link *mask*, -1 where it is 0
+    (``__builtin_ctzll`` in kernels.c's ``output_port``)."""
+    return _LOWBIT[(mask & -mask) % 37]
+
+
+def _productive(free, b0, b1):
+    """Each flit's *free* productive ports as kernels.c's ``output_port``
+    ranks them: *b0* if free, else *b1* (``None``: *b0* is a fault-table
+    mask).  The lowest set bit is the grant; 0 means deflect."""
+    pick = free & b0
+    if b1 is not None:
+        pick = np.where(pick != 0, pick, free & b1)
+    return pick
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +182,7 @@ class BufferBank:
 
     def __init__(self, num_nodes: int, num_ports: int, capacity: int):
         self.capacity = capacity
+        self._ports = num_ports
         shape = (num_nodes, num_ports, capacity)
         self.meta = np.zeros(shape, dtype=np.int64)
         self.birth = np.zeros(shape, dtype=np.int64)
@@ -167,10 +199,13 @@ class BufferBank:
 
     def push(self, nodes, ports, meta, birth) -> None:
         """Append flits; callers guarantee space and unique (node, port)."""
-        slot = (self.head[nodes, ports] + self.count[nodes, ports]) % self.capacity
-        self.meta[nodes, ports, slot] = meta
-        self.birth[nodes, ports, slot] = birth
-        self.count[nodes, ports] += 1
+        fifo = nodes * self._ports + ports
+        count = self.count.reshape(-1)
+        slot = (self.head.reshape(-1)[fifo] + count[fifo]) % self.capacity
+        at = fifo * self.capacity + slot
+        self.meta.reshape(-1)[at] = meta
+        self.birth.reshape(-1)[at] = birth
+        count[fifo] += 1
 
     def heads_into(self, valid, meta, birth):
         """Head-of-queue view per (node, port), ``(valid, meta, birth)``,
@@ -182,12 +217,13 @@ class BufferBank:
         return valid, meta, birth
 
     def pop(self, nodes, ports):
-        slot = self.head[nodes, ports]
-        meta = self.meta[nodes, ports, slot].copy()
-        birth = self.birth[nodes, ports, slot].copy()
-        self.head[nodes, ports] = (slot + 1) % self.capacity
-        self.count[nodes, ports] -= 1
-        return meta, birth
+        fifo = nodes * self._ports + ports
+        head = self.head.reshape(-1)
+        slot = head[fifo]
+        at = fifo * self.capacity + slot
+        head[fifo] = (slot + 1) % self.capacity
+        self.count.reshape(-1)[fifo] -= 1
+        return self.meta.reshape(-1)[at], self.birth.reshape(-1)[at]
 
     def occupied_mask(self) -> np.ndarray:
         """Boolean mask of live slots (shape ``(nodes, ports, capacity)``)."""
@@ -216,26 +252,38 @@ class BufferBank:
 
 
 def _refresh_fault_routing(net: "RouterEngine") -> None:
-    """(Re)derive healthy-graph routing tables from the fault model.
+    """(Re)build the link bitmasks (bit k = port k) and fault routing.
 
-    Called at attach time and again after every chaos topology
-    transition: with permanent faults in force the engine routes by
-    healthy-graph distance (``net._dist``); with none it reverts to the
-    fault-free XY fast path (``net._dist is None``).
+    Runs at attach and after every chaos transition, the only times
+    ``link_up`` and ``quiescing`` change.  With permanent faults or a
+    drain in force, ``net._fault_table[node, dest]`` has bit k set iff
+    link k is up and its neighbor is strictly closer to dest on the
+    healthy graph; otherwise it is ``None`` (fault-free route tables).
+    Built one port at a time, O(p·n²), in the narrowest unsigned dtype
+    that holds p bits (a quarter of ``healthy_distance`` for p <= 8).
     """
-    net._dist = None
+    bits = _PORT_BIT[:net.num_ports]
+    net._link_bits = net.link_up @ bits
+    net._fault_table = net._quiesce_bits = None
     fault_model = net.fault_model
-    if fault_model is not None and (
+    if fault_model is None:
+        return
+    quiescing = fault_model.quiescing
+    if quiescing.any():
+        net._quiesce_bits = quiescing @ bits
+    if (
         fault_model.num_failed_links
         or fault_model.num_failed_routers
-        or fault_model.quiescing.any()
+        or net._quiesce_bits is not None
     ):
-        net._dist = fault_model.healthy_distance
-        if net._neighbor_safe is None:
-            net._neighbor_safe = np.where(
-                net.topology.link_exists,
-                net.topology.neighbor.astype(np.int64), 0,
-            )
+        dist = fault_model.healthy_distance
+        dtype = np.min_scalar_type(int(bits.sum()))  # p bits, unsigned
+        table = np.zeros_like(dist, dtype=dtype)
+        for port in range(net.num_ports):
+            up = np.flatnonzero(net.link_up[:, port])
+            closer = dist[net.topology.neighbor[up, port]] < dist[up]
+            table[up] |= closer.astype(dtype) << port
+        net._fault_table = table
 
 
 # ----------------------------------------------------------------------
@@ -317,16 +365,17 @@ class DeflectFlowControl(FlowControl):
         # and the oldest flit would deflect forever (livelock).  Route by
         # healthy-graph distance instead: a port is productive iff it
         # strictly decreases the surviving-topology distance to dest.
-        net._dist = None
-        net._neighbor_safe = None
         _refresh_fault_routing(net)
         # Scratch output arrays, reused every cycle.
         net._out_meta = np.zeros((n, p), dtype=np.int64)
         net._out_birth = np.full((n, p), -1, dtype=np.int64)
-        net._avail = np.zeros((n, p), dtype=bool)
-        net._spare = np.zeros((n, p), dtype=bool)
         # Per-cycle working grids, allocated once here and refilled via
         # out=/copyto every cycle.
+        self._avail = np.empty(n, np.int64)
+        self._ranks = np.arange(p, dtype=np.uint8)[:, None]
+        self._ones = np.ones(p, np.uint8)
+        self._row_base = net._node_ids * p
+        self._sc_flat_t = np.empty((p, n), np.int64)
         self._sc_meta = np.empty((n, p), np.int64)
         self._sc_birth = np.empty((n, p), np.int64)
         self._sc_valid = np.empty((n, p), np.bool_)
@@ -336,9 +385,6 @@ class DeflectFlowControl(FlowControl):
         self._sc_tmp = np.empty((n, p), np.int64)
         self._sc_local = np.empty((n, p), np.bool_)
         self._sc_local_key = np.empty((n, p), np.int64)
-        self._sc_idx = np.empty((n, p), np.int64)
-        self._sc_p0 = np.empty((n, p), np.int8)
-        self._sc_p1 = np.empty((n, p), np.int8)
         self._sc_col = np.empty(n, np.intp)
 
     def on_topology_change(self, net: "RouterEngine") -> None:
@@ -348,35 +394,31 @@ class DeflectFlowControl(FlowControl):
     def redeem(self, net, cycle, meta, birth) -> None:
         """Re-enter stored flits into the arrival grid (hybrid only)."""
 
-    def begin_allocation(self, net) -> None:
-        """Reset per-cycle allocation state (hybrid capture budget)."""
+    def end_allocation(self, net, rows, meta, birth, grants):
+        """Commit the cycle's ``_HELD`` grants (hybrid captures); returns
+        the mask of flits that take a link, ``None`` for all of them."""
+        return None
 
-    def resolve_blocked(self, net, cycle, meta, birth, rows, c, choice,
+    def resolve_blocked(self, net, cycle, rows, meta, birth, pick,
                         missing, free, spare):
-        """Handle flits with no productive free port: deflect them all.
+        """Deflect the *missing* flits (no free productive port) of one
+        rank to any free link of their router, else to a spare one.
 
-        Returns the (possibly filtered) ``rows, c, choice`` to grant;
-        the hybrid subclass removes captured flits from the grant set.
+        *rows*/*meta*/*birth* are the rank's flits (meta before the hop
+        increment).  Returns the ports each flit may take, lowest first
+        (0: none left, ``_HELD``: captured by the hybrid).
         """
         if net.tracer is not None:
-            md = meta[rows, c][missing]
+            md = meta[missing]
             net.tracer.record(
                 EV_DEFLECT, cycle, rows[missing], meta_src(md),
                 meta_dest(md), meta_kind(md), meta_seq(md), meta_hops(md),
             )
-        # Deflect to the first free link; one always exists because a
-        # router has >= as many healthy links as routed flits (faults
-        # fail both directions of a link together).
-        fallback = np.argmax(free, axis=1)
+        net.stats.deflections += int(np.count_nonzero(missing))
+        pick = np.where(missing, free, pick)
         if spare is not None:
-            no_healthy = ~free.any(axis=1)
-            if no_healthy.any():
-                fallback = np.where(
-                    no_healthy, np.argmax(spare[rows], axis=1), fallback
-                )
-        choice = np.where(missing, fallback, choice)
-        net.stats.deflections += int(missing.sum())
-        return rows, c, choice
+            pick = np.where(pick != 0, pick, spare[rows])
+        return pick
 
     # ------------------------------------------------------------------
     def step(self, net: "RouterEngine", cycle: int) -> EjectedFlits:
@@ -410,52 +452,35 @@ class DeflectFlowControl(FlowControl):
             col = self._sc_col
             for _ in range(self.eject_width):
                 np.argmin(local_key, axis=1, out=col)
-                rows = np.flatnonzero(local_key[net._node_ids, col] != _KEY_MAX)
+                at = self._row_base + col
+                rows = np.flatnonzero(local_key.reshape(-1)[at] != _KEY_MAX)
                 if rows.size == 0:
                     break
-                cols = col[rows]
-                m = meta[rows, cols]
+                at = at[rows]
+                m = meta.reshape(-1)[at]
                 ej_parts.append((rows, m))
-                net.account_ejections(cycle, rows, m, cycle - birth[rows, cols])
-                valid[rows, cols] = False
-                local_key[rows, cols] = _KEY_MAX
-                key[rows, cols] = _KEY_MAX
+                net.account_ejections(
+                    cycle, rows, m, cycle - birth.reshape(-1)[at]
+                )
+                valid.reshape(-1)[at] = False
+                local_key.reshape(-1)[at] = _KEY_MAX
+                key.reshape(-1)[at] = _KEY_MAX
 
         # --- Output-port allocation, rank by rank ------------------------
-        # Productive ports for every arrival, computed once.
-        if net._dist is None:
-            # Fault-free: the topology's productive-port preferences (XY
-            # on the grids, precomputed shortest-hop tables on graphs),
-            # gathered from the engine's route tables when present.
-            if net._p0_flat is not None:
-                net.productive_into(
-                    dest, self._sc_idx, self._sc_p0, self._sc_p1
-                )
-                p0, p1 = self._sc_p0, self._sc_p1
-            else:
-                p0, p1 = net.topology.productive_ports(net._node_col, dest)
-            productive = None
-        else:
-            # Permanent faults: a port is productive iff its neighbor is
-            # strictly closer to dest on the healthy graph.
-            p0 = p1 = None
-            productive = net.closer_ports(net._node_col, dest)
-
-        # ``avail`` marks healthy free output links (True = grantable);
+        # Free output links per router as bitmasks (bit k = port k).
         # ``spare`` marks transiently faulted links kept as a last-resort
         # fallback — a bufferless router cannot hold a flit back, so when
         # every healthy port is taken the flit crosses a degraded link
         # rather than being dropped (losslessness is a hard invariant).
-        avail = net._avail
-        np.copyto(avail, net.link_up)
-        spare = None
-        quiesce = None
+        avail = self._avail
+        np.copyto(avail, net._link_bits)
+        spare = quiesce = None
         if net.fault_model is not None:
             t_down = net.fault_model.transient_down(cycle)
             if t_down is not None:
-                spare = net._spare
-                np.copyto(spare, avail & t_down)
-                avail &= ~t_down
+                down = t_down @ _PORT_BIT[:p]
+                spare = avail & down
+                avail &= ~down
                 # Chaos-quiescing links (being drained ahead of a hard
                 # down) stay *preferred* for their last hop: a flit
                 # destined to the draining router must still reach it,
@@ -463,62 +488,82 @@ class DeflectFlowControl(FlowControl):
                 # the drain waits on it — only through-traffic is kept
                 # off the link.  Random transient noise gets no such
                 # exception (those links are unreliable for everyone).
-                q_mask = net.fault_model.quiescing
-                if q_mask.any():
-                    quiesce = spare & q_mask
-        out_meta, out_birth = net._out_meta, net._out_birth
-        out_birth.fill(-1)
+                if net._quiesce_bits is not None:
+                    quiesce = spare & net._quiesce_bits
         # Stable sort: rows are mostly tied _KEY_MAX sentinels, and the
         # default introsort's tie order is numpy-version-dependent
-        # (DET004).  Live keys are unique, so ranks are unchanged.
+        # (DET004).  Live keys are unique, so ranks are unchanged.  Every
+        # live flit is then gathered once, rank-major: rank r is each
+        # router's r-th flit in arbitration order, routers ascending, so
+        # a rank is one contiguous slice.
         order = np.argsort(key, axis=1, kind="stable")
-        self.begin_allocation(net)
-        for rank in range(p):
-            cols = order[:, rank]
-            rows = np.flatnonzero(key[net._node_ids, cols] != _KEY_MAX)
-            if rows.size == 0:
+        counts = valid.view(np.uint8) @ self._ones  # live flits per router
+        flat = np.add(order.T, self._row_base, out=self._sc_flat_t)
+        flat = flat[self._ranks < counts]
+        rows = flat // p
+        m = meta.reshape(-1)[flat]
+        b = birth.reshape(-1)[flat]
+        d = dest.reshape(-1)[flat]
+        b0, b1 = net.route_bits(rows, d)
+        if quiesce is not None:
+            # Last-hop exception: a quiescing link counts as free for
+            # flits addressed to its far-end router.
+            last_hop = (net.topology.neighbor[rows] == d[:, None]) @ _PORT_BIT[:p]
+        # Rank r holds the routers with more than r live flits.
+        sizes = n - np.bincount(counts, minlength=p + 1).cumsum()[:p]
+        grants = np.empty(rows.size, np.int64)
+        start = 0
+        for end in sizes.cumsum().tolist():
+            if end == start:
                 break  # ranks are sorted: later ranks are empty too
-            c = cols[rows]
-            free = avail[rows]
+            r = rows[start:end]
+            free = healthy = avail[r]
             if quiesce is not None:
-                # Last-hop exception: a quiescing link counts as free
-                # for flits addressed to its far-end router.
-                free = free | (
-                    quiesce[rows]
-                    & (net.topology.neighbor[rows] == dest[rows, c][:, None])
+                free = healthy | (quiesce[r] & last_hop[start:end])
+            pick = _productive(
+                free, b0[start:end], None if b1 is None else b1[start:end]
+            )
+            missing = pick == 0
+            if np.count_nonzero(missing):
+                pick = self.resolve_blocked(
+                    net, cycle, r, m[start:end], b[start:end], pick,
+                    missing, free, spare,
                 )
-            if productive is None:
-                choice = net.pick_port(free, p0[rows, c], p1[rows, c])
-            else:
-                good = free & productive[rows, c]
-                choice = np.where(good.any(axis=1), np.argmax(good, axis=1), -1)
-            missing = choice < 0
-            if missing.any():
-                rows, c, choice = self.resolve_blocked(
-                    net, cycle, meta, birth, rows, c, choice, missing,
-                    free, spare,
-                )
-            avail[rows, choice] = False
+            grant = pick & -pick
+            taken = ~grant
+            avail[r] = healthy & taken
             if spare is not None:
-                spare[rows, choice] = False
-            if quiesce is not None:
-                quiesce[rows, choice] = False
-            out_meta[rows, choice] = meta[rows, c] + HOP_ONE
-            out_birth[rows, choice] = birth[rows, c]
+                spare[r] &= taken
+                if quiesce is not None:
+                    quiesce[r] &= taken
+            grants[start:end] = grant
+            start = end
+        # A free link always exists: a router has >= as many healthy
+        # links as routed flits (faults fail both directions of a link
+        # together), and transiently faulted ones stay spare.
+        if not grants.all():
+            stuck = rows[grants == 0]
+            raise InvariantViolation(
+                "deflect_port", cycle,
+                f"router {int(stuck[0])} has no free healthy or spare "
+                f"output link for a flit it must forward", stuck,
+            )
+        sent = self.end_allocation(net, rows, m, b, grants)
+        if sent is not None:
+            rows, m, b, grants = rows[sent], m[sent], b[sent], grants[sent]
+        at = rows * p + _LOWBIT[grants % 37]  # grants are single bits
+        net._out_meta.reshape(-1)[at] = m + HOP_ONE
+        net._out_birth.fill(-1)
+        net._out_birth.reshape(-1)[at] = b
 
         # --- Injection: responses first, then throttled requests --------
         # New flits only ever enter on healthy free links (``avail``);
         # injection is optional, so degraded links are never used here.
-        net.injection_stage(
-            cycle, avail.any(axis=1),
-            lambda nodes, queue, cyc: self._place(
-                net, nodes, queue, cyc, avail, out_meta, out_birth
-            ),
-        )
+        net.injection_stage(cycle, avail != 0, self._place)
 
         # --- Congestion bit + send ---------------------------------------
-        net.mark_congestion(out_meta, out_birth)
-        net.send_grid(cycle, out_meta, out_birth)
+        net.mark_congestion(net._out_meta, net._out_birth)
+        net.send_grid(cycle, net._out_meta, net._out_birth)
 
         if ej_parts:
             rows = np.concatenate([r for r, _ in ej_parts])
@@ -528,38 +573,24 @@ class DeflectFlowControl(FlowControl):
         return ejected
 
     # ------------------------------------------------------------------
-    def _place(self, net, nodes, queue, cycle, avail, out_meta, out_birth):
-        """Place one queued flit per node in *nodes* onto a free link."""
-        if nodes.size == 0:
-            return
-        dest, kind, seq, stamp, _ = queue.take_flit(nodes)
-        # Injected flits are routed like any other: productive XY port
-        # first, the other productive direction second, then any free
-        # link (they are the youngest flits, so they lost arbitration to
-        # every in-flight flit already).
-        free = avail[nodes]
-        if net._dist is None:
-            if net._p0_table is not None:
-                p0 = net._p0_table[nodes, dest]
-                p1 = net._p1_table[nodes, dest]
-            else:
-                p0, p1 = net.topology.productive_ports(nodes, dest)
-            port = net.pick_port(free, p0, p1)
-            port = np.where(port < 0, np.argmax(free, axis=1), port)
-        else:
-            good = free & net.closer_ports(nodes, dest)
-            port = np.where(
-                good.any(axis=1), np.argmax(good, axis=1),
-                np.argmax(free, axis=1),
-            )
-        avail[nodes, port] = False
+    def _place(self, net, cycle, nodes, dest, kind, seq, stamp):
+        """Place one new flit per node in *nodes* onto a free link."""
+        # Injected flits are routed like any other (they are the
+        # youngest flits, so they lost arbitration to every in-flight
+        # flit already).
+        free = self._avail[nodes]
+        pick = _productive(free, *net.route_bits(nodes, dest))
+        pick = np.where(pick != 0, pick, free)
+        grant = pick & -pick
+        self._avail[nodes] = free & ~grant
         if net.tracer is not None:
             net.tracer.record(
                 EV_INJECT, cycle, nodes, nodes, dest, kind, seq, 0
             )
         # The first traversal completes upon arrival at the neighbor.
-        out_meta[nodes, port] = pack_meta(dest, nodes, kind, seq) + HOP_ONE
-        out_birth[nodes, port] = cycle
+        at = nodes * net.num_ports + _LOWBIT[grant % 37]
+        net._out_meta.reshape(-1)[at] = pack_meta(dest, nodes, kind, seq) + HOP_ONE
+        net._out_birth.reshape(-1)[at] = cycle
         net.stats.injected_flits += nodes.size
         net.stats.injected_per_node[nodes] += 1
         net.injection_latency_sum += int((cycle - stamp).sum())
@@ -608,8 +639,7 @@ class CreditFlowControl(FlowControl):
         # *chaos* topology transition (on_topology_change) switches to
         # healthy-graph distance routing — mid-run losslessness demands
         # that every in-flight flit can still make progress.
-        net._dist = None
-        net._neighbor_safe = None
+        net._fault_table = None
         # Per-cycle head-of-queue grids, allocated once here and refilled
         # via out=/copyto every cycle.
         n, pp = net.num_nodes, net.num_ports + 1
@@ -620,9 +650,6 @@ class CreditFlowControl(FlowControl):
         self._sc_h_dest = np.empty((n, pp), np.int64)
         self._sc_h_key = np.empty((n, pp), np.int64)
         self._sc_h_tmp = np.empty((n, pp), np.int64)
-        self._sc_h_out = np.empty((n, pp), np.int64)
-        self._sc_h_idx = np.empty((n, pp), np.int64)
-        self._sc_h_p0 = np.empty((n, pp), np.int8)
         self._sc_pkey = np.empty((n, pp), np.int64)
         self._sc_col = np.empty(n, np.intp)
 
@@ -672,32 +699,16 @@ class CreditFlowControl(FlowControl):
             h_key, _KEY_MAX,
             where=np.logical_not(h_valid, out=self._sc_h_invalid),
         )
-        if net._dist is None:
-            # Fault-free: the topology's deterministic primary port (XY
-            # on the grids — deadlock-free; shortest-hop on graphs),
-            # gathered from the engine's route tables when present.
-            if net._p0_flat is not None:
-                net.productive_into(h_dest, self._sc_h_idx, self._sc_h_p0)
-                h_p0 = self._sc_h_p0
-            else:
-                h_p0, _ = net.topology.productive_ports(net._node_col, h_dest)
-            h_out = self._sc_h_out
-            np.copyto(h_out, h_p0)
-            np.copyto(
-                h_out, eject_port,
-                where=np.less(h_p0, 0, out=self._sc_h_invalid),
-            )
-        else:
-            # Permanent faults: minimal routing on the healthy graph —
-            # first port whose neighbor is strictly closer to dest.  A
-            # flit with no such port (its dest drained away mid-rewrite)
-            # waits; chaos re-addresses it before the link disappears.
-            good = net.closer_ports(net._node_col, h_dest)
-            h_out = np.where(
-                h_dest == net._node_col,
-                eject_port,
-                np.where(good.any(axis=2), np.argmax(good, axis=2), -1),
-            )
+        # Fault-free: the topology's deterministic primary port (XY on
+        # the grids — deadlock-free; shortest-hop on graphs).  With
+        # faults: minimal routing on the healthy graph, the first port
+        # whose neighbor is strictly closer to dest.  A flit with no such
+        # port (its dest drained away mid-rewrite) waits (-1); chaos
+        # re-addresses it before the link disappears.
+        h_out = np.where(
+            h_dest == net._node_col, eject_port,
+            lowbit(net.route_bits(net._node_col, h_dest)[0]),
+        )
 
         # --- Output arbitration: one winner per output port --------------
         neighbor = net.topology.neighbor
@@ -782,26 +793,17 @@ class CreditFlowControl(FlowControl):
 
         # --- Injection through the NI input buffer -----------------------
         ni_space = net.buffers.count[:, p] < self.buffer_capacity
-        net.injection_stage(
-            cycle, ni_space,
-            lambda nodes, queue, cyc: self._place(net, nodes, queue, cyc),
-        )
+        net.injection_stage(cycle, ni_space, self._place)
         return ejected
 
     # ------------------------------------------------------------------
-    def _place(self, net, nodes, queue, cycle):
-        if nodes.size == 0:
-            return
-        dest, kind, seq, _stamp, _ = queue.take_flit(nodes)
+    def _place(self, net, cycle, nodes, dest, kind, seq, stamp):
         if net.tracer is not None:
             net.tracer.record(
                 EV_INJECT, cycle, nodes, nodes, dest, kind, seq, 0
             )
-        ports = np.full(nodes.shape, net.num_ports, dtype=np.int64)
         net.buffers.push(
-            nodes, ports,
-            pack_meta(dest, nodes, kind, seq),
-            np.full(nodes.shape, cycle, dtype=np.int64),
+            nodes, net.num_ports, pack_meta(dest, nodes, kind, seq), cycle
         )
         net.stats.buffer_writes += nodes.size
         net.stats.injected_flits += nodes.size
@@ -851,47 +853,43 @@ class HybridFlowControl(DeflectFlowControl):
 
     # ------------------------------------------------------------------
     def redeem(self, net, cycle, meta, birth) -> None:
-        """Move one stored flit per node into a free arrival slot."""
-        stored = net.side_buffers.count[:, 0] > 0
-        if not stored.any():
-            return
+        """Move one stored flit per node into a free arrival slot, then
+        set the capture budget: at most one flit per router per cycle,
+        and only while its side buffer has space."""
+        count = net.side_buffers.count[:, 0]
         empty = birth < 0
-        nodes = np.flatnonzero(stored & empty.any(axis=1))
-        if nodes.size == 0:
-            return
-        ports = np.argmax(empty[nodes], axis=1)
-        m, b = net.side_buffers.pop(nodes, np.zeros(nodes.size, dtype=np.int64))
-        meta[nodes, ports] = m
-        birth[nodes, ports] = b
-        net.stats.buffer_reads += nodes.size
+        nodes = np.flatnonzero((count > 0) & empty.any(axis=1))
+        if nodes.size:
+            at = nodes * net.num_ports + np.argmax(empty[nodes], axis=1)
+            meta.reshape(-1)[at], birth.reshape(-1)[at] = (
+                net.side_buffers.pop(nodes, 0)
+            )
+            net.stats.buffer_reads += nodes.size
+        np.less(count, self.side_buffer_capacity, out=self._can_capture)
 
-    def begin_allocation(self, net) -> None:
-        # Capture budget: at most one flit per router per cycle, and
-        # only while the side buffer has space.
-        np.less(
-            net.side_buffers.count[:, 0], self.side_buffer_capacity,
-            out=self._can_capture,
-        )
+    def end_allocation(self, net, rows, meta, birth, grants):
+        # One push per cycle: each router captures at most one flit, and
+        # nothing reads the side buffers during allocation.
+        held = grants == _HELD
+        if not np.count_nonzero(held):
+            return None
+        rows = rows[held]
+        net.side_buffers.push(rows, 0, meta[held], birth[held])
+        net.stats.buffer_writes += rows.size
+        return ~held
 
-    def resolve_blocked(self, net, cycle, meta, birth, rows, c, choice,
+    def resolve_blocked(self, net, cycle, rows, meta, birth, pick,
                         missing, free, spare):
         """Capture one would-be-deflected flit per node, deflect the rest."""
         cap = missing & self._can_capture[rows]
-        if cap.any():
-            taken = rows[cap]
-            self._can_capture[taken] = False
-            net.side_buffers.push(
-                taken, np.zeros(taken.size, dtype=np.int64),
-                meta[rows, c][cap], birth[rows, c][cap],
-            )
-            net.stats.buffer_writes += taken.size
-            keep = ~cap
-            rows, c, choice = rows[keep], c[keep], choice[keep]
-            missing, free = missing[keep], free[keep]
-            if not missing.any():
-                return rows, c, choice
+        if np.count_nonzero(cap):
+            self._can_capture[rows[cap]] = False
+            pick[cap] = _HELD
+            missing ^= cap
+            if not np.count_nonzero(missing):
+                return pick
         return super().resolve_blocked(
-            net, cycle, meta, birth, rows, c, choice, missing, free, spare
+            net, cycle, rows, meta, birth, pick, missing, free, spare
         )
 
 
@@ -1008,18 +1006,13 @@ class RouterEngine:
         # flat gather per cycle replaces the closed-form route math.
         # Bounded so giant topologies don't pay O(n^2) memory; beyond
         # the bound the engine falls back to computing routes per cycle.
-        self._p0_table = self._p1_table = None
         self._p0_flat = self._p1_flat = None
-        self._row_base_col = None
         if n <= _ROUTE_TABLE_MAX_NODES:
             t0, t1 = topology.productive_ports(
                 self._node_ids[:, None], self._node_ids[None, :]
             )
-            self._p0_table = np.ascontiguousarray(t0, dtype=np.int8)
-            self._p1_table = np.ascontiguousarray(t1, dtype=np.int8)
-            self._p0_flat = self._p0_table.reshape(-1)
-            self._p1_flat = self._p1_table.reshape(-1)
-            self._row_base_col = (self._node_ids * n)[:, None]
+            self._p0_flat = t0.astype(np.int8).reshape(-1)
+            self._p1_flat = t1.astype(np.int8).reshape(-1)
         # Injection-queueing latency statistics (time from enqueue at the
         # NI to entering the network), the paper's "injection latency";
         # only accumulated by flow controls that inject straight onto
@@ -1081,18 +1074,22 @@ class RouterEngine:
         self.stats.buffer_occupancy_sum += self.flow.held_flits(self)
         return ejected
 
-    def in_flight_flits(self) -> int:
-        """Flits currently inside the network (for conservation checks)."""
-        return int((self._ring_birth >= 0).sum()) + self.flow.held_flits(self)
+    def in_flight_flits(self, occupied=None) -> int:
+        """Flits currently inside the network (for conservation checks);
+        *occupied* is ``_ring_birth >= 0`` when the caller has it."""
+        if occupied is None:
+            occupied = self._ring_birth >= 0
+        return int(np.count_nonzero(occupied)) + self.flow.held_flits(self)
 
-    def in_flight_view(self):
+    def in_flight_view(self, occupied=None):
         """``(meta, birth)`` flat arrays of every in-flight flit.
 
         Used by the guardrails (invariant checker, watchdog) for age and
         identity checks; visits links plus any in-network buffering.
         """
-        mask = self._ring_birth >= 0
-        meta, birth = self._ring_meta[mask], self._ring_birth[mask]
+        if occupied is None:
+            occupied = self._ring_birth >= 0
+        meta, birth = self._ring_meta[occupied], self._ring_birth[occupied]
         held = self.flow.held_view(self)
         if held is None:
             return meta, birth
@@ -1171,37 +1168,19 @@ class RouterEngine:
         smallest key wins a conflict."""
         return self._arb.keys_into(self, birth, meta, out, scratch)
 
-    @staticmethod
-    def pick_port(free, p0, p1):
-        """Per flit, its productive port *p0* if free, else the other
-        productive direction *p1* if free, else -1 (*free* is the
-        per-flit row of grantable output links)."""
-        k_idx = np.arange(p0.size)
-        ok0 = (p0 >= 0) & free[k_idx, np.where(p0 >= 0, p0, 0)]
-        choice = np.where(ok0, p0, -1)
-        ok1 = (choice < 0) & (p1 >= 0) & free[k_idx, np.where(p1 >= 0, p1, 0)]
-        return np.where(ok1, p1, choice)
-
-    def closer_ports(self, nodes, dest):
-        """Mask ``dest.shape + (ports,)`` of the healthy links at *nodes*
-        (broadcastable to *dest*) whose neighbor is strictly closer to
-        *dest* on the surviving graph — the fault-aware notion of a
-        productive port.  Only valid while ``self._dist`` is set."""
-        d_here = self._dist[nodes, dest]
-        d_next = self._dist[self._neighbor_safe[nodes], dest[..., None]]
-        return self.link_up[nodes] & (d_next < d_here[..., None])
-
-    def productive_into(self, dest, idx, p0, p1=None):
-        """Gather fault-free productive ports from the route tables.
-
-        *dest* is a per-(node, port) destination grid; *idx*/*p0*/*p1*
-        are same-shaped scratch buffers.  Callers must check
-        ``self._p0_flat is not None`` first.
-        """
-        np.add(dest, self._row_base_col, out=idx)
-        np.take(self._p0_flat, idx, out=p0)
-        if p1 is not None:
-            np.take(self._p1_flat, idx, out=p1)
+    def route_bits(self, nodes, dest):
+        """Productive-port masks ``(b0, b1)`` of flits at *nodes* bound
+        for *dest*, as :func:`_productive` takes them: with faults in
+        force, the fault table's ports and ``None``; otherwise the bits
+        of the topology's first and second productive port (0: none)."""
+        if self._fault_table is not None:
+            return self._fault_table.take(nodes * self.num_nodes + dest), None
+        if self._p0_flat is not None:
+            at = nodes * self.num_nodes + dest
+            p0, p1 = self._p0_flat[at], self._p1_flat[at]
+        else:
+            p0, p1 = self.topology.productive_ports(nodes, dest)
+        return _PORT_BIT[p0], _PORT_BIT[p1]
 
     def arrival_slot(self) -> Tuple[np.ndarray, np.ndarray]:
         """Raw ``(meta, birth)`` views of this cycle's arrival slot."""
@@ -1251,9 +1230,10 @@ class RouterEngine:
         """NI admission shared by all flow controls.
 
         Responses inject first (they are never throttled, §3.2), then
-        requests pass the Algorithm-3 throttle gate; ``place(nodes,
-        queue, cycle)`` performs the flow-specific placement.  Every
-        node that wanted to inject but could not counts as starved.
+        requests pass the Algorithm-3 throttle gate; ``place(net, cycle,
+        nodes, dest, kind, seq, stamp)`` places one flit per node in
+        *nodes* (responses first), the flow-specific part.  Every node
+        that wanted to inject but could not counts as starved.
         """
         resp_has = self.response_queue.nonempty
         req_has = self.request_queue.nonempty
@@ -1261,8 +1241,15 @@ class RouterEngine:
         inject_resp = resp_has & capacity
         trying_req = req_has & capacity & ~inject_resp
         inject_req = trying_req & self.throttle.decide(trying_req)
-        place(np.flatnonzero(inject_resp), self.response_queue, cycle)
-        place(np.flatnonzero(inject_req), self.request_queue, cycle)
+        flits = [
+            (nodes, *queue.take_flit(nodes)[:4]) for queue, nodes in (
+                (self.response_queue, np.flatnonzero(inject_resp)),
+                (self.request_queue, np.flatnonzero(inject_req)),
+            )
+        ]
+        nodes, dest, kind, seq, stamp = map(np.concatenate, zip(*flits))
+        if nodes.size:
+            place(self, cycle, nodes, dest, kind, seq, stamp)
         starved = wanted & ~(inject_resp | inject_req)
         self.starvation.update(starved)
         self.stats.starved_cycles += starved
@@ -1282,8 +1269,9 @@ class RouterEngine:
             slot = self.send_slot
         else:
             slot = self.link_send_slot(self._lat_out[moving])
-        self._ring_meta[slot, idx] = out_meta[moving]
-        self._ring_birth[slot, idx] = out_birth[moving]
+        at = slot * self._ring_meta.shape[1] + idx
+        self._ring_meta.reshape(-1)[at] = out_meta[moving]
+        self._ring_birth.reshape(-1)[at] = out_birth[moving]
         self.stats.flit_hops += idx.size
         if self.tracer is not None and idx.size:
             hop_rows = np.nonzero(moving)[0]

@@ -86,7 +86,9 @@ class FlitQueueArray:
             return np.zeros(0, dtype=bool)
         ok = self.count[nodes] < self.capacity
         accepted = nodes if ok.all() else nodes[ok]
-        slot = (self.head[accepted] + self.count[accepted]) % self.capacity
+        at = accepted * self.capacity + (
+            (self.head[accepted] + self.count[accepted]) % self.capacity
+        )
         for field, value in (
             (self.dest, dest),
             (self.kind, kind),
@@ -95,9 +97,9 @@ class FlitQueueArray:
             (self.seq, seq),
         ):
             if np.ndim(value) == 0:
-                field[accepted, slot] = value
+                field.reshape(-1)[at] = value
             else:
-                field[accepted, slot] = np.asarray(value)[ok]
+                field.reshape(-1)[at] = np.asarray(value)[ok]
         self.count[accepted] += 1
         return ok
 
@@ -168,13 +170,15 @@ class FlitQueueArray:
         packet.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        slot = self.head[nodes]
-        dest = self.dest[nodes, slot].copy()
-        kind = self.kind[nodes, slot].copy()
-        seq = self.seq[nodes, slot].copy()
-        stamp = self.stamp[nodes, slot].copy()
-        self.flits[nodes, slot] -= 1
-        done = self.flits[nodes, slot] == 0
+        at = nodes * self.capacity + self.head[nodes]
+        dest = self.dest.reshape(-1)[at]
+        kind = self.kind.reshape(-1)[at]
+        seq = self.seq.reshape(-1)[at]
+        stamp = self.stamp.reshape(-1)[at]
+        flits = self.flits.reshape(-1)
+        left = flits[at] - 1
+        flits[at] = left
+        done = left == 0
         popped = nodes[done]
         self.head[popped] = (self.head[popped] + 1) % self.capacity
         self.count[popped] -= 1

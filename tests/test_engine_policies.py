@@ -13,16 +13,22 @@ import numpy as np
 import pytest
 
 from repro import SimulationConfig, make_homogeneous_workload
+from repro.guardrails import FaultConfig, FaultModel, InvariantViolation
 from repro.network import build_network
 from repro.network.engine import (
     ARBITRATION_POLICIES,
+    CreditFlowControl,
     DeflectFlowControl,
+    HybridFlowControl,
     OldestFirst,
     RandomArbitration,
     RouterEngine,
     YoungestFirst,
+    lowbit,
 )
 from repro.network.flit import meta_src, pack_meta, priority_key
+from repro.topology import Mesh2D, Torus2D
+from repro.topology.zoo import chiplet, express
 
 _KEY_MAX = np.iinfo(np.int64).max
 
@@ -179,3 +185,76 @@ class TestPolicyBehavior:
             net.stats.injected_flits
             == net.stats.ejected_flits + net.in_flight_flits()
         )
+
+
+class TestPortBitmasks:
+    """The deflection allocator's link bitmasks (kernels.c's rule)."""
+
+    @staticmethod
+    def _argmax_rule(masks):
+        bits = (masks[:, None] >> np.arange(32)) & 1 == 1
+        return np.where(bits.any(axis=1), np.argmax(bits, axis=1), -1)
+
+    def test_lowbit_matches_argmax_rule(self):
+        small = np.arange(1 << 10, dtype=np.int64)
+        wide = np.random.default_rng(4).integers(0, 1 << 32, 20_000)
+        for masks in (small, wide, np.int64(1) << np.arange(32)):
+            assert (lowbit(masks) == self._argmax_rule(masks)).all()
+
+    @staticmethod
+    def _closer_ports(net, dist):
+        """Reference ``(node, dest, port)`` mask, gathered per port:
+        link up, and its neighbor strictly closer to dest on the
+        healthy graph."""
+        topo = net.topology
+        nodes = np.arange(topo.num_nodes)[:, None]
+        safe = np.where(topo.link_exists, topo.neighbor, 0).astype(np.int64)
+        d_next = dist[safe[:, None, :], nodes.T[:, :, None]]
+        return net.link_up[:, None, :] & (d_next < dist[:, :, None])
+
+    @pytest.mark.parametrize("name, topology", [
+        ("mesh", lambda: Mesh2D(4)),
+        ("torus", lambda: Torus2D(5)),
+        ("chiplet", lambda: chiplet(8, 8, 4)),
+        ("express", lambda: express(8, 8, 4)),
+    ])
+    @pytest.mark.parametrize("flow", [DeflectFlowControl, CreditFlowControl])
+    def test_fault_table_matches_closer_ports(self, name, topology, flow):
+        topo = topology()
+        p = topo.num_ports
+        for seed in range(4):
+            fm = FaultModel(topo, FaultConfig(
+                link_fault_rate=0.15, router_fault_rate=0.05, seed=seed
+            ))
+            net = RouterEngine(topo, flow(), fault_model=fm)
+            # A chaos drain in flight: quiesce one healthy link.
+            node, port = map(int, np.argwhere(fm.link_up)[seed])
+            fm.quiesce_link(node, port)
+            net.on_topology_change()
+            expect = self._closer_ports(net, fm.healthy_distance)
+            table = net._fault_table
+            got = (table[:, :, None] >> np.arange(p)) & 1 == 1
+            assert (got == expect).all(), (name, seed)
+            assert (net._link_bits == fm.link_up @ (1 << np.arange(p))).all()
+
+    def test_fault_free_has_no_table(self, mesh4):
+        net = RouterEngine(mesh4, DeflectFlowControl())
+        assert net._fault_table is None
+
+    @pytest.mark.parametrize("flow", [DeflectFlowControl, HybridFlowControl])
+    def test_no_free_link_is_a_named_error(self, mesh4, flow):
+        """A flit with neither a healthy nor a spare link free raises
+        instead of overwriting whichever flit holds port 0."""
+        net = RouterEngine(mesh4, flow())
+        p = net.num_ports
+        slot = net._cursor
+        for port in (0, 1):
+            net._ring_meta[slot, 5 * p + port] = pack_meta(0, port, 0)
+            net._ring_birth[slot, 5 * p + port] = port
+        net._link_bits[5] = 0b0001  # one link left for two flits
+        if flow is HybridFlowControl:
+            net.side_buffers.count[5] = net.side_buffer_capacity
+        with pytest.raises(InvariantViolation, match="router 5") as exc:
+            net.step(7)
+        assert exc.value.cycle == 7
+        assert exc.value.invariant == "deflect_port"

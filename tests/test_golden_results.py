@@ -23,8 +23,12 @@ import pathlib
 
 import pytest
 
+from repro.chaos import ChaosConfig, ChaosEvent
+from repro.guardrails.faults import FaultConfig
 from repro.harness import JobSpec, run_job, run_jobs
 from repro.rng import child_rng
+from repro.topology.mesh import EAST
+from repro.topology.zoo import BRIDGE_E
 from repro.traffic.workloads import make_category_workload
 
 # Full-simulation module: runs real multi-epoch simulations end to end.
@@ -50,12 +54,14 @@ def golden_specs() -> list:
     topologies, the central controller with modeled control traffic,
     and guardrail-instrumented runs (invariants + watchdog), so the
     refactored engine is compared against the recorded behavior on all
-    code paths that must not change results.
+    code paths that must not change results, including the engine's
+    general path: fault routing, quiesce, transient spare links, the
+    hybrid side buffer and the credit fault branch.
     """
     specs = []
 
     def add(tag, category, nodes, *, network="bless", cycles=2200,
-            seed=3, epoch=500, controller=("none",), **config):
+            seed=3, epoch=500, controller=("none",), chaos=None, **config):
         specs.append(
             JobSpec.for_workload(
                 _workload(category, nodes, tag),
@@ -64,6 +70,7 @@ def golden_specs() -> list:
                 epoch=epoch,
                 controller=controller,
                 network=network,
+                chaos=chaos,
                 config=config,
             )
         )
@@ -77,6 +84,30 @@ def golden_specs() -> list:
         locality_param=1.0)
     add("bless-guarded", "H", 16, check_invariants=True,
         watchdog_window=2000, max_flit_age=4000)
+    # The engine's general path.  Chiplet bridge 18 -> 22 and mesh link
+    # 9 -> 10 quiesce, drain, go down and come back; router 36 drains,
+    # fail-stops and revives.
+    add("hybrid-chiplet-chaos", "HM", 64, network="hybrid", cycles=1600,
+        seed=5, controller=("central",), topology="chiplet",
+        check_invariants=True,
+        chaos=ChaosConfig(events=(
+            ChaosEvent(100, "link_down", 18, BRIDGE_E),
+            ChaosEvent(300, "router_down", 36),
+            ChaosEvent(500, "link_down", 9, EAST),
+            ChaosEvent(700, "link_up", 18, BRIDGE_E),
+            ChaosEvent(900, "link_up", 9, EAST),
+            ChaosEvent(1100, "router_up", 36),
+        ), seed=2))
+    add("bless-express-faults", "H", 64, cycles=1500, seed=6,
+        topology="express", check_invariants=True,
+        faults=FaultConfig(link_fault_rate=0.1, router_fault_rate=0.05,
+                           transient_fault_rate=0.01, seed=4))
+    add("buffered-chaos-link", "HM", 16, network="buffered", seed=7,
+        check_invariants=True,
+        chaos=ChaosConfig(events=(
+            ChaosEvent(400, "link_down", 5, EAST),
+            ChaosEvent(1400, "link_up", 5, EAST),
+        ), seed=1))
     add("buffered-h", "H", 16, network="buffered")
     add("buffered-central", "HM", 16, network="buffered",
         controller=("central",), seed=4)
