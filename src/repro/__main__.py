@@ -17,7 +17,8 @@ cache, so re-running only executes changed points::
 The ``figure`` subcommand regenerates the paper's reports from the
 figure registry (:mod:`repro.experiments.figures`) through the same
 harness flags, exits 1 naming every claim that does not hold, and
-with ``--markdown`` rewrites their blocks in EXPERIMENTS.md::
+with ``--markdown`` rewrites their blocks in EXPERIMENTS.md.  Neither
+``sweep`` nor ``figure`` names a backend (stderr gets the split)::
 
     python -m repro figure fig3a fig3b --scale 0.5 --jobs 2
     python -m repro figure --jobs 2 --markdown EXPERIMENTS.md
@@ -44,6 +45,7 @@ bad input exits 2 with one ``error:`` line before a cycle runs.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import os
 import sys
@@ -545,9 +547,20 @@ def sweep_main(argv=None) -> int:
         ))
     print(f"\nharness: {report.total} jobs, {report.cache_hits} cache hits, "
           f"{report.executed} executed, wall {wall:.2f}s, workers {jobs}")
+    print("backend: " + _split((r.backend, r.refusal) for r in report.records
+                               if not r.cached), file=sys.stderr)
     if cache is not None:
         print(f"cache: {cache_dir} ({len(cache)} entries)")
     return 0
+
+
+def _split(picks) -> str:
+    """``N native, M numpy (k <refusal>; ...)`` of (backend, refusal)s."""
+    counts = collections.Counter(picks)
+    native = counts.pop(("native", None), 0)
+    why = "; ".join(f"{n} {r}" for (_, r), n in counts.most_common() if r)
+    return (f"{native} native, {sum(counts.values())} numpy"
+            + (f" ({why})" if why else ""))
 
 
 def figure_main(argv=None) -> int:
@@ -583,6 +596,9 @@ def figure_main(argv=None) -> int:
           f"hits, {harness.executed} executed, wall "
           f"{time.perf_counter() - start:.1f}s, workers {jobs}",
           file=sys.stderr)
+    picks = [(r.backend, r.refusal) for r in harness.records if not r.cached]
+    print(f"backend: specs {_split(picks)}; direct runs "
+          f"{_split(harness.direct)}", file=sys.stderr)
     for name, (quantity, paper, measured, _) in failed:
         print(f"FAILED {name}: {quantity} (paper {paper}, measured "
               f"{measured})", file=sys.stderr)

@@ -7,7 +7,7 @@ the content-addressed result cache stores chaos runs like any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = ["ChaosEventRecord", "ChaosReport"]
@@ -141,8 +141,3 @@ class ChaosReport:
         if self.controller_failovers:
             parts.append(f"{self.controller_failovers} failover(s)")
         return "; ".join(parts)
-
-
-def _record_with(record: ChaosEventRecord, **changes) -> ChaosEventRecord:
-    """Functional update helper (records are frozen)."""
-    return replace(record, **changes)

@@ -254,6 +254,3 @@ class CoreArray:
         if cycles <= 0:
             return np.zeros(self.num_nodes)
         return self.retired / cycles
-
-    def outstanding_total(self) -> int:
-        return int(self.outstanding.sum())

@@ -19,11 +19,12 @@ node-masked static throttle, custom ``ControlParams``, a
 ``HotspotLocality`` or a ``FairCentralController``, live objects that
 no controller recipe or ``JobSpec`` names, so they build their
 simulators here (:func:`_simulate`) instead of going through the
-harness.
+harness.  Both run native wherever :func:`repro.native.unsupported` allows.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +52,7 @@ from repro.experiments.tables import format_table, paper_vs_measured
 from repro.guardrails import FaultConfig
 from repro.harness import JobSpec
 from repro.metrics import max_slowdown, weighted_speedup
+from repro.native import unsupported
 from repro.network import DeflectFlowControl, RouterEngine
 from repro.rng import child_rng
 from repro.sim.simulator import Simulator
@@ -110,9 +112,13 @@ def select(names: Sequence[str]) -> List[Figure]:
     return [f for f in FIGURES if not names or f.name in names]
 
 
-def _simulate(config: SimulationConfig, cycles: int):
-    """One run of a configuration holding live objects no spec names."""
-    return Simulator(config).run(cycles)
+def _simulate(harness: Harness, config: SimulationConfig, cycles: int):
+    """One run of a configuration holding live objects no spec names,
+    native wherever :func:`~repro.native.unsupported` allows."""
+    why = unsupported(config)
+    backend = "numpy" if why else "native"
+    harness.direct.append((backend, why))
+    return Simulator(config.with_(backend=backend)).run(cycles)
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +340,7 @@ def _selective(scale, harness):
         config = SimulationConfig(
             wl, epoch=1500, seed=3, phase_sigma=0.2, controller=controller
         )
-        res = _simulate(config, cycles)
+        res = _simulate(harness, config, cycles)
         return res.system_throughput, res.ipc[mcf].mean(), res.ipc[gro].mean()
 
     base = throttled(NoController())
@@ -857,7 +863,7 @@ def _sensitivity(params_for, values):
                     wl, seed=40 + i, epoch=params.epoch,
                     controller=CentralController(params),
                 )
-                total += _simulate(config, cycles).system_throughput
+                total += _simulate(harness, config, cycles).system_throughput
             rows.append((value, total))
         return rows
     return run
@@ -1002,7 +1008,7 @@ def _hotspot(scale, harness):
         ):
             config = SimulationConfig(wl, seed=7, epoch=1000,
                                       controller=controller, **locality)
-            out[kind, mode] = _simulate(config, cycles)
+            out[kind, mode] = _simulate(harness, config, cycles)
     return out
 
 
@@ -1042,8 +1048,8 @@ def _fairness(scale, harness):
     rows = []
     for i, (wl, alone) in enumerate(zip(workloads, alones)):
         paper, fair = (
-            _simulate(SimulationConfig(wl, seed=30 + i, epoch=1000,
-                                       controller=controller), cycles)
+            _simulate(harness, SimulationConfig(
+                wl, seed=30 + i, epoch=1000, controller=controller), cycles)
             for controller in (
                 CentralController(ControlParams(epoch=1000)),
                 FairCentralController(ControlParams(epoch=1000),
@@ -1198,8 +1204,9 @@ _MONOTONE_TOLERANCE = 1.08
 
 def _fault_sweep(scale, harness):
     """An 8x8 H workload on BLESS and on buffered XY at each permanent
-    link-fault rate, invariant checker on, 300 s wall-clock budget per
-    run; a run a guardrail stops is a ``None`` row ("diverged")."""
+    link-fault rate, invariant checker and a 150-cycle progress watchdog
+    on, 300 s wall-clock budget per run; a row ends with how a guardrail
+    stopped its run: "deadlock @ <cycle>" for the watchdog."""
     workload = make_workload_batch(
         1, 64, child_rng(91, "fault_tolerance"), categories=["H"]
     )[0]
@@ -1210,7 +1217,7 @@ def _fault_sweep(scale, harness):
         JobSpec.for_workload(
             workload, cycles, epoch=1000, seed=70, deadline=300.0,
             network=network, config=dict(
-                check_invariants=True,
+                check_invariants=True, watchdog_window=150,
                 faults=FaultConfig(link_fault_rate=rate, seed=17)
                 if rate else None,
             ),
@@ -1218,10 +1225,14 @@ def _fault_sweep(scale, harness):
         for network, rate in points
     ]
     rows: Dict[str, list] = {"bless": [], "buffered": []}
-    for (network, rate), res in zip(points,
-                                    harness.run(specs, "fault-tolerance")):
+    results = harness.run(specs, "fault-tolerance")
+    errors = {r.key: r.error for r in harness.records}
+    for (network, rate), spec, res in zip(points, specs, results):
         if res is None:
-            rows[network].append((rate, None, None, None))
+            stop = re.match(r"LivelockError: watchdog tripped at cycle (\d+)",
+                            errors[spec.content_hash()])
+            rows[network].append((rate, None, None, None, f"deadlock @ "
+                                  f"{stop[1]}" if stop else "diverged"))
             continue
         if not res.flit_conservation_ok:
             raise RuntimeError(
@@ -1229,7 +1240,7 @@ def _fault_sweep(scale, harness):
             )
         failed = res.guardrails.failed_links if res.guardrails else 0
         rows[network].append(
-            (rate, res.system_throughput, res.deflection_rate, failed)
+            (rate, res.system_throughput, res.deflection_rate, failed, None)
         )
     return rows["bless"], rows["buffered"]
 
@@ -1245,11 +1256,11 @@ def _fault_tolerance(data):
         for earlier, later in zip(bless_tp, bless_tp[1:])
     )
     ok_alive = ok_complete and bless_tp[-1] > 0.25 * bless_tp[0]
-    worst = buffered_rows[-1][1]
-    ok_buffered = worst is None or worst <= bless_tp[-1] * _MONOTONE_TOLERANCE
+    faulted = [row[4] for row in buffered_rows if row[0]]
+    ok_deadlocks = all(str(stop).startswith("deadlock") for stop in faulted)
 
-    def cell(value, missing="diverged"):
-        return missing if value is None else f"{value:.2f}"
+    def cell(value, stop="-"):
+        return stop if value is None else f"{value:.2f}"
 
     return (
         "Fault tolerance: permanent link faults (8x8, invariants on)",
@@ -1266,12 +1277,15 @@ def _fault_tolerance(data):
              "fail-soft, not fail-stop",
              f"{bless_tp[-1]:.2f} vs fault-free {bless_tp[0]:.2f}"
              if ok_complete else "diverged", ok_alive),
-            ("buffered XY suffers at least as much at 5% faults",
-             "XY cannot steer around a dead link", cell(worst), ok_buffered),
+            ("buffered XY deadlocks at every fault rate ≥ 1%",
+             "XY cannot steer around a dead link",
+             " / ".join(stop or "completed" for stop in faulted),
+             ok_deadlocks),
         ],
         (["fault rate", "failed links", "bless tput", "bless deflect",
           "buffered tput"],
-         [(f"{rate:.3f}", b[3], cell(b[1]), cell(b[2], "-"), cell(f[1]))
+         [(f"{rate:.3f}", b[3], cell(b[1], b[4]), cell(b[2]),
+           cell(f[1], f[4]))
           for rate, b, f in zip(_FAULT_RATES, bless_rows, buffered_rows)]),
     )
 

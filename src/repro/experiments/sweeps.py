@@ -12,6 +12,8 @@ already in the content-addressed cache, and executes a spec that two
 drivers share only once — re-running a crashed or extended sweep only
 executes the new points, and the parallel results are bit-identical to
 serial because every job derives its RNG streams from its own spec.
+No spec here names a backend, so each runs native wherever
+:func:`repro.native.unsupported` allows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.harness import JobSpec, run_jobs
+from repro.harness import JobRecord, JobSpec, run_jobs
 from repro.network import NETWORK_MODELS
 from repro.rng import child_rng
 from repro.sim.results import SimulationResult
@@ -55,14 +57,17 @@ class Harness:
     """The :func:`run_jobs` front end every driver of one invocation
     shares: the same ``jobs``/``cache``/``progress`` for each batch, and
     each distinct spec (by content hash) executed at most once however
-    many batches ask for it.  Counts what it was asked for and what ran.
-    """
+    many batches ask for it.  Counts what it was asked for and what ran,
+    keeps run_jobs' ``records``, and a caller's own runs' ``(backend,
+    refusal)`` in ``direct``."""
 
     def __init__(self, jobs: Optional[int] = None, cache=None,
                  progress=False):
         self.jobs, self.cache, self.progress = jobs, cache, progress
         self._results: Dict[str, Optional[SimulationResult]] = {}
         self.requested = self.cache_hits = self.executed = 0
+        self.records: List[JobRecord] = []
+        self.direct: List[Tuple[str, Optional[str]]] = []
 
     @property
     def distinct(self) -> int:
@@ -85,6 +90,7 @@ class Harness:
             self._results.update(zip(pending, report.results))
             self.cache_hits += report.cache_hits
             self.executed += report.executed
+            self.records += report.records
         self.requested += len(keys)
         return [self._results[key] for key in keys]
 

@@ -8,6 +8,9 @@ Execution strategy:
 
 - every spec is first looked up in the optional
   :class:`~repro.harness.cache.ResultCache`; hits never execute;
+- the parent picks each pending spec's backend
+  (:func:`~repro.harness.jobs.resolve`), and its :class:`JobRecord`
+  names it;
 - the remaining specs run on a ``ProcessPoolExecutor`` when
   ``jobs > 1`` (its workers call :func:`~repro.harness.jobs.run_job`),
   or inline when ``jobs == 1`` — the serial path exists both as a
@@ -77,7 +80,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.guardrails.errors import GuardrailError
 from repro.harness.cache import ResultCache
-from repro.harness.jobs import JobSpec, run_job
+from repro.harness.jobs import JobSpec, resolve, run_job
 from repro.sim.results import SimulationResult
 
 __all__ = ["run_jobs", "shutdown_workers", "HarnessReport", "JobRecord",
@@ -111,6 +114,8 @@ class JobRecord:
     cached: bool
     seconds: float  # execution time (0.0 for cache hits)
     error: Optional[str] = None  # GuardrailError message, if the job failed
+    backend: Optional[str] = None  # what ran it (None for cache hits)
+    refusal: Optional[str] = None  # why resolve() picked numpy
 
     @property
     def ok(self) -> bool:
@@ -387,6 +392,8 @@ def run_jobs(
             pending.append(i)
 
     # ---- execution pass ----------------------------------------------
+    runs = {i: resolve(specs[i]) for i in pending}
+
     def finish(
         i: int,
         result: Optional[SimulationResult],
@@ -400,6 +407,8 @@ def run_jobs(
             cached=False,
             seconds=seconds,
             error=error,
+            backend=dict(runs[i][0].config)["backend"],
+            refusal=runs[i][1],
         )
         by_index[i] = record
         if result_cache is not None and result is not None:
@@ -411,7 +420,7 @@ def run_jobs(
     workers = min(jobs, len(pending)) if pending else jobs
     if workers <= 1:
         for i in pending:
-            finish(i, *_timed_run(specs[i], timeout_s))
+            finish(i, *_timed_run(runs[i][0], timeout_s))
     else:
         broken: List[int] = []
         pool = _kept_pool(jobs)
@@ -419,7 +428,7 @@ def run_jobs(
         try:
             for i in pending:
                 try:
-                    futures[pool.submit(_timed_run, specs[i], timeout_s)] = i
+                    futures[pool.submit(_timed_run, runs[i][0], timeout_s)] = i
                 except BrokenProcessPool:
                     # A kept worker died between two calls.
                     broken.append(i)
@@ -462,7 +471,7 @@ def run_jobs(
             try:
                 with ProcessPoolExecutor(max_workers=1) as pool:
                     outcome = pool.submit(
-                        _timed_run, specs[i], timeout_s
+                        _timed_run, runs[i][0], timeout_s
                     ).result()
             except BrokenProcessPool:
                 finish(

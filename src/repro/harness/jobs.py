@@ -25,6 +25,8 @@ travel as canonical JSON text (the ``chaos`` field, the ``faults`` key).
 
 :func:`build` is the simulator's one construction site outside
 ``repro.sim``: workers and the ``python -m repro`` commands build here.
+A spec naming no ``backend`` runs native wherever the refusal predicate
+allows (:func:`resolve`); the backend is no part of the content hash.
 Its keyword pass-through, the hash pre-image and
 :meth:`JobSpec.with_config` are computed from ``dataclasses.fields``, so
 a field added here is hashed and forwarded without a second edit.
@@ -46,7 +48,7 @@ from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
 from repro.traffic.workloads import Workload
 
-__all__ = ["JobSpec", "build", "run_job"]
+__all__ = ["JobSpec", "build", "resolve", "run_job"]
 
 #: Config values a spec may carry: JSON scalars only, so hashing and the
 #: on-disk cache stay canonical.
@@ -168,7 +170,9 @@ class JobSpec:
         # and is no field, so ``fields()``, ``__eq__``, ``__hash__`` and
         # what ``replace``/``with_config`` copy never see it.
         # JSON encodes tuples as lists, so the fields need no conversion.
+        # Not the backend: numpy and native give one result by definition.
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["config"] = [kv for kv in self.config if kv[0] != "backend"]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def canonical(self) -> str:
@@ -189,10 +193,7 @@ class JobSpec:
         )
 
 
-def build(spec: JobSpec) -> Simulator:
-    """The simulator *spec* describes; invalid input (a layout the
-    topology cannot make, a non-positive epoch, ...) raises
-    ``ValueError`` here, before a cycle runs."""
+def _config(spec: JobSpec) -> SimulationConfig:
     kw = {f.name: getattr(spec, f.name) for f in fields(spec)}
     del kw["app_names"], kw["category"]  # carried by spec.workload
     del kw["cycles"], kw["deadline"]  # arguments of run(), not config
@@ -202,7 +203,24 @@ def build(spec: JobSpec) -> Simulator:
         kw["chaos"] = ChaosConfig.from_json(spec.chaos)
     if config.get("faults") is not None:
         config["faults"] = FaultConfig.from_json(config["faults"])
-    return Simulator(SimulationConfig(spec.workload, **kw, **config))
+    return SimulationConfig(spec.workload, **kw, **config)
+
+
+def resolve(spec: JobSpec) -> Tuple[JobSpec, Optional[str]]:
+    """*spec* with a ``backend`` (native wherever :func:`unsupported`
+    allows, unless it names one) and the refusal that made it numpy."""
+    if "backend" in dict(spec.config):
+        return spec, None
+    from repro.native import unsupported  # loads ctypes: on demand only
+    why = unsupported(_config(spec))
+    return spec.with_config(backend="numpy" if why else "native"), why
+
+
+def build(spec: JobSpec) -> Simulator:
+    """The simulator :func:`resolve` (*spec*) describes; invalid input (a
+    layout the topology cannot make, a non-positive epoch, ...) raises
+    ``ValueError`` here, before a cycle runs."""
+    return Simulator(_config(resolve(spec)[0]))
 
 
 def run_job(spec: JobSpec) -> SimulationResult:

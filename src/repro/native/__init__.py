@@ -5,11 +5,11 @@ cores, memory, network, ejection), bit-identical to the pure-numpy
 reference, RNG draws included (through numpy's own ``libnpyrandom``),
 behind one entry point that runs whole cycles per call — or one phase
 of one cycle, when something observes the phases.  The kernels compile
-on demand from ``kernels.c``; hosts without a C compiler keep the
-default numpy backend.
+on demand from ``kernels.c``; :func:`unsupported` says why they cannot run
+a configuration (no C compiler included).
 """
 
-from repro.native.accel import NativeAccel, NativeUnsupported
+from repro.native.accel import NativeAccel, NativeUnsupported, unsupported
 from repro.native.build import NativeBuildError, load_library, native_available
 
 __all__ = [
@@ -18,4 +18,5 @@ __all__ = [
     "NativeUnsupported",
     "load_library",
     "native_available",
+    "unsupported",
 ]

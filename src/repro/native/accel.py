@@ -21,27 +21,30 @@ Reordering, inserting or removing an entry therefore just rebuilds the
 library (the object is tagged by source *and* flags); a name C uses that
 is missing here fails the compile.
 
-Configurations the kernels do not model raise
-:class:`NativeUnsupported` at construction time — the backend is opt-in
-and refuses loudly rather than silently diverging from the reference.
+:func:`unsupported` is the one list of configurations the kernels do
+not model; ``backend="native"`` on one raises :class:`NativeUnsupported`
+before anything is built, rather than silently diverging.
 """
 
 from __future__ import annotations
 
 import ctypes
 from operator import attrgetter
+from typing import Optional
 
 import numpy as np
 
 from repro.network import flit
 from repro.network.base import NetworkStats
-from repro.network.engine import _KEY_MAX
+from repro.network import engine
 from repro.network.injection import InjectionThrottleGate
 from repro.native.build import NativeBuildError, load_library
 from repro.topology import mesh
+from repro.topology.graph import MAX_GRAPH_PORTS
 from repro.traffic.locality import _DistanceLocality
 
-__all__ = ["NativeAccel", "NativeUnsupported", "PHASES", "abi_defines"]
+__all__ = ["NativeAccel", "NativeUnsupported", "PHASES", "abi_defines",
+           "unsupported"]
 
 #: The per-cycle pipeline phases, in order; position is the phase's bit
 #: in ``ctr[CTR_PHASES]`` (``PHASE_<NAME>`` in C).
@@ -193,7 +196,7 @@ def abi_defines() -> dict:
         "HOP_ONE": flit.HOP_ONE, "CBIT": flit.CBIT_MASK,
         "SEQ_RING": flit.SEQ_RING,
         "KIND_REQUEST": flit.FLIT_REQUEST, "KIND_REPLY": flit.FLIT_REPLY,
-        "KEY_MAX": _KEY_MAX, "MAX_PORTS": _MAX_PORTS,
+        "KEY_MAX": engine._KEY_MAX, "MAX_PORTS": _MAX_PORTS,
         "HIST_BUCKETS": NetworkStats.LATENCY_HIST_BUCKETS,
         "THROTTLE_MAX": InjectionThrottleGate.MAX_COUNT,
         "PORT_NORTH": mesh.NORTH, "PORT_EAST": mesh.EAST,
@@ -219,9 +222,37 @@ class NativeUnsupported(RuntimeError):
     """This configuration cannot run on the compiled backend."""
 
 
-def _check(condition: bool, why: str) -> None:
-    if not condition:
-        raise NativeUnsupported(f"native backend: {why}")
+def unsupported(config) -> Optional[str]:
+    """Why the compiled backend cannot run *config* (``None``: it can):
+    the one list of what the kernels do not model, read off the config
+    before anything is built."""
+    locality = config.locality
+    if config.network not in ("bless", "buffered"):
+        return (f"network {config.network!r} is not implemented in C "
+                "(only 'bless' and 'buffered' are)")
+    if (config.faults is not None and config.faults.any_faults
+            or config.chaos is not None and config.chaos.any_events):
+        return "fault/chaos campaigns need the reference's recovery paths"
+    if config.trace:
+        return "flit tracing hooks only exist in the reference"
+    if config.check_invariants:
+        return "the invariant checker needs reference-side state"
+    if locality not in _LOC_CODES:  # a pre-built sampler object included
+        name = (repr(locality) if isinstance(locality, str)
+                else type(locality).__name__)
+        return (f"locality {name} is not drawn in C; name one of "
+                f"LOCALITY_MODELS ({', '.join(_LOC_CODES)})")
+    # Closed-form grids route by coordinates in C, graphs by the tables.
+    if (config.topology not in ("mesh", "torus")
+            and config.num_nodes > engine._ROUTE_TABLE_MAX_NODES):
+        return "topology too large for precomputed route tables"
+    if MAX_GRAPH_PORTS + 1 > _MAX_PORTS - 1:  # no topology has more ports
+        return "router has too many ports"
+    try:
+        load_library()
+    except NativeBuildError as exc:
+        return str(exc)
+    return None
 
 
 class NativeAccel:
@@ -232,35 +263,12 @@ class NativeAccel:
         net = sim.network
         cores = sim.cores
         memory = sim.memory
-        _check(
-            config.network in ("bless", "buffered"),
-            f"network {config.network!r} is not implemented in C "
-            "(only 'bless' and 'buffered' are)",
-        )
-        _check(sim.fault_model is None, "fault/chaos campaigns need the "
-               "reference implementation's recovery paths")
-        _check(sim.tracer is None, "flit tracing hooks only exist in the "
-               "reference implementation")
-        _check(sim.checker is None, "the invariant checker needs "
-               "reference-side intermediate state")
-        _check(
-            config.locality in _LOC_CODES,
-            f"locality {config.locality!r} is not drawn in C; name a model "
-            "registered in repro.traffic.locality.LOCALITY_MODELS "
-            f"({', '.join(_LOC_CODES)})",
-        )
-        # Closed-form grids route by coordinates in C and carry no
-        # table; a graph topology needs the engine's (n, n) tables.
+        if why := unsupported(config):
+            raise NativeUnsupported(f"native backend: {why}")
         topo = net.topology
-        grid = self._grid2d = bool(getattr(topo, "grid2d", False))
-        _check(grid or net._p0_flat is not None,
-               "topology too large for precomputed route tables")
+        grid = self._grid2d = topo.grid2d
         n, p = net.num_nodes, net.num_ports
-        _check(p + 1 <= _MAX_PORTS - 1, "router has too many ports")
-        try:
-            self._lib = load_library()
-        except NativeBuildError as exc:
-            raise NativeUnsupported(f"native backend: {exc}") from exc
+        self._lib = load_library()
 
         self._sim = sim
         self._net = net

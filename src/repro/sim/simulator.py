@@ -88,6 +88,11 @@ class Simulator:
     """Builds and runs the full system described by a config."""
 
     def __init__(self, config: SimulationConfig):
+        if config.backend == "native":
+            from repro.native import NativeAccel, NativeUnsupported, unsupported
+
+            if why := unsupported(config):  # nothing built, nothing attached
+                raise NativeUnsupported(f"native backend: {why}")
         self.config = config
         # The config already ran the registry's geometry validation in
         # its __post_init__.
@@ -195,14 +200,8 @@ class Simulator:
         # Per-cycle scratch: the network phase's delivered flits, consumed
         # by the guardrail hooks and the ejection phase.
         self._ejected = EjectedFlits.empty()
-        # Compiled hot-path backend (repro.native): opt-in via the
-        # config; unsupported configurations raise NativeUnsupported
-        # rather than silently running something slightly different.
-        self._accel = None
-        if config.backend == "native":
-            from repro.native import NativeAccel
-
-            self._accel = NativeAccel(self)
+        # Compiled hot-path backend (repro.native), checked above.
+        self._accel = NativeAccel(self) if config.backend == "native" else None
         self.pipeline = self._build_pipeline()
 
     # ------------------------------------------------------------------
@@ -233,7 +232,7 @@ class Simulator:
         for name, fn in phases:
             # Native backend: same names and order, each phase its bit
             # of the compiled span (chaos and the invariant checker are
-            # refused at the accel's construction).
+            # refused by repro.native.unsupported).
             pipe.append(name, fn if accel is None else accel.phase(name))
         if self.checker is not None:
             pipe.post_hook("network", self._invariants_hook)

@@ -217,10 +217,6 @@ class GraphTopology:
         """Network diameter in hops."""
         return int(self._ecc.max())
 
-    def eccentricity(self) -> np.ndarray:
-        """``(N,)`` max hop distance from each node."""
-        return self._ecc
-
     def productive_ports(
         self, src: np.ndarray, dest: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:

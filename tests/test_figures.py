@@ -15,6 +15,7 @@ import repro.__main__ as cli
 from repro.experiments import figures
 from repro.experiments.sweeps import Harness
 from repro.harness import JobSpec
+from repro.native import native_available
 
 EXPERIMENTS = pathlib.Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 ANALYTIC = ("table1_process", "table2", "sec65_hw")
@@ -123,6 +124,29 @@ def test_a_spec_two_reports_share_executes_once(monkeypatch, capsys):
     rc, _, err = figure_cli(capsys, "--jobs", "1")
     assert rc == 0
     assert "6 jobs, 3 distinct specs, 0 cache hits, 3 executed" in err
+    picked = "3 native, 0 numpy" if native_available() else "0 native, 3"
+    assert f"backend: specs {picked}" in err
+
+
+def test_a_watchdog_stop_is_a_deadlock_cell_not_a_throughput():
+    """fault_tolerance names where a wedged buffered network stopped;
+    its buffered claim holds only if every faulted run deadlocked."""
+    fig = by_name("fault_tolerance")
+    bless = [(rate, 20.0 - 10 * rate, 0.2, int(100 * rate), None)
+             for rate in figures._FAULT_RATES]
+    stopped = [(0.0, 32.0, 0.0, None, None)] + [
+        (rate, None, None, None, f"deadlock @ {cycle}")
+        for rate, cycle in zip(figures._FAULT_RATES[1:], (446, 891, 305))
+    ]
+    text, failed = fig.report((bless, stopped))
+    assert failed == []
+    assert "deadlock @ 446 / deadlock @ 891 / deadlock @ 305" in text
+    assert text.count("deadlock @ 891") == 2  # claim row and table cell
+    finished = stopped[:-1] + [(0.05, 1.07, 0.0, None, None)]
+    _, failed = fig.report((bless, finished))
+    assert [claim[0] for claim in failed] == [
+        "buffered XY deadlocks at every fault rate ≥ 1%"
+    ]
 
 
 def test_the_registry_is_imported_on_the_figure_path_only():

@@ -20,10 +20,12 @@ from repro.harness import (
     HarnessReport,
     JobSpec,
     ResultCache,
+    build,
     run_job,
     run_jobs,
     shutdown_workers,
 )
+from repro.native import NativeBuildError, native_available
 from repro.harness.executor import default_jobs, resolve_jobs
 from repro.sim.results import RESULT_SCHEMA_VERSION, SimulationResult
 
@@ -603,6 +605,87 @@ class TestRunJobs:
         assert warm.all_cached
         assert warm.results[0].perf is not None
         assert warm.results[0].perf.cycles == 1200
+
+
+class TestBackendPick:
+    """A spec that names no backend runs native wherever
+    ``repro.native.unsupported`` allows; the backend is no cache-key
+    input, since both give the same result."""
+
+    @staticmethod
+    def _forced(spec, backend):
+        return spec.with_config(backend=backend)
+
+    def test_the_backend_is_not_part_of_the_hash(self):
+        spec = small_spec()
+        assert {
+            spec.content_hash(),
+            self._forced(spec, "numpy").content_hash(),
+            self._forced(spec, "native").content_hash(),
+        } == {spec.content_hash()}
+        assert self._forced(spec, "numpy").canonical() == spec.canonical()
+
+    def test_a_picked_entry_serves_a_forced_numpy_spec(self, tmp_path):
+        picked = run_jobs([small_spec()], jobs=1, cache=tmp_path)
+        assert picked.records[0].backend == (
+            "native" if native_available() else "numpy"
+        )
+        forced = run_jobs([self._forced(small_spec(), "numpy")], jobs=1,
+                          cache=tmp_path)
+        assert forced.all_cached and forced.records[0].backend is None
+        assert results_equal(forced.results[0], picked.results[0])
+
+    @pytest.mark.parametrize("network", ["bless", "buffered"])
+    @pytest.mark.parametrize("topology", ["mesh", "chiplet"])
+    def test_picked_and_forced_numpy_runs_agree(self, network, topology):
+        from tests.test_golden_results import result_hash
+
+        spec = small_spec(
+            app_names=("mcf", "gromacs") * 32, cycles=1000, epoch=500,
+            network=network, topology=topology, controller=("central",),
+        )
+        picked = run_jobs([spec], jobs=1, cache=False)
+        forced = run_job(self._forced(spec, "numpy"))
+        assert picked.records[0].backend == (
+            "native" if native_available() else "numpy"
+        )
+        assert result_hash(picked.results[0]) == result_hash(forced)
+
+    def test_a_refused_spec_runs_on_numpy_naming_why(self):
+        spec = small_spec(config=(("check_invariants", True),))
+        report = run_jobs([spec], jobs=1, cache=False)
+        record = report.records[0]
+        assert record.backend == "numpy"
+        assert "invariant checker" in record.refusal
+        assert build(spec).config.backend == "numpy"
+
+    def test_a_library_that_does_not_load_picks_numpy(self, monkeypatch):
+        def no_compiler():
+            raise NativeBuildError("native build failed: no compiler here")
+
+        monkeypatch.setattr("repro.native.accel.load_library", no_compiler)
+        report = run_jobs([small_spec()], jobs=1, cache=False)
+        record = report.records[0]
+        assert record.backend == "numpy"
+        assert record.refusal == "native build failed: no compiler here"
+        assert results_equal(report.results[0], run_job(
+            self._forced(small_spec(), "numpy")
+        ))
+
+    def test_an_explicit_backend_is_kept(self):
+        spec = self._forced(small_spec(), "numpy")
+        assert run_jobs([spec], jobs=1, cache=False).records[0].backend == (
+            "numpy"
+        )
+        assert build(spec).config.backend == "numpy"
+
+    def test_the_harness_keeps_every_record(self):
+        harness = Harness(jobs=1)
+        specs = [small_spec(deadline=0.0), small_spec()]
+        assert harness.run(specs)[0] is None
+        errors = {r.key: r.error for r in harness.records}
+        assert "SimulationTimeout" in errors[specs[0].content_hash()]
+        assert errors[specs[1].content_hash()] is None
 
 
 class TestParallelDeterminism:

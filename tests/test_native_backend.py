@@ -21,7 +21,13 @@ import pytest
 from repro.config import SimulationConfig
 from repro.control.registry import build_controller
 from repro.guardrails.faults import FaultConfig
-from repro.native import NativeUnsupported, accel, native_available
+from repro.native import (
+    NativeBuildError,
+    NativeUnsupported,
+    accel,
+    native_available,
+    unsupported,
+)
 from repro.network import engine
 from repro.sim.simulator import Simulator
 from repro.traffic.locality import LOCALITY_NAMES
@@ -389,6 +395,110 @@ def test_unsupported_configs_refuse(kwargs):
     config = SimulationConfig(workload, seed=1, backend="native", **kwargs)
     with pytest.raises(NativeUnsupported):
         Simulator(config)
+
+
+# ----------------------------------------------------------------------
+# One refusal predicate, checked before anything is built
+# ----------------------------------------------------------------------
+#: Geometry each registered topology needs at a small size.
+TOPOLOGY_SIZES = {
+    "mesh": (16, {}), "torus": (16, {}), "mesh3d": (27, {}),
+    "torus3d": (27, {}), "chiplet": (16, dict(chiplet_tile=2)),
+    "express": (16, dict(express_stride=2)),
+}
+
+
+def _predicate_cases():
+    from repro.chaos import ChaosConfig, ChaosEvent
+    from repro.control import CONTROLLER_NAMES
+    from repro.network import NETWORK_NAMES
+    from repro.topology.registry import TOPOLOGY_NAMES
+
+    assert set(TOPOLOGY_SIZES) == set(TOPOLOGY_NAMES)
+    cases = {f"network-{n}": dict(network=n) for n in NETWORK_NAMES}
+    cases.update({f"topology-{t}": dict(topology=t) for t in TOPOLOGY_NAMES})
+    cases.update({f"locality-{loc}": dict(locality=loc, locality_param=2.5)
+                  for loc in LOCALITY_NAMES})
+    cases.update({f"controller-{c}": dict(
+        controller=(c, 0.5) if c == "static" else (c,)
+    ) for c in CONTROLLER_NAMES})
+    cases.update({
+        "faults": dict(faults=FaultConfig(link_fault_rate=0.05)),
+        "no-faults": dict(faults=FaultConfig()),
+        "chaos": dict(chaos=ChaosConfig(
+            events=(ChaosEvent(100, "link_down", node=5, port=1),))),
+        "invariants": dict(check_invariants=True),
+        "trace": dict(trace=True),
+        "prebuilt-locality": dict(locality="prebuilt"),
+    })
+    return cases
+
+
+PREDICATE_CASES = _predicate_cases()
+
+
+def _predicate_config(topology="mesh", controller=("none",), **kwargs):
+    nodes, geometry = TOPOLOGY_SIZES[topology]
+    workload = make_category_workload("H", nodes, np.random.default_rng(1))
+    if kwargs.get("locality") == "prebuilt":
+        from repro.traffic.locality import ExponentialLocality
+
+        kwargs["locality"] = ExponentialLocality(
+            Simulator(SimulationConfig(workload)).topology, 1.0
+        )
+    return SimulationConfig(
+        workload, seed=1, epoch=200, topology=topology,
+        controller=build_controller(controller, epoch=200),
+        **geometry, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("route_tables", ["bounded", "none"])
+@pytest.mark.parametrize("case", sorted(PREDICATE_CASES))
+def test_unsupported_is_none_exactly_when_native_constructs(
+    case, route_tables, monkeypatch
+):
+    """The predicate is the whole refusal list: a config it passes builds
+    a native simulator that runs, and one it refuses raises
+    NativeUnsupported carrying its reason.  With no route tables at all,
+    only the coordinate-routed grids may pass."""
+    if route_tables == "none":
+        monkeypatch.setattr(engine, "_ROUTE_TABLE_MAX_NODES", 0)
+    config = _predicate_config(**PREDICATE_CASES[case])
+    why = unsupported(config)
+    native = config.with_(backend="native")
+    if why is None:
+        Simulator(native).run(50)
+    else:
+        with pytest.raises(NativeUnsupported) as refusal:
+            Simulator(native)
+        assert str(refusal.value) == f"native backend: {why}"
+
+
+def test_refused_native_config_leaves_its_controller_free_for_numpy():
+    """The refusal precedes construction: the config's controller is not
+    attached yet, so retrying the same config on numpy builds and runs
+    exactly like a fresh numpy configuration."""
+    refused = _predicate_config(controller=("central",),
+                                check_invariants=True)
+    with pytest.raises(NativeUnsupported, match="invariant checker"):
+        Simulator(refused.with_(backend="native"))
+    retry = Simulator(refused.with_(backend="numpy")).run(600)
+    fresh = Simulator(
+        _predicate_config(controller=("central",), check_invariants=True)
+    ).run(600)
+    assert _canon(retry.to_dict()) == _canon(fresh.to_dict())
+
+
+def test_a_library_that_does_not_load_is_the_refusal(monkeypatch):
+    def no_compiler():
+        raise NativeBuildError("native build failed: no compiler here")
+
+    monkeypatch.setattr(accel, "load_library", no_compiler)
+    config = _predicate_config()
+    assert unsupported(config) == "native build failed: no compiler here"
+    with pytest.raises(NativeUnsupported, match="no compiler here"):
+        Simulator(config.with_(backend="native"))
 
 
 def _warm_simulator(network, backend):
