@@ -354,8 +354,9 @@ def _spec(opts: dict) -> JobSpec:
     chaos flags from *opts* and keeps every other dest as a config key,
     which :func:`~repro.harness.build` passes to ``SimulationConfig`` by
     name — so a flag that nothing pops and no config field matches is a
-    TypeError on the first run.
+    TypeError on the first run.  No ``--backend`` flag means numpy.
     """
+    opts.setdefault("backend", "numpy")
     app, nodes = opts.pop("app", None), opts.pop("nodes")
     category = opts.pop("category") or "H"
     if app:

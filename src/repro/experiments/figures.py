@@ -19,7 +19,7 @@ node-masked static throttle, custom ``ControlParams``, a
 ``HotspotLocality`` or a ``FairCentralController``, live objects that
 no controller recipe or ``JobSpec`` names, so they build their
 simulators here (:func:`_simulate`) instead of going through the
-harness.  Both run native wherever :func:`repro.native.unsupported` allows.
+harness.  Both take the backend :func:`repro.native.pick` chooses.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.experiments.tables import format_table, paper_vs_measured
 from repro.guardrails import FaultConfig
 from repro.harness import JobSpec
 from repro.metrics import max_slowdown, weighted_speedup
-from repro.native import unsupported
+from repro.native import pick
 from repro.network import DeflectFlowControl, RouterEngine
 from repro.rng import child_rng
 from repro.sim.simulator import Simulator
@@ -113,10 +113,8 @@ def select(names: Sequence[str]) -> List[Figure]:
 
 
 def _simulate(harness: Harness, config: SimulationConfig, cycles: int):
-    """One run of a configuration holding live objects no spec names,
-    native wherever :func:`~repro.native.unsupported` allows."""
-    why = unsupported(config)
-    backend = "numpy" if why else "native"
+    """One run of live objects no spec names, on the backend ``pick`` chooses."""
+    backend, why = pick(config)
     harness.direct.append((backend, why))
     return Simulator(config.with_(backend=backend)).run(cycles)
 
@@ -1226,13 +1224,10 @@ def _fault_sweep(scale, harness):
     ]
     rows: Dict[str, list] = {"bless": [], "buffered": []}
     results = harness.run(specs, "fault-tolerance")
-    errors = {r.key: r.error for r in harness.records}
+    stops = {r.key: _stop(r.error) for r in harness.records if r.error}
     for (network, rate), spec, res in zip(points, specs, results):
         if res is None:
-            stop = re.match(r"LivelockError: watchdog tripped at cycle (\d+)",
-                            errors[spec.content_hash()])
-            rows[network].append((rate, None, None, None, f"deadlock @ "
-                                  f"{stop[1]}" if stop else "diverged"))
+            rows[network].append((rate, None, None, None, stops[spec.content_hash()]))
             continue
         if not res.flit_conservation_ok:
             raise RuntimeError(
@@ -1243,6 +1238,12 @@ def _fault_sweep(scale, harness):
             (rate, res.system_throughput, res.deflection_rate, failed, None)
         )
     return rows["bless"], rows["buffered"]
+
+
+def _stop(error: str) -> str:
+    """A guardrail-stopped run's cell, from its ``JobRecord.error``."""
+    stop = re.match(r"LivelockError: watchdog tripped at cycle (\d+)", error)
+    return f"deadlock @ {stop[1]}" if stop else "diverged"
 
 
 @figure("fault_tolerance", "Fault tolerance — permanent link faults",
@@ -1284,8 +1285,7 @@ def _fault_tolerance(data):
         ],
         (["fault rate", "failed links", "bless tput", "bless deflect",
           "buffered tput"],
-         [(f"{rate:.3f}", b[3], cell(b[1], b[4]), cell(b[2]),
-           cell(f[1], f[4]))
+         [(f"{rate:.3f}", b[3], cell(b[1], b[4]), cell(b[2]), cell(f[1], f[4]))
           for rate, b, f in zip(_FAULT_RATES, bless_rows, buffered_rows)]),
     )
 

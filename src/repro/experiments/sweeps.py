@@ -12,8 +12,7 @@ already in the content-addressed cache, and executes a spec that two
 drivers share only once — re-running a crashed or extended sweep only
 executes the new points, and the parallel results are bit-identical to
 serial because every job derives its RNG streams from its own spec.
-No spec here names a backend, so each runs native wherever
-:func:`repro.native.unsupported` allows.
+No spec here names a backend: :func:`repro.native.pick` chooses one.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ Execution strategy:
 - every spec is first looked up in the optional
   :class:`~repro.harness.cache.ResultCache`; hits never execute;
 - the parent picks each pending spec's backend
-  (:func:`~repro.harness.jobs.resolve`), and its :class:`JobRecord`
-  names it;
+  (:func:`~repro.harness.jobs.resolve`), named in its :class:`JobRecord`;
 - the remaining specs run on a ``ProcessPoolExecutor`` when
   ``jobs > 1`` (its workers call :func:`~repro.harness.jobs.run_job`),
   or inline when ``jobs == 1`` — the serial path exists both as a

@@ -207,13 +207,13 @@ def _config(spec: JobSpec) -> SimulationConfig:
 
 
 def resolve(spec: JobSpec) -> Tuple[JobSpec, Optional[str]]:
-    """*spec* with a ``backend`` (native wherever :func:`unsupported`
-    allows, unless it names one) and the refusal that made it numpy."""
+    """*spec* with a ``backend`` (:func:`~repro.native.pick`'s, unless it
+    names one) and the refusal that made it numpy."""
     if "backend" in dict(spec.config):
         return spec, None
-    from repro.native import unsupported  # loads ctypes: on demand only
-    why = unsupported(_config(spec))
-    return spec.with_config(backend="numpy" if why else "native"), why
+    from repro.native import pick  # loads ctypes: on demand only
+    backend, why = pick(_config(spec))
+    return spec.with_config(backend=backend), why
 
 
 def build(spec: JobSpec) -> Simulator:

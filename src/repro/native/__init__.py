@@ -6,10 +6,10 @@ reference, RNG draws included (through numpy's own ``libnpyrandom``),
 behind one entry point that runs whole cycles per call — or one phase
 of one cycle, when something observes the phases.  The kernels compile
 on demand from ``kernels.c``; :func:`unsupported` says why they cannot run
-a configuration (no C compiler included).
+a configuration (no C compiler included), and :func:`pick` a backend.
 """
 
-from repro.native.accel import NativeAccel, NativeUnsupported, unsupported
+from repro.native.accel import NativeAccel, NativeUnsupported, pick, unsupported
 from repro.native.build import NativeBuildError, load_library, native_available
 
 __all__ = [
@@ -18,5 +18,6 @@ __all__ = [
     "NativeUnsupported",
     "load_library",
     "native_available",
+    "pick",
     "unsupported",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ctypes
 from operator import attrgetter
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.topology.graph import MAX_GRAPH_PORTS
 from repro.traffic.locality import _DistanceLocality
 
 __all__ = ["NativeAccel", "NativeUnsupported", "PHASES", "abi_defines",
-           "unsupported"]
+           "pick", "unsupported"]
 
 #: The per-cycle pipeline phases, in order; position is the phase's bit
 #: in ``ctr[CTR_PHASES]`` (``PHASE_<NAME>`` in C).
@@ -54,6 +54,7 @@ _ALL_PHASES = (1 << len(PHASES)) - 1
 #: C-side port-count cap: sizes the per-node stack arrays in the kernels
 #: and keeps a router's ports within one 64-bit free-link mask.
 _MAX_PORTS = 64
+assert MAX_GRAPH_PORTS + 1 <= _MAX_PORTS - 1  # every topology fits
 
 _ARB_CODES = {"oldest_first": 0, "youngest_first": 1, "random": 2}
 
@@ -238,33 +239,30 @@ def unsupported(config) -> Optional[str]:
     if config.check_invariants:
         return "the invariant checker needs reference-side state"
     if locality not in _LOC_CODES:  # a pre-built sampler object included
-        name = (repr(locality) if isinstance(locality, str)
-                else type(locality).__name__)
+        name = repr(locality) if isinstance(locality, str) else type(locality).__name__
         return (f"locality {name} is not drawn in C; name one of "
                 f"LOCALITY_MODELS ({', '.join(_LOC_CODES)})")
     # Closed-form grids route by coordinates in C, graphs by the tables.
     if (config.topology not in ("mesh", "torus")
             and config.num_nodes > engine._ROUTE_TABLE_MAX_NODES):
         return "topology too large for precomputed route tables"
-    if MAX_GRAPH_PORTS + 1 > _MAX_PORTS - 1:  # no topology has more ports
-        return "router has too many ports"
     try:
         load_library()
     except NativeBuildError as exc:
-        return str(exc)
+        return str(exc).partition("\n")[0]  # not the compiler's output
     return None
+
+
+def pick(config) -> Tuple[str, Optional[str]]:
+    """``(backend, why)``: native wherever :func:`unsupported` allows."""
+    return ("numpy", why) if (why := unsupported(config)) else ("native", None)
 
 
 class NativeAccel:
     """Compiled drop-in for the simulator's per-cycle phases."""
 
     def __init__(self, sim):
-        config = sim.config
-        net = sim.network
-        cores = sim.cores
-        memory = sim.memory
-        if why := unsupported(config):
-            raise NativeUnsupported(f"native backend: {why}")
+        config, net, cores, memory = sim.config, sim.network, sim.cores, sim.memory
         topo = net.topology
         grid = self._grid2d = topo.grid2d
         n, p = net.num_nodes, net.num_ports

@@ -47,7 +47,7 @@ KERNELS = ("noc_span",)
 #: target (aarch64, clang) may contract kernel arithmetic into an FMA.
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-_lib = None
+_lib = None  # the loaded library, or the NativeBuildError that stopped it
 
 
 def _cc_argv() -> list:
@@ -128,8 +128,8 @@ def _compile(so_path: str, flags) -> None:
         )
         if proc.returncode != 0:
             raise NativeBuildError(
-                f"compiling kernels.c with {shlex.join(cc)!r} failed:\n"
-                f"{proc.stderr}"
+                f"compiling kernels.c with {shlex.join(cc)!r} failed "
+                f"(exit {proc.returncode})\n{proc.stderr}"
             )
         os.replace(tmp, so_path)
     finally:
@@ -166,15 +166,19 @@ def load_library():
 
     Raises :class:`NativeBuildError` when no compiler is available, the
     build fails, or the build directory cannot be written (any
-    ``OSError`` on the way is reported under that name); the result is
-    cached for the process lifetime.
+    ``OSError`` on the way is reported under that name); the library or
+    the error is cached for the process lifetime.
     """
     global _lib
     if _lib is None:
         try:
             _lib = _build_and_load()
+        except NativeBuildError as exc:
+            _lib = exc
         except OSError as exc:
-            raise NativeBuildError(f"native build failed: {exc}") from exc
+            _lib = NativeBuildError(f"native build failed: {exc}")
+    if isinstance(_lib, NativeBuildError):
+        raise _lib.with_traceback(None)
     return _lib
 
 

@@ -90,7 +90,6 @@ class Simulator:
     def __init__(self, config: SimulationConfig):
         if config.backend == "native":
             from repro.native import NativeAccel, NativeUnsupported, unsupported
-
             if why := unsupported(config):  # nothing built, nothing attached
                 raise NativeUnsupported(f"native backend: {why}")
         self.config = config

@@ -14,8 +14,10 @@ import pytest
 import repro.__main__ as cli
 from repro.experiments import figures
 from repro.experiments.sweeps import Harness
-from repro.harness import JobSpec
+from repro.guardrails.errors import LivelockError, SimulationTimeout
+from repro.harness import JobSpec, executor
 from repro.native import native_available
+from repro.traffic.workloads import make_homogeneous_workload
 
 EXPERIMENTS = pathlib.Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 ANALYTIC = ("table1_process", "table2", "sec65_hw")
@@ -147,6 +149,22 @@ def test_a_watchdog_stop_is_a_deadlock_cell_not_a_throughput():
     assert [claim[0] for claim in failed] == [
         "buffered XY deadlocks at every fault rate ≥ 1%"
     ]
+
+
+def test_a_watchdog_record_reads_as_a_deadlock_cell(monkeypatch):
+    """The cell comes from the error string a worker records for a real
+    LivelockError, so rewording that message fails here, not silently
+    as "diverged" cells in fault_tolerance."""
+    def wedged(spec):
+        raise LivelockError(446, "no flit ejected for 150 cycles")
+
+    monkeypatch.setattr(executor, "run_job", wedged)
+    result, _, error = executor._timed_run(JobSpec.for_workload(
+        make_homogeneous_workload("mcf", 16), 1000))
+    assert result is None
+    assert figures._stop(error) == "deadlock @ 446"
+    timeout = SimulationTimeout(700, 301.0, 300.0)
+    assert figures._stop(f"SimulationTimeout: {timeout}") == "diverged"
 
 
 def test_the_registry_is_imported_on_the_figure_path_only():

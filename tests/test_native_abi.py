@@ -185,6 +185,31 @@ def test_uninjected_name_is_a_build_error_naming_it(
 
 
 @needs_native
+def test_a_failed_build_is_tried_once_and_refused_in_one_line(
+    monkeypatch, tmp_path, scratch_build
+):
+    """A process whose build fails does not recompile for every run
+    that asks, and the refusal a job record carries is one line."""
+    _patched_source(monkeypatch, tmp_path, '#error "kernel source broken"\n')
+    compiles = []
+    real_compile = build._compile
+
+    def counting_compile(path, flags):
+        compiles.append(path)
+        real_compile(path, flags)
+
+    monkeypatch.setattr(build, "_compile", counting_compile)
+    for _ in range(3):
+        with pytest.raises(NativeBuildError, match="kernel source broken"):
+            load_library()
+    config = _simulator("numpy").config
+    assert accel.pick(config) == ("numpy", accel.unsupported(config))
+    assert accel.unsupported(config).startswith("compiling kernels.c with")
+    assert "\n" not in accel.unsupported(config)
+    assert len(compiles) == 1
+
+
+@needs_native
 def test_slot_dropped_from_python_table_is_a_build_error_naming_it(
     monkeypatch, scratch_build
 ):

@@ -644,3 +644,22 @@ def test_cli_spec_runs_what_the_cli_runs(sample, monkeypatch, capsys):
     ran.pop("perf")
     shipped.pop("perf")
     assert shipped == ran
+
+
+@pytest.mark.parametrize("sample", CLI_SAMPLES)
+def test_a_cli_spec_names_its_backend(sample, monkeypatch, capsys):
+    """run, chaos and profile name their backend — numpy unless
+    ``--backend`` says otherwise; only sweep and figure let the harness
+    pick (a picked profile run would time fused spans against phases)."""
+    specs = []
+
+    def stop(spec):
+        specs.append(spec)
+        raise ValueError("built")
+
+    monkeypatch.setattr(cli, "build", stop)
+    assert cli.main(CLI_SAMPLES[sample]) == 2
+    capsys.readouterr()
+    (spec,) = specs
+    expected = "native" if sample == "native" else "numpy"
+    assert dict(spec.config)["backend"] == expected
