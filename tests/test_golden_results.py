@@ -108,6 +108,11 @@ def golden_specs() -> list:
             ChaosEvent(400, "link_down", 5, EAST),
             ChaosEvent(1400, "link_up", 5, EAST),
         ), seed=1))
+    # One-cycle link faults only: the credit step's t_down branch.
+    # Permanent faults would deadlock XY routing by design.
+    add("buffered-transient", "H", 16, network="buffered", seed=8,
+        check_invariants=True,
+        faults=FaultConfig(transient_fault_rate=0.02, seed=5))
     add("buffered-h", "H", 16, network="buffered")
     add("buffered-central", "HM", 16, network="buffered",
         controller=("central",), seed=4)
