@@ -456,16 +456,19 @@ def _timing_overhead(plain, timed, cycles: int, repeats: int):
     cycles/s, overhead in percent)``, best of *repeats* fresh runs per
     side after a warm-up.  *plain* and *timed* are zero-argument
     builders; a plain run takes the simulator's uninstrumented loop,
-    ``profile=True`` adds a PhaseTimer lap around every phase."""
-    def cycles_per_second(build) -> float:
-        sim = build()
-        start = time.perf_counter()
-        sim.run(cycles)
-        return cycles / (time.perf_counter() - start)
-
+    ``profile=True`` adds a PhaseTimer lap around every phase.  The
+    sides alternate, and so does which goes first in a repeat, so a
+    host that changes speed mid-check slows both alike."""
+    best = [0.0, 0.0]  # plain, timed
     plain().run(min(cycles, 2_000))  # imports, numpy caches
-    plain_cps = max(cycles_per_second(plain) for _ in range(repeats))
-    timed_cps = max(cycles_per_second(timed) for _ in range(repeats))
+    for repeat in range(repeats):
+        for side in (0, 1) if repeat % 2 == 0 else (1, 0):
+            sim = (plain, timed)[side]()
+            start = time.perf_counter()
+            sim.run(cycles)
+            best[side] = max(best[side],
+                             cycles / (time.perf_counter() - start))
+    plain_cps, timed_cps = best
     return plain_cps, timed_cps, (1.0 - timed_cps / plain_cps) * 100.0
 
 

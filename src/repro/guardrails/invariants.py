@@ -27,8 +27,10 @@ Checked invariants:
 ``dest_valid``
     every in-flight flit is addressed to a live, in-range router.
 ``queue_bounds``
-    NI packet queues and (buffered network) input buffers respect their
-    capacity, head-pointer, and credit bookkeeping bounds.
+    NI packet queues and every in-router FIFO bank (the buffered
+    network's input buffers, the hybrid's side buffers) respect their
+    capacity and head-pointer bounds; the input buffers also their
+    credit bookkeeping.
 ``control_conservation``
     every modeled control flit is accounted: attempted == sent +
     dropped (a hub-queue overflow is a *counted* drop, never a silent
@@ -41,6 +43,7 @@ import numpy as np
 
 from repro.guardrails.errors import InvariantViolation
 from repro.network.base import EjectedFlits
+from repro.network.engine import BufferBank
 from repro.network.flit import meta_dest, meta_src, priority_key
 from repro.network.queues import FlitQueueArray
 
@@ -61,6 +64,12 @@ class InvariantChecker:
         self._allowed_slots = network.link_up.ravel()
         fault_model = network.fault_model
         self._alive = None if fault_model is None else fault_model.alive_routers
+        # Every in-router FIFO bank: the credit router's input buffers,
+        # the hybrid's side buffers.
+        self._banks = [
+            (name, bank) for name, bank in vars(network).items()
+            if isinstance(bank, BufferBank)
+        ]
 
     # ------------------------------------------------------------------
     def after_step(self, cycle: int, ejected: EjectedFlits) -> None:
@@ -74,9 +83,7 @@ class InvariantChecker:
         self._check_ring(cycle, occupied)
         self._check_queue(cycle, net.request_queue, "request")
         self._check_queue(cycle, net.response_queue, "response")
-        buffers = getattr(net, "buffers", None)
-        if buffers is not None:
-            self._check_buffers(cycle, net, buffers)
+        self._check_buffers(cycle, net)
         self._check_conservation(cycle, net, occupied)
         self._check_control(cycle, net)
         self._check_eject_width(cycle, ejected)
@@ -217,17 +224,24 @@ class InvariantChecker:
                 f"{name} queue head pointer outside [0, {queue.capacity})",
             )
 
-    def _check_buffers(self, cycle, net, buffers) -> None:
-        cap = buffers.capacity
-        if (buffers.count < 0).any() or (buffers.count > cap).any():
-            bad = np.flatnonzero(((buffers.count < 0) | (buffers.count > cap)).any(axis=1))
-            self._fail(
-                "queue_bounds",
-                cycle,
-                f"input buffer occupancy outside [0, {cap}]",
-                nodes=bad,
-            )
-        reserved = net.reserved
+    def _check_buffers(self, cycle, net) -> None:
+        for name, bank in self._banks:
+            cap = bank.capacity
+            for what, field, top in (
+                ("occupancy", bank.count, cap), ("head pointer", bank.head, cap - 1),
+            ):
+                # Read as unsigned, a negative int32 is above any bound.
+                bad = field.view(np.uint32) > top
+                if bad.any():
+                    self._fail(
+                        "queue_bounds", cycle,
+                        f"{name} {what} outside [0, {top}]",
+                        nodes=np.flatnonzero(bad.any(axis=1)),
+                    )
+        reserved = getattr(net, "reserved", None)
+        if reserved is None:
+            return
+        buffers, cap = net.buffers, net.buffers.capacity
         if (reserved < 0).any():
             self._fail(
                 "queue_bounds", cycle,

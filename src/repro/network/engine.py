@@ -182,7 +182,6 @@ class BufferBank:
 
     def __init__(self, num_nodes: int, num_ports: int, capacity: int):
         self.capacity = capacity
-        self._ports = num_ports
         shape = (num_nodes, num_ports, capacity)
         self.meta = np.zeros(shape, dtype=np.int64)
         self.birth = np.zeros(shape, dtype=np.int64)
@@ -197,9 +196,9 @@ class BufferBank:
     def occupancy(self) -> int:
         return int(self.count.sum())
 
-    def push(self, nodes, ports, meta, birth) -> None:
-        """Append flits; callers guarantee space and unique (node, port)."""
-        fifo = nodes * self._ports + ports
+    def push(self, fifo, meta, birth) -> None:
+        """Append flits to FIFOs ``node * ports + port``; callers
+        guarantee space and unique ids."""
         count = self.count.reshape(-1)
         slot = (self.head.reshape(-1)[fifo] + count[fifo]) % self.capacity
         at = fifo * self.capacity + slot
@@ -216,8 +215,7 @@ class BufferBank:
         np.greater(self.count, 0, out=valid)
         return valid, meta, birth
 
-    def pop(self, nodes, ports):
-        fifo = nodes * self._ports + ports
+    def pop(self, fifo):
         head = self.head.reshape(-1)
         slot = head[fifo]
         at = fifo * self.capacity + slot
@@ -604,13 +602,24 @@ class CreditFlowControl(FlowControl):
     input and 4 flits of buffering per VC (16 flits per link input).
     Each router input (the links + the NI injection port) has a
     ``buffer_capacity``-flit FIFO; routing is strict XY (deterministic,
-    no deflection); each output port moves at most one flit per cycle,
-    granted to the head-of-queue flit that wins arbitration (Oldest-First
-    by default, like the BLESS baseline, so the arbitration policy is
-    not a confound); a flit moves only when the downstream input buffer
-    has space (credits account for flits already on the wire), so the
-    network is lossless with zero misrouting; ejection delivers one flit
-    per node per cycle.
+    no deflection); each output port moves at most one head-of-queue
+    flit per cycle, the arbitration winner (Oldest-First by default,
+    like the BLESS baseline, so the policy is not a confound), and only
+    into downstream space (credits count flits on the wire), so the
+    network is lossless with zero misrouting.
+
+    A cycle is three passes, as in kernels.c's ``credit_phase``.
+    *Pass 1*: arrivals drain into the FIFOs, then one grouped reduction
+    picks the winner of every (router, output port) among the heads;
+    a tied key goes to the lowest input port.  *Pass 2*: the credit
+    walk visits output ports ``0..p-1`` in order, over that port's
+    winners only.  A winner moves iff its link is up, not transiently
+    down, and ``count + reserved < capacity`` downstream, where
+    ``count`` includes the pops granted at lower-numbered ports this
+    cycle, not those at the same port (*the same-cycle credit rule*).
+    *Pass 3*: one batched send of the granted link winners in
+    port-major, router-ascending order, then ejection (one flit per
+    node), then injection.
 
     Per-VC allocation is abstracted away (see DESIGN.md §2): what the
     comparison rests on — in-network queueing that grows with load,
@@ -641,17 +650,18 @@ class CreditFlowControl(FlowControl):
         # that every in-flight flit can still make progress.
         net._fault_table = None
         # Per-cycle head-of-queue grids, allocated once here and refilled
-        # via out=/copyto every cycle.
+        # via out= every cycle.
         n, pp = net.num_nodes, net.num_ports + 1
         self._sc_h_valid = np.empty((n, pp), np.bool_)
-        self._sc_h_invalid = np.empty((n, pp), np.bool_)
         self._sc_h_meta = np.empty((n, pp), np.int64)
         self._sc_h_birth = np.empty((n, pp), np.int64)
         self._sc_h_dest = np.empty((n, pp), np.int64)
         self._sc_h_key = np.empty((n, pp), np.int64)
         self._sc_h_tmp = np.empty((n, pp), np.int64)
-        self._sc_pkey = np.empty((n, pp), np.int64)
-        self._sc_col = np.empty(n, np.intp)
+        self._sc_best = np.empty(pp * n, np.int64)
+        self._sc_won = np.empty(pp * n, np.int64)
+        self._fifo_node = np.repeat(np.arange(n, dtype=np.int64), pp)
+        self._port_starts = np.arange(pp) * n
 
     def held_flits(self, net) -> int:
         return net.buffers.occupancy()
@@ -671,129 +681,107 @@ class CreditFlowControl(FlowControl):
     # ------------------------------------------------------------------
     def step(self, net: "RouterEngine", cycle: int) -> EjectedFlits:
         n, p = net.num_nodes, net.num_ports
-        eject_port = p  # local delivery: first id past the link ports
+        pp, cap, stats = p + 1, self.buffer_capacity, net.stats
+        count, head = net.buffers.count.reshape(-1), net.buffers.head.reshape(-1)
+        reserved = net.reserved.reshape(-1)  # per (node, link input port)
 
-        # --- Link arrivals drain into the input buffers -----------------
+        # --- Pass 1: arrivals, heads, one winner per output port --------
         slot_meta, slot_birth = net.arrival_slot()
-        arr_birth = slot_birth.reshape(n, p)
-        arr_rows, arr_ports = np.nonzero(arr_birth >= 0)
-        if arr_rows.size:
-            arr_meta = slot_meta.reshape(n, p)
-            net.buffers.push(
-                arr_rows, arr_ports,
-                arr_meta[arr_rows, arr_ports], arr_birth[arr_rows, arr_ports],
-            )
-            net.reserved[arr_rows, arr_ports] -= 1
-            net.stats.buffer_writes += arr_rows.size
+        arrived = np.flatnonzero(slot_birth >= 0)
+        if arrived.size:
+            net.buffers.push(arrived + arrived // p, slot_meta[arrived],
+                             slot_birth[arrived])
+            reserved[arrived] -= 1
+            stats.buffer_writes += arrived.size
         net.retire_arrivals()
-
-        # --- Route computation for every head-of-queue flit -------------
-        h_valid, h_meta, h_birth = net.buffers.heads_into(
+        valid, h_meta, h_birth = net.buffers.heads_into(
             self._sc_h_valid, self._sc_h_meta, self._sc_h_birth
         )
         h_dest = meta_dest(h_meta, out=self._sc_h_dest)
-        h_key = net.arbitration_keys_into(
+        key = net.arbitration_keys_into(
             h_birth, h_meta, self._sc_h_key, self._sc_h_tmp
-        )
-        np.copyto(
-            h_key, _KEY_MAX,
-            where=np.logical_not(h_valid, out=self._sc_h_invalid),
-        )
-        # Fault-free: the topology's deterministic primary port (XY on
-        # the grids — deadlock-free; shortest-hop on graphs).  With
-        # faults: minimal routing on the healthy graph, the first port
-        # whose neighbor is strictly closer to dest.  A flit with no such
-        # port (its dest drained away mid-rewrite) waits (-1); chaos
-        # re-addresses it before the link disappears.
-        h_out = np.where(
-            h_dest == net._node_col, eject_port,
-            lowbit(net.route_bits(net._node_col, h_dest)[0]),
-        )
+        ).reshape(-1)
+        # A flit that is home asks for the eject port p, any other for
+        # its route's first port: XY on grids (deadlock-free), shortest
+        # hop on graphs, after a chaos transition the first port closer
+        # on the healthy graph; -1 (dest drained mid-rewrite) waits.
+        h_out = np.where(h_dest == net._node_col, np.int64(p),
+                         net.first_port(net._node_col, h_dest)).reshape(-1)
+        fifo = np.flatnonzero(valid.reshape(-1) & (h_out >= 0))
+        # Group (output port, router), port-major.  The smallest key
+        # wins it, a tied key the lowest input port (FIFO id).
+        group, key = h_out[fifo] * n + self._fifo_node[fifo], key[fifo]
+        best, won = self._sc_best, self._sc_won
+        best.fill(_KEY_MAX)
+        np.minimum.at(best, group, key)
+        tie = key == best[group]
+        won.fill(n * pp)
+        np.minimum.at(won, group[tie], fifo[tie])
+        group = np.flatnonzero(won < n * pp)
+        fifo, node = won[group], group % n
+        bounds = np.searchsorted(group, self._port_starts).tolist()
+        links = bounds[p]  # winners of link ports, then eject winners
 
-        # --- Output arbitration: one winner per output port --------------
-        neighbor = net.topology.neighbor
-        reverse = net.topology.reverse_port
-        ejected = EjectedFlits.empty()
-        mark = net.congested_nodes.any()
-        # Faulted links cannot be granted; the flit stays buffered (XY
-        # routing has no alternative path, unlike deflection routing).
-        link_ok = net.link_up
-        t_down = None
-        quiesce = None
-        if net.fault_model is not None:
-            t_down = net.fault_model.transient_down(cycle)
-            if t_down is not None:
-                # Chaos-quiescing links still carry their last-hop
-                # traffic (same exception as the deflection engine):
-                # without it, a buffered flit destined to a draining
-                # router waits at a neighbor forever and the drain
-                # deadlocks against its own quiesce.
-                q_mask = net.fault_model.quiescing
-                if q_mask.any():
-                    quiesce = q_mask
-        pkey, col = self._sc_pkey, self._sc_col
-        want = self._sc_h_invalid  # reuse: h_key masking is done
-        for out_port in range(p + 1):
-            np.equal(h_out, out_port, out=want)
-            pkey.fill(_KEY_MAX)
-            np.copyto(pkey, h_key, where=want)
-            np.argmin(pkey, axis=1, out=col)
-            rows = np.flatnonzero(pkey[net._node_ids, col] != _KEY_MAX)
-            if rows.size == 0:
-                continue
-            in_ports = col[rows]
-            if out_port == eject_port:
-                meta, birth = net.buffers.pop(rows, in_ports)
-                net.stats.buffer_reads += rows.size
-                net.account_ejections(cycle, rows, meta, cycle - birth)
-                net.trace_ejections(cycle, rows, meta)
-                ejected = net.make_ejected(rows, meta)
-                continue
-            # Credit check: downstream input buffer must have space for
-            # everything already there plus flits still on the wire; the
-            # link itself must also be healthy this cycle.
-            down = neighbor[rows, out_port].astype(np.int64)
-            down_port = reverse[rows, out_port].astype(np.int64)
-            space = (
-                net.buffers.count[down, down_port]
-                + net.reserved[down, down_port]
-                < self.buffer_capacity
+        # --- Pass 2: the credit walk over link winners -------------------
+        at = node[:links] * p + group[:links] // n  # (router, output port)
+        down = net._target_flat.reshape(-1)[at]  # ring column, reserved id
+        # A faulted link grants nothing (XY has no other path).
+        grant = net.link_up.reshape(-1)[at]
+        t_down = (None if net.fault_model is None
+                  else net.fault_model.transient_down(cycle))
+        if t_down is not None:
+            blocked = t_down.reshape(-1)[at]
+            # Chaos-quiescing links still carry their last hop (as in the
+            # deflection engine), or a drain deadlocks on its quiesce.
+            quiescing = net.fault_model.quiescing
+            if quiescing.any():
+                blocked &= ~(quiescing.reshape(-1)[at]
+                             & (h_dest.reshape(-1)[fifo[:links]] == down // p))
+            grant &= ~blocked
+        room = cap - reserved[down]
+        down_fifo = down + down // p  # the downstream FIFO's flat id
+        # The same-cycle credit rule: a port sees the pops granted at
+        # lower ports, not those of its own winners.
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo < hi:
+                moves = grant[lo:hi]
+                moves &= count[down_fifo[lo:hi]] < room[lo:hi]
+                count[fifo[lo:hi][moves]] -= 1
+
+        # --- Pass 3: one batched send, then ejection and injection ------
+        sent = fifo[:links][grant]
+        rows, down = node[:links][grant], down[grant]
+        meta = h_meta.reshape(-1)[sent] + HOP_ONE
+        if net.congested_nodes.any():
+            meta[net.congested_nodes[rows]] |= CBIT_MASK
+        # Each directed link feeds one downstream (node, input port), so
+        # these writes and the credit increment never collide.
+        slot = (net.send_slot if net._uniform_latency else
+                net.link_send_slot(net._lat_out.reshape(-1)[at[grant]]))
+        flat = slot * net._ring_meta.shape[1] + down
+        net._ring_meta.reshape(-1)[flat] = meta
+        net._ring_birth.reshape(-1)[flat] = h_birth.reshape(-1)[sent]
+        reserved[down] += 1
+        stats.flit_hops += sent.size
+        if net.tracer is not None:
+            net.tracer.record(
+                EV_HOP, cycle, rows, meta_src(meta), meta_dest(meta),
+                meta_kind(meta), meta_seq(meta), meta_hops(meta),
             )
-            space &= link_ok[rows, out_port]
-            if t_down is not None:
-                blocked = t_down[rows, out_port]
-                if quiesce is not None:
-                    blocked = blocked & ~(
-                        quiesce[rows, out_port]
-                        & (h_dest[rows, in_ports] == down)
-                    )
-                space &= ~blocked
-            rows, in_ports = rows[space], in_ports[space]
-            down, down_port = down[space], down_port[space]
-            if rows.size == 0:
-                continue
-            meta, birth = net.buffers.pop(rows, in_ports)
-            net.stats.buffer_reads += rows.size
-            meta = meta + HOP_ONE
-            if mark:
-                meta[net.congested_nodes[rows]] |= CBIT_MASK
-            idx = down * p + down_port
-            # Distinct directed links per (down, down_port) pair, so the
-            # fancy-index writes and the credit increment never collide.
-            slot = net.link_send_slot(net._lat_out[rows, out_port])
-            net._ring_meta[slot, idx] = meta
-            net._ring_birth[slot, idx] = birth
-            net.reserved[down, down_port] += 1
-            net.stats.flit_hops += rows.size
-            if net.tracer is not None:
-                net.tracer.record(
-                    EV_HOP, cycle, rows, meta_src(meta), meta_dest(meta),
-                    meta_kind(meta), meta_seq(meta), meta_hops(meta),
-                )
-
-        # --- Injection through the NI input buffer -----------------------
-        ni_space = net.buffers.count[:, p] < self.buffer_capacity
-        net.injection_stage(cycle, ni_space, self._place)
+        home = fifo[links:]
+        count[home] -= 1
+        popped = np.concatenate((sent, home))
+        head[popped] = (head[popped] + 1) % cap
+        stats.buffer_reads += popped.size
+        ejected = EjectedFlits.empty()
+        if home.size:
+            rows, meta = node[links:], h_meta.reshape(-1)[home]
+            net.account_ejections(
+                cycle, rows, meta, cycle - h_birth.reshape(-1)[home]
+            )
+            net.trace_ejections(cycle, rows, meta)
+            ejected = net.make_ejected(rows, meta)
+        net.injection_stage(cycle, net.buffers.count[:, p] < cap, self._place)
         return ejected
 
     # ------------------------------------------------------------------
@@ -803,7 +791,8 @@ class CreditFlowControl(FlowControl):
                 EV_INJECT, cycle, nodes, nodes, dest, kind, seq, 0
             )
         net.buffers.push(
-            nodes, net.num_ports, pack_meta(dest, nodes, kind, seq), cycle
+            nodes * (net.num_ports + 1) + net.num_ports,
+            pack_meta(dest, nodes, kind, seq), cycle,
         )
         net.stats.buffer_writes += nodes.size
         net.stats.injected_flits += nodes.size
@@ -862,7 +851,7 @@ class HybridFlowControl(DeflectFlowControl):
         if nodes.size:
             at = nodes * net.num_ports + np.argmax(empty[nodes], axis=1)
             meta.reshape(-1)[at], birth.reshape(-1)[at] = (
-                net.side_buffers.pop(nodes, 0)
+                net.side_buffers.pop(nodes)
             )
             net.stats.buffer_reads += nodes.size
         np.less(count, self.side_buffer_capacity, out=self._can_capture)
@@ -874,7 +863,7 @@ class HybridFlowControl(DeflectFlowControl):
         if not np.count_nonzero(held):
             return None
         rows = rows[held]
-        net.side_buffers.push(rows, 0, meta[held], birth[held])
+        net.side_buffers.push(rows, meta[held], birth[held])
         net.stats.buffer_writes += rows.size
         return ~held
 
@@ -1167,6 +1156,15 @@ class RouterEngine:
         """Per-flit arbitration keys written into scratch *out*; the
         smallest key wins a conflict."""
         return self._arb.keys_into(self, birth, meta, out, scratch)
+
+    def first_port(self, nodes, dest):
+        """The port :meth:`route_bits` ranks first for flits at *nodes*
+        bound for *dest*, without building the second (-1: none)."""
+        if self._fault_table is not None:
+            return lowbit(self._fault_table.take(nodes * self.num_nodes + dest))
+        if self._p0_flat is not None:
+            return self._p0_flat[nodes * self.num_nodes + dest]
+        return self.topology.productive_ports(nodes, dest)[0]
 
     def route_bits(self, nodes, dest):
         """Productive-port masks ``(b0, b1)`` of flits at *nodes* bound

@@ -9,7 +9,15 @@ import pytest
 from repro import SimulationConfig, Simulator, make_category_workload
 from repro.native import native_available
 from repro.network import CreditFlowControl, RouterEngine
-from repro.network.flit import FLIT_REPLY
+from repro.network.flit import FLIT_REPLY, pack_meta
+from repro.topology.mesh import EAST, NORTH, SOUTH
+
+BACKENDS = [
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not native_available(), reason="no C compiler for the native backend"
+    )),
+]
 
 
 class TestSinglePacket:
@@ -128,6 +136,41 @@ class TestBuffering:
             return net.stats.avg_latency
 
         assert run(0.9) > run(0.05) * 1.5
+
+
+class TestSameCycleCredit:
+    """A grant in the credit walk sees the pops of lower-numbered output
+    ports in the same cycle, not those of its own port or higher ones."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("drain_port, waits", [
+        (NORTH, False), (EAST, True), (SOUTH, True),
+    ], ids=["lower-port", "same-port", "higher-port"])
+    def test_sender_into_a_full_fifo(self, backend, drain_port, waits):
+        workload = make_category_workload("H", 16, np.random.default_rng(1))
+        sim = Simulator(SimulationConfig(
+            workload, seed=1, network="buffered", buffer_capacity=1,
+            backend=backend,
+        ))
+        net, p = sim.network, sim.network.num_ports
+        neighbor, reverse = net.topology.neighbor, net.topology.reverse_port
+        # Router a sends east into b's 1-flit FIFO from a, which is full
+        # with a flit leaving b through drain_port toward an empty FIFO.
+        a = 5
+        b, b_in = int(neighbor[a, EAST]), int(reverse[a, EAST])
+        dest = [neighbor[b, drain_port], neighbor[b, EAST]]
+        net.buffers.push(
+            np.array([b * (p + 1) + b_in, a * (p + 1) + p]),
+            pack_meta(dest, [b, a], 0), np.zeros(2, np.int64),
+        )
+        step = sim.pipeline.phase("network").fn
+        step(1)
+        assert net.buffers.count[b, b_in] == 0  # b drained either way
+        assert net.buffers.count[a, p] == int(waits)
+        assert net.reserved[b, b_in] == int(not waits)
+        step(2)
+        assert net.buffers.count[a, p] == 0
+        assert net.reserved[b, b_in] == 1
 
 
 class TestInjection:

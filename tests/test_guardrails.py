@@ -20,7 +20,12 @@ from repro import (
     make_category_workload,
 )
 from repro.native import native_available
-from repro.network import CreditFlowControl, DeflectFlowControl, RouterEngine
+from repro.network import (
+    CreditFlowControl,
+    DeflectFlowControl,
+    HybridFlowControl,
+    RouterEngine,
+)
 from repro.network.base import EjectedFlits
 from repro.network.flit import pack_meta
 from repro.topology.mesh import EAST, NORTH, WEST
@@ -147,6 +152,23 @@ class TestInvariantChecker:
         net.buffers.count[3, 0] = 5
         with pytest.raises(InvariantViolation, match="queue_bounds"):
             checker.after_step(0, _ejected([]))
+
+    @pytest.mark.parametrize("bank, field, value", [
+        ("buffers", "head", 4), ("buffers", "head", -1),
+        ("side_buffers", "count", 5), ("side_buffers", "count", -1),
+        ("side_buffers", "head", 4),
+    ])
+    def test_every_fifo_bank_is_bounded(self, bank, field, value):
+        """Credit input FIFOs and hybrid side buffers, both 4 deep."""
+        flow = (CreditFlowControl(4) if bank == "buffers"
+                else HybridFlowControl(side_buffer_capacity=4))
+        net = RouterEngine(Mesh2D(4), flow)
+        checker = InvariantChecker(net)
+        checker.after_step(0, _ejected([]))  # clean before the corruption
+        getattr(getattr(net, bank), field)[3, 0] = value
+        with pytest.raises(InvariantViolation, match="queue_bounds") as exc:
+            checker.after_step(1, _ejected([]))
+        assert list(exc.value.nodes) == [3]
 
     def test_dest_valid_violation_under_router_faults(self):
         topology = Mesh2D(4)

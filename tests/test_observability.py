@@ -2,6 +2,7 @@
 and the profile driver."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -246,3 +247,21 @@ class TestProfileDriver:
         )
         assert plain > 0 and timed > 0
         assert overhead == pytest.approx((1.0 - timed / plain) * 100.0)
+
+    def test_overhead_check_alternates_the_sides(self):
+        """Plain and timed runs interleave, and which goes first
+        alternates, so a host speed change biases neither side."""
+        order = []
+
+        class Run:
+            def __init__(self, side):
+                self.side = side
+
+            def run(self, cycles):
+                order.append(self.side)
+                time.sleep(0.001)
+
+        _timing_overhead(lambda: Run("plain"), lambda: Run("timed"),
+                         cycles=10, repeats=3)
+        assert order == ["plain",  # warm-up
+                         "plain", "timed", "timed", "plain", "plain", "timed"]
