@@ -601,8 +601,7 @@ def figure_main(argv=None) -> int:
           f"{time.perf_counter() - start:.1f}s, workers {jobs}",
           file=sys.stderr)
     picks = [(r.backend, r.refusal) for r in harness.records if not r.cached]
-    print(f"backend: specs {_split(picks)}; direct runs "
-          f"{_split(harness.direct)}", file=sys.stderr)
+    print(f"backend: specs {_split(picks)}", file=sys.stderr)
     for name, (quantity, paper, measured, _) in failed:
         print(f"FAILED {name}: {quantity} (paper {paper}, measured "
               f"{measured})", file=sys.stderr)

@@ -31,7 +31,7 @@ controller per control domain and reconciles the summaries in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class ControlParams:
     epoch: int = 100_000
     #: IPF ceiling used when averaging (idle nodes report infinite IPF)
     ipf_cap: float = 1.0e6
-
-    def scaled(self, **overrides) -> "ControlParams":
-        """A copy with some fields replaced (for sensitivity sweeps)."""
-        return replace(self, **overrides)
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,13 @@ from typing import Callable, Tuple
 from repro.control.base import NoController
 from repro.control.central import CentralController, ControlParams
 from repro.control.distributed import DistributedController
+from repro.control.fairness import FairCentralController
 from repro.control.hierarchical import (
     COORDINATION_MODES,
     HierarchicalController,
 )
 from repro.control.static_throttle import StaticThrottleController
+from repro.traffic.applications import APPLICATION_CATALOG
 
 __all__ = [
     "RecipeArg",
@@ -32,6 +34,7 @@ __all__ = [
     "CONTROLLERS",
     "CONTROLLER_NAMES",
     "check_recipe",
+    "canonical_recipe",
     "build_controller",
 ]
 
@@ -90,7 +93,23 @@ _ENTRIES = (
     ControllerEntry(
         "central",
         "the paper's Algorithm 1: one global controller and hub (§5)",
-        lambda epoch: CentralController(ControlParams(epoch=epoch)),
+        lambda epoch, alpha, gamma: CentralController(ControlParams(
+            epoch=epoch, alpha_throt=alpha, gamma_throt=gamma
+        )),
+        args=(
+            RecipeArg(
+                "alpha_throt", "alpha_throt",
+                lambda v: _is_number(v) and v > 0,
+                "a number > 0 (Eq 2's alpha)",
+                default=ControlParams.alpha_throt,
+            ),
+            RecipeArg(
+                "gamma_throt", "gamma_throt",
+                lambda v: _is_number(v) and 0 < v <= 1,
+                "a number in (0, 1] (Eq 2's rate cap)",
+                default=ControlParams.gamma_throt,
+            ),
+        ),
     ),
     ControllerEntry(
         "distributed",
@@ -99,13 +118,21 @@ _ENTRIES = (
     ),
     ControllerEntry(
         "static",
-        "fixed throttle rate on every node (ablation baseline)",
-        lambda epoch, rate: StaticThrottleController(float(rate)),
+        "fixed throttle rate on every node, or on one application's "
+        "nodes (ablation baseline, Fig 5)",
+        lambda epoch, rate, app: StaticThrottleController(float(rate), app),
         args=(
             RecipeArg(
                 "rate", "static_rate",
                 lambda v: _is_number(v) and 0.0 <= v < 1.0,
                 "a number in [0, 1)",
+            ),
+            RecipeArg(
+                "app", "static_app",
+                lambda v: v is None or isinstance(v, str)
+                and v in APPLICATION_CATALOG,
+                "None or an application of APPLICATION_CATALOG",
+                default=None,
             ),
         ),
     ),
@@ -129,6 +156,13 @@ _ENTRIES = (
                 f"one of {COORDINATION_MODES}",
                 default=COORDINATION_MODES[0],
             ),
+        ),
+    ),
+    ControllerEntry(
+        "fair",
+        "Algorithm 1 plus a slowdown cap of 2.5 (§7 fairness extension)",
+        lambda epoch: FairCentralController(
+            ControlParams(epoch=epoch), max_slowdown=2.5
         ),
     ),
 )
@@ -165,6 +199,15 @@ def check_recipe(recipe: tuple) -> tuple:
             )
     defaults = tuple(arg.default for arg in entry.args[len(given):])
     return entry, given + defaults
+
+
+def canonical_recipe(recipe: tuple) -> tuple:
+    """*recipe* checked, with trailing arguments equal to their defaults
+    dropped: one spelling per controller, so one cache key per run."""
+    entry, args = check_recipe(recipe)
+    while args and args[-1] == entry.args[len(args) - 1].default:
+        args = args[:-1]
+    return (entry.name, *args)
 
 
 def build_controller(recipe: tuple, *, epoch: int):

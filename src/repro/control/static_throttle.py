@@ -19,21 +19,34 @@ __all__ = ["StaticThrottleController"]
 
 
 class StaticThrottleController(Controller):
-    """Throttle a fixed set of nodes at a fixed rate.
+    """Throttle the nodes running one application at a fixed rate.
 
     Parameters
     ----------
     rate:
         Fraction of injection attempts blocked, in [0, 1).
-    nodes:
-        Node indices to throttle; ``None`` throttles every node.
+    app:
+        Application whose nodes are throttled (resolved against the
+        workload at :meth:`attach`); ``None`` throttles every node.
     """
 
-    def __init__(self, rate: float, nodes: Optional[np.ndarray] = None):
+    def __init__(self, rate: float, app: Optional[str] = None):
         if not 0.0 <= rate < 1.0:
             raise ValueError("static throttle rate must be in [0, 1)")
         self.rate = rate
-        self.nodes = None if nodes is None else np.asarray(nodes, dtype=np.int64)
+        self.app = app
+        self.nodes = None
+
+    def attach(self, network, config) -> None:
+        super().attach(network, config)
+        if self.app is not None:
+            names = config.workload.app_names
+            self.nodes = np.flatnonzero([name == self.app for name in names])
+            if self.nodes.size == 0:
+                raise ValueError(
+                    f"static throttle targets {self.app!r}, which the "
+                    f"workload does not run"
+                )
 
     def on_epoch(self, view: EpochView) -> np.ndarray:
         rates = np.zeros(view.active.shape[0])
@@ -44,5 +57,5 @@ class StaticThrottleController(Controller):
         return rates
 
     def describe(self) -> str:
-        target = "all" if self.nodes is None else f"{self.nodes.size} nodes"
-        return f"StaticThrottleController(rate={self.rate}, nodes={target})"
+        target = "all" if self.app is None else self.app
+        return f"StaticThrottleController(rate={self.rate}, app={target})"

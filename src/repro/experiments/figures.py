@@ -14,12 +14,7 @@ An entry (:class:`Figure`) declares, once, what EXPERIMENTS.md and
   ``(headers, rows)`` pair or ``None``.
 
 A report fails if and only if one of its claim rows does not hold.
-:data:`FIGURES` is in EXPERIMENTS.md order.  Fig 5, §6.4 and §7 need a
-node-masked static throttle, custom ``ControlParams``, a
-``HotspotLocality`` or a ``FairCentralController``, live objects that
-no controller recipe or ``JobSpec`` names, so they build their
-simulators here (:func:`_simulate`) instead of going through the
-harness.  Both take the backend :func:`repro.native.pick` chooses.
+:data:`FIGURES` is in EXPERIMENTS.md order.
 """
 
 from __future__ import annotations
@@ -30,14 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.control import (
-    CentralController,
-    ControlParams,
-    FairCentralController,
-    NoController,
-    StaticThrottleController,
-    mechanism_hardware_cost,
-)
+from repro.control import mechanism_hardware_cost
 from repro.experiments.sweeps import (
     Harness,
     alone_ipc,
@@ -52,16 +40,13 @@ from repro.experiments.tables import format_table, paper_vs_measured
 from repro.guardrails import FaultConfig
 from repro.harness import JobSpec
 from repro.metrics import max_slowdown, weighted_speedup
-from repro.native import pick
 from repro.network import DeflectFlowControl, RouterEngine
 from repro.rng import child_rng
-from repro.sim.simulator import Simulator
 from repro.topology import Mesh2D
 from repro.traffic.applications import (
     APPLICATION_CATALOG,
     ApplicationBehaviorArray,
 )
-from repro.traffic.hotspot import HotspotLocality
 from repro.traffic.workloads import (
     make_checkerboard_workload,
     make_homogeneous_workload,
@@ -110,13 +95,6 @@ def select(names: Sequence[str]) -> List[Figure]:
             f"unknown figure {', '.join(unknown)} (known: {', '.join(known)})"
         )
     return [f for f in FIGURES if not names or f.name in names]
-
-
-def _simulate(harness: Harness, config: SimulationConfig, cycles: int):
-    """One run of live objects no spec names, on the backend ``pick`` chooses."""
-    backend, why = pick(config)
-    harness.direct.append((backend, why))
-    return Simulator(config.with_(backend=backend)).run(cycles)
 
 
 # ----------------------------------------------------------------------
@@ -332,19 +310,17 @@ def _selective(scale, harness):
     wl = make_checkerboard_workload("mcf", "gromacs", 4)
     mcf = np.array([i for i, a in enumerate(wl.app_names) if a == "mcf"])
     gro = np.array([i for i, a in enumerate(wl.app_names) if a == "gromacs"])
-    cycles = scaled_cycles(12_000, scale)
-
-    def throttled(controller):
-        config = SimulationConfig(
-            wl, epoch=1500, seed=3, phase_sigma=0.2, controller=controller
-        )
-        res = _simulate(harness, config, cycles)
-        return res.system_throughput, res.ipc[mcf].mean(), res.ipc[gro].mean()
-
-    base = throttled(NoController())
-    t_gro = throttled(StaticThrottleController(0.9, gro))
-    t_mcf = throttled(StaticThrottleController(0.9, mcf))
-    return base, t_gro, t_mcf
+    specs = [
+        JobSpec.for_workload(wl, scaled_cycles(12_000, scale), epoch=1500,
+                             seed=3, controller=recipe,
+                             config={"phase_sigma": 0.2})
+        for recipe in (("none",), ("static", 0.9, "gromacs"),
+                       ("static", 0.9, "mcf"))
+    ]
+    return [
+        (res.system_throughput, res.ipc[mcf].mean(), res.ipc[gro].mean())
+        for res in harness.run(specs, "fig5")
+    ]
 
 
 @figure("fig5", "Fig 5 — selective throttling (mcf vs gromacs)", _selective)
@@ -844,32 +820,30 @@ def _sec63(data):
 # ----------------------------------------------------------------------
 # §6.4 - §6.6
 # ----------------------------------------------------------------------
-def _sensitivity(params_for, values):
+def _sensitivity(setting, values):
     """§6.4: per value, the summed throughput of three congested 4x4
-    workloads under the paper's controller with ``params_for(value)``."""
+    workloads under the paper's controller; ``setting(value)`` is the
+    ``(central recipe, epoch)`` pair that value stands for."""
     def run(scale, harness):
         workloads = make_workload_batch(
             3, 16, child_rng(31, "sensitivity"), categories=["H", "HM", "HM"]
         )
         cycles = scaled_cycles(5000, scale)
-        rows = []
-        for value in values:
-            params = params_for(value)
-            total = 0.0
-            for i, wl in enumerate(workloads):
-                config = SimulationConfig(
-                    wl, seed=40 + i, epoch=params.epoch,
-                    controller=CentralController(params),
-                )
-                total += _simulate(harness, config, cycles).system_throughput
-            rows.append((value, total))
-        return rows
+        specs = [
+            JobSpec.for_workload(wl, cycles, seed=40 + i, epoch=epoch,
+                                 controller=recipe)
+            for recipe, epoch in map(setting, values)
+            for i, wl in enumerate(workloads)
+        ]
+        tput = [r.system_throughput for r in harness.run(specs, "sec64")]
+        k = len(workloads)
+        return [(value, sum(tput[j * k:(j + 1) * k]))
+                for j, value in enumerate(values)]
     return run
 
 
 @figure("sec64_alpha", "§6.4 — alpha_throt sensitivity", _sensitivity(
-    lambda alpha: ControlParams(epoch=1000).scaled(alpha_throt=alpha),
-    (0.3, 0.9, 2.0),
+    lambda alpha: (("central", alpha), 1000), (0.3, 0.9, 2.0),
 ))
 def _sec64_alpha(rows):
     by_alpha = dict(rows)
@@ -884,8 +858,7 @@ def _sec64_alpha(rows):
 
 
 @figure("sec64_gamma", "§6.4 — gamma_throt sensitivity", _sensitivity(
-    lambda gamma: ControlParams(epoch=1000).scaled(gamma_throt=gamma),
-    (0.5, 0.75, 0.95),
+    lambda gamma: (("central", 0.9, gamma), 1000), (0.5, 0.75, 0.95),
 ))
 def _sec64_gamma(rows):
     by_gamma = dict(rows)
@@ -900,7 +873,7 @@ def _sec64_gamma(rows):
 
 
 @figure("sec64_epoch", "§6.4 — epoch sensitivity", _sensitivity(
-    lambda epoch: ControlParams(epoch=epoch), (500, 1000, 20_000),
+    lambda epoch: (("central",), epoch), (500, 1000, 20_000),
 ))
 def _sec64_epoch(rows):
     by_epoch = dict(rows)
@@ -990,24 +963,18 @@ def _hotspot(scale, harness):
     and throttled."""
     wl = make_workload_batch(1, 64, child_rng(70, "hotspot"),
                              categories=["H"])[0]
-    cycles = scaled_cycles(6000, scale)
-    traffic = {
-        "spread": dict(locality="exponential", locality_param=1.0),
-        "hotspot": dict(locality=HotspotLocality(
-            Mesh2D(8), hot_nodes=[27, 36], hot_fraction=0.35,
-            background_mean_distance=1.0,
-        )),
-    }
-    out = {}
-    for kind, locality in traffic.items():
-        for mode, controller in (
-            ("baseline", NoController()),
-            ("throttled", CentralController(ControlParams(epoch=1000))),
-        ):
-            config = SimulationConfig(wl, seed=7, epoch=1000,
-                                      controller=controller, **locality)
-            out[kind, mode] = _simulate(harness, config, cycles)
-    return out
+    traffic = {"spread": ("exponential", 1.0), "hotspot": ("hotspot", 0.35)}
+    modes = {"baseline": ("none",), "throttled": ("central",)}
+    keys = [(kind, mode) for kind in traffic for mode in modes]
+    specs = [
+        JobSpec.for_workload(
+            wl, scaled_cycles(6000, scale), seed=7, epoch=1000,
+            locality=traffic[kind][0], locality_param=traffic[kind][1],
+            controller=modes[mode],
+        )
+        for kind, mode in keys
+    ]
+    return dict(zip(keys, harness.run(specs, "sec7-hotspot")))
 
 
 @figure("sec7_hotspot", "§7 ext. — hot-spot traffic", _hotspot)
@@ -1043,24 +1010,20 @@ def _fairness(scale, harness):
     cycles = scaled_cycles(6000, scale)
     alones = alone_ipc(workloads, cycles=scaled_cycles(2000, scale),
                        harness=harness)
-    rows = []
-    for i, (wl, alone) in enumerate(zip(workloads, alones)):
-        paper, fair = (
-            _simulate(harness, SimulationConfig(
-                wl, seed=30 + i, epoch=1000, controller=controller), cycles)
-            for controller in (
-                CentralController(ControlParams(epoch=1000)),
-                FairCentralController(ControlParams(epoch=1000),
-                                      max_slowdown=2.5),
-            )
-        )
-        rows.append((
-            wl.category, paper.system_throughput, fair.system_throughput,
-            max_slowdown(paper.ipc, alone), max_slowdown(fair.ipc, alone),
-            weighted_speedup(paper.ipc, alone),
-            weighted_speedup(fair.ipc, alone),
-        ))
-    return rows
+    specs = [
+        JobSpec.for_workload(wl, cycles, seed=30 + i, epoch=1000,
+                             controller=recipe)
+        for i, wl in enumerate(workloads)
+        for recipe in (("central",), ("fair",))
+    ]
+    results = harness.run(specs, "sec7-fairness")
+    return [
+        (wl.category, paper.system_throughput, fair.system_throughput,
+         max_slowdown(paper.ipc, alone), max_slowdown(fair.ipc, alone),
+         weighted_speedup(paper.ipc, alone), weighted_speedup(fair.ipc, alone))
+        for wl, alone, paper, fair in zip(workloads, alones, results[::2],
+                                          results[1::2])
+    ]
 
 
 @figure("sec7_fairness", "§7 ext. — fairness controller", _fairness)

@@ -57,8 +57,7 @@ class Harness:
     shares: the same ``jobs``/``cache``/``progress`` for each batch, and
     each distinct spec (by content hash) executed at most once however
     many batches ask for it.  Counts what it was asked for and what ran,
-    keeps run_jobs' ``records``, and a caller's own runs' ``(backend,
-    refusal)`` in ``direct``."""
+    and keeps run_jobs' ``records``."""
 
     def __init__(self, jobs: Optional[int] = None, cache=None,
                  progress=False):
@@ -66,7 +65,6 @@ class Harness:
         self._results: Dict[str, Optional[SimulationResult]] = {}
         self.requested = self.cache_hits = self.executed = 0
         self.records: List[JobRecord] = []
-        self.direct: List[Tuple[str, Optional[str]]] = []
 
     @property
     def distinct(self) -> int:

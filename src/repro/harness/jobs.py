@@ -17,7 +17,7 @@ properties the sweep engine needs:
    worker process is bit-identical to executing it inline.
 
 Controllers are described declaratively (``("central",)``,
-``("static", 0.9)``, ``("none",)`` — the recipe forms of
+``("static", 0.9, "mcf")``, ``("none",)`` — the recipe forms of
 :data:`repro.control.registry.CONTROLLERS`) and instantiated inside the
 worker, because controller objects hold mutable per-run state that must
 never be shared across jobs; chaos campaigns and static fault sets
@@ -42,7 +42,7 @@ from typing import Optional, Tuple
 
 from repro.chaos.schedule import ChaosConfig
 from repro.config import SimulationConfig
-from repro.control.registry import build_controller, check_recipe
+from repro.control.registry import build_controller, canonical_recipe
 from repro.guardrails.faults import FaultConfig
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
@@ -75,7 +75,8 @@ class JobSpec:
     epoch: int = 1000
     #: controller recipe ``(name, *args)``; names, argument forms and
     #: their checks are the registry's (``--list-controllers`` prints
-    #: them), trailing arguments with defaults may be left off
+    #: them); trailing arguments equal to their defaults are dropped, so
+    #: one run has one spelling and one cache key
     controller: Tuple = ("none",)
     network: str = "bless"
     topology: str = "mesh"
@@ -98,7 +99,9 @@ class JobSpec:
             raise TypeError(
                 f"controller must be a non-empty tuple, got {self.controller!r}"
             )
-        check_recipe(self.controller)
+        object.__setattr__(
+            self, "controller", canonical_recipe(self.controller)
+        )
         config = []
         for name, value in self.config:
             if name == "faults" and isinstance(value, FaultConfig):
@@ -116,7 +119,6 @@ class JobSpec:
         # of the order the caller assembled the kwargs in.
         object.__setattr__(self, "config", tuple(sorted(config)))
         object.__setattr__(self, "app_names", tuple(self.app_names))
-        object.__setattr__(self, "controller", tuple(self.controller))
 
     @classmethod
     def for_workload(cls, workload: Workload, cycles: int, **kw) -> "JobSpec":

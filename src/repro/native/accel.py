@@ -240,8 +240,8 @@ def unsupported(config) -> Optional[str]:
         return "the invariant checker needs reference-side state"
     if locality not in _LOC_CODES:  # a pre-built sampler object included
         name = repr(locality) if isinstance(locality, str) else type(locality).__name__
-        return (f"locality {name} is not drawn in C; name one of "
-                f"LOCALITY_MODELS ({', '.join(_LOC_CODES)})")
+        return (f"locality {name} is not drawn in C (of LOCALITY_MODELS "
+                f"only {'/'.join(_LOC_CODES)} are)")
     # Closed-form grids route by coordinates in C, graphs by the tables.
     if (config.topology not in ("mesh", "torus")
             and config.num_nodes > engine._ROUTE_TABLE_MAX_NODES):

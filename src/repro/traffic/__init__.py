@@ -14,9 +14,9 @@ from repro.traffic.workloads import (
     make_homogeneous_workload,
     make_workload_batch,
 )
-from repro.traffic.hotspot import HotspotLocality
 from repro.traffic.locality import (
     ExponentialLocality,
+    HotspotLocality,
     PowerLawLocality,
     UniformStriping,
 )

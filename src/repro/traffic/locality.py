@@ -13,6 +13,12 @@ Three destination mappers:
 - :class:`PowerLawLocality` — the paper's alternative heavy-tailed model
   ("we also performed experiments with a power-law distribution of
   traffic distance, which behaved similarly").
+- :class:`HotspotLocality` — §7's "Traffic Engineering" pattern:
+  multi-threaded applications have "heavily local/regional
+  communication patterns, which can create 'hot-spots' of high
+  utilization in the network".  A fraction of every node's requests
+  targets a small hot set (a shared lock/home node, a memory
+  controller, an accelerator), the rest follows exponential locality.
 
 All samplers are vectorized: given an array of miss sources they return
 an array of destinations.
@@ -20,12 +26,15 @@ an array of destinations.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = [
     "UniformStriping",
     "ExponentialLocality",
     "PowerLawLocality",
+    "HotspotLocality",
     "LOCALITY_MODELS",
     "LOCALITY_NAMES",
 ]
@@ -183,6 +192,83 @@ class PowerLawLocality(_DistanceLocality):
         return f"PowerLawLocality(alpha={self.alpha})"
 
 
+class HotspotLocality:
+    """Mix of hot-node traffic and exponential background locality.
+
+    Parameters
+    ----------
+    topology:
+        The mesh/torus the destinations live on.
+    hot_nodes:
+        Node ids receiving the concentrated traffic.
+    hot_fraction:
+        Probability that a request targets a hot node.
+    background_mean_distance:
+        Mean hop distance of the non-hot-spot traffic.
+    """
+
+    def __init__(
+        self,
+        topology,
+        hot_nodes: Sequence[int],
+        hot_fraction: float = 0.3,
+        background_mean_distance: float = 1.0,
+    ):
+        if not 0.0 < hot_fraction <= 1.0:
+            raise ValueError("hot fraction must be in (0, 1]")
+        hot = np.asarray(hot_nodes, dtype=np.int64)
+        if hot.size == 0:
+            raise ValueError("need at least one hot node")
+        if np.any((hot < 0) | (hot >= topology.num_nodes)):
+            raise ValueError("hot node id out of range")
+        self.topology = topology
+        self.hot_nodes = hot
+        self.hot_fraction = hot_fraction
+        self._background = ExponentialLocality(
+            topology, mean_distance=background_mean_distance
+        )
+
+    def sample(self, src: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        src = np.asarray(src, dtype=np.int64)
+        dest = self._background.sample(src, rng)
+        to_hot = rng.random(src.size) < self.hot_fraction
+        if to_hot.any():
+            picks = self.hot_nodes[
+                rng.integers(0, self.hot_nodes.size, size=int(to_hot.sum()))
+            ]
+            dest[to_hot] = picks
+            # a hot node's own hot-directed traffic goes to another hot
+            # node, or stays background if it is the only one
+            self_hit = to_hot & (dest == src)
+            if self_hit.any() and self.hot_nodes.size > 1:
+                idx = np.flatnonzero(self_hit)
+                for i in idx:
+                    others = self.hot_nodes[self.hot_nodes != src[i]]
+                    dest[i] = others[rng.integers(0, others.size)]
+            elif self_hit.any():
+                dest[self_hit] = self._background.sample(src[self_hit], rng)
+        return dest
+
+    def __repr__(self) -> str:
+        return (
+            f"HotspotLocality(hot={self.hot_nodes.tolist()}, "
+            f"fraction={self.hot_fraction})"
+        )
+
+
+def _central_hotspots(topology, hot_fraction: float) -> HotspotLocality:
+    """§7's hot set on a 2D grid: the two centre nodes on the diagonal
+    (27 and 36 on 8x8), hit with probability *hot_fraction*."""
+    if not getattr(topology, "grid2d", False):
+        raise ValueError(
+            f"hotspot locality needs a 2D grid topology (mesh or torus), "
+            f"got {topology!r}"
+        )
+    w, h = topology.width, topology.height
+    hot = [topology.node_at(w // 2 - 1, h // 2 - 1), topology.central_node()]
+    return HotspotLocality(topology, hot, hot_fraction=hot_fraction)
+
+
 #: name -> sampler(topology, locality_param) for every model a string
 #: ``SimulationConfig.locality`` may select; the config check, the
 #: simulator and the CLI ``--locality`` choices all read this table.
@@ -194,6 +280,7 @@ LOCALITY_MODELS = {
     "powerlaw": lambda topology, param: PowerLawLocality(
         topology, alpha=param
     ),
+    "hotspot": _central_hotspots,
 }
 
 LOCALITY_NAMES = tuple(LOCALITY_MODELS)

@@ -94,9 +94,12 @@ class TestRegistryListing:
         assert main(["run", "--list-controllers"]) == 0
         out = capsys.readouterr().out
         for name in ("none", "central", "distributed", "static",
-                     "hierarchical"):
+                     "hierarchical", "fair"):
             assert name in out
         assert '("hierarchical", domains, mode)' in out
+        assert '("static", rate, app)' in out
+        assert '("central", alpha_throt, gamma_throt)' in out
+        assert '("fair",)' in out
         assert "system throughput" not in out  # listing, not a run
 
     def test_list_topologies(self, capsys):

@@ -17,7 +17,7 @@ from repro.control import (
 from repro.network import DeflectFlowControl, RouterEngine
 from repro.network.flit import CBIT_MASK, FLIT_REQUEST, pack_meta
 from repro.sim.simulator import Simulator
-from repro.traffic.workloads import make_homogeneous_workload
+from repro.traffic.workloads import Workload, make_homogeneous_workload
 from repro import Mesh2D
 
 
@@ -50,12 +50,6 @@ class TestCentralFormulas:
         assert (p.alpha_starve, p.beta_starve, p.gamma_starve) == (0.40, 0.0, 0.70)
         assert (p.alpha_throt, p.beta_throt, p.gamma_throt) == (0.90, 0.20, 0.75)
         assert p.epoch == 100_000
-
-    def test_scaled_override(self):
-        p = ControlParams().scaled(alpha_throt=0.5, epoch=1000)
-        assert p.alpha_throt == 0.5
-        assert p.epoch == 1000
-        assert p.alpha_starve == 0.40  # untouched
 
 
 class TestCentralDecisions:
@@ -131,9 +125,12 @@ class TestStaticController:
         np.testing.assert_allclose(rates, [0.5, 0.5])
 
     def test_targeted_nodes(self):
-        ctrl = StaticThrottleController(0.9, nodes=np.array([1]))
-        rates = ctrl.on_epoch(view([1.0, 2.0, 3.0], [0, 0, 0]))
-        np.testing.assert_allclose(rates, [0.0, 0.9, 0.0])
+        """``app`` resolves to the nodes running it when attached."""
+        ctrl = StaticThrottleController(0.9, app="gromacs")
+        config = SimulationConfig(Workload(("mcf", "gromacs", "mcf", None)))
+        ctrl.attach(object(), config)
+        rates = ctrl.on_epoch(view([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 0]))
+        np.testing.assert_allclose(rates, [0.0, 0.9, 0.0, 0.0])
 
     def test_rejects_invalid_rate(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 Fast: only the analytic reports run for real (Table 1's IPF processes,
 Table 2, §6.5); where a test needs simulations it plants small entries
-in place of the registry.
+in place of the registry.  One slow test runs four simulated reports at
+``--scale 0.01`` on both backends.
 """
 
 import pathlib
@@ -16,7 +17,7 @@ from repro.experiments import figures
 from repro.experiments.sweeps import Harness
 from repro.guardrails.errors import LivelockError, SimulationTimeout
 from repro.harness import JobSpec, executor
-from repro.native import native_available
+from repro.native import accel, native_available
 from repro.traffic.workloads import make_homogeneous_workload
 
 EXPERIMENTS = pathlib.Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
@@ -171,3 +172,19 @@ def test_the_registry_is_imported_on_the_figure_path_only():
     code = ("import sys, repro, repro.harness, repro.__main__; "
             "sys.exit('repro.experiments.figures' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+def test_moved_reports_read_the_same_on_numpy(monkeypatch, capsys):
+    """Fig 5, §6.4 and §7 run specs on the backend ``pick`` chooses;
+    refusing native everywhere must not change a byte of their text."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    argv = ("fig5", "sec64_alpha", "sec7_hotspot", "sec7_fairness",
+            "--scale", "0.01", "--jobs", "1")
+    _, picked, err = figure_cli(capsys, *argv)
+    assert "backend: specs 0 native" not in err
+    monkeypatch.setattr(accel, "unsupported", lambda config: "forced")
+    _, forced, err = figure_cli(capsys, *argv)
+    assert forced == picked
+    assert "backend: specs 0 native, " in err

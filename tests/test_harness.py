@@ -122,11 +122,12 @@ class TestJobSpec:
             small_spec(controller="central")
 
     def test_hierarchical_recipe_validation(self):
-        # Every legal arity is accepted...
+        # Every legal arity is accepted (a trailing default is dropped)...
         for recipe in (("hierarchical",), ("hierarchical", 4),
-                       ("hierarchical", 0, "local"),
-                       ("hierarchical", 16, "global")):
+                       ("hierarchical", 0, "local")):
             assert small_spec(controller=recipe).controller == recipe
+        spelled = small_spec(controller=("hierarchical", 16, "global"))
+        assert spelled.controller == ("hierarchical", 16)
         # ...and malformed domains/modes are rejected eagerly.
         with pytest.raises(ValueError, match="domain count"):
             small_spec(controller=("hierarchical", -1))

@@ -22,7 +22,7 @@ from repro.network import (
 )
 from repro.rng import child_rng
 from repro.sim.simulator import Simulator
-from repro.traffic.hotspot import HotspotLocality
+from repro.traffic.locality import HotspotLocality
 from repro.traffic.workloads import make_category_workload
 
 
@@ -134,7 +134,6 @@ def _hotspot_result(network: str):
         network=network,
         locality=HotspotLocality(
             topology, hot_nodes=(27, 36), hot_fraction=0.3,
-            seed_rng=child_rng(9, "hybrid-hs"),
         ),
         check_invariants=True,
     )

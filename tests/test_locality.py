@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro import Mesh2D, Torus2D
+from repro.topology.zoo import graph_mesh2d
 from repro.traffic.locality import (
+    LOCALITY_MODELS,
     ExponentialLocality,
     PowerLawLocality,
     UniformStriping,
@@ -116,6 +118,25 @@ class TestPowerLawLocality:
         topo = Mesh2D(32)
         d, _, _ = sample_distances(PowerLawLocality(topo, alpha=2.5), topo)
         assert (d <= 3).mean() > 0.8
+
+
+class TestHotspotEntry:
+    """``locality="hotspot"``: §7's hot set, ``locality_param`` its share."""
+
+    def test_hot_set_is_the_two_centre_nodes(self, mesh8):
+        loc = LOCALITY_MODELS["hotspot"](mesh8, 0.35)
+        assert loc.hot_nodes.tolist() == [27, 36]
+        assert loc.hot_fraction == 0.35
+        torus = LOCALITY_MODELS["hotspot"](Torus2D(4), 0.5)
+        assert torus.hot_nodes.tolist() == [5, 10]
+
+    def test_a_topology_without_a_2d_grid_is_a_named_error(self):
+        with pytest.raises(ValueError, match="hotspot locality needs a 2D"):
+            LOCALITY_MODELS["hotspot"](graph_mesh2d(8, 8), 0.35)
+
+    def test_hot_fraction_is_checked(self, mesh8):
+        with pytest.raises(ValueError, match="hot fraction"):
+            LOCALITY_MODELS["hotspot"](mesh8, 1.5)
 
 
 class TestRepr:

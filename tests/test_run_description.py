@@ -57,6 +57,7 @@ CONTROLLER_CASES = {
         ["--controller-domains", "4", "--controller-mode", "local"],
         ("hierarchical", 4, "local"),
     ),
+    "fair": ([], ("fair",)),
 }
 
 
@@ -89,7 +90,7 @@ class TestControllerRegistry:
         assert from_spec.describe() == from_cli.describe()
 
     @pytest.mark.parametrize(
-        "name", ["none", "central", "distributed", "hierarchical"]
+        "name", ["none", "central", "distributed", "hierarchical", "fair"]
     )
     def test_flag_defaults_match_recipe_defaults(self, name):
         from_cli = cli_controller(
@@ -107,18 +108,48 @@ class TestControllerRegistry:
             assert spec(controller=recipe).controller == recipe
 
     @pytest.mark.parametrize("recipe, form", [
-        (("static",), '("static", rate)'),
-        (("static", 1.7), '("static", rate)'),
-        (("static", True), '("static", rate)'),
-        (("central", 7), '("central",)'),
+        (("static",), '("static", rate, app)'),
+        (("static", 1.7), '("static", rate, app)'),
+        (("static", True), '("static", rate, app)'),
+        (("static", 0.9, "quake"), '("static", rate, app)'),
+        (("central", "x"), '("central", alpha_throt, gamma_throt)'),
+        (("central", 0), '("central", alpha_throt, gamma_throt)'),
+        (("central", -0.5), '("central", alpha_throt, gamma_throt)'),
+        (("central", 0.9, 0.0), '("central", alpha_throt, gamma_throt)'),
+        (("central", 0.9, 1.5), '("central", alpha_throt, gamma_throt)'),
+        (("central", 0.9, 0.75, 1), '("central", alpha_throt, gamma_throt)'),
+        (("fair", 2.5), '("fair",)'),
         (("none", "x"), '("none",)'),
     ])
     def test_malformed_recipes_rejected_at_construction(self, recipe, form):
-        """Used to surface as IndexError/ValueError inside the worker —
-        or, for ("central", 7), as a second cache key for the same run."""
+        """Used to surface as IndexError/ValueError inside the worker:
+        an unknown app, alpha <= 0, gamma outside (0, 1], an argument
+        the scheme does not take."""
         with pytest.raises(ValueError) as raised:
             spec(controller=recipe)
         assert form in str(raised.value)
+
+    @pytest.mark.parametrize("spelled, canonical", [
+        (("central", 0.9, 0.75), ("central",)),
+        (("central", 0.9), ("central",)),
+        (("central", 0.3, 0.75), ("central", 0.3)),
+        (("central", 0.9, 0.5), ("central", 0.9, 0.5)),
+        (("hierarchical", 0, "global"), ("hierarchical",)),
+        (("hierarchical", 4, "global"), ("hierarchical", 4)),
+        (("static", 0.9, None), ("static", 0.9)),
+    ])
+    def test_one_run_one_key(self, spelled, canonical):
+        """Trailing arguments equal to their defaults are dropped, so a
+        run spelled with and without them is one cache entry."""
+        assert spec(controller=spelled).controller == canonical
+        assert (spec(controller=spelled).content_hash()
+                == spec(controller=canonical).content_hash())
+
+    def test_static_app_the_workload_does_not_run_fails_at_build(self):
+        """The app is checked against the catalog at construction and
+        against the workload (all mcf here) when built, before a cycle."""
+        with pytest.raises(ValueError, match="'gromacs', which the work"):
+            build(spec(controller=("static", 0.9, "gromacs")))
 
 
 # ----------------------------------------------------------------------
@@ -583,9 +614,8 @@ DEMO = pathlib.Path(__file__).resolve().parents[1] / "examples" / "chaos_demo.js
 
 def test_one_simulator_construction_site_outside_sim():
     """``harness/jobs.build`` is the only ``Simulator(...)`` call under
-    ``src/repro`` outside ``repro.sim`` (docstrings are not calls), but
-    for the figure registry's ``_simulate``: Fig 5, §6.4 and §7 hold a
-    live controller or locality object that no recipe names."""
+    ``src/repro`` outside ``repro.sim`` (docstrings are not calls): every
+    figure report, Fig 5, §6.4 and §7 included, runs specs."""
     sites = []
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC)
@@ -597,7 +627,7 @@ def test_one_simulator_construction_site_outside_sim():
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name == "Simulator":
                 sites.append(relative.as_posix())
-    assert sites == ["experiments/figures.py", "harness/jobs.py"]
+    assert sites == ["harness/jobs.py"]
 
 
 #: argv samples for run, chaos and profile; each must describe its run
