@@ -82,7 +82,8 @@ class CoreArray:
         n = self.num_nodes
         self.retired = np.zeros(n, dtype=np.float64)
         self.misses_issued = np.zeros(n, dtype=np.int64)
-        # Per-miss bookkeeping, indexed by miss number mod SEQ_RING.
+        # Per-miss bookkeeping, indexed by miss number mod SEQ_RING and
+        # read through flat views: a miss's slot is node * SEQ_RING + seq.
         self._issue_pos = np.zeros((n, SEQ_RING), dtype=np.float64)
         self._recv = np.zeros((n, SEQ_RING), dtype=np.int16)
         self._complete = np.zeros((n, SEQ_RING), dtype=bool)
@@ -90,7 +91,7 @@ class CoreArray:
         self._completed = np.zeros(n, dtype=np.int64)  # packets finished
         self._head = np.zeros(n, dtype=np.int64)  # oldest incomplete miss
         self._head_dirty = False
-        self._node_ids = np.arange(n, dtype=np.int64)
+        self._ring_base = np.arange(n, dtype=np.int64) * SEQ_RING
 
         gaps = np.full(n, np.inf)
         act = np.flatnonzero(self.active)
@@ -114,10 +115,9 @@ class CoreArray:
         # Advance past completed packets at the window head (bounded
         # sweep; anything left continues next cycle).
         if self._head_dirty:
+            complete = self._complete.reshape(-1)
             for _ in range(4):
-                can = (self._head < self._issued) & self._complete[
-                    self._node_ids, self._head % SEQ_RING
-                ]
+                can = (self._head < self._issued) & complete[self._head_slot()]
                 if not can.any():
                     self._head_dirty = False
                     break
@@ -125,17 +125,18 @@ class CoreArray:
 
         outstanding = self.outstanding
         has_inflight = self._head < self._issued
-        head_pos = self._issue_pos[self._node_ids, self._head % SEQ_RING]
+        head_pos = self._issue_pos.reshape(-1)[self._head_slot()]
         # Instructions the window still admits past the oldest miss.
         window_room = np.where(
             has_inflight, head_pos + self.window_size - self.retired, np.inf
         )
         mshr_full = outstanding >= self.mshr_limit
         backpressure = self.network.request_backpressure()
-        stalled = mshr_full | backpressure | (window_room <= 0)
-        run = self.active & ~stalled
-        self.stall_cycles += self.active & stalled
-        self.window_stall_cycles += self.active & (window_room <= 0)
+        window_full = window_room <= 0
+        stalled = self.active & (mshr_full | backpressure | window_full)
+        run = self.active ^ stalled
+        self.stall_cycles += stalled
+        self.window_stall_cycles += self.active & window_full
 
         adv = np.where(
             run,
@@ -155,6 +156,10 @@ class CoreArray:
             return
         self._issue_misses(nodes, cycle)
 
+    def _head_slot(self) -> np.ndarray:
+        """Flat ring slot of every core's oldest incomplete miss."""
+        return self._ring_base + (self._head & (SEQ_RING - 1))
+
     def _issue_misses(self, nodes: np.ndarray, cycle: int) -> None:
         """Issue one L1-miss request per node in *nodes*.
 
@@ -164,16 +169,18 @@ class CoreArray:
         pure-numpy path).
         """
         dest = self.locality.sample(nodes, self.rng)
-        seq = (self._issued[nodes] % SEQ_RING).astype(np.int64)
+        issued = self._issued[nodes]
+        seq = issued & (SEQ_RING - 1)
         ok = self.network.enqueue_requests(
             nodes, dest, self.request_flits, cycle=cycle, seq=seq
         )
-        accepted = nodes[ok]
-        seq = seq[ok]
-        self._issue_pos[accepted, seq] = self.retired[accepted]
-        self._recv[accepted, seq] = 0
-        self._complete[accepted, seq] = False
-        self._issued[accepted] += 1
+        accepted, issued, seq = (nodes, issued, seq) if ok.all() else (
+            nodes[ok], issued[ok], seq[ok])
+        slot = accepted * SEQ_RING + seq
+        self._issue_pos.reshape(-1)[slot] = self.retired[accepted]
+        self._recv.reshape(-1)[slot] = 0
+        self._complete.reshape(-1)[slot] = False
+        self._issued[accepted] = issued + 1
         self.misses_issued[accepted] += 1
         self.epoch_flits[accepted] += self.request_flits + self.reply_flits
         self._insns_until_miss[accepted] = self.behavior.sample_gap(
@@ -191,20 +198,23 @@ class CoreArray:
         """
         if nodes.size == 0:
             return
-        np.add.at(self._recv, (nodes, seqs), 1)
-        key = nodes * SEQ_RING + seqs
-        uniq = np.unique(key)
-        u_nodes, u_seqs = uniq // SEQ_RING, uniq % SEQ_RING
-        finished = (self._recv[u_nodes, u_seqs] >= self.reply_flits) & ~self._complete[
-            u_nodes, u_seqs
-        ]
-        done_nodes = u_nodes[finished]
-        self._complete[done_nodes, u_seqs[finished]] = True
+        slot = nodes * SEQ_RING + seqs
+        recv = self._recv.reshape(-1)
+        complete = self._complete.reshape(-1)
+        np.add.at(recv, slot, 1)
+        done = slot[(recv[slot] >= self.reply_flits) & ~complete[slot]]
+        if done.size == 0:
+            return
+        if done.size > 1:
+            # Two flits of one packet can finish it in the same cycle:
+            # count each packet once.
+            done.sort(kind="stable")
+            done = done[np.concatenate(([True], done[1:] != done[:-1]))]
+        complete[done] = True
         # A node can finish several packets in one cycle (eject width > 1),
         # so the increment must accumulate over duplicate indices.
-        np.add.at(self._completed, done_nodes, 1)
-        if done_nodes.size:
-            self._head_dirty = True
+        np.add.at(self._completed, done // SEQ_RING, 1)
+        self._head_dirty = True
 
     # ------------------------------------------------------------------
     # Chaos fail-stop interface

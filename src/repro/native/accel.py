@@ -7,9 +7,10 @@ pointer table and drives the one compiled entry point, ``noc_span``:
 span for one cycle — what a hook, a timer or a replaced ``Phase.fn``
 sees.  Either way every RNG draw is made in C on the simulator's own
 generators; nothing here draws.  The kernels mutate the *same* arrays
-Python owns, so every live view (queues, buffers, per-node stats arrays,
-core state, ``network.cbit_seen``) stays coherent without copies; only
-Python-scalar statistics need a mirror flush.
+Python owns, so every live view (NI queues, buffers, per-node stats
+arrays, core state, the L2 service ring and pending list,
+``network.cbit_seen``) stays coherent without copies; only Python
+scalars need a mirror flush.
 
 This module owns the Python<->C ABI.  The four tables below name every
 pointer-table, ``cfg``, ``fcfg`` and ``ctr`` slot exactly once, and
@@ -34,6 +35,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.cpu.memory import PENDING_OVERFLOW, RING_OVERFLOW
 from repro.network import flit
 from repro.network.base import NetworkStats
 from repro.network import engine
@@ -64,8 +66,8 @@ _LOC_CODES = {"uniform": 0, "exponential": 1, "powerlaw": 2}
 
 #: ``ctr[CTR_ERROR]`` codes, 1-based in this order (0 means no error).
 _ERRORS = {
-    "MEM_RING_OVERFLOW": "memory service ring overflow",
-    "PENDING_OVERFLOW": "pending-reply scratch overflow",
+    "MEM_RING_OVERFLOW": RING_OVERFLOW,
+    "PENDING_OVERFLOW": PENDING_OVERFLOW,
     "TOO_MANY_PORTS":
         f"too many router ports for the native backend (max {_MAX_PORTS})",
 }
@@ -82,18 +84,14 @@ _PT = {
     "P0TAB": "_p0tab", "P1TAB": "_p1tab",
     "COORD_X": "_coord_x", "COORD_Y": "_coord_y",
     "CONGESTED": "_net.congested_nodes", "CBIT_SEEN": "_net.cbit_seen",
-    "REQ_DEST": "_net.request_queue.dest",
-    "REQ_KIND": "_net.request_queue.kind",
+    "REQ_META": "_net.request_queue.meta",
     "REQ_FLITS": "_net.request_queue.flits",
     "REQ_STAMP": "_net.request_queue.stamp",
-    "REQ_SEQ": "_net.request_queue.seq",
     "REQ_HEAD": "_net.request_queue.head",
     "REQ_COUNT": "_net.request_queue.count",
-    "RESP_DEST": "_net.response_queue.dest",
-    "RESP_KIND": "_net.response_queue.kind",
+    "RESP_META": "_net.response_queue.meta",
     "RESP_FLITS": "_net.response_queue.flits",
     "RESP_STAMP": "_net.response_queue.stamp",
-    "RESP_SEQ": "_net.response_queue.seq",
     "RESP_HEAD": "_net.response_queue.head",
     "RESP_COUNT": "_net.response_queue.count",
     "THR_COUNTER": "_net.throttle.counter", "THR_RATE": "_net.throttle.rate",
@@ -109,8 +107,7 @@ _PT = {
     "BUF_META": "_buf_meta", "BUF_BIRTH": "_buf_birth",
     "BUF_HEAD": "_buf_head", "BUF_COUNT": "_buf_count",
     "RESERVED": "_reserved",
-    "EJ_NODE": "_ej_node", "EJ_SRC": "_ej_src", "EJ_KIND": "_ej_kind",
-    "EJ_SEQ": "_ej_seq",
+    "EJ_NODE": "_ej_node", "EJ_META": "_ej_meta",
     "CO_ACTIVE": "_cores.active", "CO_RETIRED": "_cores.retired",
     "CO_ISSUE_POS": "_cores._issue_pos", "CO_RECV": "_cores._recv",
     "CO_COMPLETE": "_cores._complete", "CO_ISSUED": "_cores._issued",
@@ -122,11 +119,12 @@ _PT = {
     "CO_MISSES": "_cores.misses_issued",
     "CO_EPOCH_FLITS": "_cores.epoch_flits",
     "MISS_OUT": "_miss_out", "ISSUE_DEST": "_issue_dest",
-    "VISITED": "_visited",
-    "MEM_SRV": "_mem_srv", "MEM_REQ": "_mem_req", "MEM_SEQ": "_mem_seq",
-    "MEM_CNT": "_mem_cnt",
-    "PEND_S": "_pend_s", "PEND_R": "_pend_r", "PEND_Q": "_pend_q",
-    "SCR_S": "_scr_s", "SCR_R": "_scr_r", "SCR_Q": "_scr_q",
+    "MEM_SRV": "_memory.ring_server", "MEM_REPLY": "_memory.ring_reply",
+    "MEM_CNT": "_memory.ring_count",
+    "PEND_SRV": "_memory.pending_server",
+    "PEND_REPLY": "_memory.pending_reply",
+    "SEEN": "_seen", "FIRST_SRV": "_first_srv",
+    "FIRST_REPLY": "_first_reply",
     "FCFG": "_fcfg",
     "RNG_PHASES": "_sim._rng_phase", "RNG_DEST": "_cores.rng",
     "RNG_ARB": "_net._rng",
@@ -149,7 +147,8 @@ _CFG = {
     "WINDOW": "_cores.window_size", "MSHR": "_cores.mshr_limit",
     "REQ_FLITS": "_cores.request_flits",
     "REPLY_FLITS": "_cores.reply_flits", "L2_LAT": "_memory.l2_latency",
-    "EJ_CAP": "_ej_cap", "PEND_CAP": "_pend_cap", "BUF_CAP": "_buf_cap",
+    "EJ_CAP": "_memory.slot_capacity",
+    "PEND_CAP": "_memory.pending_capacity", "BUF_CAP": "_buf_cap",
     "BUFFERED": "_buffered",
     "GRID2D": "_grid2d", "WIDTH": "_width", "HEIGHT": "_height",
     "WRAPS": "_wraps",
@@ -181,8 +180,8 @@ _CTR = {
     "INJLAT_CNT": "_net.injection_latency_count",
     "HEAD_DIRTY": "_cores._head_dirty", "MEM_CURSOR": "_memory._cursor",
     "REQ_SERVICED": "_memory.requests_serviced",
-    "REP_ISSUED": "_memory.replies_issued",
-    "MISS_CNT": None, "ACCEPTED": None, "PEND_CNT": None,
+    "REP_ISSUED": "_memory.replies_issued", "PEND_CNT": "_memory._pending",
+    "MISS_CNT": None, "ACCEPTED": None,
     "EJ_COUNT": None, "ERROR": None, "SPAN": None, "PHASES": None,
 }
 
@@ -277,9 +276,6 @@ class NativeAccel:
         self._arb = _ARB_CODES[net.arbitration]
 
         self._eject_width = net.eject_width if not self._buffered else 1
-        ej_cap = self._ej_cap = n * self._eject_width
-        pend_cap = self._pend_cap = n * cores.mshr_limit + ej_cap + 8
-        l2 = memory.l2_latency
 
         i64, u8 = np.int64, np.bool_
 
@@ -305,29 +301,19 @@ class NativeAccel:
         self._h_out = alloc((n, p + 1), i64)
         self._w_down = alloc(n, i64)
 
-        # Ejection batch: network phase to ejection phase.
-        self._ej_node = alloc(ej_cap, i64)
-        self._ej_src = alloc(ej_cap, i64)
-        self._ej_kind = alloc(ej_cap, i64)
-        self._ej_seq = alloc(ej_cap, i64)
+        # Ejection batch (network phase to ejection phase), as wide as
+        # a memory service slot: what one cycle can eject.
+        self._ej_node = alloc(memory.slot_capacity, i64)
+        self._ej_meta = alloc(memory.slot_capacity, i64)
 
-        # Core-phase miss output + (node, seq)-dedup scratch.
+        # Core-phase miss output, and the memory phase's per-server
+        # first occurrences.  The L2 ring and pending list are the
+        # MemorySystem's own arrays.
         self._miss_out = alloc(n, i64)
         self._issue_dest = alloc(n, i64)
-        self._visited = alloc(max(n * flit.SEQ_RING, 1), np.uint8)
-
-        # Memory system state lives entirely on the C side (the Python
-        # MemorySystem ring holds object tuples, which C cannot share).
-        self._mem_srv = alloc((l2, ej_cap), i64)
-        self._mem_req = alloc((l2, ej_cap), i64)
-        self._mem_seq = alloc((l2, ej_cap), i64)
-        self._mem_cnt = alloc(l2, i64)
-        self._pend_s = alloc(pend_cap, i64)
-        self._pend_r = alloc(pend_cap, i64)
-        self._pend_q = alloc(pend_cap, i64)
-        self._scr_s = alloc(2 * pend_cap, i64)
-        self._scr_r = alloc(2 * pend_cap, i64)
-        self._scr_q = alloc(2 * pend_cap, i64)
+        self._seen = alloc(n, np.uint8)
+        self._first_srv = alloc(n, i64)
+        self._first_reply = alloc(n, i64)
 
         if self._buffered:
             buf = net.buffers

@@ -72,7 +72,7 @@ static int check_abi(const i64 *cfg, i64 *ctr)
  * handed a congestion bit (RouterEngine.cbit_seen), and the latency
  * statistics, tallied in registers and folded into ctr[] once per call. */
 typedef struct {
-    i64 *node, *src, *kind, *seq, *hist;
+    i64 *node, *meta, *hist;
     unsigned char *seen;
     i64 flits, lat_sum, lat_max, hops_sum;
 } Ejection;
@@ -80,8 +80,7 @@ typedef struct {
 static inline Ejection ejection_begin(void **pt, const i64 *ctr)
 {
     Ejection ej = {
-        (i64 *)pt[PT_EJ_NODE], (i64 *)pt[PT_EJ_SRC], (i64 *)pt[PT_EJ_KIND],
-        (i64 *)pt[PT_EJ_SEQ], (i64 *)pt[PT_LAT_HIST],
+        (i64 *)pt[PT_EJ_NODE], (i64 *)pt[PT_EJ_META], (i64 *)pt[PT_LAT_HIST],
         (unsigned char *)pt[PT_CBIT_SEEN], 0, 0, ctr[CTR_LAT_MAX], 0,
     };
     return ej;
@@ -92,9 +91,7 @@ static inline void eject_flit(Ejection *ej, i64 k, i64 node, i64 meta,
                               i64 lat)
 {
     ej->node[k] = node;
-    ej->src[k] = (meta >> SRC_SHIFT) & NODE_MASK;
-    ej->kind[k] = (meta >> KIND_SHIFT) & KIND_MASK;
-    ej->seq[k] = (meta >> SEQ_SHIFT) & SEQ_MASK;
+    ej->meta[k] = meta;
     if (meta & CBIT)
         ej->seen[node] = 1;
     ej->flits += 1;
@@ -192,15 +189,51 @@ static inline int output_port(const Routes *rt, i64 node, i64 dest,
     return __builtin_ctzll(free);
 }
 
-/* One NI queue (repro.network.queues.FlitQueueArray). */
+/* One NI queue (repro.network.queues.FlitQueueArray): per node a ring
+ * of `qcap` packet entries, each the packet's packed meta word
+ * (destination, kind and seq; the source is ORed in at injection), the
+ * flits it has left to inject and its enqueue cycle. */
 typedef struct {
-    const int32_t *dest;
-    const int8_t *kind;
+    i64 *meta;
     int16_t *flits;
-    const i64 *stamp;
-    const int16_t *seq;
+    i64 *stamp;
     int32_t *head, *count;
 } Queue;
+
+static inline Queue request_queue(void **pt)
+{
+    Queue q = {
+        (i64 *)pt[PT_REQ_META], (int16_t *)pt[PT_REQ_FLITS],
+        (i64 *)pt[PT_REQ_STAMP], (int32_t *)pt[PT_REQ_HEAD],
+        (int32_t *)pt[PT_REQ_COUNT],
+    };
+    return q;
+}
+
+static inline Queue response_queue(void **pt)
+{
+    Queue q = {
+        (i64 *)pt[PT_RESP_META], (int16_t *)pt[PT_RESP_FLITS],
+        (i64 *)pt[PT_RESP_STAMP], (int32_t *)pt[PT_RESP_HEAD],
+        (int32_t *)pt[PT_RESP_COUNT],
+    };
+    return q;
+}
+
+/* Append one packet at `node` (push); 0 when its queue is full. */
+static inline int queue_push(const Queue *q, i64 qcap, i64 node, i64 meta,
+                             i64 flits, i64 stamp)
+{
+    if (q->count[node] >= qcap)
+        return 0;
+    i64 slot = q->head[node] + q->count[node];
+    i64 idx = node * qcap + (slot >= qcap ? slot - qcap : slot);
+    q->meta[idx] = meta;
+    q->flits[idx] = (int16_t)flits;
+    q->stamp[idx] = stamp;
+    q->count[node] += 1;
+    return 1;
+}
 
 /* Take one flit from the head entry at `node` (take_flit): its meta
  * word without source or hops, and the entry's enqueue stamp. */
@@ -208,15 +241,13 @@ static inline i64 queue_take(const Queue *q, i64 qcap, i64 node, i64 *stamp)
 {
     i64 h = q->head[node];
     i64 idx = node * qcap + h;
-    i64 meta = (i64)q->dest[idx] | ((i64)q->kind[idx] << KIND_SHIFT)
-               | ((i64)q->seq[idx] << SEQ_SHIFT);
     *stamp = q->stamp[idx];
     q->flits[idx] -= 1;
     if (q->flits[idx] == 0) {
         q->head[node] = (int32_t)(h + 1 == qcap ? 0 : h + 1);
         q->count[node] -= 1;
     }
-    return meta;
+    return q->meta[idx];
 }
 
 /* Network-interface state both flow controls admit flits through. */
@@ -235,14 +266,7 @@ typedef struct {
 static inline NI ni_begin_cycle(void **pt, const i64 *cfg, i64 *ctr)
 {
     NI ni = {
-        {(const int32_t *)pt[PT_RESP_DEST], (const int8_t *)pt[PT_RESP_KIND],
-         (int16_t *)pt[PT_RESP_FLITS], (const i64 *)pt[PT_RESP_STAMP],
-         (const int16_t *)pt[PT_RESP_SEQ], (int32_t *)pt[PT_RESP_HEAD],
-         (int32_t *)pt[PT_RESP_COUNT]},
-        {(const int32_t *)pt[PT_REQ_DEST], (const int8_t *)pt[PT_REQ_KIND],
-         (int16_t *)pt[PT_REQ_FLITS], (const i64 *)pt[PT_REQ_STAMP],
-         (const int16_t *)pt[PT_REQ_SEQ], (int32_t *)pt[PT_REQ_HEAD],
-         (int32_t *)pt[PT_REQ_COUNT]},
+        response_queue(pt), request_queue(pt),
         cfg[CFG_QCAP], cfg[CFG_SW], ctr[CTR_SPOS],
         (int32_t *)pt[PT_THR_COUNTER], (const double *)pt[PT_THR_RATE],
         (unsigned char *)pt[PT_STARV_RING], (int32_t *)pt[PT_STARV_SUM],
@@ -416,9 +440,7 @@ static void bless_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     for (i64 round = 1; round < eject_w; round++) {
         i64 from = round * n, count = ejected[round];
         memmove(ej.node + total, ej.node + from, (size_t)count * sizeof(i64));
-        memmove(ej.src + total, ej.src + from, (size_t)count * sizeof(i64));
-        memmove(ej.kind + total, ej.kind + from, (size_t)count * sizeof(i64));
-        memmove(ej.seq + total, ej.seq + from, (size_t)count * sizeof(i64));
+        memmove(ej.meta + total, ej.meta + from, (size_t)count * sizeof(i64));
         total += count;
     }
     ejection_end(&ej, ctr, total);
@@ -693,13 +715,7 @@ static void issue_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     i64 req_flits = cfg[CFG_REQ_FLITS];
     i64 *nodes = (i64 *)pt[PT_MISS_OUT];
     const i64 *dest = (const i64 *)pt[PT_ISSUE_DEST];
-    int32_t *req_dest = (int32_t *)pt[PT_REQ_DEST];
-    int8_t *req_kind = (int8_t *)pt[PT_REQ_KIND];
-    int16_t *req_flit = (int16_t *)pt[PT_REQ_FLITS];
-    i64 *req_stamp = (i64 *)pt[PT_REQ_STAMP];
-    int16_t *req_seq = (int16_t *)pt[PT_REQ_SEQ];
-    int32_t *req_head = (int32_t *)pt[PT_REQ_HEAD];
-    int32_t *req_count = (int32_t *)pt[PT_REQ_COUNT];
+    const Queue req = request_queue(pt);
     double *issue_pos = (double *)pt[PT_CO_ISSUE_POS];
     int16_t *recv = (int16_t *)pt[PT_CO_RECV];
     unsigned char *complete = (unsigned char *)pt[PT_CO_COMPLETE];
@@ -711,17 +727,11 @@ static void issue_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     i64 m = 0;
     for (i64 i = 0; i < k; i++) {
         i64 node = nodes[i];
-        if (req_count[node] >= qcap)
-            continue;  /* rejected: gap stays 0, backpressure stalls */
         i64 seq = issued[node] % SEQ_RING;
-        i64 slot = (req_head[node] + req_count[node]) % qcap;
-        i64 idx = node * qcap + slot;
-        req_dest[idx] = (int32_t)dest[i];
-        req_kind[idx] = KIND_REQUEST;
-        req_flit[idx] = (int16_t)req_flits;
-        req_stamp[idx] = cycle;
-        req_seq[idx] = (int16_t)seq;
-        req_count[node] += 1;
+        i64 meta = dest[i] | ((i64)KIND_REQUEST << KIND_SHIFT)
+                   | (seq << SEQ_SHIFT);
+        if (!queue_push(&req, qcap, node, meta, req_flits, cycle))
+            continue;  /* rejected: gap stays 0, backpressure stalls */
         i64 ring = node * SEQ_RING + seq;
         issue_pos[ring] = retired[node];
         recv[ring] = 0;
@@ -737,93 +747,88 @@ static void issue_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 /* ------------------------------------------------------------------ */
 /* Memory phase (MemorySystem.step)                                    */
 /* ------------------------------------------------------------------ */
+/* The pending list, then the due slot, in order.  The first occurrence
+ * of each server attempts its reply (one per server per cycle) and is
+ * remembered in PT_FIRST_*, its reply word cleared to -1 once queued;
+ * later occurrences compact in place at the front of the pending list
+ * (the write index never passes the read index).  The new list is the
+ * attempts that found a full queue, then the later occurrences. */
 static void memory_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
     i64 L = cfg[CFG_L2_LAT], cap = cfg[CFG_EJ_CAP], pcap = cfg[CFG_PEND_CAP];
-    i64 qcap = cfg[CFG_QCAP];
-    i64 *mem_srv = (i64 *)pt[PT_MEM_SRV];
-    i64 *mem_req = (i64 *)pt[PT_MEM_REQ];
-    i64 *mem_seq = (i64 *)pt[PT_MEM_SEQ];
+    i64 qcap = cfg[CFG_QCAP], reply_flits = cfg[CFG_REPLY_FLITS];
+    const i64 *mem_srv = (const i64 *)pt[PT_MEM_SRV];
+    const i64 *mem_reply = (const i64 *)pt[PT_MEM_REPLY];
     i64 *mem_cnt = (i64 *)pt[PT_MEM_CNT];
-    i64 *pend_s = (i64 *)pt[PT_PEND_S];
-    i64 *pend_r = (i64 *)pt[PT_PEND_R];
-    i64 *pend_q = (i64 *)pt[PT_PEND_Q];
-    i64 *scr_s = (i64 *)pt[PT_SCR_S];
-    i64 *scr_r = (i64 *)pt[PT_SCR_R];
-    i64 *scr_q = (i64 *)pt[PT_SCR_Q];
-    unsigned char *seen = (unsigned char *)pt[PT_VISITED];
-    int32_t *resp_dest = (int32_t *)pt[PT_RESP_DEST];
-    int8_t *resp_kind = (int8_t *)pt[PT_RESP_KIND];
-    int16_t *resp_flits = (int16_t *)pt[PT_RESP_FLITS];
-    i64 *resp_stamp = (i64 *)pt[PT_RESP_STAMP];
-    int16_t *resp_seq = (int16_t *)pt[PT_RESP_SEQ];
-    int32_t *resp_head = (int32_t *)pt[PT_RESP_HEAD];
-    int32_t *resp_count = (int32_t *)pt[PT_RESP_COUNT];
+    i64 *pend_srv = (i64 *)pt[PT_PEND_SRV];
+    i64 *pend_reply = (i64 *)pt[PT_PEND_REPLY];
+    i64 *first_srv = (i64 *)pt[PT_FIRST_SRV];
+    i64 *first_reply = (i64 *)pt[PT_FIRST_REPLY];
+    unsigned char *seen = (unsigned char *)pt[PT_SEEN];
+    const Queue resp = response_queue(pt);
 
     i64 mcur = ctr[CTR_MEM_CURSOR];
-    i64 due_cnt = mem_cnt[mcur];
-    i64 due_base = mcur * cap;
+    i64 due = mem_cnt[mcur];
+    const i64 *due_srv = mem_srv + mcur * cap;
+    const i64 *due_reply = mem_reply + mcur * cap;
     i64 pend = ctr[CTR_PEND_CNT];
     mem_cnt[mcur] = 0;
     ctr[CTR_MEM_CURSOR] = (mcur + 1) % L;
-    if (due_cnt == 0 && pend == 0)
+    if (due == 0 && pend == 0)
         return;
-    i64 total = pend + due_cnt;
 
-    /* Combined order: retries first, then the due batch.  One reply per
-     * server per cycle: the first occurrence attempts the enqueue;
-     * failures then leftovers (in order) become the new retry list. */
-    i64 nf = 0, nl = 0;
-    for (i64 i = 0; i < total; i++) {
-        i64 s, r, q;
-        if (i < pend) {
-            s = pend_s[i]; r = pend_r[i]; q = pend_q[i];
-        } else {
-            s = mem_srv[due_base + i - pend];
-            r = mem_req[due_base + i - pend];
-            q = mem_seq[due_base + i - pend];
-        }
+    i64 nfirst = 0, nl = 0;
+    for (i64 i = 0; i < pend + due; i++) {
+        i64 s = i < pend ? pend_srv[i] : due_srv[i - pend];
+        i64 w = i < pend ? pend_reply[i] : due_reply[i - pend];
         if (!seen[s]) {
             seen[s] = 1;
-            if (resp_count[s] < qcap) {
-                i64 slot = (resp_head[s] + resp_count[s]) % qcap;
-                i64 idx = s * qcap + slot;
-                resp_dest[idx] = (int32_t)r;
-                resp_kind[idx] = KIND_REPLY;
-                resp_flits[idx] = (int16_t)cfg[CFG_REPLY_FLITS];
-                resp_stamp[idx] = cycle;
-                resp_seq[idx] = (int16_t)q;
-                resp_count[s] += 1;
-                ctr[CTR_REP_ISSUED] += 1;
-            } else {
-                scr_s[nf] = s; scr_r[nf] = r; scr_q[nf] = q;
-                nf++;
-            }
+            first_srv[nfirst] = s;
+            first_reply[nfirst++] =
+                queue_push(&resp, qcap, s, w, reply_flits, cycle) ? -1 : w;
+        } else if (nl == pcap) {
+            ctr[CTR_ERROR] = ERR_PENDING_OVERFLOW;
+            return;
         } else {
-            scr_s[pcap + nl] = s; scr_r[pcap + nl] = r; scr_q[pcap + nl] = q;
-            nl++;
+            pend_srv[nl] = s;
+            pend_reply[nl++] = w;
         }
     }
-    for (i64 i = 0; i < total; i++) {
-        i64 s = i < pend ? pend_s[i] : mem_srv[due_base + i - pend];
-        seen[s] = 0;
+    i64 nf = 0;
+    for (i64 j = 0; j < nfirst; j++) {
+        seen[first_srv[j]] = 0;
+        nf += first_reply[j] >= 0;
     }
     if (nf + nl > pcap) {
         ctr[CTR_ERROR] = ERR_PENDING_OVERFLOW;
         return;
     }
-    memcpy(pend_s, scr_s, (size_t)nf * sizeof(i64));
-    memcpy(pend_r, scr_r, (size_t)nf * sizeof(i64));
-    memcpy(pend_q, scr_q, (size_t)nf * sizeof(i64));
-    memcpy(pend_s + nf, scr_s + pcap, (size_t)nl * sizeof(i64));
-    memcpy(pend_r + nf, scr_r + pcap, (size_t)nl * sizeof(i64));
-    memcpy(pend_q + nf, scr_q + pcap, (size_t)nl * sizeof(i64));
+    memmove(pend_srv + nf, pend_srv, (size_t)nl * sizeof(i64));
+    memmove(pend_reply + nf, pend_reply, (size_t)nl * sizeof(i64));
+    for (i64 j = 0, k = 0; j < nfirst; j++) {
+        if (first_reply[j] >= 0) {
+            pend_srv[k] = first_srv[j];
+            pend_reply[k++] = first_reply[j];
+        }
+    }
+    ctr[CTR_REP_ISSUED] += nfirst - nf;
     ctr[CTR_PEND_CNT] = nf + nl;
 }
 
 /* ------------------------------------------------------------------ */
 /* Ejection phase (Simulator._ejection_phase consumers)                */
 /* ------------------------------------------------------------------ */
+static inline i64 kind_of(i64 meta)
+{
+    return (meta >> KIND_SHIFT) & KIND_MASK;
+}
+
+/* A reply's per-miss ring slot at its requester (CoreArray's rings). */
+static inline i64 miss_slot(i64 node, i64 meta)
+{
+    return node * SEQ_RING + ((meta >> SEQ_SHIFT) & SEQ_MASK);
+}
+
 static void eject_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
 {
     (void)cycle;
@@ -831,63 +836,54 @@ static void eject_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     if (k == 0)
         return;
     const i64 *ej_node = (const i64 *)pt[PT_EJ_NODE];
-    const i64 *ej_src = (const i64 *)pt[PT_EJ_SRC];
-    const i64 *ej_kind = (const i64 *)pt[PT_EJ_KIND];
-    const i64 *ej_seq = (const i64 *)pt[PT_EJ_SEQ];
+    const i64 *ej_meta = (const i64 *)pt[PT_EJ_META];
 
     /* Request flits enter L2 service (MemorySystem.on_requests): the
-     * whole cycle's batch lands l2_latency - 1 slots ahead. */
-    i64 L = cfg[CFG_L2_LAT];
+     * whole cycle's batch lands l2_latency - 1 slots ahead, as reply
+     * words (flit.reply_meta: to the request's source, its seq). */
+    i64 L = cfg[CFG_L2_LAT], cap = cfg[CFG_EJ_CAP];
     i64 slot = (ctr[CTR_MEM_CURSOR] + L - 1) % L;
     i64 *mem_cnt = (i64 *)pt[PT_MEM_CNT];
+    i64 *mem_srv = (i64 *)pt[PT_MEM_SRV] + slot * cap;
+    i64 *mem_reply = (i64 *)pt[PT_MEM_REPLY] + slot * cap;
     i64 cnt = mem_cnt[slot];
-    i64 base = slot * cfg[CFG_EJ_CAP];
-    i64 *mem_srv = (i64 *)pt[PT_MEM_SRV];
-    i64 *mem_req = (i64 *)pt[PT_MEM_REQ];
-    i64 *mem_seq = (i64 *)pt[PT_MEM_SEQ];
     for (i64 i = 0; i < k; i++) {
-        if (ej_kind[i] != KIND_REQUEST)
+        i64 meta = ej_meta[i];
+        if (kind_of(meta) != KIND_REQUEST)
             continue;
-        if (cnt >= cfg[CFG_EJ_CAP]) {
+        if (cnt >= cap) {
             ctr[CTR_ERROR] = ERR_MEM_RING_OVERFLOW;
             return;
         }
-        mem_srv[base + cnt] = ej_node[i];
-        mem_req[base + cnt] = ej_src[i];
-        mem_seq[base + cnt] = ej_seq[i];
-        cnt++;
+        mem_srv[cnt] = ej_node[i];
+        mem_reply[cnt++] = ((meta >> SRC_SHIFT) & NODE_MASK)
+                           | (meta & ((i64)SEQ_MASK << SEQ_SHIFT))
+                           | ((i64)KIND_REPLY << KIND_SHIFT);
         ctr[CTR_REQ_SERVICED] += 1;
     }
     mem_cnt[slot] = cnt;
 
     /* Reply flits complete core misses (CoreArray.on_reply_flits):
-     * first accumulate every flit, then resolve each distinct
-     * (node, seq) pair once. */
+     * first accumulate every flit, then finish each packet that has
+     * them all, once. */
     int16_t *recv = (int16_t *)pt[PT_CO_RECV];
     unsigned char *complete = (unsigned char *)pt[PT_CO_COMPLETE];
     i64 *completed = (i64 *)pt[PT_CO_COMPLETED];
-    unsigned char *visited = (unsigned char *)pt[PT_VISITED];
     i64 reply_flits = cfg[CFG_REPLY_FLITS];
     int dirty = 0;
     for (i64 i = 0; i < k; i++)
-        if (ej_kind[i] == KIND_REPLY)
-            recv[ej_node[i] * SEQ_RING + ej_seq[i]] += 1;
+        if (kind_of(ej_meta[i]) == KIND_REPLY)
+            recv[miss_slot(ej_node[i], ej_meta[i])] += 1;
     for (i64 i = 0; i < k; i++) {
-        if (ej_kind[i] != KIND_REPLY)
+        if (kind_of(ej_meta[i]) != KIND_REPLY)
             continue;
-        i64 idx = ej_node[i] * SEQ_RING + ej_seq[i];
-        if (visited[idx])
-            continue;
-        visited[idx] = 1;
+        i64 idx = miss_slot(ej_node[i], ej_meta[i]);
         if (recv[idx] >= reply_flits && !complete[idx]) {
             complete[idx] = 1;
             completed[ej_node[i]] += 1;
             dirty = 1;
         }
     }
-    for (i64 i = 0; i < k; i++)
-        if (ej_kind[i] == KIND_REPLY)
-            visited[ej_node[i] * SEQ_RING + ej_seq[i]] = 0;
     if (dirty)
         ctr[CTR_HEAD_DIRTY] = 1;
 }

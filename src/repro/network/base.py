@@ -11,6 +11,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.network.flit import meta_kind, meta_seq, meta_src
+
 __all__ = ["EjectedFlits", "NetworkStats"]
 
 
@@ -19,14 +21,18 @@ class EjectedFlits:
     """Flits delivered to their destination NI this cycle."""
 
     node: np.ndarray  # destination node (where the flit ejected)
-    src: np.ndarray  # injecting node
-    kind: np.ndarray  # FLIT_REQUEST / FLIT_REPLY / FLIT_CONTROL
-    seq: np.ndarray  # packet sequence tag (miss matching)
+    meta: np.ndarray  # the flit's packed word (repro.network.flit)
+
+    # Read-only views for observers: injecting node, FLIT_REQUEST /
+    # FLIT_REPLY / FLIT_CONTROL, packet sequence tag (miss matching).
+    src = property(lambda self: meta_src(self.meta))
+    kind = property(lambda self: meta_kind(self.meta))
+    seq = property(lambda self: meta_seq(self.meta))
 
     @classmethod
     def empty(cls) -> "EjectedFlits":
         zero = np.zeros(0, dtype=np.int64)
-        return cls(zero, zero, zero, zero)
+        return cls(zero, zero)
 
 
 @dataclass

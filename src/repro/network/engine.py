@@ -55,15 +55,16 @@ from repro.topology.graph import MAX_GRAPH_PORTS
 from repro.observability.tracer import EV_DEFLECT, EV_EJECT, EV_HOP, EV_INJECT
 from repro.network.flit import (
     CBIT_MASK,
-    FLIT_REPLY,
     FLIT_REQUEST,
     HOP_ONE,
+    _KIND_SHIFT,
+    _SEQ_SHIFT,
+    _SRC_SHIFT,
     meta_dest,
     meta_hops,
     meta_kind,
     meta_seq,
     meta_src,
-    pack_meta,
     priority_key_into,
 )
 from repro.network.injection import InjectionThrottleGate, StarvationMeter
@@ -571,23 +572,20 @@ class DeflectFlowControl(FlowControl):
         return ejected
 
     # ------------------------------------------------------------------
-    def _place(self, net, cycle, nodes, dest, kind, seq, stamp):
+    def _place(self, net, cycle, nodes, meta, stamp):
         """Place one new flit per node in *nodes* onto a free link."""
         # Injected flits are routed like any other (they are the
         # youngest flits, so they lost arbitration to every in-flight
         # flit already).
         free = self._avail[nodes]
-        pick = _productive(free, *net.route_bits(nodes, dest))
+        pick = _productive(free, *net.route_bits(nodes, meta_dest(meta)))
         pick = np.where(pick != 0, pick, free)
         grant = pick & -pick
         self._avail[nodes] = free & ~grant
-        if net.tracer is not None:
-            net.tracer.record(
-                EV_INJECT, cycle, nodes, nodes, dest, kind, seq, 0
-            )
+        net.trace_injections(cycle, nodes, meta)
         # The first traversal completes upon arrival at the neighbor.
         at = nodes * net.num_ports + _LOWBIT[grant % 37]
-        net._out_meta.reshape(-1)[at] = pack_meta(dest, nodes, kind, seq) + HOP_ONE
+        net._out_meta.reshape(-1)[at] = meta + HOP_ONE
         net._out_birth.reshape(-1)[at] = cycle
         net.stats.injected_flits += nodes.size
         net.stats.injected_per_node[nodes] += 1
@@ -785,14 +783,10 @@ class CreditFlowControl(FlowControl):
         return ejected
 
     # ------------------------------------------------------------------
-    def _place(self, net, cycle, nodes, dest, kind, seq, stamp):
-        if net.tracer is not None:
-            net.tracer.record(
-                EV_INJECT, cycle, nodes, nodes, dest, kind, seq, 0
-            )
+    def _place(self, net, cycle, nodes, meta, stamp):
+        net.trace_injections(cycle, nodes, meta)
         net.buffers.push(
-            nodes * (net.num_ports + 1) + net.num_ports,
-            pack_meta(dest, nodes, kind, seq), cycle,
+            nodes * (net.num_ports + 1) + net.num_ports, meta, cycle
         )
         net.stats.buffer_writes += nodes.size
         net.stats.injected_flits += nodes.size
@@ -1014,33 +1008,35 @@ class RouterEngine:
     # ------------------------------------------------------------------
     # Producer-side API (used by the core/memory models)
     # ------------------------------------------------------------------
-    def _sanitize_dest(self, dest: np.ndarray) -> np.ndarray:
-        """Re-stripe destinations that target fail-stopped routers.
+    def _sanitize_dest(self, meta: np.ndarray) -> np.ndarray:
+        """Re-stripe packet words addressed to fail-stopped routers.
 
         The shared L2 is interleaved across nodes; when a router
         fail-stops, its slice's traffic moves to the nearest live node so
-        no packet is ever addressed to a router that cannot eject it.
+        no packet is ever addressed to a router that cannot eject it
+        (dest is the low meta bits: the rewrite is additive).
         """
         if self.fault_model is None:
-            return dest
-        return self.fault_model.remap[np.asarray(dest, dtype=np.int64)]
+            return meta
+        dest = meta_dest(meta)
+        return meta + (self.fault_model.remap[dest] - dest)
 
     def enqueue_requests(
         self, nodes: np.ndarray, dest: np.ndarray, flits, cycle: int = 0, seq=0
     ) -> np.ndarray:
         """Queue L1-miss request packets; returns acceptance mask."""
+        # pack_meta(dest, 0, FLIT_REQUEST, seq) without its conversions.
+        meta = (FLIT_REQUEST << _KIND_SHIFT) | dest | (seq << _SEQ_SHIFT)
         return self.request_queue.push(
-            nodes, self._sanitize_dest(dest), FLIT_REQUEST, flits,
-            stamp=cycle, seq=seq,
+            nodes, self._sanitize_dest(meta), flits, cycle
         )
 
     def enqueue_replies(
-        self, nodes: np.ndarray, dest: np.ndarray, flits, cycle: int = 0, seq=0
+        self, nodes: np.ndarray, meta: np.ndarray, flits, cycle: int = 0
     ) -> np.ndarray:
-        """Queue data-reply packets at the serving node (never throttled)."""
+        """Queue reply-word packets at the serving node (never throttled)."""
         return self.response_queue.push(
-            nodes, self._sanitize_dest(dest), FLIT_REPLY, flits,
-            stamp=cycle, seq=seq,
+            nodes, self._sanitize_dest(meta), flits, cycle
         )
 
     def request_backpressure(self) -> np.ndarray:
@@ -1113,9 +1109,9 @@ class RouterEngine:
             self._ring_meta[mask] += new - old
         hits += self.flow.rewrite_dest(self, old, new)
         for queue in (self.request_queue, self.response_queue):
-            stale = queue.dest == old
+            stale = meta_dest(queue.meta) == old
             if stale.any():
-                queue.dest[stale] = new
+                queue.meta[stale] += new - old
         return hits
 
     def router_wire_empty(self, node: int) -> bool:
@@ -1218,37 +1214,48 @@ class RouterEngine:
                 meta_kind(meta), meta_seq(meta), meta_hops(meta),
             )
 
+    def trace_injections(self, cycle, nodes, meta) -> None:
+        if self.tracer is not None:
+            self.tracer.record(
+                EV_INJECT, cycle, nodes, nodes, meta_dest(meta),
+                meta_kind(meta), meta_seq(meta), 0,
+            )
+
     @staticmethod
     def make_ejected(rows, meta) -> EjectedFlits:
-        return EjectedFlits(
-            rows, meta_src(meta), meta_kind(meta), meta_seq(meta)
-        )
+        return EjectedFlits(rows, meta)
 
     def injection_stage(self, cycle, capacity, place) -> None:
         """NI admission shared by all flow controls.
 
         Responses inject first (they are never throttled, §3.2), then
         requests pass the Algorithm-3 throttle gate; ``place(net, cycle,
-        nodes, dest, kind, seq, stamp)`` places one flit per node in
-        *nodes* (responses first), the flow-specific part.  Every node
-        that wanted to inject but could not counts as starved.
+        nodes, meta, stamp)`` places one flit per node in *nodes*
+        (responses first; *meta* with the source set, zero hops), the
+        flow-specific part.  Every node that wanted to inject but could
+        not counts as starved.
         """
         resp_has = self.response_queue.nonempty
         req_has = self.request_queue.nonempty
         wanted = resp_has | req_has
         inject_resp = resp_has & capacity
         trying_req = req_has & capacity & ~inject_resp
-        inject_req = trying_req & self.throttle.decide(trying_req)
-        flits = [
-            (nodes, *queue.take_flit(nodes)[:4]) for queue, nodes in (
+        inject_req = self.throttle.decide(trying_req)
+        taken = [
+            (nodes, *queue.take_flit(nodes)) for queue, nodes in (
                 (self.response_queue, np.flatnonzero(inject_resp)),
                 (self.request_queue, np.flatnonzero(inject_req)),
-            )
+            ) if nodes.size
         ]
-        nodes, dest, kind, seq, stamp = map(np.concatenate, zip(*flits))
-        if nodes.size:
-            place(self, cycle, nodes, dest, kind, seq, stamp)
-        starved = wanted & ~(inject_resp | inject_req)
+        if taken:
+            nodes, meta, stamp = (
+                taken[0] if len(taken) == 1
+                else map(np.concatenate, zip(*taken))
+            )
+            # The NI sets its own node as the source, as ni_admit does.
+            meta |= nodes << _SRC_SHIFT
+            place(self, cycle, nodes, meta, stamp)
+        starved = wanted ^ (inject_resp | inject_req)  # injected ⊆ wanted
         self.starvation.update(starved)
         self.stats.starved_cycles += starved
         self.stats.port_starved_cycles += wanted & ~capacity

@@ -45,6 +45,7 @@ __all__ = [
     "meta_seq",
     "meta_hops",
     "meta_cbit",
+    "reply_meta",
     "priority_key",
     "priority_key_into",
     "HOP_ONE",
@@ -120,6 +121,13 @@ def meta_hops(meta: np.ndarray) -> np.ndarray:
 
 def meta_cbit(meta: np.ndarray) -> np.ndarray:
     return (meta >> _CBIT_SHIFT) & 0x1
+
+
+def reply_meta(meta: np.ndarray) -> np.ndarray:
+    """Reply words answering request words *meta*: to the request's
+    source, with its seq, kind REPLY (no source, hops or cbit)."""
+    seq_kind = (meta & (_SEQ_MASK << _SEQ_SHIFT)) | (FLIT_REPLY << _KIND_SHIFT)
+    return meta_src(meta) | seq_kind
 
 
 def priority_key(birth: np.ndarray, src: np.ndarray) -> np.ndarray:

@@ -33,9 +33,10 @@ class StarvationMeter:
 
     def update(self, starved: np.ndarray) -> None:
         """Shift in this cycle's starvation bits."""
-        old = self._ring[:, self._pos]
-        self._sum += starved.astype(np.int32) - old.astype(np.int32)
-        self._ring[:, self._pos] = starved
+        column = self._ring[:, self._pos]
+        self._sum -= column
+        self._sum += starved
+        column[...] = starved
         self._pos = (self._pos + 1) % self.window
         self._cycles_seen += 1
 
@@ -84,14 +85,10 @@ class InjectionThrottleGate:
         *trying* marks nodes attempting an injection with a free output
         link available; only their counters advance (Algorithm 3).
         """
-        allowed = np.zeros(self.num_nodes, dtype=bool)
-        idx = np.flatnonzero(trying)
-        if idx.size == 0:
-            return allowed
-        self.counter[idx] = (self.counter[idx] + 1) % self.MAX_COUNT
-        threshold = self.rate[idx] * self.MAX_COUNT
-        allowed[idx] = self.counter[idx] >= threshold
-        return allowed
+        counter = self.counter
+        counter += trying
+        counter %= self.MAX_COUNT
+        return trying & (counter >= self.rate * self.MAX_COUNT)
 
     def storage_bits_per_node(self) -> int:
         """Hardware cost of the gate (7-bit counter), in bits."""

@@ -2,9 +2,11 @@
 
 Each node has fixed-capacity FIFO queues (request queue fed by the core's
 L1 misses, response queue fed by the local shared-cache slice).  A queue
-entry describes one *packet*: destination, kind, and how many flits of it
-remain to inject.  The injection stage draws one flit per cycle from the
-head entry; the entry pops when its last flit leaves.
+entry describes one *packet*: its packed ``meta`` word
+(``pack_meta(dest, 0, kind, seq)``: the injecting node ORs in the
+source), how many flits of it remain to inject, and its enqueue cycle.
+The injection stage draws one flit per cycle from the head entry; the
+entry pops when its last flit leaves.
 
 All operations take arrays of node indices so that thousands of nodes can
 be serviced per simulated cycle without Python-level loops.  Node indices
@@ -36,14 +38,11 @@ class FlitQueueArray:
             raise ValueError("queue capacity must be positive")
         self.num_nodes = num_nodes
         self.capacity = capacity
-        self.dest = np.zeros((num_nodes, capacity), dtype=np.int32)
-        self.kind = np.zeros((num_nodes, capacity), dtype=np.int8)
+        self.meta = np.zeros((num_nodes, capacity), dtype=np.int64)
         self.flits = np.zeros((num_nodes, capacity), dtype=np.int16)
         self.stamp = np.zeros((num_nodes, capacity), dtype=np.int64)
-        self.seq = np.zeros((num_nodes, capacity), dtype=np.int16)
         self.head = np.zeros(num_nodes, dtype=np.int32)
         self.count = np.zeros(num_nodes, dtype=np.int32)
-        self._rows = np.arange(num_nodes, dtype=np.int32)
 
     # ------------------------------------------------------------------
     # Capacity queries
@@ -72,40 +71,34 @@ class FlitQueueArray:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def push(
-        self, nodes: np.ndarray, dest: np.ndarray, kind, flits, stamp=0, seq=0
-    ) -> np.ndarray:
+    def push(self, nodes: np.ndarray, meta, flits: int, stamp: int) -> np.ndarray:
         """Enqueue one entry at each node in *nodes*.
 
-        Returns the mask of successful pushes; entries for full queues
-        are rejected (the caller decides whether that means a stall or a
-        counted drop).  *nodes* must contain unique indices.
+        *meta* is one word per node (or one for all); every entry has
+        *flits* flits and enqueue cycle *stamp*.  Returns the mask of
+        successful pushes; entries for full queues are rejected (the
+        caller decides whether that means a stall or a counted drop).
+        *nodes* must contain unique indices.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
-            return np.zeros(0, dtype=bool)
-        ok = self.count[nodes] < self.capacity
-        accepted = nodes if ok.all() else nodes[ok]
-        at = accepted * self.capacity + (
-            (self.head[accepted] + self.count[accepted]) % self.capacity
+        count = self.count[nodes]
+        ok = count < self.capacity
+        if not ok.all():
+            nodes, count = nodes[ok], count[ok]
+            if np.ndim(meta):
+                meta = meta[ok]
+        at = nodes * self.capacity + (
+            (self.head[nodes] + count) % self.capacity
         )
-        for field, value in (
-            (self.dest, dest),
-            (self.kind, kind),
-            (self.flits, flits),
-            (self.stamp, stamp),
-            (self.seq, seq),
-        ):
-            if np.ndim(value) == 0:
-                field.reshape(-1)[at] = value
-            else:
-                field.reshape(-1)[at] = np.asarray(value)[ok]
-        self.count[accepted] += 1
+        self.meta.reshape(-1)[at] = meta
+        self.flits.reshape(-1)[at] = flits
+        self.stamp.reshape(-1)[at] = stamp
+        self.count[nodes] = count + 1
         return ok
 
-    def push_burst(self, node: int, dest: np.ndarray, kind, flits,
-                   stamp=0, seq=0) -> int:
-        """Enqueue up to ``len(dest)`` entries into *one* node's queue.
+    def push_burst(self, node: int, meta: np.ndarray, flits: int,
+                   stamp: int) -> int:
+        """Enqueue up to ``len(meta)`` entries into *one* node's queue.
 
         Entries are appended in order until the queue is full; because
         they all target the same queue, stopping at the first rejected
@@ -114,24 +107,16 @@ class FlitQueueArray:
         hub's per-epoch rate-update burst in
         :meth:`~repro.sim.Simulator._inject_control_traffic`.)
         """
-        dest = np.asarray(dest, dtype=np.int64)
+        meta = np.asarray(meta, dtype=np.int64)
         space = int(self.capacity - self.count[node])
-        k = min(dest.size, max(space, 0))
+        k = min(meta.size, max(space, 0))
         if k == 0:
             return 0
         slots = (self.head[node] + self.count[node]
                  + np.arange(k, dtype=np.int64)) % self.capacity
-        for field, value in (
-            (self.dest, dest),
-            (self.kind, kind),
-            (self.flits, flits),
-            (self.stamp, stamp),
-            (self.seq, seq),
-        ):
-            if np.ndim(value) == 0:
-                field[node, slots] = value
-            else:
-                field[node, slots] = np.asarray(value)[:k]
+        self.meta[node, slots] = meta[:k]
+        self.flits[node, slots] = flits
+        self.stamp[node, slots] = stamp
         self.count[node] += k
         return k
 
@@ -152,34 +137,18 @@ class FlitQueueArray:
         self.count[node] = 0
         return flits
 
-    def peek(self, nodes: np.ndarray):
-        """Head-entry ``(dest, kind)`` for each node in *nodes*.
-
-        Callers must ensure the queues are non-empty.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        slot = self.head[nodes]
-        return self.dest[nodes, slot], self.kind[nodes, slot]
-
     def take_flit(self, nodes: np.ndarray):
         """Remove one flit from each head entry; pop entries that drain.
 
-        Returns ``(dest, kind, seq, stamp, last)`` arrays for the taken
-        flits, where ``seq`` is the packet sequence tag, ``stamp`` the
-        enqueue cycle, and ``last`` marks flits that completed their
-        packet.
+        Returns ``(meta, stamp)`` arrays for the taken flits: the
+        entry's word (no source, no hops) and its enqueue cycle.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
         at = nodes * self.capacity + self.head[nodes]
-        dest = self.dest.reshape(-1)[at]
-        kind = self.kind.reshape(-1)[at]
-        seq = self.seq.reshape(-1)[at]
-        stamp = self.stamp.reshape(-1)[at]
+        meta, stamp = self.meta.take(at), self.stamp.take(at)
         flits = self.flits.reshape(-1)
-        left = flits[at] - 1
+        left = flits.take(at) - 1
         flits[at] = left
-        done = left == 0
-        popped = nodes[done]
+        popped = nodes[left == 0]
         self.head[popped] = (self.head[popped] + 1) % self.capacity
         self.count[popped] -= 1
-        return dest, kind, seq, stamp, done
+        return meta, stamp

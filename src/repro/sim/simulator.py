@@ -45,7 +45,7 @@ from repro.guardrails.errors import SimulationTimeout
 from repro.metrics.collectors import EpochSeries
 from repro.network import build_network
 from repro.network.base import EjectedFlits
-from repro.network.flit import FLIT_CONTROL, FLIT_REPLY, FLIT_REQUEST
+from repro.network.flit import FLIT_CONTROL, FLIT_REPLY, FLIT_REQUEST, pack_meta
 from repro.observability import FlitTracer, PerfCounters, PhaseTimer
 from repro.power.model import PowerModel
 from repro.rng import child_rng
@@ -157,6 +157,7 @@ class Simulator:
             self.network,
             l2_latency=config.l2_latency,
             reply_flits=config.reply_flits,
+            mshr_limit=config.mshr_limit,
         )
         # The one point a controller meets the built system: from here
         # on the object the caller configured is the object that runs.
@@ -268,9 +269,7 @@ class Simulator:
             kind = ejected.kind
             req = kind == FLIT_REQUEST
             if req.any():
-                self.memory.on_requests(
-                    ejected.node[req], ejected.src[req], ejected.seq[req]
-                )
+                self.memory.on_requests(ejected.node[req], ejected.meta[req])
             rep = kind == FLIT_REPLY
             if rep.any():
                 self.cores.on_reply_flits(ejected.node[rep], ejected.seq[rep])
@@ -439,9 +438,8 @@ class Simulator:
             attempted += 2 * members.size
             if members.size == 0:
                 continue
-            hub_dest = np.full(members.size, hub, dtype=np.int64)
             sent = int(net.response_queue.push(
-                members, hub_dest, FLIT_CONTROL, 1, stamp=self.cycle
+                members, pack_meta(hub, 0, FLIT_CONTROL), 1, self.cycle
             ).sum())
             # Hub -> node updates: a burst into the hub's queue bounded
             # by its remaining space.  All entries target the same queue,
@@ -449,7 +447,7 @@ class Simulator:
             # first free-space-many" — one vectorized push instead of
             # ~n single-entry pushes per epoch.
             sent += net.response_queue.push_burst(
-                hub, members, FLIT_CONTROL, 1, stamp=self.cycle
+                hub, pack_meta(members, 0, FLIT_CONTROL), 1, self.cycle
             )
             if d < num_domains:
                 self.domain_control_flits[d] += sent

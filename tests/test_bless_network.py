@@ -6,7 +6,7 @@ import pytest
 from repro import SimulationConfig, Simulator, make_category_workload
 from repro.native import native_available
 from repro.network import DeflectFlowControl, RouterEngine
-from repro.network.flit import FLIT_REPLY
+from repro.network.flit import FLIT_REPLY, pack_meta
 
 
 def drive(net, schedule, cycles):
@@ -50,7 +50,10 @@ class TestSinglePacket:
 
     def test_seq_and_kind_preserved(self, mesh4):
         net = RouterEngine(mesh4, DeflectFlowControl())
-        net.enqueue_replies(np.array([1]), np.array([14]), 1, cycle=0, seq=77)
+        net.enqueue_replies(
+            np.array([1]), pack_meta(np.array([14]), 0, FLIT_REPLY, 77), 1,
+            cycle=0,
+        )
         for c in range(40):
             ej = net.step(c)
             if ej.node.size:
@@ -197,7 +200,10 @@ class TestThrottling:
         net = RouterEngine(mesh4, DeflectFlowControl())
         net.set_throttle_rates(np.full(16, 0.75))
         for c in range(100):
-            net.enqueue_replies(np.array([0]), np.array([15]), 1, cycle=c)
+            net.enqueue_replies(
+                np.array([0]), pack_meta(np.array([15]), 0, FLIT_REPLY), 1,
+                cycle=c,
+            )
             net.step(c)
         # one reply injected every cycle despite the 75% request throttle
         assert net.stats.injected_per_node[0] >= 95

@@ -46,7 +46,10 @@ class TestSinglePacket:
 
     def test_seq_preserved(self, mesh4):
         net = RouterEngine(mesh4, CreditFlowControl())
-        net.enqueue_replies(np.array([3]), np.array([12]), 1, cycle=0, seq=42)
+        net.enqueue_replies(
+            np.array([3]), pack_meta(np.array([12]), 0, FLIT_REPLY, 42), 1,
+            cycle=0,
+        )
         for c in range(40):
             ej = net.step(c)
             if ej.node.size:

@@ -33,8 +33,7 @@ from repro.topology.mesh import EAST, NORTH, WEST
 
 def _ejected(nodes):
     nodes = np.asarray(nodes, dtype=np.int64)
-    zeros = np.zeros(nodes.size, dtype=np.int64)
-    return EjectedFlits(nodes, zeros, zeros, zeros)
+    return EjectedFlits(nodes, pack_meta(np.zeros(nodes.size, np.int64), 0, 0))
 
 
 def _drive_random_traffic(net, rng, cycles, checker=None, load=0.4):

@@ -1,24 +1,43 @@
 """Unit tests for the shared-cache service model."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.cpu.memory import MemorySystem
+from repro.native import accel
+from repro.network.flit import (
+    FLIT_REPLY,
+    FLIT_REQUEST,
+    meta_dest,
+    meta_kind,
+    meta_seq,
+    pack_meta,
+)
 
 
 class FakeNetwork:
-    def __init__(self, full_nodes=()):
+    def __init__(self, full_nodes=(), num_nodes=16):
+        self.num_nodes = num_nodes
         self.replies = []
         self.full_nodes = set(full_nodes)
 
-    def enqueue_replies(self, nodes, dest, flits, cycle=0, seq=0):
+    def enqueue_replies(self, nodes, meta, flits, cycle=0):
         nodes = np.asarray(nodes)
+        assert (meta_kind(meta) == FLIT_REPLY).all()
         ok = np.array([n not in self.full_nodes for n in nodes.tolist()])
-        for n, d, q, o in zip(nodes.tolist(), np.asarray(dest).tolist(),
-                              np.broadcast_to(seq, nodes.shape).tolist(), ok):
+        for n, d, q, o in zip(nodes.tolist(), meta_dest(meta).tolist(),
+                              meta_seq(meta).tolist(), ok):
             if o:
                 self.replies.append((cycle, n, d, q))
         return ok
+
+
+def requests(servers, requesters, seqs):
+    """``on_requests`` arguments: request words ejected at *servers*."""
+    servers = np.asarray(servers, dtype=np.int64)
+    return servers, pack_meta(servers, requesters, FLIT_REQUEST, seqs)
 
 
 class TestServiceLatency:
@@ -30,7 +49,7 @@ class TestServiceLatency:
         for c in range(20):
             mem.step(c)
             if c == 0:
-                mem.on_requests(np.array([3]), np.array([7]), np.array([9]))
+                mem.on_requests(*requests([3], [7], [9]))
         assert len(net.replies) == 1
         cycle, server, requester, seq = net.replies[0]
         assert cycle == 6
@@ -40,7 +59,7 @@ class TestServiceLatency:
         net = FakeNetwork()
         mem = MemorySystem(net, l2_latency=1)
         mem.step(0)
-        mem.on_requests(np.array([0]), np.array([1]), np.array([0]))
+        mem.on_requests(*requests([0], [1], [0]))
         mem.step(1)
         assert net.replies and net.replies[0][0] == 1
 
@@ -51,7 +70,7 @@ class TestServiceLatency:
     def test_empty_request_batches_ignored(self):
         net = FakeNetwork()
         mem = MemorySystem(net, l2_latency=3)
-        mem.on_requests(np.zeros(0), np.zeros(0), np.zeros(0))
+        mem.on_requests(*requests([], [], []))
         for c in range(10):
             mem.step(c)
         assert not net.replies
@@ -66,7 +85,7 @@ class TestSerialization:
         for c in range(20):
             mem.step(c)
             if c == 0:
-                mem.on_requests(np.array([5, 5]), np.array([1, 2]), np.array([0, 0]))
+                mem.on_requests(*requests([5, 5], [1, 2], [0, 0]))
         cycles = [r[0] for r in net.replies]
         assert cycles == [4, 5]
         assert {r[2] for r in net.replies} == {1, 2}
@@ -74,7 +93,7 @@ class TestSerialization:
     def test_full_queue_defers_and_retries(self):
         net = FakeNetwork(full_nodes=[5])
         mem = MemorySystem(net, l2_latency=2)
-        mem.on_requests(np.array([5]), np.array([1]), np.array([0]))
+        mem.on_requests(*requests([5], [1], [0]))
         for c in range(5):
             mem.step(c)
         assert not net.replies
@@ -91,7 +110,7 @@ class TestSerialization:
         for c in range(100):
             servers = rng.integers(0, 4, size=rng.integers(0, 6))
             if servers.size:
-                mem.on_requests(servers, servers + 10, np.zeros(servers.size))
+                mem.on_requests(*requests(servers, servers + 10, 0))
                 total += servers.size
             mem.step(c)
         for c in range(100, 300):
@@ -100,3 +119,32 @@ class TestSerialization:
         assert mem.pending_replies() == 0
         assert mem.requests_serviced == total
         assert mem.replies_issued == total
+
+
+class TestBounds:
+    """The service ring and the pending list are bounded exactly as the
+    compiled kernel bounds them, and overflow with its named errors."""
+
+    @staticmethod
+    def _message(name):
+        return "^" + re.escape(accel._ERRORS[name]) + "$"
+
+    def test_overfilled_service_slot_is_named(self):
+        net = FakeNetwork(num_nodes=4)
+        mem = MemorySystem(net, l2_latency=3)
+        assert mem.slot_capacity == 4  # one ejected flit per node
+        mem.on_requests(*requests([0, 1, 2], [3, 3, 3], [0, 1, 2]))
+        with pytest.raises(RuntimeError,
+                           match=self._message("MEM_RING_OVERFLOW")):
+            mem.on_requests(*requests([0, 1], [2, 2], [3, 4]))
+
+    def test_overfilled_pending_list_is_named(self):
+        net = FakeNetwork(full_nodes=range(4), num_nodes=4)
+        mem = MemorySystem(net, l2_latency=1, mshr_limit=1)
+        assert mem.pending_capacity == 4 * 1 + 4 + 8
+        with pytest.raises(RuntimeError,
+                           match=self._message("PENDING_OVERFLOW")):
+            for c in range(mem.pending_capacity):
+                mem.on_requests(*requests(range(4), 0, c % 256))
+                mem.step(c)
+        assert c == mem.pending_capacity // 4  # raised when it overflowed

@@ -67,6 +67,10 @@ EQUIVALENCE_CASES = {
     "bless-watchdog": dict(
         network="bless", watchdog_window=0, max_flit_age=100_000
     ),
+    # Two-entry NI queues: replies pile up in the L2 pending list and
+    # the memory phase's retry path runs every cycle.
+    "bless-backpressure": dict(network="bless", queue_capacity=2),
+    "buffered-backpressure": dict(network="buffered", queue_capacity=2),
 }
 
 

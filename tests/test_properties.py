@@ -95,18 +95,20 @@ def test_queue_matches_reference_fifo(ops):
     reference = {n: [] for n in range(4)}
     for is_push, node, flits in ops:
         if is_push:
-            ok = q.push(np.array([node]), np.array([node + 10]), 0, flits)
+            ok = q.push(np.array([node]), pack_meta(node + 10, 0, 0), flits, 0)
             # Acceptance must track capacity exactly: an entry is taken
             # iff the reference deque has room, and never beyond it.
             assert bool(ok[0]) == (len(reference[node]) < 5)
             if ok[0]:
                 reference[node].append([node + 10, flits])
         elif reference[node]:
-            dest, _, _, _, done = q.take_flit(np.array([node]))
+            before = int(q.count[node])
+            meta, _ = q.take_flit(np.array([node]))
+            done = q.count[node] == before - 1
             head = reference[node][0]
-            assert dest[0] == head[0]
+            assert meta_dest(meta)[0] == head[0]
             head[1] -= 1
-            assert done[0] == (head[1] == 0)
+            assert done == (head[1] == 0)
             if head[1] == 0:
                 reference[node].pop(0)
     for n in range(4):

@@ -13,7 +13,8 @@ from repro import (
     make_category_workload,
     make_homogeneous_workload,
 )
-from repro.network.flit import FLIT_CONTROL
+from repro.native import native_available
+from repro.network.flit import FLIT_CONTROL, pack_meta
 
 # Full-simulation module: runs real multi-epoch simulations end to end.
 # Deselect with -m 'not slow' for a fast inner loop; CI runs everything.
@@ -97,11 +98,17 @@ class TestConservation:
             net.stats.ejected_flits + net.in_flight_flits()
         )
 
-    def test_outstanding_misses_match_physical_packets(self):
+    @pytest.mark.parametrize("backend", [
+        "numpy",
+        pytest.param("native", marks=pytest.mark.skipif(
+            not native_available(), reason="no C compiler"
+        )),
+    ])
+    def test_outstanding_misses_match_physical_packets(self, backend):
         """Every outstanding miss is somewhere: queued request, in-flight
         request, in L2 service, queued reply, or in-flight reply."""
         wl = make_homogeneous_workload("mcf", 16)
-        sim, _ = run(wl, cycles=2500)
+        sim, _ = run(wl, cycles=2500, backend=backend)
         cores, net, mem = sim.cores, sim.network, sim.memory
 
         req_queued = int(net.request_queue.count.sum())
@@ -202,12 +209,14 @@ class TestControlTraffic:
         nodes = nodes[nodes != ref.hub]
         queue = ref.network.response_queue
         ref_sent = int(queue.push(
-            nodes, np.full(nodes.size, ref.hub, dtype=np.int64),
-            FLIT_CONTROL, 1, stamp=ref.cycle,
+            nodes, pack_meta(np.full(nodes.size, ref.hub, dtype=np.int64),
+                             0, FLIT_CONTROL),
+            1, ref.cycle,
         ).sum())
         for node in nodes:
-            if not queue.push(np.array([ref.hub]), np.array([node]),
-                              FLIT_CONTROL, 1, stamp=ref.cycle)[0]:
+            if not queue.push(np.array([ref.hub]),
+                              pack_meta(np.array([node]), 0, FLIT_CONTROL),
+                              1, ref.cycle)[0]:
                 break
             ref_sent += 1
 
@@ -217,8 +226,7 @@ class TestControlTraffic:
         real = sim.network.response_queue
         np.testing.assert_array_equal(real.count, queue.count)
         np.testing.assert_array_equal(real.head, queue.head)
-        np.testing.assert_array_equal(real.dest, queue.dest)
-        np.testing.assert_array_equal(real.kind, queue.kind)
+        np.testing.assert_array_equal(real.meta, queue.meta)  # dest, kind
         np.testing.assert_array_equal(real.stamp, queue.stamp)
 
     def test_hub_burst_stops_at_queue_capacity(self, rng):
@@ -234,7 +242,7 @@ class TestControlTraffic:
         hub = sim.hub
         free = 2
         while queue.count[hub] < queue.capacity - free:
-            queue.push(np.array([hub]), np.array([0]), FLIT_CONTROL, 1)
+            queue.push(np.array([hub]), pack_meta(0, 0, FLIT_CONTROL), 1, 0)
         active = np.flatnonzero(sim.cores.active)
         expected = int((active != hub).sum()) + free  # reports + prefix
         sim._inject_control_traffic()
