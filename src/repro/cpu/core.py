@@ -81,13 +81,12 @@ class CoreArray:
 
         n = self.num_nodes
         self.retired = np.zeros(n, dtype=np.float64)
-        self.misses_issued = np.zeros(n, dtype=np.int64)
+        self.misses_issued = np.zeros(n, dtype=np.int64)  # = next miss number
         # Per-miss bookkeeping, indexed by miss number mod SEQ_RING and
         # read through flat views: a miss's slot is node * SEQ_RING + seq.
         self._issue_pos = np.zeros((n, SEQ_RING), dtype=np.float64)
         self._recv = np.zeros((n, SEQ_RING), dtype=np.int16)
         self._complete = np.zeros((n, SEQ_RING), dtype=bool)
-        self._issued = np.zeros(n, dtype=np.int64)  # misses issued
         self._completed = np.zeros(n, dtype=np.int64)  # packets finished
         self._head = np.zeros(n, dtype=np.int64)  # oldest incomplete miss
         self._head_dirty = False
@@ -108,7 +107,7 @@ class CoreArray:
     @property
     def outstanding(self) -> np.ndarray:
         """Misses issued but not yet fully answered (MSHRs in use)."""
-        return self._issued - self._completed
+        return self.misses_issued - self._completed
 
     def step(self, cycle: int) -> None:
         """Advance every core by one cycle."""
@@ -117,14 +116,14 @@ class CoreArray:
         if self._head_dirty:
             complete = self._complete.reshape(-1)
             for _ in range(4):
-                can = (self._head < self._issued) & complete[self._head_slot()]
+                can = (self._head < self.misses_issued) & complete[self._head_slot()]
                 if not can.any():
                     self._head_dirty = False
                     break
                 self._head += can
 
         outstanding = self.outstanding
-        has_inflight = self._head < self._issued
+        has_inflight = self._head < self.misses_issued
         head_pos = self._issue_pos.reshape(-1)[self._head_slot()]
         # Instructions the window still admits past the oldest miss.
         window_room = np.where(
@@ -169,7 +168,7 @@ class CoreArray:
         pure-numpy path).
         """
         dest = self.locality.sample(nodes, self.rng)
-        issued = self._issued[nodes]
+        issued = self.misses_issued[nodes]
         seq = issued & (SEQ_RING - 1)
         ok = self.network.enqueue_requests(
             nodes, dest, self.request_flits, cycle=cycle, seq=seq
@@ -180,8 +179,7 @@ class CoreArray:
         self._issue_pos.reshape(-1)[slot] = self.retired[accepted]
         self._recv.reshape(-1)[slot] = 0
         self._complete.reshape(-1)[slot] = False
-        self._issued[accepted] = issued + 1
-        self.misses_issued[accepted] += 1
+        self.misses_issued[accepted] = issued + 1
         self.epoch_flits[accepted] += self.request_flits + self.reply_flits
         self._insns_until_miss[accepted] = self.behavior.sample_gap(
             accepted, self.rng

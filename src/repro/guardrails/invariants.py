@@ -190,7 +190,7 @@ class InvariantChecker:
                     f"key(s); Oldest-First total order broken",
                     in_flight=int(birth.size),
                 )
-        bad_range = (dest < 0) | (dest >= self._num_nodes) | (src >= self._num_nodes)
+        bad_range = (dest >= self._num_nodes) | (src >= self._num_nodes)
         if bad_range.any():
             self._fail(
                 "dest_valid",
@@ -209,20 +209,18 @@ class InvariantChecker:
             )
 
     def _check_queue(self, cycle, queue: FlitQueueArray, name: str) -> None:
-        if (queue.count < 0).any() or (queue.count > queue.capacity).any():
-            bad = np.flatnonzero((queue.count < 0) | (queue.count > queue.capacity))
-            self._fail(
-                "queue_bounds",
-                cycle,
-                f"{name} queue count outside [0, {queue.capacity}]",
-                nodes=bad,
-                counts={int(b): int(queue.count[b]) for b in bad[:8]},
-            )
-        if (queue.head < 0).any() or (queue.head >= queue.capacity).any():
-            self._fail(
-                "queue_bounds", cycle,
-                f"{name} queue head pointer outside [0, {queue.capacity})",
-            )
+        cap = queue.capacity
+        for what, field, top, bound, key in (
+            ("count", queue.count, cap, f"[0, {cap}]", "counts"),
+            ("head pointer", queue.head, cap - 1, f"[0, {cap})", "heads"),
+        ):
+            # Read as unsigned, a negative int32 is above any bound.
+            bad = np.flatnonzero(field.view(np.uint32) > top)
+            if bad.size:
+                self._fail(
+                    "queue_bounds", cycle, f"{name} queue {what} outside {bound}",
+                    nodes=bad, **{key: {int(b): int(field[b]) for b in bad[:8]}},
+                )
 
     def _check_buffers(self, cycle, net) -> None:
         for name, bank in self._banks:

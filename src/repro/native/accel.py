@@ -110,7 +110,7 @@ _PT = {
     "EJ_NODE": "_ej_node", "EJ_META": "_ej_meta",
     "CO_ACTIVE": "_cores.active", "CO_RETIRED": "_cores.retired",
     "CO_ISSUE_POS": "_cores._issue_pos", "CO_RECV": "_cores._recv",
-    "CO_COMPLETE": "_cores._complete", "CO_ISSUED": "_cores._issued",
+    "CO_COMPLETE": "_cores._complete",
     "CO_COMPLETED": "_cores._completed", "CO_HEAD": "_cores._head",
     "CO_GAP": "_cores._insns_until_miss",
     "CO_EPOCH_INSNS": "_cores.epoch_insns",
@@ -243,7 +243,7 @@ def unsupported(config) -> Optional[str]:
                 f"only {'/'.join(_LOC_CODES)} are)")
     # Closed-form grids route by coordinates in C, graphs by the tables.
     if (config.topology not in ("mesh", "torus")
-            and config.num_nodes > engine._ROUTE_TABLE_MAX_NODES):
+            and config.num_nodes > mesh.ROUTE_TABLE_MAX_NODES):
         return "topology too large for precomputed route tables"
     try:
         load_library()
@@ -336,8 +336,8 @@ class NativeAccel:
         self._phase_p = 1.0 / behavior.phase_length
         self._loc_model = _LOC_CODES[config.locality]
         # Grid facts, shared by the route function and the grid locality
-        # draw; graph topologies route through the engine's tables
-        # instead (unused slots point at a dummy).
+        # draw; graph topologies route through their own tables instead
+        # (unused slots point at a dummy).
         none = alloc(1, i64)
         (self._width, self._height, self._wraps,
          self._coord_x, self._coord_y) = (
@@ -345,7 +345,7 @@ class NativeAccel:
             if grid else (0, 0, False, none, none)
         )
         self._p0tab, self._p1tab = (
-            (none, none) if grid else (net._p0_flat, net._p1_flat)
+            (none, none) if grid else topo.route_tables()
         )
         # Distance models sample on those coordinates or, on graph
         # topologies, from per-source distance buckets; uniform striping

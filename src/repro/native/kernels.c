@@ -116,7 +116,7 @@ static inline void ejection_end(const Ejection *ej, i64 *ctr, i64 count)
  * (topology.productive_ports): -1 where there is none.  Which form
  * answers is a property of the topology, not a setting: closed-form
  * grids (Mesh2D, Torus2D) compare coordinates and carry no table,
- * graph topologies gather from their (n, n) tables. */
+ * graph topologies gather from topology.route_tables(). */
 typedef struct {
     int grid, wraps;
     i64 n, w, h;
@@ -638,7 +638,7 @@ static void cores_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     double *retired = (double *)pt[PT_CO_RETIRED];
     const double *issue_pos = (const double *)pt[PT_CO_ISSUE_POS];
     const unsigned char *complete = (const unsigned char *)pt[PT_CO_COMPLETE];
-    const i64 *issued = (const i64 *)pt[PT_CO_ISSUED];
+    const i64 *issued = (const i64 *)pt[PT_CO_MISSES];
     const i64 *completed = (const i64 *)pt[PT_CO_COMPLETED];
     i64 *head = (i64 *)pt[PT_CO_HEAD];
     double *gap = (double *)pt[PT_CO_GAP];
@@ -719,8 +719,7 @@ static void issue_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
     double *issue_pos = (double *)pt[PT_CO_ISSUE_POS];
     int16_t *recv = (int16_t *)pt[PT_CO_RECV];
     unsigned char *complete = (unsigned char *)pt[PT_CO_COMPLETE];
-    i64 *issued = (i64 *)pt[PT_CO_ISSUED];
-    i64 *misses = (i64 *)pt[PT_CO_MISSES];
+    i64 *issued = (i64 *)pt[PT_CO_MISSES];
     i64 *epoch_flits = (i64 *)pt[PT_CO_EPOCH_FLITS];
     const double *retired = (const double *)pt[PT_CO_RETIRED];
 
@@ -737,7 +736,6 @@ static void issue_phase(void **pt, const i64 *cfg, i64 *ctr, i64 cycle)
         recv[ring] = 0;
         complete[ring] = 0;
         issued[node] += 1;
-        misses[node] += 1;
         epoch_flits[node] += req_flits + cfg[CFG_REPLY_FLITS];
         nodes[m++] = node;
     }

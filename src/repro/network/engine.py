@@ -87,9 +87,6 @@ __all__ = [
 
 _KEY_MAX = np.iinfo(np.int64).max
 
-#: Largest network that precomputes (n, n) productive-route tables.
-_ROUTE_TABLE_MAX_NODES = 1024
-
 #: Output port k as bit k of an int64 link mask; index -1 (no port)
 #: reads the trailing 0.
 _PORT_BIT = np.array([1 << k for k in range(MAX_GRAPH_PORTS)] + [0], np.int64)
@@ -234,8 +231,8 @@ class BufferBank:
 
     def view(self):
         """``(meta, birth)`` flat arrays of every stored flit."""
-        occupied = self.occupied_mask()
-        return self.meta[occupied], self.birth[occupied]
+        at = np.flatnonzero(self.occupied_mask())
+        return self.meta.take(at), self.birth.take(at)
 
     def rewrite_dest(self, old: int, new: int) -> int:
         """Re-address stored flits destined *old* to *new* (chaos remap).
@@ -985,17 +982,6 @@ class RouterEngine:
         # the steady-state cycle performs no numpy array allocations for
         # its hot buffers.
         self._sc_moving = np.empty((n, p), np.bool_)
-        # Fault-free productive-port lookup tables ((n, n) int8): one
-        # flat gather per cycle replaces the closed-form route math.
-        # Bounded so giant topologies don't pay O(n^2) memory; beyond
-        # the bound the engine falls back to computing routes per cycle.
-        self._p0_flat = self._p1_flat = None
-        if n <= _ROUTE_TABLE_MAX_NODES:
-            t0, t1 = topology.productive_ports(
-                self._node_ids[:, None], self._node_ids[None, :]
-            )
-            self._p0_flat = t0.astype(np.int8).reshape(-1)
-            self._p1_flat = t1.astype(np.int8).reshape(-1)
         # Injection-queueing latency statistics (time from enqueue at the
         # NI to entering the network), the paper's "injection latency";
         # only accumulated by flow controls that inject straight onto
@@ -1074,7 +1060,8 @@ class RouterEngine:
         """
         if occupied is None:
             occupied = self._ring_birth >= 0
-        meta, birth = self._ring_meta[occupied], self._ring_birth[occupied]
+        at = np.flatnonzero(occupied)
+        meta, birth = self._ring_meta.take(at), self._ring_birth.take(at)
         held = self.flow.held_view(self)
         if held is None:
             return meta, birth
@@ -1158,9 +1145,10 @@ class RouterEngine:
         bound for *dest*, without building the second (-1: none)."""
         if self._fault_table is not None:
             return lowbit(self._fault_table.take(nodes * self.num_nodes + dest))
-        if self._p0_flat is not None:
-            return self._p0_flat[nodes * self.num_nodes + dest]
-        return self.topology.productive_ports(nodes, dest)[0]
+        tables = self.topology.route_tables()
+        if tables is None:
+            return self.topology.productive_ports(nodes, dest)[0]
+        return tables[0][nodes * self.num_nodes + dest]
 
     def route_bits(self, nodes, dest):
         """Productive-port masks ``(b0, b1)`` of flits at *nodes* bound
@@ -1169,11 +1157,9 @@ class RouterEngine:
         of the topology's first and second productive port (0: none)."""
         if self._fault_table is not None:
             return self._fault_table.take(nodes * self.num_nodes + dest), None
-        if self._p0_flat is not None:
-            at = nodes * self.num_nodes + dest
-            p0, p1 = self._p0_flat[at], self._p1_flat[at]
-        else:
-            p0, p1 = self.topology.productive_ports(nodes, dest)
+        tables = self.topology.route_tables()
+        p0, p1 = (self.topology.productive_ports(nodes, dest) if tables is None
+                  else tables.take(nodes * self.num_nodes + dest, axis=1))
         return _PORT_BIT[p0], _PORT_BIT[p1]
 
     def arrival_slot(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -186,8 +186,8 @@ class GraphTopology:
         each destination, ports scanned in ``port_scan_order``."""
         n = self.num_nodes
         dist = self._dist
-        primary = np.full((n, n), INVALID_PORT, dtype=np.int8)
-        secondary = np.full((n, n), INVALID_PORT, dtype=np.int8)
+        self._routes = np.full((2, n, n), INVALID_PORT, dtype=np.int8)
+        primary, secondary = self._routes
         for port in self.port_scan_order:
             has = self.link_exists[:, port]
             if not has.any():
@@ -199,8 +199,6 @@ class GraphTopology:
             primary[first] = port
             second = productive & ~first & (secondary == INVALID_PORT)
             secondary[second] = port
-        self._route_primary = primary
-        self._route_secondary = secondary
 
     # ------------------------------------------------------------------
     # Routing API (mirrors Mesh2D)
@@ -228,7 +226,11 @@ class GraphTopology:
         """
         src = np.asarray(src)
         dest = np.asarray(dest)
-        return self._route_primary[src, dest], self._route_secondary[src, dest]
+        return self._routes[0, src, dest], self._routes[1, src, dest]
+
+    def route_tables(self) -> np.ndarray:
+        """The tables :meth:`finalize` built, as :meth:`Mesh2D.route_tables`."""
+        return self._routes.reshape(2, -1)
 
     def central_node(self) -> int:
         """Hub placement: the node minimizing total distance to all

@@ -37,6 +37,11 @@ INVALID_PORT = -1
 PORT_NAMES = ("N", "E", "S", "W")
 
 _OPPOSITE = np.array([SOUTH, WEST, NORTH, EAST], dtype=np.int8)
+#: int8 port ids (index -1 reads INVALID_PORT): route math never widens.
+_PORT8 = np.array([NORTH, EAST, SOUTH, WEST, INVALID_PORT], dtype=np.int8)
+#: Largest topology with (n, n) route tables (:meth:`Mesh2D.route_tables`).
+ROUTE_TABLE_MAX_NODES = 1024
+_ROUTE_BLOCK = 1 << 16  # (src, dest) pairs per row block of a build
 
 
 def opposite_port(port: int) -> int:
@@ -92,6 +97,7 @@ class Mesh2D:
         # Per-directed-link extra wire latency in cycles; uniform on a
         # grid, overridden by express/chiplet layouts for long links.
         self.link_latency = np.ones((self.num_nodes, NUM_PORTS), dtype=np.int32)
+        self._routes = None  # built by the first route_tables() call
 
     def _fill_neighbors(self) -> None:
         n = np.arange(self.num_nodes)
@@ -155,13 +161,25 @@ class Mesh2D:
         ``INVALID_PORT`` when only one axis is unresolved.
         """
         dx, dy = self.deltas(src, dest)
-        x_port = np.where(dx > 0, EAST, WEST).astype(np.int8)
-        y_port = np.where(dy > 0, SOUTH, NORTH).astype(np.int8)
-        primary = np.where(
-            dx != 0, x_port, np.where(dy != 0, y_port, INVALID_PORT)
-        ).astype(np.int8)
-        secondary = np.where((dx != 0) & (dy != 0), y_port, INVALID_PORT).astype(np.int8)
+        x_port = np.where(dx > 0, _PORT8[EAST], _PORT8[WEST])
+        y_port = np.where(dy > 0, _PORT8[SOUTH], _PORT8[NORTH])
+        primary = np.where(dx != 0, x_port, np.where(dy != 0, y_port, _PORT8[-1]))
+        secondary = np.where((dx != 0) & (dy != 0), y_port, _PORT8[-1])
         return primary, secondary
+
+    def route_tables(self):
+        """:meth:`productive_ports` of every pair as int8 ``(2, n * n)``, column
+        ``src * n + dest``, built on the first call and kept; ``None`` past
+        ``ROUTE_TABLE_MAX_NODES``, where callers route in closed form."""
+        n = self.num_nodes
+        if self._routes is None and n <= ROUTE_TABLE_MAX_NODES:
+            routes, rows = np.empty((2, n * n), np.int8), max(1, _ROUTE_BLOCK // n)
+            for at in range(0, n, rows):  # in row blocks: no (n, n) temporaries
+                src = np.arange(at, min(at + rows, n))[:, None]
+                ports = self.productive_ports(src, np.arange(n))
+                routes.reshape(2, n, n)[:, at:at + rows] = ports
+            self._routes = routes
+        return self._routes
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.width}x{self.height})"

@@ -156,15 +156,21 @@ class TestInvariantChecker:
         ("buffers", "head", 4), ("buffers", "head", -1),
         ("side_buffers", "count", 5), ("side_buffers", "count", -1),
         ("side_buffers", "head", 4),
+        ("request_queue", "count", 5), ("request_queue", "count", -1),
+        ("request_queue", "head", 4), ("request_queue", "head", -1),
+        ("response_queue", "count", 5), ("response_queue", "count", -1),
+        ("response_queue", "head", 4), ("response_queue", "head", -1),
     ])
     def test_every_fifo_bank_is_bounded(self, bank, field, value):
-        """Credit input FIFOs and hybrid side buffers, both 4 deep."""
+        """Credit input FIFOs, hybrid side buffers and the NI queues,
+        all 4 deep."""
         flow = (CreditFlowControl(4) if bank == "buffers"
                 else HybridFlowControl(side_buffer_capacity=4))
-        net = RouterEngine(Mesh2D(4), flow)
+        net = RouterEngine(Mesh2D(4), flow, queue_capacity=4)
         checker = InvariantChecker(net)
         checker.after_step(0, _ejected([]))  # clean before the corruption
-        getattr(getattr(net, bank), field)[3, 0] = value
+        cells = getattr(getattr(net, bank), field)
+        cells[(3, 0)[:cells.ndim]] = value
         with pytest.raises(InvariantViolation, match="queue_bounds") as exc:
             checker.after_step(1, _ejected([]))
         assert list(exc.value.nodes) == [3]

@@ -28,8 +28,9 @@ from repro.native import (
     native_available,
     unsupported,
 )
-from repro.network import engine
 from repro.sim.simulator import Simulator
+from repro.topology import Mesh2D
+from repro.topology import mesh as mesh_module
 from repro.traffic.locality import LOCALITY_NAMES
 from repro.traffic.workloads import make_category_workload
 
@@ -229,17 +230,86 @@ def test_grid_routes_agree_with_and_without_route_tables(
         network=network,
     )
     tabled = _three_ways(**kwargs)
-    monkeypatch.setattr(engine, "_ROUTE_TABLE_MAX_NODES", 0)
-    assert _generated_sim("numpy", **kwargs).network._p0_flat is None
+    monkeypatch.setattr(mesh_module, "ROUTE_TABLE_MAX_NODES", 0)
+    assert _generated_sim("numpy", **kwargs).topology.route_tables() is None
     assert _three_ways(**kwargs) == tabled
 
 
 @needs_native
 def test_graph_topology_past_the_route_table_bound_refuses(monkeypatch):
-    monkeypatch.setattr(engine, "_ROUTE_TABLE_MAX_NODES", 0)
+    monkeypatch.setattr(mesh_module, "ROUTE_TABLE_MAX_NODES", 0)
     with pytest.raises(NativeUnsupported, match="route tables"):
         _generated_sim("native", topology="chiplet")
     _generated_sim("native", topology="mesh")  # a grid needs no table
+
+
+def _count_grid_table_builds(monkeypatch):
+    """The grids whose route_tables() call built their tables, once per
+    build."""
+    builds = []
+    route_tables = Mesh2D.route_tables
+
+    def counted(topology):
+        fresh = topology._routes is None
+        tables = route_tables(topology)
+        if fresh and tables is not None:
+            builds.append(topology)
+        return tables
+
+    monkeypatch.setattr(Mesh2D, "route_tables", counted)
+    return builds
+
+
+@needs_native
+def test_native_1024_node_mesh_builds_no_route_table(monkeypatch):
+    """C routes grids by coordinates, so the 1,024-node mesh at the
+    bound never pays for (n, n) tables: not in construction (21 MB
+    traced peak while the engine built them), not in its cycles."""
+    builds = _count_grid_table_builds(monkeypatch)
+    workload = make_category_workload("H", 1024, np.random.default_rng(7))
+    config = SimulationConfig(
+        workload, seed=7, epoch=100, backend="native", topology="mesh",
+        controller=build_controller(("central",), epoch=100),
+    )
+    assert unsupported(config) is None  # the library loads outside the trace
+    tracemalloc.start()
+    try:
+        sim = Simulator(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    sim.run(50)
+    assert builds == []
+
+
+@pytest.mark.parametrize("topology", ["mesh", "torus"])
+def test_numpy_grid_run_builds_its_route_tables_once(topology, monkeypatch):
+    builds = _count_grid_table_builds(monkeypatch)
+    sim = _generated_sim("numpy", topology=topology, network="buffered")
+    assert builds == []
+    sim.run(300)
+    assert builds == [sim.topology]
+
+
+@needs_native
+@pytest.mark.parametrize("topology, nodes", [("chiplet", 16), ("express", 64)])
+def test_graph_run_reads_the_topologys_own_route_tables(topology, nodes):
+    """One copy of a graph's tables: the numpy engine and the C kernels
+    (under CI's sanitizer lane too) read the arrays finalize built."""
+    for backend in ("numpy", "native"):
+        sim = _generated_sim(backend, topology=topology, nodes=nodes)
+        sim.run(200)
+        owned = sim.topology._routes
+        read = (sim._accel._p0tab, sim._accel._p1tab) if sim._accel else (
+            sim.network.topology.route_tables())
+        for table, own in zip(read, owned):
+            assert np.shares_memory(table, own)
+        assert not [  # no copy of its own
+            name for name, value in vars(sim.network).items()
+            if isinstance(value, np.ndarray) and value.dtype == np.int8
+            and value.size == nodes * nodes
+        ]
 
 
 @needs_native
@@ -325,7 +395,7 @@ def test_4096_node_mesh_prefix_matches_numpy():
                 ("hierarchical", 0, "global"), epoch=100
             ),
         ))
-        assert sim.network._p0_flat is None
+        assert sim.topology.route_tables() is None
         sim.run(300)
         outcomes.append(_outcome(sim))
     assert outcomes[0] == outcomes[1]
@@ -471,7 +541,7 @@ def test_unsupported_is_none_exactly_when_native_constructs(
     NativeUnsupported carrying its reason.  With no route tables at all,
     only the coordinate-routed grids may pass."""
     if route_tables == "none":
-        monkeypatch.setattr(engine, "_ROUTE_TABLE_MAX_NODES", 0)
+        monkeypatch.setattr(mesh_module, "ROUTE_TABLE_MAX_NODES", 0)
     config = _predicate_config(**PREDICATE_CASES[case])
     why = unsupported(config)
     native = config.with_(backend="native")

@@ -114,7 +114,7 @@ class TestConservation:
         req_queued = int(net.request_queue.count.sum())
         resp_entries = int(net.response_queue.count.sum())
         served = mem.requests_serviced
-        issued = int(cores._issued.sum())
+        issued = int(cores.misses_issued.sum())
         replies_started = mem.replies_issued
         # requests not yet at their slice:
         requests_somewhere = issued - served

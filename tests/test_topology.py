@@ -14,6 +14,7 @@ from repro.topology import (
     WEST,
     opposite_port,
 )
+from repro.topology import mesh as mesh_module
 
 
 class TestPortConventions:
@@ -207,3 +208,33 @@ class TestTorus:
         # routing still reaches every destination
         p0, _ = torus.productive_ports(np.array([1]), np.array([0]))
         assert torus.link_exists[1, p0[0]]
+
+
+class TestRouteTables:
+    """The grids own their productive-port tables (built on first read)."""
+
+    GRIDS = [(Mesh2D, 4, 4), (Mesh2D, 5, 3), (Torus2D, 2, 4), (Torus2D, 3, 3),
+             (Torus2D, 4, 5), (Torus2D, 6, 6), (Torus2D, 32, 32)]
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("make, width, height", GRIDS)
+    def test_tables_are_productive_ports_of_every_pair(
+        self, make, width, height, rows, monkeypatch
+    ):
+        """One row, a block that does not divide the grid, and the whole
+        table in one block all give the closed form's values."""
+        topo = make(width, height)
+        n = topo.num_nodes
+        monkeypatch.setattr(mesh_module, "_ROUTE_BLOCK", (rows or n) * n)
+        ids = np.arange(n)
+        p0, p1 = topo.productive_ports(ids[:, None], ids[None, :])
+        tables = topo.route_tables()
+        assert tables.dtype == np.int8 and tables.shape == (2, n * n)
+        np.testing.assert_array_equal(tables[0], p0.reshape(-1))
+        np.testing.assert_array_equal(tables[1], p1.reshape(-1))
+        assert topo.route_tables() is tables  # built once, then kept
+
+    def test_no_tables_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(mesh_module, "ROUTE_TABLE_MAX_NODES", 15)
+        assert Mesh2D(4).route_tables() is None
+        assert Mesh2D(5, 3).route_tables() is not None
