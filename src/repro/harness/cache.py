@@ -34,7 +34,7 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -48,6 +48,10 @@ __all__ = ["ResultCache", "CODE_VERSION"]
 #: entry layout changes, so the cache starts cold instead of replaying
 #: stale physics or handing an old layout to a new reader.
 CODE_VERSION = "1.1.0"
+
+_INT = frozenset((int,))
+#: bytes asked of each read; a 16-node entry (≈ 2.6 KB) takes one
+_READ_SIZE = 1 << 16
 
 
 class ResultCache:
@@ -64,19 +68,28 @@ class ResultCache:
         self.schema_version = schema_version
         self.hits = 0
         self.misses = 0
+        # A sweep asks for the same specs' keys pass after pass: each is
+        # hashed once per cache, and a lookup joins plain strings.
+        self._keys: Dict[str, str] = {}
+        self._prefix = os.path.join(self.root, "")
+        self._suffix = f"|schema={schema_version}|code={code_version}"
 
     # ------------------------------------------------------------------
     def key(self, spec: JobSpec) -> str:
         """Content hash of (spec, schema version, code version)."""
-        preimage = (
-            f"{spec.canonical()}|schema={self.schema_version}"
-            f"|code={self.code_version}"
-        )
-        return hashlib.sha256(preimage.encode("utf-8")).hexdigest()
+        canonical = spec.canonical()
+        key = self._keys.get(canonical)
+        if key is None:
+            preimage = canonical + self._suffix
+            key = hashlib.sha256(preimage.encode("utf-8")).hexdigest()
+            self._keys[canonical] = key
+        return key
+
+    def _file(self, key: str) -> str:
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
     def path(self, spec: JobSpec) -> pathlib.Path:
-        key = self.key(spec)
-        return self.root / key[:2] / f"{key}.json"
+        return pathlib.Path(self._file(self.key(spec)))
 
     # ------------------------------------------------------------------
     def get(self, spec: JobSpec) -> Optional[SimulationResult]:
@@ -85,13 +98,15 @@ class ResultCache:
         Any defect in the stored entry — unreadable file, invalid JSON,
         missing fields, schema mismatch, a malformed histogram, an entry
         stored for another key — is treated as a miss so the sweep
-        re-runs the point rather than crashing or trusting garbage.
+        re-runs the point rather than crashing or trusting garbage.  A
+        hit is one read, one decode and one construction.
         """
-        path = self.path(spec)
+        key = self.key(spec)
+        path = self._file(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload["key"] != path.stem:
+            # Strict UTF-8: bytes that are not are a defect.
+            payload = json.loads(_read(path).decode("utf-8"))
+            if payload["key"] != key:
                 raise ValueError("cache entry belongs to another key")
             data = payload["result"]
             data["latency_hist"] = _full_hist(
@@ -101,10 +116,16 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError, OverflowError):
-            # Corrupted or stale entry: drop it and re-run.
+        except (
+            OSError, ValueError, KeyError, TypeError, AttributeError,
+            OverflowError, RecursionError,
+        ):
+            # Corrupted or stale entry: drop it and re-run.  The decoded
+            # document is untrusted: a value of the wrong JSON type fails
+            # as a TypeError or AttributeError, a deeply nested one as a
+            # RecursionError.
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             self.misses += 1
@@ -158,7 +179,7 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def __contains__(self, spec: JobSpec) -> bool:
-        return self.path(spec).exists()
+        return os.path.exists(self._file(self.key(spec)))
 
     def __len__(self) -> int:
         if not self.root.exists():
@@ -169,13 +190,26 @@ class ResultCache:
         return {"hits": self.hits, "misses": self.misses}
 
 
+def _read(path: str) -> bytes:
+    """The file's bytes: one ``read`` for an entry under ``_READ_SIZE``,
+    then the one that finds the end of the file."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        data = os.read(fd, _READ_SIZE)
+        while chunk := os.read(fd, _READ_SIZE):
+            data += chunk
+    finally:
+        os.close(fd)
+    return data
+
+
 def _full_hist(head, width) -> Optional[np.ndarray]:
     """The stored histogram *head* zero-padded to *width* buckets.
 
-    Raises ``ValueError`` unless *head* is a list of ints no longer than
-    the int *width* (or both are ``None``), so a malformed entry is a
-    miss rather than a histogram of the wrong length or a truncated
-    float count.
+    Raises ``ValueError`` unless *head* is a list of non-negative ints
+    no longer than the int *width* (or both are ``None``), so a
+    malformed entry is a miss rather than a histogram of the wrong
+    length, a truncated float count or a negative one.
     """
     if head is None and width is None:
         return None
@@ -183,7 +217,8 @@ def _full_hist(head, width) -> Optional[np.ndarray]:
         type(head) is not list
         or type(width) is not int
         or len(head) > width
-        or not set(map(type, head)) <= {int}
+        or not set(map(type, head)) <= _INT
+        or min(head, default=0) < 0
     ):
         raise ValueError("malformed latency histogram in cache entry")
     hist = np.zeros(width, dtype=np.int64)

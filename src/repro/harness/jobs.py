@@ -164,18 +164,32 @@ class JobSpec:
     def num_nodes(self) -> int:
         return len(self.app_names)
 
+    # A spec's identity is computed once per instance: the executor and
+    # the cache ask for it on every job and every warm hit.
+    # cached_property writes ``__dict__`` directly (legal on a frozen
+    # non-slots dataclass) and is no field, so ``fields()``, ``__eq__``,
+    # ``__hash__`` and what ``replace``/``with_config`` copy never see
+    # it; a pickled spec carries it along.
     @cached_property
     def _canonical(self) -> str:
-        # Once per instance: the executor and the cache ask for a spec's
-        # identity several times per job.  cached_property writes
-        # ``__dict__`` directly (legal on a frozen non-slots dataclass)
-        # and is no field, so ``fields()``, ``__eq__``, ``__hash__`` and
-        # what ``replace``/``with_config`` copy never see it.
         # JSON encodes tuples as lists, so the fields need no conversion.
         # Not the backend: numpy and native give one result by definition.
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["config"] = [kv for kv in self.config if kv[0] != "backend"]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    @cached_property
+    def _content_hash(self) -> str:
+        return hashlib.sha256(self._canonical.encode("utf-8")).hexdigest()
+
+    @cached_property
+    def _label(self) -> str:
+        ctl = self.controller[0]
+        extra = f"+{ctl}" if ctl != "none" else ""
+        return (
+            f"{self.category or 'custom'}/{self.num_nodes}n/"
+            f"{self.network}{extra}/s{self.seed}"
+        )
 
     def canonical(self) -> str:
         """Deterministic JSON encoding (the hash pre-image)."""
@@ -183,16 +197,11 @@ class JobSpec:
 
     def content_hash(self) -> str:
         """Stable sha256 of the spec (same in every process and session)."""
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+        return self._content_hash
 
     def label(self) -> str:
         """Short human-readable tag for progress lines and reports."""
-        ctl = self.controller[0]
-        extra = f"+{ctl}" if ctl != "none" else ""
-        return (
-            f"{self.category or 'custom'}/{self.num_nodes}n/"
-            f"{self.network}{extra}/s{self.seed}"
-        )
+        return self._label
 
 
 def _config(spec: JobSpec) -> SimulationConfig:

@@ -86,10 +86,30 @@ class EpochSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpochSeries":
+        """Restore :meth:`to_dict`'s dict; ``ValueError`` unless
+        ``cycles`` is a list of ints, ``series`` a dict, and every series
+        a list as long as ``cycles`` (the alignment invariant)."""
+        cycles, series = data["cycles"], data["series"]
+        if (
+            type(cycles) is not list
+            or not all(type(c) is int for c in cycles)
+            or type(series) is not dict
+        ):
+            raise ValueError("malformed epoch series")
         out = cls()
-        out.cycles = [int(c) for c in data["cycles"]]
+        out.cycles = list(cycles)
         out._data = {
-            name: [float("nan") if v is None else float(v) for v in values]
-            for name, values in data["series"].items()
+            name: _column(values, len(cycles))
+            for name, values in series.items()
         }
         return out
+
+
+def _column(values: list, length: int) -> List[float]:
+    """One stored series as floats, ``null`` restored to NaN; a series
+    without ``null`` converts in one pass."""
+    if type(values) is not list or len(values) != length:
+        raise ValueError("malformed epoch series")
+    if None in values:
+        return [float("nan") if v is None else float(v) for v in values]
+    return list(map(float, values))

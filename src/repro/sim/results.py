@@ -57,6 +57,13 @@ _ARRAY_FIELDS = {
 #: (``repro.sim.simulator._result``).  Any other null reads back as NaN.
 _NULL_RESTORE = {"ipf": np.inf}
 
+#: ``(name, dtype, null restore)`` per array field; ``None`` for the
+#: non-float ones, which hold no ``null``.
+_ARRAY_DECODE = tuple(
+    (name, kind, _NULL_RESTORE.get(name, np.nan) if kind is float else None)
+    for name, kind in sorted(_ARRAY_FIELDS.items())
+)
+
 
 def _encode_float_list(values: np.ndarray) -> list:
     """Float array -> JSON list with non-finite entries as ``None``.
@@ -72,10 +79,13 @@ def _encode_float_list(values: np.ndarray) -> list:
 
 
 def _decode_float_list(values: list, null_value: float) -> np.ndarray:
-    """Restore a list written by :func:`_encode_float_list`."""
-    return np.asarray(
-        [null_value if v is None else v for v in values], dtype=float
-    )
+    """Restore a list written by :func:`_encode_float_list`.
+
+    A list without ``null`` (every finite run) converts in one pass.
+    """
+    if None in values:
+        values = [null_value if v is None else v for v in values]
+    return np.asarray(values, dtype=float)
 
 
 @dataclass
@@ -227,11 +237,11 @@ class SimulationResult:
             )
         arrays = {
             name: (
-                _decode_float_list(data[name], _NULL_RESTORE.get(name, np.nan))
-                if kind is float
-                else np.asarray(data[name], dtype=kind)
+                np.asarray(data[name], dtype=kind)
+                if null is None
+                else _decode_float_list(data[name], null)
             )
-            for name, kind in sorted(_ARRAY_FIELDS.items())
+            for name, kind, null in _ARRAY_DECODE
         }
         hist = data["latency_hist"]
         guard = data["guardrails"]

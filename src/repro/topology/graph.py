@@ -33,7 +33,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.topology.mesh import INVALID_PORT
+from repro.topology.mesh import INVALID_PORT, _ROUTE_BLOCK
 
 __all__ = ["GraphTopology", "hop_distances", "UNREACHABLE", "MAX_GRAPH_PORTS"]
 
@@ -43,6 +43,10 @@ UNREACHABLE = np.iinfo(np.int32).max
 #: Upper bound on per-router ports; keeps ``reverse_port`` in int8 and
 #: chaos-event validation meaningful.
 MAX_GRAPH_PORTS = 32
+
+#: (source, node) pairs per block of :func:`hop_distances`: a 1,024-node
+#: BFS is fastest near this size and holds ≈ 2.3 MB beside its result.
+_BFS_BLOCK = 1 << 17
 
 
 def hop_distances(neighbor, link_up, sources=None) -> np.ndarray:
@@ -54,10 +58,12 @@ def hop_distances(neighbor, link_up, sources=None) -> np.ndarray:
     int32 with ``UNREACHABLE`` where no path exists.  *link_up* need not
     be symmetric (a chaos drain quiesces one direction of a link).
 
-    Every level advances all sources at once: the frontier is held
-    transposed, one row per node and one column per source, so the step
-    "v is reached if the tail of one of its in-links was" is a gather of
-    frontier rows, one per in-link slot.
+    Every level advances a block of sources at once: the frontier is
+    held transposed, one row per node and one column per source, so the
+    step "v is reached if the tail of one of its in-links was" is a
+    gather of frontier rows, one per in-link slot.  Blocks hold about
+    ``_BFS_BLOCK`` (source, node) pairs, so the working set beside the
+    result stays small at any size.
     """
     n = len(neighbor)
     sources = np.arange(n) if sources is None else np.asarray(sources)
@@ -70,19 +76,24 @@ def hop_distances(neighbor, link_up, sources=None) -> np.ndarray:
     slot = np.arange(head.size) - np.searchsorted(head, head)
     pred = np.full((slot.max(initial=-1) + 1, n), n, dtype=np.int64)
     pred[slot, head] = tail
-    frontier = np.zeros((n + 1, sources.size), dtype=bool)
-    frontier[sources, np.arange(sources.size)] = True
-    unreached = ~frontier[:n]
-    dist = np.where(unreached, np.int32(UNREACHABLE), np.int32(0))
-    hops = 0
-    while frontier.any():
-        hops += 1
-        nxt = frontier[pred].any(axis=0)
-        nxt &= unreached
-        dist[nxt] = hops
-        unreached ^= nxt
-        frontier[:n] = nxt
-    return np.ascontiguousarray(dist.T)
+    out = np.empty((sources.size, n), dtype=np.int32)
+    rows = max(1, _BFS_BLOCK // n)
+    for at in range(0, sources.size, rows):
+        block = sources[at:at + rows]
+        frontier = np.zeros((n + 1, block.size), dtype=bool)
+        frontier[block, np.arange(block.size)] = True
+        unreached = ~frontier[:n]
+        dist = np.where(unreached, np.int32(UNREACHABLE), np.int32(0))
+        hops = 0
+        while frontier.any():
+            hops += 1
+            nxt = frontier[pred].any(axis=0)
+            nxt &= unreached
+            dist[nxt] = hops
+            unreached ^= nxt
+            frontier[:n] = nxt
+        out[at:at + rows] = dist.T
+    return out
 
 
 class GraphTopology:
@@ -183,22 +194,28 @@ class GraphTopology:
 
     def _build_route_tables(self) -> None:
         """Productive-port tables: first/second port strictly closer to
-        each destination, ports scanned in ``port_scan_order``."""
+        each destination, ports scanned in ``port_scan_order``; built in
+        row blocks, so no ``(n, n)`` temporary sits beside them."""
         n = self.num_nodes
         dist = self._dist
         self._routes = np.full((2, n, n), INVALID_PORT, dtype=np.int8)
-        primary, secondary = self._routes
-        for port in self.port_scan_order:
-            has = self.link_exists[:, port]
-            if not has.any():
-                continue
-            nbr_dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
-            nbr_dist[has] = dist[self.neighbor[has, port]]
-            productive = nbr_dist < dist
-            first = productive & (primary == INVALID_PORT)
-            primary[first] = port
-            second = productive & ~first & (secondary == INVALID_PORT)
-            secondary[second] = port
+        rows = max(1, _ROUTE_BLOCK // n)
+        for at in range(0, n, rows):
+            block = slice(at, at + rows)
+            here = dist[block]
+            primary, secondary = self._routes[:, block]
+            for port in self.port_scan_order:
+                has = self.link_exists[block, port]
+                if not has.any():
+                    continue
+                # A missing link's -1 reads some row; ``has`` masks it.
+                productive = dist[self.neighbor[block, port]] < here
+                productive &= has[:, None]
+                first = productive & (primary == INVALID_PORT)
+                primary[first] = port
+                productive &= ~first
+                productive &= secondary == INVALID_PORT
+                secondary[productive] = port
 
     # ------------------------------------------------------------------
     # Routing API (mirrors Mesh2D)

@@ -221,22 +221,32 @@ class TestJobSpec:
         assert base.with_config(mshr_limit=8) == base
 
     def test_identity_read_before_a_copy_does_not_leak_into_it(self):
-        """canonical() is computed once per instance; a copy made after
-        it was read must hash as a freshly built equal spec does."""
+        """canonical(), content_hash() and label() are computed once per
+        instance; a copy made after they were read must report what a
+        freshly built equal spec does, and a pickled spec (what the
+        pool ships) the original's."""
         config = (("mshr_limit", 8),)
         base = small_spec(config=config)
-        base.content_hash()
-        assert base.with_config(profile=True).content_hash() == small_spec(
+        identity = (base.content_hash(), base.label())
+        profiled = base.with_config(profile=True)
+        assert profiled.content_hash() == small_spec(
             config=config + (("profile", True),)
         ).content_hash()
+        assert profiled.content_hash() != identity[0]
         reseeded = dataclasses.replace(base, seed=2)
         assert reseeded.canonical() != base.canonical()
         assert reseeded.content_hash() == small_spec(
             seed=2, config=config
         ).content_hash()
-        # The stored text is no field: equality and hash() ignore it.
+        assert (base.label(), reseeded.label()) == (
+            "custom/16n/bless/s1", "custom/16n/bless/s2"
+        )
+        shipped = pickle.loads(pickle.dumps(base))
+        assert (shipped.content_hash(), shipped.label()) == identity
+        # The stored values are no fields: equality and hash() ignore them.
         unread = small_spec(config=config)
-        assert base == unread and hash(base) == hash(unread)
+        assert base == unread == shipped
+        assert hash(base) == hash(unread) == hash(shipped)
         assert [f.name for f in dataclasses.fields(base)] == [
             f.name for f in dataclasses.fields(JobSpec)
         ]
@@ -335,24 +345,6 @@ class TestResultCache:
         old.put(spec, run_job(spec))
         assert ResultCache(tmp_path, code_version="2.0.0").get(spec) is None
 
-    def test_corrupted_entry_falls_back_to_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = small_spec()
-        cache.put(spec, run_job(spec))
-        path = cache.path(spec)
-        path.write_text("{ truncated garbage")
-        assert cache.get(spec) is None
-        assert not path.exists()  # dropped so the rerun can replace it
-
-    def test_truncated_payload_falls_back_to_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = small_spec()
-        cache.put(spec, run_job(spec))
-        payload = json.loads(cache.path(spec).read_text())
-        del payload["result"]["ipc"]
-        cache.path(spec).write_text(json.dumps(payload))
-        assert cache.get(spec) is None
-
     def test_inactive_nodes_roundtrip_as_strict_json(self, tmp_path):
         """Regression: a run with idle nodes has ipf = inf, which the
         json module used to serialize as the non-RFC literal ``Infinity``
@@ -411,19 +403,6 @@ class TestResultCache:
         with pytest.raises(ValueError):
             cache.put(spec, res)
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
-
-    def test_hit_must_be_this_keys_entry(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec_a, spec_b = small_spec(), small_spec(seed=2)
-        res_a = run_job(spec_a)
-        path_a = cache.put(spec_a, res_a)
-        path_b = cache.path(spec_b)
-        path_b.parent.mkdir(parents=True, exist_ok=True)
-        path_b.write_bytes(path_a.read_bytes())
-        assert cache.get(spec_b) is None
-        assert not path_b.exists()
-        assert results_equal(cache.get(spec_a), res_a)
-        assert cache.stats() == {"hits": 1, "misses": 1}
 
     @pytest.mark.parametrize("shape", [
         "none", "all_zero", "clip_bucket_only", "bucket_900", "width_10",
@@ -487,20 +466,41 @@ class TestResultCache:
         assert path.stat().st_size <= len(full_list_entry) / 2
 
     @pytest.mark.parametrize("defect", [
+        "truncated_json", "deeply_nested", "not_utf8", "foreign_key",
+        "missing_field", "epoch_series_list", "epoch_cycles_string",
         "head_longer_than_width", "width_missing", "width_negative",
         "width_float", "width_string", "width_bool", "bucket_float",
-        "bucket_string", "bucket_null", "bucket_huge",
+        "bucket_string", "bucket_null", "bucket_huge", "bucket_negative",
     ])
     def test_malformed_compact_entry_is_a_miss(
         self, tmp_path, defect, cached_small_result
     ):
+        """Every defect of a stored entry is a miss that drops the file,
+        and the rerun's entry is served again."""
         cache = ResultCache(tmp_path)
         spec = small_spec()
         path = cache.put(spec, cached_small_result)
         payload = json.loads(path.read_text())
-        head = payload["result"]["latency_hist"]
+        result = payload["result"]
+        head = result["latency_hist"]
         width = payload["latency_hist_buckets"]
-        if defect == "head_longer_than_width":
+        raw = None
+        if defect == "truncated_json":
+            raw = b"{ truncated garbage"
+        elif defect == "deeply_nested":
+            raw = b"[" * 100_000
+        elif defect == "not_utf8":
+            raw = path.read_bytes().replace(b'"mcf"', b'"mc\xe9"', 1)
+            assert raw != path.read_bytes()
+        elif defect == "foreign_key":
+            payload["key"] = cache.key(small_spec(seed=2))
+        elif defect == "missing_field":
+            del result["ipc"]
+        elif defect == "epoch_series_list":
+            result["epochs"]["series"] = [1, 2]
+        elif defect == "epoch_cycles_string":
+            result["epochs"]["cycles"] = "12"
+        elif defect == "head_longer_than_width":
             payload["latency_hist_buckets"] = len(head) - 1
         elif defect == "width_missing":
             del payload["latency_hist_buckets"]
@@ -513,11 +513,14 @@ class TestResultCache:
             head[-1] = {
                 "bucket_float": head[-1] + 0.5, "bucket_string": str(head[-1]),
                 "bucket_null": None, "bucket_huge": 2**70,
+                "bucket_negative": -1,
             }[defect]
-        path.write_text(json.dumps(payload))
+        path.write_bytes(raw if raw is not None else json.dumps(payload).encode())
         assert cache.get(spec) is None
         assert cache.stats() == {"hits": 0, "misses": 1}
         assert not path.exists()
+        cache.put(spec, cached_small_result)
+        assert results_equal(cache.get(spec), cached_small_result)
 
     @pytest.fixture(scope="class")
     def cached_small_result(self):

@@ -12,9 +12,12 @@ Three layers of safety:
 - config-level geometry validation through the topology registry;
 - ``hop_distances``, the package's one BFS, against closed-form grid
   distances and a plain per-source BFS on symmetric *and* directed
-  link masks.
+  link masks;
+- the row-block builds of distances and route tables against one-shot
+  references, and the traced memory peak of a 1,024-node build.
 """
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -23,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.simulator as simulator_mod
+import repro.topology.graph as graph_module
 from repro.config import SimulationConfig
 from repro.harness import JobSpec, run_job
 from repro.topology import (
@@ -194,6 +198,65 @@ class TestZooProperties:
         topo = make()
         totals = topo.distance_table().sum(axis=1)
         assert totals[topo.central_node()] == totals.min()
+
+
+def _routes_reference(topo):
+    """Productive-port tables built in one shot over all pairs."""
+    n = topo.num_nodes
+    dist = topo.distance_table()
+    routes = np.full((2, n, n), INVALID_PORT, dtype=np.int8)
+    primary, secondary = routes
+    for port in topo.port_scan_order:
+        has = topo.link_exists[:, port]
+        nbr_dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
+        nbr_dist[has] = dist[topo.neighbor[has, port]]
+        productive = nbr_dist < dist
+        first = productive & (primary == INVALID_PORT)
+        primary[first] = port
+        secondary[productive & ~first & (secondary == INVALID_PORT)] = port
+    return routes.reshape(2, -1)
+
+
+class TestRowBlockBuilds:
+    """finalize() runs the BFS and the route-table build in row blocks."""
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("make", zoo_topologies())
+    def test_blocks_match_one_shot_references(self, make, rows, monkeypatch):
+        """One row, a block that does not divide the node count, and
+        every row in one block give the same tables."""
+        n = make().num_nodes
+        monkeypatch.setattr(graph_module, "_ROUTE_BLOCK", (rows or n) * n)
+        monkeypatch.setattr(graph_module, "_BFS_BLOCK", (rows or n) * n)
+        topo = make()
+        np.testing.assert_array_equal(
+            topo.distance_table(),
+            _bfs_reference(topo.neighbor, topo.link_exists),
+        )
+        np.testing.assert_array_equal(
+            topo.route_tables(), _routes_reference(topo)
+        )
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: zoo.chiplet(32, 32, 4), id="chiplet-32x32t4"),
+        pytest.param(lambda: zoo.express(32, 32, 4), id="express-32x32s4"),
+        pytest.param(lambda: zoo.mesh3d(8, 8, 16), id="mesh3d-8x8x16"),
+    ])
+    def test_1024_node_build_keeps_no_n_by_n_temporary(self, make):
+        """The build peaks under 9 MB beside the 6 MB it keeps (the
+        int32 distance table and two int8 route tables); built in one
+        shot it peaked near 18 MB."""
+        tracemalloc.start()
+        try:
+            topo = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert topo.num_nodes == 1024
+        assert peak < 9e6
+        np.testing.assert_array_equal(
+            topo.route_tables(), _routes_reference(topo)
+        )
 
 
 class TestZooGeometry:
