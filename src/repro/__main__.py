@@ -1,43 +1,43 @@
-"""Command-line front end: run one NoC simulation and print its summary.
+"""Command-line front end: ``run`` one NoC simulation or a grid of them,
+or regenerate the paper's reports with ``figure``.
 
 Examples::
 
     python -m repro --category H --nodes 16 --cycles 20000
-    python -m repro --category HM --nodes 64 --controller central
     python -m repro --app mcf --nodes 256 --network buffered \
         --locality exponential --locality-param 1.0
 
-The ``sweep`` subcommand runs a multi-point scaling sweep through
-:mod:`repro.harness` — parallel workers and a content-addressed result
-cache, so re-running only executes changed points::
+``run`` is the default verb.  ``--nodes``, ``--network`` and
+``--controller`` take several values.  An invocation that describes
+more than one run, or one given ``--jobs`` or ``--cache-dir``, is a
+grid through :mod:`repro.harness` (parallel workers, a
+content-addressed result cache) printed one row per run; no grid spec
+names a backend unless ``--backend`` does (stderr gets the split)::
 
-    python -m repro sweep --sizes 16,64,256 --jobs 4 \
-        --cache-dir ~/.cache/repro-sweeps
+    python -m repro run --nodes 16 64 256 --controller none central \
+        --epoch 1200 --jobs 4 --cache-dir ~/.cache/repro-sweeps
 
-The ``figure`` subcommand regenerates the paper's reports from the
-figure registry (:mod:`repro.experiments.figures`) through the same
-harness flags, exits 1 naming every claim that does not hold, and
-with ``--markdown`` rewrites their blocks in EXPERIMENTS.md.  Neither
-``sweep`` nor ``figure`` names a backend (stderr gets the split)::
+A result that carries a chaos campaign prints its per-event table, and
+a run or grid row that lost an in-network flit exits 1.  ``--profile``
+adds per-phase timing, ``--trace`` sampled flit tracing, and
+``--overhead-check PCT`` exits 1 when per-phase timing costs more than
+PCT percent against a plain run::
+
+    python -m repro --chaos-script examples/chaos_demo.json \
+        --check-invariants --watchdog 2000 --cycles 5000
+    python -m repro --nodes 64 --cycles 6000 --epoch 1000 --profile \
+        --trace --overhead-check 5
+
+``figure`` regenerates the paper's reports from the figure registry
+(:mod:`repro.experiments.figures`) through the same harness flags,
+exits 1 naming every claim that does not hold, and with ``--markdown``
+rewrites their blocks in EXPERIMENTS.md::
 
     python -m repro figure fig3a fig3b --scale 0.5 --jobs 2
-    python -m repro figure --jobs 2 --markdown EXPERIMENTS.md
-
-The ``profile`` subcommand runs the observability smoke configuration
-with ``--profile`` on and prints what a single run prints for it; with
-``--overhead-check`` it also times per-phase timing enabled vs plain::
-
-    python -m repro profile --nodes 64 --cycles 20000 --trace
-    python -m repro profile --overhead-check 5    # CI gate
-
-Single runs take ``--profile`` (per-phase timing on the result) and
-``--trace`` (sampled per-flit event tracing)::
-
-    python -m repro --category H --nodes 16 --profile --trace
 
 A flag that sets a ``SimulationConfig`` field is declared from that
-field's metadata (:func:`_config_flags`).  Every command describes its
-runs as :class:`~repro.harness.JobSpec` values and builds them with
+field's metadata (:func:`_config_flags`).  Both verbs describe their
+runs as :class:`~repro.harness.JobSpec` values and build them with
 :func:`repro.harness.build`, the simulator's one construction site;
 bad input exits 2 with one ``error:`` line before a cycle runs.
 """
@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import itertools
 import os
 import sys
 import time
@@ -61,12 +62,7 @@ from repro import (
 )
 from repro.control.hierarchical import COORDINATION_MODES
 from repro.control.registry import CONTROLLER_NAMES, CONTROLLERS
-from repro.experiments.sweeps import (
-    NETWORK_VARIANTS,
-    SCALING_NETWORKS,
-    Harness,
-    scaling_specs,
-)
+from repro.experiments.sweeps import Harness
 from repro.guardrails import FaultConfig, GuardrailError
 from repro.harness import (
     JobSpec,
@@ -79,18 +75,16 @@ from repro.harness import (
 from repro.native import NativeUnsupported
 from repro.topology.registry import TOPOLOGIES
 
-__all__ = ["main", "build_parser", "build_sweep_parser",
-           "build_figure_parser", "build_profile_parser",
-           "build_chaos_parser", "chaos_main", "figure_main",
-           "profile_main", "sweep_main"]
+__all__ = ["main", "build_parser", "build_figure_parser", "figure_main"]
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(SimulationConfig)}
 
 
-def _config_flags(parser, *names: str, **defaults) -> None:
+def _config_flags(parser, *names: str, grid=False, **defaults) -> None:
     """Declare the flags of the ``SimulationConfig`` fields *names* from
     their metadata: type from the default, ``store_true`` for a bool,
-    the field's own default unless *defaults* overrides it."""
+    the field's own default unless *defaults* overrides it.  A *grid*
+    flag takes one or more values and defaults to a one-value list."""
     for name in names:
         field = _CONFIG_FIELDS[name]
         meta = field.metadata
@@ -102,7 +96,8 @@ def _config_flags(parser, *names: str, **defaults) -> None:
         else:
             choices = meta.get("choices")
             parser.add_argument(
-                flag, dest=name, default=default, choices=choices,
+                flag, dest=name, default=[default] if grid else default,
+                nargs="+" if grid else None, choices=choices,
                 type=None if choices else type(default), help=meta["help"],
             )
 
@@ -112,27 +107,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _add_common_flags(parser, nodes: int, cycles: int, category="H", *,
-                      controller=True, category_group=None) -> None:
-    """Declare the flags every single-run subcommand takes; ``--category``
-    lands in *category_group* when the parser pairs it with an exclusive
-    alternative."""
-    (parser if category_group is None else category_group).add_argument(
-        "--category", choices=WORKLOAD_CATEGORIES, default=category,
-        help="random workload category (default: H)",
-    )
-    parser.add_argument("--nodes", type=int, default=nodes,
-                        help=f"node count (square mesh; default {nodes})")
-    parser.add_argument("--cycles", type=_positive_int, default=cycles)
-    _config_flags(parser, "seed", "epoch", "network", "topology",
-                  seed=1, epoch=2_000)
-    if controller:
-        parser.add_argument("--controller", choices=CONTROLLER_NAMES,
-                            default="none")
-        parser.add_argument("--static-rate", type=float, default=0.5,
-                            help="rate for --controller static")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,9 +119,23 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument(
         "--app", help="homogeneous workload of one Table-1 application"
     )
-    _add_common_flags(parser, 16, 20_000, None, category_group=workload)
+    workload.add_argument(
+        "--category", choices=WORKLOAD_CATEGORIES, default=None,
+        help="random workload category (default: H)",
+    )
+    parser.add_argument("--nodes", type=int, nargs="+", default=[16],
+                        help="node count(s) (square mesh; default 16)")
+    parser.add_argument("--cycles", type=_positive_int, default=20_000)
+    _config_flags(parser, "seed", "epoch", seed=1, epoch=2_000)
+    _config_flags(parser, "network", grid=True)
+    _config_flags(parser, "topology")
+    parser.add_argument("--controller", choices=CONTROLLER_NAMES, nargs="+",
+                        default=["none"])
+    parser.add_argument("--static-rate", type=float, default=0.5,
+                        help="rate for --controller static")
+    # Without --backend one run takes numpy, a grid repro.native.pick's.
     _config_flags(parser, "backend", "depth", "chiplet_tile",
-                  "express_stride")
+                  "express_stride", backend=None)
     parser.add_argument(
         "--controller-domains", type=int, default=0, metavar="N",
         help="hierarchical controller: control-domain count "
@@ -167,8 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the topology registry table and exit",
     )
     _config_flags(parser, "locality", "locality_param")
-    _config_flags(parser.add_argument_group("observability"),
+    observability = parser.add_argument_group("observability")
+    _config_flags(observability,
                   "profile", "trace", "trace_sample", "trace_capacity")
+    observability.add_argument(
+        "--overhead-check", type=float, default=None, metavar="PCT",
+        help="also time per-phase timing enabled vs a plain run and "
+             "exit 1 if it costs more than PCT percent",
+    )
     guard = parser.add_argument_group("guardrails")
     _config_flags(guard, "check_invariants", "watchdog_window",
                   "max_flit_age")
@@ -193,36 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--chaos-script", default=None, metavar="PATH",
         help="JSON chaos campaign (ChaosConfig) applied mid-run; see "
-             "examples/chaos_demo.json and 'python -m repro chaos'",
+             "examples/chaos_demo.json",
     )
-    return parser
-
-
-#: The ``SimulationConfig`` fields ``sweep`` takes as flags.
-_SWEEP_CONFIG = ("seed", "epoch", "topology", "locality", "locality_param")
-
-
-def build_sweep_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro sweep",
-        description="Scaling sweep through repro.harness: every "
-        "(size x network) point as one cached, parallelizable job.",
-    )
-    parser.add_argument(
-        "--sizes", default="16,64",
-        help="comma-separated node counts (square meshes; default 16,64)",
-    )
-    parser.add_argument(
-        "--networks", default=",".join(SCALING_NETWORKS),
-        help="comma-separated variants from "
-        f"{{{', '.join(NETWORK_VARIANTS)}}}",
-    )
-    parser.add_argument("--cycles", type=_positive_int, default=8_000,
-                        help="cycle budget per point (default 8000)")
-    parser.add_argument("--category", choices=WORKLOAD_CATEGORIES,
-                        default="H", help="workload category (default H)")
-    _config_flags(parser, *_SWEEP_CONFIG, seed=2, epoch=1_200,
-                  locality="exponential")
     _harness_flags(parser)
     return parser
 
@@ -253,7 +219,7 @@ def build_figure_parser() -> argparse.ArgumentParser:
 
 
 def _harness_flags(parser) -> None:
-    """Declare the harness flags ``sweep`` and ``figure`` share."""
+    """Declare the harness flags a ``run`` grid and ``figure`` share."""
     harness = parser.add_argument_group("harness")
     harness.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -277,50 +243,6 @@ def _harness_settings(args):
     return jobs, cache_dir, ResultCache(cache_dir) if cache_dir else None
 
 
-def build_chaos_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Run one chaos campaign and report per-event recovery, "
-        "availability, and flit-loss accounting.  Exits nonzero if any "
-        "in-network flit was lost (the CI chaos smoke gate).",
-    )
-    parser.add_argument(
-        "--script", default="examples/chaos_demo.json", metavar="PATH",
-        help="JSON chaos campaign (default examples/chaos_demo.json)",
-    )
-    _add_common_flags(parser, 16, 5_000)
-    parser.add_argument(
-        "--no-invariants", dest="check_invariants", action="store_false",
-        help="skip the per-cycle losslessness invariant checks "
-             "(they are ON by default here, unlike plain runs)",
-    )
-    # ON by default here, so a wedged campaign trips instead of hanging.
-    _config_flags(parser, "watchdog_window", watchdog_window=2_000)
-    return parser
-
-
-def build_profile_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro profile",
-        description="Observability smoke run: per-phase wall-clock "
-        "breakdown and throughput counters, optionally gated on the cost "
-        "of per-phase timing.",
-    )
-    _add_common_flags(parser, 64, 20_000, controller=False)
-    _config_flags(parser, "trace", "trace_sample")
-    parser.add_argument(
-        "--overhead-check", type=float, default=None, metavar="PCT",
-        help="also time per-phase timing enabled vs a plain run and "
-             "exit 1 if it costs more than PCT percent",
-    )
-    parser.add_argument(
-        "--repeats", type=_positive_int, default=2, metavar="N",
-        help="timing repetitions per side of the overhead check "
-             "(best-of; default 2)",
-    )
-    return parser
-
-
 def _load_chaos_script(path):
     """The campaign in *path*; ``ValueError`` saying why it cannot load."""
     from repro.chaos import ChaosConfig
@@ -333,132 +255,72 @@ def _load_chaos_script(path):
 
 
 def _pop_controller_recipe(opts: dict) -> tuple:
-    """Pop ``--controller`` (``none`` on a parser without it) and every
-    recipe flag the parser defines; return the ``(name, *args)`` recipe
-    of the chosen entry."""
-    name = opts.pop("controller", "none")
-    flags = {
-        arg.dest: opts.pop(arg.dest)
-        for entry in CONTROLLERS.values()
-        for arg in entry.args
-        if arg.dest in opts
-    }
+    """Pop ``--controller`` and every recipe flag the parser defines;
+    return the ``(name, *args)`` recipe of the chosen entry."""
+    name = opts.pop("controller")
+    flags = {arg.dest: opts.pop(arg.dest) for entry in CONTROLLERS.values()
+             for arg in entry.args if arg.dest in opts}
     chosen = CONTROLLERS[name].args
     return (name, *(flags[arg.dest] for arg in chosen if arg.dest in flags))
 
 
+#: Dests of the front end itself rather than of the runs it describes.
+_FRONT_END = ("list_controllers", "list_topologies", "overhead_check",
+              "jobs", "cache_dir", "no_progress")
+
+
+def _specs(args) -> list:
+    """The runs *args* describe: one per cell of the ``--nodes`` x
+    ``--network`` x ``--controller`` grid, each the spec of the single
+    run with that cell's values (:func:`_spec`)."""
+    opts = {k: v for k, v in vars(args).items() if k not in _FRONT_END}
+    cells = itertools.product(opts.pop("nodes"), opts.pop("network"),
+                              opts.pop("controller"))
+    return [_spec(dict(opts, nodes=nodes, network=network, controller=ctl))
+            for nodes, network, ctl in cells]
+
+
 def _spec(opts: dict) -> JobSpec:
-    """The run one ``run``/``chaos``/``profile`` invocation describes.
+    """The run one cell of an invocation describes.
 
     Pops the workload, cycle budget, timeout, controller, fault and
     chaos flags from *opts* and keeps every other dest as a config key,
     which :func:`~repro.harness.build` passes to ``SimulationConfig`` by
     name — so a flag that nothing pops and no config field matches is a
-    TypeError on the first run.  No ``--backend`` flag means numpy.
+    TypeError on the first run.  No ``--backend`` adds no backend key.
     """
-    opts.setdefault("backend", "numpy")
-    app, nodes = opts.pop("app", None), opts.pop("nodes")
+    if opts["backend"] is None:
+        del opts["backend"]
+    app, nodes = opts.pop("app"), opts.pop("nodes")
     category = opts.pop("category") or "H"
     if app:
         workload = make_homogeneous_workload(app, nodes)
     else:
         rng = np.random.default_rng(opts["seed"])
         workload = make_category_workload(category, nodes, rng)
-    if "fault_seed" in opts:
-        faults = FaultConfig(
-            link_fault_rate=opts.pop("link_faults"),
-            router_fault_rate=opts.pop("router_faults"),
-            transient_fault_rate=opts.pop("transient_faults"),
-            seed=opts.pop("fault_seed"),
-        )
-        if faults.any_faults:
-            opts["faults"] = faults
-    script = opts.pop("chaos_script", None)
+    faults = FaultConfig(
+        link_fault_rate=opts.pop("link_faults"),
+        router_fault_rate=opts.pop("router_faults"),
+        transient_fault_rate=opts.pop("transient_faults"),
+        seed=opts.pop("fault_seed"),
+    )
+    if faults.any_faults:
+        opts["faults"] = faults
+    script = opts.pop("chaos_script")
     if script:
         opts["chaos"] = _load_chaos_script(script)
     return JobSpec.for_workload(
-        workload, opts.pop("cycles"), deadline=opts.pop("timeout", None),
+        workload, opts.pop("cycles"), deadline=opts.pop("timeout"),
         controller=_pop_controller_recipe(opts), config=opts,
     )
 
 
-def _build(opts: dict):
-    """``(spec, simulator)`` for *opts* (:func:`_spec`), or ``None`` after
-    reporting invalid input in one line on stderr (the caller exits 2)."""
-    try:
-        spec = _spec(opts)
-        return spec, build(spec)
-    except (ValueError, NativeUnsupported) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def chaos_main(argv=None) -> int:
-    opts = vars(build_chaos_parser().parse_args(argv))
-    script = opts.pop("script")
-    built = _build(dict(opts, chaos_script=script))
-    if built is None:
-        return 2
-    spec, simulator = built
-    config = simulator.config
-    try:
-        result = simulator.run(spec.cycles)
-    except GuardrailError as error:
-        print(f"guardrail abort: {error}", file=sys.stderr)
-        return 2
-    report = result.chaos
-    print(f"chaos campaign: {script} on {config.workload.category}/"
-          f"{config.num_nodes}n/{config.network}, seed {config.seed}, "
-          f"{spec.cycles} cycles")
-    for ev in report.events:
-        target = ""
-        if ev.kind.startswith("link"):
-            target = f" ({ev.node}:{ev.port})"
-        elif ev.kind.startswith("router"):
-            target = f" ({ev.node})"
-        if ev.skipped:
-            status = f"skipped: {ev.reason}"
-        elif ev.applied_cycle < 0:
-            status = "never applied (beyond horizon?)"
-        else:
-            status = f"applied @{ev.applied_cycle}"
-            if ev.reason:
-                status += f" ({ev.reason})"
-            if ev.recovery_cycles >= 0:
-                status += f", recovered in {ev.recovery_cycles}cy"
-        print(f"  @{ev.cycle:>6} {ev.kind:<16}{target:<9} {status}")
-    print(f"report: {report.summary()}")
-    print(f"flits: {result.injected_flits} injected, "
-          f"{result.ejected_flits} ejected, "
-          f"{result.in_flight_flits} in flight, "
-          f"{report.orphaned_flits} orphaned pre-injection packet(s)")
-    print(result.summary())
-    if not result.flit_conservation_ok:
-        lost = (result.injected_flits - result.ejected_flits
-                - result.in_flight_flits)
-        print(f"FLIT LOSS: {lost} in-network flit(s) unaccounted for",
-              file=sys.stderr)
-        return 1
-    print("flit conservation OK (zero in-network loss)")
-    return 0
-
-
-def _print_observability(simulator, result) -> None:
-    """What ``--profile`` and ``--trace`` add to a run's output."""
-    if result.perf is not None and simulator.config.profile:
-        print(f"\nprofile: {result.perf.table()}")
-    if simulator.tracer is not None:
-        print(f"\n{simulator.tracer.summary()}")
-
-
-def _timing_overhead(plain, timed, cycles: int, repeats: int):
+def _timing_overhead(plain, timed, cycles: int, repeats: int = 2):
     """Per-phase timing enabled vs plain: ``(plain cycles/s, timed
     cycles/s, overhead in percent)``, best of *repeats* fresh runs per
     side after a warm-up.  *plain* and *timed* are zero-argument
-    builders; a plain run takes the simulator's uninstrumented loop,
-    ``profile=True`` adds a PhaseTimer lap around every phase.  The
-    sides alternate, and so does which goes first in a repeat, so a
-    host that changes speed mid-check slows both alike."""
+    builders.  The sides alternate, and so does which goes first in a
+    repeat, so a host that changes speed mid-check slows both alike."""
     best = [0.0, 0.0]  # plain, timed
     plain().run(min(cycles, 2_000))  # imports, numpy caches
     for repeat in range(repeats):
@@ -472,25 +334,57 @@ def _timing_overhead(plain, timed, cycles: int, repeats: int):
     return plain_cps, timed_cps, (1.0 - timed_cps / plain_cps) * 100.0
 
 
-def profile_main(argv=None) -> int:
-    opts = vars(build_profile_parser().parse_args(argv))
-    limit, repeats = opts.pop("overhead_check"), opts.pop("repeats")
-    built = _build(dict(opts, profile=True))
-    if built is None:
-        return 2
-    spec, simulator = built
-    result = simulator.run(spec.cycles)
+def _flit_loss(results) -> int:
+    """One ``FLIT LOSS`` line on stderr per result that lost an
+    in-network flit; the exit code (1 if any did)."""
+    lost = [r.injected_flits - r.ejected_flits - r.in_flight_flits
+            for r in results if r is not None and not r.flit_conservation_ok]
+    for count in lost:
+        print(f"FLIT LOSS: {count} in-network flit(s) unaccounted for",
+              file=sys.stderr)
+    return 1 if lost else 0
+
+
+def _run_one(spec: JobSpec, simulator, limit) -> int:
+    """Run one simulator and print what it did; exit code."""
     config = simulator.config
-    print(f"{config.num_nodes} nodes, {spec.cycles} cycles, "
-          f"{config.workload.category}/{config.network}/{config.topology}, "
-          f"seed {config.seed}")
-    _print_observability(simulator, result)
+    workload = config.workload
+    try:
+        result = simulator.run(spec.cycles, deadline=spec.deadline)
+    except GuardrailError as error:
+        print(f"guardrail abort: {error}", file=sys.stderr)
+        snapshot = getattr(error, "snapshot", None)
+        if snapshot:
+            for key, value in snapshot.items():
+                print(f"  {key}: {value}", file=sys.stderr)
+        return 2
+    print(f"workload: {workload.category or 'custom'} "
+          f"({', '.join(str(a) for a in workload.app_names[:8])}"
+          f"{', ...' if workload.num_nodes > 8 else ''})")
+    geometry = f"{config.width}x{config.height}"
+    if config.depth > 1:
+        geometry += f"x{config.depth}"
+    print(f"network:  {config.network} {config.topology} "
+          f"{geometry}, controller={spec.controller[0]}")
+    print(result.summary())
+    if result.guardrails is not None and result.guardrails.active:
+        print(f"guardrails: {result.guardrails.summary()}")
+    if result.chaos is not None:
+        print(f"chaos: {result.chaos.summary()}\n{result.chaos.table()}")
+    print(f"system throughput: {result.system_throughput:.2f} insns/cycle   "
+          f"weighted by node: {result.throughput_per_node:.3f} IPC/node")
+    print(f"admission starvation: {result.mean_port_starvation:.3f}   "
+          f"worst-case flit latency: {result.max_net_latency} cycles")
+    if result.perf is not None and config.profile:
+        print(f"\nprofile: {result.perf.table()}")
+    if simulator.tracer is not None:
+        print(f"\n{simulator.tracer.summary()}")
     if limit is not None:
         plain_spec = spec.with_config(profile=False, trace=False)
         plain, timed, overhead = _timing_overhead(
             lambda: build(plain_spec),
             lambda: build(plain_spec.with_config(profile=True)),
-            spec.cycles, repeats,
+            spec.cycles,
         )
         print(f"\noverhead check: plain {plain:,.0f} cycles/s, per-phase "
               f"timing enabled {timed:,.0f} cycles/s -> {overhead:+.2f}% "
@@ -499,63 +393,43 @@ def profile_main(argv=None) -> int:
             print("overhead check FAILED", file=sys.stderr)
             return 1
         print("overhead check OK")
-    return 0
+    return _flit_loss([result])
 
 
-def sweep_main(argv=None) -> int:
-    args = build_sweep_parser().parse_args(argv)
-    try:
-        sizes = tuple(int(s) for s in args.sizes.split(",") if s)
-        for size in sizes:  # the topology's geometry check, before any job
-            SimulationConfig(make_homogeneous_workload("mcf", size),
-                             topology=args.topology)
-    except ValueError as exc:
-        print(f"invalid --sizes {args.sizes!r}: {exc}", file=sys.stderr)
-        return 2
-    networks = tuple(n for n in args.networks.split(",") if n)
-    if not sizes or not networks or set(networks) - set(NETWORK_VARIANTS):
-        print(f"invalid --sizes/--networks ({args.sizes!r}, "
-              f"{args.networks!r})", file=sys.stderr)
-        return 2
-    grid = scaling_specs(
-        sizes, lambda n: args.cycles, category=args.category,
-        networks=networks,
-        **{name: getattr(args, name) for name in _SWEEP_CONFIG},
-    )
-    try:
-        build(grid[0][2])  # a bad configuration fails here, before any job
-    except (ValueError, NativeUnsupported) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    jobs, cache_dir, cache = _harness_settings(args)
-
-    start = time.perf_counter()
-    report = run_jobs(
-        [spec for _, _, spec in grid], jobs=jobs, cache=cache,
-        progress=not args.no_progress, description="scaling",
-    )
-    wall = time.perf_counter() - start
-
+def _run_grid(specs, args) -> int:
+    """Run *specs* through the harness, one table row each; exit code."""
     from repro.experiments.tables import format_table
-    for name in networks:
-        rows = [
-            (size, res.throughput_per_node, res.avg_net_latency,
-             res.network_utilization, res.mean_starvation)
-            for (variant, size, _), res in zip(grid, report.results)
-            if variant == name and res is not None
-        ]
-        print(f"\n{name} ({args.category}, {args.locality}, "
-              f"epoch {args.epoch}):")
-        print(format_table(
-            ["cores", "IPC/node", "latency", "util", "starvation"], rows
-        ))
+
+    jobs, cache_dir, cache = _harness_settings(args)
+    start = time.perf_counter()
+    report = run_jobs(specs, jobs=jobs, cache=cache,
+                      progress=not args.no_progress, description="run")
+    wall = time.perf_counter() - start
+    done = [(spec, res) for spec, res in zip(specs, report.results)
+            if res is not None]
+    print(format_table(
+        ["cores", "network", "controller", "IPC/node", "latency", "util",
+         "starvation"],
+        [(spec.num_nodes, spec.network, spec.controller[0],
+          res.throughput_per_node, res.avg_net_latency,
+          res.network_utilization, res.mean_starvation)
+         for spec, res in done],
+    ))
+    for spec, res in done:
+        if res.chaos is not None:
+            print(f"\nchaos {spec.label()}: {res.chaos.summary()}\n"
+                  f"{res.chaos.table()}")
     print(f"\nharness: {report.total} jobs, {report.cache_hits} cache hits, "
           f"{report.executed} executed, wall {wall:.2f}s, workers {jobs}")
     print("backend: " + _split((r.backend, r.refusal) for r in report.records
                                if not r.cached), file=sys.stderr)
     if cache is not None:
         print(f"cache: {cache_dir} ({len(cache)} entries)")
-    return 0
+    failed = [r for r in report.records if r.error]
+    for record in failed:
+        print(f"guardrail abort: {record.label}: {record.error}",
+              file=sys.stderr)
+    return 2 if failed else _flit_loss(report.results)
 
 
 def _split(picks) -> str:
@@ -608,83 +482,54 @@ def figure_main(argv=None) -> int:
     return 1 if failed else 0
 
 
-def _list_controllers() -> None:
-    width = max(len(name) for name in CONTROLLERS)
-    rwidth = max(len(e.recipe) for e in CONTROLLERS.values())
-    print(f"{'controller':<{width}}  {'recipe':<{rwidth}}  description")
-    for entry in CONTROLLERS.values():
-        print(f"{entry.name:<{width}}  {entry.recipe:<{rwidth}}  "
-              f"{entry.description}")
-
-
-def _list_topologies() -> None:
-    width = max(len("topology"), *(len(name) for name in TOPOLOGIES))
-    print(f"{'topology':<{width}}  description")
-    for entry in TOPOLOGIES.values():
-        print(f"{entry.name:<{width}}  {entry.description}")
+def _list_registries(args) -> None:
+    """The registry tables ``--list-controllers``/``--list-topologies``
+    ask for, a blank line between."""
+    if args.list_controllers:
+        width = max(len(name) for name in CONTROLLERS)
+        rwidth = max(len(e.recipe) for e in CONTROLLERS.values())
+        print(f"{'controller':<{width}}  {'recipe':<{rwidth}}  description")
+        for entry in CONTROLLERS.values():
+            print(f"{entry.name:<{width}}  {entry.recipe:<{rwidth}}  "
+                  f"{entry.description}")
+    if args.list_topologies:
+        if args.list_controllers:
+            print()
+        width = max(len("topology"), *(len(name) for name in TOPOLOGIES))
+        print(f"{'topology':<{width}}  description")
+        for entry in TOPOLOGIES.values():
+            print(f"{entry.name:<{width}}  {entry.description}")
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
     if argv and argv[0] == "figure":
         return figure_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return profile_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return chaos_main(argv[1:])
-    # ``run`` is an explicit alias for the default single-run command.
+    # ``run`` is an explicit alias for the default command.
     if argv and argv[0] == "run":
         argv = argv[1:]
-    opts = vars(build_parser().parse_args(argv))
-    list_controllers = opts.pop("list_controllers")
-    list_topologies = opts.pop("list_topologies")
-    if list_controllers or list_topologies:
-        if list_controllers:
-            _list_controllers()
-        if list_topologies:
-            if list_controllers:
-                print()
-            _list_topologies()
+    args = build_parser().parse_args(argv)
+    if args.list_controllers or args.list_topologies:
+        _list_registries(args)
         return 0
-
-    controller = opts["controller"]
-    built = _build(opts)
-    if built is None:
-        return 2
-    spec, simulator = built
-    config = simulator.config
-    workload = config.workload
+    limit = args.overhead_check
     try:
-        result = simulator.run(spec.cycles, deadline=spec.deadline)
-    except GuardrailError as error:
-        print(f"guardrail abort: {error}", file=sys.stderr)
-        snapshot = getattr(error, "snapshot", None)
-        if snapshot:
-            for key, value in snapshot.items():
-                print(f"  {key}: {value}", file=sys.stderr)
+        specs = _specs(args)
+        grid = (len(specs) > 1 or args.jobs is not None
+                or args.cache_dir is not None)
+        if grid:
+            if limit is not None:
+                raise ValueError("--overhead-check times one run, not a grid")
+            for spec in specs:  # a bad cell fails here, before any job
+                build(spec)
+        else:
+            spec = specs[0].with_config(backend=args.backend or "numpy")
+            simulator = build(spec)
+    except (ValueError, NativeUnsupported) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"workload: {workload.category or 'custom'} "
-          f"({', '.join(str(a) for a in workload.app_names[:8])}"
-          f"{', ...' if workload.num_nodes > 8 else ''})")
-    geometry = f"{config.width}x{config.height}"
-    if config.depth > 1:
-        geometry += f"x{config.depth}"
-    print(f"network:  {config.network} {config.topology} "
-          f"{geometry}, controller={controller}")
-    print(result.summary())
-    if result.guardrails is not None and result.guardrails.active:
-        print(f"guardrails: {result.guardrails.summary()}")
-    if result.chaos is not None:
-        print(f"chaos: {result.chaos.summary()}")
-    print(f"system throughput: {result.system_throughput:.2f} insns/cycle   "
-          f"weighted by node: {result.throughput_per_node:.3f} IPC/node")
-    print(f"admission starvation: {result.mean_port_starvation:.3f}   "
-          f"worst-case flit latency: {result.max_net_latency} cycles")
-    _print_observability(simulator, result)
-    return 0
+    return _run_grid(specs, args) if grid else _run_one(spec, simulator, limit)
 
 
 if __name__ == "__main__":

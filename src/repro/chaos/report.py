@@ -116,6 +116,31 @@ class ChaosReport:
             total_cycles=data["total_cycles"],
         )
 
+    def table(self) -> str:
+        """One line per scheduled event (target, when it applied or why
+        it did not, how long recovery took), then the orphaned count."""
+        lines = []
+        for ev in self.events:
+            target = ""
+            if ev.kind.startswith("link"):
+                target = f" ({ev.node}:{ev.port})"
+            elif ev.kind.startswith("router"):
+                target = f" ({ev.node})"
+            if ev.skipped:
+                status = f"skipped: {ev.reason}"
+            elif ev.applied_cycle < 0:
+                status = "never applied (beyond horizon?)"
+            else:
+                status = f"applied @{ev.applied_cycle}"
+                if ev.reason:
+                    status += f" ({ev.reason})"
+                if ev.recovery_cycles >= 0:
+                    status += f", recovered in {ev.recovery_cycles}cy"
+            lines.append(f"  @{ev.cycle:>6} {ev.kind:<16}{target:<9} {status}")
+        lines.append(f"  {self.orphaned_flits} orphaned pre-injection "
+                     f"packet(s)")
+        return "\n".join(lines)
+
     def summary(self) -> str:
         applied = self.applied_events
         recovered = self.recovered_events

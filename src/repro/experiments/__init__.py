@@ -15,7 +15,6 @@ from repro.experiments.sweeps import (
     locality_sweep,
     pairwise_ipf_grid,
     scaled_cycles,
-    scaling_specs,
     scaling_sweep,
     static_throttle_sweep,
     workload_batch_comparison,
@@ -28,7 +27,6 @@ __all__ = [
     "alone_ipc_specs",
     "scaled_cycles",
     "static_throttle_sweep",
-    "scaling_specs",
     "scaling_sweep",
     "locality_sweep",
     "pairwise_ipf_grid",

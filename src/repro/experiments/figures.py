@@ -244,7 +244,7 @@ def _fig3c(results):
     return (
         "Fig 3(c): per-node throughput vs CMP size (BLESS, locality)",
         [("IPC/node drops with scale", "monotone-ish decline",
-          f"-{100*drop:.0f}% at 4096", drop > 0.2)],
+          f"{-100*drop:+.0f}% at 4096", drop > 0.2)],
         (["cores", "IPC/node"], rows),
     )
 
@@ -271,7 +271,7 @@ def _sec32(results):
     drop = 1 - rows[1][1] / rows[0][1]
     return (
         "§3.2: uniform striping, per-node throughput 4x4 -> 64x64",
-        [("per-node throughput drop", "-73%", f"-{100*drop:.0f}%",
+        [("per-node throughput drop", "-73%", f"{-100*drop:+.0f}%",
           drop > 0.5)],
         (["cores", "IPC/node"], rows),
     )
@@ -297,7 +297,7 @@ def _fig4(results):
         "Fig 4: per-node throughput vs average hop distance (64x64)",
         [
             ("throughput highly sensitive to locality",
-             "large drop 1 -> 16 hops", f"-{100*drop:.0f}%", drop > 0.3),
+             "large drop 1 -> 16 hops", f"{-100*drop:+.0f}%", drop > 0.3),
             ("roughly monotone decline", "yes", str(monotone), monotone),
         ],
         (["avg hop distance", "IPC/node"], rows),
@@ -708,12 +708,12 @@ def _fig13(data):
         "Fig 13: per-node throughput with scale",
         [
             ("baseline BLESS IPC/node degrades with size", "large drop",
-             f"-{100*bless_drop:.0f}%", bless_drop > 0.2),
+             f"{-100*bless_drop:+.0f}%", bless_drop > 0.2),
             ("throttling flattens the per-node throughput curve",
              "essentially flat in the paper",
-             f"-{100*throt_drop:.0f}% (vs -{100*bless_drop:.0f}% baseline)",
+             f"{-100*throt_drop:+.0f}% (vs {-100*bless_drop:+.0f}% baseline)",
              throt_drop < bless_drop),
-            ("buffered scales flat", "flat", f"-{100*buf_drop:.0f}%",
+            ("buffered scales flat", "flat", f"{-100*buf_drop:+.0f}%",
              abs(buf_drop) < 0.15),
             ("throughput gain at 4096 cores", "~50%",
              f"{100*gain_4096:+.0f}%", gain_4096 > 0.15),

@@ -38,7 +38,6 @@ __all__ = [
     "alone_ipc_specs",
     "alone_ipc",
     "static_throttle_sweep",
-    "scaling_specs",
     "scaling_sweep",
     "locality_sweep",
     "pairwise_ipf_grid",
@@ -168,22 +167,23 @@ def static_throttle_sweep(
 SCALING_NETWORKS = ("bless", "bless-throttling", "buffered")
 
 
-def scaling_specs(
+def scaling_sweep(
     sizes: Sequence[int],
     cycles_for,
-    category: str = "H",
     networks: Sequence[str] = SCALING_NETWORKS,
+    harness: Optional[Harness] = None,
+    category: str = "H",
     locality: str = "exponential",
     locality_param: float = 1.0,
     epoch: int = 1200,
     seed: int = 2,
     topology: str = "mesh",
-) -> List[Tuple[str, int, JobSpec]]:
-    """Figs 3 and 13-16's grid as ``(variant, size, spec)`` rows: one
-    workload per size, each variant of ``networks`` (entries of
-    :data:`NETWORK_VARIANTS`); ``cycles_for(n)`` maps a node count to a
-    cycle budget, letting large networks run shorter.
-    """
+) -> Dict[str, List[Tuple[int, SimulationResult]]]:
+    """Figs 3 and 13-16: one workload per size, run on each variant of
+    ``networks`` (entries of :data:`NETWORK_VARIANTS`) as one
+    embarrassingly parallel batch; ``cycles_for(n)`` maps a node count
+    to a cycle budget, letting large networks run shorter.
+    ``{variant: [(size, result), ...]}``."""
     grid = []
     for size in sizes:
         rng = child_rng(seed, f"scaling-{size}")
@@ -196,19 +196,6 @@ def scaling_specs(
                 locality_param=locality_param, topology=topology,
             )
             grid.append((name, size, spec))
-    return grid
-
-
-def scaling_sweep(
-    sizes: Sequence[int],
-    cycles_for,
-    networks: Sequence[str] = SCALING_NETWORKS,
-    harness: Optional[Harness] = None,
-    **kw,
-) -> Dict[str, List[Tuple[int, SimulationResult]]]:
-    """Run :func:`scaling_specs`' grid, embarrassingly parallel, as one
-    batch; ``{variant: [(size, result), ...]}``."""
-    grid = scaling_specs(sizes, cycles_for, networks=networks, **kw)
     results = _run(harness, [spec for _, _, spec in grid], "scaling")
     out: Dict[str, List[Tuple[int, SimulationResult]]] = {n: [] for n in networks}
     for (name, size, _), res in zip(grid, results):

@@ -39,6 +39,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.harness.jobs import JobSpec
+from repro.network.base import NetworkStats
 from repro.sim.results import RESULT_SCHEMA_VERSION, SimulationResult
 
 __all__ = ["ResultCache", "CODE_VERSION"]
@@ -207,16 +208,17 @@ def _full_hist(head, width) -> Optional[np.ndarray]:
     """The stored histogram *head* zero-padded to *width* buckets.
 
     Raises ``ValueError`` unless *head* is a list of non-negative ints
-    no longer than the int *width* (or both are ``None``), so a
-    malformed entry is a miss rather than a histogram of the wrong
-    length, a truncated float count or a negative one.
+    no longer than the int *width*, itself at most the simulator's
+    bucket count (or both are ``None``), so a malformed entry is a miss
+    rather than a histogram of the wrong length, an allocation of any
+    size, a truncated float count or a negative one.
     """
     if head is None and width is None:
         return None
     if (
         type(head) is not list
         or type(width) is not int
-        or len(head) > width
+        or not len(head) <= width <= NetworkStats.LATENCY_HIST_BUCKETS
         or not set(map(type, head)) <= _INT
         or min(head, default=0) < 0
     ):

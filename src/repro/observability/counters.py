@@ -4,9 +4,9 @@
 exports on :class:`~repro.sim.results.SimulationResult` (only when
 profiling or tracing was enabled — the counters carry wall-clock times,
 which are inherently nondeterministic, so default runs stay bit-exact
-reproducible).  :meth:`PerfCounters.table` is what ``--profile`` and
-``python -m repro profile`` print; speed trajectories across commits
-are the perf ledger's (``benchmarks/perf/bench.py``), not this module's.
+reproducible).  :meth:`PerfCounters.table` is what ``python -m repro
+--profile`` prints; speed trajectories across commits are the perf
+ledger's (``benchmarks/perf/bench.py``), not this module's.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Tests for the ``python -m repro`` command-line front end."""
 
+import pathlib
+
 import pytest
 
-from repro.__main__ import (
-    build_parser,
-    build_profile_parser,
-    build_sweep_parser,
-    main,
-)
+from repro.__main__ import build_parser, main
+from repro.sim.simulator import Simulator
+
+DEMO = pathlib.Path(__file__).resolve().parents[1] / "examples" / "chaos_demo.json"
 
 # Full-simulation module: runs real multi-epoch simulations end to end.
 # Deselect with -m 'not slow' for a fast inner loop; CI runs everything.
@@ -18,9 +18,9 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args([])
         assert args.category is None  # resolved to "H" at run time
-        assert args.nodes == 16
-        assert args.network == "bless"
-        assert args.controller == "none"
+        assert args.nodes == [16]
+        assert args.network == ["bless"]
+        assert args.controller == ["none"]
 
     def test_app_and_category_exclusive(self):
         with pytest.raises(SystemExit):
@@ -116,16 +116,18 @@ class TestRegistryListing:
 
 
 class TestSweepSubcommand:
+    """What the ``sweep`` verb did, as a ``run`` grid."""
+
     def test_sweep_parser_defaults(self):
-        args = build_sweep_parser().parse_args([])
-        assert args.sizes == "16,64"
+        args = build_parser().parse_args([])
+        assert args.backend is None  # numpy for one run, picked in a grid
         assert args.jobs is None  # resolved from $REPRO_JOBS at run time
         assert args.cache_dir is None
 
     def test_sweep_cold_then_warm(self, tmp_path, capsys):
-        argv = ["sweep", "--sizes", "16", "--networks", "bless",
-                "--cycles", "1200", "--epoch", "400", "--jobs", "1",
-                "--cache-dir", str(tmp_path), "--no-progress"]
+        # One cell given --cache-dir is a grid of one.
+        argv = ["run", "--nodes", "16", "--cycles", "1200", "--epoch", "400",
+                "--jobs", "1", "--cache-dir", str(tmp_path), "--no-progress"]
         assert main(argv) == 0
         cold = capsys.readouterr().out
         assert "harness: 1 jobs, 0 cache hits, 1 executed" in cold
@@ -136,33 +138,40 @@ class TestSweepSubcommand:
         assert "harness: 1 jobs, 1 cache hits, 0 executed" in warm
 
     def test_sweep_parallel_workers(self, tmp_path, capsys):
-        rc = main(["sweep", "--sizes", "16,25", "--networks", "bless",
-                   "--cycles", "1100", "--epoch", "400", "--jobs", "2",
-                   "--no-progress"])
+        rc = main(["run", "--nodes", "16", "25", "--controller", "none",
+                   "central", "--cycles", "1100", "--epoch", "400",
+                   "--jobs", "2", "--no-progress"])
         assert rc == 0
-        assert "workers 2" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "harness: 4 jobs" in out and "workers 2" in out
+        rows = [line.split()[:3] for line in out.splitlines()[2:6]]
+        assert rows == [["16", "bless", "none"], ["16", "bless", "central"],
+                        ["25", "bless", "none"], ["25", "bless", "central"]]
 
     def test_sweep_rejects_bad_sizes(self, capsys):
-        rc = main(["sweep", "--sizes", "16,banana", "--no-progress"])
-        assert rc == 2
-        assert "invalid --sizes" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--nodes", "16", "banana", "--no-progress"])
+        assert exit_info.value.code == 2
+        assert "--nodes" in capsys.readouterr().err
 
     def test_sweep_rejects_unknown_category(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", "--category", "ZZ", "--no-progress"])
+            main(["--nodes", "16", "25", "--category", "ZZ", "--no-progress"])
         assert exit_info.value.code == 2
         assert "--category" in capsys.readouterr().err
 
     def test_sweep_rejects_sizes_the_topology_cannot_lay_out(self, capsys):
-        rc = main(["sweep", "--sizes", "16,15", "--no-progress"])
+        rc = main(["--nodes", "16", "15", "--no-progress"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "invalid --sizes" in err and "not square" in err
+        assert err.startswith("error: ") and "not square" in err
+        assert len(err.splitlines()) == 1
 
     def test_sweep_rejects_unknown_network(self, capsys):
-        rc = main(["sweep", "--sizes", "16", "--networks", "wormhole",
-                   "--no-progress"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--nodes", "16", "--network", "bless", "wormhole",
+                  "--no-progress"])
+        assert exit_info.value.code == 2
 
 
 class TestObservabilityFlags:
@@ -190,26 +199,26 @@ class TestObservabilityFlags:
 
 
 class TestProfileSubcommand:
+    """What the ``profile`` verb did, as ``run --profile``."""
+
     def test_profile_parser_defaults(self):
-        args = build_profile_parser().parse_args([])
-        assert args.nodes == 64
-        assert args.cycles == 20_000
+        args = build_parser().parse_args([])
+        assert args.profile is False and args.trace is False
         assert args.overhead_check is None
 
     def test_profile_trace_and_no_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        rc = main(["profile", "--nodes", "16", "--cycles", "600",
-                   "--epoch", "300", "--trace"])
+        rc = main(["--nodes", "16", "--cycles", "600", "--epoch", "300",
+                   "--profile", "--trace"])
         assert rc == 0
         out = capsys.readouterr().out
-        # The text ``run --profile --trace`` prints, and nothing on disk.
         assert "profile: wall" in out and "cycles/s" in out
         assert "trace:" in out and "inject@" in out
         assert list(tmp_path.iterdir()) == []
 
     def test_profile_overhead_gate_pass_and_fail(self, capsys):
-        base = ["profile", "--nodes", "16", "--cycles", "500",
-                "--epoch", "250", "--repeats", "1"]
+        base = ["--nodes", "16", "--cycles", "500", "--epoch", "250",
+                "--profile"]
         # A generous limit always passes...
         assert main(base + ["--overhead-check", "1000"]) == 0
         assert "overhead check OK" in capsys.readouterr().out
@@ -217,11 +226,51 @@ class TestProfileSubcommand:
         assert main(base + ["--overhead-check", "-1000"]) == 1
         assert "overhead check FAILED" in capsys.readouterr().err
 
-    def test_profile_rejects_zero_repeats(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["profile", "--overhead-check", "5", "--repeats", "0"])
-        assert exit_info.value.code == 2
-        assert "--repeats" in capsys.readouterr().err
+    def test_overhead_check_times_one_run_not_a_grid(self, capsys):
+        assert main(["--nodes", "16", "25", "--overhead-check", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --overhead-check times one run, not a grid\n"
+        )
+
+
+class TestFlitLoss:
+    """What the ``chaos`` verb's exit 1 did, on every run and grid row."""
+
+    @pytest.fixture
+    def lose_one_flit_at_16_nodes(self, monkeypatch):
+        result = Simulator.result
+
+        def leaky(self):
+            res = result(self)
+            if res.num_nodes == 16:
+                res.ejected_flits -= 1
+            return res
+
+        monkeypatch.setattr(Simulator, "result", leaky)
+
+    def test_run_exits_1_with_one_line(self, lose_one_flit_at_16_nodes,
+                                       capsys):
+        assert main(["--cycles", "600", "--epoch", "300"]) == 1
+        err = capsys.readouterr().err
+        assert err == "FLIT LOSS: 1 in-network flit(s) unaccounted for\n"
+
+    def test_grid_exits_1_with_one_line_per_lossy_row(
+        self, lose_one_flit_at_16_nodes, capsys
+    ):
+        assert main(["--nodes", "16", "25", "--cycles", "600", "--epoch",
+                     "300", "--jobs", "1", "--no-progress"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "FLIT LOSS" in line] == [
+            "FLIT LOSS: 1 in-network flit(s) unaccounted for"
+        ]
+
+    def test_chaos_campaign_prints_its_table(self, capsys):
+        assert main(["--chaos-script", str(DEMO), "--cycles", "2500",
+                     "--epoch", "500", "--check-invariants",
+                     "--watchdog", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert "chaos: " in out and "events applied" in out
+        assert "link_down" in out and "orphaned pre-injection" in out
 
 
 class TestGuardrailFlags:
@@ -260,8 +309,8 @@ class TestGuardrailFlags:
 
 
 class TestInvalidInput:
-    """Bad input to a single-run command is one line on stderr and exit
-    2, like ``sweep``; construction errors never reach a traceback."""
+    """Bad input to a run or a grid is one line on stderr and exit 2;
+    construction errors never reach a traceback."""
 
     @pytest.mark.parametrize("argv, message", [
         (["--app", "nosuchapp"], "unknown application 'nosuchapp'"),
@@ -273,15 +322,16 @@ class TestInvalidInput:
          "into 999 rectangular domains"),
         (["--trace-capacity", "0"], "trace_capacity must be positive"),
         (["--backend", "native", "--trace"], "native backend: "),
-        (["profile", "--nodes", "15"], "workload size 15 is not square"),
-        (["chaos", "--nodes", "15"], "workload size 15 is not square"),
-        (["chaos", "--script", "/nonexistent.json"],
+        (["--profile", "--nodes", "15"], "workload size 15 is not square"),
+        (["--chaos-script", str(DEMO), "--nodes", "15"],
+         "workload size 15 is not square"),
+        (["--chaos-script", "/nonexistent.json"],
          "error: cannot load chaos script '/nonexistent.json'"),
-        (["sweep", "--sizes", "16", "--networks", "bless", "--cycles", "0"],
+        (["--nodes", "16", "25", "--cycles", "0"],
          "argument --cycles: must be >= 1, got 0"),
-        (["sweep", "--sizes", "16", "--networks", "bless", "--epoch", "0",
-          "--cycles", "500"], "error: epoch must be positive"),
-        (["sweep", "--sizes", "16", "--networks", "bless",
+        (["--nodes", "16", "25", "--epoch", "0", "--cycles", "500"],
+         "error: epoch must be positive"),
+        (["--nodes", "16", "25", "--locality", "exponential",
           "--locality-param", "-1", "--cycles", "500"],
          "error: mean distance must be positive"),
     ])

@@ -7,8 +7,10 @@ in place of the registry.  One slow test runs four simulated reports at
 """
 
 import pathlib
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -150,6 +152,27 @@ def test_a_watchdog_stop_is_a_deadlock_cell_not_a_throughput():
     assert [claim[0] for claim in failed] == [
         "buffered XY deadlocks at every fault rate ≥ 1%"
     ]
+
+
+def test_fig13_signs_a_rise_once():
+    """A measured change is formatted signed, so the buffered curve
+    that rises from 0.908 to 1.032 IPC/node reads +14%, not --14%."""
+    ipc = {
+        "bless": (0.597, 0.539, 0.485, 0.421, 0.385),
+        "bless-throttling": (0.630, 0.605, 0.562, 0.532, 0.453),
+        "buffered": (0.908, 0.957, 1.002, 1.020, 1.032),
+    }
+    data = {
+        name: [(size, SimpleNamespace(throughput_per_node=value))
+               for size, value in zip(figures._SIZES, values)]
+        for name, values in ipc.items()
+    }
+    text, failed = by_name("fig13").report(data)
+    assert failed == []
+    (row,) = [line for line in text.splitlines() if "scales flat" in line]
+    assert row.split()[-2:] == ["+14%", "yes"]
+    assert "-28% (vs -36% baseline)" in text
+    assert re.search(r"[-+][-+]\d", text) is None
 
 
 def test_a_watchdog_record_reads_as_a_deadlock_cell(monkeypatch):

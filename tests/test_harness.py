@@ -469,7 +469,8 @@ class TestResultCache:
         "truncated_json", "deeply_nested", "not_utf8", "foreign_key",
         "missing_field", "epoch_series_list", "epoch_cycles_string",
         "head_longer_than_width", "width_missing", "width_negative",
-        "width_float", "width_string", "width_bool", "bucket_float",
+        "width_float", "width_string", "width_bool", "width_huge",
+        "bucket_float",
         "bucket_string", "bucket_null", "bucket_huge", "bucket_negative",
     ])
     def test_malformed_compact_entry_is_a_miss(
@@ -508,6 +509,7 @@ class TestResultCache:
             payload["latency_hist_buckets"] = {
                 "width_negative": -width, "width_float": float(width),
                 "width_string": str(width), "width_bool": True,
+                "width_huge": 10**12,
             }[defect]
         else:
             head[-1] = {

@@ -66,11 +66,16 @@ def spec(**overrides) -> JobSpec:
                       "epoch": EPOCH, **overrides})
 
 
+def cli_spec(argv):
+    """The spec ``python -m repro <argv>`` describes (one cell)."""
+    (cell,) = cli._specs(cli.build_parser().parse_args(argv))
+    return cell
+
+
 def cli_controller(argv):
     """The controller ``python -m repro <argv>`` would install."""
-    opts = vars(cli.build_parser().parse_args(argv))
-    recipe = cli._pop_controller_recipe(opts)
-    return build_controller(recipe, epoch=opts["epoch"])
+    cell = cli_spec(argv)
+    return build_controller(cell.controller, epoch=cell.epoch)
 
 
 class TestControllerRegistry:
@@ -166,10 +171,7 @@ NAME_TABLES = {
 
 PARSERS = {
     "run": cli.build_parser,
-    "sweep": cli.build_sweep_parser,
     "figure": cli.build_figure_parser,
-    "profile": cli.build_profile_parser,
-    "chaos": cli.build_chaos_parser,
 }
 
 
@@ -207,10 +209,16 @@ class TestNameTables:
         assert checked >= 2
 
     def test_sweep_variants_cover_every_network_model(self):
+        """Each variant is a ``run`` grid value: a router model, or
+        ``bless-throttling``'s ``--controller central`` on BLESS."""
         assert set(NETWORK_MODELS) < set(NETWORK_VARIANTS)
         for name in NETWORK_MODELS:
             assert NETWORK_VARIANTS[name] == (name, ("none",))
-        assert cli.sweep_main(["--sizes", "16", "--networks", "wormhole"]) == 2
+        throttled = cli_spec(["--controller", "central"])
+        assert ((throttled.network, throttled.controller)
+                == NETWORK_VARIANTS["bless-throttling"])
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["--network", "bless", "wormhole"])
 
 
 # ----------------------------------------------------------------------
@@ -309,35 +317,20 @@ class TestNetworkRegistry:
 # ----------------------------------------------------------------------
 OPTION_STRINGS = {
     "run": [
-        "--app", "--backend", "--category", "--chaos-script",
+        "--app", "--backend", "--cache-dir", "--category", "--chaos-script",
         "--check-invariants", "--chiplet-tile", "--controller",
         "--controller-domains", "--controller-mode", "--cycles", "--depth",
-        "--epoch", "--express-stride", "--fault-seed", "--help",
+        "--epoch", "--express-stride", "--fault-seed", "--help", "--jobs",
         "--link-faults", "--list-controllers", "--list-topologies",
         "--locality", "--locality-param", "--max-flit-age", "--network",
-        "--nodes", "--profile", "--router-faults", "--seed",
-        "--static-rate", "--timeout", "--topology", "--trace",
-        "--trace-capacity", "--trace-sample", "--transient-faults",
-        "--watchdog", "-h",
-    ],
-    "sweep": [
-        "--cache-dir", "--category", "--cycles", "--epoch", "--help",
-        "--jobs", "--locality", "--locality-param", "--networks",
-        "--no-progress", "--seed", "--sizes", "--topology", "-h",
+        "--no-progress", "--nodes", "--overhead-check", "--profile",
+        "--router-faults", "--seed", "--static-rate", "--timeout",
+        "--topology", "--trace", "--trace-capacity", "--trace-sample",
+        "--transient-faults", "--watchdog", "-h",
     ],
     "figure": [
         "--cache-dir", "--help", "--jobs", "--markdown", "--no-progress",
         "--scale", "-h",
-    ],
-    "profile": [
-        "--category", "--cycles", "--epoch", "--help", "--network",
-        "--nodes", "--overhead-check", "--repeats", "--seed",
-        "--topology", "--trace", "--trace-sample", "-h",
-    ],
-    "chaos": [
-        "--category", "--controller", "--cycles", "--epoch", "--help",
-        "--network", "--no-invariants", "--nodes", "--script", "--seed",
-        "--static-rate", "--topology", "--watchdog", "-h",
     ],
 }
 
@@ -346,21 +339,24 @@ OPTION_STRINGS = {
 #: choices, action class).  A choices entry naming a registry tuple is
 #: checked by identity.  Recorded from the hand-written parsers before
 #: their config flags were generated from ``SimulationConfig`` field
-#: metadata; every ``--cycles`` has since taken ``_positive_int``.
+#: metadata; every ``--cycles`` has since taken ``_positive_int``.  The
+#: ``sweep``, ``profile`` and ``chaos`` parsers folded into ``run``: its
+#: grid flags take lists, and it gained the harness flags and
+#: ``--overhead-check``.
 PARSER_SURFACE = {
     "run": [
         (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
         (("--app",), "app", None, None, None, "_StoreAction"),
         (("--category",), "category", None, None, "WORKLOAD_CATEGORIES", "_StoreAction"),
-        (("--nodes",), "nodes", 16, "int", None, "_StoreAction"),
+        (("--nodes",), "nodes", [16], "int", None, "_StoreAction"),
         (("--cycles",), "cycles", 20000, "_positive_int", None, "_StoreAction"),
         (("--seed",), "seed", 1, "int", None, "_StoreAction"),
         (("--epoch",), "epoch", 2000, "int", None, "_StoreAction"),
-        (("--network",), "network", "bless", None, "NETWORK_NAMES", "_StoreAction"),
+        (("--network",), "network", ["bless"], None, "NETWORK_NAMES", "_StoreAction"),
         (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
-        (("--controller",), "controller", "none", None, "CONTROLLER_NAMES", "_StoreAction"),
+        (("--controller",), "controller", ["none"], None, "CONTROLLER_NAMES", "_StoreAction"),
         (("--static-rate",), "static_rate", 0.5, "float", None, "_StoreAction"),
-        (("--backend",), "backend", "numpy", None, "BACKENDS", "_StoreAction"),
+        (("--backend",), "backend", None, None, "BACKENDS", "_StoreAction"),
         (("--depth",), "depth", 0, "int", None, "_StoreAction"),
         (("--chiplet-tile",), "chiplet_tile", 4, "int", None, "_StoreAction"),
         (("--express-stride",), "express_stride", 4, "int", None, "_StoreAction"),
@@ -374,6 +370,7 @@ PARSER_SURFACE = {
         (("--trace",), "trace", False, None, None, "_StoreTrueAction"),
         (("--trace-sample",), "trace_sample", 0.0625, "float", None, "_StoreAction"),
         (("--trace-capacity",), "trace_capacity", 65536, "int", None, "_StoreAction"),
+        (("--overhead-check",), "overhead_check", None, "float", None, "_StoreAction"),
         (("--check-invariants",), "check_invariants", False, None, None, "_StoreTrueAction"),
         (("--watchdog",), "watchdog_window", 0, "int", None, "_StoreAction"),
         (("--max-flit-age",), "max_flit_age", 0, "int", None, "_StoreAction"),
@@ -383,18 +380,6 @@ PARSER_SURFACE = {
         (("--transient-faults",), "transient_faults", 0.0, "float", None, "_StoreAction"),
         (("--fault-seed",), "fault_seed", 0, "int", None, "_StoreAction"),
         (("--chaos-script",), "chaos_script", None, None, None, "_StoreAction"),
-    ],
-    "sweep": [
-        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
-        (("--sizes",), "sizes", "16,64", None, None, "_StoreAction"),
-        (("--networks",), "networks", "bless,bless-throttling,buffered", None, None, "_StoreAction"),
-        (("--cycles",), "cycles", 8000, "_positive_int", None, "_StoreAction"),
-        (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
-        (("--seed",), "seed", 2, "int", None, "_StoreAction"),
-        (("--epoch",), "epoch", 1200, "int", None, "_StoreAction"),
-        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
-        (("--locality",), "locality", "exponential", None, "LOCALITY_NAMES", "_StoreAction"),
-        (("--locality-param",), "locality_param", 1.0, "float", None, "_StoreAction"),
         (("--jobs",), "jobs", None, "int", None, "_StoreAction"),
         (("--cache-dir",), "cache_dir", None, None, None, "_StoreAction"),
         (("--no-progress",), "no_progress", False, None, None, "_StoreTrueAction"),
@@ -407,35 +392,6 @@ PARSER_SURFACE = {
         (("--jobs",), "jobs", None, "int", None, "_StoreAction"),
         (("--cache-dir",), "cache_dir", None, None, None, "_StoreAction"),
         (("--no-progress",), "no_progress", False, None, None, "_StoreTrueAction"),
-    ],
-    "profile": [
-        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
-        (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
-        (("--nodes",), "nodes", 64, "int", None, "_StoreAction"),
-        (("--cycles",), "cycles", 20000, "_positive_int", None, "_StoreAction"),
-        (("--seed",), "seed", 1, "int", None, "_StoreAction"),
-        (("--epoch",), "epoch", 2000, "int", None, "_StoreAction"),
-        (("--network",), "network", "bless", None, "NETWORK_NAMES", "_StoreAction"),
-        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
-        (("--trace",), "trace", False, None, None, "_StoreTrueAction"),
-        (("--trace-sample",), "trace_sample", 0.0625, "float", None, "_StoreAction"),
-        (("--overhead-check",), "overhead_check", None, "float", None, "_StoreAction"),
-        (("--repeats",), "repeats", 2, "_positive_int", None, "_StoreAction"),
-    ],
-    "chaos": [
-        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
-        (("--script",), "script", "examples/chaos_demo.json", None, None, "_StoreAction"),
-        (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
-        (("--nodes",), "nodes", 16, "int", None, "_StoreAction"),
-        (("--cycles",), "cycles", 5000, "_positive_int", None, "_StoreAction"),
-        (("--seed",), "seed", 1, "int", None, "_StoreAction"),
-        (("--epoch",), "epoch", 2000, "int", None, "_StoreAction"),
-        (("--network",), "network", "bless", None, "NETWORK_NAMES", "_StoreAction"),
-        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
-        (("--controller",), "controller", "none", None, "CONTROLLER_NAMES", "_StoreAction"),
-        (("--static-rate",), "static_rate", 0.5, "float", None, "_StoreAction"),
-        (("--no-invariants",), "check_invariants", True, None, None, "_StoreFalseAction"),
-        (("--watchdog",), "watchdog_window", 2000, "int", None, "_StoreAction"),
     ],
 }
 
@@ -460,11 +416,7 @@ def surface_row(action):
 
 def cli_simulator(argv):
     """The simulator ``python -m repro <argv>`` would run."""
-    opts = vars(cli.build_parser().parse_args(argv))
-    for dest in ("list_controllers", "list_topologies"):
-        opts.pop(dest)
-    built = cli._build(opts)
-    return None if built is None else built[1]
+    return build(cli_spec(argv))
 
 
 #: Config fields that are ``python -m repro`` flags (a "help" entry in
@@ -505,13 +457,13 @@ class TestCliSurface:
         )
         if isinstance(field.default, bool):
             argv, value = [action.option_strings[0]], True
-        else:
-            value = non_default(field, action.default)
+        else:  # --backend's flag default is None: "not given"
+            default = action.default
+            value = non_default(field, default or field.default)
             argv = [action.option_strings[0], str(value)]
         if value == "native" and not native_available():
             pytest.skip("no C compiler for the native backend")
         simulator = cli_simulator(argv)
-        assert simulator is not None
         assert getattr(simulator.config, field.name) == value
 
     def test_analysis_cli_lost_only_the_cache_and_baseline_flags(self):
@@ -520,13 +472,11 @@ class TestCliSurface:
             "--output", "--select", "-h",
         ]
 
-    @pytest.mark.parametrize("builder, entry", [
-        ("build_parser", cli.main), ("build_chaos_parser", cli.chaos_main),
-        ("build_profile_parser", cli.profile_main),
-    ])
+    @pytest.mark.parametrize("builder, entry", [("build_parser", cli.main)])
     def test_orphaned_dest_fails_loudly(self, builder, entry, monkeypatch):
         """A flag nobody consumes and no config field matches is a
-        TypeError on the first run (what CFG001 used to lint for)."""
+        TypeError on the first run (what CFG001 used to lint for): of
+        one run, a campaign, a timed run and every grid cell."""
         build = getattr(cli, builder)
 
         def with_orphan():
@@ -535,8 +485,11 @@ class TestCliSurface:
             return parser
 
         monkeypatch.setattr(cli, builder, with_orphan)
-        with pytest.raises(TypeError, match="orphan"):
-            entry(["--cycles", "10"])
+        for extra in ([], ["--chaos-script", str(DEMO)],
+                      ["--profile", "--overhead-check", "5"],
+                      ["--nodes", "16", "25"]):
+            with pytest.raises(TypeError, match="orphan"):
+                entry(["--cycles", "10", *extra])
 
 
 # ----------------------------------------------------------------------
@@ -630,7 +583,8 @@ def test_one_simulator_construction_site_outside_sim():
     assert sites == ["harness/jobs.py"]
 
 
-#: argv samples for run, chaos and profile; each must describe its run
+#: argv samples of one run each (``chaos`` and ``profile`` are what
+#: those verbs ran, as ``run`` flags); each must describe its run
 #: completely in the spec it builds
 CLI_SAMPLES = {
     "faults": ["--cycles", "1500", "--epoch", "500", "--link-faults",
@@ -644,10 +598,11 @@ CLI_SAMPLES = {
               "--network", "buffered", "--timeout", "600"],
     "native": ["--backend", "native", "--cycles", "1200", "--epoch", "400",
                "--controller", "central"],
-    "chaos": ["chaos", "--script", str(DEMO), "--cycles", "2500",
-              "--controller", "hierarchical"],
-    "profile": ["profile", "--nodes", "16", "--cycles", "1200", "--epoch",
-                "400", "--trace"],
+    "chaos": ["--chaos-script", str(DEMO), "--cycles", "2500",
+              "--controller", "hierarchical", "--check-invariants",
+              "--watchdog", "2000"],
+    "profile": ["--nodes", "16", "--cycles", "1200", "--epoch", "400",
+                "--profile", "--trace"],
 }
 
 
@@ -678,9 +633,9 @@ def test_cli_spec_runs_what_the_cli_runs(sample, monkeypatch, capsys):
 
 @pytest.mark.parametrize("sample", CLI_SAMPLES)
 def test_a_cli_spec_names_its_backend(sample, monkeypatch, capsys):
-    """run, chaos and profile name their backend — numpy unless
-    ``--backend`` says otherwise; only sweep and figure let the harness
-    pick (a picked profile run would time fused spans against phases)."""
+    """One run names its backend — numpy unless ``--backend`` says
+    otherwise; only a grid and figure let the harness pick (a picked
+    profiled run would time fused spans against phases)."""
     specs = []
 
     def stop(spec):
@@ -693,3 +648,46 @@ def test_a_cli_spec_names_its_backend(sample, monkeypatch, capsys):
     (spec,) = specs
     expected = "native" if sample == "native" else "numpy"
     assert dict(spec.config)["backend"] == expected
+
+
+def test_grid_rows_are_the_single_runs():
+    """Each row of a 2 x 2 grid is the spec of the single run with the
+    same flags; the single run's backend is the only difference."""
+    common = ["--cycles", "1200", "--epoch", "400", "--seed", "3"]
+    grid = cli._specs(cli.build_parser().parse_args(
+        ["--nodes", "16", "25", "--controller", "none", "central", *common]
+    ))
+    singles = [
+        cli_spec(["--nodes", nodes, "--controller", ctl, *common])
+        for nodes in ("16", "25") for ctl in ("none", "central")
+    ]
+    assert len(grid) == len(singles) == 4
+    assert all("backend" not in dict(row.config) for row in grid)
+    for row, single in zip(grid, singles):
+        assert row.content_hash() == single.content_hash()
+        assert row.with_config(backend="numpy") == \
+            single.with_config(backend="numpy")
+
+
+def test_profile_smoke_times_the_run_profile_timed():
+    """CI's profile-smoke flags on ``run`` describe the run the removed
+    ``profile --nodes 64 --cycles 6000 --epoch 1000 --trace`` timed.
+    Both literals were taken from the last commit that had ``profile``:
+    the first is ``run --profile --trace`` with these flags there, the
+    second ``profile``'s spec, which lacked the config keys only ``run``
+    declares.  Those keys are at their ``SimulationConfig`` defaults."""
+    spec = cli_spec(["--nodes", "64", "--cycles", "6000", "--epoch", "1000",
+                     "--profile", "--trace", "--overhead-check", "5"])
+    assert spec.content_hash() == (
+        "1f88b410b9a6e237e24bad3d1d80d1cbe637e2011ca1874a545611ec11d2dff5"
+    )
+    run_only = {"check_invariants", "chiplet_tile", "depth", "express_stride",
+                "max_flit_age", "trace_capacity", "watchdog_window"}
+    config = dict(spec.config)
+    for key in run_only:
+        assert config.pop(key) == SimulationConfig.__dataclass_fields__[
+            key].default
+    as_profile = dataclasses.replace(spec, config=tuple(sorted(config.items())))
+    assert as_profile.content_hash() == (
+        "45155ad680016900a240a7faff6471f078e2590175c8f7337b8089645ca13431"
+    )
