@@ -46,6 +46,7 @@ from repro.traffic.locality import LOCALITY_MODELS, LOCALITY_NAMES
 from repro.traffic.workloads import WORKLOAD_CATEGORIES
 
 EPOCH = 400
+DEMO = pathlib.Path(__file__).resolve().parents[1] / "examples" / "chaos_demo.json"
 
 #: name -> (CLI flags that parameterize it, the equivalent JobSpec recipe)
 CONTROLLER_CASES = {
@@ -174,6 +175,78 @@ PARSERS = {
     "figure": cli.build_figure_parser,
 }
 
+#: A folded verb's option and the ``run`` option that took its value
+#: (``None``: dropped; the overhead check is best of a constant 2).  Every
+#: other option of ``sweep``, ``profile`` and ``chaos`` kept its name.
+RENAMED = {
+    "--sizes": "--nodes", "--networks": "--network",
+    "--script": "--chaos-script", "--no-invariants": "--check-invariants",
+    "--repeats": None,
+}
+
+#: The surface rows of the verbs that folded into ``run``, recorded from
+#: their last parsers.  Each case checks that ``run`` takes every option
+#: (under its ``RENAMED`` name) and checks its value as the verb did.
+#: Defaults are ``run``'s now: a sweep, profile or campaign spells out the
+#: ``--cycles``, ``--seed`` or ``--watchdog`` the verb defaulted.
+FOLDED = {
+    "sweep": [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
+        (("--sizes",), "sizes", "16,64", None, None, "_StoreAction"),
+        (("--networks",), "networks", "bless,bless-throttling,buffered", None, None, "_StoreAction"),
+        (("--cycles",), "cycles", 8000, "_positive_int", None, "_StoreAction"),
+        (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
+        (("--seed",), "seed", 2, "int", None, "_StoreAction"),
+        (("--epoch",), "epoch", 1200, "int", None, "_StoreAction"),
+        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
+        (("--locality",), "locality", "exponential", None, "LOCALITY_NAMES", "_StoreAction"),
+        (("--locality-param",), "locality_param", 1.0, "float", None, "_StoreAction"),
+        (("--jobs",), "jobs", None, "int", None, "_StoreAction"),
+        (("--cache-dir",), "cache_dir", None, None, None, "_StoreAction"),
+        (("--no-progress",), "no_progress", False, None, None, "_StoreTrueAction"),
+    ],
+    "profile": [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
+        (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
+        (("--nodes",), "nodes", 64, "int", None, "_StoreAction"),
+        (("--cycles",), "cycles", 20000, "_positive_int", None, "_StoreAction"),
+        (("--seed",), "seed", 1, "int", None, "_StoreAction"),
+        (("--epoch",), "epoch", 2000, "int", None, "_StoreAction"),
+        (("--network",), "network", "bless", None, "NETWORK_NAMES", "_StoreAction"),
+        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
+        (("--trace",), "trace", False, None, None, "_StoreTrueAction"),
+        (("--trace-sample",), "trace_sample", 0.0625, "float", None, "_StoreAction"),
+        (("--overhead-check",), "overhead_check", None, "float", None, "_StoreAction"),
+        (("--repeats",), "repeats", 2, "_positive_int", None, "_StoreAction"),
+    ],
+    "chaos": [
+        (("-h", "--help"), "help", "==SUPPRESS==", None, None, "_HelpAction"),
+        (("--script",), "script", "examples/chaos_demo.json", None, None, "_StoreAction"),
+        (("--category",), "category", "H", None, "WORKLOAD_CATEGORIES", "_StoreAction"),
+        (("--nodes",), "nodes", 16, "int", None, "_StoreAction"),
+        (("--cycles",), "cycles", 5000, "_positive_int", None, "_StoreAction"),
+        (("--seed",), "seed", 1, "int", None, "_StoreAction"),
+        (("--epoch",), "epoch", 2000, "int", None, "_StoreAction"),
+        (("--network",), "network", "bless", None, "NETWORK_NAMES", "_StoreAction"),
+        (("--topology",), "topology", "mesh", None, "TOPOLOGY_NAMES", "_StoreAction"),
+        (("--controller",), "controller", "none", None, "CONTROLLER_NAMES", "_StoreAction"),
+        (("--static-rate",), "static_rate", 0.5, "float", None, "_StoreAction"),
+        (("--no-invariants",), "check_invariants", True, None, None, "_StoreFalseAction"),
+        (("--watchdog",), "watchdog_window", 2000, "int", None, "_StoreAction"),
+    ],
+}
+
+
+def folded_actions(command):
+    """The ``run`` actions that took the options of folded verb *command*
+    (a key of ``FOLDED``)."""
+    run = cli.build_parser()._option_string_actions
+    targets = {
+        RENAMED.get(option, option)
+        for options, *_ in FOLDED[command] for option in options
+    } - {None}
+    return list(dict.fromkeys(run[target] for target in sorted(targets)))
+
 
 class TestNameTables:
     @pytest.mark.parametrize("field, name", [
@@ -198,11 +271,13 @@ class TestNameTables:
         assert LOCALITY_NAMES == tuple(LOCALITY_MODELS)
 
     @pytest.mark.parametrize(
-        "command", [c for c in PARSERS if c != "figure"]  # no config flags
-    )
+        "command", [*(c for c in PARSERS if c != "figure"), *FOLDED]
+    )  # figure has no config flags; a folded verb's flags are run's
     def test_parser_choices_are_the_registry_objects(self, command):
         checked = 0
-        for action in PARSERS[command]()._actions:
+        actions = (folded_actions(command) if command in FOLDED
+                   else PARSERS[command]()._actions)
+        for action in actions:
             if action.dest in NAME_TABLES:
                 assert action.choices is NAME_TABLES[action.dest], action.dest
                 checked += 1
@@ -434,13 +509,35 @@ def non_default(field, default):
 
 
 class TestCliSurface:
-    @pytest.mark.parametrize("command", PARSERS)
+    @pytest.mark.parametrize("command", [*PARSERS, *FOLDED])
     def test_option_strings_unchanged(self, command):
+        """A folded verb's options are all ``run``'s, as ``RENAMED`` says."""
+        if command in FOLDED:
+            run = cli.build_parser()._option_string_actions
+            for options, *_ in FOLDED[command]:
+                for option in options:
+                    if RENAMED.get(option, option) is not None:
+                        assert RENAMED.get(option, option) in run, option
+            return
         parser = PARSERS[command]()
         assert sorted(parser._option_string_actions) == OPTION_STRINGS[command]
 
-    @pytest.mark.parametrize("command", PARSERS)
+    @pytest.mark.parametrize("command", [*PARSERS, *FOLDED])
     def test_parser_surface_unchanged(self, command):
+        """A folded verb's option checks its value on ``run`` as it did:
+        the same type and the same registry choices, where it had any."""
+        if command in FOLDED:
+            run = cli.build_parser()._option_string_actions
+            for options, _, _, type_name, choices, _ in FOLDED[command]:
+                target = RENAMED.get(options[-1], options[-1])
+                if target is None:
+                    continue
+                _, _, _, run_type, run_choices, _ = surface_row(run[target])
+                if type_name is not None:
+                    assert run_type == type_name, options
+                if choices is not None:
+                    assert run_choices == choices, options
+            return
         rows = [surface_row(a) for a in PARSERS[command]()._actions]
         assert rows == PARSER_SURFACE[command]
 
@@ -472,24 +569,30 @@ class TestCliSurface:
             "--output", "--select", "-h",
         ]
 
-    @pytest.mark.parametrize("builder, entry", [("build_parser", cli.main)])
-    def test_orphaned_dest_fails_loudly(self, builder, entry, monkeypatch):
+    # The ids name the parser and entry point each case first covered;
+    # a campaign and a timed run are ``run`` flags now.
+    @pytest.mark.parametrize("extras", [
+        pytest.param([[], ["--nodes", "16", "25"]], id="build_parser-main"),
+        pytest.param([["--chaos-script", str(DEMO)]],
+                     id="build_chaos_parser-chaos_main"),
+        pytest.param([["--profile", "--overhead-check", "5"]],
+                     id="build_profile_parser-profile_main"),
+    ])
+    def test_orphaned_dest_fails_loudly(self, extras, monkeypatch):
         """A flag nobody consumes and no config field matches is a
         TypeError on the first run (what CFG001 used to lint for): of
-        one run, a campaign, a timed run and every grid cell."""
-        build = getattr(cli, builder)
+        one run, every grid cell, a campaign and a timed run."""
+        build = cli.build_parser
 
         def with_orphan():
             parser = build()
             parser.add_argument("--orphan", default=1)
             return parser
 
-        monkeypatch.setattr(cli, builder, with_orphan)
-        for extra in ([], ["--chaos-script", str(DEMO)],
-                      ["--profile", "--overhead-check", "5"],
-                      ["--nodes", "16", "25"]):
+        monkeypatch.setattr(cli, "build_parser", with_orphan)
+        for extra in extras:
             with pytest.raises(TypeError, match="orphan"):
-                entry(["--cycles", "10", *extra])
+                cli.main(["--cycles", "10", *extra])
 
 
 # ----------------------------------------------------------------------
@@ -562,7 +665,6 @@ class TestJobSpecFields:
 # One construction site: every command runs the JobSpec it describes
 # ----------------------------------------------------------------------
 SRC = pathlib.Path(repro.__file__).parent
-DEMO = pathlib.Path(__file__).resolve().parents[1] / "examples" / "chaos_demo.json"
 
 
 def test_one_simulator_construction_site_outside_sim():
