@@ -25,7 +25,7 @@ def cycles_for(size: int) -> int:
 
 def main():
     print("running 3 networks x 4 sizes (a few minutes)...")
-    data = scaling_sweep(SIZES, cycles_for)
+    data = scaling_sweep(SIZES, cycles_for).run()
 
     rows = []
     for i, size in enumerate(SIZES):

@@ -62,7 +62,6 @@ from repro import (
 )
 from repro.control.hierarchical import COORDINATION_MODES
 from repro.control.registry import CONTROLLER_NAMES, CONTROLLERS
-from repro.experiments.sweeps import Harness
 from repro.guardrails import FaultConfig, GuardrailError
 from repro.harness import (
     JobSpec,
@@ -458,24 +457,25 @@ def figure_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     jobs, _, cache = _harness_settings(args)
-    harness = Harness(jobs, cache, progress=not args.no_progress)
     start = time.perf_counter()
+    data, named, records = figures.run_plans(
+        [fig.plan(args.scale) for fig in chosen], jobs=jobs, cache=cache,
+        progress=not args.no_progress, description="figure")
     reports, failed = {}, []
-    for fig in chosen:
-        text, misses = fig.report(fig.run(args.scale, harness))
-        print(text, flush=True)
+    for fig, datum in zip(chosen, data):
+        text, misses = fig.report(datum)
+        print(text)
         reports[fig.label] = text
         failed += [(fig.name, claim) for claim in misses]
     if args.markdown is not None:
         with open(args.markdown, "w", encoding="utf-8") as handle:
             handle.write(figures.rewrite_markdown(markdown, reports))
-    print(f"figure: {len(chosen)} reports, {harness.requested} jobs, "
-          f"{harness.distinct} distinct specs, {harness.cache_hits} cache "
-          f"hits, {harness.executed} executed, wall "
-          f"{time.perf_counter() - start:.1f}s, workers {jobs}",
-          file=sys.stderr)
-    picks = [(r.backend, r.refusal) for r in harness.records if not r.cached]
-    print(f"backend: specs {_split(picks)}", file=sys.stderr)
+    ran = [(r.backend, r.refusal) for r in records if not r.cached]
+    print(f"figure: {len(chosen)} reports, {named} jobs, {len(records)} "
+          f"distinct specs, {len(records) - len(ran)} cache hits, "
+          f"{len(ran)} executed, wall {time.perf_counter() - start:.1f}s, "
+          f"workers {jobs}", file=sys.stderr)
+    print(f"backend: specs {_split(ran)}", file=sys.stderr)
     for name, (quantity, paper, measured, _) in failed:
         print(f"FAILED {name}: {quantity} (paper {paper}, measured "
               f"{measured})", file=sys.stderr)

@@ -4,12 +4,13 @@ Each paper experiment (DESIGN.md §3) is one entry of the figure
 registry, :mod:`repro.experiments.figures`, built from these drivers at
 a cycle-budget scale; ``python -m repro figure`` regenerates and checks
 its paper-vs-measured report.  The registry is imported on that path
-only, not from here.  A single run is a
+only, not from here.  A driver returns a :class:`Plan` and runs
+nothing: ``plan.run(jobs=4)`` runs it.  A single run is a
 :class:`~repro.harness.JobSpec` through :func:`repro.harness.run_job`.
 """
 
 from repro.experiments.sweeps import (
-    Harness,
+    Plan,
     alone_ipc,
     alone_ipc_specs,
     locality_sweep,
@@ -22,7 +23,7 @@ from repro.experiments.sweeps import (
 from repro.experiments.tables import format_table, paper_vs_measured
 
 __all__ = [
-    "Harness",
+    "Plan",
     "alone_ipc",
     "alone_ipc_specs",
     "scaled_cycles",

@@ -5,16 +5,20 @@ An entry (:class:`Figure`) declares, once, what EXPERIMENTS.md and
 
 - ``name``: what ``python -m repro figure NAME`` selects;
 - ``label``: its ``## label`` section heading in EXPERIMENTS.md;
-- ``run(scale, harness)``: the simulations, every cycle budget through
-  :func:`~repro.experiments.sweeps.scaled_cycles` and every spec grid
-  through the invocation's :class:`~repro.experiments.sweeps.Harness`,
-  so a spec two reports need executes once;
+- ``plan(scale)``: a :class:`~repro.experiments.sweeps.Plan`, the
+  specs to run (every cycle budget through
+  :func:`~repro.experiments.sweeps.scaled_cycles`) and the ``reduce``
+  that turns their results into the report's data;
 - ``render(data)``: ``(title, claims, table[, note])``, each claim row
   ``(quantity, paper, measured, holds)`` and ``table`` a
   ``(headers, rows)`` pair or ``None``.
 
-A report fails if and only if one of its claim rows does not hold.
-:data:`FIGURES` is in EXPERIMENTS.md order.
+``python -m repro figure`` plans every chosen entry first, runs all
+their specs through :func:`~repro.experiments.sweeps.run_plans` (one
+:func:`~repro.harness.run_jobs` call, a spec two reports need executed
+once), then reduces and renders.  A report fails if and only if one of
+its claim rows does not hold.  :data:`FIGURES` is in EXPERIMENTS.md
+order.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.control import mechanism_hardware_cost
 from repro.experiments.sweeps import (
-    Harness,
+    Plan,
     alone_ipc,
+    join,
     locality_sweep,
     pairwise_ipf_grid,
+    run_plans,
     scaled_cycles,
     scaling_sweep,
     static_throttle_sweep,
@@ -53,7 +59,8 @@ from repro.traffic.workloads import (
     make_workload_batch,
 )
 
-__all__ = ["FIGURES", "Figure", "fenced_blocks", "rewrite_markdown", "select"]
+__all__ = ["FIGURES", "Figure", "fenced_blocks", "rewrite_markdown",
+           "run_plans", "select"]
 
 
 class Figure(NamedTuple):
@@ -61,7 +68,7 @@ class Figure(NamedTuple):
 
     name: str
     label: str
-    run: Callable[[float, Harness], object]
+    plan: Callable[[float], Plan]
     render: Callable[[object], tuple]
 
     def report(self, data) -> Tuple[str, list]:
@@ -77,10 +84,10 @@ class Figure(NamedTuple):
 FIGURES: List[Figure] = []
 
 
-def figure(name: str, label: str, run):
+def figure(name: str, label: str, plan):
     """Register the decorated renderer as report *name* under *label*."""
     def register(render):
-        FIGURES.append(Figure(name, label, run, render))
+        FIGURES.append(Figure(name, label, plan, render))
         return render
     return register
 
@@ -100,14 +107,12 @@ def select(names: Sequence[str]) -> List[Figure]:
 # ----------------------------------------------------------------------
 # Fig 2: congestion at the network and application level (4x4 BLESS)
 # ----------------------------------------------------------------------
-def _load_spectrum(scale, harness):
+def _load_spectrum(scale):
     """A spread of 4x4 workloads spanning low to high utilization."""
     workloads = make_workload_batch(14, 16, child_rng(42, "fig2-workloads"))
     cycles = scaled_cycles(5000, scale)
-    specs = [
-        JobSpec.for_workload(w, cycles, epoch=1000, seed=3) for w in workloads
-    ]
-    return harness.run(specs, "fig2-load-spectrum")
+    return Plan([JobSpec.for_workload(w, cycles, epoch=1000, seed=3)
+                 for w in workloads], list)
 
 
 @figure("fig2a", "Fig 2(a) — network latency vs utilization", _load_spectrum)
@@ -152,7 +157,7 @@ def _fig2b(results):
     )
 
 
-def _static_sweep(scale, harness):
+def _static_sweep(scale):
     """Fig 2(c): one network-heavy 4x4 workload, all nodes throttled."""
     workload = make_workload_batch(
         1, 16, child_rng(42, "fig2c"), categories=["H"]
@@ -160,7 +165,6 @@ def _static_sweep(scale, harness):
     rates = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     return static_throttle_sweep(
         workload, rates, scaled_cycles(6000, scale), epoch=1000, seed=3,
-        harness=harness,
     )
 
 
@@ -198,10 +202,9 @@ def _cycles_for(scale):
     return lambda size: scaled_cycles(_SIZE_CYCLES[size], scale)
 
 
-def _bless_scaling(scale, harness):
-    return scaling_sweep(
-        _SIZES, _cycles_for(scale), networks=("bless",), harness=harness
-    )["bless"]
+def _bless_scaling(scale):
+    return join(scaling_sweep(_SIZES, _cycles_for(scale), networks=("bless",)),
+                then=lambda data: data["bless"])
 
 
 @figure("fig3a", "Fig 3(a) — latency vs CMP size", _bless_scaling)
@@ -249,7 +252,7 @@ def _fig3c(results):
     )
 
 
-def _striping(scale, harness):
+def _striping(scale):
     """§3.2: the 4x4 and 64x64 points under uniform data striping."""
     sizes = (16, 4096)
     specs = [
@@ -262,7 +265,7 @@ def _striping(scale, harness):
         )
         for size in sizes
     ]
-    return list(zip(sizes, harness.run(specs, "striping")))
+    return Plan(specs, lambda results: list(zip(sizes, results)))
 
 
 @figure("sec32_striping", "§3.2 — uniform striping collapse", _striping)
@@ -280,11 +283,11 @@ def _sec32(results):
 # ----------------------------------------------------------------------
 # Fig 4 - Table 2
 # ----------------------------------------------------------------------
-def _locality(scale, harness):
+def _locality(scale):
     """Fig 4: mean hop distance 1/lambda from 1 to 16 on a 64x64 mesh."""
     return locality_sweep(
         (1.0, 2.0, 4.0, 8.0, 16.0), 4096, scaled_cycles(2500, scale),
-        epoch=1200, seed=3, harness=harness,
+        epoch=1200, seed=3,
     )
 
 
@@ -304,7 +307,7 @@ def _fig4(results):
     )
 
 
-def _selective(scale, harness):
+def _selective(scale):
     """Fig 5 / §4: 8 mcf + 8 gromacs on a 4x4 mesh, each application
     statically throttled by 90% in turn."""
     wl = make_checkerboard_workload("mcf", "gromacs", 4)
@@ -317,10 +320,10 @@ def _selective(scale, harness):
         for recipe in (("none",), ("static", 0.9, "gromacs"),
                        ("static", 0.9, "mcf"))
     ]
-    return [
+    return Plan(specs, lambda results: [
         (res.system_throughput, res.ipc[mcf].mean(), res.ipc[gro].mean())
-        for res in harness.run(specs, "fig5")
-    ]
+        for res in results
+    ])
 
 
 @figure("fig5", "Fig 5 — selective throttling (mcf vs gromacs)", _selective)
@@ -348,7 +351,7 @@ def _fig5(rows):
     )
 
 
-def _phase_series(scale, harness):
+def _phase_series(scale):
     """Fig 6: per-epoch utilization of gromacs with and without phases."""
     wl = make_homogeneous_workload("gromacs", 16)
     specs = [
@@ -358,7 +361,8 @@ def _phase_series(scale, harness):
         )
         for sigma in (0.8, 0.0)
     ]
-    return [res.epochs["utilization"] for res in harness.run(specs, "fig6")]
+    return Plan(specs, lambda results: [res.epochs["utilization"]
+                                        for res in results])
 
 
 @figure("fig6", "Fig 6 — application phase behavior", _phase_series)
@@ -382,7 +386,7 @@ def _fig6(series):
     )
 
 
-def _ipf_processes(scale, harness):
+def _ipf_processes(scale):
     """Table 1: each cataloged application's raw IPF process, sampled."""
     rng = np.random.default_rng(0)
     rows = []
@@ -391,7 +395,7 @@ def _ipf_processes(scale, harness):
                                             phase_sigma=0.0)
         ipf = behavior.sample_gap(np.zeros(40_000, dtype=np.int64), rng) / 3.0
         rows.append((name, spec.mean_ipf, float(ipf.mean())))
-    return rows
+    return Plan([], lambda _: rows)
 
 
 @figure("table1_process", "Table 1 — application IPF processes",
@@ -421,7 +425,7 @@ def _table1_process(rows):
 _REPRESENTATIVE = ("mcf", "milc", "gromacs", "bzip2")
 
 
-def _ipf_in_simulation(scale, harness):
+def _ipf_in_simulation(scale):
     specs = [
         JobSpec.for_workload(
             make_homogeneous_workload(name, 16), scaled_cycles(6000, scale),
@@ -429,12 +433,11 @@ def _ipf_in_simulation(scale, harness):
         )
         for name in _REPRESENTATIVE
     ]
-    return [
+    return Plan(specs, lambda results: [
         (name, APPLICATION_CATALOG[name].mean_ipf,
          float(np.median(res.ipf[np.isfinite(res.ipf)])))
-        for name, res in zip(_REPRESENTATIVE,
-                             harness.run(specs, "table1-insim"))
-    ]
+        for name, res in zip(_REPRESENTATIVE, results)
+    ])
 
 
 @figure("table1_insim", "Table 1 — IPF measured in simulation",
@@ -449,17 +452,16 @@ def _table1_insim(rows):
     )
 
 
-def _system_parameters(scale, harness):
+def _system_parameters(scale):
     """Table 2: the default configuration, and one 3-hop delivery time in
     an empty network (router + link latency per hop)."""
     cfg = SimulationConfig(make_homogeneous_workload("mcf", 16))
     net = RouterEngine(Mesh2D(4), DeflectFlowControl(),
                        hop_latency=cfg.hop_latency)
     net.enqueue_requests(np.array([0]), np.array([3]), 1, cycle=0)
-    for cycle in range(30):
-        if net.step(cycle).node.size:
-            return cfg, cycle
-    return cfg, None
+    delivered = next((cycle for cycle in range(30) if net.step(cycle).node.size),
+                     None)
+    return Plan([], lambda _: (cfg, delivered))
 
 
 @figure("table2", "Table 2 — system parameters", _system_parameters)
@@ -493,19 +495,17 @@ def _table2(data):
 # ----------------------------------------------------------------------
 # Figs 7-10: the mechanism on small NoCs (4x4 and 8x8)
 # ----------------------------------------------------------------------
-def _batch_4x4(scale, harness):
+def _batch_4x4(scale):
     return workload_batch_comparison(
         14, 16, scaled_cycles(6000, scale), epoch=1000, seed=10,
-        harness=harness,
     )
 
 
-def _batches(scale, harness):
+def _batches(scale):
     """14 4x4 and 7 8x8 workloads, baseline vs mechanism."""
-    return _batch_4x4(scale, harness) + workload_batch_comparison(
+    return join(_batch_4x4(scale), workload_batch_comparison(
         7, 64, scaled_cycles(5000, scale), epoch=1000, seed=20,
-        harness=harness,
-    )
+    ), then=lambda small, large: small + large)
 
 
 @figure("fig7", "Fig 7 — throughput improvement vs utilization", _batches)
@@ -587,16 +587,17 @@ def _fig9(rows):
     )
 
 
-def _weighted_speedup(scale, harness):
+def _weighted_speedup(scale):
     """Fig 7's 4x4 batch (the same specs) against each app's alone IPC."""
-    rows = _batch_4x4(scale, harness)
-    alones = alone_ipc([r["workload"] for r in rows],
-                       cycles=scaled_cycles(2000, scale), harness=harness)
-    return [
+    batch = _batch_4x4(scale)
+    # One (baseline, mechanism) spec pair per workload of the batch.
+    alones = alone_ipc([spec.workload for spec in batch.specs[::2]],
+                       cycles=scaled_cycles(2000, scale))
+    return join(batch, alones, then=lambda rows, ipcs: [
         (r, weighted_speedup(r["baseline"].ipc, alone),
          weighted_speedup(r["mechanism"].ipc, alone))
-        for r, alone in zip(rows, alones)
-    ]
+        for r, alone in zip(rows, ipcs)
+    ])
 
 
 @figure("fig10", "Fig 10 — weighted speedup", _weighted_speedup)
@@ -630,10 +631,9 @@ def _fig10(results):
 _PAIR_APPS = ("mcf", "tpcc", "bzip2", "povray")
 
 
-def _pairwise(scale, harness):
+def _pairwise(scale):
     return pairwise_ipf_grid(
         _PAIR_APPS, scaled_cycles(5000, scale), epoch=1000, seed=4,
-        harness=harness,
     )
 
 
@@ -680,9 +680,9 @@ def _fig11_12(rows):
 # ----------------------------------------------------------------------
 # Figs 13-16 and §6.3: scalability with congestion control
 # ----------------------------------------------------------------------
-def _scaling(scale, harness):
+def _scaling(scale):
     """BLESS, BLESS + the mechanism and buffered at every size."""
-    return scaling_sweep(_SIZES, _cycles_for(scale), harness=harness)
+    return scaling_sweep(_SIZES, _cycles_for(scale))
 
 
 def _by_variant(data, metric):
@@ -784,14 +784,12 @@ def _fig16(data):
     )
 
 
-def _torus(scale, harness):
+def _torus(scale):
     """§6.3: BLESS with and without the mechanism, mesh and torus."""
-    sweep = dict(networks=("bless", "bless-throttling"), harness=harness)
-    return (
-        scaling_sweep((16, 256), _cycles_for(scale), **sweep),
-        scaling_sweep((16, 256), _cycles_for(scale), topology="torus",
-                      **sweep),
-    )
+    networks = ("bless", "bless-throttling")
+    return join(*(scaling_sweep((16, 256), _cycles_for(scale),
+                                networks=networks, topology=topology)
+                  for topology in ("mesh", "torus")))
 
 
 @figure("sec63_torus", "§6.3 — torus topology", _torus)
@@ -824,7 +822,7 @@ def _sensitivity(setting, values):
     """§6.4: per value, the summed throughput of three congested 4x4
     workloads under the paper's controller; ``setting(value)`` is the
     ``(central recipe, epoch)`` pair that value stands for."""
-    def run(scale, harness):
+    def plan(scale):
         workloads = make_workload_batch(
             3, 16, child_rng(31, "sensitivity"), categories=["H", "HM", "HM"]
         )
@@ -835,11 +833,13 @@ def _sensitivity(setting, values):
             for recipe, epoch in map(setting, values)
             for i, wl in enumerate(workloads)
         ]
-        tput = [r.system_throughput for r in harness.run(specs, "sec64")]
         k = len(workloads)
-        return [(value, sum(tput[j * k:(j + 1) * k]))
-                for j, value in enumerate(values)]
-    return run
+        return Plan(specs, lambda results: [
+            (value, sum(r.system_throughput
+                        for r in results[j * k:(j + 1) * k]))
+            for j, value in enumerate(values)
+        ])
+    return plan
 
 
 @figure("sec64_alpha", "§6.4 — alpha_throt sensitivity", _sensitivity(
@@ -890,7 +890,7 @@ def _sec64_epoch(rows):
 
 
 @figure("sec65_hw", "§6.5 — hardware cost",
-        lambda scale, harness: mechanism_hardware_cost())
+        lambda scale: Plan([], lambda _: mechanism_hardware_cost()))
 def _sec65(cost):
     return (
         "§6.5: per-node hardware cost",
@@ -918,7 +918,7 @@ def _sec65(cost):
 _SCHEMES = (("none",), ("central",), ("distributed",))
 
 
-def _coordination(scale, harness):
+def _coordination(scale):
     workloads = make_workload_batch(
         3, 16, child_rng(77, "sec66"), categories=["H", "HM", "HML"]
     )
@@ -929,13 +929,12 @@ def _coordination(scale, harness):
         for i, wl in enumerate(workloads)
         for recipe in _SCHEMES
     ]
-    results = harness.run(specs, "sec66")
     k = len(_SCHEMES)
-    return [
+    return Plan(specs, lambda results: [
         (wl.category,
          *(res.system_throughput for res in results[i * k:(i + 1) * k]))
         for i, wl in enumerate(workloads)
-    ]
+    ])
 
 
 @figure("sec66", "§6.6 — central vs distributed", _coordination)
@@ -958,7 +957,7 @@ def _sec66(rows):
 # ----------------------------------------------------------------------
 # §7 extensions: hot-spot traffic and explicit fairness
 # ----------------------------------------------------------------------
-def _hotspot(scale, harness):
+def _hotspot(scale):
     """An 8x8 workload with spread and with hot-spot traffic, baseline
     and throttled."""
     wl = make_workload_batch(1, 64, child_rng(70, "hotspot"),
@@ -974,7 +973,7 @@ def _hotspot(scale, harness):
         )
         for kind, mode in keys
     ]
-    return dict(zip(keys, harness.run(specs, "sec7-hotspot")))
+    return Plan(specs, lambda results: dict(zip(keys, results)))
 
 
 @figure("sec7_hotspot", "§7 ext. — hot-spot traffic", _hotspot)
@@ -1001,29 +1000,27 @@ def _sec7_hotspot(out):
     )
 
 
-def _fairness(scale, harness):
+def _fairness(scale):
     """Three 4x4 workloads under the paper's controller and the
     explicit-fairness variant, against each app's alone IPC."""
     workloads = make_workload_batch(
         3, 16, child_rng(71, "fairness"), categories=["HM", "HML", "H"]
     )
     cycles = scaled_cycles(6000, scale)
-    alones = alone_ipc(workloads, cycles=scaled_cycles(2000, scale),
-                       harness=harness)
     specs = [
         JobSpec.for_workload(wl, cycles, seed=30 + i, epoch=1000,
                              controller=recipe)
         for i, wl in enumerate(workloads)
         for recipe in (("central",), ("fair",))
     ]
-    results = harness.run(specs, "sec7-fairness")
-    return [
+    return join(alone_ipc(workloads, cycles=scaled_cycles(2000, scale)),
+                Plan(specs, list), then=lambda alones, results: [
         (wl.category, paper.system_throughput, fair.system_throughput,
          max_slowdown(paper.ipc, alone), max_slowdown(fair.ipc, alone),
          weighted_speedup(paper.ipc, alone), weighted_speedup(fair.ipc, alone))
         for wl, alone, paper, fair in zip(workloads, alones, results[::2],
                                           results[1::2])
-    ]
+    ])
 
 
 @figure("sec7_fairness", "§7 ext. — fairness controller", _fairness)
@@ -1060,17 +1057,17 @@ def _ablation_spec(cycles, controller=("none",), **config):
 _POLICIES = ("oldest_first", "random", "youngest_first")
 
 
-def _arbitration(scale, harness):
+def _arbitration(scale):
     """Oldest-First trades some average-case throughput for a bounded
     worst case: policies that favor young flits can post better averages
     while letting unlucky flits starve (the max-latency column)."""
     cycles = scaled_cycles(6000, scale)
     specs = [_ablation_spec(cycles, arbitration=p) for p in _POLICIES]
-    return [
+    return Plan(specs, lambda results: [
         (policy, r.system_throughput, r.avg_net_latency, r.max_net_latency,
          r.deflection_rate)
-        for policy, r in zip(_POLICIES, harness.run(specs, "arbitration"))
-    ]
+        for policy, r in zip(_POLICIES, results)
+    ])
 
 
 @figure("ablation_arbitration", "Ablation — deflection arbitration",
@@ -1095,14 +1092,14 @@ def _ablation_arbitration(rows):
     )
 
 
-def _eject_width(scale, harness):
+def _eject_width(scale):
     cycles = scaled_cycles(6000, scale)
     widths = (1, 2)
     specs = [_ablation_spec(cycles, eject_width=w) for w in widths]
-    return [
+    return Plan(specs, lambda results: [
         (w, r.system_throughput, r.avg_net_latency, r.deflection_rate)
-        for w, r in zip(widths, harness.run(specs, "eject-width"))
-    ]
+        for w, r in zip(widths, results)
+    ])
 
 
 @figure("ablation_eject_width", "Ablation — ejection width", _eject_width)
@@ -1119,20 +1116,20 @@ def _ablation_eject_width(rows):
     )
 
 
-def _awareness(scale, harness):
+def _awareness(scale):
     """§4: application-blind static throttling at the mechanism's own
-    average rate, against IPF-aware selection of whom to throttle."""
+    average rate, against IPF-aware selection of whom to throttle.  The
+    blind run's rate is the aware run's result: a second stage."""
     cycles = scaled_cycles(6000, scale)
-    base, aware = harness.run(
-        [_ablation_spec(cycles), _ablation_spec(cycles, ("central",))],
-        "awareness",
-    )
-    avg_rate = float(aware.epochs["mean_throttle"].mean())
-    (blind,) = harness.run(
-        [_ablation_spec(cycles, ("static", min(avg_rate, 0.95)))],
-        "awareness",
-    )
-    return base, aware, blind, avg_rate
+
+    def blind(results):
+        base, aware = results
+        avg_rate = float(aware.epochs["mean_throttle"].mean())
+        spec = _ablation_spec(cycles, ("static", min(avg_rate, 0.95)))
+        return Plan([spec], lambda out: (base, aware, *out, avg_rate))
+
+    return Plan([_ablation_spec(cycles), _ablation_spec(cycles, ("central",))],
+                blind)
 
 
 @figure("ablation_awareness", "Ablation — application awareness",
@@ -1163,7 +1160,7 @@ _FAULT_RATES = (0.0, 0.01, 0.025, 0.05)
 _MONOTONE_TOLERANCE = 1.08
 
 
-def _fault_sweep(scale, harness):
+def _fault_sweep(scale):
     """An 8x8 H workload on BLESS and on buffered XY at each permanent
     link-fault rate, invariant checker and a 150-cycle progress watchdog
     on, 300 s wall-clock budget per run; a row ends with how a guardrail
@@ -1185,22 +1182,23 @@ def _fault_sweep(scale, harness):
         )
         for network, rate in points
     ]
-    rows: Dict[str, list] = {"bless": [], "buffered": []}
-    results = harness.run(specs, "fault-tolerance")
-    stops = {r.key: _stop(r.error) for r in harness.records if r.error}
-    for (network, rate), spec, res in zip(points, specs, results):
-        if res is None:
-            rows[network].append((rate, None, None, None, stops[spec.content_hash()]))
-            continue
-        if not res.flit_conservation_ok:
-            raise RuntimeError(
-                f"{network} at fault rate {rate}: flit accounting broken"
-            )
-        failed = res.guardrails.failed_links if res.guardrails else 0
-        rows[network].append(
-            (rate, res.system_throughput, res.deflection_rate, failed, None)
-        )
-    return rows["bless"], rows["buffered"]
+
+    def reduce(results):
+        rows: Dict[str, list] = {"bless": [], "buffered": []}
+        for (network, rate), res in zip(points, results):
+            if isinstance(res, str):  # the error of a stopped run
+                row = (rate, None, None, None, _stop(res))
+            elif not res.flit_conservation_ok:
+                raise RuntimeError(
+                    f"{network} at fault rate {rate}: flit accounting broken"
+                )
+            else:
+                failed = res.guardrails.failed_links if res.guardrails else 0
+                row = (rate, res.system_throughput, res.deflection_rate,
+                       failed, None)
+            rows[network].append(row)
+        return rows["bless"], rows["buffered"]
+    return Plan(specs, reduce)
 
 
 def _stop(error: str) -> str:

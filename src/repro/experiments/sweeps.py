@@ -1,27 +1,26 @@
-"""Multi-run sweep drivers for the paper's figures.
+"""Multi-run sweep drivers for the paper's figures, as plans.
 
-Every driver here is a thin *spec generator* over
-:func:`repro.harness.run_jobs`: it enumerates the experiment points as
-declarative :class:`~repro.harness.JobSpec` values, hands the whole
-batch to a :class:`Harness`, and reshapes the results into the
-figure-specific structure the figure registry
-(:mod:`repro.experiments.figures`) consumes.  One ``Harness`` carries
-the ``jobs`` / ``cache`` / ``progress`` settings of an invocation: a
-sweep runs on ``N`` worker processes with ``jobs=N``, skips every point
-already in the content-addressed cache, and executes a spec that two
-drivers share only once — re-running a crashed or extended sweep only
-executes the new points, and the parallel results are bit-identical to
-serial because every job derives its RNG streams from its own spec.
-No spec here names a backend: :func:`repro.native.pick` chooses one.
+A driver runs nothing: it enumerates the experiment points as
+declarative :class:`~repro.harness.JobSpec` values and returns them in
+a :class:`Plan`, with the reducer that reshapes their results into the
+structure a report of the figure registry
+(:mod:`repro.experiments.figures`) consumes.  :func:`run_plans` runs any
+number of plans through one :func:`repro.harness.run_jobs` call, so a
+spec two plans share executes once and a cached one not at all;
+parallel results are bit-identical to serial because every job derives
+its RNG streams from its own spec.  :meth:`Plan.run` runs one plan.  No
+spec here names a backend: :func:`repro.native.pick` chooses one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.harness import JobRecord, JobSpec, run_jobs
+from repro.harness.jobs import resolve
 from repro.network import NETWORK_MODELS
 from repro.rng import child_rng
 from repro.sim.results import SimulationResult
@@ -33,7 +32,10 @@ from repro.traffic.workloads import (
 
 __all__ = [
     "NETWORK_VARIANTS",
-    "Harness",
+    "Plan",
+    "join",
+    "run_plans",
+    "predicted_cost",
     "scaled_cycles",
     "alone_ipc_specs",
     "alone_ipc",
@@ -51,48 +53,64 @@ def scaled_cycles(base: int, scale: float) -> int:
     return max(int(base * scale), 1000)
 
 
-class Harness:
-    """The :func:`run_jobs` front end every driver of one invocation
-    shares: the same ``jobs``/``cache``/``progress`` for each batch, and
-    each distinct spec (by content hash) executed at most once however
-    many batches ask for it.  Counts what it was asked for and what ran,
-    and keeps run_jobs' ``records``."""
+class Plan(NamedTuple):
+    """Specs to run, and how their results become data: ``reduce`` gets
+    one outcome per spec, in order — the result, or for a job a
+    guardrail stopped its ``JobRecord.error`` string — and returns the
+    data, or a further plan of specs that depend on those results."""
 
-    def __init__(self, jobs: Optional[int] = None, cache=None,
-                 progress=False):
-        self.jobs, self.cache, self.progress = jobs, cache, progress
-        self._results: Dict[str, Optional[SimulationResult]] = {}
-        self.requested = self.cache_hits = self.executed = 0
-        self.records: List[JobRecord] = []
+    specs: Sequence[JobSpec]
+    reduce: Callable[[list], object]
 
-    @property
-    def distinct(self) -> int:
-        return len(self._results)
+    def run(self, **kw):
+        """This plan's data; *kw* are :func:`run_jobs`' keywords."""
+        return run_plans([self], **kw)[0][0]
 
-    def run(self, specs: Sequence[JobSpec], description: str = "sweep"
-            ) -> List[Optional[SimulationResult]]:
-        """Results aligned with *specs* (``None`` for a job a guardrail
-        stopped); only specs this harness has not seen go to run_jobs."""
-        keys = [spec.content_hash() for spec in specs]
+
+def join(*plans: Plan, then: Callable = lambda *data: data) -> Plan:
+    """One plan of every spec of *plans*; each reduces its own share and
+    *then* gets their data, in order (default: the tuple of them)."""
+    cuts = [0, *itertools.accumulate(len(plan.specs) for plan in plans)]
+    return Plan([spec for plan in plans for spec in plan.specs],
+                lambda out: then(*(plan.reduce(out[a:b]) for plan, a, b
+                                   in zip(plans, cuts, cuts[1:]))))
+
+
+def predicted_cost(spec: JobSpec) -> Tuple[bool, int]:
+    """What orders a pool call longest first: a run on the numpy backend
+    before any native one, then nodes x cycles."""
+    backend = dict(resolve(spec)[0].config)["backend"]
+    return backend == "numpy", spec.num_nodes * spec.cycles
+
+
+def run_plans(plans: Sequence[Plan], **kw) -> Tuple[list, int, List[JobRecord]]:
+    """Each plan's data; then how many specs the plans named, and one
+    :class:`JobRecord` per distinct spec (by content hash) they ran.
+
+    Every spec of every plan goes to one :func:`run_jobs` call (*kw* are
+    its keywords), each distinct one once, ordered by
+    :func:`predicted_cost`, longest first; then every plan reduces, in
+    order.  A reducer that returns a plan adds a stage: one more call,
+    for the specs no earlier call ran.
+    """
+    data, outcomes = list(plans), {}
+    named, records = 0, []
+    while stage := [i for i, plan in enumerate(data) if isinstance(plan, Plan)]:
         pending = {}
-        for key, spec in zip(keys, specs):
-            if key not in self._results:
-                pending.setdefault(key, spec)
+        for i in stage:
+            named += len(data[i].specs)
+            pending.update((spec.content_hash(), spec) for spec in data[i].specs
+                           if spec.content_hash() not in outcomes)
         if pending:
-            report = run_jobs(
-                list(pending.values()), jobs=self.jobs, cache=self.cache,
-                progress=self.progress, description=description,
-            )
-            self._results.update(zip(pending, report.results))
-            self.cache_hits += report.cache_hits
-            self.executed += report.executed
-            self.records += report.records
-        self.requested += len(keys)
-        return [self._results[key] for key in keys]
-
-
-def _run(harness: Optional[Harness], specs, description: str):
-    return (Harness() if harness is None else harness).run(specs, description)
+            specs = sorted(pending.values(), key=predicted_cost, reverse=True)
+            report = run_jobs(specs, **kw)
+            records += report.records
+            for res, record in zip(report.results, report.records):
+                outcomes[record.key] = record.error if res is None else res
+        for i in stage:
+            data[i] = data[i].reduce(
+                [outcomes[spec.content_hash()] for spec in data[i].specs])
+    return data, named, records
 
 
 #: variant -> (network, controller recipe) for the scaling figures:
@@ -121,46 +139,31 @@ def alone_ipc_specs(
     return specs
 
 
-def alone_ipc(
-    workloads: Sequence[Workload], cycles: int = 2500, seed: int = 11,
-    harness: Optional[Harness] = None, **config,
-) -> List[np.ndarray]:
+def alone_ipc(workloads: Sequence[Workload], cycles: int = 2500,
+              seed: int = 11, **config) -> Plan:
     """Per-node alone-IPC vector of each workload (weighted speedup,
-    §6.2); the batch's alone runs go to the harness in one call."""
+    §6.2), from :func:`alone_ipc_specs`' runs."""
     specs = alone_ipc_specs(workloads, cycles, seed, **config)
-    results = _run(harness, list(specs.values()), "alone-ipc")
-    ipc = {key: float(res.ipc[0]) for key, res in zip(specs, results)}
-    return [
-        np.array([
-            0.0 if name is None else ipc[name, workload.num_nodes]
-            for name in workload.app_names
-        ])
-        for workload in workloads
-    ]
+
+    def reduce(results) -> List[np.ndarray]:
+        ipc = {key: float(res.ipc[0]) for key, res in zip(specs, results)}
+        return [np.array([0.0 if name is None else ipc[name, wl.num_nodes]
+                          for name in wl.app_names]) for wl in workloads]
+    return Plan(list(specs.values()), reduce)
 
 
-def static_throttle_sweep(
-    workload: Workload,
-    rates: Sequence[float],
-    cycles: int,
-    epoch: int = 1000,
-    seed: int = 1,
-    harness: Optional[Harness] = None,
-    **config,
-) -> List[Tuple[float, SimulationResult]]:
-    """Fig 2(c): throttle all nodes at each rate, record the outcome."""
+def static_throttle_sweep(workload: Workload, rates: Sequence[float],
+                          cycles: int, epoch: int = 1000, seed: int = 1,
+                          **config) -> Plan:
+    """Fig 2(c): throttle all nodes at each rate; ``[(rate, result)]``."""
     specs = [
         JobSpec.for_workload(
-            workload,
-            cycles,
-            epoch=epoch,
-            seed=seed,
+            workload, cycles, epoch=epoch, seed=seed, config=config,
             controller=("static", rate) if rate > 0 else ("none",),
-            config=config,
         )
         for rate in rates
     ]
-    return list(zip(rates, _run(harness, specs, "static-throttle")))
+    return Plan(specs, lambda results: list(zip(rates, results)))
 
 
 #: The scaling figures' three variants (Figs 13-16).
@@ -171,19 +174,17 @@ def scaling_sweep(
     sizes: Sequence[int],
     cycles_for,
     networks: Sequence[str] = SCALING_NETWORKS,
-    harness: Optional[Harness] = None,
     category: str = "H",
     locality: str = "exponential",
     locality_param: float = 1.0,
     epoch: int = 1200,
     seed: int = 2,
     topology: str = "mesh",
-) -> Dict[str, List[Tuple[int, SimulationResult]]]:
+) -> Plan:
     """Figs 3 and 13-16: one workload per size, run on each variant of
-    ``networks`` (entries of :data:`NETWORK_VARIANTS`) as one
-    embarrassingly parallel batch; ``cycles_for(n)`` maps a node count
-    to a cycle budget, letting large networks run shorter.
-    ``{variant: [(size, result), ...]}``."""
+    ``networks`` (entries of :data:`NETWORK_VARIANTS`);
+    ``cycles_for(n)`` maps a node count to a cycle budget, letting large
+    networks run shorter.  ``{variant: [(size, result), ...]}``."""
     grid = []
     for size in sizes:
         rng = child_rng(seed, f"scaling-{size}")
@@ -196,114 +197,82 @@ def scaling_sweep(
                 locality_param=locality_param, topology=topology,
             )
             grid.append((name, size, spec))
-    results = _run(harness, [spec for _, _, spec in grid], "scaling")
-    out: Dict[str, List[Tuple[int, SimulationResult]]] = {n: [] for n in networks}
-    for (name, size, _), res in zip(grid, results):
-        out[name].append((size, res))
-    return out
+
+    def reduce(results) -> Dict[str, List[Tuple[int, SimulationResult]]]:
+        out: Dict[str, list] = {name: [] for name in networks}
+        for (name, size, _), res in zip(grid, results):
+            out[name].append((size, res))
+        return out
+    return Plan([spec for _, _, spec in grid], reduce)
 
 
-def locality_sweep(
-    mean_distances: Sequence[float],
-    num_nodes: int,
-    cycles: int,
-    category: str = "H",
-    seed: int = 3,
-    epoch: int = 1000,
-    harness: Optional[Harness] = None,
-    **config,
-) -> List[Tuple[float, SimulationResult]]:
-    """Fig 4: per-node throughput vs average hop distance (1/lambda)."""
+def locality_sweep(mean_distances: Sequence[float], num_nodes: int,
+                   cycles: int, category: str = "H", seed: int = 3,
+                   epoch: int = 1000, **config) -> Plan:
+    """Fig 4: per-node throughput vs average hop distance (1/lambda);
+    ``[(distance, result)]``."""
     rng = child_rng(seed, "locality-sweep")
     workload = make_workload_batch(1, num_nodes, rng, categories=[category])[0]
     specs = [
-        JobSpec.for_workload(
-            workload,
-            cycles,
-            seed=seed,
-            epoch=epoch,
-            locality="exponential",
-            locality_param=mean,
-            config=config,
-        )
+        JobSpec.for_workload(workload, cycles, seed=seed, epoch=epoch,
+                             locality="exponential", locality_param=mean,
+                             config=config)
         for mean in mean_distances
     ]
-    return list(zip(mean_distances, _run(harness, specs, "locality")))
+    return Plan(specs, lambda results: list(zip(mean_distances, results)))
 
 
-def _comparison_specs(
-    workload: Workload, cycles: int, epoch: int, seed: int, config: dict
-) -> List[JobSpec]:
-    """The (baseline, mechanism) spec pair of one comparison point."""
-    common = dict(epoch=epoch, seed=seed, config=config)
-    return [
-        JobSpec.for_workload(workload, cycles, controller=("none",), **common),
-        JobSpec.for_workload(workload, cycles, controller=("central",), **common),
+def _comparisons(workloads: Sequence[Workload], cycles: int, epoch: int,
+                 seeds: Sequence[int], config: dict, row) -> Plan:
+    """Baseline vs mechanism on each of *workloads*: one spec pair each;
+    ``[row(i, baseline, mechanism, improvement)]``."""
+    specs = [
+        JobSpec.for_workload(workload, cycles, controller=recipe,
+                             epoch=epoch, seed=seed, config=config)
+        for workload, seed in zip(workloads, seeds)
+        for recipe in (("none",), ("central",))
     ]
 
+    def reduce(results) -> list:
+        return [
+            row(i, base, ctl,
+                ctl.system_throughput / base.system_throughput - 1.0
+                if base.system_throughput > 0 else 0.0)
+            for i, (base, ctl) in enumerate(zip(results[::2], results[1::2]))
+        ]
+    return Plan(specs, reduce)
 
-def _improvement(base: SimulationResult, ctl: SimulationResult) -> float:
-    if base.system_throughput > 0:
-        return ctl.system_throughput / base.system_throughput - 1.0
-    return 0.0
 
-
-def pairwise_ipf_grid(
-    apps: Sequence[str],
-    cycles: int,
-    width: int = 4,
-    epoch: int = 1000,
-    seed: int = 4,
-    harness: Optional[Harness] = None,
-    **config,
-) -> List[dict]:
+def pairwise_ipf_grid(apps: Sequence[str], cycles: int, width: int = 4,
+                      epoch: int = 1000, seed: int = 4, **config) -> Plan:
     """Figs 11/12: checkerboard pairs of applications.
 
     For every (app1, app2) pair, runs baseline and mechanism and records
     throughput improvement plus baseline utilization.
     """
     pairs = [(a, b) for a in apps for b in apps]
-    specs = []
-    for app1, app2 in pairs:
-        workload = make_checkerboard_workload(app1, app2, width)
-        specs.extend(_comparison_specs(workload, cycles, epoch, seed, config))
-    results = _run(harness, specs, "pairwise-ipf")
-    return [
-        {
-            "app1": app1,
-            "app2": app2,
-            "improvement": _improvement(base, ctl),
-            "baseline_utilization": base.network_utilization,
-        }
-        for (app1, app2), base, ctl in zip(pairs, results[::2], results[1::2])
-    ]
+    workloads = [make_checkerboard_workload(a, b, width) for a, b in pairs]
+    return _comparisons(
+        workloads, cycles, epoch, [seed] * len(pairs), config,
+        lambda i, base, ctl, gain: dict(
+            app1=pairs[i][0], app2=pairs[i][1], improvement=gain,
+            baseline_utilization=base.network_utilization,
+        ),
+    )
 
 
-def workload_batch_comparison(
-    count: int,
-    num_nodes: int,
-    cycles: int,
-    epoch: int = 1000,
-    seed: int = 5,
-    categories=None,
-    harness: Optional[Harness] = None,
-    **config,
-) -> List[dict]:
-    """Figs 7-10: baseline vs mechanism across a workload batch."""
+def workload_batch_comparison(count: int, num_nodes: int, cycles: int,
+                              epoch: int = 1000, seed: int = 5,
+                              categories=None, **config) -> Plan:
+    """Figs 7-10: baseline vs mechanism across a workload batch; the
+    specs are one (baseline, mechanism) pair per workload."""
     rng = child_rng(seed, f"batch-{num_nodes}")
     kwargs = {} if categories is None else {"categories": categories}
     workloads = make_workload_batch(count, num_nodes, rng, **kwargs)
-    specs = []
-    for i, workload in enumerate(workloads):
-        specs.extend(_comparison_specs(workload, cycles, epoch, seed + i, config))
-    results = _run(harness, specs, "workload-batch")
-    return [
-        {
-            "workload": workload,
-            "category": workload.category,
-            "baseline": base,
-            "mechanism": ctl,
-            "improvement": _improvement(base, ctl),
-        }
-        for workload, base, ctl in zip(workloads, results[::2], results[1::2])
-    ]
+    return _comparisons(
+        workloads, cycles, epoch, range(seed, seed + count), config,
+        lambda i, base, ctl, gain: dict(
+            workload=workloads[i], category=workloads[i].category, baseline=base,
+            mechanism=ctl, improvement=gain,
+        ),
+    )

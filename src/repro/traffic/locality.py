@@ -37,6 +37,7 @@ __all__ = [
     "HotspotLocality",
     "LOCALITY_MODELS",
     "LOCALITY_NAMES",
+    "LOCALITY_PARAMS",
 ]
 
 
@@ -284,3 +285,12 @@ LOCALITY_MODELS = {
 }
 
 LOCALITY_NAMES = tuple(LOCALITY_MODELS)
+
+#: name -> (does a ``locality_param`` suit the model, what it must be);
+#: uniform reads none: a value it ignored would split one run's cache key
+LOCALITY_PARAMS = {
+    "uniform": (lambda p: p == 1.0, "uniform locality takes no parameter"),
+    "exponential": (lambda p: p > 0, "mean distance must be positive"),
+    "powerlaw": (lambda p: p > 1, "alpha must exceed 1 for a finite mean"),
+    "hotspot": (lambda p: 0 < p <= 1, "hot fraction must be in (0, 1]"),
+}

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import (
-    Harness,
     alone_ipc,
     alone_ipc_specs,
     format_table,
@@ -64,8 +63,8 @@ class TestRunners:
         """Recorded from the per-application, process-cached alone runs
         these specs replaced: the same numbers, bit for bit."""
         mcf, lbm = (make_homogeneous_workload(a, 16) for a in ("mcf", "lbm"))
-        assert alone_ipc([mcf], cycles=2000)[0][0] == 1.3099733900163684
-        assert alone_ipc([lbm], cycles=1200)[0][0] == 2.0871473341047393
+        assert alone_ipc([mcf], cycles=2000).run()[0][0] == 1.3099733900163684
+        assert alone_ipc([lbm], cycles=1200).run()[0][0] == 2.0871473341047393
 
     def test_alone_ipc_specs_one_per_distinct_app(self):
         batch = [
@@ -87,12 +86,12 @@ class TestRunners:
         batch = [make_checkerboard_workload("povray", "mcf", 4),
                  make_homogeneous_workload("povray", 16)]
         records = []
-        cold = alone_ipc(batch, cycles=1200, harness=Harness(
-            cache=tmp_path, progress=records.append))
+        cold = alone_ipc(batch, cycles=1200).run(
+            cache=tmp_path, progress=records.append)
         assert [r.cached for r in records] == [False, False]
         records.clear()
-        warm = alone_ipc(batch, cycles=1200, harness=Harness(
-            cache=ResultCache(tmp_path), progress=records.append))
+        warm = alone_ipc(batch, cycles=1200).run(
+            cache=ResultCache(tmp_path), progress=records.append)
         assert [r.cached for r in records] == [True, True]
         for a, b in zip(cold, warm):
             assert a.tolist() == b.tolist()
@@ -102,26 +101,28 @@ class TestRunners:
     def test_alone_ipc_uncontended_beats_shared(self):
         wl = make_homogeneous_workload("mcf", 16)
         shared = shared_run(wl, 2000)
-        (alone,) = alone_ipc([wl], cycles=2000)
+        (alone,) = alone_ipc([wl], cycles=2000).run()
         assert (alone > shared.ipc.mean()).all()
 
 
 class TestSweeps:
     def test_static_sweep_rates_and_order(self):
         wl = make_homogeneous_workload("mcf", 16)
-        results = static_throttle_sweep(wl, [0.0, 0.8], 1500, epoch=500, seed=1)
+        results = static_throttle_sweep(
+            wl, [0.0, 0.8], 1500, epoch=500, seed=1
+        ).run()
         assert [r[0] for r in results] == [0.0, 0.8]
         assert results[1][1].injected_flits < results[0][1].injected_flits
 
     def test_locality_sweep_distance_effect(self):
-        results = locality_sweep([1.0, 8.0], 16, 1500, epoch=500)
+        results = locality_sweep([1.0, 8.0], 16, 1500, epoch=500).run()
         near, far = results[0][1], results[1][1]
         assert near.avg_hops < far.avg_hops
 
     def test_batch_comparison_shape(self):
         rows = workload_batch_comparison(
             2, 16, 1200, epoch=400, seed=3, categories=["L", "H"]
-        )
+        ).run()
         assert [r["category"] for r in rows] == ["L", "H"]
         for r in rows:
             assert "improvement" in r

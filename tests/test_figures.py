@@ -15,10 +15,10 @@ from types import SimpleNamespace
 import pytest
 
 import repro.__main__ as cli
-from repro.experiments import figures
-from repro.experiments.sweeps import Harness
+from repro.experiments import figures, sweeps
+from repro.experiments.sweeps import Plan
 from repro.guardrails.errors import LivelockError, SimulationTimeout
-from repro.harness import JobSpec, executor
+from repro.harness import HarnessReport, JobRecord, JobSpec, executor
 from repro.native import accel, native_available
 from repro.traffic.workloads import make_homogeneous_workload
 
@@ -64,7 +64,7 @@ def test_experiments_md_has_every_report_in_registry_order():
 @pytest.mark.parametrize("name", ANALYTIC)
 def test_analytic_report_matches_its_committed_block(name):
     fig = by_name(name)
-    text, failed = fig.report(fig.run(1.0, Harness()))
+    text, failed = fig.report(fig.plan(1.0).run())
     assert failed == []
     assert text.strip() == committed_blocks()[fig.label]
 
@@ -121,16 +121,44 @@ def test_a_spec_two_reports_share_executes_once(monkeypatch, capsys):
         return "T", [("every run completed", "yes", str(ran), ran)], None
 
     monkeypatch.setattr(figures, "FIGURES", [
-        figures.Figure("first", "First", lambda s, h: h.run(specs[:2]),
+        figures.Figure("first", "First", lambda s: Plan(specs[:2], list),
                        render),
         figures.Figure("second", "Second",
-                       lambda s, h: h.run(specs[1:] * 2), render),
+                       lambda s: Plan(specs[1:] * 2, list), render),
     ])
     rc, _, err = figure_cli(capsys, "--jobs", "1")
     assert rc == 0
     assert "6 jobs, 3 distinct specs, 0 cache hits, 3 executed" in err
     picked = "3 native, 0 numpy" if native_available() else "0 native, 3"
     assert f"backend: specs {picked}" in err
+
+
+def test_figure_makes_one_run_jobs_call(monkeypatch, capsys):
+    """Figs 13-16 share one scaling sweep and §6.3's mesh half repeats
+    four of its points: every report is planned first, and the specs
+    go to one run_jobs call, each once, the longest predicted first."""
+    calls = []
+    power = SimpleNamespace(reduction_vs=lambda other: 0.1)
+    stub = SimpleNamespace(throughput_per_node=1.0, avg_net_latency=20.0,
+                           network_utilization=0.5, power=power)
+
+    def run_jobs(specs, **kw):
+        calls.append(list(specs))
+        return HarnessReport(
+            [stub] * len(specs),
+            [JobRecord(s.label(), s.content_hash(), True, 0.0)
+             for s in specs],
+            workers=1, wall_seconds=0.0,
+        )
+
+    monkeypatch.setattr(sweeps, "run_jobs", run_jobs)
+    _, _, err = figure_cli(capsys, "fig13", "fig14", "fig15", "fig16",
+                           "sec63_torus")
+    (specs,) = calls
+    assert len({spec.content_hash() for spec in specs}) == len(specs) == 19
+    costs = [sweeps.predicted_cost(spec) for spec in specs]
+    assert costs == sorted(costs, reverse=True)
+    assert "5 reports, 68 jobs, 19 distinct specs, 19 cache hits" in err
 
 
 def test_a_watchdog_stop_is_a_deadlock_cell_not_a_throughput():
@@ -193,7 +221,8 @@ def test_a_watchdog_record_reads_as_a_deadlock_cell(monkeypatch):
 
 def test_the_registry_is_imported_on_the_figure_path_only():
     code = ("import sys, repro, repro.harness, repro.__main__; "
-            "sys.exit('repro.experiments.figures' in sys.modules)")
+            "sys.exit('repro.experiments.figures' in sys.modules "
+            "or 'repro.experiments.sweeps' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments.sweeps import Harness, scaling_sweep
+from repro.experiments.sweeps import Plan, scaling_sweep
 from repro.harness import (
     HarnessReport,
     JobSpec,
@@ -686,12 +686,11 @@ class TestBackendPick:
         assert build(spec).config.backend == "numpy"
 
     def test_the_harness_keeps_every_record(self):
-        harness = Harness(jobs=1)
+        """A plan's reducer reads a stopped job as its record's error."""
         specs = [small_spec(deadline=0.0), small_spec()]
-        assert harness.run(specs)[0] is None
-        errors = {r.key: r.error for r in harness.records}
-        assert "SimulationTimeout" in errors[specs[0].content_hash()]
-        assert errors[specs[1].content_hash()] is None
+        stopped, done = Plan(specs, list).run(jobs=1)
+        assert stopped.startswith("SimulationTimeout: ")
+        assert done.cycles == specs[1].cycles
 
 
 class TestParallelDeterminism:
@@ -729,10 +728,8 @@ class TestParallelDeterminism:
             epoch=400,
             seed=2,
         )
-        serial = scaling_sweep(
-            (16, 25, 36), harness=Harness(jobs=1, cache=False), **kw)
-        parallel = scaling_sweep(
-            (16, 25, 36), harness=Harness(jobs=4, cache=False), **kw)
+        serial = scaling_sweep((16, 25, 36), **kw).run(jobs=1, cache=False)
+        parallel = scaling_sweep((16, 25, 36), **kw).run(jobs=4, cache=False)
         assert [s for s, _ in serial["bless"]] == [16, 25, 36]
         for (size_s, res_s), (size_p, res_p) in zip(
             serial["bless"], parallel["bless"]

@@ -58,10 +58,14 @@ def _sleep_or_run(spec):
     return real_run_job(spec)
 
 
-def _log_start_then_run(log_path, spec):
+def _log_start_then_run(log_path, gate, spec):
+    """Log the start; seed 1 then runs, every other seed waits for the
+    file *gate* first."""
     with open(log_path, "a", encoding="utf-8") as log:
         log.write(f"{spec.seed}\n")
     time.sleep(0.3)
+    while spec.seed != 1 and not gate.exists():
+        time.sleep(0.01)
     return real_run_job(spec)
 
 
@@ -136,11 +140,13 @@ class TestParentException:
         self, monkeypatch, tmp_path, worker_pids
     ):
         """An exception in the parent must not surface only after every
-        queued job has run: what has not started is cancelled."""
-        log = tmp_path / "started.txt"
+        queued job has run: what has not started is cancelled.  Only the
+        first job can finish before the gate opens, after run_jobs has
+        raised, so what was handed out is exactly countable."""
+        log, gate = tmp_path / "started.txt", tmp_path / "gate"
         monkeypatch.setattr(
             "repro.harness.executor.run_job",
-            functools.partial(_log_start_then_run, log),
+            functools.partial(_log_start_then_run, log, gate),
         )
         workers = 2
         specs = [small_spec(seed=s, cycles=300, epoch=100) for s in range(1, 13)]
@@ -150,17 +156,22 @@ class TestParentException:
 
         with pytest.raises(RuntimeError, match="progress callback failed"):
             run_jobs(specs, jobs=workers, cache=False, progress=refuse)
+        gate.touch()
         # Count once the dropped workers have exited.  What cannot be
-        # cancelled: the job that finished, the ones running, and the
-        # calls the executor had already moved to its call queue
-        # (workers + 1 slots, refilled by its manager thread before the
-        # parent has even seen the first result).
+        # cancelled: the job that finished, one running per worker, and
+        # the calls the executor had already moved to its call queue
+        # (workers + 1 slots), the first ones submitted.  The queue is
+        # refilled once, as the manager thread hands the parent the
+        # first result; it holds one call fewer when the worker that
+        # ran that job takes its next call only after the refill.
         deadline = time.monotonic() + 60
         while worker_pids() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert worker_pids() == set()
-        started = log.read_text().split()
-        assert 1 <= len(started) <= 2 * workers + 2 < len(specs)
+        started = sorted(int(seed) for seed in log.read_text().split())
+        assert started == list(range(1, len(started) + 1))
+        assert 1 + workers + workers <= len(started)
+        assert len(started) <= 1 + workers + (workers + 1) < len(specs)
         log.write_text("")
         report = run_jobs(specs[:4], jobs=workers, cache=False)
         assert report.failed == 0 and None not in report.results

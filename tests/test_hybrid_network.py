@@ -175,12 +175,12 @@ class TestHybridThroughHarness:
         assert result.injected_flits > 0
 
     def test_scaling_sweep_accepts_hybrid(self):
-        from repro.experiments.sweeps import Harness, scaling_sweep
+        from repro.experiments.sweeps import scaling_sweep
 
         out = scaling_sweep(
             sizes=(16,), cycles_for=lambda n: 400,
-            networks=("hybrid",), epoch=200, harness=Harness(jobs=1),
-        )
+            networks=("hybrid",), epoch=200,
+        ).run(jobs=1)
         ((size, point),) = out["hybrid"]
         assert size == 16
         assert point.cycles == 400

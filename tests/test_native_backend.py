@@ -116,7 +116,8 @@ def _generated_sim(backend, locality="exponential", topology="mesh",
                    controller="central", **overrides):
     workload = make_category_workload("H", nodes, np.random.default_rng(7))
     kwargs = dict(
-        locality=locality, locality_param=2.5, phase_length=50,
+        locality=locality, phase_length=50,
+        locality_param=1.0 if locality == "uniform" else 2.5,
         arbitration="random", eject_width=2,
         **GENERATED_TOPOLOGIES.get(topology, {}),
     )
@@ -495,7 +496,11 @@ def _predicate_cases():
     assert set(TOPOLOGY_SIZES) == set(TOPOLOGY_NAMES)
     cases = {f"network-{n}": dict(network=n) for n in NETWORK_NAMES}
     cases.update({f"topology-{t}": dict(topology=t) for t in TOPOLOGY_NAMES})
-    cases.update({f"locality-{loc}": dict(locality=loc, locality_param=2.5)
+    # A parameter each model accepts (uniform takes none).
+    params = {"uniform": 1.0, "exponential": 2.5, "powerlaw": 2.5,
+              "hotspot": 0.35}
+    cases.update({f"locality-{loc}": dict(locality=loc,
+                                          locality_param=params[loc])
                   for loc in LOCALITY_NAMES})
     cases.update({f"controller-{c}": dict(
         controller=(c, 0.5) if c == "static" else (c,)

@@ -257,7 +257,9 @@ class TestNameTables:
     def test_config_accepts_every_registered_name(self, field, name):
         # 64 nodes fit every layout: 8x8 grids, a 4x4x4 cube, 4x4 tiles.
         workload = make_homogeneous_workload("mcf", 64)
-        config = SimulationConfig(workload, **{field: name})
+        # A power law's alpha must exceed 1, the field's default.
+        alpha = {"locality_param": 2.5} if name == "powerlaw" else {}
+        config = SimulationConfig(workload, **{field: name}, **alpha)
         assert getattr(config, field) == name
 
     @pytest.mark.parametrize("field", ["network", "backend", "locality"])
@@ -558,6 +560,8 @@ class TestCliSurface:
             default = action.default
             value = non_default(field, default or field.default)
             argv = [action.option_strings[0], str(value)]
+        if field.name == "locality_param":  # the default model reads none
+            argv += ["--locality", "exponential"]
         if value == "native" and not native_available():
             pytest.skip("no C compiler for the native backend")
         simulator = cli_simulator(argv)
