@@ -26,7 +26,7 @@ from repro.guardrails.faults import FaultConfig
 from repro.network import NETWORK_MODELS, NETWORK_NAMES
 from repro.power.model import PowerCoefficients
 from repro.topology.registry import TOPOLOGY_NAMES, prepare_config
-from repro.traffic.locality import LOCALITY_MODELS, LOCALITY_NAMES, LOCALITY_PARAMS
+from repro.traffic.locality import LOCALITY_MODELS, LOCALITY_NAMES, check_param
 from repro.traffic.workloads import Workload
 
 __all__ = ["SimulationConfig", "BACKENDS"]
@@ -147,9 +147,7 @@ class SimulationConfig:
         if isinstance(self.locality, str):
             if self.locality not in LOCALITY_MODELS:
                 raise ValueError(f"unknown locality model {self.locality!r}")
-            suits, rule = LOCALITY_PARAMS[self.locality]
-            if not suits(self.locality_param):
-                raise ValueError(f"{rule}, got locality_param={self.locality_param:g}")
+            check_param(self.locality, self.locality_param)
         if self.buffer_capacity < 1:
             raise ValueError("buffer_capacity must be >= 1")
         if self.side_buffer_capacity < 1:

@@ -590,14 +590,15 @@ def _fig9(rows):
 def _weighted_speedup(scale):
     """Fig 7's 4x4 batch (the same specs) against each app's alone IPC."""
     batch = _batch_4x4(scale)
-    # One (baseline, mechanism) spec pair per workload of the batch.
-    alones = alone_ipc([spec.workload for spec in batch.specs[::2]],
-                       cycles=scaled_cycles(2000, scale))
-    return join(batch, alones, then=lambda rows, ipcs: [
-        (r, weighted_speedup(r["baseline"].ipc, alone),
-         weighted_speedup(r["mechanism"].ipc, alone))
-        for r, alone in zip(rows, ipcs)
-    ])
+    workloads = list(dict.fromkeys(spec.workload for spec in batch.specs))
+    alones = alone_ipc(workloads, cycles=scaled_cycles(2000, scale))
+
+    def with_speedups(rows, ipcs):
+        alone = dict(zip(workloads, ipcs))
+        return [(r, weighted_speedup(r["baseline"].ipc, alone[r["workload"]]),
+                 weighted_speedup(r["mechanism"].ipc, alone[r["workload"]]))
+                for r in rows]
+    return join(batch, alones, then=with_speedups)
 
 
 @figure("fig10", "Fig 10 — weighted speedup", _weighted_speedup)

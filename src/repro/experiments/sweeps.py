@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.harness import JobRecord, JobSpec, run_jobs
-from repro.harness.jobs import resolve
 from repro.network import NETWORK_MODELS
 from repro.rng import child_rng
 from repro.sim.results import SimulationResult
@@ -35,7 +34,6 @@ __all__ = [
     "Plan",
     "join",
     "run_plans",
-    "predicted_cost",
     "scaled_cycles",
     "alone_ipc_specs",
     "alone_ipc",
@@ -76,22 +74,15 @@ def join(*plans: Plan, then: Callable = lambda *data: data) -> Plan:
                                    in zip(plans, cuts, cuts[1:]))))
 
 
-def predicted_cost(spec: JobSpec) -> Tuple[bool, int]:
-    """What orders a pool call longest first: a run on the numpy backend
-    before any native one, then nodes x cycles."""
-    backend = dict(resolve(spec)[0].config)["backend"]
-    return backend == "numpy", spec.num_nodes * spec.cycles
-
-
 def run_plans(plans: Sequence[Plan], **kw) -> Tuple[list, int, List[JobRecord]]:
     """Each plan's data; then how many specs the plans named, and one
     :class:`JobRecord` per distinct spec (by content hash) they ran.
 
     Every spec of every plan goes to one :func:`run_jobs` call (*kw* are
-    its keywords), each distinct one once, ordered by
-    :func:`predicted_cost`, longest first; then every plan reduces, in
-    order.  A reducer that returns a plan adds a stage: one more call,
-    for the specs no earlier call ran.
+    its keywords), each distinct one once (it starts the longest
+    predicted first); then every plan reduces, in order.  A reducer that
+    returns a plan adds a stage: one more call, for the specs no earlier
+    call ran.
     """
     data, outcomes = list(plans), {}
     named, records = 0, []
@@ -102,8 +93,7 @@ def run_plans(plans: Sequence[Plan], **kw) -> Tuple[list, int, List[JobRecord]]:
             pending.update((spec.content_hash(), spec) for spec in data[i].specs
                            if spec.content_hash() not in outcomes)
         if pending:
-            specs = sorted(pending.values(), key=predicted_cost, reverse=True)
-            report = run_jobs(specs, **kw)
+            report = run_jobs(list(pending.values()), **kw)
             records += report.records
             for res, record in zip(report.results, report.records):
                 outcomes[record.key] = record.error if res is None else res

@@ -9,7 +9,9 @@ Execution strategy:
 - every spec is first looked up in the optional
   :class:`~repro.harness.cache.ResultCache`; hits never execute;
 - the parent picks each pending spec's backend
-  (:func:`~repro.harness.jobs.resolve`), named in its :class:`JobRecord`;
+  (:func:`~repro.harness.jobs.resolve`), named in its :class:`JobRecord`,
+  and starts them longest predicted first
+  (:func:`~repro.harness.jobs.predicted_cost`);
 - the remaining specs run on a ``ProcessPoolExecutor`` when
   ``jobs > 1`` (its workers call :func:`~repro.harness.jobs.run_job`),
   or inline when ``jobs == 1`` — the serial path exists both as a
@@ -79,7 +81,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.guardrails.errors import GuardrailError
 from repro.harness.cache import ResultCache
-from repro.harness.jobs import JobSpec, resolve, run_job
+from repro.harness.jobs import JobSpec, predicted_cost, resolve, run_job
 from repro.sim.results import SimulationResult
 
 __all__ = ["run_jobs", "shutdown_workers", "HarnessReport", "JobRecord",
@@ -316,7 +318,8 @@ def run_jobs(
     description: str = "sweep",
     timeout_s: Optional[float] = None,
 ) -> HarnessReport:
-    """Execute *specs*, in parallel and against the cache, in order.
+    """Execute *specs*, in parallel and against the cache; the misses
+    start longest predicted first, the results come back in order.
 
     Parameters
     ----------
@@ -392,6 +395,7 @@ def run_jobs(
 
     # ---- execution pass ----------------------------------------------
     runs = {i: resolve(specs[i]) for i in pending}
+    pending.sort(key=lambda i: predicted_cost(runs[i][0]), reverse=True)
 
     def finish(
         i: int,

@@ -48,7 +48,7 @@ from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
 from repro.traffic.workloads import Workload
 
-__all__ = ["JobSpec", "build", "resolve", "run_job"]
+__all__ = ["JobSpec", "build", "predicted_cost", "resolve", "run_job"]
 
 #: Config values a spec may carry: JSON scalars only, so hashing and the
 #: on-disk cache stay canonical.
@@ -225,6 +225,13 @@ def resolve(spec: JobSpec) -> Tuple[JobSpec, Optional[str]]:
     from repro.native import pick  # loads ctypes: on demand only
     backend, why = pick(_config(spec))
     return spec.with_config(backend=backend), why
+
+
+def predicted_cost(spec: JobSpec) -> Tuple[bool, int]:
+    """How long *spec*, as :func:`resolve` returned it, runs, as a sort
+    key: a numpy run outlasts any native one, then nodes x cycles."""
+    numpy = dict(spec.config)["backend"] == "numpy"
+    return numpy, spec.num_nodes * spec.cycles
 
 
 def build(spec: JobSpec) -> Simulator:

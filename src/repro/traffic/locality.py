@@ -37,8 +37,26 @@ __all__ = [
     "HotspotLocality",
     "LOCALITY_MODELS",
     "LOCALITY_NAMES",
-    "LOCALITY_PARAMS",
+    "check_param",
 ]
+
+
+#: model -> (does a parameter suit it, what it must be): the one source
+#: of these rules, for the samplers below and ``SimulationConfig``.
+#: Uniform reads none: a value it ignored would split one run's cache key.
+_PARAM_RULES = {
+    "uniform": (lambda p: p == 1.0, "uniform locality takes no parameter"),
+    "exponential": (lambda p: p > 0, "mean distance must be positive"),
+    "powerlaw": (lambda p: p > 1, "alpha must exceed 1 for a finite mean"),
+    "hotspot": (lambda p: 0 < p <= 1, "hot fraction must be in (0, 1]"),
+}
+
+
+def check_param(model: str, value: float) -> None:
+    """Raise ``ValueError`` unless *value* suits locality *model*."""
+    suits, rule = _PARAM_RULES[model]
+    if not suits(value):
+        raise ValueError(f"{rule}, got {value:g}")
 
 
 class UniformStriping:
@@ -160,8 +178,7 @@ class ExponentialLocality(_DistanceLocality):
 
     def __init__(self, topology, mean_distance: float = 1.0):
         super().__init__(topology)
-        if mean_distance <= 0:
-            raise ValueError("mean distance must be positive")
+        check_param("exponential", mean_distance)
         self.mean_distance = mean_distance
 
     def _sample_distance(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,8 +198,7 @@ class PowerLawLocality(_DistanceLocality):
 
     def __init__(self, topology, alpha: float = 2.5):
         super().__init__(topology)
-        if alpha <= 1.0:
-            raise ValueError("alpha must exceed 1 for a finite mean")
+        check_param("powerlaw", alpha)
         self.alpha = alpha
 
     def _sample_distance(self, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,8 +231,7 @@ class HotspotLocality:
         hot_fraction: float = 0.3,
         background_mean_distance: float = 1.0,
     ):
-        if not 0.0 < hot_fraction <= 1.0:
-            raise ValueError("hot fraction must be in (0, 1]")
+        check_param("hotspot", hot_fraction)
         hot = np.asarray(hot_nodes, dtype=np.int64)
         if hot.size == 0:
             raise ValueError("need at least one hot node")
@@ -285,12 +300,3 @@ LOCALITY_MODELS = {
 }
 
 LOCALITY_NAMES = tuple(LOCALITY_MODELS)
-
-#: name -> (does a ``locality_param`` suit the model, what it must be);
-#: uniform reads none: a value it ignored would split one run's cache key
-LOCALITY_PARAMS = {
-    "uniform": (lambda p: p == 1.0, "uniform locality takes no parameter"),
-    "exponential": (lambda p: p > 0, "mean distance must be positive"),
-    "powerlaw": (lambda p: p > 1, "alpha must exceed 1 for a finite mean"),
-    "hotspot": (lambda p: 0 < p <= 1, "hot fraction must be in (0, 1]"),
-}

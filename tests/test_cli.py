@@ -335,8 +335,7 @@ class TestInvalidInput:
           "--locality-param", "-1", "--cycles", "500"],
          "error: mean distance must be positive"),
         (["--locality-param", "-1"],
-         "error: uniform locality takes no parameter, got "
-         "locality_param=-1"),
+         "error: uniform locality takes no parameter, got -1"),
     ])
     def test_exits_2_with_one_line(self, argv, message, capsys):
         usage_error = False

@@ -18,7 +18,8 @@ import repro.__main__ as cli
 from repro.experiments import figures, sweeps
 from repro.experiments.sweeps import Plan
 from repro.guardrails.errors import LivelockError, SimulationTimeout
-from repro.harness import HarnessReport, JobRecord, JobSpec, executor
+from repro.harness import JobSpec, executor
+from repro.harness.jobs import predicted_cost
 from repro.native import accel, native_available
 from repro.traffic.workloads import make_homogeneous_workload
 
@@ -117,7 +118,7 @@ def test_a_spec_two_reports_share_executes_once(monkeypatch, capsys):
     specs = [JobSpec(("mcf",) * 4, 1000, seed=seed) for seed in (1, 2, 3)]
 
     def render(results):
-        ran = all(r is not None for r in results)
+        ran = not any(isinstance(r, str) for r in results)
         return "T", [("every run completed", "yes", str(ran), ran)], None
 
     monkeypatch.setattr(figures, "FIGURES", [
@@ -137,28 +138,30 @@ def test_figure_makes_one_run_jobs_call(monkeypatch, capsys):
     """Figs 13-16 share one scaling sweep and §6.3's mesh half repeats
     four of its points: every report is planned first, and the specs
     go to one run_jobs call, each once, the longest predicted first."""
-    calls = []
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    calls, ran = [], []
     power = SimpleNamespace(reduction_vs=lambda other: 0.1)
     stub = SimpleNamespace(throughput_per_node=1.0, avg_net_latency=20.0,
                            network_utilization=0.5, power=power)
 
     def run_jobs(specs, **kw):
         calls.append(list(specs))
-        return HarnessReport(
-            [stub] * len(specs),
-            [JobRecord(s.label(), s.content_hash(), True, 0.0)
-             for s in specs],
-            workers=1, wall_seconds=0.0,
-        )
+        return executor.run_jobs(specs, **kw)
+
+    def timed_run(spec, timeout_s):
+        ran.append(spec)
+        return stub, 0.0, None
 
     monkeypatch.setattr(sweeps, "run_jobs", run_jobs)
-    _, _, err = figure_cli(capsys, "fig13", "fig14", "fig15", "fig16",
-                           "sec63_torus")
+    monkeypatch.setattr(executor, "_timed_run", timed_run)
+    _, _, err = figure_cli(capsys, "--jobs", "1", "fig13", "fig14",
+                           "fig15", "fig16", "sec63_torus")
     (specs,) = calls
     assert len({spec.content_hash() for spec in specs}) == len(specs) == 19
-    costs = [sweeps.predicted_cost(spec) for spec in specs]
-    assert costs == sorted(costs, reverse=True)
-    assert "5 reports, 68 jobs, 19 distinct specs, 19 cache hits" in err
+    costs = [predicted_cost(spec) for spec in ran]
+    assert len(costs) == 19 and costs == sorted(costs, reverse=True)
+    assert "5 reports, 68 jobs, 19 distinct specs, 0 cache hits, " \
+           "19 executed" in err
 
 
 def test_a_watchdog_stop_is_a_deadlock_cell_not_a_throughput():

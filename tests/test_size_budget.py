@@ -12,24 +12,24 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 #: package -> most lines it may hold; "repro" is the top-level modules.
-#: 16,132 lines in all.
+#: 16,138 lines in all.
 BUDGET = {
     "analysis": 1_733,
     "chaos": 961,
     "control": 1_268,
     "cpu": 432,
-    "experiments": 1_639,
+    "experiments": 1_630,
     "guardrails": 971,
-    "harness": 1_017,
+    "harness": 1_028,
     "metrics": 182,
     "native": 1_747,
     "network": 1_907,
     "observability": 441,
     "power": 101,
-    "repro": 913,
+    "repro": 911,
     "sim": 1_049,
     "topology": 1_005,
-    "traffic": 766,
+    "traffic": 772,
 }
 
 
